@@ -9,8 +9,8 @@
 #   make bench-quant- run only the quantized-predict kernel benches
 #   make bench-save - run kernels + framework_phases benches and record the
 #                     results as BENCH_kernels.json / BENCH_phases.json
-#   make test-plans - allocation-audit + planned-vs-unplanned parity suites,
-#                     under BNN_THREADS=1 and 4
+#   make test-plans - allocation-audit + float-plan parity + SIMD parity
+#                     suites, under BNN_THREADS=1 and 4
 #   make test-serving - serving smoke + determinism suites, under
 #                     BNN_THREADS=1 and 4
 #   make test-robust - serving fault-tolerance suite (panic isolation,
@@ -20,6 +20,8 @@
 #                     under BNN_THREADS=1 and 4
 #   make test-hls   - HLS codegen golden-file snapshots + sim-vs-plan
 #                     differential suites, under BNN_THREADS=1 and 4
+#   make test-perfbench - build and unit-test the benchmark package
+#                     (perfbench/, its own cargo workspace)
 #   make bench-serving - replay the serving harness and record the results
 #                     as BENCH_serving.json
 #   make lint       - rustfmt check + clippy with warnings denied
@@ -33,7 +35,7 @@ CARGO ?= cargo
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls bench bench-build bench-quant bench-save bench-serving lint fmt doc clean ci
+.PHONY: all build test test-doc test-st test-scalar test-plans test-perfbench test-serving test-robust test-adaptive test-hls bench bench-build bench-quant bench-save bench-serving lint fmt doc clean ci
 
 all: build
 
@@ -44,7 +46,7 @@ test:
 	$(CARGO) test -q
 
 # Documentation tests on their own: the crate-level worked examples
-# (calibrate -> lower -> integer predict, etc.) are part of the merge gate.
+# (calibrate -> plan -> integer predict, etc.) are part of the merge gate.
 test-doc:
 	$(CARGO) test -q --doc --workspace
 
@@ -60,8 +62,10 @@ test-scalar:
 	BNN_SIMD=scalar $(CARGO) test -q
 
 # The execution-plan guarantees, pinned at both ends of the thread-count
-# range: zero steady-state allocations in planned predict_probs and bit-exact
-# planned-vs-unplanned parity across formats and modes.
+# range: zero steady-state allocations in planned predict_probs, the float
+# sampler's planned path bit-exact with the layer chain, and SIMD kernels
+# bit-exact with scalar. (Integer plan vs the independent simulator is
+# `make test-hls`.)
 test-plans:
 	BNN_THREADS=1 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity
 	BNN_THREADS=4 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity
@@ -100,11 +104,17 @@ test-hls:
 	BNN_THREADS=1 $(CARGO) test -q --test hls_golden_files --test hls_golden_sim
 	BNN_THREADS=4 $(CARGO) test -q --test hls_golden_files --test hls_golden_sim
 
+# The benchmark package has its own [workspace], so the root build never
+# compiles it; building and testing it here catches a removed public item
+# it uses before a benchmark run does.
+test-perfbench:
+	$(CARGO) test -q --offline --manifest-path perfbench/Cargo.toml
+
 bench:
 	$(CARGO) bench -p bnn-bench
 
-# Only the quantized-predict kernel benches (planned vs unplanned + compile
-# cost) — the fast signal when iterating on the integer hot path.
+# Only the quantized-predict kernel benches (plan predict + compile cost) —
+# the fast signal when iterating on the integer hot path.
 bench-quant:
 	$(CARGO) bench -p bnn-bench --bench kernels -- quantized
 
@@ -140,4 +150,4 @@ doc:
 clean:
 	$(CARGO) clean
 
-ci: lint build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls bench-build doc
+ci: lint build test test-doc test-st test-scalar test-plans test-serving test-robust test-adaptive test-hls test-perfbench bench-build doc

@@ -104,19 +104,15 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| sampler.predict(&mut network, &images).unwrap())
     });
 
-    // Integer MC prediction on the 8-bit quick-demo LeNet — the Phase 3 hot
-    // loop. The compiled plan (packed weights, arena-allocated
-    // intermediates) against the unplanned op walk, same bits either way.
+    // Integer MC prediction on the 8-bit quick-demo LeNet through the
+    // compiled plan (packed weights, arena-allocated intermediates) — the
+    // Phase 3 hot loop.
     let calib = Tensor::randn(&[8, 1, 12, 12], &mut rng);
     let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
     let fmt8 = FixedPointFormat::new(8, 3).unwrap();
     let mut plan = calibrated.plan(fmt8).unwrap();
-    let mut unplanned = calibrated.quantize(fmt8).unwrap();
     group.bench_function("quantized_predict_lenet5_8bit", |b| {
         b.iter(|| plan.predict_probs(&images, 8, 2023).unwrap())
-    });
-    group.bench_function("quantized_predict_lenet5_8bit_unplanned", |b| {
-        b.iter(|| unplanned.predict_probs(&images, 8, 2023).unwrap())
     });
     // Compile costs: the one-off calibration forward and per-format plan
     // derivation Phase 3 amortises across its (format, reuse) grid.

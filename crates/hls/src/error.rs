@@ -20,7 +20,7 @@ pub enum HlsError {
     /// global-width emitter.
     Unsupported(String),
     /// The golden-reference simulator rejected its input (shape mismatch,
-    /// empty batch, or a design without exits).
+    /// empty batch, NaN/infinite values, or a design without exits).
     Sim(String),
     /// Writing the project to disk failed.
     Io(String),

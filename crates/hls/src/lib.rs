@@ -20,13 +20,13 @@
 //! # Relation to the integer inference path
 //!
 //! The `ap_fixed<W, I>` types this generator writes into `defines.h` are the
-//! hardware spelling of the arithmetic `bnn_quant::net` executes in
-//! software since PR 4: symmetric power-of-two grids, wide exact
+//! hardware spelling of the arithmetic a compiled `bnn_quant::QuantPlan`
+//! executes in software: symmetric power-of-two grids, wide exact
 //! accumulation, round-to-nearest requantization and saturation. The
-//! software integer path therefore doubles as the C-simulation reference a
-//! real HLS flow would diff its RTL against — a design point whose accuracy
-//! Phase 3 measured on the integer path is the design point this crate
-//! emits.
+//! golden-reference simulator ([`HlsSimulator`]) re-implements that
+//! arithmetic independently, the role C-simulation plays in a real HLS
+//! flow — a design point whose accuracy Phase 3 measured on the integer
+//! path is the design point this crate emits.
 //!
 //! Two generators coexist:
 //!

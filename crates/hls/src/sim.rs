@@ -157,6 +157,12 @@ impl HlsSimulator {
         if batch == 0 {
             return Err(HlsError::Sim("empty input batch".into()));
         }
+        if let Some(i) = inputs.as_slice().iter().position(|v| !v.is_finite()) {
+            return Err(HlsError::Sim(format!(
+                "input element {i} is {}, which has no fixed-point code",
+                inputs.as_slice()[i]
+            )));
+        }
         for (slot, &elems) in self.slots.iter_mut().zip(&self.schedule.slot_elems) {
             slot.resize(batch * elems, 0);
         }
@@ -175,8 +181,8 @@ impl HlsSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`HlsError::Sim`] for an input shape mismatch or empty
-    /// batch.
+    /// Returns [`HlsError::Sim`] for an input shape mismatch, an empty
+    /// batch, or NaN/infinite input values.
     pub fn forward_exits(
         &mut self,
         inputs: &Tensor,
@@ -212,7 +218,7 @@ impl HlsSimulator {
     /// # Errors
     ///
     /// Returns [`HlsError::Sim`] for a design without exits, an input shape
-    /// mismatch, or an empty batch.
+    /// mismatch, an empty batch, or NaN/infinite input values.
     pub fn predict_probs(
         &mut self,
         inputs: &Tensor,

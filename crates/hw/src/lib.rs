@@ -22,9 +22,9 @@
 //!
 //! [`AcceleratorConfig::with_bits`] sets the datapath width `W` the resource
 //! and power models scale with — the same `W` a Phase 3 candidate format
-//! `ap_fixed<W, I>` carries. Since PR 4 the *algorithmic quality* of those
-//! candidates is measured by actually executing `W`-bit integer arithmetic
-//! (`bnn_quant::net`, with `i32`/`i64` accumulation and saturation), so the
+//! `ap_fixed<W, I>` carries. The *algorithmic quality* of those candidates
+//! is measured by actually executing `W`-bit integer arithmetic (a compiled
+//! `bnn_quant::QuantPlan`, with `i32`/`i64` accumulation and saturation), so the
 //! accuracy a design point reports and the cost this crate estimates now
 //! describe the same machine. Narrower datapaths shrink DSP/LUT cost roughly
 //! quadratically in `W`, which is why the co-exploration rewards aggressive

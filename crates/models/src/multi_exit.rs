@@ -131,12 +131,15 @@ impl MultiExitNetwork {
     /// Restores a checkpoint captured by [`MultiExitNetwork::checkpoint`]
     /// (typically into a freshly built network of the same spec).
     ///
+    /// The whole checkpoint is validated before the first write, so a
+    /// mismatch leaves the network exactly as it was.
+    ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidSpec`] if the checkpoint does not match
     /// this network's parameter or state layout.
     pub fn restore(&mut self, checkpoint: &NetworkCheckpoint) -> Result<(), ModelError> {
-        let params = self.params_mut();
+        let params = self.collect_params_mut();
         if params.len() != checkpoint.params.len() {
             return Err(ModelError::InvalidSpec(format!(
                 "checkpoint has {} parameter tensor(s), network expects {}",
@@ -144,7 +147,7 @@ impl MultiExitNetwork {
                 params.len()
             )));
         }
-        for (param, saved) in params.into_iter().zip(&checkpoint.params) {
+        for (param, saved) in params.iter().zip(&checkpoint.params) {
             if param.value.dims() != saved.dims() {
                 return Err(ModelError::InvalidSpec(format!(
                     "checkpoint parameter shape {:?} does not match network shape {:?}",
@@ -152,7 +155,6 @@ impl MultiExitNetwork {
                     param.value.dims()
                 )));
             }
-            param.value = saved.clone();
         }
         let n_containers = self.blocks.len() + self.exits.len();
         if checkpoint.container_state.len() != n_containers {
@@ -161,6 +163,20 @@ impl MultiExitNetwork {
                 checkpoint.container_state.len(),
                 n_containers
             )));
+        }
+        let containers = self.blocks.iter().chain(self.exits.iter().map(|(_, e)| e));
+        for (index, (container, saved)) in containers.zip(&checkpoint.container_state).enumerate() {
+            let layout = |state: &[Vec<f32>]| state.iter().map(Vec::len).collect::<Vec<_>>();
+            let expected = layout(&Layer::state(container));
+            if layout(saved) != expected {
+                return Err(ModelError::InvalidSpec(format!(
+                    "checkpoint state layout {:?} of container {index} does not match network layout {expected:?}",
+                    layout(saved)
+                )));
+            }
+        }
+        for (param, saved) in self.params_mut().into_iter().zip(&checkpoint.params) {
+            param.value = saved.clone();
         }
         let containers = self
             .blocks
@@ -531,6 +547,65 @@ mod tests {
         replica.reseed_mc_streams(42);
         let c = replica.forward_exits(&x, Mode::McSample).unwrap();
         assert_ne!(a[0].as_slice(), c[0].as_slice());
+    }
+
+    #[test]
+    fn mismatched_restore_leaves_the_network_untouched() {
+        let spec = tiny_multi_exit_spec();
+        let mut net = spec.build(3).unwrap();
+        let before = net.checkpoint();
+        // A checkpoint of differently initialised weights: a half-applied
+        // restore would show up as changed parameters.
+        let other = spec.build(9).unwrap().checkpoint();
+        assert_ne!(other.params, before.params);
+
+        let mut bad_shape = other.clone();
+        let last = bad_shape.params.len() - 1;
+        let n = bad_shape.params[last].len();
+        bad_shape.params[last] = Tensor::zeros(&[n + 1]);
+        assert!(net.restore(&bad_shape).is_err());
+        assert_eq!(net.checkpoint(), before);
+
+        net.restore(&other).unwrap();
+        assert_eq!(net.checkpoint(), other);
+    }
+
+    #[test]
+    fn restore_with_a_wrong_parameter_count_leaves_the_network_untouched() {
+        let spec = tiny_multi_exit_spec();
+        let mut net = spec.build(3).unwrap();
+        let before = net.checkpoint();
+        let other = spec.build(9).unwrap().checkpoint();
+
+        let mut missing = other.clone();
+        missing.params.pop();
+        assert!(net.restore(&missing).is_err());
+        assert_eq!(net.checkpoint(), before);
+
+        let mut extra = other.clone();
+        extra.params.push(Tensor::zeros(&[1]));
+        assert!(net.restore(&extra).is_err());
+        assert_eq!(net.checkpoint(), before);
+    }
+
+    #[test]
+    fn restore_with_a_wrong_state_layout_leaves_the_network_untouched() {
+        let spec = tiny_multi_exit_spec();
+        let mut net = spec.build(3).unwrap();
+        let before = net.checkpoint();
+        let other = spec.build(9).unwrap().checkpoint();
+
+        // Every parameter is valid: only the container state is checked
+        // after the parameter layout, and it must still block every write.
+        let mut bad_state = other.clone();
+        bad_state.container_state[0].push(vec![1.0]);
+        assert!(net.restore(&bad_state).is_err());
+        assert_eq!(net.checkpoint(), before);
+
+        let mut missing_container = other.clone();
+        missing_container.container_state.pop();
+        assert!(net.restore(&missing_container).is_err());
+        assert_eq!(net.checkpoint(), before);
     }
 
     #[test]

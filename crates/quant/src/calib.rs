@@ -7,19 +7,15 @@
 //! 3's per-format loop paid that cost for each of the {4, 6, 8, 16}-bit
 //! design points. [`CalibratedNetwork::calibrate`] now walks the lowered
 //! graph once, recording per-tensor [`ValueRange`]s (weights and activation
-//! edges) plus the per-sample shape of every op output; deriving a quantized
-//! network ([`CalibratedNetwork::quantize`]) or a compiled execution plan
-//! ([`CalibratedNetwork::plan`]) for a format is then pure bookkeeping — no
-//! float inference, no model replica.
+//! edges) plus the per-sample shape of every op output; compiling an
+//! execution plan ([`CalibratedNetwork::plan`]) for a format is then pure
+//! bookkeeping — no float inference, no model replica.
 //!
 //! Ranges are observed on the **unquantized** float graph (raw weights, raw
-//! activations). The per-format integer/fractional splits derived from one
-//! shared record are therefore identical across formats by construction,
-//! which is also what makes a planned and an unplanned lowering of the same
-//! record bit-exact against each other.
+//! activations), so every format's integer/fractional splits derive from
+//! one shared record.
 
 use crate::error::QuantError;
-use crate::net::QuantizedMultiExitNetwork;
 use crate::params::QuantParams;
 use bnn_models::MultiExitNetwork;
 use bnn_nn::lowering::LayerLowering;
@@ -226,7 +222,7 @@ fn collect_into(
             push_record(ops, lowering.name(), None, None, act);
         }
         LayerLowering::GlobalAvgPool2d => {
-            *act = global_avg_pool_plain(act)?;
+            *act = global_avg_pool_float(act)?;
             push_record(ops, lowering.name(), None, None, act);
         }
         LayerLowering::Flatten => {
@@ -266,9 +262,8 @@ fn collect_into(
     Ok(())
 }
 
-/// Float-reference convolution on a lowered weight matrix (shared by
-/// calibration, the fake-quant float simulation and the float plans).
-pub(crate) fn conv_float(
+/// Float-reference convolution on a lowered weight matrix.
+fn conv_float(
     x: &Tensor,
     w2d: &Tensor,
     bias: &[f32],
@@ -282,10 +277,18 @@ pub(crate) fn conv_float(
     let out2d = matmul(w2d, &cols)?;
     let out_c = w2d.dims()[0];
     let plane = geom.out_h() * geom.out_w();
-    let data =
-        crate::net::reorder_to_nchw(out2d.as_slice(), out_c, batch, plane, 0.0f32, |co, v| {
-            v + bias[co]
-        });
+    // `[out_c, batch*plane]` matmul rows back to `[batch, out_c, plane]`.
+    let mut data = vec![0.0f32; batch * out_c * plane];
+    if plane > 0 && batch > 0 {
+        for (co, src_chan) in out2d.as_slice().chunks_exact(batch * plane).enumerate() {
+            for (b, src_row) in src_chan.chunks_exact(plane).enumerate() {
+                let start = (b * out_c + co) * plane;
+                for (dst, &v) in data[start..start + plane].iter_mut().zip(src_row) {
+                    *dst = v + bias[co];
+                }
+            }
+        }
+    }
     Ok(Tensor::from_vec(
         data,
         &[batch, out_c, geom.out_h(), geom.out_w()],
@@ -293,7 +296,7 @@ pub(crate) fn conv_float(
 }
 
 /// Float-reference dense layer.
-pub(crate) fn dense_float(x: &Tensor, w: &Tensor, bias: &[f32]) -> Result<Tensor, QuantError> {
+fn dense_float(x: &Tensor, w: &Tensor, bias: &[f32]) -> Result<Tensor, QuantError> {
     let mut out = matmul(x, w)?;
     let out_f = w.dims()[1];
     for row in out.as_mut_slice().chunks_exact_mut(out_f) {
@@ -306,7 +309,7 @@ pub(crate) fn dense_float(x: &Tensor, w: &Tensor, bias: &[f32]) -> Result<Tensor
 
 /// Float reference of square-window pooling: `combine` folds the window
 /// values, `finish` maps the folded value to the output.
-pub(crate) fn pool_float_with(
+fn pool_float_with(
     x: &Tensor,
     kernel: usize,
     stride: usize,
@@ -341,37 +344,13 @@ pub(crate) fn pool_float_with(
     Ok(Tensor::from_vec(out, &[n, c, oh, ow])?)
 }
 
-/// Float reference of max pooling (the max of on-grid values is on-grid).
-pub(crate) fn max_pool_float(
-    x: &Tensor,
-    kernel: usize,
-    stride: usize,
-) -> Result<Tensor, QuantError> {
+/// Float reference of max pooling.
+fn max_pool_float(x: &Tensor, kernel: usize, stride: usize) -> Result<Tensor, QuantError> {
     pool_float_with(x, kernel, stride, f32::NEG_INFINITY, f32::max, |v| v)
 }
 
-/// Float reference of average pooling, with results snapped back onto the
-/// activation grid (mirroring the integer rounding division).
-pub(crate) fn avg_pool_float(
-    x: &Tensor,
-    kernel: usize,
-    stride: usize,
-    params: QuantParams,
-) -> Result<Tensor, QuantError> {
-    let norm = 1.0 / (kernel * kernel) as f32;
-    pool_float_with(
-        x,
-        kernel,
-        stride,
-        0.0,
-        |a, v| a + v,
-        |acc| params.fake_quantize(acc * norm),
-    )
-}
-
-/// Float reference of global average pooling, without grid snapping (the
-/// calibration forward).
-pub(crate) fn global_avg_pool_plain(x: &Tensor) -> Result<Tensor, QuantError> {
+/// Float reference of global average pooling.
+fn global_avg_pool_float(x: &Tensor) -> Result<Tensor, QuantError> {
     let (n, c, h, w) = x.shape().as_nchw()?;
     let plane = h * w;
     let data = x.as_slice();
@@ -386,14 +365,8 @@ pub(crate) fn global_avg_pool_plain(x: &Tensor) -> Result<Tensor, QuantError> {
     Ok(Tensor::from_vec(out, &[n, c])?)
 }
 
-/// Float reference of global average pooling, snapped onto the grid (the
-/// fake-quant simulation).
-pub(crate) fn global_avg_pool_float(x: &Tensor, params: QuantParams) -> Result<Tensor, QuantError> {
-    Ok(global_avg_pool_plain(x)?.map(|v| params.fake_quantize(v)))
-}
-
 /// Float reference of a per-channel affine over NCHW data.
-pub(crate) fn affine_float(
+fn affine_float(
     x: &Tensor,
     scale: &[f32],
     shift: &[f32],
@@ -421,10 +394,9 @@ pub(crate) fn affine_float(
 
 /// A trained multi-exit network calibrated **once**: the lowered inference
 /// graphs of every backbone block and exit branch, paired with their range
-/// records. Per-format artifacts — [`QuantizedMultiExitNetwork`]s and
-/// compiled [`crate::QuantPlan`]s — derive from this without re-running any
-/// float inference, which is what lets Phase 3 score every `(format, reuse)`
-/// design point against a single calibration pass.
+/// records. Per-format compiled [`crate::QuantPlan`]s derive from this
+/// without re-running any float inference, which is what lets Phase 3 score
+/// every `(format, reuse)` design point against a single calibration pass.
 ///
 /// # Example
 ///
@@ -446,8 +418,8 @@ pub(crate) fn affine_float(
 /// let calibrated = CalibratedNetwork::calibrate(&trained, &calib)?;
 /// // ...then every searched format derives without further float inference.
 /// for (total, int) in [(4, 2), (6, 2), (8, 3), (16, 6)] {
-///     let qnet = calibrated.quantize(FixedPointFormat::new(total, int)?)?;
-///     assert_eq!(qnet.num_exits(), 2);
+///     let plan = calibrated.plan(FixedPointFormat::new(total, int)?)?;
+///     assert_eq!(plan.num_exits(), 2);
 /// }
 /// # Ok(())
 /// # }
@@ -505,19 +477,5 @@ impl CalibratedNetwork {
     /// Number of predicted classes.
     pub fn num_classes(&self) -> usize {
         self.classes
-    }
-
-    /// Derives the unplanned integer network for one format — pure
-    /// bookkeeping over the stored records, no float inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::Unsupported`] for formats wider than 16 bits,
-    /// or [`QuantError::Internal`] on lowering/record skew.
-    pub fn quantize(
-        &self,
-        format: crate::fixed::FixedPointFormat,
-    ) -> Result<QuantizedMultiExitNetwork, QuantError> {
-        QuantizedMultiExitNetwork::from_calibrated(self, format)
     }
 }

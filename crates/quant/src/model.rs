@@ -22,8 +22,8 @@ pub fn tensor_quantization_error(tensor: &Tensor, format: FixedPointFormat) -> Q
 /// This is post-training *fake* quantization: weights are snapped to the
 /// fixed-point grid, after which the (float) inference path evaluates the
 /// quantized model. Phase 3 of the transformation framework uses this as the
-/// float A/B reference next to the true integer path built by
-/// [`crate::net::QuantizedMultiExitNetwork`].
+/// float A/B reference next to the true integer path, a compiled
+/// [`crate::QuantPlan`].
 ///
 /// # Errors
 ///

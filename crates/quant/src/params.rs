@@ -231,6 +231,18 @@ mod tests {
     }
 
     #[test]
+    fn on_grid_values_round_trip_through_codes() {
+        let p = QuantParams::new(FixedPointFormat::new(8, 3).unwrap()).unwrap();
+        let rails = [p.dequantize_value(p.qmin()), p.dequantize_value(p.qmax())];
+        assert_eq!(rails, [-4.0, 4.0 - 1.0 / 32.0]);
+        for v in [0.375, -1.25, 2.0, 0.0, rails[0], rails[1]] {
+            assert_eq!(p.dequantize_value(p.quantize_value(v)), v);
+            assert_eq!(p.fake_quantize(v), v);
+        }
+        assert_eq!(p.quantize_value(0.375), 12);
+    }
+
+    #[test]
     fn quantize_saturates_at_code_range() {
         let p = QuantParams::new(FixedPointFormat::new(4, 2).unwrap()).unwrap();
         assert_eq!(p.quantize_value(1000.0), p.qmax());

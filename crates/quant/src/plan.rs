@@ -1,8 +1,7 @@
 //! Compile-once execution plans for the integer inference path.
 //!
-//! [`QuantPlan`] is the allocate-once/run-many counterpart of
-//! [`QuantizedMultiExitNetwork`](crate::QuantizedMultiExitNetwork): the
-//! recursive lowering walk is flattened into a linear step list, buffer
+//! [`QuantPlan`] is the workspace's integer executor: the recursive lowering
+//! walk of a [`CalibratedNetwork`] is flattened into a linear step list, buffer
 //! lifetimes are planned at compile time (liveness over the flat list with
 //! free-list reuse, elementwise steps running in place when their input
 //! dies), weights are packed **once** into the transposed/widened `i16`
@@ -14,11 +13,12 @@
 //! thread-pool fan-out of large kernels allocates its scoped workers by
 //! design).
 //!
-//! The plan executes exactly the arithmetic of the unplanned path — same
-//! kernels modulo exact-integer reassociation, same requantization, same
-//! seeded mask streams in the same walk order — so planned and unplanned
-//! predictions are **bit-exact** against each other for every format; the
-//! parity suite in `tests/planned_parity.rs` pins this.
+//! Its arithmetic has an independent oracle: `bnn_hls::HlsSimulator`
+//! re-implements every exported [`PlanSchedule`] step (direct convolution,
+//! scalar loops, its own rounding primitives), and `tests/hls_golden_sim.rs`
+//! pins the two **bit-exact** for every zoo subject and searched format, in
+//! deterministic and Monte-Carlo execution and through the seeded
+//! `predict_probs` loop.
 //!
 //! ```text
 //! CalibratedNetwork ──ranges──► compile(format)
@@ -34,10 +34,10 @@
 use crate::calib::{CalibratedNetwork, RecordCursor};
 use crate::error::QuantError;
 use crate::fixed::FixedPointFormat;
-use crate::net::{div_round, dropout_scale_q, quantize_affine, quantize_weights, MUL_FRAC};
+use crate::lower::{div_round, dropout_scale_q, quantize_affine, quantize_weights};
 use crate::params::{IntWidth, QuantParams};
 use crate::qtensor::QuantData;
-use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep};
+use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep, MUL_FRAC};
 use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
@@ -53,11 +53,11 @@ use bnn_tensor::rng::{stream_seed, Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
 
 /// Minimum multiply-accumulate count before a plan kernel fans out over the
-/// parallel executor (the same threshold as the unplanned integer kernels).
+/// parallel executor (the same threshold as the standalone integer kernels).
 const PAR_MACS_THRESHOLD: usize = 1 << 20;
 
 /// A packed convolution: weights widened/flattened to `[out_c, in_c*k*k]`
-/// `i16` once at compile time (the unplanned path re-packs per call).
+/// `i16` once at compile time.
 #[derive(Debug, Clone)]
 struct PlanConv {
     w16: Vec<i16>,
@@ -168,9 +168,10 @@ struct PlanExit {
 
 /// How MC-dropout masks index into the batch.
 ///
-/// [`MaskGranularity::PerBatch`] is the unplanned network's semantics: one
-/// stream draw per (batch, channel), so a batch of N consumes N times the
-/// draws and batched output differs from N single-sample calls.
+/// [`MaskGranularity::PerBatch`] draws one stream value per (batch, channel),
+/// so a batch of N consumes N times the draws and batched output differs
+/// from N single-sample calls. It is what Phase 3 scoring, the HLS golden
+/// files and `bnn_hls::HlsSimulator` use.
 /// [`MaskGranularity::PerSample`] draws one per-sample mask per pass and
 /// broadcasts it across the batch: every kernel in the plan computes each
 /// output element from one sample alone, so per-sample masks make a batched
@@ -360,7 +361,7 @@ impl PlanBuilder {
     }
 
     /// Emits the step(s) of one lowered op, consuming calibration records in
-    /// the same walk order as the unplanned builder.
+    /// the same walk order as the calibration collector.
     fn emit(
         &mut self,
         lowering: &LayerLowering,
@@ -390,7 +391,6 @@ impl PlanBuilder {
                     .params(total_bits)?;
                 let w = quantize_weights(
                     weight,
-                    Some(&[out_c, in_c * kernel * kernel]),
                     bias,
                     record.weight.expect("conv records a weight range"),
                     total_bits,
@@ -433,7 +433,6 @@ impl PlanBuilder {
                     .params(total_bits)?;
                 let w = quantize_weights(
                     weight,
-                    None,
                     bias,
                     record.weight.expect("dense records a weight range"),
                     total_bits,
@@ -504,13 +503,9 @@ impl PlanBuilder {
                     .out
                     .expect("affine records an output range")
                     .params(total_bits)?;
-                let aff = quantize_affine(scale, shift, *params, out);
+                let (m, b) = quantize_affine(scale, shift, *params, out);
                 *cur = self.push(
-                    StepKind::Affine(Box::new(PlanAffine {
-                        m: aff.m,
-                        b: aff.b,
-                        out,
-                    })),
+                    StepKind::Affine(Box::new(PlanAffine { m, b, out })),
                     *cur,
                     None,
                     record.out_dims.clone(),
@@ -955,7 +950,7 @@ impl QuantPlan {
 
     /// Reseeds every MC-dropout stream from `master_seed`, walking the flat
     /// step list (backbone, then exits in attachment order) — the same
-    /// stream assignment as the unplanned network's `reseed_mc_streams`.
+    /// stream assignment as the float network's `reseed_mc_streams`.
     pub fn reseed_mc_streams(&mut self, master_seed: u64) {
         let mut streams = SplitMix64::new(master_seed);
         for step in self
@@ -1007,7 +1002,9 @@ impl QuantPlan {
         }
     }
 
-    /// Quantizes the float input batch into the input slot.
+    /// Quantizes the float input batch into the input slot, rejecting NaN
+    /// and infinite values (the float-to-code cast would otherwise map NaN
+    /// to code 0 and return a normal-looking distribution).
     fn load_input(&mut self, inputs: &Tensor) -> Result<usize, QuantError> {
         if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
             return Err(QuantError::InvalidInput(format!(
@@ -1018,6 +1015,12 @@ impl QuantPlan {
         }
         if inputs.dims()[0] == 0 {
             return Err(QuantError::InvalidInput("empty input batch".into()));
+        }
+        if let Some(i) = inputs.as_slice().iter().position(|v| !v.is_finite()) {
+            return Err(QuantError::NonFinite(format!(
+                "input element {i} is {}",
+                inputs.as_slice()[i]
+            )));
         }
         let batch = inputs.dims()[0];
         self.ensure_arena(batch);
@@ -1051,13 +1054,14 @@ impl QuantPlan {
     }
 
     /// Runs the backbone deterministically and the exit branches in `mode`,
-    /// returning one dequantized logit tensor per exit — the planned
-    /// counterpart of the unplanned `forward_exits_int` (bit-exact against
-    /// it).
+    /// returning one dequantized logit tensor per exit (bit-exact with
+    /// `bnn_hls::HlsSimulator::forward_exits`, see `tests/hls_golden_sim.rs`).
     ///
     /// # Errors
     ///
-    /// Propagates execution errors.
+    /// Returns [`QuantError::InvalidInput`] for an empty batch or an input
+    /// shape mismatch, [`QuantError::NonFinite`] for NaN/infinite input
+    /// values, or propagates execution errors.
     pub fn forward_exits_int(
         &mut self,
         inputs: &Tensor,
@@ -1105,13 +1109,16 @@ impl QuantPlan {
     /// `stream_seed(seed, pass)` and re-runs the exits in
     /// [`Mode::McSample`], and the first `n_samples` per-sample softmax
     /// tensors are averaged into `out` (`[batch, classes]`, resized).
-    /// Bit-exact with the unplanned `predict_probs`; zero steady-state heap
-    /// allocation once the arena is warm (sequential executor).
+    /// Bit-exact with `bnn_hls::HlsSimulator::predict_probs`; zero
+    /// steady-state heap allocation once the arena is warm (sequential
+    /// executor).
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::Internal`] for a plan without exits or an input
-    /// shape mismatch, or propagates execution errors.
+    /// Returns [`QuantError::Internal`] for a plan without exits,
+    /// [`QuantError::InvalidInput`] for an empty batch or an input shape
+    /// mismatch, [`QuantError::NonFinite`] for NaN/infinite input values, or
+    /// propagates execution errors.
     pub fn predict_probs_into(
         &mut self,
         inputs: &Tensor,
@@ -1138,7 +1145,8 @@ impl QuantPlan {
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidInput`] for an empty batch or an input
-    /// shape mismatch, or propagates execution errors.
+    /// shape mismatch, [`QuantError::NonFinite`] for NaN/infinite input
+    /// values, or propagates execution errors.
     pub fn predict_probs_batch_into(
         &mut self,
         inputs: &Tensor,
@@ -1207,9 +1215,9 @@ impl QuantPlan {
             self.reseed_mc_streams(stream_seed(seed, pass as u64));
             for e in 0..n_exits {
                 if sample >= kept {
-                    // Every remaining sample would be truncated anyway (the
-                    // unplanned path computes and discards them; skipping is
-                    // result-identical because exit streams are independent).
+                    // Every remaining sample would be truncated anyway;
+                    // skipping them is result-identical because exit streams
+                    // are independent.
                     break 'passes;
                 }
                 Self::run_steps(
@@ -1249,8 +1257,7 @@ impl QuantPlan {
         Ok((batch, self.classes))
     }
 
-    /// [`QuantPlan::predict_probs_into`] returning a fresh tensor (the
-    /// drop-in replacement for the unplanned `predict_probs`).
+    /// [`QuantPlan::predict_probs_into`] returning a fresh tensor.
     ///
     /// # Errors
     ///
@@ -1324,8 +1331,9 @@ impl QuantPlan {
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidInput`] for an invalid policy threshold,
-    /// an empty batch or a shape mismatch, [`QuantError::Internal`] for a
-    /// plan without exits or with exits attached out of depth order, or
+    /// an empty batch or a shape mismatch, [`QuantError::NonFinite`] for
+    /// NaN/infinite input values, [`QuantError::Internal`] for a plan
+    /// without exits or with exits attached out of depth order, or
     /// propagates execution errors.
     pub fn predict_adaptive_batch_into(
         &mut self,
@@ -1832,7 +1840,7 @@ fn run_step(
             let sampling = mode.samples_mc_dropout() && *rate > 0.0;
             if !sampling {
                 // Stream positions stay aligned: a non-sampling pass draws
-                // nothing, exactly like the unplanned op.
+                // nothing, exactly like the float McDropout layer.
                 if step.src != step.dst {
                     let mut dst = std::mem::take(&mut arena.slots[step.dst]);
                     dst[..in_elems].copy_from_slice(&arena.slots[step.src][..in_elems]);
@@ -1918,9 +1926,9 @@ fn run_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QuantizedMultiExitNetwork;
-    use bnn_models::{zoo, ModelConfig};
+    use bnn_models::{zoo, LayerSpec, ModelConfig, NetworkSpec};
     use bnn_nn::layer::Mode;
+    use bnn_nn::Network;
 
     fn fmt(total: u32, int: u32) -> FixedPointFormat {
         FixedPointFormat::new(total, int).unwrap()
@@ -1947,50 +1955,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_forward_is_bit_exact_with_unplanned_across_formats() {
-        let net = lenet(3);
-        let calib = calib_batch(&[6, 1, 10, 10], 4);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let x = calib_batch(&[3, 1, 10, 10], 5);
-        for format in FixedPointFormat::search_space() {
-            let mut unplanned = calibrated.quantize(format).unwrap();
-            let mut plan = calibrated.plan(format).unwrap();
-            let a = unplanned.forward_exits_int(&x, Mode::Eval).unwrap();
-            let b = plan.forward_exits_int(&x, Mode::Eval).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (ta, tb) in a.iter().zip(&b) {
-                assert_eq!(ta.as_slice(), tb.as_slice(), "{format} Eval");
-            }
-            // MC mode with a shared reseed draws identical masks.
-            unplanned.reseed_mc_streams(17);
-            plan.reseed_mc_streams(17);
-            let a = unplanned.forward_exits_int(&x, Mode::McSample).unwrap();
-            let b = plan.forward_exits_int(&x, Mode::McSample).unwrap();
-            for (ta, tb) in a.iter().zip(&b) {
-                assert_eq!(ta.as_slice(), tb.as_slice(), "{format} McSample");
-            }
-        }
-    }
-
-    #[test]
-    fn planned_predict_probs_is_bit_exact_with_unplanned() {
-        let net = lenet(7);
-        let calib = calib_batch(&[6, 1, 10, 10], 8);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let x = calib_batch(&[2, 1, 10, 10], 9);
-        for format in [fmt(4, 2), fmt(8, 3), fmt(16, 6)] {
-            let mut unplanned =
-                QuantizedMultiExitNetwork::from_calibrated(&calibrated, format).unwrap();
-            let mut plan = calibrated.plan(format).unwrap();
-            for n_samples in [0usize, 1, 3, 4, 7] {
-                let a = unplanned.predict_probs(&x, n_samples, 2023).unwrap();
-                let b = plan.predict_probs(&x, n_samples, 2023).unwrap();
-                assert_eq!(a.as_slice(), b.as_slice(), "{format} n_samples={n_samples}");
-            }
-        }
-    }
-
-    #[test]
     fn plan_reuses_slots_via_liveness() {
         let net = lenet(1);
         let calib = calib_batch(&[4, 1, 10, 10], 2);
@@ -2007,39 +1971,6 @@ mod tests {
         assert_eq!(plan.num_exits(), 2);
         assert_eq!(plan.num_classes(), 4);
         assert_eq!(plan.format(), fmt(8, 3));
-    }
-
-    #[test]
-    fn residual_batchnorm_network_plan_is_bit_exact_with_unplanned() {
-        // A reduced ResNet-18 exercises every plan step kind at once:
-        // residual merges (flattened with a pinned skip slot), folded
-        // batch-norm affines, global average pooling and MC-dropout exits.
-        let net = zoo::resnet18(
-            &ModelConfig::cifar10()
-                .with_resolution(12, 12)
-                .with_width_divisor(16),
-        )
-        .with_exits_after_every_block()
-        .unwrap()
-        .with_exit_mcd(0.3)
-        .unwrap()
-        .build(11)
-        .unwrap();
-        let calib = calib_batch(&[4, 3, 12, 12], 7);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let x = calib_batch(&[2, 3, 12, 12], 8);
-        for format in [fmt(8, 3), fmt(16, 6)] {
-            let mut unplanned = calibrated.quantize(format).unwrap();
-            let mut plan = calibrated.plan(format).unwrap();
-            let a = unplanned.forward_exits_int(&x, Mode::Eval).unwrap();
-            let b = plan.forward_exits_int(&x, Mode::Eval).unwrap();
-            for (ta, tb) in a.iter().zip(&b) {
-                assert_eq!(ta.as_slice(), tb.as_slice(), "{format}");
-            }
-            let a = unplanned.predict_probs(&x, 4, 99).unwrap();
-            let b = plan.predict_probs(&x, 4, 99).unwrap();
-            assert_eq!(a.as_slice(), b.as_slice(), "{format} predict");
-        }
     }
 
     #[test]
@@ -2197,6 +2128,240 @@ mod tests {
             plan.predict_probs(&no_batch_axis, 4, 1),
             Err(QuantError::InvalidInput(_))
         ));
+        // A single non-finite pixel is rejected on every entry point.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut x = calib_batch(&[2, 1, 10, 10], 35);
+            x.as_mut_slice()[137] = bad;
+            assert!(matches!(
+                plan.forward_exits_int(&x, Mode::Eval),
+                Err(QuantError::NonFinite(_))
+            ));
+            assert!(matches!(
+                plan.predict_probs(&x, 4, 1),
+                Err(QuantError::NonFinite(_))
+            ));
+            assert!(matches!(
+                plan.predict_probs_batch(&x, 4, 1),
+                Err(QuantError::NonFinite(_))
+            ));
+            assert!(matches!(
+                plan.predict_adaptive_batch(&x, 4, 1, &ExitPolicy::Never),
+                Err(QuantError::NonFinite(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn wider_than_sixteen_bits_is_rejected() {
+        let net = lenet(37);
+        let calib = calib_batch(&[2, 1, 10, 10], 38);
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        assert!(matches!(
+            calibrated.plan(fmt(24, 8)),
+            Err(QuantError::Unsupported(_))
+        ));
+    }
+
+    fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
+        a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0f32, f32::max)
+    }
+
+    #[test]
+    fn four_bit_plan_output_is_on_the_exit_grid() {
+        let net = lenet(5);
+        let calibrated =
+            CalibratedNetwork::calibrate(&net, &calib_batch(&[6, 1, 10, 10], 6)).unwrap();
+        let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
+        assert_eq!(plan.width, IntWidth::W8);
+        let x = calib_batch(&[3, 1, 10, 10], 7);
+        let out_params = plan.exit_out_params();
+        for mode in [Mode::Eval, Mode::McSample] {
+            let exits = plan.forward_exits_int(&x, mode).unwrap();
+            for (logits, params) in exits.iter().zip(&out_params) {
+                for &v in logits.as_slice() {
+                    let steps = v / params.scale();
+                    assert_eq!(steps, steps.round(), "{v} is off the {mode:?} exit grid");
+                    let code = steps as i64;
+                    assert!((params.qmin()..=params.qmax()).contains(&code));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_bit_formats_use_wide_storage() {
+        let net = lenet(12);
+        let calibrated =
+            CalibratedNetwork::calibrate(&net, &calib_batch(&[4, 1, 10, 10], 13)).unwrap();
+        for (format, width) in [
+            (fmt(4, 2), IntWidth::W8),
+            (fmt(8, 3), IntWidth::W8),
+            (fmt(16, 6), IntWidth::W16),
+        ] {
+            let mut plan = calibrated.plan(format).unwrap();
+            assert_eq!(plan.width, width, "{format}");
+            assert_eq!(plan.in_params.width(), width, "{format}");
+            for params in plan.exit_out_params() {
+                assert_eq!(params.width(), width, "{format}");
+            }
+            let logits = plan
+                .forward_exits_int(&calib_batch(&[2, 1, 10, 10], 14), Mode::Eval)
+                .unwrap();
+            assert!(logits
+                .iter()
+                .all(|t| t.as_slice().iter().all(|v| v.is_finite())));
+        }
+    }
+
+    #[test]
+    fn max_magnitude_inputs_saturate_instead_of_wrapping() {
+        // A dense exit fed the format's extreme input codes through extreme
+        // weights must pin at the output format's rails, not wrap.
+        let spec = NetworkSpec::single_exit(
+            "sat",
+            1,
+            2,
+            4,
+            2,
+            vec![vec![LayerSpec::Flatten]],
+            vec![LayerSpec::Dense {
+                in_features: 8,
+                out_features: 2,
+            }],
+        );
+        let mut net = spec.build(0).unwrap();
+        for w in net.params_mut()[0].value.as_mut_slice() {
+            *w = 100.0; // far beyond any 4-bit grid
+        }
+        // Small calibration activations: the output format underestimates
+        // the extreme inputs below.
+        let calibrated =
+            CalibratedNetwork::calibrate(&net, &calib_batch(&[4, 1, 2, 4], 11)).unwrap();
+        let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
+        let out = plan.exit_out_params()[0];
+        for (fill, rail) in [(1e9f32, out.qmax()), (-1e9, out.qmin())] {
+            let x = Tensor::full(&[1, 1, 2, 4], fill);
+            let logits = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+            for &v in logits[0].as_slice() {
+                assert_eq!(
+                    v,
+                    out.dequantize_value(rail),
+                    "input {fill} must pin at {rail}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn softmax_layers_have_no_integer_lowering() {
+        let spec = NetworkSpec::single_exit(
+            "soft",
+            1,
+            2,
+            2,
+            2,
+            vec![vec![LayerSpec::Flatten]],
+            vec![
+                LayerSpec::Dense {
+                    in_features: 4,
+                    out_features: 2,
+                },
+                LayerSpec::Softmax,
+            ],
+        );
+        let net = spec.build(0).unwrap();
+        assert!(matches!(
+            CalibratedNetwork::calibrate(&net, &calib_batch(&[2, 1, 2, 2], 15)),
+            Err(QuantError::Unsupported(_))
+        ));
+    }
+
+    /// A residual block with batch norm (the merge and affine steps) tracks
+    /// the float network it was calibrated from.
+    #[test]
+    fn residual_batchnorm_plan_tracks_float_network_at_sixteen_bits() {
+        let spec = NetworkSpec::single_exit(
+            "res_bn",
+            3,
+            6,
+            6,
+            3,
+            vec![vec![
+                LayerSpec::Residual {
+                    main: vec![
+                        LayerSpec::Conv2d {
+                            in_channels: 3,
+                            out_channels: 3,
+                            kernel: 3,
+                            stride: 1,
+                            padding: 1,
+                        },
+                        LayerSpec::BatchNorm2d { channels: 3 },
+                    ],
+                    shortcut: Vec::new(),
+                },
+                LayerSpec::Relu,
+            ]],
+            vec![
+                LayerSpec::GlobalAvgPool2d,
+                LayerSpec::Dense {
+                    in_features: 3,
+                    out_features: 3,
+                },
+            ],
+        );
+        let mut net = spec.build(7).unwrap();
+        let calib = calib_batch(&[4, 3, 6, 6], 8);
+        // One training-mode pass moves the batch-norm running statistics
+        // off their identity initialisation.
+        net.forward_exits(&calib, Mode::Train).unwrap();
+        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+        let mut plan = calibrated.plan(fmt(16, 6)).unwrap();
+        let x = calib_batch(&[2, 3, 6, 6], 9);
+        let int_logits = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        let float_logits = net.forward_exits(&x, Mode::Eval).unwrap();
+        // Measured: max |Δ| = 1.9e-4 against logits up to 1.27 in magnitude;
+        // the bound is one step of the ap_fixed<16,6> grid (2^-10).
+        let diff = max_abs_diff(&int_logits[0], &float_logits[0]);
+        assert!(diff <= 1e-3, "max |int - float| = {diff}");
+    }
+
+    #[test]
+    fn mc_masks_are_stream_seeded_and_eval_is_mask_free() {
+        let net = lenet(9);
+        let calibrated =
+            CalibratedNetwork::calibrate(&net, &calib_batch(&[6, 1, 10, 10], 10)).unwrap();
+        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
+        let x = calib_batch(&[2, 1, 10, 10], 11);
+
+        plan.reseed_mc_streams(77);
+        let a = plan.forward_exits_int(&x, Mode::McSample).unwrap();
+        let b = plan.forward_exits_int(&x, Mode::McSample).unwrap();
+        assert!(
+            a.iter()
+                .zip(&b)
+                .any(|(ta, tb)| ta.as_slice() != tb.as_slice()),
+            "fresh masks must differ"
+        );
+        // Reseeding replays the exact masks.
+        plan.reseed_mc_streams(77);
+        let replay = plan.forward_exits_int(&x, Mode::McSample).unwrap();
+        for (ta, tr) in a.iter().zip(&replay) {
+            assert_eq!(ta.as_slice(), tr.as_slice());
+        }
+        // Eval draws nothing: it ignores the stream state entirely.
+        plan.reseed_mc_streams(5);
+        let e1 = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        plan.reseed_mc_streams(6);
+        let _ = plan.forward_exits_int(&x, Mode::McSample).unwrap();
+        let e2 = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        for (t1, t2) in e1.iter().zip(&e2) {
+            assert_eq!(t1.as_slice(), t2.as_slice());
+        }
     }
 
     #[test]

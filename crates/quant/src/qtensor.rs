@@ -1,11 +1,9 @@
-//! [`QuantizedTensor`]: dense integer-code storage for the fixed-point path.
+//! [`QuantData`]: dense integer-code storage for the fixed-point path.
 
-use crate::error::QuantError;
-use crate::params::{IntWidth, QuantParams};
-use bnn_tensor::Tensor;
+use crate::params::IntWidth;
 
-/// The integer codes of a quantized tensor, stored at the narrowest width
-/// that holds the format ([`QuantParams::width`]).
+/// Integer codes stored at the narrowest width that holds their format
+/// ([`crate::QuantParams::width`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuantData {
     /// 8-bit codes (formats up to 8 total bits).
@@ -28,25 +26,21 @@ impl QuantData {
         self.len() == 0
     }
 
-    /// Reads one code widened to `i64`.
-    pub fn code(&self, index: usize) -> i64 {
-        match self {
-            QuantData::I8(v) => v[index] as i64,
-            QuantData::I16(v) => v[index] as i64,
-        }
-    }
-
-    /// Collects every code widened to `i64` (diagnostics and tests).
-    pub fn codes_i64(&self) -> Vec<i64> {
-        match self {
-            QuantData::I8(v) => v.iter().map(|&c| c as i64).collect(),
-            QuantData::I16(v) => v.iter().map(|&c| c as i64).collect(),
-        }
-    }
-
     /// Builds storage of the given width from wide codes, saturating into
     /// the storage range (callers saturate into the *format* range first;
     /// this is a final safety clamp at the storage boundary).
+    ///
+    /// ```
+    /// use bnn_quant::{FixedPointFormat, IntWidth, QuantData, QuantParams};
+    ///
+    /// let p = QuantParams::new(FixedPointFormat::new(8, 3).unwrap()).unwrap();
+    /// let codes = [0.375f32, -1e6].iter().map(|&v| p.quantize_value(v));
+    /// let data = QuantData::from_codes(p.width(), codes);
+    /// assert_eq!(data, QuantData::I8(vec![12, -128]));
+    /// // Out-of-storage codes clamp instead of wrapping.
+    /// let wide = QuantData::from_codes(IntWidth::W8, [300i64, -300].into_iter());
+    /// assert_eq!(wide, QuantData::I8(vec![127, -128]));
+    /// ```
     pub fn from_codes(width: IntWidth, codes: impl Iterator<Item = i64>) -> QuantData {
         match width {
             IntWidth::W8 => QuantData::I8(codes.map(|c| c.clamp(-128, 127) as i8).collect()),
@@ -55,170 +49,18 @@ impl QuantData {
     }
 }
 
-/// A dense tensor of fixed-point integer codes plus its [`QuantParams`].
-///
-/// This is the value type flowing through the integer inference path: `i8`
-/// or `i16` storage, with wide (`i32`/`i64`) accumulation and explicit
-/// saturation happening inside the consuming ops (see `bnn_tensor::int`).
-///
-/// # Example
-///
-/// ```
-/// use bnn_quant::{FixedPointFormat, QuantParams, QuantizedTensor};
-/// use bnn_tensor::Tensor;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let params = QuantParams::new(FixedPointFormat::new(8, 3)?)?;
-/// let t = Tensor::from_vec(vec![0.3751, -1.26, 100.0], &[3])?;
-/// let q = QuantizedTensor::quantize(&t, params);
-/// // 100.0 saturates at the format maximum
-/// assert_eq!(q.dequantize().as_slice(), &[0.375, -1.25, 3.96875]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedTensor {
-    data: QuantData,
-    dims: Vec<usize>,
-    params: QuantParams,
-}
-
-impl QuantizedTensor {
-    /// Quantizes a float tensor onto the params' grid (round to nearest,
-    /// saturate at the format range).
-    pub fn quantize(tensor: &Tensor, params: QuantParams) -> QuantizedTensor {
-        let codes = tensor.as_slice().iter().map(|&v| params.quantize_value(v));
-        QuantizedTensor {
-            data: QuantData::from_codes(params.width(), codes),
-            dims: tensor.dims().to_vec(),
-            params,
-        }
-    }
-
-    /// Wraps pre-computed codes (they must already be saturated into the
-    /// format range).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::Internal`] if the code count does not match the
-    /// dimensions.
-    pub fn from_parts(
-        data: QuantData,
-        dims: Vec<usize>,
-        params: QuantParams,
-    ) -> Result<QuantizedTensor, QuantError> {
-        let expected: usize = dims.iter().product();
-        if data.len() != expected {
-            return Err(QuantError::Internal(format!(
-                "quantized tensor with dims {dims:?} needs {expected} codes, got {}",
-                data.len()
-            )));
-        }
-        Ok(QuantizedTensor { data, dims, params })
-    }
-
-    /// Reconstructs the real-valued tensor `code * scale`.
-    pub fn dequantize(&self) -> Tensor {
-        let values: Vec<f32> = match &self.data {
-            QuantData::I8(v) => v
-                .iter()
-                .map(|&c| self.params.dequantize_value(c as i64))
-                .collect(),
-            QuantData::I16(v) => v
-                .iter()
-                .map(|&c| self.params.dequantize_value(c as i64))
-                .collect(),
-        };
-        Tensor::from_vec(values, &self.dims).expect("dims validated at construction")
-    }
-
-    /// The integer codes.
-    pub fn data(&self) -> &QuantData {
-        &self.data
-    }
-
-    /// Decomposes the tensor into its codes, dimensions and parameters
-    /// without copying — the integer op chain threads ownership through
-    /// shape-only ops (flatten, identity) instead of cloning code buffers.
-    pub fn into_parts(self) -> (QuantData, Vec<usize>, QuantParams) {
-        (self.data, self.dims, self.params)
-    }
-
-    /// The tensor dimensions.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// The quantization parameters.
-    pub fn params(&self) -> QuantParams {
-        self.params
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::FixedPointFormat;
-
-    fn params(total: u32, int: u32) -> QuantParams {
-        QuantParams::new(FixedPointFormat::new(total, int).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn quantize_dequantize_round_trip_on_grid() {
-        let p = params(8, 3);
-        let t = Tensor::from_vec(vec![0.375, -1.25, 2.0, 0.0], &[2, 2]).unwrap();
-        let q = QuantizedTensor::quantize(&t, p);
-        assert_eq!(q.dequantize().as_slice(), t.as_slice());
-        assert_eq!(q.dims(), &[2, 2]);
-        assert_eq!(q.len(), 4);
-    }
-
-    #[test]
-    fn quantize_matches_fake_quantization() {
-        let p = params(6, 2);
-        let t = Tensor::from_vec((-20..20).map(|i| i as f32 * 0.173).collect(), &[40]).unwrap();
-        let q = QuantizedTensor::quantize(&t, p).dequantize();
-        let fake = t.map(|v| p.format().quantize(v));
-        assert_eq!(q.as_slice(), fake.as_slice());
-    }
 
     #[test]
     fn storage_width_follows_format() {
-        let t = Tensor::ones(&[3]);
-        let q8 = QuantizedTensor::quantize(&t, params(8, 3));
-        assert!(matches!(q8.data(), QuantData::I8(_)));
-        let q16 = QuantizedTensor::quantize(&t, params(16, 6));
-        assert!(matches!(q16.data(), QuantData::I16(_)));
-        assert_eq!(q8.data().codes_i64(), vec![32, 32, 32]);
-        assert_eq!(q16.data().code(0), 1024);
-    }
-
-    #[test]
-    fn max_magnitude_values_saturate_to_code_extremes() {
-        // Saturation edge case: values far beyond the range pin at
-        // qmin/qmax instead of wrapping around.
-        let p = params(4, 2);
-        let t = Tensor::from_vec(vec![1e6, -1e6], &[2]).unwrap();
-        let q = QuantizedTensor::quantize(&t, p);
-        assert_eq!(q.data().codes_i64(), vec![p.qmax(), p.qmin()]);
-    }
-
-    #[test]
-    fn from_parts_validates_dims() {
-        let p = params(8, 3);
-        let data = QuantData::I8(vec![1, 2, 3]);
-        assert!(QuantizedTensor::from_parts(data.clone(), vec![2, 2], p).is_err());
-        assert!(QuantizedTensor::from_parts(data, vec![3], p).is_ok());
+        let codes = [32i64, -1000, 1000];
+        let q8 = QuantData::from_codes(IntWidth::W8, codes.into_iter());
+        assert_eq!(q8, QuantData::I8(vec![32, -128, 127]));
+        let q16 = QuantData::from_codes(IntWidth::W16, codes.into_iter());
+        assert_eq!(q16, QuantData::I16(vec![32, -1000, 1000]));
+        assert_eq!(q16.len(), 3);
+        assert!(!q16.is_empty());
     }
 }

@@ -50,8 +50,10 @@ use crate::params::QuantParams;
 /// [`ScheduleOp::Affine`] and [`ScheduleOp::McDropout`] steps scale by
 /// (batch-norm affines and the inverted-dropout `1/keep` factor): the
 /// products are requantized by a right-shift of this many bits. Interpreters
-/// must shift by exactly this amount to stay bit-exact with the plan.
-pub const MUL_FRAC: u32 = crate::net::MUL_FRAC;
+/// must shift by exactly this amount to stay bit-exact with the plan. 12
+/// bits keep the multiplier error two orders of magnitude below even the
+/// 16-bit activation step.
+pub const MUL_FRAC: u32 = 12;
 
 /// The arithmetic of one flattened step, with every constant the step folds
 /// in at compile time (weight codes, biases, shifts, output formats).

@@ -519,9 +519,10 @@ impl InferenceServer {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidRequest`] if `sample` has the wrong
-    /// element count (the queue refuses malformed requests up front, before
-    /// they can poison a batch), [`ServeError::Overloaded`] if the bounded
-    /// queue is full, [`ServeError::ShuttingDown`] after
+    /// element count or holds a NaN/infinite value (the queue refuses
+    /// malformed requests up front, before they can poison a batch),
+    /// [`ServeError::Overloaded`] if the bounded queue is full,
+    /// [`ServeError::ShuttingDown`] after
     /// [`InferenceServer::shutdown`] began, and
     /// [`ServeError::WorkerCrashed`] once the whole pool has crashed out.
     pub fn submit(&self, sample: &[f32]) -> Result<ResponseHandle, ServeError> {
@@ -553,6 +554,12 @@ impl InferenceServer {
                 "sample has {} elements, engine expects {}",
                 sample.len(),
                 self.per_elems
+            )));
+        }
+        if let Some(i) = sample.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::InvalidRequest(format!(
+                "sample element {i} is {}",
+                sample[i]
             )));
         }
         let cell = Arc::new(ReplyCell::new());

@@ -20,8 +20,7 @@
 //!   [`round_shift`] and [`saturate`]).
 //! * **Rounding.** [`round_shift`] rounds to nearest with ties away from
 //!   zero — the same convention as `f32::round`, which the fake-quantization
-//!   grid in `bnn-quant` uses. This keeps the integer path and the float
-//!   simulation bit-compatible wherever `f32` arithmetic is exact.
+//!   grid in `bnn-quant` uses.
 //! * **Determinism.** Integer addition is associative, so any execution
 //!   order gives the same bits; the kernels still split work into disjoint
 //!   output row blocks on a [`parpool::Executor`] exactly like the float
@@ -751,88 +750,6 @@ pub fn matmul_i16_with(
     Ok(out)
 }
 
-fn im2col_generic<T: Copy + Default>(
-    input: &[T],
-    batch: usize,
-    channels: usize,
-    geom: &ConvGeometry,
-) -> Result<(Vec<T>, usize, usize), TensorError> {
-    if input.len() != batch * channels * geom.in_h * geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![input.len()],
-            rhs: vec![batch, channels, geom.in_h, geom.in_w],
-            op: "im2col_int",
-        });
-    }
-    let out_h = geom.out_h();
-    let out_w = geom.out_w();
-    let rows = channels * geom.kernel_h * geom.kernel_w;
-    let cols = batch * out_h * out_w;
-    let mut out = vec![T::default(); rows * cols];
-    // Batch-major fill, the same scatter order as the sequential float
-    // im2col; padding taps keep the zero default (zero-point is always 0 in
-    // the symmetric fixed-point scheme, so integer padding is literal 0).
-    for b in 0..batch {
-        for c in 0..channels {
-            for kh in 0..geom.kernel_h {
-                for kw in 0..geom.kernel_w {
-                    let row = (c * geom.kernel_h + kh) * geom.kernel_w + kw;
-                    for oh in 0..out_h {
-                        let ih = (oh * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                        if ih < 0 || ih as usize >= geom.in_h {
-                            continue;
-                        }
-                        for ow in 0..out_w {
-                            let iw = (ow * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                            if iw < 0 || iw as usize >= geom.in_w {
-                                continue;
-                            }
-                            let col = (b * out_h + oh) * out_w + ow;
-                            out[row * cols + col] =
-                                input[((b * channels + c) * geom.in_h + ih as usize) * geom.in_w
-                                    + iw as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok((out, rows, cols))
-}
-
-/// Unfolds an NCHW `i8` code tensor into im2col columns, returning
-/// `(columns, rows, cols)` with `rows = channels * kh * kw` and
-/// `cols = batch * out_h * out_w`. Padding positions hold integer zero (the
-/// symmetric scheme's zero-point).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `input` does not hold
-/// `batch * channels * in_h * in_w` codes.
-pub fn im2col_i8(
-    input: &[i8],
-    batch: usize,
-    channels: usize,
-    geom: &ConvGeometry,
-) -> Result<(Vec<i8>, usize, usize), TensorError> {
-    im2col_generic(input, batch, channels, geom)
-}
-
-/// [`im2col_i8`] for `i16` codes.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `input` does not hold
-/// `batch * channels * in_h * in_w` codes.
-pub fn im2col_i16(
-    input: &[i16],
-    batch: usize,
-    channels: usize,
-    geom: &ConvGeometry,
-) -> Result<(Vec<i16>, usize, usize), TensorError> {
-    im2col_generic(input, batch, channels, geom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,32 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn im2col_i8_matches_float_im2col() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(9);
-        let (b, c, h, w) = (2usize, 3usize, 6usize, 5usize);
-        let codes = random_codes_i8(b * c * h * w, &mut rng);
-        let geom = ConvGeometry {
-            in_h: h,
-            in_w: w,
-            kernel_h: 3,
-            kernel_w: 2,
-            stride_h: 1,
-            stride_w: 2,
-            pad_h: 1,
-            pad_w: 1,
-        };
-        let (cols_i, rows, cols) = im2col_i8(&codes, b, c, &geom).unwrap();
-        let xf =
-            Tensor::from_vec(codes.iter().map(|&v| v as f32).collect(), &[b, c, h, w]).unwrap();
-        let cols_f = im2col(&xf, &geom).unwrap();
-        assert_eq!(cols_f.dims(), &[rows, cols]);
-        for (i, &v) in cols_i.iter().enumerate() {
-            assert_eq!(v as f32, cols_f.as_slice()[i]);
-        }
-        assert!(im2col_i8(&codes[1..], b, c, &geom).is_err());
-    }
-
-    #[test]
     fn packed_kernels_match_packing_entry_points() {
         // The plan-facing pre-packed kernels must reproduce the packing
         // entry points bit for bit on identical operands.
@@ -1027,15 +918,20 @@ mod tests {
             pad_h: 1,
             pad_w: 1,
         };
-        let (cols_i, rows, cols) = im2col_i8(&codes8, b, c, &geom).unwrap();
+        // The float im2col of the same values is the reference layout;
+        // small integers are exact in f32.
+        let xf =
+            Tensor::from_vec(codes8.iter().map(|&v| v as f32).collect(), &[b, c, h, w]).unwrap();
+        let cols_f = im2col(&xf, &geom).unwrap();
+        let (rows, cols) = (cols_f.dims()[0], cols_f.dims()[1]);
         let mut packed = vec![99i16; 3]; // wrong size + stale contents
         let (r2, c2) = im2row_i16_into(&codes, b, c, &geom, &mut packed).unwrap();
         assert_eq!((rows, cols), (r2, c2));
         for row in 0..rows {
             for col in 0..cols {
                 assert_eq!(
-                    packed[col * rows + row],
-                    cols_i[row * cols + col] as i16,
+                    packed[col * rows + row] as f32,
+                    cols_f.as_slice()[row * cols + col],
                     "mismatch at ({row}, {col})"
                 );
             }

@@ -1,121 +1,13 @@
-//! Parity suite of the compiled execution plans: on a trained multi-exit
-//! LeNet-5, the planned integer path must be **bit-exact** with the
-//! unplanned path for every format in the paper's search space
-//! `{4, 6, 8, 16}`, in both deterministic ([`Mode::Eval`]) and Monte-Carlo
-//! ([`Mode::McSample`]) execution, and through the full seeded
-//! `predict_probs` loop. The float side gets the same treatment: the
-//! sampler's planned prediction path must reproduce the layer-chain path
-//! bit for bit.
+//! Parity suite of the compiled float execution plans: on a trained
+//! multi-exit LeNet-5, the sampler's planned prediction path must reproduce
+//! the layer-chain path bit for bit. (The integer plan's bit-exactness
+//! contract is pinned against the independent HLS golden-reference
+//! simulator in `tests/hls_golden_sim.rs`.)
+
+mod fixtures;
 
 use bayesnn_fpga::bayes::sampling::{McSampler, SamplingConfig};
-use bayesnn_fpga::models::{zoo, ModelConfig};
-use bayesnn_fpga::nn::layer::Mode;
-use bayesnn_fpga::nn::optimizer::Sgd;
-use bayesnn_fpga::nn::trainer::{train, LabelledBatchSource, TrainConfig};
-use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
-use bayesnn_fpga::tensor::Tensor;
-use bnn_data::{DatasetSpec, SyntheticConfig};
-use bnn_models::MultiExitNetwork;
-
-/// A trained multi-exit LeNet-5 with calibration and evaluation batches.
-fn trained_lenet5() -> (MultiExitNetwork, Tensor, Tensor) {
-    let model_cfg = ModelConfig::mnist()
-        .with_resolution(10, 10)
-        .with_width_divisor(8)
-        .with_classes(4);
-    let spec = zoo::lenet5(&model_cfg)
-        .with_exits_after_every_block()
-        .unwrap()
-        .with_exit_mcd(0.25)
-        .unwrap();
-    let data = SyntheticConfig::new(
-        DatasetSpec::mnist_like()
-            .with_resolution(10, 10)
-            .with_classes(4),
-    )
-    .with_samples(64, 24)
-    .generate(17)
-    .unwrap();
-    let mut network = spec.build(4).unwrap();
-    let batches =
-        LabelledBatchSource::new(data.train.inputs().clone(), data.train.labels().to_vec())
-            .unwrap();
-    let mut sgd = Sgd::new(0.05).with_momentum(0.9);
-    let cfg = TrainConfig {
-        epochs: 2,
-        batch_size: 16,
-        ..TrainConfig::default()
-    };
-    train(&mut network, &batches, &mut sgd, &cfg).unwrap();
-    let calib = data.train.take(24).unwrap().inputs().clone();
-    let eval = data.test.inputs().clone();
-    (network, calib, eval)
-}
-
-/// The acceptance-criteria sweep: planned and unplanned integer inference
-/// agree bit for bit across every searched format and both execution modes.
-#[test]
-fn planned_integer_path_is_bit_exact_with_unplanned_across_formats_and_modes() {
-    let (network, calib, eval) = trained_lenet5();
-    let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
-    for format in FixedPointFormat::search_space() {
-        let mut unplanned = calibrated.quantize(format).unwrap();
-        let mut plan = calibrated.plan(format).unwrap();
-
-        // Deterministic evaluation.
-        let a = unplanned.forward_exits_int(&eval, Mode::Eval).unwrap();
-        let b = plan.forward_exits_int(&eval, Mode::Eval).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (exit, (ta, tb)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(ta.as_slice(), tb.as_slice(), "{format} Eval exit {exit}");
-        }
-
-        // Monte-Carlo sampling under shared reseeds.
-        for seed in [5u64, 2023] {
-            unplanned.reseed_mc_streams(seed);
-            plan.reseed_mc_streams(seed);
-            let a = unplanned.forward_exits_int(&eval, Mode::McSample).unwrap();
-            let b = plan.forward_exits_int(&eval, Mode::McSample).unwrap();
-            for (exit, (ta, tb)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    ta.as_slice(),
-                    tb.as_slice(),
-                    "{format} McSample seed {seed} exit {exit}"
-                );
-            }
-        }
-
-        // The full seeded MC prediction loop, including pass bookkeeping
-        // and sample truncation.
-        for n_samples in [1usize, 4, 6] {
-            let a = unplanned.predict_probs(&eval, n_samples, 2023).unwrap();
-            let b = plan.predict_probs(&eval, n_samples, 2023).unwrap();
-            assert_eq!(
-                a.as_slice(),
-                b.as_slice(),
-                "{format} predict_probs n_samples={n_samples}"
-            );
-        }
-    }
-}
-
-/// The calibration record is derived once and shared: quantizing through
-/// [`CalibratedNetwork`] equals the one-shot `lower` entry point.
-#[test]
-fn shared_calibration_record_matches_one_shot_lowering() {
-    use bayesnn_fpga::quant::QuantizedMultiExitNetwork;
-    let (network, calib, eval) = trained_lenet5();
-    let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
-    for format in FixedPointFormat::search_space() {
-        let mut from_record = calibrated.quantize(format).unwrap();
-        let mut one_shot = QuantizedMultiExitNetwork::lower(&network, format, &calib).unwrap();
-        let a = from_record.forward_exits_int(&eval, Mode::Eval).unwrap();
-        let b = one_shot.forward_exits_int(&eval, Mode::Eval).unwrap();
-        for (ta, tb) in a.iter().zip(&b) {
-            assert_eq!(ta.as_slice(), tb.as_slice(), "{format}");
-        }
-    }
-}
+use bayesnn_fpga::tensor::exec::Executor;
 
 /// The float sampler's planned path (compiled `MultiExitPlan`, arenas reused
 /// across MC passes) reproduces the prediction of a spec-rebuilt replica of
@@ -125,8 +17,7 @@ fn shared_calibration_record_matches_one_shot_lowering() {
 /// arithmetic bit for bit.
 #[test]
 fn sampler_planned_path_matches_replica_prediction_bitwise() {
-    use bayesnn_fpga::tensor::exec::Executor;
-    let (mut network, _calib, eval) = trained_lenet5();
+    let (mut network, _calib, eval) = fixtures::trained_lenet5(17, 4, 24);
     // A replica rebuilt from spec + checkpoint (the pre-plan worker path).
     let mut replica = network.replicate().unwrap();
     // Both samplers compile (and cache) plans for this plannable network;

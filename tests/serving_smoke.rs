@@ -85,11 +85,22 @@ fn replayed_requests_are_all_served_and_correct() {
         );
     }
 
-    // Malformed submissions are rejected up front with typed errors.
+    // Malformed submissions are rejected up front with typed errors: a
+    // wrong element count, or a single non-finite value (which would
+    // otherwise fail the whole batch it lands in — the replay below then
+    // asserts every valid request delivered bit-exact and no failures).
     assert!(matches!(
         server.submit(&[0.0; 7]),
         Err(ServeError::InvalidRequest(_))
     ));
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut sample = pool[0].clone();
+        sample[42] = bad;
+        assert!(
+            matches!(server.submit(&sample), Err(ServeError::InvalidRequest(_))),
+            "{bad} must be rejected at submit"
+        );
+    }
 
     let outcome = replay(
         &server,
