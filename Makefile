@@ -9,8 +9,8 @@
 #   make bench-quant- run only the quantized-predict kernel benches
 #   make bench-save - run kernels + framework_phases benches and record the
 #                     results as BENCH_kernels.json / BENCH_phases.json
-#   make test-plans - allocation-audit + float-plan parity + SIMD parity
-#                     suites, under BNN_THREADS=1 and 4
+#   make test-plans - allocation-audit + zoo-wide float-plan parity + SIMD
+#                     parity suites, under BNN_THREADS=1 and 4
 #   make test-serving - serving smoke + determinism suites, under
 #                     BNN_THREADS=1 and 4
 #   make test-robust - serving fault-tolerance suite (panic isolation,
@@ -26,6 +26,8 @@
 #                     as BENCH_serving.json
 #   make lint       - rustfmt check + clippy with warnings denied
 #   make doc        - rustdoc with warnings denied
+#   make loc        - non-test Rust line count of crates/*/src (each file's
+#                     lines before its first #[cfg(test)])
 #   make ci         - everything the merge gate runs
 
 CARGO ?= cargo
@@ -35,7 +37,7 @@ CARGO ?= cargo
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test test-doc test-st test-scalar test-plans test-perfbench test-serving test-robust test-adaptive test-hls bench bench-build bench-quant bench-save bench-serving lint fmt doc clean ci
+.PHONY: all build test test-doc test-st test-scalar test-plans test-perfbench test-serving test-robust test-adaptive test-hls bench bench-build bench-quant bench-save bench-serving lint fmt doc loc clean ci
 
 all: build
 
@@ -63,9 +65,9 @@ test-scalar:
 
 # The execution-plan guarantees, pinned at both ends of the thread-count
 # range: zero steady-state allocations in planned predict_probs, the float
-# sampler's planned path bit-exact with the layer chain, and SIMD kernels
-# bit-exact with scalar. (Integer plan vs the independent simulator is
-# `make test-hls`.)
+# plan (and every sampler entry point on it) bit-exact with the layer chain
+# on every zoo model, and SIMD kernels bit-exact with scalar. (Integer plan
+# vs the independent simulator is `make test-hls`.)
 test-plans:
 	BNN_THREADS=1 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity
 	BNN_THREADS=4 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity
@@ -146,6 +148,11 @@ fmt:
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
+
+# The size measure the roadmap's acceptance criteria use: every source file
+# under crates/*/src counted up to (not including) its first #[cfg(test)].
+loc:
+	@find crates/*/src -name '*.rs' -exec awk 'FNR == 1 { done = 0 } /#\[cfg\(test\)\]/ { done = 1 } !done { n++ } END { print n }' {} +
 
 clean:
 	$(CARGO) clean

@@ -13,12 +13,18 @@
 //! Threshold-based early exiting (used for the ECE-optimal rows of
 //! Table I) is provided by [`McSampler::adaptive_exit_predict`], with
 //! [`McSampler::confidence_exit_predict`] and
-//! [`McSampler::entropy_exit_predict`] as the two policy shorthands. When
-//! the network compiles to a [`bnn_models::MultiExitPlan`], early exiting
-//! runs on the plan's adaptive batched path — stragglers are compacted into
-//! a shrinking dense batch and easy samples stop paying for deeper blocks —
-//! and falls back to a full-depth layer-chain sweep otherwise. The two
-//! paths are bit-identical.
+//! [`McSampler::entropy_exit_predict`] as the two policy shorthands. Early
+//! exiting runs on the compiled plan's adaptive batched path — stragglers
+//! are compacted into a shrinking dense batch and easy samples stop paying
+//! for deeper blocks.
+//!
+//! Both multi-exit paths execute on the network's compiled
+//! [`bnn_models::MultiExitPlan`], which every zoo architecture (batch
+//! normalisation and residual blocks included) compiles to and which
+//! reproduces the layer chain bit for bit. A network that cannot compile
+//! (an in-graph softmax) is a typed error, not a detour through the layer
+//! chain; the single-exit and deterministic baselines still run the layer
+//! chain, as the paper's Eq. 1 reference.
 //!
 //! # Determinism and parallelism
 //!
@@ -28,9 +34,8 @@
 //! prediction depends only on the network checkpoint, the inputs and the
 //! sampler seed — never on earlier passes or on scheduling. That is what
 //! lets [`McSampler::predict`] fan independent passes out across the
-//! executor's thread pool (each worker gets a [`MultiExitNetwork::replicate`]
-//! inference replica) while staying bitwise identical to the
-//! single-threaded run.
+//! executor's thread pool (each worker gets a clone of the compiled plan)
+//! while staying bitwise identical to the single-threaded run.
 
 use crate::BayesError;
 use bnn_models::{ExitPolicy, MultiExitNetwork};
@@ -152,21 +157,21 @@ impl McSampler {
     ///
     /// The deterministic backbone runs once; the (cheap) exit passes are
     /// independent given their seeded mask streams and fan out across the
-    /// sampler's executor. Plannable networks (no batch normalisation or
-    /// residual blocks) execute on a compiled [`bnn_models::MultiExitPlan`]
-    /// **cached on the network** ([`MultiExitNetwork::cached_plan`]) —
-    /// backbone and exits run in preallocated arenas reused across passes
-    /// *and across predictions* (the lowering + weight-packing compile
-    /// reruns only after a weight mutation or input-shape change), and
-    /// worker replicas are plan clones instead of per-worker spec rebuilds;
-    /// non-plannable networks take the layer chain. The two paths are
-    /// **bit-identical** (the plan reproduces every layer kernel and mask
-    /// stream exactly), as are all thread counts, including the sequential
-    /// path.
+    /// sampler's executor. Everything executes on the compiled
+    /// [`bnn_models::MultiExitPlan`] **cached on the network**
+    /// ([`MultiExitNetwork::cached_plan`]) — backbone and exits run in
+    /// preallocated arenas reused across passes *and across predictions*
+    /// (the lowering + weight-packing compile reruns only after a weight
+    /// mutation or input-shape change), and worker replicas are plan clones.
+    /// The result is **bit-identical** to running the layer chain pass by
+    /// pass, at every thread count.
     ///
     /// # Errors
     ///
-    /// Propagates network errors.
+    /// Returns [`BayesError::Invalid`] for a network without exits or an
+    /// input without a batch axis, [`BayesError::Model`] when the network
+    /// does not compile to a plan or the input is malformed (wrong shape,
+    /// non-finite values), or propagates execution errors.
     pub fn predict(
         &self,
         network: &mut MultiExitNetwork,
@@ -176,23 +181,7 @@ impl McSampler {
         if n_exits == 0 {
             return Err(BayesError::Invalid("network has no exits".into()));
         }
-        if inputs.dims().len() >= 2 {
-            if let Ok(plan) = network.cached_plan(&inputs.dims()[1..]) {
-                return self.predict_planned(plan, inputs, n_exits);
-            }
-        }
-        self.predict_layered(network, inputs, n_exits)
-    }
-
-    /// The planned prediction path: one compiled plan, arenas reused across
-    /// passes, plan clones as worker replicas. Borrows the network's cached
-    /// plan so nothing recompiles on a repeat prediction.
-    fn predict_planned(
-        &self,
-        plan: &mut bnn_models::MultiExitPlan,
-        inputs: &Tensor,
-        n_exits: usize,
-    ) -> Result<McPrediction, BayesError> {
+        let plan = network.cached_plan(sample_dims(inputs)?)?;
         let passes = self.config.passes_for(n_exits).max(1);
         let activations = plan.forward_backbone(inputs, Mode::Eval)?;
         let pass_seeds: Vec<u64> = (0..passes)
@@ -240,74 +229,6 @@ impl McSampler {
                 }
                 collected
             };
-        self.finish_prediction(pass_exits, passes, n_exits)
-    }
-
-    /// The unplanned prediction path: the layer chain with per-worker model
-    /// replicas (networks with batch normalisation or residual blocks).
-    fn predict_layered(
-        &self,
-        network: &mut MultiExitNetwork,
-        inputs: &Tensor,
-        n_exits: usize,
-    ) -> Result<McPrediction, BayesError> {
-        let passes = self.config.passes_for(n_exits).max(1);
-        let activations = network.forward_backbone(inputs, Mode::Eval)?;
-        let pass_seeds: Vec<u64> = (0..passes)
-            .map(|p| stream_seed(self.config.seed, p as u64))
-            .collect();
-
-        let pass_exits: Vec<Vec<Tensor>> =
-            if self.executor.threads() > 1 && passes > 1 && !in_parallel_region() {
-                // Exit forward passes cache activations in &mut self, so
-                // concurrent passes need separate instances — but only one
-                // replica per *worker*, not per pass (replicate_n serialises
-                // the checkpoint once). Worker w runs passes w, w+W, …; each
-                // pass reseeds from its own stream, so the assignment does
-                // not affect the result.
-                let workers = self.executor.threads().min(passes);
-                let mut replicas = network
-                    .replicate_n(workers)
-                    .map_err(|e| BayesError::Invalid(e.to_string()))?;
-                let per_worker: Vec<Vec<Vec<Tensor>>> = self
-                    .executor
-                    .par_map_mut(&mut replicas, |w, replica| {
-                        pass_seeds[w..]
-                            .iter()
-                            .step_by(workers)
-                            .map(|&seed| {
-                                replica.reseed_mc_streams(seed);
-                                replica.forward_exits_from_activations(&activations, Mode::McSample)
-                            })
-                            .collect::<Result<Vec<Vec<Tensor>>, _>>()
-                    })
-                    .into_iter()
-                    .collect::<Result<_, _>>()?;
-                let mut per_worker = per_worker;
-                (0..passes)
-                    .map(|p| std::mem::take(&mut per_worker[p % workers][p / workers]))
-                    .collect()
-            } else {
-                let mut collected = Vec::with_capacity(passes);
-                for &seed in &pass_seeds {
-                    network.reseed_mc_streams(seed);
-                    collected.push(
-                        network.forward_exits_from_activations(&activations, Mode::McSample)?,
-                    );
-                }
-                collected
-            };
-        self.finish_prediction(pass_exits, passes, n_exits)
-    }
-
-    /// Shared tail of both prediction paths: softmax per sample, truncate to
-    /// the requested sample count, average.
-    fn finish_prediction(
-        &self,
-        pass_exits: Vec<Vec<Tensor>>,
-        passes: usize,
-        n_exits: usize,
-    ) -> Result<McPrediction, BayesError> {
         let mut per_sample = Vec::with_capacity(passes * n_exits);
         for exits in pass_exits {
             for logits in exits {
@@ -415,17 +336,19 @@ impl McSampler {
     /// ([`ExitPolicy::retires`]) and the sample stops at the first exit the
     /// policy accepts — or at the last exit unconditionally.
     ///
-    /// Plannable networks execute on the compiled plan's adaptive batched
-    /// path ([`bnn_models::MultiExitPlan::predict_adaptive_batch_into`]):
+    /// Execution runs on the compiled plan's adaptive batched path
+    /// ([`bnn_models::MultiExitPlan::predict_adaptive_batch_into`]):
     /// retired samples leave the batch mid-flight and survivors are
     /// compacted into a dense smaller batch, so deeper blocks only ever see
-    /// the stragglers. Networks that cannot plan (batch normalisation,
-    /// residual blocks) fall back to a full-depth layer-chain sweep with the
-    /// same per-row decisions; the returned bits are identical either way.
+    /// the stragglers. Every row is bit-identical to a full-depth sweep of
+    /// the layer chain with the same per-row decisions.
     ///
     /// # Errors
     ///
-    /// Propagates network errors or an invalid policy threshold.
+    /// Returns [`BayesError::Invalid`] for an invalid policy threshold, a
+    /// network without exits or an input without a batch axis, or
+    /// [`BayesError::Model`] when the network does not compile to a plan or
+    /// the input is malformed.
     pub fn adaptive_exit_predict(
         &self,
         network: &mut MultiExitNetwork,
@@ -433,92 +356,34 @@ impl McSampler {
         policy: &ExitPolicy,
     ) -> Result<EarlyExitPrediction, BayesError> {
         policy.validate().map_err(BayesError::Invalid)?;
-        let n_exits = network.num_exits();
-        if n_exits == 0 {
+        if network.num_exits() == 0 {
             return Err(BayesError::Invalid("network has no exits".into()));
         }
         let cumulative = exit_cumulative_flops_fraction(network)?;
-        if inputs.dims().len() >= 2 {
-            let planned = match network.cached_plan(&inputs.dims()[1..]) {
-                Ok(plan) => {
-                    let mut out = Vec::new();
-                    let mut exit_taken = Vec::new();
-                    // n_samples = 0: one deterministic (dropout-disabled)
-                    // consult per exit — the historical early-exit
-                    // semantics. The seed is unused in that mode.
-                    let stats = plan.predict_adaptive_batch_into(
-                        inputs,
-                        0,
-                        0,
-                        policy,
-                        &mut out,
-                        &mut exit_taken,
-                    )?;
-                    Some((out, exit_taken, stats.batch, stats.classes))
-                }
-                Err(_) => None,
-            };
-            if let Some((out, exit_taken, batch, classes)) = planned {
-                let flops_sum: f64 = exit_taken.iter().map(|&e| cumulative[e]).sum();
-                return Ok(EarlyExitPrediction {
-                    probs: Tensor::from_vec(out, &[batch, classes])?,
-                    exit_taken,
-                    mean_flops_fraction: flops_sum / batch.max(1) as f64,
-                });
-            }
-        }
-        self.adaptive_exit_layered(network, inputs, policy, n_exits, &cumulative)
-    }
-
-    /// The unplanned early-exit path: every exit of the layer chain runs at
-    /// full depth, then the per-row policy sweep picks each sample's exit.
-    /// Bit-identical to the plan's adaptive path (same kernels, same softmax
-    /// rows, same accumulation order, same [`ExitPolicy::retires`] bits) —
-    /// it just cannot skip the deeper blocks.
-    fn adaptive_exit_layered(
-        &self,
-        network: &mut MultiExitNetwork,
-        inputs: &Tensor,
-        policy: &ExitPolicy,
-        n_exits: usize,
-        cumulative: &[f64],
-    ) -> Result<EarlyExitPrediction, BayesError> {
-        let exits = network.forward_exits(inputs, Mode::Eval)?;
-        let probs_per_exit: Result<Vec<Tensor>, BayesError> = exits
-            .iter()
-            .map(|e| softmax(e).map_err(BayesError::from))
-            .collect();
-        let probs_per_exit = probs_per_exit?;
-        let (batch, classes) = probs_per_exit[0].shape().as_matrix()?;
-
-        let mut out = vec![0.0f32; batch * classes];
-        let mut exit_taken = vec![0usize; batch];
-        let mut flops_sum = 0.0f64;
-        for b in 0..batch {
-            let mut running = vec![0.0f32; classes];
-            let mut chosen = n_exits - 1;
-            for (i, exit_probs) in probs_per_exit.iter().enumerate() {
-                let row = &exit_probs.as_slice()[b * classes..(b + 1) * classes];
-                for (acc, &p) in running.iter_mut().zip(row) {
-                    *acc += p;
-                }
-                let denom = (i + 1) as f32;
-                if policy.retires(&running, denom) || i == n_exits - 1 {
-                    chosen = i;
-                    for c in 0..classes {
-                        out[b * classes + c] = running[c] / denom;
-                    }
-                    break;
-                }
-            }
-            exit_taken[b] = chosen;
-            flops_sum += cumulative[chosen];
-        }
+        let plan = network.cached_plan(sample_dims(inputs)?)?;
+        let mut out = Vec::new();
+        let mut exit_taken = Vec::new();
+        // n_samples = 0: one deterministic (dropout-disabled) consult per
+        // exit — the historical early-exit semantics. The seed is unused in
+        // that mode.
+        let stats =
+            plan.predict_adaptive_batch_into(inputs, 0, 0, policy, &mut out, &mut exit_taken)?;
+        let flops_sum: f64 = exit_taken.iter().map(|&e| cumulative[e]).sum();
         Ok(EarlyExitPrediction {
-            probs: Tensor::from_vec(out, &[batch, classes])?,
+            probs: Tensor::from_vec(out, &[stats.batch, stats.classes])?,
             exit_taken,
-            mean_flops_fraction: flops_sum / batch.max(1) as f64,
+            mean_flops_fraction: flops_sum / stats.batch.max(1) as f64,
         })
+    }
+}
+
+/// The per-sample dims of a batched input (batch axis stripped).
+fn sample_dims(inputs: &Tensor) -> Result<&[usize], BayesError> {
+    match inputs.dims() {
+        [_, rest @ ..] if !rest.is_empty() => Ok(rest),
+        dims => Err(BayesError::Invalid(format!(
+            "expected a batched input [batch, ..], got dims {dims:?}"
+        ))),
     }
 }
 
@@ -622,32 +487,6 @@ mod tests {
             .unwrap()
             .build(13)
             .unwrap()
-    }
-
-    #[test]
-    fn planned_prediction_matches_layered_bitwise() {
-        // LeNet compiles to a plan; the planned fast path (engaged by the
-        // multi-threaded executor) must reproduce the layer-chain path bit
-        // for bit, mean and per-sample alike.
-        let mut net_planned = small_lenet();
-        let mut net_layered = small_lenet();
-        let mut rng = bnn_tensor::rng::Xoshiro256StarStar::seed_from_u64(21);
-        let x = Tensor::randn(&[3, 1, 10, 10], &mut rng);
-        let sampler = McSampler::new(SamplingConfig::new(8)).with_executor(Executor::new(4));
-        let planned = sampler.predict(&mut net_planned, &x).unwrap();
-        let n_exits = net_layered.num_exits();
-        let layered = sampler
-            .predict_layered(&mut net_layered, &x, n_exits)
-            .unwrap();
-        assert_eq!(planned.mean_probs.as_slice(), layered.mean_probs.as_slice());
-        assert_eq!(planned.per_sample.len(), layered.per_sample.len());
-        for (a, b) in planned.per_sample.iter().zip(&layered.per_sample) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-        // The residual model cannot plan and silently takes the layer path —
-        // the public API behaves identically for it (covered by the other
-        // tests, which use resnet18).
-        assert!(small_net().compile_plan(&[3, 12, 12]).is_err());
     }
 
     #[test]
@@ -760,43 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_plan_path_matches_layered_fallback_bitwise() {
-        // LeNet compiles, so the public API takes the plan's adaptive
-        // batched path (with mid-flight compaction); forcing the layered
-        // full-depth sweep must give the same bits, exits and FLOPs.
-        let mut rng = bnn_tensor::rng::Xoshiro256StarStar::seed_from_u64(41);
-        let x = Tensor::randn(&[5, 1, 10, 10], &mut rng);
-        let sampler = McSampler::default();
-        for policy in [
-            ExitPolicy::Never,
-            ExitPolicy::Confidence { threshold: 0.3 },
-            ExitPolicy::Confidence { threshold: 0.0 },
-            ExitPolicy::Entropy { threshold: 0.97 },
-        ] {
-            let mut net = small_lenet();
-            let planned = sampler
-                .adaptive_exit_predict(&mut net, &x, &policy)
-                .unwrap();
-            let mut net_layered = small_lenet();
-            let n_exits = net_layered.num_exits();
-            let cumulative = exit_cumulative_flops_fraction(&net_layered).unwrap();
-            let layered = sampler
-                .adaptive_exit_layered(&mut net_layered, &x, &policy, n_exits, &cumulative)
-                .unwrap();
-            assert_eq!(
-                planned.probs.as_slice(),
-                layered.probs.as_slice(),
-                "policy {policy}"
-            );
-            assert_eq!(planned.exit_taken, layered.exit_taken, "policy {policy}");
-            assert_eq!(
-                planned.mean_flops_fraction, layered.mean_flops_fraction,
-                "policy {policy}"
-            );
-        }
-    }
-
-    #[test]
     fn entropy_exit_mirrors_confidence_behaviour() {
         // Normalized entropy is always <= 1 and > 0 for non-degenerate
         // rows, so threshold 1 retires everything at exit 0 and threshold 0
@@ -813,6 +615,38 @@ mod tests {
             .entropy_exit_predict(&mut net, &x, f64::NAN)
             .is_err());
         assert!(sampler.entropy_exit_predict(&mut net, &x, -0.5).is_err());
+    }
+
+    #[test]
+    fn malformed_inputs_are_typed_errors() {
+        let mut net = small_net();
+        let sampler = McSampler::new(SamplingConfig::new(4));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut x = Tensor::ones(&[2, 3, 12, 12]);
+            x.as_mut_slice()[100] = bad;
+            assert!(
+                matches!(
+                    sampler.predict(&mut net, &x),
+                    Err(BayesError::Model(bnn_models::ModelError::InvalidInput(_)))
+                ),
+                "{bad}"
+            );
+            assert!(matches!(
+                sampler.confidence_exit_predict(&mut net, &x, 0.5),
+                Err(BayesError::Model(bnn_models::ModelError::InvalidInput(_)))
+            ));
+        }
+        for rank in [&[][..], &[5][..]] {
+            let x = Tensor::zeros(rank);
+            assert!(matches!(
+                sampler.predict(&mut net, &x),
+                Err(BayesError::Invalid(_))
+            ));
+            assert!(matches!(
+                sampler.confidence_exit_predict(&mut net, &x, 0.5),
+                Err(BayesError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

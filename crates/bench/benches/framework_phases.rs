@@ -4,7 +4,7 @@
 
 use bnn_core::framework::FrameworkConfig;
 use bnn_core::pipeline::PipelineContext;
-use bnn_core::{Phase1Stage, Phase2Stage, Phase3Stage, Phase4Stage, QuantExecution};
+use bnn_core::{Phase1Stage, Phase2Stage, Phase3Stage, Phase4Stage};
 use bnn_models::zoo::Architecture;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -31,19 +31,9 @@ fn bench_framework_phases(c: &mut Criterion) {
     group.bench_function("phase2_mapping_exploration", |b| {
         b.iter(|| stage2.run(&ctx, &artifact1).unwrap())
     });
-    // Phase 3 on both execution models: the default true-integer scoring
-    // path and the legacy weights-only fake-quant float path (A/B).
+    // Phase 3 scores every design point on the compiled integer plan.
     group.bench_function("phase3_co_exploration", |b| {
         b.iter(|| stage3.run(&ctx, &artifact2).unwrap())
-    });
-    let stage3_float = Phase3Stage::new(
-        config
-            .phase3
-            .clone()
-            .with_execution(QuantExecution::FakeQuantFloat),
-    );
-    group.bench_function("phase3_co_exploration_fakequant_float", |b| {
-        b.iter(|| stage3_float.run(&ctx, &artifact2).unwrap())
     });
     group.bench_function("phase4_hls_generation", |b| {
         b.iter(|| stage4.run(&ctx, &artifact3).unwrap())

@@ -12,7 +12,7 @@ use bnn_hw::perf::PlatformModel;
 use bnn_hw::{FpgaDevice, MappingStrategy};
 use bnn_models::zoo::Architecture;
 use bnn_models::{ModelConfig, NetworkSpec};
-use bnn_quant::{tensor_quantization_error, FixedPointFormat};
+use bnn_quant::FixedPointFormat;
 use bnn_tensor::rng::Xoshiro256StarStar;
 use bnn_tensor::Tensor;
 
@@ -433,7 +433,12 @@ pub fn ablations() -> Result<Vec<(String, TextTable)>, ExperimentError> {
     let weights = Tensor::randn(&[4096], &mut rng).scale(0.5);
     let mut bits_table = TextTable::new(vec!["format", "weight_mse", "lut", "dsp", "power_w"]);
     for format in FixedPointFormat::search_space() {
-        let err = tensor_quantization_error(&weights, format);
+        let sse: f64 = weights
+            .as_slice()
+            .iter()
+            .map(|&w| f64::from(format.quantize(w) - w).powi(2))
+            .sum();
+        let weight_mse = (sse / weights.len() as f64) as f32;
         let report = AcceleratorModel::new(
             spec.clone(),
             fig5_accel_config()
@@ -443,7 +448,7 @@ pub fn ablations() -> Result<Vec<(String, TextTable)>, ExperimentError> {
         .estimate()?;
         bits_table.add_row(vec![
             format.to_string(),
-            format!("{:.2e}", err.mse),
+            format!("{weight_mse:.2e}"),
             report.total_resources.lut.to_string(),
             report.total_resources.dsp.to_string(),
             format!("{:.2}", report.power.total_w()),

@@ -88,7 +88,7 @@ pub use phase1::{
     ModelVariant, Phase1Artifact, Phase1Candidate, Phase1Config, Phase1Result, Phase1Stage,
 };
 pub use phase2::{Phase2Artifact, Phase2Result, Phase2Stage};
-pub use phase3::{Phase3Artifact, Phase3Config, Phase3Result, Phase3Stage, QuantExecution};
+pub use phase3::{Phase3Artifact, Phase3Config, Phase3Result, Phase3Stage};
 pub use phase4::{Phase4Artifact, Phase4Output, Phase4Stage};
 pub use pipeline::{
     NoopObserver, PhaseId, PipelineArtifacts, PipelineBuilder, PipelineContext, PipelineEvent,

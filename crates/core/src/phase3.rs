@@ -11,18 +11,17 @@
 //! would require retraining per candidate, which this phase never does.
 //!
 //! Algorithmic quality of a bitwidth is measured by post-training
-//! quantization of the trained Phase 1 model (`bnn-quant`). By default every
-//! design point is scored on the **true integer inference path** via a
-//! compiled execution plan ([`bnn_quant::QuantPlan`]): the float calibration
-//! forward runs **once per candidate** over a representative training batch
+//! quantization of the trained Phase 1 model (`bnn-quant`). Every design
+//! point is scored on the **true integer inference path** via a compiled
+//! execution plan ([`bnn_quant::QuantPlan`]): the float calibration forward
+//! runs **once per candidate** over a representative training batch
 //! ([`bnn_quant::CalibratedNetwork`]), and each searched format derives its
 //! `i8`/`i16` weight codes, packed kernel layouts and arena-allocated
 //! integer executor from the shared range record — the per-format loop runs
 //! no float inference and rebuilds no model. Evaluation uses integer
 //! accumulation and saturation — the arithmetic the generated accelerator
-//! actually performs. The legacy weights-only fake quantization (float
-//! kernels) remains available behind [`QuantExecution::FakeQuantFloat`] for
-//! A/B comparisons; formats wider than 16 bits always use it.
+//! actually performs. Formats wider than 16 bits have no integer plan and
+//! are rejected by [`Phase3Stage::validate`].
 
 use crate::constraints::{OptPriority, UserConstraints};
 use crate::error::FrameworkError;
@@ -34,27 +33,13 @@ use bnn_data::Dataset;
 use bnn_hw::accelerator::{AcceleratorConfig, AcceleratorModel, AcceleratorReport};
 use bnn_hw::MappingStrategy;
 use bnn_models::{MultiExitNetwork, NetworkSpec};
-use bnn_quant::{quantize_network, CalibratedNetwork, FixedPointFormat};
+use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::Tensor;
 
 /// Number of training samples used to calibrate activation ranges when a
 /// design point is scored on the integer path.
 pub(crate) const CALIBRATION_SAMPLES: usize = 32;
-
-/// How Phase 3 evaluates the algorithmic quality of a bitwidth candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QuantExecution {
-    /// True integer inference (the default): per-tensor calibration, integer
-    /// kernels with explicit saturation, MC-dropout masks in the integer
-    /// domain. Formats wider than 16 bits fall back to
-    /// [`QuantExecution::FakeQuantFloat`].
-    #[default]
-    Integer,
-    /// Weights-only fake quantization evaluated by the float kernels — the
-    /// pre-PR-4 behaviour, kept for A/B parity checks.
-    FakeQuantFloat,
-}
 
 /// One evaluated (bitwidth, reuse factor) co-exploration point.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +49,7 @@ pub struct CoExplorationPoint {
     /// Reuse factor of the candidate.
     pub reuse_factor: usize,
     /// Accuracy of the quantized model on the evaluation set, measured on
-    /// the execution model selected by [`Phase3Config::execution`] (the
-    /// integer path by default).
+    /// the integer plan of this format.
     pub quantized_accuracy: f64,
     /// Hardware report of the candidate.
     pub report: AcceleratorReport,
@@ -103,8 +87,6 @@ pub struct Phase3Config {
     pub accuracy_tolerance: f64,
     /// Number of MC samples used during quality evaluation.
     pub mc_samples: usize,
-    /// Which execution model scores the quantized candidates.
-    pub execution: QuantExecution,
 }
 
 impl Default for Phase3Config {
@@ -114,16 +96,7 @@ impl Default for Phase3Config {
             reuse_factors: vec![8, 16, 32, 64],
             accuracy_tolerance: 0.02,
             mc_samples: 4,
-            execution: QuantExecution::Integer,
         }
-    }
-}
-
-impl Phase3Config {
-    /// Selects the execution model scoring the quantized candidates.
-    pub fn with_execution(mut self, execution: QuantExecution) -> Self {
-        self.execution = execution;
-        self
     }
 }
 
@@ -172,12 +145,18 @@ impl Phase3Stage {
     /// # Errors
     ///
     /// Returns [`FrameworkError::InvalidConfig`] for an empty format/reuse
-    /// grid, a negative accuracy tolerance or zero evaluation MC samples.
+    /// grid, a format wider than 16 bits (the integer plan's widest code), a
+    /// negative accuracy tolerance or zero evaluation MC samples.
     pub fn validate(&self) -> Result<(), FrameworkError> {
         if self.config.formats.is_empty() || self.config.reuse_factors.is_empty() {
             return Err(FrameworkError::InvalidConfig(
                 "phase 3 must have at least one bitwidth and one reuse factor".into(),
             ));
+        }
+        if let Some(wide) = self.config.formats.iter().find(|f| f.total_bits() > 16) {
+            return Err(FrameworkError::InvalidConfig(format!(
+                "phase 3 scores formats on the integer plan, which holds at most 16 bits; got {wide}"
+            )));
         }
         if self.config.accuracy_tolerance < 0.0 {
             return Err(FrameworkError::InvalidConfig(
@@ -256,13 +235,12 @@ impl Phase3Stage {
 
 /// The co-exploration over a trained model.
 ///
-/// `trained` itself is left untouched: integer-path candidates derive
-/// compiled plans from one shared calibration record, and fake-quant-float
-/// candidates quantize a fresh replica restored from `trained`'s checkpoint —
-/// either way the per-format workers share only immutable state, which is
-/// what lets the formats evaluate concurrently on `executor`. `eval_set` is
-/// the held-out evaluation data; `calib` is the representative input batch
-/// the single calibration forward runs on.
+/// `trained` itself is left untouched: every candidate derives its compiled
+/// plan from one shared calibration record, so the per-format workers share
+/// only immutable state, which is what lets the formats evaluate
+/// concurrently on `executor`. `eval_set` is the held-out evaluation data;
+/// `calib` is the representative input batch the single calibration forward
+/// runs on.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore(
     spec: &NetworkSpec,
@@ -291,51 +269,22 @@ pub(crate) fn explore(
     // batch records every weight/activation range, and each format's
     // compiled execution plan derives from the shared record — the
     // per-format loop below runs no float inference and builds no model
-    // replica on the integer path. Skipped when no searched format can take
-    // the integer path (wider than 16 bits always falls back to fake-quant
-    // float), so such grids neither pay for nor fail on calibration.
-    let any_integer_format = phase3.formats.iter().any(|f| f.total_bits() <= 16);
-    let calibrated = if phase3.execution == QuantExecution::Integer && any_integer_format {
-        Some(CalibratedNetwork::calibrate(trained, calib)?)
-    } else {
-        None
-    };
-
-    // Checkpoint the trained network so each fake-quant-float candidate
-    // starts fresh (weights and batchnorm statistics).
-    let reference = trained.checkpoint();
+    // replica.
+    let calibrated = CalibratedNetwork::calibrate(trained, calib)?;
 
     let outcomes = executor.par_map_indexed(
         &phase3.formats,
         |_, &format| -> Result<Vec<(CoExplorationPoint, String)>, FrameworkError> {
-            let integer_path = phase3.execution == QuantExecution::Integer
-                && format.total_bits() <= 16
-                && calibrated.is_some();
-            let quantized_probs = if integer_path {
-                // True fixed-point inference on the compiled plan: packed
-                // weights, arena-allocated intermediates, seeded MC samples
-                // drawn entirely in the integer domain.
-                let mut plan = calibrated
-                    .as_ref()
-                    .expect("integer path requires calibration")
-                    .plan(format)?;
-                plan.predict_probs(&inputs, phase3.mc_samples, sampler.config().seed)?
-            } else {
-                // Weights-only fake quantization (or wider-than-16-bit
-                // fallback) on a private replica of the trained model. The
-                // checkpoint restores every parameter and every piece of
-                // layer state, and the MC evaluation masks are seeded, so
-                // the scaffolding build seed is irrelevant to the result.
-                let mut candidate = spec.build(0)?;
-                candidate
-                    .restore(&reference)
-                    .map_err(|e| FrameworkError::ArtifactMismatch(e.to_string()))?;
-                quantize_network(&mut candidate, format)?;
-                sampler.predict(&mut candidate, &inputs)?.mean_probs
-            };
+            // True fixed-point inference on the compiled plan: packed
+            // weights, arena-allocated intermediates, seeded MC samples drawn
+            // entirely in the integer domain.
+            let quantized_probs = calibrated.plan(format)?.predict_probs(
+                &inputs,
+                phase3.mc_samples,
+                sampler.config().seed,
+            )?;
             let quantized_accuracy = accuracy(&quantized_probs, &labels)?;
             let quality_ok = quantized_accuracy + phase3.accuracy_tolerance >= reference_accuracy;
-            let path_label = if integer_path { "int" } else { "float" };
 
             let mut points = Vec::with_capacity(phase3.reuse_factors.len());
             for &reuse in &phase3.reuse_factors {
@@ -353,7 +302,7 @@ pub(crate) fn explore(
                         &config.device.resources,
                     );
                 let summary = format!(
-                    "{format} reuse {reuse}: quantized acc {quantized_accuracy:.4} ({path_label}), \
+                    "{format} reuse {reuse}: quantized acc {quantized_accuracy:.4} (int), \
                      latency {:.4} ms, feasible {feasible}",
                     report.latency_ms
                 );
@@ -484,6 +433,17 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_formats_wider_than_the_integer_plan() {
+        let mut config = Phase3Config::default();
+        assert!(Phase3Stage::new(config.clone()).validate().is_ok());
+        config.formats.push(FixedPointFormat::new(24, 8).unwrap());
+        match Phase3Stage::new(config).validate() {
+            Err(FrameworkError::InvalidConfig(msg)) => assert!(msg.contains("16"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn co_exploration_selects_a_feasible_point() {
         let (spec, mut network, test, calib) = trained_setup();
         let base = AcceleratorConfig::new(FpgaDevice::xcku115());
@@ -553,57 +513,6 @@ mod tests {
         let best = result.best();
         for p in result.points.iter().filter(|p| p.feasible) {
             assert!(best.report.energy_per_image_j <= p.report.energy_per_image_j + 1e-12);
-        }
-    }
-
-    #[test]
-    fn integer_and_float_execution_agree_within_tolerance() {
-        // A/B parity of the two Phase 3 execution models: scoring the same
-        // trained candidate on the integer path and on the weights-only
-        // fake-quant float path must produce comparable wide-format
-        // accuracies and identical hardware reports.
-        let (spec, mut network, test, calib) = trained_setup();
-        let base = AcceleratorConfig::new(FpgaDevice::xcku115());
-        let int_result = run(
-            &spec,
-            &mut network,
-            &test,
-            &calib,
-            &base,
-            &Phase3Config::default(),
-            &UserConstraints::none(),
-            OptPriority::Energy,
-        )
-        .unwrap();
-        let float_result = run(
-            &spec,
-            &mut network,
-            &test,
-            &calib,
-            &base,
-            &Phase3Config::default().with_execution(QuantExecution::FakeQuantFloat),
-            &UserConstraints::none(),
-            OptPriority::Energy,
-        )
-        .unwrap();
-        assert_eq!(int_result.points.len(), float_result.points.len());
-        // identical reference accuracy (both use the float reference model)
-        assert_eq!(
-            int_result.reference_accuracy,
-            float_result.reference_accuracy
-        );
-        for (a, b) in int_result.points.iter().zip(&float_result.points) {
-            assert_eq!(a.format, b.format);
-            assert_eq!(a.report, b.report, "hardware model is path-independent");
-            if a.format.total_bits() >= 8 {
-                assert!(
-                    (a.quantized_accuracy - b.quantized_accuracy).abs() <= 0.15,
-                    "{}: int {} vs float {}",
-                    a.format,
-                    a.quantized_accuracy,
-                    b.quantized_accuracy
-                );
-            }
         }
     }
 }

@@ -34,9 +34,7 @@ pub struct Phase4Output {
     /// The HLS generation configuration that was used.
     pub hls_config: HlsConfig,
     /// The calibrated per-tensor design lowered from the winner's compiled
-    /// integer plan. `None` when the winning format is wider than the 16-bit
-    /// integer path (scored by fake-quant float, so there is no plan to
-    /// lower) or when the output was produced by the spec-only
+    /// integer plan. `None` when the output was produced by the spec-only
     /// [`generate`] entry point, which has no calibration data.
     pub lowered: Option<LoweredDesign>,
 }
@@ -129,18 +127,16 @@ impl Phase4Stage {
         )?;
         // Lower the winner's compiled integer plan into the calibrated
         // per-tensor design, re-using Phase 3's calibration protocol: a
-        // representative batch of *training* inputs. Formats wider than the
-        // integer path carry no plan and skip this.
-        if input.format().total_bits() <= 16 {
-            let trained = input.phase2.phase1.instantiate_best()?;
-            let train = &input.phase2.phase1.data.train;
-            let calib = train
-                .take(CALIBRATION_SAMPLES.min(train.len()))?
-                .inputs()
-                .clone();
-            let calibrated = CalibratedNetwork::calibrate(&trained, &calib)?;
-            output.lowered = Some(LoweredDesign::generate(&calibrated, &output.hls_config)?);
-        }
+        // representative batch of *training* inputs. Phase 3 only selects
+        // formats the integer plan holds (at most 16 bits).
+        let trained = input.phase2.phase1.instantiate_best()?;
+        let train = &input.phase2.phase1.data.train;
+        let calib = train
+            .take(CALIBRATION_SAMPLES.min(train.len()))?
+            .inputs()
+            .clone();
+        let calibrated = CalibratedNetwork::calibrate(&trained, &calib)?;
+        output.lowered = Some(LoweredDesign::generate(&calibrated, &output.hls_config)?);
         let lowered_note = match &output.lowered {
             Some(design) => format!(
                 ", lowered design: {} stages / {} MACs",

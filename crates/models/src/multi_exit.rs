@@ -81,11 +81,18 @@ impl MultiExitNetwork {
 
     /// A counter bumped every time mutable parameter references are handed
     /// out ([`Network::params_mut`], and therefore optimizer steps and
-    /// checkpoint restores). The compiled-plan cache is keyed on it, so a
-    /// stale plan — which embeds packed copies of the weights — can never be
-    /// served after a mutation.
+    /// checkpoint restores) and on every [`Mode::Train`] forward, which
+    /// updates batch-norm running statistics. The compiled-plan cache is
+    /// keyed on it, so a stale plan — which embeds copies of the weights and
+    /// statistics — can never be served after a mutation.
     pub fn weight_version(&self) -> u64 {
         self.weight_version
+    }
+
+    /// Bumps the weight version and drops the cached plan.
+    fn invalidate_plan(&mut self) {
+        self.weight_version = self.weight_version.wrapping_add(1);
+        self.plan_cache = None;
     }
 
     /// Collects parameter references without bumping the weight version —
@@ -242,45 +249,6 @@ impl MultiExitNetwork {
                 .sum::<usize>()
     }
 
-    /// Builds an inference replica of this network: a freshly constructed
-    /// instance of the same spec carrying this network's trained parameters
-    /// and layer state.
-    ///
-    /// Replicas are what the Bayesian sampler hands to pool workers so that
-    /// independent Monte-Carlo passes can run concurrently — the [`Layer`]
-    /// forward path caches activations in `&mut self`, so concurrent passes
-    /// need separate instances. Combined with
-    /// [`Network::reseed_mc_streams`], a replica's MC forward passes are
-    /// bitwise identical to the original's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from the spec.
-    pub fn replicate(&mut self) -> Result<MultiExitNetwork, ModelError> {
-        Ok(self
-            .replicate_n(1)?
-            .pop()
-            .expect("replicate_n(1) returns one replica"))
-    }
-
-    /// Builds `n` inference replicas, serialising this network's checkpoint
-    /// once (not once per replica) — the bulk-replication path the sampler
-    /// uses when fanning Monte-Carlo passes across a thread pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from the spec.
-    pub fn replicate_n(&mut self, n: usize) -> Result<Vec<MultiExitNetwork>, ModelError> {
-        let checkpoint = self.checkpoint();
-        let mut replicas = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut replica = MultiExitNetwork::from_spec(&self.spec, 0)?;
-            replica.restore(&checkpoint)?;
-            replicas.push(replica);
-        }
-        Ok(replicas)
-    }
-
     /// Runs the backbone only, returning the activation after every block.
     /// This is the tensor the accelerator caches and clones for MC sampling.
     ///
@@ -288,6 +256,9 @@ impl MultiExitNetwork {
     ///
     /// Propagates layer errors.
     pub fn forward_backbone(&mut self, input: &Tensor, mode: Mode) -> Result<Vec<Tensor>, NnError> {
+        if mode.is_train() {
+            self.invalidate_plan();
+        }
         let mut activations = Vec::with_capacity(self.blocks.len());
         let mut current = input.clone();
         for block in &mut self.blocks {
@@ -318,6 +289,9 @@ impl MultiExitNetwork {
                 self.blocks.len(),
                 activations.len()
             )));
+        }
+        if mode.is_train() {
+            self.invalidate_plan();
         }
         let mut outputs = Vec::with_capacity(self.exits.len());
         for (after_block, branch) in &mut self.exits {
@@ -379,8 +353,7 @@ impl Network for MultiExitNetwork {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         // Mutable references can rewrite weights, and a cached plan embeds
         // packed weight copies — invalidate before handing them out.
-        self.weight_version = self.weight_version.wrapping_add(1);
-        self.plan_cache = None;
+        self.invalidate_plan();
         self.collect_params_mut()
     }
 
@@ -534,7 +507,8 @@ mod tests {
         // Different build seeds: the checkpoint + reseeded MC streams must
         // fully determine the sampled outputs regardless of initialisation.
         let mut net = spec.build(3).unwrap();
-        let mut replica = net.replicate().unwrap();
+        let mut replica = MultiExitNetwork::from_spec(&spec, 0).unwrap();
+        replica.restore(&net.checkpoint()).unwrap();
         let x = Tensor::ones(&[2, 1, 8, 8]);
         net.reseed_mc_streams(41);
         replica.reseed_mc_streams(41);

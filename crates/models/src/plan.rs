@@ -7,9 +7,12 @@
 //! sampler can run its backbone-once/exits-many Monte-Carlo loop on a plan —
 //! reusing each plan's arena across passes instead of allocating per-layer
 //! activations and rebuilding model replicas — without changing a single
-//! output bit. Networks with non-plannable layers (batch normalisation,
-//! residual blocks) fail compilation and callers fall back to the layer
-//! chain.
+//! output bit. Every zoo architecture compiles, batch normalisation and
+//! residual blocks included, so the plan is the only float inference
+//! executor; the layer chain remains the trainer and the test reference.
+//! Every input entry point rejects non-finite values with
+//! [`ModelError::InvalidInput`], so NaN in never becomes NaN probabilities
+//! out.
 
 use crate::error::ModelError;
 use crate::multi_exit::MultiExitNetwork;
@@ -50,9 +53,8 @@ impl MultiExitNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Nn`] when any layer has no bit-reproducible
-    /// flat plan (batch normalisation, residual blocks) — callers should
-    /// fall back to the unplanned forward path.
+    /// Returns [`ModelError::Nn`] when a layer has no inference lowering
+    /// (an in-graph softmax) or `in_dims` does not fit the network.
     pub fn compile_plan(&self, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
         let mut dims = in_dims.to_vec();
         let mut blocks = Vec::with_capacity(self.num_blocks());
@@ -86,9 +88,7 @@ impl MultiExitNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Nn`] when the network has no bit-reproducible
-    /// flat plan (batch normalisation, residual blocks) — callers should
-    /// fall back to the unplanned forward path.
+    /// See [`MultiExitNetwork::compile_plan`].
     pub fn cached_plan(&mut self, in_dims: &[usize]) -> Result<&mut MultiExitPlan, ModelError> {
         let version = self.weight_version();
         let hit = matches!(
@@ -154,17 +154,34 @@ impl MultiExitPlan {
         }
     }
 
+    /// The batch size of `inputs`, which must be a non-empty batch of the
+    /// compiled per-sample shape.
+    fn check_batch(&self, inputs: &Tensor) -> Result<usize, ModelError> {
+        match inputs.dims().split_first() {
+            Some((&batch, dims)) if dims == self.in_dims && batch > 0 => Ok(batch),
+            _ => Err(ModelError::InvalidInput(format!(
+                "plan expects a non-empty input [batch, {:?}], got {:?}",
+                self.in_dims,
+                inputs.dims()
+            ))),
+        }
+    }
+
     /// Runs the backbone, returning the activation after every block —
-    /// bit-identical to [`MultiExitNetwork::forward_backbone`].
+    /// bit-identical to [`MultiExitNetwork::forward_backbone`] in
+    /// [`Mode::Eval`] and [`Mode::McSample`].
     ///
     /// # Errors
     ///
-    /// Propagates plan execution errors.
+    /// Returns [`ModelError::InvalidInput`] for non-finite input values, or
+    /// propagates plan execution errors ([`Mode::Train`] and shape
+    /// mismatches among them).
     pub fn forward_backbone(
         &mut self,
         input: &Tensor,
         mode: Mode,
     ) -> Result<Vec<Tensor>, ModelError> {
+        check_finite(input)?;
         let mut activations = Vec::with_capacity(self.blocks.len());
         for (i, block) in self.blocks.iter_mut().enumerate() {
             let src = if i == 0 { input } else { &activations[i - 1] };
@@ -217,9 +234,10 @@ impl MultiExitPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidInput`] for an empty batch or an input
-    /// shape mismatch, [`ModelError::InvalidSpec`] for a plan without exits,
-    /// or propagates execution errors.
+    /// Returns [`ModelError::InvalidInput`] for an empty batch, an input
+    /// shape mismatch or non-finite input values,
+    /// [`ModelError::InvalidSpec`] for a plan without exits, or propagates
+    /// execution errors.
     pub fn predict_probs_batch_into(
         &mut self,
         inputs: &Tensor,
@@ -231,17 +249,7 @@ impl MultiExitPlan {
         if n_exits == 0 {
             return Err(ModelError::InvalidSpec("plan has no exits".into()));
         }
-        if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
-            return Err(ModelError::InvalidInput(format!(
-                "plan expects input dims [batch, {:?}], got {:?}",
-                self.in_dims,
-                inputs.dims()
-            )));
-        }
-        if inputs.dims()[0] == 0 {
-            return Err(ModelError::InvalidInput("empty input batch".into()));
-        }
-        let batch = inputs.dims()[0];
+        let batch = self.check_batch(inputs)?;
         let activations = self.forward_backbone(inputs, Mode::Eval)?;
         let passes = n_samples.div_ceil(n_exits).max(1);
         let kept = if n_samples == 0 {
@@ -360,7 +368,8 @@ impl MultiExitPlan {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidInput`] for an invalid policy threshold,
-    /// an empty batch or a shape mismatch, [`ModelError::InvalidSpec`] for a
+    /// an empty batch, a shape mismatch or non-finite input values,
+    /// [`ModelError::InvalidSpec`] for a
     /// plan without exits or with exits attached out of depth order, or
     /// propagates execution errors.
     pub fn predict_adaptive_batch_into(
@@ -382,17 +391,8 @@ impl MultiExitPlan {
                 "adaptive execution requires exits in ascending block order".into(),
             ));
         }
-        if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
-            return Err(ModelError::InvalidInput(format!(
-                "plan expects input dims [batch, {:?}], got {:?}",
-                self.in_dims,
-                inputs.dims()
-            )));
-        }
-        let batch = inputs.dims()[0];
-        if batch == 0 {
-            return Err(ModelError::InvalidInput("empty input batch".into()));
-        }
+        let batch = self.check_batch(inputs)?;
+        check_finite(inputs)?;
         let spe = if n_samples == 0 {
             1
         } else {
@@ -554,6 +554,17 @@ impl MultiExitPlan {
             exit_taken,
             stats,
         })
+    }
+}
+
+/// Rejects NaN and infinite input values, which no plan step can turn into
+/// meaningful probabilities.
+fn check_finite(input: &Tensor) -> Result<(), ModelError> {
+    match input.as_slice().iter().find(|v| !v.is_finite()) {
+        Some(bad) => Err(ModelError::InvalidInput(format!(
+            "input contains a non-finite value ({bad})"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -777,20 +788,42 @@ mod tests {
             plan.predict_probs_batch(&wrong, 4, 1),
             Err(ModelError::InvalidInput(_))
         ));
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut x = Tensor::randn(&[2, 1, 10, 10], &mut rng);
+            x.as_mut_slice()[137] = bad;
+            assert!(
+                matches!(
+                    plan.predict_probs_batch(&x, 4, 1),
+                    Err(ModelError::InvalidInput(_))
+                ),
+                "{bad}"
+            );
+            assert!(
+                matches!(
+                    plan.predict_adaptive_batch(&x, 4, 1, &ExitPolicy::Never),
+                    Err(ModelError::InvalidInput(_))
+                ),
+                "{bad}"
+            );
+            assert!(
+                matches!(
+                    plan.forward_backbone(&x, Mode::Eval),
+                    Err(ModelError::InvalidInput(_))
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
-    fn residual_networks_fall_back() {
-        let net = zoo::resnet18(
-            &ModelConfig::cifar10()
-                .with_resolution(12, 12)
-                .with_width_divisor(16),
-        )
-        .with_exits_after_every_block()
-        .unwrap()
-        .build(1)
-        .unwrap();
-        assert!(net.compile_plan(&[3, 12, 12]).is_err());
+    fn train_mode_is_a_typed_error() {
+        let net = lenet();
+        let mut plan = net.compile_plan(&[1, 10, 10]).unwrap();
+        let x = Tensor::ones(&[1, 1, 10, 10]);
+        assert!(matches!(
+            plan.forward_backbone(&x, Mode::Train),
+            Err(ModelError::Nn(bnn_nn::NnError::InvalidConfig(_)))
+        ));
     }
 
     #[test]

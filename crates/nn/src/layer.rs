@@ -82,8 +82,7 @@ impl Param {
 /// layer input.
 ///
 /// Layers are `Send` so whole networks can move across the worker threads of
-/// the parallel-execution layer (e.g. per-candidate training, per-pass MC
-/// inference replicas).
+/// the parallel-execution layer (e.g. per-candidate training).
 pub trait Layer: std::fmt::Debug + Send {
     /// A short human-readable identifier (`"conv2d"`, `"mc_dropout"`, ...).
     fn name(&self) -> &str;

@@ -71,6 +71,37 @@ impl BatchNorm2d {
     }
 }
 
+/// The per-channel normaliser `1 / sqrt(var + eps)`.
+pub(crate) fn std_inv(var: &[f32], eps: f32) -> Vec<f32> {
+    var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect()
+}
+
+/// Normalises NCHW `x` in place, channel by channel, as
+/// `gamma * ((x - mean) * std_inv) + beta` from `[mean, std_inv, gamma,
+/// beta]`, optionally keeping each `(x - mean) * std_inv` in `xhat`. Shared
+/// by the layer's forward and the compiled float plan's batch-norm step, so
+/// both produce the same bits.
+pub(crate) fn normalise_in_place(
+    x: &mut [f32],
+    plane: usize,
+    [mean, std_inv, gamma, beta]: [&[f32]; 4],
+    mut xhat: Option<&mut [f32]>,
+) {
+    if plane == 0 {
+        return;
+    }
+    for (i, chan) in x.chunks_exact_mut(plane).enumerate() {
+        let ch = i % mean.len();
+        for (p, v) in chan.iter_mut().enumerate() {
+            let normalised = (*v - mean[ch]) * std_inv[ch];
+            if let Some(xhat) = xhat.as_deref_mut() {
+                xhat[i * plane + p] = normalised;
+            }
+            *v = gamma[ch] * normalised + beta[ch];
+        }
+    }
+}
+
 impl Layer for BatchNorm2d {
     fn name(&self) -> &str {
         "batchnorm2d"
@@ -118,19 +149,15 @@ impl Layer for BatchNorm2d {
             (self.running_mean.clone(), self.running_var.clone())
         };
 
-        let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut normalised = vec![0.0f32; data.len()];
-        let mut out = vec![0.0f32; data.len()];
-        for b in 0..n {
-            for ch in 0..c {
-                let start = (b * c + ch) * plane;
-                for p in 0..plane {
-                    let xhat = (data[start + p] - mean[ch]) * std_inv[ch];
-                    normalised[start + p] = xhat;
-                    out[start + p] = gamma[ch] * xhat + beta[ch];
-                }
-            }
-        }
+        let std_inv = std_inv(&var, self.eps);
+        let mut normalised = vec![0.0f32; if mode.is_train() { data.len() } else { 0 }];
+        let mut out = data.to_vec();
+        normalise_in_place(
+            &mut out,
+            plane,
+            [&mean, &std_inv, gamma, beta],
+            mode.is_train().then_some(&mut normalised[..]),
+        );
         if mode.is_train() {
             self.cache = Some(BnCache {
                 normalised: Tensor::from_vec(normalised, input.dims())?,
@@ -209,18 +236,15 @@ impl Layer for BatchNorm2d {
     }
 
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        // Fold the evaluation-time normalisation into a per-channel affine:
-        // y = gamma * (x - mean) / sqrt(var + eps) + beta = scale * x + shift.
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
-        let mut scale = Vec::with_capacity(self.channels);
-        let mut shift = Vec::with_capacity(self.channels);
-        for ch in 0..self.channels {
-            let s = gamma[ch] / (self.running_var[ch] + self.eps).sqrt();
-            scale.push(s);
-            shift.push(beta[ch] - s * self.running_mean[ch]);
-        }
-        Ok(crate::lowering::LayerLowering::Affine { scale, shift })
+        Ok(crate::lowering::LayerLowering::Affine(
+            crate::lowering::BatchNormLowering {
+                gamma: self.gamma.value.as_slice().to_vec(),
+                beta: self.beta.value.as_slice().to_vec(),
+                mean: self.running_mean.clone(),
+                var: self.running_var.clone(),
+                eps: self.eps,
+            },
+        ))
     }
 
     fn state(&self) -> Vec<Vec<f32>> {

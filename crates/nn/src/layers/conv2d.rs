@@ -7,6 +7,26 @@ use bnn_tensor::linalg::{col2im, im2col_into, matmul, transpose, ConvGeometry};
 use bnn_tensor::rng::Xoshiro256StarStar;
 use bnn_tensor::{Shape, Tensor};
 
+/// Reorders a `[out_c, batch * plane]` convolution product into
+/// `[batch, out_c, plane]`, adding each channel's bias — the epilogue shared
+/// by [`Conv2d::forward`] and the compiled float plan. Rows of `plane`
+/// elements are contiguous in both layouts, so whole rows are copied
+/// (autovectorizes; no per-element bounds checks).
+pub(crate) fn scatter_bias(acc: &[f32], bias: &[f32], batch: usize, plane: usize, out: &mut [f32]) {
+    // chunks_exact panics on a zero chunk size.
+    if batch * plane == 0 {
+        return;
+    }
+    for (co, src_chan) in acc.chunks_exact(batch * plane).enumerate() {
+        for (b, src_row) in src_chan.chunks_exact(plane).enumerate() {
+            let start = (b * bias.len() + co) * plane;
+            for (d, s) in out[start..start + plane].iter_mut().zip(src_row) {
+                *d = s + bias[co];
+            }
+        }
+    }
+}
+
 /// A 2-D convolution over NCHW tensors.
 ///
 /// The weight tensor has shape `[out_channels, in_channels, kernel, kernel]`
@@ -152,26 +172,14 @@ impl Layer for Conv2d {
         ])?;
         let out2d = matmul(&w2d, &cols)?; // [out_c, batch*out_h*out_w]
 
-        // Reorder [out_c, b*oh*ow] -> [b, out_c, oh, ow] and add bias. Rows of
-        // `plane` elements are contiguous in both layouts, so copy row slices
-        // (autovectorizes; no per-element bounds checks). Guard the empty case:
-        // chunks_exact panics on a zero chunk size.
         let mut out = vec![0.0f32; batch * self.out_channels * out_h * out_w];
-        let o2 = out2d.as_slice();
-        let bias = self.bias.value.as_slice();
-        let plane = out_h * out_w;
-        if batch * plane > 0 {
-            for (co, src_chan) in o2.chunks_exact(batch * plane).enumerate() {
-                let bias_v = bias[co];
-                for (b, src_row) in src_chan.chunks_exact(plane).enumerate() {
-                    let start = (b * self.out_channels + co) * plane;
-                    let dst_row = &mut out[start..start + plane];
-                    for (d, s) in dst_row.iter_mut().zip(src_row) {
-                        *d = s + bias_v;
-                    }
-                }
-            }
-        }
+        scatter_bias(
+            out2d.as_slice(),
+            self.bias.value.as_slice(),
+            batch,
+            out_h * out_w,
+            &mut out,
+        );
         self.cached_cols = Some(cols);
         self.cached_input_dims = Some(input.dims().to_vec());
         Tensor::from_vec(out, &[batch, self.out_channels, out_h, out_w]).map_err(NnError::from)

@@ -7,6 +7,16 @@ use bnn_tensor::linalg::{matmul, matmul_abt, matmul_atb};
 use bnn_tensor::rng::Xoshiro256StarStar;
 use bnn_tensor::{Shape, Tensor};
 
+/// Adds `bias` to every `bias.len()`-wide row of a `[batch, out]` product —
+/// the epilogue shared by [`Dense::forward`] and the compiled float plan.
+pub(crate) fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
+    for row in out.chunks_exact_mut(bias.len()) {
+        for (o, &bv) in row.iter_mut().zip(bias) {
+            *o += bv;
+        }
+    }
+}
+
 /// A fully-connected layer computing `y = x W + b` for `x: [batch, in]`.
 ///
 /// # Example
@@ -90,7 +100,7 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        let (batch, features) = input.shape().as_matrix().map_err(NnError::from)?;
+        let (_, features) = input.shape().as_matrix().map_err(NnError::from)?;
         if features != self.in_features {
             return Err(NnError::BadInputShape {
                 layer: "dense".into(),
@@ -99,16 +109,7 @@ impl Layer for Dense {
             });
         }
         let mut out = matmul(input, &self.weight.value)?;
-        let bias = self.bias.value.as_slice();
-        let data = out.as_mut_slice();
-        for b in 0..batch {
-            for (o, &bv) in data[b * self.out_features..(b + 1) * self.out_features]
-                .iter_mut()
-                .zip(bias)
-            {
-                *o += bv;
-            }
-        }
+        add_bias_rows(out.as_mut_slice(), self.bias.value.as_slice());
         self.cached_input = Some(input.clone());
         Ok(out)
     }

@@ -15,6 +15,94 @@ fn check_nchw(name: &str, dims: &[usize]) -> Result<(usize, usize, usize, usize)
         })
 }
 
+/// The square pooling windows over an NCHW batch. Their forward loops are
+/// shared by the pooling layers and the compiled float plan.
+pub(crate) struct Window {
+    dims: [usize; 4],
+    kernel: usize,
+    stride: usize,
+    out: (usize, usize),
+}
+
+impl Window {
+    pub(crate) fn new(dims: [usize; 4], kernel: usize, stride: usize) -> Self {
+        let geom = ConvGeometry::square(dims[2], dims[3], kernel, stride, 0);
+        Window {
+            dims,
+            kernel,
+            stride,
+            out: (geom.out_h(), geom.out_w()),
+        }
+    }
+
+    /// Folds the in-bounds taps of every window, in row-major tap order,
+    /// from `init` with `fold(acc, value, input_offset)`, then hands each
+    /// result to `emit(output_index, acc)`.
+    fn fold<A: Copy>(
+        &self,
+        data: &[f32],
+        init: A,
+        fold: impl Fn(A, f32, usize) -> A,
+        mut emit: impl FnMut(usize, A),
+    ) {
+        let [n, c, h, w] = self.dims;
+        let (oh, ow) = self.out;
+        for plane in 0..n * c {
+            for y in 0..oh {
+                for x in 0..ow {
+                    let mut acc = init;
+                    for ky in 0..self.kernel {
+                        for kx in 0..self.kernel {
+                            let (iy, ix) = (y * self.stride + ky, x * self.stride + kx);
+                            if iy < h && ix < w {
+                                let off = (plane * h + iy) * w + ix;
+                                acc = fold(acc, data[off], off);
+                            }
+                        }
+                    }
+                    emit((plane * oh + y) * ow + x, acc);
+                }
+            }
+        }
+    }
+
+    /// Max pooling (strict `>` from `-inf`, so the first maximal tap wins),
+    /// optionally recording each winner's input offset.
+    pub(crate) fn max_into(&self, data: &[f32], out: &mut [f32], mut argmax: Option<&mut [usize]>) {
+        self.fold(
+            data,
+            (f32::NEG_INFINITY, 0usize),
+            |best, v, off| if v > best.0 { (v, off) } else { best },
+            |o, (best, best_off)| {
+                out[o] = best;
+                if let Some(argmax) = argmax.as_deref_mut() {
+                    argmax[o] = best_off;
+                }
+            },
+        );
+    }
+
+    /// Average pooling: the in-bounds taps summed in order, times
+    /// `1 / kernel²`.
+    pub(crate) fn avg_into(&self, data: &[f32], out: &mut [f32]) {
+        let norm = 1.0 / (self.kernel * self.kernel) as f32;
+        self.fold(
+            data,
+            0.0f32,
+            |acc, v, _| acc + v,
+            |o, acc| out[o] = acc * norm,
+        );
+    }
+}
+
+/// Global average pooling of every `plane`-element channel of `data` into
+/// one output each.
+pub(crate) fn global_avg_into(data: &[f32], plane: usize, out: &mut [f32]) {
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = data[i * plane..(i + 1) * plane].iter().sum::<f32>() / plane as f32;
+    }
+}
+
 /// 2-D max pooling with a square window.
 ///
 /// # Example
@@ -71,37 +159,11 @@ impl Layer for MaxPool2d {
 
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
         let (n, c, h, w) = check_nchw("max_pool2d", input.dims())?;
-        let geom = self.geometry(h, w);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let data = input.as_slice();
+        let window = Window::new([n, c, h, w], self.kernel, self.stride);
+        let (oh, ow) = window.out;
         let mut out = vec![0.0f32; n * c * oh * ow];
         let mut argmax = vec![0usize; n * c * oh * ow];
-        for b in 0..n {
-            for ch in 0..c {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_off = 0usize;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = y * self.stride + ky;
-                                let ix = x * self.stride + kx;
-                                if iy < h && ix < w {
-                                    let off = ((b * c + ch) * h + iy) * w + ix;
-                                    if data[off] > best {
-                                        best = data[off];
-                                        best_off = off;
-                                    }
-                                }
-                            }
-                        }
-                        let oidx = ((b * c + ch) * oh + y) * ow + x;
-                        out[oidx] = best;
-                        argmax[oidx] = best_off;
-                    }
-                }
-            }
-        }
+        window.max_into(input.as_slice(), &mut out, Some(&mut argmax));
         self.argmax = Some(argmax);
         self.input_dims = Some(input.dims().to_vec());
         Tensor::from_vec(out, &[n, c, oh, ow]).map_err(NnError::from)
@@ -191,30 +253,10 @@ impl Layer for AvgPool2d {
 
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
         let (n, c, h, w) = check_nchw("avg_pool2d", input.dims())?;
-        let geom = self.geometry(h, w);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let data = input.as_slice();
+        let window = Window::new([n, c, h, w], self.kernel, self.stride);
+        let (oh, ow) = window.out;
         let mut out = vec![0.0f32; n * c * oh * ow];
-        for b in 0..n {
-            for ch in 0..c {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = y * self.stride + ky;
-                                let ix = x * self.stride + kx;
-                                if iy < h && ix < w {
-                                    acc += data[((b * c + ch) * h + iy) * w + ix];
-                                }
-                            }
-                        }
-                        out[((b * c + ch) * oh + y) * ow + x] = acc * norm;
-                    }
-                }
-            }
-        }
+        window.avg_into(input.as_slice(), &mut out);
         self.input_dims = Some(input.dims().to_vec());
         Tensor::from_vec(out, &[n, c, oh, ow]).map_err(NnError::from)
     }
@@ -301,15 +343,8 @@ impl Layer for GlobalAvgPool2d {
 
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
         let (n, c, h, w) = check_nchw("global_avg_pool2d", input.dims())?;
-        let plane = (h * w) as f32;
-        let data = input.as_slice();
         let mut out = vec![0.0f32; n * c];
-        for b in 0..n {
-            for ch in 0..c {
-                let start = (b * c + ch) * h * w;
-                out[b * c + ch] = data[start..start + h * w].iter().sum::<f32>() / plane;
-            }
-        }
+        global_avg_into(input.as_slice(), h * w, &mut out);
         self.input_dims = Some(input.dims().to_vec());
         Tensor::from_vec(out, &[n, c]).map_err(NnError::from)
     }

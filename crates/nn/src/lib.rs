@@ -46,7 +46,7 @@ pub mod trainer;
 
 pub use error::NnError;
 pub use layer::{Layer, Mode, Param};
-pub use lowering::LayerLowering;
+pub use lowering::{BatchNormLowering, LayerLowering};
 pub use network::Network;
 pub use plan::InferencePlan;
 pub use sequential::Sequential;

@@ -3,10 +3,12 @@
 //!
 //! [`Layer::lowering`](crate::Layer::lowering) turns a layer into a
 //! [`LayerLowering`] — an owned, backward-free description carrying exactly
-//! what an inference backend needs: weights, geometry, folded normalisation
-//! constants and dropout rates. `bnn-quant` consumes these descriptions to
-//! build the true fixed-point integer inference path (calibrated
-//! `QuantizedNetwork`s), and the same descriptions — via the compiled plan's
+//! what an inference backend needs: weights, geometry, normalisation
+//! constants and dropout rates. The compiled float plan
+//! ([`InferencePlan`](crate::InferencePlan)) executes them directly;
+//! `bnn-quant` consumes them to build the fixed-point integer inference path
+//! (`CalibratedNetwork` → `QuantPlan`), and the same descriptions — via the
+//! compiled integer plan's
 //! exported step schedule — are what `bnn-hls`'s lowered code generator
 //! walks to emit per-tensor `ap_fixed` types and packed integer weights. A
 //! lowering with no quantized emission rule is a typed error
@@ -14,9 +16,11 @@
 //!
 //! The enum intentionally describes *inference* semantics only:
 //!
-//! * [`LayerLowering::Affine`] is batch normalisation with its running
-//!   statistics folded into a per-channel `scale * x + shift` — the form
-//!   every deployment pipeline uses once training is over.
+//! * [`LayerLowering::Affine`] is batch normalisation at inference time:
+//!   the learned affine plus the running statistics, kept unfolded so the
+//!   float plan reproduces the layer bit for bit.
+//!   [`BatchNormLowering::folded`] gives the per-channel `scale * x + shift`
+//!   the integer backends calibrate.
 //! * Standard dropout lowers to [`LayerLowering::Identity`]: it is inactive
 //!   outside training. Monte-Carlo dropout stays stochastic at inference and
 //!   lowers to [`LayerLowering::McDropout`], preserving its rate so backends
@@ -71,14 +75,9 @@ pub enum LayerLowering {
     GlobalAvgPool2d,
     /// Flatten all axes but the batch axis.
     Flatten,
-    /// Per-channel affine transform `y = scale * x + shift` over NCHW input —
-    /// batch normalisation with its running statistics folded in.
-    Affine {
-        /// Per-channel multiplier (`gamma / sqrt(running_var + eps)`).
-        scale: Vec<f32>,
-        /// Per-channel offset (`beta - scale * running_mean`).
-        shift: Vec<f32>,
-    },
+    /// Per-channel affine transform over NCHW input — batch normalisation
+    /// at inference time, carried unfolded (see [`BatchNormLowering`]).
+    Affine(BatchNormLowering),
     /// Monte-Carlo dropout: stochastic at inference time, filter-wise masks
     /// over NCHW tensors, inverted scaling `1 / (1 - rate)` on kept units.
     McDropout {
@@ -112,7 +111,7 @@ impl LayerLowering {
             LayerLowering::AvgPool2d { .. } => "avg_pool2d",
             LayerLowering::GlobalAvgPool2d => "global_avg_pool2d",
             LayerLowering::Flatten => "flatten",
-            LayerLowering::Affine { .. } => "affine",
+            LayerLowering::Affine(_) => "affine",
             LayerLowering::McDropout { .. } => "mc_dropout",
             LayerLowering::Identity => "identity",
             LayerLowering::Sequence(_) => "sequence",
@@ -126,6 +125,41 @@ impl LayerLowering {
             self,
             LayerLowering::Conv2d { .. } | LayerLowering::Dense { .. }
         )
+    }
+}
+
+/// Batch normalisation's evaluation-time constants, kept **unfolded** so the
+/// float plan runs the layer's own arithmetic,
+/// `gamma * ((x - mean) * std_inv) + beta` with `std_inv = 1 / sqrt(var +
+/// eps)`. Folding reassociates that arithmetic and moves float bits, so only
+/// the integer backends call [`BatchNormLowering::folded`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchNormLowering {
+    /// Per-channel scale (`gamma`).
+    pub gamma: Vec<f32>,
+    /// Per-channel offset (`beta`).
+    pub beta: Vec<f32>,
+    /// Per-channel running mean.
+    pub mean: Vec<f32>,
+    /// Per-channel running variance.
+    pub var: Vec<f32>,
+    /// Variance epsilon.
+    pub eps: f32,
+}
+
+impl BatchNormLowering {
+    /// The folded per-channel affine `(scale, shift)` with
+    /// `scale = gamma / sqrt(var + eps)` and `shift = beta - scale * mean`,
+    /// so that `y = scale * x + shift` — the form the integer backends
+    /// calibrate and quantize.
+    pub fn folded(&self) -> (Vec<f32>, Vec<f32>) {
+        let scale: Vec<f32> = (self.gamma.iter().zip(&self.var))
+            .map(|(g, v)| g / (v + self.eps).sqrt())
+            .collect();
+        let shift = (self.beta.iter().zip(&scale).zip(&self.mean))
+            .map(|((b, s), m)| b - s * m)
+            .collect();
+        (scale, shift)
     }
 }
 
@@ -209,7 +243,10 @@ mod tests {
         let mut bn = BatchNorm2d::new(2).unwrap();
         bn.set_state(&[vec![1.0, -0.5], vec![4.0, 0.25]]).unwrap();
         match bn.lowering().unwrap() {
-            LayerLowering::Affine { scale, shift } => {
+            LayerLowering::Affine(bn) => {
+                assert_eq!(bn.mean, vec![1.0, -0.5]);
+                assert_eq!(bn.var, vec![4.0, 0.25]);
+                let (scale, shift) = bn.folded();
                 // scale = gamma / sqrt(var + eps); gamma = 1, beta = 0
                 assert!((scale[0] - 1.0 / (4.0f32 + 1e-5).sqrt()).abs() < 1e-6);
                 assert!((shift[0] + scale[0] * 1.0).abs() < 1e-6);

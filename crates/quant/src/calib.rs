@@ -231,8 +231,9 @@ fn collect_into(
             *act = act.reshape(&[batch, rest])?;
             push_record(ops, lowering.name(), None, None, act);
         }
-        LayerLowering::Affine { scale, shift } => {
-            let y = affine_float(act, scale, shift, scale.len())?;
+        LayerLowering::Affine(bn) => {
+            let (scale, shift) = bn.folded();
+            let y = affine_float(act, &scale, &shift, scale.len())?;
             let out = ValueRange::observe(y.as_slice())?;
             *act = y;
             push_record(ops, lowering.name(), None, Some(out), act);

@@ -104,47 +104,11 @@ impl FixedPointFormat {
         let q = (value * scale).round() / scale;
         q.clamp(self.min_value(), self.max_value())
     }
-
-    /// Quantizes a whole slice in place.
-    pub fn quantize_slice(&self, values: &mut [f32]) {
-        for v in values {
-            *v = self.quantize(*v);
-        }
-    }
 }
 
 impl std::fmt::Display for FixedPointFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ap_fixed<{},{}>", self.total_bits, self.integer_bits)
-    }
-}
-
-/// Error statistics of quantizing a collection of values.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct QuantizationError {
-    /// Maximum absolute error.
-    pub max_abs: f32,
-    /// Mean squared error.
-    pub mse: f32,
-}
-
-impl QuantizationError {
-    /// Measures the error of quantizing `values` with `format`.
-    pub fn measure(values: &[f32], format: FixedPointFormat) -> Self {
-        if values.is_empty() {
-            return QuantizationError::default();
-        }
-        let mut max_abs = 0.0f32;
-        let mut sse = 0.0f64;
-        for &v in values {
-            let err = (format.quantize(v) - v).abs();
-            max_abs = max_abs.max(err);
-            sse += (err as f64) * (err as f64);
-        }
-        QuantizationError {
-            max_abs,
-            mse: (sse / values.len() as f64) as f32,
-        }
     }
 }
 
@@ -179,17 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn wider_formats_have_smaller_error() {
-        let values: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.01).sin()).collect();
-        let e4 = QuantizationError::measure(&values, FixedPointFormat::new(4, 2).unwrap());
-        let e8 = QuantizationError::measure(&values, FixedPointFormat::new(8, 3).unwrap());
-        let e16 = QuantizationError::measure(&values, FixedPointFormat::new(16, 6).unwrap());
-        assert!(e8.mse < e4.mse);
-        assert!(e16.mse < e8.mse);
-        assert!(e16.max_abs < e4.max_abs);
-    }
-
-    #[test]
     fn search_space_matches_paper() {
         let space = FixedPointFormat::search_space();
         let widths: Vec<u32> = space.iter().map(|f| f.total_bits()).collect();
@@ -206,13 +159,6 @@ mod tests {
             FixedPointFormat::default_hls().to_string(),
             "ap_fixed<16,6>"
         );
-    }
-
-    #[test]
-    fn empty_slice_error_is_zero() {
-        let e = QuantizationError::measure(&[], FixedPointFormat::default_hls());
-        assert_eq!(e.max_abs, 0.0);
-        assert_eq!(e.mse, 0.0);
     }
 
     // Deterministic sweeps standing in for the original proptest properties

@@ -5,22 +5,19 @@
 //! searches bitwidths in `{4, 6, 8, 16}` and channel scalings, subject to not
 //! degrading algorithmic quality.
 //!
-//! The crate provides **two execution models** for a quantized network:
-//!
-//! * **Fake quantization** ([`FixedPointFormat`], [`quantize_network`]) —
-//!   weights are snapped to the `ap_fixed<W, I>` grid but evaluation stays in
-//!   `f32` on the float kernels. This is the classic pre-HLS error model and
-//!   remains available as the Phase 3 A/B reference.
-//! * **True integer inference** ([`CalibratedNetwork`], [`QuantPlan`]) — one
-//!   float pass over a representative batch records per-tensor ranges; a
-//!   compiled plan per format then stores weights/biases as integer codes
-//!   and runs on the integer kernels of `bnn_tensor::int` with `i32`/`i64`
-//!   accumulation, power-of-two requantization shifts and explicit
-//!   saturation — the arithmetic the FPGA datapath actually performs,
-//!   including Monte-Carlo dropout masks applied in the integer domain from
-//!   seeded streams. [`QuantPlan::schedule`] exports the flattened steps to
-//!   code generators, and `bnn_hls::HlsSimulator` re-implements them as the
-//!   independent golden reference (`tests/hls_golden_sim.rs`).
+//! A quantized network has **one executor**, true integer inference
+//! ([`CalibratedNetwork`], [`QuantPlan`]): one float pass over a
+//! representative batch records per-tensor ranges; a compiled plan per
+//! [`FixedPointFormat`] then stores weights/biases as integer codes and runs
+//! on the integer kernels of `bnn_tensor::int` with `i32`/`i64`
+//! accumulation, power-of-two requantization shifts and explicit saturation
+//! — the arithmetic the FPGA datapath actually performs, including
+//! Monte-Carlo dropout masks applied in the integer domain from seeded
+//! streams. [`QuantPlan::schedule`] exports the flattened steps to code
+//! generators, and `bnn_hls::HlsSimulator` re-implements them as the
+//! independent golden reference (`tests/hls_golden_sim.rs`). Batch
+//! normalisation reaches the plan folded into a per-channel affine
+//! (`bnn_nn::BatchNormLowering::folded`) before quantization.
 //!
 //! # Worked example: calibrate → plan → integer predict
 //!
@@ -70,7 +67,6 @@ pub mod calib;
 pub mod error;
 pub mod fixed;
 mod lower;
-pub mod model;
 pub mod params;
 pub mod plan;
 pub mod qtensor;
@@ -79,8 +75,7 @@ pub mod schedule;
 pub use bitwidth::{BitwidthSearch, CandidateResult};
 pub use calib::{CalibratedNetwork, GraphCalibration};
 pub use error::QuantError;
-pub use fixed::{FixedPointFormat, QuantizationError};
-pub use model::{quantize_network, quantize_tensor, tensor_quantization_error};
+pub use fixed::FixedPointFormat;
 pub use params::{IntWidth, QuantParams};
 pub use plan::QuantPlan;
 pub use qtensor::QuantData;

@@ -54,8 +54,7 @@ impl QuantParams {
     /// # Errors
     ///
     /// Returns [`QuantError::Unsupported`] for formats wider than 16 bits —
-    /// the integer path stores codes as `i8`/`i16`; wider formats are served
-    /// by the float fake-quantization path.
+    /// the integer path stores codes as `i8`/`i16`.
     pub fn new(format: FixedPointFormat) -> Result<Self, QuantError> {
         if format.total_bits() > 16 {
             return Err(QuantError::Unsupported(format!(
@@ -171,12 +170,6 @@ impl QuantParams {
     pub fn dequantize_value(&self, code: i64) -> f32 {
         code as f32 * self.scale()
     }
-
-    /// Fake-quantizes one value: quantize then dequantize, staying in `f32`.
-    /// Identical to [`FixedPointFormat::quantize`] of the wrapped format.
-    pub fn fake_quantize(&self, value: f32) -> f32 {
-        self.dequantize_value(self.quantize_value(value))
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +230,7 @@ mod tests {
         assert_eq!(rails, [-4.0, 4.0 - 1.0 / 32.0]);
         for v in [0.375, -1.25, 2.0, 0.0, rails[0], rails[1]] {
             assert_eq!(p.dequantize_value(p.quantize_value(v)), v);
-            assert_eq!(p.fake_quantize(v), v);
+            assert_eq!(p.format().quantize(v), v);
         }
         assert_eq!(p.quantize_value(0.375), 12);
     }

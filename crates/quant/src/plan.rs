@@ -497,13 +497,14 @@ impl PlanBuilder {
                 let record = cursor.take(lowering.name())?;
                 *cur = self.alias_value(*cur, record.out_dims.clone());
             }
-            LayerLowering::Affine { scale, shift } => {
+            LayerLowering::Affine(bn) => {
                 let record = cursor.take(lowering.name())?;
                 let out = record
                     .out
                     .expect("affine records an output range")
                     .params(total_bits)?;
-                let (m, b) = quantize_affine(scale, shift, *params, out);
+                let (scale, shift) = bn.folded();
+                let (m, b) = quantize_affine(&scale, &shift, *params, out);
                 *cur = self.push(
                     StepKind::Affine(Box::new(PlanAffine { m, b, out })),
                     *cur,

@@ -1,10 +1,9 @@
 //! Integer linear-algebra kernels for the fixed-point inference path.
 //!
-//! The float kernels in [`crate::linalg`] evaluate *fake-quantized* models:
-//! values snapped to a fixed-point grid but carried as `f32`. The kernels
-//! here are the genuine article — `i8`/`i16` operands, `i32`/`i64`
-//! accumulators — and model what an FPGA datapath with `ap_fixed` arithmetic
-//! actually computes. They operate on raw slices (no `Tensor` wrapper):
+//! The float kernels in [`crate::linalg`] carry every value as `f32`. The
+//! kernels here are the fixed-point article — `i8`/`i16` operands,
+//! `i32`/`i64` accumulators — and model what an FPGA datapath with
+//! `ap_fixed` arithmetic actually computes. They operate on raw slices (no `Tensor` wrapper):
 //! scale/zero-point bookkeeping lives one layer up, in `bnn-quant`.
 //!
 //! # Arithmetic contract
@@ -19,8 +18,8 @@
 //!   wide accumulator is requantized back to a narrow storage type (see
 //!   [`round_shift`] and [`saturate`]).
 //! * **Rounding.** [`round_shift`] rounds to nearest with ties away from
-//!   zero — the same convention as `f32::round`, which the fake-quantization
-//!   grid in `bnn-quant` uses.
+//!   zero — the same convention as `f32::round`, which
+//!   `bnn_quant::FixedPointFormat::quantize` uses.
 //! * **Determinism.** Integer addition is associative, so any execution
 //!   order gives the same bits; the kernels still split work into disjoint
 //!   output row blocks on a [`parpool::Executor`] exactly like the float

@@ -125,9 +125,8 @@ pub fn matmul_with(exec: &Executor, a: &Tensor, b: &Tensor) -> Result<Tensor, Te
             op: "matmul",
         });
     }
-    let k = k_a;
-    let mut out = Vec::new();
-    matmul_slices_into_with(exec, a.as_slice(), b.as_slice(), m, k, n, &mut out)?;
+    let mut out = vec![0.0f32; m * n];
+    matmul_slices_into_with(exec, a.as_slice(), b.as_slice(), m, k_a, n, &mut out)?;
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -137,14 +136,14 @@ pub fn matmul_with(exec: &Executor, a: &Tensor, b: &Tensor) -> Result<Tensor, Te
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the slice lengths do not match
-/// `m * k` / `k * n`.
+/// `m * k` / `k * n` / `m * n`.
 pub fn matmul_slices_into(
     a: &[f32],
     b: &[f32],
     m: usize,
     k: usize,
     n: usize,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
 ) -> Result<(), TensorError> {
     matmul_slices_into_with(
         &auto_executor(m * k * n, PAR_MACS_THRESHOLD),
@@ -157,18 +156,19 @@ pub fn matmul_slices_into(
     )
 }
 
-/// [`matmul`] over raw slices into a caller-provided buffer — the
-/// arena-aware entry point used by the compiled execution plans.
+/// [`matmul`] over raw slices into a caller-provided exact-length slice —
+/// the arena-aware entry point used by the compiled float execution plans.
 ///
-/// `out` is resized to `m * n` and fully overwritten (zeroed, then filled by
-/// exactly the kernel [`matmul`] runs), so results are bitwise identical to
-/// the allocating entry point; in the steady state of an arena the resize is
-/// a no-op and the call performs no heap allocation on a single thread.
+/// `out` must hold exactly `m * n` elements; it is zeroed, then filled by
+/// exactly the kernel [`matmul`] runs, so results are bitwise identical to
+/// the allocating entry point. The slice is never reallocated, so several
+/// steps of a plan can share one scratch buffer, and the call performs no
+/// heap allocation on a single thread.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the slice lengths do not match
-/// `m * k` / `k * n`.
+/// `m * k` / `k * n` / `m * n`.
 pub fn matmul_slices_into_with(
     exec: &Executor,
     a: &[f32],
@@ -176,23 +176,16 @@ pub fn matmul_slices_into_with(
     m: usize,
     k: usize,
     n: usize,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
 ) -> Result<(), TensorError> {
-    if a.len() != m * k || b.len() != k * n {
+    if a.len() != m * k || b.len() != k * n || out.len() != m * n {
         return Err(TensorError::ShapeMismatch {
-            lhs: vec![a.len(), m, k],
-            rhs: vec![b.len(), k, n],
+            lhs: vec![a.len(), b.len(), out.len()],
+            rhs: vec![m, k, n],
             op: "matmul_slices_into",
         });
     }
-    if out.len() != m * n {
-        // Fresh or wrong-sized buffers go through `vec![]` (calloc's lazily
-        // zeroed pages — also the allocating `matmul` entry point's path);
-        // right-sized arena buffers are re-zeroed in place.
-        *out = vec![0.0f32; m * n];
-    } else {
-        out.fill(0.0);
-    }
+    out.fill(0.0);
     fill_row_blocks(exec, out, m, n, |row0, chunk| {
         matmul_block(a, b, chunk, row0, k, n)
     });
@@ -418,6 +411,15 @@ pub fn im2col_into_with(
     let (batch, channels, in_h, in_w) = input.shape().as_nchw()?;
     debug_assert_eq!(in_h, geom.in_h);
     debug_assert_eq!(in_w, geom.in_w);
+    // The fill writes every element (padding taps write literal 0.0), so a
+    // buffer that is already the right size needs no re-initialisation — the
+    // steady-state reuse path is a pure overwrite. A fresh allocation goes
+    // through `vec![0.0; n]` (calloc's lazily zeroed pages) rather than
+    // `resize` (explicit memset).
+    let len = channels * geom.kernel_h * geom.kernel_w * batch * geom.out_h() * geom.out_w();
+    if out.len() != len {
+        *out = vec![0.0f32; len];
+    }
     im2col_slices_into_with(exec, input.as_slice(), batch, channels, geom, out)
 }
 
@@ -427,13 +429,14 @@ pub fn im2col_into_with(
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `data` does not hold
-/// `batch * channels * in_h * in_w` elements.
+/// `batch * channels * in_h * in_w` elements or `out` is not exactly the
+/// column matrix's size.
 pub fn im2col_slices_into(
     data: &[f32],
     batch: usize,
     channels: usize,
     geom: &ConvGeometry,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
 ) -> Result<(usize, usize), TensorError> {
     let elems = data
         .len()
@@ -449,20 +452,24 @@ pub fn im2col_slices_into(
     )
 }
 
-/// [`im2col_into_with`] over a raw NCHW slice — the arena-aware entry point
-/// used by the compiled execution plans (bitwise identical fill).
+/// [`im2col_into_with`] over a raw NCHW slice into an exact-length slice of
+/// `channels * k * k` rows by `batch * out_h * out_w` columns — the
+/// arena-aware entry point used by the compiled float execution plans
+/// (bitwise identical fill). Every element is overwritten and `out` is never
+/// reallocated, so plan steps can share one scratch buffer.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `data` does not hold
-/// `batch * channels * in_h * in_w` elements.
+/// `batch * channels * in_h * in_w` elements or `out` is not exactly the
+/// column matrix's size.
 pub fn im2col_slices_into_with(
     exec: &Executor,
     data: &[f32],
     batch: usize,
     channels: usize,
     geom: &ConvGeometry,
-    out: &mut Vec<f32>,
+    out: &mut [f32],
 ) -> Result<(usize, usize), TensorError> {
     if data.len() != batch * channels * geom.in_h * geom.in_w {
         return Err(TensorError::ShapeMismatch {
@@ -476,13 +483,12 @@ pub fn im2col_slices_into_with(
     let out_w = geom.out_w();
     let rows = channels * geom.kernel_h * geom.kernel_w;
     let cols = batch * out_h * out_w;
-    // The fill below writes every element (padding taps write literal 0.0),
-    // so a buffer that is already the right size needs no re-initialisation —
-    // the steady-state reuse path is a pure overwrite. A fresh allocation
-    // goes through `vec![0.0; n]` (calloc's lazily zeroed pages) rather than
-    // `resize` (explicit memset).
     if out.len() != rows * cols {
-        *out = vec![0.0f32; rows * cols];
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![out.len()],
+            rhs: vec![rows, cols],
+            op: "im2col_slices_into",
+        });
     }
     if rows * cols == 0 {
         return Ok((rows, cols));

@@ -7,7 +7,7 @@ mod fixtures;
 
 use bayesnn_fpga::nn::layer::Mode;
 use bayesnn_fpga::nn::Network;
-use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
+use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantError};
 use bayesnn_fpga::tensor::Tensor;
 
 /// At `ap_fixed<16,6>` the compiled integer plan tracks the float network:
@@ -125,5 +125,23 @@ fn shared_calibration_record_matches_one_shot_lowering() {
         let pa = from_record.predict_probs(&eval, 4, 2023).unwrap();
         let pb = one_shot.predict_probs(&eval, 4, 2023).unwrap();
         assert_eq!(pa.as_slice(), pb.as_slice(), "{format}");
+    }
+}
+
+/// A diverged training run (a NaN or infinite weight) has no fixed-point
+/// representation: calibration refuses it with a typed error instead of
+/// snapping it onto the grid.
+#[test]
+fn non_finite_weights_are_rejected_at_calibration() {
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let (mut network, calib, _) = fixtures::trained_lenet5(11, 2, 8);
+        network.params_mut()[0].value.as_mut_slice()[0] = bad;
+        assert!(
+            matches!(
+                CalibratedNetwork::calibrate(&network, &calib),
+                Err(QuantError::NonFinite(_))
+            ),
+            "{bad}"
+        );
     }
 }
