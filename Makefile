@@ -18,8 +18,9 @@
 #                     BNN_THREADS=1 and 4
 #   make test-adaptive - adaptive early-exit parity + allocation audit,
 #                     under BNN_THREADS=1 and 4
-#   make test-hls   - HLS codegen golden-file snapshots + sim-vs-plan
-#                     differential suites, under BNN_THREADS=1 and 4
+#   make test-hls   - HLS codegen golden-file snapshots, zoo-wide project
+#                     generation + sim-vs-plan differential suites, under
+#                     BNN_THREADS=1 and 4
 #   make test-perfbench - build and unit-test the benchmark package
 #                     (perfbench/, its own cargo workspace)
 #   make bench-serving - replay the serving harness and record the results
@@ -99,12 +100,12 @@ test-adaptive:
 
 # The HLS codegen guarantees at both ends of the thread-count range: emitted
 # defines.h/top.cpp pinned against the checked-in goldens (regenerate with
-# UPDATE_GOLDEN=1, see tests/hls_golden_files.rs), and the golden-reference
-# simulator bit-exact with the compiled integer plan across every zoo model
-# × searched format.
+# UPDATE_GOLDEN=1, see tests/hls_golden_files.rs), a complete project for
+# every zoo architecture, and the golden-reference simulator bit-exact with
+# the compiled integer plan across every zoo model × searched format.
 test-hls:
-	BNN_THREADS=1 $(CARGO) test -q --test hls_golden_files --test hls_golden_sim
-	BNN_THREADS=4 $(CARGO) test -q --test hls_golden_files --test hls_golden_sim
+	BNN_THREADS=1 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim
+	BNN_THREADS=4 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim
 
 # The benchmark package has its own [workspace], so the root build never
 # compiles it; building and testing it here catches a removed public item

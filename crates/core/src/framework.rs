@@ -177,13 +177,19 @@ impl TransformationFramework {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::phase1::ModelVariant;
+    use crate::phase3::CALIBRATION_SAMPLES;
+    use crate::pipeline::{PhaseId, StageArtifact};
     use bnn_data::{DatasetSpec, SyntheticConfig};
+    use bnn_hls::LoweredDesign;
     use bnn_models::ModelConfig;
+    use bnn_quant::CalibratedNetwork;
 
-    fn tiny_framework_config() -> FrameworkConfig {
+    /// A LeNet-5 configuration small enough to run all four phases in a
+    /// unit test.
+    pub(crate) fn tiny_framework_config() -> FrameworkConfig {
         let mut config = FrameworkConfig::quick_demo(Architecture::LeNet5);
         config.phase1.model = ModelConfig::mnist()
             .with_resolution(10, 10)
@@ -231,13 +237,48 @@ mod tests {
         assert!(outcome.phase3.best().feasible);
         // Phase 4 produced a project that fits the device.
         assert!(outcome.phase4.report.fits);
-        assert!(outcome
-            .phase4
-            .project
-            .file("firmware/bayes_lenet5.cpp")
-            .is_some());
+        let design = outcome.phase4.lowered.as_ref().unwrap();
+        assert!(design.project().file("firmware/bayes_lenet5.cpp").is_some());
+        assert_eq!(
+            outcome.phase4.hls_config.format,
+            outcome.phase3.best().format
+        );
         let summary = outcome.summary();
         assert!(summary.contains("latency"));
         assert!(summary.contains("energy / image"));
+    }
+
+    #[test]
+    fn phase4_lowers_the_design_the_recalibration_protocol_emitted() {
+        let mut session = PipelineSession::new(tiny_framework_config()).unwrap();
+        session.run_to(PhaseId::Phase4).unwrap();
+        let a3 = session.artifacts().phase3.clone().unwrap();
+        let a4 = session.artifacts().phase4.clone().unwrap();
+
+        // Phase 4 lowers Phase 3's own record. It must emit the design a
+        // fresh calibration of the rebuilt Phase 1 winner on the first
+        // CALIBRATION_SAMPLES training inputs emits.
+        let a1 = &a3.phase2.phase1;
+        let calib = a1
+            .data
+            .train
+            .take(CALIBRATION_SAMPLES)
+            .unwrap()
+            .inputs()
+            .clone();
+        let recalibrated =
+            CalibratedNetwork::calibrate(&a1.instantiate_best().unwrap(), &calib).unwrap();
+        assert_eq!(recalibrated, *a3.calibrated);
+        let expected = LoweredDesign::generate(&recalibrated, &a4.output.hls_config).unwrap();
+        assert_eq!(a4.output.lowered.as_ref(), Some(&expected));
+
+        // Resuming from the Phase 3 artifact lowers the same design.
+        let mut resumed = PipelineSession::new(tiny_framework_config()).unwrap();
+        resumed.resume_from(StageArtifact::Phase3(a3));
+        resumed.run_to(PhaseId::Phase4).unwrap();
+        assert_eq!(
+            resumed.artifacts().phase4.as_ref().unwrap().output,
+            a4.output
+        );
     }
 }

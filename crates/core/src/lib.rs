@@ -13,10 +13,12 @@
 //! 2. [`phase2`] — **spatial & temporal mapping**: choose how Monte-Carlo
 //!    passes map onto hardware MC engines under latency/resource constraints.
 //! 3. [`phase3`] — **algorithm/hardware co-exploration**: grid-search the
-//!    datapath bitwidth, channel scaling and reuse factor subject to not
-//!    degrading algorithmic quality.
-//! 4. [`phase4`] — **accelerator generation**: emit the HLS project
-//!    (`bnn-hls`) and the predicted implementation report (`bnn-hw`).
+//!    datapath bitwidth and reuse factor subject to not degrading
+//!    algorithmic quality, scoring every point on integer plans compiled
+//!    from one calibration record of the Phase 1 winner.
+//! 4. [`phase4`] — **accelerator generation**: lower that same calibration
+//!    record at the selected format into the HLS project (`bnn-hls`'s
+//!    `LoweredDesign`) and the predicted implementation report (`bnn-hw`).
 //!
 //! The phases are exposed as a **staged pipeline** ([`pipeline`]): typed stage
 //! structs ([`phase1::Phase1Stage`] … [`phase4::Phase4Stage`]) run against a
@@ -46,10 +48,11 @@
 //! (weight initialisation, batch shuffling, MC evaluation masks) from the
 //! master seed and its candidate index via
 //! [`bnn_tensor::rng::stream_seed`]; Monte-Carlo passes reseed their dropout
-//! masks per pass; and Phase 3 quantizes a private replica of the trained
-//! model per bitwidth. [`pipeline::PipelineObserver`]s are `Send + Sync` and
-//! receive per-candidate events buffered in candidate-index order at the
-//! phase boundary, so the event sequence is reproducible too.
+//! masks per pass; and Phase 3 compiles every bitwidth's integer plan from
+//! one shared, immutable calibration record. [`pipeline::PipelineObserver`]s
+//! are `Send + Sync` and receive per-candidate events buffered in
+//! candidate-index order at the phase boundary, so the event sequence is
+//! reproducible too.
 //!
 //! # Example
 //!

@@ -36,6 +36,7 @@ use bnn_models::{MultiExitNetwork, NetworkSpec};
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::Tensor;
+use std::sync::Arc;
 
 /// Number of training samples used to calibrate activation ranges when a
 /// design point is scored on the integer path.
@@ -100,14 +101,19 @@ impl Default for Phase3Config {
     }
 }
 
-/// The reusable output of Phase 3: the co-exploration result plus the
-/// embedded Phase 2 artifact, so it is a self-sufficient resume point.
+/// The reusable output of Phase 3: the co-exploration result, the
+/// calibration record every candidate was scored from, and the embedded
+/// Phase 2 artifact, so it is a self-sufficient resume point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase3Artifact {
     /// The Phase 2 artifact this exploration was run on.
     pub phase2: Phase2Artifact,
     /// The co-exploration result.
     pub result: Phase3Result,
+    /// The calibrated Phase 1 winner whose per-format integer plans were
+    /// scored; Phase 4 lowers the selected format from this same record.
+    /// Shared, so the artifacts that embed this one do not copy the weights.
+    pub calibrated: Arc<CalibratedNetwork>,
 }
 
 impl Phase3Artifact {
@@ -214,7 +220,7 @@ impl Phase3Stage {
             .take(CALIBRATION_SAMPLES.min(train.len()))?
             .inputs()
             .clone();
-        let result = explore(
+        let (result, calibrated) = explore(
             input.phase1.best_spec(),
             &mut trained,
             &input.phase1.data.test,
@@ -229,11 +235,13 @@ impl Phase3Stage {
         Ok(Phase3Artifact {
             phase2: input.clone(),
             result,
+            calibrated: Arc::new(calibrated),
         })
     }
 }
 
-/// The co-exploration over a trained model.
+/// The co-exploration over a trained model, returned with the calibration
+/// record every candidate was scored from.
 ///
 /// `trained` itself is left untouched: every candidate derives its compiled
 /// plan from one shared calibration record, so the per-format workers share
@@ -253,7 +261,7 @@ pub(crate) fn explore(
     priority: OptPriority,
     executor: &Executor,
     observer: &dyn PipelineObserver,
-) -> Result<Phase3Result, FrameworkError> {
+) -> Result<(Phase3Result, CalibratedNetwork), FrameworkError> {
     // The sampler inherits the phase executor, so a pinned thread count
     // (FrameworkConfig::threads) also governs the MC fan-out of the
     // reference prediction below; inside the per-format workers the nested
@@ -358,11 +366,14 @@ pub(crate) fn explore(
         })
         .expect("feasible set is non-empty");
 
-    Ok(Phase3Result {
-        reference_accuracy,
-        points,
-        best_index,
-    })
+    Ok((
+        Phase3Result {
+            reference_accuracy,
+            points,
+            best_index,
+        },
+        calibrated,
+    ))
 }
 
 #[cfg(test)]
@@ -397,6 +408,7 @@ mod tests {
             &Executor::global(),
             &NoopObserver,
         )
+        .map(|(result, _)| result)
     }
 
     fn trained_setup() -> (NetworkSpec, MultiExitNetwork, Dataset, Tensor) {

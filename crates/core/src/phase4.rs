@@ -1,76 +1,68 @@
 //! Phase 4 — generation of the HLS-based BayesNN accelerator.
 //!
 //! Combines the Phase 1 network, the Phase 2 mapping and the Phase 3
-//! bitwidth/reuse choice into emitted HLS projects (`bnn-hls`) plus the
+//! bitwidth/reuse choice into the emitted HLS project (`bnn-hls`) plus the
 //! predicted implementation report (`bnn-hw`), the artefacts a user would hand
 //! to Vivado-HLS / Vivado for synthesis, place-and-route and onboard testing.
 //!
-//! Two projects are emitted when the winning format fits the integer path
-//! (≤ 16 bits): the spec-driven structural project ([`HlsProject`]) and the
-//! calibrated per-tensor [`LoweredDesign`], generated from the same compiled
-//! [`bnn_quant::QuantPlan`] the Phase 3 winner was scored on — per-tensor
-//! `ap_fixed` typedefs, packed integer weight codes and a `top()` that walks
-//! the identical flattened step list. The lowered design carries a
+//! The project is a [`LoweredDesign`] lowered from the calibration record
+//! Phase 3 scored ([`Phase3Artifact::calibrated`]), compiled at the winning
+//! format: the same [`bnn_quant::QuantPlan`] the winner's accuracy was
+//! measured on, rendered as per-tensor `ap_fixed` typedefs, packed integer
+//! weight codes and a `top()` that walks the identical flattened step list.
+//! Phase 4 runs no float inference of its own. The design carries a
 //! [`bnn_hls::StaticSchedule`] summary whose MAC count equals
 //! [`bnn_hw::network_macs`] for the same spec, the invariant the golden
 //! tests pin.
 
 use crate::error::FrameworkError;
-use crate::phase3::{Phase3Artifact, CALIBRATION_SAMPLES};
+use crate::phase3::Phase3Artifact;
 use crate::pipeline::{NoopObserver, PhaseId, PipelineContext, PipelineObserver};
-use bnn_hls::{HlsConfig, HlsProject, LoweredDesign};
-use bnn_hw::accelerator::{AcceleratorConfig, AcceleratorModel, AcceleratorReport};
-use bnn_models::NetworkSpec;
-use bnn_quant::{CalibratedNetwork, FixedPointFormat};
+use bnn_hls::{HlsConfig, LoweredDesign};
+use bnn_hw::accelerator::{AcceleratorModel, AcceleratorReport};
 use std::path::Path;
 
-/// Output of Phase 4: the generated project and its predicted implementation.
+/// Output of Phase 4: the generated design and its predicted implementation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase4Output {
-    /// The generated spec-driven HLS project.
-    pub project: HlsProject,
     /// The predicted post-implementation report.
     pub report: AcceleratorReport,
     /// The HLS generation configuration that was used.
     pub hls_config: HlsConfig,
     /// The calibrated per-tensor design lowered from the winner's compiled
-    /// integer plan. `None` when the output was produced by the spec-only
-    /// [`generate`] entry point, which has no calibration data.
+    /// integer plan. Always `Some` on an output [`Phase4Stage`] produced.
     pub lowered: Option<LoweredDesign>,
 }
 
 impl Phase4Output {
-    /// Writes the generated project under `root`. When a calibrated
-    /// [`LoweredDesign`] is present, its project is written under
-    /// `root/lowered`.
+    /// Writes the lowered design's project files under `root`.
     ///
     /// # Errors
     ///
     /// Propagates file-system errors.
     pub fn write_project(&self, root: &Path) -> Result<(), FrameworkError> {
-        self.project.write_to_dir(root)?;
         if let Some(lowered) = &self.lowered {
-            lowered.project().write_to_dir(&root.join("lowered"))?;
+            lowered.project().write_to_dir(root)?;
         }
         Ok(())
     }
 }
 
-/// The reusable output of Phase 4: the generated project plus the embedded
+/// The reusable output of Phase 4: the generated design plus the embedded
 /// Phase 3 artifact, so the whole decision chain stays inspectable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase4Artifact {
     /// The Phase 3 artifact the accelerator was generated from.
     pub phase3: Phase3Artifact,
-    /// The generated project and predicted implementation.
+    /// The generated design and predicted implementation.
     pub output: Phase4Output,
 }
 
 /// The Phase 4 stage: HLS accelerator generation.
 ///
 /// Phase 4 has no configuration of its own — every decision (mapping,
-/// bitwidth, reuse factor) arrives through the Phase 3 artifact and the
-/// project name through the context.
+/// bitwidth, reuse factor) and the calibration record arrive through the
+/// Phase 3 artifact and the project name through the context.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Phase4Stage;
 
@@ -94,7 +86,7 @@ impl Phase4Stage {
     ///
     /// # Errors
     ///
-    /// Propagates spec validation, estimation and generation errors.
+    /// Propagates estimation and generation errors.
     pub fn run(
         &self,
         ctx: &PipelineContext,
@@ -103,207 +95,141 @@ impl Phase4Stage {
         self.run_observed(ctx, input, &NoopObserver)
     }
 
-    /// Generates the accelerator, reporting the emitted project to `observer`.
+    /// Generates the accelerator, reporting the emitted design to `observer`.
     ///
     /// # Errors
     ///
-    /// Propagates spec validation, estimation and generation errors.
+    /// Propagates estimation errors, and surfaces
+    /// [`bnn_hls::HlsError::Unsupported`] (via [`FrameworkError::Hls`]) when
+    /// the selected format has no integer plan or a lowered node has no HLS
+    /// emission rule.
     pub fn run_observed(
         &self,
         ctx: &PipelineContext,
         input: &Phase3Artifact,
         observer: &dyn PipelineObserver,
     ) -> Result<Phase4Artifact, FrameworkError> {
-        let final_config = ctx
+        let accel_config = ctx
             .accelerator_baseline()
             .with_mapping(input.mapping())
             .with_bits(input.format().total_bits())
             .with_reuse_factor(input.reuse_factor());
-        let mut output = generate(
-            input.phase2.phase1.best_spec(),
-            &ctx.project_name,
-            &final_config,
-            input.format(),
-        )?;
-        // Lower the winner's compiled integer plan into the calibrated
-        // per-tensor design, re-using Phase 3's calibration protocol: a
-        // representative batch of *training* inputs. Phase 3 only selects
-        // formats the integer plan holds (at most 16 bits).
-        let trained = input.phase2.phase1.instantiate_best()?;
-        let train = &input.phase2.phase1.data.train;
-        let calib = train
-            .take(CALIBRATION_SAMPLES.min(train.len()))?
-            .inputs()
-            .clone();
-        let calibrated = CalibratedNetwork::calibrate(&trained, &calib)?;
-        output.lowered = Some(LoweredDesign::generate(&calibrated, &output.hls_config)?);
-        let lowered_note = match &output.lowered {
-            Some(design) => format!(
-                ", lowered design: {} stages / {} MACs",
-                design.summary().steps,
-                design.summary().macs
-            ),
-            None => String::new(),
-        };
+        let hls_config = HlsConfig::new(&ctx.project_name)
+            .with_format(input.format())
+            .with_reuse_factor(accel_config.layer_model.reuse_factor)
+            .with_mapping(accel_config.mapping)
+            .with_mc_samples(accel_config.mc_samples);
+        let report = AcceleratorModel::new(input.phase2.phase1.best_spec().clone(), accel_config)?
+            .estimate()?;
+        let lowered = LoweredDesign::generate(&input.calibrated, &hls_config)?;
         observer.on_candidate(
             PhaseId::Phase4,
             0,
             &format!(
-                "project {} ({} files): latency {:.4} ms, fits {}{}",
+                "project {} ({} files): latency {:.4} ms, fits {}, lowered design: {} stages / {} MACs",
                 ctx.project_name,
-                output.project.paths().len(),
-                output.report.latency_ms,
-                output.report.fits,
-                lowered_note
+                lowered.project().paths().len(),
+                report.latency_ms,
+                report.fits,
+                lowered.summary().steps,
+                lowered.summary().macs
             ),
         );
         Ok(Phase4Artifact {
             phase3: input.clone(),
-            output,
+            output: Phase4Output {
+                report,
+                hls_config,
+                lowered: Some(lowered),
+            },
         })
     }
-}
-
-/// Generates the accelerator for a network spec with a fully decided
-/// accelerator configuration (the standalone entry point behind
-/// [`Phase4Stage`]).
-///
-/// This entry point has no calibration data, so the returned output's
-/// `lowered` field is `None`; [`Phase4Stage::run_observed`] fills it from
-/// the pipeline's training set, and [`generate_lowered`] does the same for
-/// a standalone [`CalibratedNetwork`].
-///
-/// # Errors
-///
-/// Propagates spec validation, estimation and generation errors.
-pub fn generate(
-    spec: &NetworkSpec,
-    project_name: &str,
-    accel_config: &AcceleratorConfig,
-    format: FixedPointFormat,
-) -> Result<Phase4Output, FrameworkError> {
-    let report = AcceleratorModel::new(spec.clone(), accel_config.clone())?.estimate()?;
-    let hls_config = HlsConfig::new(project_name)
-        .with_format(format)
-        .with_reuse_factor(accel_config.layer_model.reuse_factor)
-        .with_mapping(accel_config.mapping)
-        .with_mc_samples(accel_config.mc_samples);
-    let project = HlsProject::generate(spec, &hls_config)?;
-    Ok(Phase4Output {
-        project,
-        report,
-        hls_config,
-        lowered: None,
-    })
-}
-
-/// Lowers a calibrated network's compiled integer plan into the per-tensor
-/// HLS design — the standalone spelling of what [`Phase4Stage::run_observed`]
-/// does with the pipeline's own calibration batch.
-///
-/// # Errors
-///
-/// Surfaces [`bnn_hls::HlsError::Unsupported`] (via
-/// [`FrameworkError::Hls`]) when the configured format is wider than the
-/// 16-bit integer path or a lowered node has no HLS emission rule, and
-/// propagates plan-compilation errors.
-pub fn generate_lowered(
-    calibrated: &CalibratedNetwork,
-    hls_config: &HlsConfig,
-) -> Result<LoweredDesign, FrameworkError> {
-    Ok(LoweredDesign::generate(calibrated, hls_config)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::tests::tiny_framework_config;
+    use crate::pipeline::{PipelineEvent, PipelineSession, RecordingObserver};
     use bnn_hls::HlsError;
-    use bnn_hw::{FpgaDevice, MappingStrategy};
-    use bnn_models::{zoo, ModelConfig};
-    use bnn_tensor::rng::Xoshiro256StarStar;
-    use bnn_tensor::Tensor;
+    use bnn_quant::FixedPointFormat;
+    use std::sync::OnceLock;
 
-    fn calibrated_lenet() -> (NetworkSpec, CalibratedNetwork) {
-        let spec = zoo::lenet5(
-            &ModelConfig::mnist()
-                .with_resolution(10, 10)
-                .with_width_divisor(8)
-                .with_classes(4),
-        )
-        .with_exits_after_every_block()
-        .unwrap()
-        .with_exit_mcd(0.25)
-        .unwrap();
-        let net = spec.build(3).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(4);
-        let calib = Tensor::randn(&[6, 1, 10, 10], &mut rng);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        (spec, calibrated)
+    /// One tiny pipeline run through Phase 3, shared by the tests below.
+    fn phase3() -> &'static (PipelineContext, Phase3Artifact) {
+        static RUN: OnceLock<(PipelineContext, Phase3Artifact)> = OnceLock::new();
+        RUN.get_or_init(|| {
+            let mut session = PipelineSession::new(tiny_framework_config()).unwrap();
+            session.run_to(PhaseId::Phase3).unwrap();
+            let a3 = session.artifacts().phase3.clone().unwrap();
+            (session.context().clone(), a3)
+        })
+    }
+
+    #[test]
+    fn generates_project_and_report() {
+        let (ctx, a3) = phase3();
+        let observer = RecordingObserver::new();
+        let a4 = Phase4Stage::new().run_observed(ctx, a3, &observer).unwrap();
+        let output = &a4.output;
+        assert!(output.report.fits);
+        let design = output.lowered.as_ref().expect("phase 4 always lowers");
+        let cpp = format!("firmware/{}.cpp", ctx.project_name);
+        assert!(design.project().file(&cpp).is_some());
+        // Every Phase 3 decision reaches the emitted configuration.
+        assert_eq!(output.hls_config.format, a3.format());
+        assert_eq!(output.hls_config.reuse_factor, a3.reuse_factor());
+        assert_eq!(output.hls_config.mapping, a3.mapping());
+        assert_eq!(output.hls_config.mc_samples, ctx.mc_samples);
+        // The observer counts the lowered files.
+        let files = format!("({} files)", design.project().paths().len());
+        match observer.events().as_slice() {
+            [PipelineEvent::Candidate(PhaseId::Phase4, 0, msg)] => {
+                assert!(msg.contains(&files), "{msg}");
+            }
+            other => panic!("expected one Phase 4 candidate event, got {other:?}"),
+        }
     }
 
     #[test]
     fn lowered_design_macs_match_the_hw_model() {
-        let (spec, calibrated) = calibrated_lenet();
-        let config = HlsConfig::new("lenet").with_format(FixedPointFormat::new(8, 3).unwrap());
-        let design = generate_lowered(&calibrated, &config).unwrap();
+        let (ctx, a3) = phase3();
+        let a4 = Phase4Stage::new().run(ctx, a3).unwrap();
+        let design = a4.output.lowered.unwrap();
         // The static schedule of the emitted design and the analytic hw
         // model price the same machine: exact MAC agreement, no tolerance.
-        assert_eq!(design.summary().macs, bnn_hw::network_macs(&spec).unwrap());
+        let spec = a3.phase2.phase1.best_spec();
+        assert_eq!(design.summary().macs, bnn_hw::network_macs(spec).unwrap());
         assert!(design.summary().macs > 0);
     }
 
     #[test]
+    fn project_round_trips_to_disk() {
+        let (ctx, a3) = phase3();
+        let output = Phase4Stage::new().run(ctx, a3).unwrap().output;
+        let dir = std::env::temp_dir().join(format!("bnn_phase4_{}", std::process::id()));
+        output.write_project(&dir).unwrap();
+        // The lowered files land at the root of the output directory.
+        let project = output.lowered.as_ref().unwrap().project();
+        assert!(dir.join("build_prj.tcl").exists());
+        for path in project.paths() {
+            let written = std::fs::read_to_string(dir.join(path)).unwrap();
+            assert_eq!(Some(written.as_str()), project.file(path), "{path}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn wide_formats_surface_a_typed_unsupported_error() {
-        let (_, calibrated) = calibrated_lenet();
-        let config = HlsConfig::new("lenet").with_format(FixedPointFormat::new(24, 8).unwrap());
-        match generate_lowered(&calibrated, &config) {
+        let (ctx, a3) = phase3();
+        let mut wide = a3.clone();
+        let best = wide.result.best_index;
+        wide.result.points[best].format = FixedPointFormat::new(24, 8).unwrap();
+        match Phase4Stage::new().run(ctx, &wide) {
             Err(FrameworkError::Hls(HlsError::Unsupported(msg))) => {
                 assert!(msg.contains("16"), "message should name the limit: {msg}");
             }
             other => panic!("expected FrameworkError::Hls(Unsupported), got {other:?}"),
         }
-    }
-
-    #[test]
-    fn generates_project_and_report() {
-        let spec = zoo::lenet5(&ModelConfig::mnist().with_width_divisor(4))
-            .with_exits_after_every_block()
-            .unwrap()
-            .with_exit_mcd(0.25)
-            .unwrap();
-        let config = AcceleratorConfig::new(FpgaDevice::xcku115())
-            .with_bits(8)
-            .with_mapping(MappingStrategy::Spatial)
-            .with_mc_samples(3);
-        let output = generate(
-            &spec,
-            "bayes_lenet",
-            &config,
-            FixedPointFormat::new(8, 3).unwrap(),
-        )
-        .unwrap();
-        assert!(output.report.fits);
-        assert!(output.project.file("firmware/bayes_lenet.cpp").is_some());
-        assert_eq!(output.hls_config.mc_samples, 3);
-        assert_eq!(output.hls_config.cpp_type(), "ap_fixed<8,3>");
-    }
-
-    #[test]
-    fn project_round_trips_to_disk() {
-        let spec = zoo::lenet5(&ModelConfig::mnist().with_width_divisor(8))
-            .with_mcd_layers(1, 0.25)
-            .unwrap();
-        let config = AcceleratorConfig::new(FpgaDevice::xcku115());
-        let output = generate(
-            &spec,
-            "disk_roundtrip",
-            &config,
-            FixedPointFormat::default_hls(),
-        )
-        .unwrap();
-        let dir = std::env::temp_dir().join(format!("bnn_phase4_{}", std::process::id()));
-        output.write_project(&dir).unwrap();
-        assert!(dir.join("build_prj.tcl").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

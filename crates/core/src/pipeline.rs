@@ -645,7 +645,10 @@ impl PipelineSession {
                 &format!(
                     "generated {} ({} files, fits device: {})",
                     self.ctx.project_name,
-                    a4.output.project.paths().len(),
+                    a4.output
+                        .lowered
+                        .as_ref()
+                        .map_or(0, |design| design.project().paths().len()),
                     a4.output.report.fits
                 ),
             );

@@ -1,6 +1,5 @@
 //! Error type for HLS code generation.
 
-use bnn_models::ModelError;
 use bnn_quant::QuantError;
 use std::error::Error;
 use std::fmt;
@@ -8,8 +7,6 @@ use std::fmt;
 /// Error returned by the HLS project generator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HlsError {
-    /// The architecture spec could not be analysed.
-    Model(ModelError),
     /// The fixed-point configuration is invalid.
     Quant(QuantError),
     /// The generator configuration is invalid.
@@ -29,7 +26,6 @@ pub enum HlsError {
 impl fmt::Display for HlsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HlsError::Model(e) => write!(f, "model error: {e}"),
             HlsError::Quant(e) => write!(f, "quantization error: {e}"),
             HlsError::InvalidConfig(msg) => write!(f, "invalid HLS configuration: {msg}"),
             HlsError::Unsupported(msg) => write!(f, "no HLS emission rule: {msg}"),
@@ -42,16 +38,9 @@ impl fmt::Display for HlsError {
 impl Error for HlsError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            HlsError::Model(e) => Some(e),
             HlsError::Quant(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ModelError> for HlsError {
-    fn from(e: ModelError) -> Self {
-        HlsError::Model(e)
     }
 }
 
@@ -83,8 +72,6 @@ mod tests {
         assert!(HlsError::Sim("empty batch".into())
             .to_string()
             .contains("empty batch"));
-        let e = HlsError::from(ModelError::InvalidSpec("z".into()));
-        assert!(e.source().is_some());
         let e = HlsError::from(QuantError::InvalidFormat("q".into()));
         assert!(e.source().is_some());
     }

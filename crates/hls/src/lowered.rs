@@ -1,12 +1,10 @@
 //! Lowered-graph HLS emission: per-tensor types, integer weights, and a
 //! pipeline generated from the compiled plan's step schedule.
 //!
-//! [`LoweredDesign::generate`] is the calibrated counterpart of
-//! [`HlsProject::generate`]: instead of rendering from the architecture spec
-//! with one global width, it compiles the [`CalibratedNetwork`] into the
+//! [`LoweredDesign::generate`] compiles a [`CalibratedNetwork`] into the
 //! same [`QuantPlan`] the integer inference path executes, exports the
-//! plan's flattened step list ([`PlanSchedule`]) and renders every file from
-//! it:
+//! plan's flattened step list ([`PlanSchedule`]) and renders every
+//! network-dependent file from it:
 //!
 //! * `firmware/defines.h` — one `ap_fixed<W,I>` typedef **per tensor**
 //!   (input and every step output), from the calibrated [`QuantParams`];
@@ -18,6 +16,9 @@
 //!   flattened step list [`QuantPlan`] walks: residual fork/merge,
 //!   requantize shifts, integer relu/pool and exit heads included.
 //!
+//! The MC-dropout header and `build_prj.tcl` come from
+//! [`crate::templates`].
+//!
 //! Because every constant is an integer code or a power-of-two exponent,
 //! emission is fully deterministic — the golden-file tests pin the output
 //! byte for byte. [`crate::sim::HlsSimulator`] interprets the same schedule
@@ -27,11 +28,10 @@
 //! [`CalibratedNetwork`]: bnn_quant::CalibratedNetwork
 //! [`QuantPlan`]: bnn_quant::QuantPlan
 //! [`QuantPlan::predict_probs`]: bnn_quant::QuantPlan::predict_probs
-//! [`HlsProject::generate`]: crate::HlsProject::generate
 
 use crate::config::HlsConfig;
 use crate::error::HlsError;
-use crate::project::{self, HlsProject};
+use crate::project::HlsProject;
 use crate::templates;
 use bnn_quant::schedule::{PlanSchedule, ScheduleOp, ScheduleStep, MUL_FRAC};
 use bnn_quant::{CalibratedNetwork, QuantError, QuantParams};
@@ -104,7 +104,7 @@ impl LoweredDesign {
             return Err(HlsError::InvalidConfig("empty project name".into()));
         }
         let emitter = Emitter::walk(&schedule, config);
-        let name = config.project_name.clone();
+        let name = &config.project_name;
         let mut files = BTreeMap::new();
         files.insert(format!("firmware/{name}.cpp"), emitter.top_cpp(&schedule));
         files.insert(format!("firmware/{name}.h"), emitter.top_header(&schedule));
@@ -115,7 +115,7 @@ impl LoweredDesign {
             "firmware/nnet_utils/nnet_mc_dropout.h".into(),
             templates::mc_dropout_header(config),
         );
-        files.insert("build_prj.tcl".into(), project::build_tcl(config));
+        files.insert("build_prj.tcl".into(), templates::build_tcl(config));
         files.insert("README.md".into(), emitter.readme(&schedule));
 
         let summary = StaticSchedule {
@@ -127,7 +127,7 @@ impl LoweredDesign {
             pipeline_depth: schedule.pipeline_depth(),
         };
         Ok(LoweredDesign {
-            project: HlsProject::from_files(name, files),
+            project: HlsProject::from_files(files),
             schedule,
             summary,
         })
@@ -592,13 +592,13 @@ impl Emitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_models::{zoo, ModelConfig};
+    use bnn_models::{zoo, ModelConfig, NetworkSpec};
     use bnn_quant::FixedPointFormat;
     use bnn_tensor::rng::Xoshiro256StarStar;
     use bnn_tensor::Tensor;
 
-    fn calibrated() -> CalibratedNetwork {
-        let net = zoo::lenet5(
+    fn spec() -> NetworkSpec {
+        zoo::lenet5(
             &ModelConfig::mnist()
                 .with_resolution(10, 10)
                 .with_width_divisor(8)
@@ -608,8 +608,10 @@ mod tests {
         .unwrap()
         .with_exit_mcd(0.25)
         .unwrap()
-        .build(3)
-        .unwrap();
+    }
+
+    fn calibrated() -> CalibratedNetwork {
+        let net = spec().build(3).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(4);
         let calib = Tensor::randn(&[6, 1, 10, 10], &mut rng);
         CalibratedNetwork::calibrate(&net, &calib).unwrap()
@@ -676,5 +678,78 @@ mod tests {
             LoweredDesign::generate(&calibrated, &config),
             Err(HlsError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn defines_carry_fixed_point_type_and_mc_parameters() {
+        let config = HlsConfig::new("p")
+            .with_format(FixedPointFormat::new(8, 3).unwrap())
+            .with_mc_samples(6);
+        let design = LoweredDesign::generate(&calibrated(), &config).unwrap();
+        let defines = design.project().file("firmware/defines.h").unwrap();
+        // One 8-bit typedef per tensor: the input plus every step output.
+        assert_eq!(
+            defines.matches("typedef ap_fixed<8,").count(),
+            design.summary().steps + 1
+        );
+        assert_eq!(
+            defines.matches("typedef ap_fixed<").count(),
+            design.summary().steps + 1
+        );
+        assert!(defines.contains("#define MC_SAMPLES 6"));
+        assert!(defines.contains("#define NUM_EXITS 2"));
+        assert!(defines.contains("#define N_CLASSES 4"));
+        assert!(defines.contains("#define INPUT_SIZE 100"));
+        assert!(defines.contains(&format!(
+            "#define ARENA_ELEMS {}",
+            design.summary().buffer_elems
+        )));
+    }
+
+    #[test]
+    fn weights_header_counts_parameters() {
+        let config = HlsConfig::new("p").with_format(FixedPointFormat::new(8, 3).unwrap());
+        let design = LoweredDesign::generate(&calibrated(), &config).unwrap();
+        let params = spec().param_count();
+        assert_eq!(design.summary().weight_params, params);
+        let weights = design.project().file("firmware/weights/weights.h").unwrap();
+        assert!(weights.contains(&format!("total parameters: {params}")));
+        // The declared array sizes and the emitted codes both add up to the
+        // parameter count.
+        let declared: usize = weights
+            .lines()
+            .filter(|l| l.starts_with("static const "))
+            .map(|l| {
+                let open = l.find('[').unwrap();
+                let close = l.find(']').unwrap();
+                l[open + 1..close].parse::<usize>().unwrap()
+            })
+            .sum();
+        assert_eq!(declared, params);
+        let emitted: usize = weights
+            .lines()
+            .filter(|l| l.starts_with("    "))
+            .map(|l| l.matches(',').count())
+            .sum();
+        assert_eq!(emitted, params);
+    }
+
+    #[test]
+    fn parameters_declare_one_config_per_instantiated_step() {
+        let config = HlsConfig::new("p").with_format(FixedPointFormat::new(8, 3).unwrap());
+        let design = LoweredDesign::generate(&calibrated(), &config).unwrap();
+        let parameters = design.project().file("firmware/parameters.h").unwrap();
+        let cpp = design.project().file("firmware/p.cpp").unwrap();
+        let steps = design.summary().steps;
+        assert_eq!(parameters.matches("struct config").count(), steps);
+        for k in 0..steps {
+            assert!(parameters.contains(&format!("struct config{k} {{")), "{k}");
+            assert_eq!(cpp.matches(&format!(", config{k}>(")).count(), 1, "{k}");
+        }
+        // The header declares one logits port per exit.
+        let header = design.project().file("firmware/p.h").unwrap();
+        assert!(header.contains("exit0_out_t exit0_logits[N_CLASSES]"));
+        assert!(header.contains("exit1_out_t exit1_logits[N_CLASSES]"));
+        assert!(!header.contains("exit2_logits"));
     }
 }

@@ -1,66 +1,25 @@
-//! HLS project emission.
+//! The emitted HLS project: an in-memory file set.
 //!
-//! [`HlsProject::generate`] turns a [`NetworkSpec`] plus an [`HlsConfig`] into
-//! the full set of files an hls4ml-style project contains. The project can be
-//! inspected in memory (for tests and the framework's reports) or written to
-//! disk for a real Vivado-HLS run.
+//! [`crate::LoweredDesign::generate`] renders every file of an hls4ml-style
+//! project into an [`HlsProject`]. The project can be inspected in memory
+//! (for tests and the framework's reports) or written to disk for a real
+//! Vivado-HLS run.
 
-use crate::config::HlsConfig;
 use crate::error::HlsError;
-use crate::templates;
-use bnn_hw::MappingStrategy;
-use bnn_models::{LayerSpec, NetworkSpec};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// An in-memory HLS project: a map from relative file path to file contents.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HlsProject {
     files: BTreeMap<String, String>,
-    name: String,
 }
 
 impl HlsProject {
-    /// Generates the project for a network spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the spec fails validation.
-    pub fn generate(spec: &NetworkSpec, config: &HlsConfig) -> Result<Self, HlsError> {
-        spec.validate()?;
-        let mut files = BTreeMap::new();
-        let name = config.project_name.clone();
-
-        files.insert(format!("firmware/{name}.cpp"), top_level_cpp(spec, config));
-        files.insert(format!("firmware/{name}.h"), top_level_header(spec, config));
-        files.insert("firmware/defines.h".into(), defines_header(spec, config));
-        files.insert(
-            "firmware/parameters.h".into(),
-            parameters_header(spec, config),
-        );
-        files.insert(
-            "firmware/weights/weights.h".into(),
-            weights_header(spec, config),
-        );
-        files.insert(
-            "firmware/nnet_utils/nnet_mc_dropout.h".into(),
-            templates::mc_dropout_header(config),
-        );
-        files.insert("build_prj.tcl".into(), build_tcl(config));
-        files.insert("README.md".into(), project_readme(spec, config));
-
-        Ok(HlsProject { files, name })
-    }
-
     /// Assembles a project from pre-rendered files (the lowered-graph
     /// emitter builds its file set step by step).
-    pub(crate) fn from_files(name: String, files: BTreeMap<String, String>) -> Self {
-        HlsProject { files, name }
-    }
-
-    /// Project name (top-level function name).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub(crate) fn from_files(files: BTreeMap<String, String>) -> Self {
+        HlsProject { files }
     }
 
     /// The contents of a file, if it exists.
@@ -95,320 +54,61 @@ impl HlsProject {
     }
 }
 
-/// Flattens the spec into `(index, layer, segment-name)` triples in execution
-/// order: backbone blocks first, then each exit branch.
-fn flatten_layers(spec: &NetworkSpec) -> Vec<(usize, LayerSpec, String)> {
-    let mut out = Vec::new();
-    let mut index = 0usize;
-    for (b, block) in spec.blocks.iter().enumerate() {
-        for layer in block {
-            out.push((index, layer.clone(), format!("block{b}")));
-            index += 1;
-        }
-    }
-    for (e, exit) in spec.exits.iter().enumerate() {
-        for layer in &exit.layers {
-            out.push((index, layer.clone(), format!("exit{e}")));
-            index += 1;
-        }
-    }
-    out
-}
-
-fn top_level_cpp(spec: &NetworkSpec, config: &HlsConfig) -> String {
-    let name = &config.project_name;
-    let layers = flatten_layers(spec);
-    let engines = config
-        .mapping
-        .engines(config.mc_samples.div_ceil(spec.num_exits().max(1)).max(1));
-    let mut body = String::new();
-    let mut stream = "input_stream".to_string();
-    let mut current_segment = String::new();
-    for (index, layer, segment) in &layers {
-        if segment != &current_segment {
-            body.push_str(&format!("\n    // ---- {segment} ----\n"));
-            current_segment = segment.clone();
-            if segment.starts_with("exit") {
-                // every exit branch restarts from the cached backbone tensor
-                stream = "backbone_cache".to_string();
-            }
-        }
-        let (call, out) = templates::layer_call(*index, layer, &stream, config);
-        body.push_str(&call);
-        body.push('\n');
-        body.push_str(&format!(
-            "    hls::stream<data_t> {out};\n#pragma HLS STREAM variable={out} depth=64\n"
-        ));
-        stream = out;
-    }
-    format!(
-        r#"// Auto-generated by the bnn-hls transformation framework (Phase 4).
-// Multi-exit MCD BayesNN accelerator: {spec_name}
-#include "{name}.h"
-#include "parameters.h"
-#include "nnet_utils/nnet_mc_dropout.h"
-
-void {name}(
-    hls::stream<data_t> &input_stream,
-    hls::stream<result_t> &output_stream
-) {{
-#pragma HLS INTERFACE axis port=input_stream
-#pragma HLS INTERFACE axis port=output_stream
-#pragma HLS DATAFLOW
-
-    // The non-Bayesian backbone output is cached and cloned so the
-    // {engines} MC engine(s) can reuse it across Monte-Carlo samples.
-    hls::stream<data_t> backbone_cache;
-#pragma HLS STREAM variable=backbone_cache depth=1024
-{body}
-    nnet::ensemble_average<data_t, result_t, NUM_EXITS, MC_SAMPLES>(exit_streams, output_stream);
-}}
-"#,
-        spec_name = spec.name,
-    )
-}
-
-fn top_level_header(spec: &NetworkSpec, config: &HlsConfig) -> String {
-    let name = &config.project_name;
-    format!(
-        r#"#ifndef {upper}_H_
-#define {upper}_H_
-
-#include "ap_fixed.h"
-#include "hls_stream.h"
-#include "defines.h"
-
-// {spec_name}: {exits} exit(s), {mcd} MCD layer(s)
-void {name}(
-    hls::stream<data_t> &input_stream,
-    hls::stream<result_t> &output_stream
-);
-
-#endif
-"#,
-        upper = name.to_uppercase(),
-        spec_name = spec.name,
-        exits = spec.num_exits(),
-        mcd = spec.mcd_layer_count(),
-    )
-}
-
-fn defines_header(spec: &NetworkSpec, config: &HlsConfig) -> String {
-    let mut out =
-        String::from("#ifndef DEFINES_H_\n#define DEFINES_H_\n\n#include \"ap_fixed.h\"\n\n");
-    out.push_str(&format!("typedef {} data_t;\n", config.cpp_type()));
-    out.push_str(&format!("typedef {} result_t;\n\n", config.cpp_type()));
-    out.push_str(&format!("#define NUM_EXITS {}\n", spec.num_exits()));
-    out.push_str(&format!("#define MC_SAMPLES {}\n", config.mc_samples));
-    out.push_str(&format!("#define N_CLASSES {}\n", spec.classes));
-    out.push_str(&format!(
-        "#define INPUT_SIZE {}\n\n",
-        spec.in_channels * spec.height * spec.width
-    ));
-    // Per-MCD-layer dropout buffer sizes.
-    let mut shape = spec.input_shape(1);
-    let mut index = 0usize;
-    for block in &spec.blocks {
-        for layer in block {
-            if matches!(layer, LayerSpec::McDropout { .. }) {
-                out.push_str(&format!("#define DROPOUT_SIZE_{index} {}\n", shape.len()));
-            }
-            if let Ok(next) = layer.output_shape(&shape) {
-                shape = next;
-            }
-            index += 1;
-        }
-    }
-    let block_shapes = spec.block_output_shapes().unwrap_or_default();
-    for exit in &spec.exits {
-        let mut s = block_shapes
-            .get(exit.after_block)
-            .cloned()
-            .unwrap_or_else(|| spec.input_shape(1));
-        for layer in &exit.layers {
-            if matches!(layer, LayerSpec::McDropout { .. }) {
-                out.push_str(&format!("#define DROPOUT_SIZE_{index} {}\n", s.len()));
-            }
-            if let Ok(next) = layer.output_shape(&s) {
-                s = next;
-            }
-            index += 1;
-        }
-    }
-    out.push_str("\n#endif\n");
-    out
-}
-
-fn parameters_header(spec: &NetworkSpec, config: &HlsConfig) -> String {
-    let mut out = String::from(
-        "#ifndef PARAMETERS_H_\n#define PARAMETERS_H_\n\n#include \"defines.h\"\n#include \"weights/weights.h\"\n\n",
-    );
-    for (index, layer, _) in flatten_layers(spec) {
-        out.push_str(&templates::layer_config_struct(index, &layer, config));
-        out.push('\n');
-    }
-    out.push_str("#endif\n");
-    out
-}
-
-fn weights_header(spec: &NetworkSpec, config: &HlsConfig) -> String {
-    let mut out =
-        String::from("#ifndef WEIGHTS_H_\n#define WEIGHTS_H_\n\n#include \"../defines.h\"\n\n");
-    let mut total = 0usize;
-    for (index, layer, _) in flatten_layers(spec) {
-        let (w, b) = templates::weight_counts(&layer);
-        if w > 0 {
-            out.push_str(&format!("// layer {index}: {w} weights, {b} biases\n"));
-            out.push_str(&format!("static const data_t w{index}[{w}] = {{0}};\n"));
-            out.push_str(&format!("static const data_t b{index}[{b}] = {{0}};\n\n"));
-            total += w + b;
-        }
-    }
-    out.push_str(&format!(
-        "// total parameters: {total} ({} bits each)\n#endif\n",
-        config.format.total_bits()
-    ));
-    out
-}
-
-pub(crate) fn build_tcl(config: &HlsConfig) -> String {
-    let engines = match config.mapping {
-        MappingStrategy::Spatial => "spatial",
-        MappingStrategy::Temporal => "temporal",
-        MappingStrategy::Hybrid { .. } => "hybrid",
-    };
-    format!(
-        r#"# Auto-generated Vivado-HLS build script (Phase 4).
-open_project {name}_prj
-set_top {name}
-add_files firmware/{name}.cpp -cflags "-Ifirmware/nnet_utils"
-open_solution "solution1"
-set_part {{{part}}}
-create_clock -period {period} -name default
-config_schedule -enable_dsp_full_reg
-# mapping strategy: {engines}, reuse factor: {reuse}
-csynth_design
-export_design -format ip_catalog
-exit
-"#,
-        name = config.project_name,
-        part = config.part,
-        period = config.clock_period_ns,
-        reuse = config.reuse_factor,
-    )
-}
-
-fn project_readme(spec: &NetworkSpec, config: &HlsConfig) -> String {
-    format!(
-        "# {name}\n\nAuto-generated HLS project for `{model}` ({exits} exits, {mcd} MCD layers).\n\n* Fixed-point type: `{ty}`\n* Reuse factor: {reuse}\n* Clock period: {period} ns\n* Mapping: {mapping}\n* MC samples: {samples}\n\nRun `vivado_hls -f build_prj.tcl` to synthesise.\n",
-        name = config.project_name,
-        model = spec.name,
-        exits = spec.num_exits(),
-        mcd = spec.mcd_layer_count(),
-        ty = config.cpp_type(),
-        reuse = config.reuse_factor,
-        period = config.clock_period_ns,
-        mapping = config.mapping,
-        samples = config.mc_samples,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_models::{zoo, ModelConfig};
 
-    fn spec() -> NetworkSpec {
-        zoo::lenet5(&ModelConfig::mnist().with_width_divisor(4))
-            .with_exits_after_every_block()
-            .unwrap()
-            .with_exit_mcd(0.25)
-            .unwrap()
+    fn project() -> HlsProject {
+        let files = [
+            ("firmware/top.cpp", "void top() {\n}\n"),
+            ("firmware/nnet_utils/nnet_mc_dropout.h", "#pragma once\n"),
+            ("build_prj.tcl", "csynth_design\nexit\n"),
+        ];
+        HlsProject::from_files(
+            files
+                .iter()
+                .map(|(p, c)| (p.to_string(), c.to_string()))
+                .collect(),
+        )
     }
 
     #[test]
     fn project_contains_expected_files() {
-        let project = HlsProject::generate(&spec(), &HlsConfig::new("bayes_lenet")).unwrap();
-        for path in [
-            "firmware/bayes_lenet.cpp",
-            "firmware/bayes_lenet.h",
-            "firmware/defines.h",
-            "firmware/parameters.h",
-            "firmware/weights/weights.h",
-            "firmware/nnet_utils/nnet_mc_dropout.h",
-            "build_prj.tcl",
-            "README.md",
-        ] {
-            assert!(project.file(path).is_some(), "missing {path}");
-        }
-        assert_eq!(project.name(), "bayes_lenet");
-        assert!(project.total_lines() > 100);
-    }
-
-    #[test]
-    fn top_level_uses_dataflow_and_instantiates_every_layer() {
-        let s = spec();
-        let project = HlsProject::generate(&s, &HlsConfig::new("p")).unwrap();
-        let cpp = project.file("firmware/p.cpp").unwrap();
-        assert!(cpp.contains("#pragma HLS DATAFLOW"));
-        assert!(cpp.contains("mc_dropout"));
-        // one call per layer
-        let layer_count: usize = s.blocks.iter().map(Vec::len).sum::<usize>()
-            + s.exits.iter().map(|e| e.layers.len()).sum::<usize>();
-        let call_count = cpp.matches("nnet::").count();
-        assert!(
-            call_count >= layer_count,
-            "{call_count} calls for {layer_count} layers"
+        let project = project();
+        assert_eq!(
+            project.paths(),
+            [
+                "build_prj.tcl",
+                "firmware/nnet_utils/nnet_mc_dropout.h",
+                "firmware/top.cpp"
+            ]
         );
-    }
-
-    #[test]
-    fn defines_carry_fixed_point_type_and_mc_parameters() {
-        let project = HlsProject::generate(
-            &spec(),
-            &HlsConfig::new("p")
-                .with_format(bnn_quant::FixedPointFormat::new(8, 3).unwrap())
-                .with_mc_samples(6),
-        )
-        .unwrap();
-        let defines = project.file("firmware/defines.h").unwrap();
-        assert!(defines.contains("typedef ap_fixed<8,3> data_t;"));
-        assert!(defines.contains("#define MC_SAMPLES 6"));
-        assert!(defines.contains("#define NUM_EXITS 2"));
-        assert!(defines.contains("DROPOUT_SIZE_"));
-    }
-
-    #[test]
-    fn weights_header_counts_parameters() {
-        let s = spec();
-        let project = HlsProject::generate(&s, &HlsConfig::new("p")).unwrap();
-        let weights = project.file("firmware/weights/weights.h").unwrap();
-        assert!(weights.contains(&format!("total parameters: {}", s.param_count())));
-    }
-
-    #[test]
-    fn tcl_targets_configured_part_and_clock() {
-        let project = HlsProject::generate(&spec(), &HlsConfig::new("p")).unwrap();
-        let tcl = project.file("build_prj.tcl").unwrap();
-        assert!(tcl.contains("set_part {xcku115-flvb2104-2-e}"));
-        assert!(tcl.contains("create_clock -period 5.5"));
-        assert!(tcl.contains("csynth_design"));
+        assert_eq!(project.file("build_prj.tcl"), Some("csynth_design\nexit\n"));
+        assert_eq!(project.file("firmware/missing.h"), None);
+        assert_eq!(project.total_lines(), 5);
     }
 
     #[test]
     fn project_writes_to_disk() {
-        let project = HlsProject::generate(&spec(), &HlsConfig::new("disk_test")).unwrap();
-        let dir = std::env::temp_dir().join(format!("bnn_hls_test_{}", std::process::id()));
+        let project = project();
+        let dir = std::env::temp_dir().join(format!("bnn_hls_project_{}", std::process::id()));
         project.write_to_dir(&dir).unwrap();
-        assert!(dir.join("firmware/disk_test.cpp").exists());
-        assert!(dir.join("firmware/nnet_utils/nnet_mc_dropout.h").exists());
+        // Nested directories are created and every file round-trips.
+        for path in project.paths() {
+            let written = std::fs::read_to_string(dir.join(path)).unwrap();
+            assert_eq!(Some(written.as_str()), project.file(path), "{path}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn invalid_spec_is_rejected() {
-        let mut bad = spec();
-        bad.blocks.clear();
-        assert!(HlsProject::generate(&bad, &HlsConfig::new("p")).is_err());
+    fn unwritable_root_is_an_io_error() {
+        // A regular file where the project root should be: no directory
+        // can be created under it.
+        let blocker = std::env::temp_dir().join(format!("bnn_hls_blocker_{}", std::process::id()));
+        std::fs::write(&blocker, "not a directory").unwrap();
+        let result = project().write_to_dir(&blocker);
+        std::fs::remove_file(&blocker).unwrap();
+        assert!(matches!(result, Err(HlsError::Io(_))), "{result:?}");
     }
 }

@@ -1,11 +1,12 @@
-//! HLS C++ layer templates.
+//! HLS C++ and Tcl templates.
 //!
-//! Every function here returns a snippet of C++ that would be compiled by
-//! Vivado-HLS. The templates mirror the hls4ml `nnet_utils` layer headers plus
-//! the custom Monte-Carlo Dropout template the paper adds (Algorithm 1).
+//! The fixed parts of an emitted project, rendered from the [`HlsConfig`]
+//! alone: the custom Monte-Carlo Dropout header the paper adds to hls4ml's
+//! `nnet_utils` (Algorithm 1) and the Vivado-HLS build script. Everything
+//! that depends on the network is rendered by [`crate::lowered`].
 
 use crate::config::HlsConfig;
-use bnn_models::LayerSpec;
+use bnn_hw::MappingStrategy;
 
 /// The custom MCD layer header implementing the paper's Algorithm 1.
 ///
@@ -72,105 +73,33 @@ DropoutLoop:
     )
 }
 
-/// Returns the C++ call statement instantiating one layer inside the top-level
-/// dataflow function, plus the name of its output stream.
-pub fn layer_call(
-    index: usize,
-    layer: &LayerSpec,
-    input_stream: &str,
-    config: &HlsConfig,
-) -> (String, String) {
-    let out = format!("layer{index}_out");
-    let reuse = config.reuse_factor;
-    let call = match layer {
-        LayerSpec::Conv2d { in_channels, out_channels, kernel, stride, padding } => format!(
-            "    // conv2d: {in_channels}->{out_channels}, k={kernel}, s={stride}, p={padding}\n    nnet::conv_2d_cl<data_t, data_t, config{index}>({input_stream}, {out}, w{index}, b{index}); // REUSE={reuse}"
-        ),
-        LayerSpec::Dense { in_features, out_features } => format!(
-            "    // dense: {in_features}->{out_features}\n    nnet::dense<data_t, data_t, config{index}>({input_stream}, {out}, w{index}, b{index}); // REUSE={reuse}"
-        ),
-        LayerSpec::BatchNorm2d { channels } => format!(
-            "    // batchnorm: {channels} channels (folded scale/shift)\n    nnet::normalize<data_t, data_t, config{index}>({input_stream}, {out}, scale{index}, bias{index});"
-        ),
-        LayerSpec::Relu => format!(
-            "    nnet::relu<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
-        LayerSpec::Softmax => format!(
-            "    nnet::softmax<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
-        LayerSpec::MaxPool2d { kernel, stride } => format!(
-            "    // maxpool k={kernel} s={stride}\n    nnet::pooling2d_cl<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
-        LayerSpec::AvgPool2d { kernel, stride } => format!(
-            "    // avgpool k={kernel} s={stride}\n    nnet::pooling2d_cl<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
-        LayerSpec::GlobalAvgPool2d => format!(
-            "    nnet::global_pooling2d_cl<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
-        LayerSpec::Flatten => format!(
-            "    nnet::flatten<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
-        LayerSpec::Dropout { .. } => format!(
-            "    // standard dropout is identity at inference\n    nnet::passthrough<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
-        LayerSpec::McDropout { rate } => format!(
-            "    // Monte-Carlo dropout, rate={rate} (Algorithm 1)\n    nnet::mc_dropout<data_t, data_t, config{index}>({input_stream}, {out}, keep_rate{index});"
-        ),
-        LayerSpec::Residual { .. } => format!(
-            "    // residual basic block (main + shortcut + add + relu)\n    nnet::residual_block<data_t, data_t, config{index}>({input_stream}, {out});"
-        ),
+/// The Vivado-HLS build script: C-synthesis of the top function at the
+/// configured part and clock, exported as an IP-catalog core.
+pub(crate) fn build_tcl(config: &HlsConfig) -> String {
+    let engines = match config.mapping {
+        MappingStrategy::Spatial => "spatial",
+        MappingStrategy::Temporal => "temporal",
+        MappingStrategy::Hybrid { .. } => "hybrid",
     };
-    (call, out)
-}
-
-/// Per-layer configuration struct emitted into `parameters.h`.
-pub fn layer_config_struct(index: usize, layer: &LayerSpec, config: &HlsConfig) -> String {
-    let reuse = config.reuse_factor;
-    match layer {
-        LayerSpec::Conv2d { in_channels, out_channels, kernel, stride, padding } => format!(
-            "struct config{index} {{\n    static const unsigned in_chan = {in_channels};\n    static const unsigned out_chan = {out_channels};\n    static const unsigned filt_size = {kernel};\n    static const unsigned stride = {stride};\n    static const unsigned pad = {padding};\n    static const unsigned reuse_factor = {reuse};\n}};\n"
-        ),
-        LayerSpec::Dense { in_features, out_features } => format!(
-            "struct config{index} {{\n    static const unsigned n_in = {in_features};\n    static const unsigned n_out = {out_features};\n    static const unsigned reuse_factor = {reuse};\n}};\n"
-        ),
-        LayerSpec::McDropout { rate } => {
-            let keep = 1.0 - rate;
-            format!(
-                "struct config{index} : nnet::mc_dropout_config {{\n    static const unsigned dropout_size = DROPOUT_SIZE_{index};\n    // keep_rate = {keep}\n    static const unsigned reuse_factor = {reuse};\n}};\n"
-            )
-        }
-        other => format!(
-            "struct config{index} {{\n    // {other:?}\n    static const unsigned reuse_factor = {reuse};\n}};\n"
-        ),
-    }
-}
-
-/// Number of weight/bias scalars a layer needs in the weights header.
-pub fn weight_counts(layer: &LayerSpec) -> (usize, usize) {
-    match layer {
-        LayerSpec::Conv2d {
-            in_channels,
-            out_channels,
-            kernel,
-            ..
-        } => (in_channels * out_channels * kernel * kernel, *out_channels),
-        LayerSpec::Dense {
-            in_features,
-            out_features,
-        } => (in_features * out_features, *out_features),
-        LayerSpec::BatchNorm2d { channels } => (*channels, *channels),
-        LayerSpec::Residual { main, shortcut } => {
-            let mut w = 0;
-            let mut b = 0;
-            for l in main.iter().chain(shortcut) {
-                let (lw, lb) = weight_counts(l);
-                w += lw;
-                b += lb;
-            }
-            (w, b)
-        }
-        _ => (0, 0),
-    }
+    format!(
+        r#"# Auto-generated Vivado-HLS build script (Phase 4).
+open_project {name}_prj
+set_top {name}
+add_files firmware/{name}.cpp -cflags "-Ifirmware/nnet_utils"
+open_solution "solution1"
+set_part {{{part}}}
+create_clock -period {period} -name default
+config_schedule -enable_dsp_full_reg
+# mapping strategy: {engines}, reuse factor: {reuse}
+csynth_design
+export_design -format ip_catalog
+exit
+"#,
+        name = config.project_name,
+        part = config.part,
+        period = config.clock_period_ns,
+        reuse = config.reuse_factor,
+    )
 }
 
 #[cfg(test)]
@@ -200,71 +129,20 @@ mod tests {
     }
 
     #[test]
-    fn layer_calls_name_streams_consistently() {
-        let cfg = HlsConfig::new("p");
-        let conv = LayerSpec::Conv2d {
-            in_channels: 3,
-            out_channels: 8,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let (call, out) = layer_call(4, &conv, "layer3_out", &cfg);
-        assert_eq!(out, "layer4_out");
-        assert!(call.contains("conv_2d_cl"));
-        assert!(call.contains("layer3_out"));
-        assert!(call.contains("layer4_out"));
-        let mcd = LayerSpec::McDropout { rate: 0.25 };
-        let (call, _) = layer_call(5, &mcd, "layer4_out", &cfg);
-        assert!(call.contains("mc_dropout"));
-        assert!(call.contains("keep_rate5"));
-    }
-
-    #[test]
-    fn config_structs_embed_dimensions() {
-        let cfg = HlsConfig::new("p").with_reuse_factor(16);
-        let dense = LayerSpec::Dense {
-            in_features: 64,
-            out_features: 10,
-        };
-        let s = layer_config_struct(2, &dense, &cfg);
-        assert!(s.contains("n_in = 64"));
-        assert!(s.contains("n_out = 10"));
-        assert!(s.contains("reuse_factor = 16"));
-        let mcd = layer_config_struct(3, &LayerSpec::McDropout { rate: 0.5 }, &cfg);
-        assert!(mcd.contains("mc_dropout_config"));
-    }
-
-    #[test]
-    fn weight_counts_cover_parametrised_layers() {
-        assert_eq!(
-            weight_counts(&LayerSpec::Conv2d {
-                in_channels: 3,
-                out_channels: 8,
-                kernel: 3,
-                stride: 1,
-                padding: 1
-            }),
-            (216, 8)
-        );
-        assert_eq!(
-            weight_counts(&LayerSpec::Dense {
-                in_features: 10,
-                out_features: 4
-            }),
-            (40, 4)
-        );
-        assert_eq!(weight_counts(&LayerSpec::Relu), (0, 0));
-        let res = LayerSpec::Residual {
-            main: vec![LayerSpec::Conv2d {
-                in_channels: 4,
-                out_channels: 4,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            }],
-            shortcut: vec![],
-        };
-        assert_eq!(weight_counts(&res), (144, 4));
+    fn tcl_targets_configured_part_and_clock() {
+        let mut cfg = HlsConfig::new("bayes_top")
+            .with_reuse_factor(32)
+            .with_mapping(MappingStrategy::Temporal);
+        cfg.part = "xc7z020clg400-1".into();
+        cfg.clock_period_ns = 4.0;
+        let tcl = build_tcl(&cfg);
+        assert!(tcl.contains("open_project bayes_top_prj"));
+        assert!(tcl.contains("set_top bayes_top"));
+        assert!(tcl.contains("add_files firmware/bayes_top.cpp"));
+        assert!(tcl.contains("set_part {xc7z020clg400-1}"));
+        assert!(tcl.contains("create_clock -period 4 "));
+        assert!(tcl.contains("# mapping strategy: temporal, reuse factor: 32"));
+        assert!(tcl.contains("csynth_design"));
+        assert!(tcl.contains("export_design -format ip_catalog"));
     }
 }

@@ -15,8 +15,9 @@ pub enum ModelError {
     /// The architecture specification is inconsistent (bad exit index, shape
     /// that does not propagate, ...).
     InvalidSpec(String),
-    /// A caller-supplied inference input was malformed: empty batch, or a
-    /// shape that does not match what the plan was compiled for.
+    /// A caller-supplied input was malformed: an inference batch that is
+    /// empty, non-finite or shaped unlike what the plan was compiled for, or
+    /// a checkpoint holding a NaN or infinite value.
     InvalidInput(String),
 }
 
@@ -26,7 +27,7 @@ impl fmt::Display for ModelError {
             ModelError::Nn(e) => write!(f, "layer error: {e}"),
             ModelError::Tensor(e) => write!(f, "tensor error: {e}"),
             ModelError::InvalidSpec(msg) => write!(f, "invalid architecture spec: {msg}"),
-            ModelError::InvalidInput(msg) => write!(f, "invalid inference input: {msg}"),
+            ModelError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
 }

@@ -139,12 +139,14 @@ impl MultiExitNetwork {
     /// (typically into a freshly built network of the same spec).
     ///
     /// The whole checkpoint is validated before the first write, so a
-    /// mismatch leaves the network exactly as it was.
+    /// mismatch or a non-finite value leaves the network exactly as it was.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidSpec`] if the checkpoint does not match
-    /// this network's parameter or state layout.
+    /// this network's parameter or state layout, and
+    /// [`ModelError::InvalidInput`] if a parameter or a layer state value
+    /// (e.g. a batch-norm running statistic) is NaN or infinite.
     pub fn restore(&mut self, checkpoint: &NetworkCheckpoint) -> Result<(), ModelError> {
         let params = self.collect_params_mut();
         if params.len() != checkpoint.params.len() {
@@ -154,12 +156,17 @@ impl MultiExitNetwork {
                 params.len()
             )));
         }
-        for (param, saved) in params.iter().zip(&checkpoint.params) {
+        for (index, (param, saved)) in params.iter().zip(&checkpoint.params).enumerate() {
             if param.value.dims() != saved.dims() {
                 return Err(ModelError::InvalidSpec(format!(
                     "checkpoint parameter shape {:?} does not match network shape {:?}",
                     saved.dims(),
                     param.value.dims()
+                )));
+            }
+            if let Some(bad) = saved.as_slice().iter().find(|v| !v.is_finite()) {
+                return Err(ModelError::InvalidInput(format!(
+                    "checkpoint parameter {index} holds the non-finite value {bad}"
                 )));
             }
         }
@@ -179,6 +186,11 @@ impl MultiExitNetwork {
                 return Err(ModelError::InvalidSpec(format!(
                     "checkpoint state layout {:?} of container {index} does not match network layout {expected:?}",
                     layout(saved)
+                )));
+            }
+            if let Some(bad) = saved.iter().flatten().find(|v| !v.is_finite()) {
+                return Err(ModelError::InvalidInput(format!(
+                    "checkpoint state of container {index} holds the non-finite value {bad}"
                 )));
             }
         }
@@ -580,6 +592,72 @@ mod tests {
         missing_container.container_state.pop();
         assert!(net.restore(&missing_container).is_err());
         assert_eq!(net.checkpoint(), before);
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_values_without_writing() {
+        // A batch-norm container carries running statistics as state.
+        let spec = NetworkSpec::single_exit(
+            "bn",
+            1,
+            6,
+            6,
+            3,
+            vec![vec![
+                LayerSpec::Conv2d {
+                    in_channels: 1,
+                    out_channels: 2,
+                    kernel: 3,
+                    stride: 1,
+                    padding: 1,
+                },
+                LayerSpec::BatchNorm2d { channels: 2 },
+                LayerSpec::Relu,
+            ]],
+            vec![
+                LayerSpec::Flatten,
+                LayerSpec::Dense {
+                    in_features: 72,
+                    out_features: 3,
+                },
+            ],
+        );
+        let mut net = spec.build(3).unwrap();
+        let before = net.checkpoint();
+        let other = spec.build(9).unwrap().checkpoint();
+        assert!(other
+            .container_state
+            .iter()
+            .flatten()
+            .any(|s| !s.is_empty()));
+
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut bad_param = other.clone();
+            let mut values = bad_param.params[0].as_slice().to_vec();
+            values[1] = bad;
+            bad_param.params[0] = Tensor::from_vec(values, bad_param.params[0].dims()).unwrap();
+            match net.restore(&bad_param) {
+                Err(ModelError::InvalidInput(msg)) => assert!(msg.contains("parameter 0"), "{msg}"),
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+            assert_eq!(net.checkpoint(), before);
+
+            let mut bad_state = other.clone();
+            let (container, layer) = bad_state
+                .container_state
+                .iter()
+                .enumerate()
+                .find_map(|(c, layers)| layers.iter().position(|s| !s.is_empty()).map(|l| (c, l)))
+                .unwrap();
+            bad_state.container_state[container][layer][0] = bad;
+            match net.restore(&bad_state) {
+                Err(ModelError::InvalidInput(msg)) => assert!(msg.contains("state"), "{msg}"),
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+            assert_eq!(net.checkpoint(), before);
+        }
+        net.restore(&other).unwrap();
+        assert_eq!(net.checkpoint(), other);
     }
 
     #[test]

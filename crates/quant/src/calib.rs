@@ -397,7 +397,8 @@ fn affine_float(
 /// graphs of every backbone block and exit branch, paired with their range
 /// records. Per-format compiled [`crate::QuantPlan`]s derive from this
 /// without re-running any float inference, which is what lets Phase 3 score
-/// every `(format, reuse)` design point against a single calibration pass.
+/// every `(format, reuse)` design point against a single calibration pass
+/// and Phase 4 lower the winner from that same record.
 ///
 /// # Example
 ///
@@ -425,7 +426,7 @@ fn affine_float(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibratedNetwork {
     pub(crate) blocks: Vec<(LayerLowering, GraphCalibration)>,
     pub(crate) exits: Vec<(usize, LayerLowering, GraphCalibration)>,

@@ -282,6 +282,9 @@ struct PlanBuilder {
     cols_unit: usize,
     acc_unit: usize,
     mask_unit: usize,
+    /// `(value, first, end)`: a residual operand that steps `first..end`
+    /// must not overwrite (checked in debug builds once slots are assigned).
+    pending: Vec<(usize, usize, usize)>,
 }
 
 impl PlanBuilder {
@@ -537,17 +540,25 @@ impl PlanBuilder {
             }
             LayerLowering::Residual { main, shortcut } => {
                 let v_in = *cur;
+                let first = self.steps.len();
                 let in_params = *params;
                 let mut main_params = in_params;
                 let mut v_main = v_in;
                 for child in main {
                     self.emit(child, cursor, &mut main_params, &mut v_main)?;
                 }
+                let main_end = self.steps.len();
                 let mut short_params = in_params;
                 let mut v_short = v_in;
                 for child in shortcut {
                     self.emit(child, cursor, &mut short_params, &mut v_short)?;
                 }
+                let merge = self.steps.len();
+                // The block input survives the main path (its next reader is
+                // the first shortcut step, or the merge); the main output
+                // survives the shortcut.
+                self.pending.push((v_in, first, main_end));
+                self.pending.push((v_main, main_end, merge));
                 let record = cursor.take(lowering.name())?;
                 let out = record
                     .out
@@ -619,6 +630,7 @@ impl QuantPlan {
             cols_unit: 0,
             acc_unit: 0,
             mask_unit: 0,
+            pending: Vec::new(),
         };
         let input_value = builder.new_value(calibrated.in_dims.clone());
 
@@ -741,6 +753,13 @@ impl QuantPlan {
             }
             step.dst = slot_of[builder.values[step.dst].alias_of.unwrap_or(step.dst)];
         }
+        debug_assert!(
+            builder.pending.iter().all(|&(value, first, end)| {
+                let slot = slot_of[builder.values[value].alias_of.unwrap_or(value)];
+                steps[first..end].iter().all(|step| step.dst != slot)
+            }),
+            "a plan step overwrites a pending residual operand"
+        );
         let total = steps.len();
         let mut exits = Vec::with_capacity(exit_meta.len());
         let mut logit_unit = 0usize;

@@ -4,7 +4,8 @@
 //! This drives all four phases through the staged `PipelineSession` API with
 //! a `TraceObserver` streaming live per-phase progress (timings and the
 //! selected result of every phase) to stderr, then writes the generated
-//! hls4ml-style project under `target/generated_hls/`.
+//! hls4ml-style project — the calibrated design Phase 3 scored, one
+//! `ap_fixed` type per tensor — under `target/generated_hls/`.
 //!
 //! Run with: `cargo run --release --example accelerator_codegen`
 
@@ -51,19 +52,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let out_dir = PathBuf::from("target/generated_hls");
     outcome.phase4.write_project(&out_dir)?;
-    println!("\nHLS project written to {}:", out_dir.display());
-    for path in outcome.phase4.project.paths() {
-        println!("  {path}");
-    }
-    if let Some(lowered) = &outcome.phase4.lowered {
+    if let Some(design) = &outcome.phase4.lowered {
         println!(
-            "\nCalibrated per-tensor design written to {}/lowered ({} stages, {} MACs):",
+            "\nCalibrated per-tensor HLS project written to {} ({} stages, {} MACs):",
             out_dir.display(),
-            lowered.summary().steps,
-            lowered.summary().macs
+            design.summary().steps,
+            design.summary().macs
         );
-        for path in lowered.project().paths() {
-            println!("  lowered/{path}");
+        for path in design.project().paths() {
+            println!("  {path}");
         }
     }
     println!(

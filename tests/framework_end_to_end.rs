@@ -63,13 +63,13 @@ fn pipeline_produces_feasible_design_and_project() {
     assert!(outcome.phase2.best().feasible);
     assert!(outcome.phase3.best().feasible);
 
-    // Phase 4 emitted the full project and a design that fits the device.
+    // Phase 4 emitted the full lowered project and a design that fits the device.
     let report = &outcome.phase4.report;
     assert!(report.fits);
     assert!(report.latency_ms > 0.0);
     assert!(report.power.total_w() > report.power.static_w);
     assert!(report.energy_per_image_j > 0.0);
-    let project = &outcome.phase4.project;
+    let project = outcome.phase4.lowered.as_ref().unwrap().project();
     assert!(project
         .file("firmware/nnet_utils/nnet_mc_dropout.h")
         .is_some());

@@ -151,9 +151,9 @@ fn resnet18_snapshots_are_stable_across_formats() {
 
 #[test]
 fn snapshots_cover_per_tensor_types_not_one_global_width() {
-    // The lowered generator's defining property vs the spec-driven one: more
-    // than one distinct ap_fixed typedef in defines.h (per-tensor integer
-    // widths follow the calibrated ranges).
+    // The lowered generator's defining property: more than one distinct
+    // ap_fixed typedef in defines.h, not one global width (per-tensor
+    // integer widths follow the calibrated ranges).
     let subject = lenet_subject();
     let config = HlsConfig::new(subject.name).with_format(FixedPointFormat::new(8, 3).unwrap());
     let design = LoweredDesign::generate(&subject.calibrated, &config).unwrap();

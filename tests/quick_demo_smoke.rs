@@ -40,7 +40,8 @@ fn quick_demo_runs_all_four_phases_quickly() {
     let report = &outcome.phase4.report;
     assert!(report.latency_ms > 0.0);
     assert!(report.energy_per_image_j > 0.0);
-    assert!(!outcome.phase4.project.paths().is_empty());
+    let design = outcome.phase4.lowered.as_ref().unwrap();
+    assert!(!design.project().paths().is_empty());
 
     // The demo must stay demo-sized.
     assert!(
