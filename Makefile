@@ -16,8 +16,8 @@
 #   make test-robust - serving fault-tolerance suite (panic isolation,
 #                     deadlines, backpressure, degradation, chaos), under
 #                     BNN_THREADS=1 and 4
-#   make test-adaptive - adaptive early-exit parity + allocation audit,
-#                     under BNN_THREADS=1 and 4
+#   make test-adaptive - adaptive early-exit parity + allocation audit +
+#                     the exit walker's unit tests, under BNN_THREADS=1 and 4
 #   make test-hls   - HLS codegen golden-file snapshots, zoo-wide project
 #                     generation + sim-vs-plan differential suites, under
 #                     BNN_THREADS=1 and 4
@@ -92,11 +92,15 @@ test-robust:
 
 # The adaptive early-exit guarantees at both ends of the thread-count range:
 # adaptive-batch prediction bit-exact with per-sample evaluation across all
-# formats/policies/executors, `Never` identical to the fixed-depth path, and
-# zero steady-state allocations through retirement + survivor compaction.
+# formats/policies/executors, `Never` identical to the fixed-depth path,
+# zero steady-state allocations through retirement + survivor compaction,
+# and the exit walker's own unit tests (bnn-models: sample schedule,
+# fixed_cost, compaction on a stub plan).
 test-adaptive:
 	BNN_THREADS=1 $(CARGO) test -q --test adaptive_exit_parity --test allocation_audit
+	BNN_THREADS=1 $(CARGO) test -q -p bnn-models
 	BNN_THREADS=4 $(CARGO) test -q --test adaptive_exit_parity --test allocation_audit
+	BNN_THREADS=4 $(CARGO) test -q -p bnn-models
 
 # The HLS codegen guarantees at both ends of the thread-count range: emitted
 # defines.h/top.cpp pinned against the checked-in goldens (regenerate with

@@ -38,7 +38,7 @@
 //! while staying bitwise identical to the single-threaded run.
 
 use crate::BayesError;
-use bnn_models::{ExitPolicy, MultiExitNetwork};
+use bnn_models::{ExitPlan, ExitPolicy, MultiExitNetwork};
 use bnn_nn::layer::Mode;
 use bnn_nn::network::Network;
 use bnn_tensor::exec::{in_parallel_region, Executor};

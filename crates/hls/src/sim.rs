@@ -492,8 +492,9 @@ impl HlsSimulator {
                 }
                 let keep = 1.0 - *rate;
                 // Filter-wise masks for NCHW values, element-wise otherwise
-                // — one draw per (batch, channel), the plan's PerBatch
-                // granularity.
+                // — one draw per (batch, channel): the plan's PerBatch
+                // granularity, the float layer chain's mask rule that
+                // Phase 3 scores against.
                 let (draws, plane) = if step.in_dims.len() == 3 {
                     (batch * step.in_dims[0], step.in_dims[1] * step.in_dims[2])
                 } else {

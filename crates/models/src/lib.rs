@@ -40,6 +40,7 @@ pub mod plan;
 pub mod policy;
 pub mod residual;
 pub mod spec;
+pub mod walker;
 pub mod zoo;
 
 pub use config::ModelConfig;
@@ -49,3 +50,4 @@ pub use plan::MultiExitPlan;
 pub use policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 pub use residual::ResidualBlock;
 pub use spec::{ExitSpec, LayerSpec, NetworkSpec};
+pub use walker::{ExitPlan, SampleSchedule, WalkScratch};

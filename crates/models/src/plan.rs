@@ -16,13 +16,15 @@
 
 use crate::error::ModelError;
 use crate::multi_exit::MultiExitNetwork;
-use crate::policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
+use crate::policy::{AdaptiveStats, ExitPolicy};
+use crate::walker::{self, ExitPlan, WalkScratch};
 use bnn_nn::layer::Mode;
 use bnn_nn::network::Network;
 use bnn_nn::{InferencePlan, Layer};
-use bnn_tensor::ops::softmax_rows_into;
-use bnn_tensor::rng::{stream_seed, SplitMix64};
+use bnn_tensor::rng::SplitMix64;
 use bnn_tensor::Tensor;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Compiled plans of every backbone block and exit branch of a multi-exit
 /// network, in the network's own execution/attachment order.
@@ -36,6 +38,12 @@ pub struct MultiExitPlan {
     exits: Vec<(usize, InferencePlan)>,
     classes: usize,
     in_dims: Vec<usize>,
+    /// The staged input, then each block's latest output (see the
+    /// [`ExitPlan`] impl).
+    frontier: Vec<Tensor>,
+    /// The latest exit head's logits.
+    logits: Tensor,
+    scratch: WalkScratch,
 }
 
 /// A compiled plan memoised on its network, keyed by the weight version and
@@ -70,11 +78,15 @@ impl MultiExitNetwork {
             let plan = InferencePlan::compile(branch as &dyn Layer, &block_dims[*after_block])?;
             exits.push((*after_block, plan));
         }
+        let empty = Tensor::zeros(&[0]);
         Ok(MultiExitPlan {
+            frontier: vec![empty.clone(); blocks.len() + 1],
             blocks,
             exits,
             classes: self.num_classes(),
             in_dims: in_dims.to_vec(),
+            logits: empty,
+            scratch: WalkScratch::default(),
         })
     }
 
@@ -112,61 +124,6 @@ impl MultiExitNetwork {
 }
 
 impl MultiExitPlan {
-    /// Number of exits.
-    pub fn num_exits(&self) -> usize {
-        self.exits.len()
-    }
-
-    /// Number of predicted classes.
-    pub fn num_classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Per-sample input dims the plan was compiled for (batch axis
-    /// stripped): inputs must be shaped `[batch, ..in_dims]`.
-    pub fn in_dims(&self) -> &[usize] {
-        &self.in_dims
-    }
-
-    /// Pre-sizes every block and exit arena for `max_batch` samples, so a
-    /// serving worker pays all plan allocations up front. Monotone: never
-    /// shrinks.
-    pub fn ensure_batch(&mut self, max_batch: usize) {
-        for block in &mut self.blocks {
-            block.ensure_batch(max_batch);
-        }
-        for (_, exit) in &mut self.exits {
-            exit.ensure_batch(max_batch);
-        }
-    }
-
-    /// Reseeds every MC-dropout stream from `master_seed`, walking blocks
-    /// then exits — the same stream assignment as
-    /// [`Network::reseed_mc_streams`] on the network this plan was compiled
-    /// from.
-    pub fn reseed_mc_streams(&mut self, master_seed: u64) {
-        let mut streams = SplitMix64::new(master_seed);
-        for block in &mut self.blocks {
-            block.reseed_mc(&mut streams);
-        }
-        for (_, exit) in &mut self.exits {
-            exit.reseed_mc(&mut streams);
-        }
-    }
-
-    /// The batch size of `inputs`, which must be a non-empty batch of the
-    /// compiled per-sample shape.
-    fn check_batch(&self, inputs: &Tensor) -> Result<usize, ModelError> {
-        match inputs.dims().split_first() {
-            Some((&batch, dims)) if dims == self.in_dims && batch > 0 => Ok(batch),
-            _ => Err(ModelError::InvalidInput(format!(
-                "plan expects a non-empty input [batch, {:?}], got {:?}",
-                self.in_dims,
-                inputs.dims()
-            ))),
-        }
-    }
-
     /// Runs the backbone, returning the activation after every block —
     /// bit-identical to [`MultiExitNetwork::forward_backbone`] in
     /// [`Mode::Eval`] and [`Mode::McSample`].
@@ -220,17 +177,13 @@ impl MultiExitPlan {
         Ok(outputs)
     }
 
-    /// Seeded Monte-Carlo prediction with **batch-boundary-invariant**
-    /// outputs, the float counterpart of
-    /// `bnn_quant::QuantPlan::predict_probs_batch_into`: the backbone runs
-    /// once in [`Mode::Eval`], each pass reseeds the mask streams from
-    /// `stream_seed(seed, pass)` and re-runs the exits with per-sample
-    /// dropout masks broadcast across the batch
-    /// ([`InferencePlan::forward_shared_mask`]), and the first `n_samples`
-    /// per-sample softmax tensors are averaged into `out`
-    /// (`[batch, classes]`, resized). Because the masks are per-sample, every
-    /// row of the result is bit-exact with a single-sample call at the same
-    /// seed, however the samples are grouped into batches.
+    /// Seeded Monte-Carlo prediction into `out` (`[batch, classes]`,
+    /// resized) by [`walker::predict_fixed`], the float counterpart of
+    /// `bnn_quant::QuantPlan::predict_probs_batch_into`. Exit masks are drawn
+    /// per sample and broadcast across the batch
+    /// ([`InferencePlan::forward_shared_mask`]), so every row is bit-exact
+    /// with a single-sample call at the same seed, however samples are
+    /// batched.
     ///
     /// # Errors
     ///
@@ -245,133 +198,30 @@ impl MultiExitPlan {
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize), ModelError> {
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
-            return Err(ModelError::InvalidSpec("plan has no exits".into()));
-        }
-        let batch = self.check_batch(inputs)?;
-        let activations = self.forward_backbone(inputs, Mode::Eval)?;
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        let elems = batch * self.classes;
-        if out.len() != elems {
-            out.clear();
-            out.resize(elems, 0.0);
-        } else {
-            out.fill(0.0);
-        }
-        let mut probs = vec![0.0f32; elems];
-        let mut sample = 0usize;
-        'passes: for pass in 0..passes {
-            self.reseed_mc_streams(stream_seed(seed, pass as u64));
-            for e in 0..n_exits {
-                if sample >= kept {
-                    break 'passes;
-                }
-                let (after_block, branch) = &mut self.exits[e];
-                let logits =
-                    branch.forward_shared_mask(&activations[*after_block], Mode::McSample)?;
-                softmax_rows_into(logits.as_slice(), batch, self.classes, &mut probs)?;
-                for (o, &p) in out.iter_mut().zip(&probs) {
-                    *o += p;
-                }
-                sample += 1;
-            }
-        }
-        let inv = 1.0 / kept as f32;
-        for o in out.iter_mut() {
-            *o *= inv;
-        }
-        Ok((batch, self.classes))
-    }
-
-    /// [`MultiExitPlan::predict_probs_batch_into`] returning a fresh tensor.
-    ///
-    /// # Errors
-    ///
-    /// See [`MultiExitPlan::predict_probs_batch_into`].
-    pub fn predict_probs_batch(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-    ) -> Result<Tensor, ModelError> {
-        let mut out = Vec::new();
-        let (batch, classes) = self.predict_probs_batch_into(inputs, n_samples, seed, &mut out)?;
-        Ok(Tensor::from_vec(out, &[batch, classes])?)
+        walker::predict_fixed(self, inputs, n_samples, seed, out)
     }
 
     /// Static cost of the fixed-depth path
     /// ([`MultiExitPlan::predict_probs_batch_into`]) for a `batch`-sample
-    /// call at `n_samples` MC samples: `(step_invocations, ops)` where ops
-    /// scale with the batch but invocations do not (each invocation runs the
-    /// whole batch). This is the `ops_fixed` baseline the adaptive path
-    /// reports its savings against.
+    /// call at `n_samples` MC samples; see [`walker::fixed_cost`].
     pub fn fixed_cost(&self, batch: usize, n_samples: usize) -> (u64, u64) {
-        let n_exits = self.exits.len().max(1);
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        let mut steps = 0u64;
-        let mut unit_ops = 0u64;
-        for block in &self.blocks {
-            steps += block.num_steps() as u64;
-            unit_ops += block.unit_ops();
-        }
-        for (e, (_, branch)) in self.exits.iter().enumerate() {
-            let runs = if e < kept {
-                ((kept - e - 1) / n_exits + 1) as u64
-            } else {
-                0
-            };
-            steps += runs * branch.num_steps() as u64;
-            unit_ops += runs * branch.unit_ops();
-        }
-        (steps, unit_ops * batch as u64)
+        walker::fixed_cost(self, batch, n_samples)
     }
 
-    /// Policy-driven adaptive batched prediction: the step list is executed
-    /// in exit-boundary segments, and after each exit head's ensemble joins
-    /// the live rows, `policy` retires the confident samples and the
-    /// surviving rows are **compacted into a dense smaller batch** that alone
-    /// pays for the deeper blocks.
-    ///
-    /// Execution order per exit `e`: run the backbone blocks up to the
-    /// exit's attachment point once in [`Mode::Eval`] on the live rows, then
-    /// draw `ceil(n_samples / n_exits)` MC samples from exit `e` (pass `p`
-    /// reseeds every mask stream from `stream_seed(seed, p)`, exactly the
-    /// fixed path's assignment, with per-sample masks broadcast across the
-    /// batch). Each sample's output row is the running equally-weighted
-    /// ensemble mean over all exits consulted before it retired. Because
-    /// masks are per-sample and every retirement decision is row-local,
-    /// each row — probabilities *and* exit choice — is bit-exact with
-    /// evaluating that sample alone under the same policy, regardless of
-    /// which other samples shared its batch or when they retired.
-    ///
-    /// With `n_samples == 0` the exits are consulted deterministically in
-    /// [`Mode::Eval`] (one consult per exit), matching the historical
-    /// `McSampler::confidence_exit_predict` semantics. With
-    /// [`ExitPolicy::Never`] and `n_samples > 0` the call delegates to
-    /// [`MultiExitPlan::predict_probs_batch_into`] and is bit-exact with it.
-    ///
-    /// `out` is resized to `[batch * classes]` and `exit_taken` to `batch`
-    /// (the exit index each sample retired at). Returns the execution
-    /// accounting, including the fixed-depth op baseline for the same call.
+    /// Policy-driven adaptive batched prediction ([`walker::predict_adaptive`]):
+    /// confident samples retire at shallow exits and the survivors are
+    /// compacted into a dense smaller batch for the deeper blocks. Every row
+    /// — probabilities *and* exit — is bit-exact with evaluating that sample
+    /// alone; `n_samples == 0` consults each exit once in [`Mode::Eval`]
+    /// (`McSampler::confidence_exit_predict`), and `Never` is bit-exact with
+    /// [`MultiExitPlan::predict_probs_batch_into`].
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidInput`] for an invalid policy threshold,
     /// an empty batch, a shape mismatch or non-finite input values,
-    /// [`ModelError::InvalidSpec`] for a
-    /// plan without exits or with exits attached out of depth order, or
-    /// propagates execution errors.
+    /// [`ModelError::InvalidSpec`] for a plan without exits or with exits
+    /// attached out of depth order, or propagates execution errors.
     pub fn predict_adaptive_batch_into(
         &mut self,
         inputs: &Tensor,
@@ -381,180 +231,119 @@ impl MultiExitPlan {
         out: &mut Vec<f32>,
         exit_taken: &mut Vec<usize>,
     ) -> Result<AdaptiveStats, ModelError> {
-        policy.validate().map_err(ModelError::InvalidInput)?;
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
-            return Err(ModelError::InvalidSpec("plan has no exits".into()));
+        walker::predict_adaptive(self, inputs, n_samples, seed, policy, out, exit_taken)
+    }
+}
+
+/// The float plan's accessors and the walker's primitives. `frontier[0]`
+/// holds the staged input and `frontier[b + 1]` block `b`'s latest output;
+/// a block or exit run on `live` rows reads the first `live` rows of its
+/// source.
+impl ExitPlan for MultiExitPlan {
+    type Error = ModelError;
+
+    fn in_dims(&self) -> &[usize] {
+        &self.in_dims
+    }
+
+    fn num_exits(&self) -> usize {
+        self.exits.len()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.classes
+    }
+
+    fn exit_block(&self, exit: usize) -> usize {
+        self.exits[exit].0
+    }
+
+    fn block_cost(&self, block: usize) -> (u64, u64) {
+        let block = &self.blocks[block];
+        (block.num_steps() as u64, block.unit_ops())
+    }
+
+    fn exit_cost(&self, exit: usize) -> (u64, u64) {
+        let branch = &self.exits[exit].1;
+        (branch.num_steps() as u64, branch.unit_ops())
+    }
+
+    fn ensure_batch(&mut self, max_batch: usize) {
+        for block in &mut self.blocks {
+            block.ensure_batch(max_batch);
         }
-        if self.exits.windows(2).any(|w| w[0].0 > w[1].0) {
-            return Err(ModelError::InvalidSpec(
-                "adaptive execution requires exits in ascending block order".into(),
-            ));
+        for (_, exit) in &mut self.exits {
+            exit.ensure_batch(max_batch);
         }
-        let batch = self.check_batch(inputs)?;
+        self.scratch.reserve(max_batch, self.classes);
+    }
+
+    fn stage_input(&mut self, inputs: &Tensor) -> Result<usize, ModelError> {
+        let batch = match inputs.dims().split_first() {
+            Some((&batch, dims)) if dims == self.in_dims && batch > 0 => batch,
+            _ => {
+                return Err(ModelError::InvalidInput(format!(
+                    "plan expects a non-empty input [batch, {:?}], got {:?}",
+                    self.in_dims,
+                    inputs.dims()
+                )))
+            }
+        };
         check_finite(inputs)?;
-        let spe = if n_samples == 0 {
-            1
-        } else {
-            n_samples.div_ceil(n_exits)
-        };
-        let (fixed_steps, fixed_ops) = self.fixed_cost(batch, n_samples);
-
-        // `Never` with MC samples is exactly the fixed-depth path; delegate
-        // so the accumulation order (pass-major) — and therefore every f32
-        // bit — matches `predict_probs_batch_into`. The deterministic
-        // `n_samples == 0` variant consults each exit once in Eval mode,
-        // which the generic loop below expresses directly.
-        if policy.is_never() && n_samples > 0 {
-            self.predict_probs_batch_into(inputs, n_samples, seed, out)?;
-            exit_taken.clear();
-            exit_taken.resize(batch, n_exits - 1);
-            return Ok(AdaptiveStats {
-                batch,
-                classes: self.classes,
-                samples_per_exit: spe,
-                steps_executed: fixed_steps,
-                ops_executed: fixed_ops,
-                ops_fixed: fixed_ops,
-            });
-        }
-
-        let mode = if n_samples == 0 {
-            Mode::Eval
-        } else {
-            Mode::McSample
-        };
-        let classes = self.classes;
-        let elems = batch * classes;
-        out.clear();
-        out.resize(elems, 0.0);
-        exit_taken.clear();
-        exit_taken.resize(batch, 0);
-
-        // Live-row state: rows 0..live of `acc` (and of the frontier
-        // activation `cur`) belong to original samples `live_idx[0..live]`.
-        let mut acc = vec![0.0f32; elems];
-        let mut probs = vec![0.0f32; elems];
-        let mut live_idx: Vec<usize> = (0..batch).collect();
-        let mut live = batch;
-        let mut cur: Option<Tensor> = None;
-        let mut next_block = 0usize;
-        let mut steps_executed = 0u64;
-        let mut ops_executed = 0u64;
-
-        for e in 0..n_exits {
-            let target_block = self.exits[e].0;
-            while next_block <= target_block {
-                let block = &mut self.blocks[next_block];
-                let src = cur.as_ref().unwrap_or(inputs);
-                let next = block.forward(src, Mode::Eval)?;
-                steps_executed += block.num_steps() as u64;
-                ops_executed += block.unit_ops() * live as u64;
-                cur = Some(next);
-                next_block += 1;
-            }
-            for p in 0..spe {
-                if matches!(mode, Mode::McSample) {
-                    // Reseeding assigns every stream from the master seed, so
-                    // running only exit `e` afterwards draws the identical
-                    // masks the fixed path draws for this exit on pass `p`.
-                    self.reseed_mc_streams(stream_seed(seed, p as u64));
-                }
-                let act = cur.as_ref().expect("exits attach after at least one block");
-                let (_, branch) = &mut self.exits[e];
-                let logits = branch.forward_shared_mask(act, mode)?;
-                steps_executed += branch.num_steps() as u64;
-                ops_executed += branch.unit_ops() * live as u64;
-                let n = live * classes;
-                softmax_rows_into(logits.as_slice(), live, classes, &mut probs[..n])?;
-                for (a, &p) in acc[..n].iter_mut().zip(&probs[..n]) {
-                    *a += p;
-                }
-            }
-            let consulted = ((e + 1) * spe) as f32;
-            let last = e + 1 == n_exits;
-
-            // Retire-or-compact pass: retired rows scatter their ensemble
-            // mean to their original output slot; survivors slide forward in
-            // `acc`/`live_idx` and their frontier activation rows are
-            // gathered into a dense batch.
-            let act = cur.as_ref().expect("exits attach after at least one block");
-            let act_slice = act.as_slice();
-            let unit: usize = act.dims()[1..].iter().product();
-            let mut gathered: Vec<f32> = Vec::new();
-            let mut keep = 0usize;
-            for r in 0..live {
-                let start = r * classes;
-                let retire = last || policy.retires(&acc[start..start + classes], consulted);
-                if retire {
-                    let orig = live_idx[r];
-                    for c in 0..classes {
-                        out[orig * classes + c] = acc[start + c] / consulted;
-                    }
-                    exit_taken[orig] = e;
-                } else {
-                    if !last {
-                        gathered.extend_from_slice(&act_slice[r * unit..(r + 1) * unit]);
-                    }
-                    if keep != r {
-                        acc.copy_within(start..start + classes, keep * classes);
-                        live_idx[keep] = live_idx[r];
-                    }
-                    keep += 1;
-                }
-            }
-            if keep == 0 {
-                live = 0;
-                break;
-            }
-            if keep < live {
-                let mut dims = act.dims().to_vec();
-                dims[0] = keep;
-                cur = Some(Tensor::from_vec(gathered, &dims)?);
-            }
-            live = keep;
-        }
-        debug_assert_eq!(live, 0, "every sample retires by the last exit");
-
-        Ok(AdaptiveStats {
-            batch,
-            classes,
-            samples_per_exit: spe,
-            steps_executed,
-            ops_executed,
-            ops_fixed: fixed_ops,
-        })
+        self.frontier[0].clone_from(inputs);
+        Ok(batch)
     }
 
-    /// [`MultiExitPlan::predict_adaptive_batch_into`] returning owned
-    /// values.
-    ///
-    /// # Errors
-    ///
-    /// See [`MultiExitPlan::predict_adaptive_batch_into`].
-    pub fn predict_adaptive_batch(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        policy: &ExitPolicy,
-    ) -> Result<AdaptivePrediction, ModelError> {
-        let mut out = Vec::new();
-        let mut exit_taken = Vec::new();
-        let stats = self.predict_adaptive_batch_into(
-            inputs,
-            n_samples,
-            seed,
-            policy,
-            &mut out,
-            &mut exit_taken,
-        )?;
-        Ok(AdaptivePrediction {
-            probs: Tensor::from_vec(out, &[stats.batch, stats.classes])?,
-            exit_taken,
-            stats,
-        })
+    fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), ModelError> {
+        self.frontier[..blocks.start].fill(Tensor::zeros(&[0]));
+        for b in blocks {
+            let out = self.blocks[b].forward(&*head(&self.frontier[b], live)?, Mode::Eval)?;
+            self.frontier[b + 1] = out;
+        }
+        Ok(())
     }
+
+    fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], ModelError> {
+        let (after_block, branch) = &mut self.exits[exit];
+        self.logits =
+            branch.forward_shared_mask(&*head(&self.frontier[*after_block + 1], live)?, mode)?;
+        Ok(self.logits.as_slice())
+    }
+
+    /// Walks blocks then exits: the stream assignment of
+    /// [`Network::reseed_mc_streams`] on the compiled network.
+    fn reseed_mc_streams(&mut self, master_seed: u64) {
+        let mut streams = SplitMix64::new(master_seed);
+        for block in &mut self.blocks {
+            block.reseed_mc(&mut streams);
+        }
+        for (_, exit) in &mut self.exits {
+            exit.reseed_mc(&mut streams);
+        }
+    }
+
+    fn move_row(&mut self, block: usize, from: usize, to: usize) {
+        let act = &mut self.frontier[block + 1];
+        let unit = act.len() / act.dims()[0];
+        act.as_mut_slice()
+            .copy_within(from * unit..(from + 1) * unit, to * unit);
+    }
+
+    fn scratch(&mut self) -> &mut WalkScratch {
+        &mut self.scratch
+    }
+}
+
+/// The first `live` rows of a batched activation (borrowed when that is all
+/// of it).
+fn head(act: &Tensor, live: usize) -> Result<Cow<'_, Tensor>, ModelError> {
+    if act.dims()[0] == live {
+        return Ok(Cow::Borrowed(act));
+    }
+    let mut dims = act.dims().to_vec();
+    let rows = act.as_slice()[..live * act.len() / dims[0]].to_vec();
+    dims[0] = live;
+    Ok(Cow::Owned(Tensor::from_vec(rows, &dims)?))
 }
 
 /// Rejects NaN and infinite input values, which no plan step can turn into

@@ -11,9 +11,9 @@
 //! any survivor's arithmetic.
 //!
 //! Both compiled plan families (`bnn_quant::QuantPlan` and
-//! [`MultiExitPlan`](crate::MultiExitPlan)) and the `bnn-bayes` sampler
-//! fallback share these exact decision functions, so "the same policy"
-//! means the same bits everywhere.
+//! [`MultiExitPlan`](crate::MultiExitPlan)) run the one adaptive walk in
+//! [`walker`](crate::walker), which calls these exact decision functions,
+//! so "the same policy" means the same bits everywhere.
 
 use bnn_tensor::Tensor;
 
@@ -100,9 +100,9 @@ impl ExitPolicy {
     /// number of MC samples in the ensemble, so the ensemble mean of class
     /// `c` is `acc_row[c] / denom`.
     ///
-    /// Row-local and allocation-free by construction; every adaptive
-    /// execution path calls exactly this function so the decision bits can
-    /// never diverge between the compiled plans and the sampler fallback.
+    /// Row-local and allocation-free by construction; the adaptive walk
+    /// calls exactly this function for both plan families, so the decision
+    /// bits cannot diverge between them.
     pub fn retires(&self, acc_row: &[f32], denom: f32) -> bool {
         match self {
             ExitPolicy::Never => false,
@@ -158,10 +158,6 @@ pub struct AdaptiveStats {
     pub batch: usize,
     /// Classes per output row.
     pub classes: usize,
-    /// MC samples each consulted exit contributes to a sample's ensemble
-    /// (`ceil(n_samples / n_exits)`; `1` deterministic consult when
-    /// `n_samples == 0`).
-    pub samples_per_exit: usize,
     /// Plan step invocations executed (each processes the whole live batch).
     pub steps_executed: u64,
     /// Integer-op estimate actually spent across the batch.
@@ -246,7 +242,6 @@ mod tests {
         let s = AdaptiveStats {
             batch: 4,
             classes: 2,
-            samples_per_exit: 1,
             steps_executed: 10,
             ops_executed: 250,
             ops_fixed: 1000,

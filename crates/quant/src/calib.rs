@@ -403,7 +403,7 @@ fn affine_float(
 /// # Example
 ///
 /// ```
-/// use bnn_models::{zoo, ModelConfig};
+/// use bnn_models::{zoo, ExitPlan, ModelConfig};
 /// use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 /// use bnn_tensor::rng::Xoshiro256StarStar;
 /// use bnn_tensor::Tensor;

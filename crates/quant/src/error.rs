@@ -43,6 +43,15 @@ impl fmt::Display for QuantError {
 
 impl Error for QuantError {}
 
+impl From<bnn_models::ModelError> for QuantError {
+    fn from(e: bnn_models::ModelError) -> Self {
+        match e {
+            bnn_models::ModelError::InvalidInput(msg) => QuantError::InvalidInput(msg),
+            other => QuantError::Internal(other.to_string()),
+        }
+    }
+}
+
 impl From<bnn_tensor::TensorError> for QuantError {
     fn from(e: bnn_tensor::TensorError) -> Self {
         QuantError::Internal(e.to_string())

@@ -38,6 +38,7 @@ use crate::lower::{div_round, dropout_scale_q, quantize_affine, quantize_weights
 use crate::params::{IntWidth, QuantParams};
 use crate::qtensor::QuantData;
 use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep, MUL_FRAC};
+use bnn_models::walker::{self, ExitPlan, WalkScratch};
 use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
@@ -48,9 +49,9 @@ use bnn_tensor::int::{
     requantize_i64_row_into,
 };
 use bnn_tensor::linalg::ConvGeometry;
-use bnn_tensor::ops::softmax_rows_into;
-use bnn_tensor::rng::{stream_seed, Rng, SplitMix64, Xoshiro256StarStar};
+use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
+use std::ops::Range;
 
 /// Minimum multiply-accumulate count before a plan kernel fans out over the
 /// parallel executor (the same threshold as the standalone integer kernels).
@@ -170,8 +171,12 @@ struct PlanExit {
 ///
 /// [`MaskGranularity::PerBatch`] draws one stream value per (batch, channel),
 /// so a batch of N consumes N times the draws and batched output differs
-/// from N single-sample calls. It is what Phase 3 scoring, the HLS golden
-/// files and `bnn_hls::HlsSimulator` use.
+/// from N single-sample calls. It is the mask rule of the float layer chain,
+/// which Phase 3 scores every format against (`McSampler::predict`), so
+/// Phase 3 scoring ([`QuantPlan::predict_probs`]) and `bnn_hls::HlsSimulator`
+/// use it too. Scoring with per-sample masks instead was measured to break
+/// the comparison: 16-bit accuracy rose to 0.667 against a float reference
+/// of 0.521, and the quick demo found no feasible design.
 /// [`MaskGranularity::PerSample`] draws one per-sample mask per pass and
 /// broadcasts it across the batch: every kernel in the plan computes each
 /// output element from one sample alone, so per-sample masks make a batched
@@ -194,13 +199,10 @@ struct Arena {
     acc32: Vec<i32>,
     acc64: Vec<i64>,
     mask: Vec<bool>,
+    /// The latest exit head's dequantized logits.
     logits: Vec<f32>,
-    probs: Vec<f32>,
-    /// Adaptive execution: running per-sample softmax ensembles
-    /// (`[batch, classes]`, live rows packed at the front).
-    acc: Vec<f32>,
-    /// Adaptive execution: original sample index of each live row.
-    live_idx: Vec<usize>,
+    /// The exit walker's softmax staging, ensembles and live-row map.
+    walk: WalkScratch,
 }
 
 /// A compiled, arena-allocated execution plan for the integer inference of
@@ -263,6 +265,9 @@ pub struct QuantPlan {
     logit_unit: usize,
     arena: Arena,
     exec: Option<Executor>,
+    /// Mask granularity of the walk in progress: per-sample except inside
+    /// [`QuantPlan::predict_probs_into`].
+    masks: MaskGranularity,
 }
 
 /// Compile-time value bookkeeping: every step output is a fresh value;
@@ -816,17 +821,13 @@ impl QuantPlan {
             logit_unit,
             arena,
             exec: None,
+            masks: MaskGranularity::PerSample,
         })
     }
 
     /// The format this plan was compiled for.
     pub fn format(&self) -> FixedPointFormat {
         self.format
-    }
-
-    /// Number of exits.
-    pub fn num_exits(&self) -> usize {
-        self.exits.len()
     }
 
     /// Number of predicted classes.
@@ -968,22 +969,6 @@ impl QuantPlan {
         self.exec = Some(exec);
     }
 
-    /// Reseeds every MC-dropout stream from `master_seed`, walking the flat
-    /// step list (backbone, then exits in attachment order) — the same
-    /// stream assignment as the float network's `reseed_mc_streams`.
-    pub fn reseed_mc_streams(&mut self, master_seed: u64) {
-        let mut streams = SplitMix64::new(master_seed);
-        for step in self
-            .backbone
-            .iter_mut()
-            .chain(self.exits.iter_mut().flat_map(|e| e.steps.iter_mut()))
-        {
-            if let StepKind::McDropout { rng, .. } = &mut step.kind {
-                *rng = Xoshiro256StarStar::seed_from_u64(streams.next_u64());
-            }
-        }
-    }
-
     /// Grows the arena for `batch` samples (monotone: repeated calls with
     /// the same or smaller batch perform no allocation).
     fn ensure_arena(&mut self, batch: usize) {
@@ -1011,15 +996,7 @@ impl QuantPlan {
         if self.arena.logits.len() < self.logit_unit * batch {
             self.arena.logits.resize(self.logit_unit * batch, 0.0);
         }
-        if self.arena.probs.len() < self.logit_unit * batch {
-            self.arena.probs.resize(self.logit_unit * batch, 0.0);
-        }
-        if self.arena.acc.len() < self.classes * batch {
-            self.arena.acc.resize(self.classes * batch, 0.0);
-        }
-        if self.arena.live_idx.len() < batch {
-            self.arena.live_idx.resize(batch, 0);
-        }
+        self.arena.walk.reserve(batch, self.classes);
     }
 
     /// Quantizes the float input batch into the input slot, rejecting NaN
@@ -1052,27 +1029,6 @@ impl QuantPlan {
         Ok(batch)
     }
 
-    /// Runs a step slice at `batch` live rows, returning
-    /// `(invocations, ops)` where ops is the static per-sample estimate
-    /// summed over the slice and scaled by the batch.
-    fn run_steps(
-        steps: &mut [Step],
-        arena: &mut Arena,
-        width: IntWidth,
-        exec: Option<Executor>,
-        batch: usize,
-        mode: Mode,
-        masks: MaskGranularity,
-    ) -> Result<(u64, u64), QuantError> {
-        let invocations = steps.len() as u64;
-        let mut ops = 0u64;
-        for step in steps.iter_mut() {
-            run_step(step, arena, width, exec, batch, mode, masks)?;
-            ops += step.ops * batch as u64;
-        }
-        Ok((invocations, ops))
-    }
-
     /// Runs the backbone deterministically and the exit branches in `mode`,
     /// returning one dequantized logit tensor per exit (bit-exact with
     /// `bnn_hls::HlsSimulator::forward_exits`, see `tests/hls_golden_sim.rs`).
@@ -1088,50 +1044,33 @@ impl QuantPlan {
         mode: Mode,
     ) -> Result<Vec<Tensor>, QuantError> {
         let batch = self.load_input(inputs)?;
-        let exec = self.exec;
-        let width = self.width;
-        Self::run_steps(
-            &mut self.backbone,
-            &mut self.arena,
-            width,
-            exec,
-            batch,
-            Mode::Eval,
-            MaskGranularity::PerBatch,
-        )?;
-        let mut outputs = Vec::with_capacity(self.exits.len());
-        for exit in &mut self.exits {
-            Self::run_steps(
-                &mut exit.steps,
-                &mut self.arena,
-                width,
-                exec,
-                batch,
-                mode,
-                MaskGranularity::PerBatch,
-            )?;
-            let elems: usize = exit.out_dims.iter().product::<usize>() * batch;
-            let scale = exit.out_params.scale();
-            let data: Vec<f32> = self.arena.slots[exit.out_slot][..elems]
-                .iter()
-                .map(|&c| c as f32 * scale)
-                .collect();
-            let mut dims = Vec::with_capacity(exit.out_dims.len() + 1);
-            dims.push(batch);
-            dims.extend_from_slice(&exit.out_dims);
-            outputs.push(Tensor::from_vec(data, &dims)?);
-        }
-        Ok(outputs)
+        self.per_batch(|plan| {
+            plan.run_blocks(0..plan.block_bounds.len(), batch)?;
+            (0..plan.exits.len())
+                .map(|e| {
+                    let logits = plan.run_exit(e, batch, mode)?.to_vec();
+                    let mut dims = vec![batch];
+                    dims.extend_from_slice(&plan.exits[e].out_dims);
+                    Ok(Tensor::from_vec(logits, &dims)?)
+                })
+                .collect()
+        })
     }
 
-    /// Seeded Monte-Carlo prediction into a caller-provided buffer: the
-    /// backbone runs once, each pass reseeds the mask streams from
-    /// `stream_seed(seed, pass)` and re-runs the exits in
-    /// [`Mode::McSample`], and the first `n_samples` per-sample softmax
-    /// tensors are averaged into `out` (`[batch, classes]`, resized).
-    /// Bit-exact with `bnn_hls::HlsSimulator::predict_probs`; zero
-    /// steady-state heap allocation once the arena is warm (sequential
-    /// executor).
+    /// Runs `f` with masks drawn per (batch, channel), the granularity of
+    /// Phase 3 scoring and `bnn_hls::HlsSimulator`.
+    fn per_batch<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.masks = MaskGranularity::PerBatch;
+        let result = f(self);
+        self.masks = MaskGranularity::PerSample;
+        result
+    }
+
+    /// Seeded Monte-Carlo prediction into `out` (`[batch, classes]`,
+    /// resized): [`walker::predict_fixed`] with masks drawn per (batch,
+    /// channel) (`MaskGranularity::PerBatch`). Bit-exact with
+    /// `bnn_hls::HlsSimulator::predict_probs`; zero steady-state heap
+    /// allocation once the arena is warm (sequential executor).
     ///
     /// # Errors
     ///
@@ -1146,21 +1085,15 @@ impl QuantPlan {
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize), QuantError> {
-        self.predict_probs_impl(inputs, n_samples, seed, out, MaskGranularity::PerBatch)
+        self.per_batch(|plan| walker::predict_fixed(plan, inputs, n_samples, seed, out))
     }
 
     /// The batch-boundary-invariant counterpart of
-    /// [`QuantPlan::predict_probs_into`]: each MC pass draws its dropout
-    /// masks at **per-sample** granularity and broadcasts them across the
-    /// batch, so the result for every sample is bit-exact with a
-    /// single-sample call at the same seed — regardless of how requests were
-    /// grouped into batches. This is the serving entry point: a dynamic
-    /// batcher may split the same requests `[a, b, c]` as `[a] + [b, c]` or
-    /// `[a, b, c]` and every response stays identical. For `batch == 1` it
-    /// is bit-exact with [`QuantPlan::predict_probs_into`] itself.
-    ///
-    /// Zero steady-state heap allocation once the arena is warm for the
-    /// batch (sequential executor); see [`QuantPlan::ensure_batch`].
+    /// [`QuantPlan::predict_probs_into`]: masks are drawn **per sample** and
+    /// broadcast across the batch, so every row is bit-exact with a
+    /// single-sample call at the same seed however requests were batched
+    /// (and the whole call is, for `batch == 1`). The serving entry point;
+    /// allocation-free once warm, see [`QuantPlan::ensure_batch`].
     ///
     /// # Errors
     ///
@@ -1174,107 +1107,7 @@ impl QuantPlan {
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize), QuantError> {
-        self.predict_probs_impl(inputs, n_samples, seed, out, MaskGranularity::PerSample)
-    }
-
-    /// [`QuantPlan::predict_probs_batch_into`] returning a fresh tensor.
-    ///
-    /// # Errors
-    ///
-    /// See [`QuantPlan::predict_probs_batch_into`].
-    pub fn predict_probs_batch(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-    ) -> Result<Tensor, QuantError> {
-        let mut out = Vec::new();
-        let (batch, classes) = self.predict_probs_batch_into(inputs, n_samples, seed, &mut out)?;
-        Ok(Tensor::from_vec(out, &[batch, classes])?)
-    }
-
-    fn predict_probs_impl(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        out: &mut Vec<f32>,
-        masks: MaskGranularity,
-    ) -> Result<(usize, usize), QuantError> {
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
-            return Err(QuantError::Internal("plan has no exits".into()));
-        }
-        let batch = self.load_input(inputs)?;
-        let exec = self.exec;
-        let width = self.width;
-        Self::run_steps(
-            &mut self.backbone,
-            &mut self.arena,
-            width,
-            exec,
-            batch,
-            Mode::Eval,
-            masks,
-        )?;
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        let elems = batch * self.classes;
-        if out.len() != elems {
-            out.clear();
-            out.resize(elems, 0.0);
-        } else {
-            out.fill(0.0);
-        }
-        let mut sample = 0usize;
-        'passes: for pass in 0..passes {
-            self.reseed_mc_streams(stream_seed(seed, pass as u64));
-            for e in 0..n_exits {
-                if sample >= kept {
-                    // Every remaining sample would be truncated anyway;
-                    // skipping them is result-identical because exit streams
-                    // are independent.
-                    break 'passes;
-                }
-                Self::run_steps(
-                    &mut self.exits[e].steps,
-                    &mut self.arena,
-                    width,
-                    exec,
-                    batch,
-                    Mode::McSample,
-                    masks,
-                )?;
-                let (out_slot, out_params) = (self.exits[e].out_slot, self.exits[e].out_params);
-                let n: usize = self.exits[e].out_dims.iter().product::<usize>() * batch;
-                let scale = out_params.scale();
-                for (l, &c) in self.arena.logits[..n]
-                    .iter_mut()
-                    .zip(&self.arena.slots[out_slot][..n])
-                {
-                    *l = c as f32 * scale;
-                }
-                softmax_rows_into(
-                    &self.arena.logits[..n],
-                    batch,
-                    self.classes,
-                    &mut self.arena.probs[..n],
-                )?;
-                for (o, &p) in out.iter_mut().zip(&self.arena.probs[..n]) {
-                    *o += p;
-                }
-                sample += 1;
-            }
-        }
-        let inv = 1.0 / kept as f32;
-        for o in out.iter_mut() {
-            *o *= inv;
-        }
-        Ok((batch, self.classes))
+        walker::predict_fixed(self, inputs, n_samples, seed, out)
     }
 
     /// [`QuantPlan::predict_probs_into`] returning a fresh tensor.
@@ -1295,58 +1128,18 @@ impl QuantPlan {
 
     /// Static cost of the fixed-depth path
     /// ([`QuantPlan::predict_probs_batch_into`]) for a `batch`-sample call
-    /// at `n_samples` MC samples: `(step_invocations, ops)` where ops scale
-    /// with the batch but invocations do not. This is the `ops_fixed`
-    /// baseline adaptive execution reports its savings against.
+    /// at `n_samples` MC samples; see [`walker::fixed_cost`].
     pub fn fixed_cost(&self, batch: usize, n_samples: usize) -> (u64, u64) {
-        let n_exits = self.exits.len().max(1);
-        let passes = n_samples.div_ceil(n_exits).max(1);
-        let kept = if n_samples == 0 {
-            passes * n_exits
-        } else {
-            n_samples.min(passes * n_exits)
-        };
-        let mut steps = self.backbone.len() as u64;
-        let mut unit_ops: u64 = self.backbone.iter().map(|s| s.ops).sum();
-        for (e, exit) in self.exits.iter().enumerate() {
-            let runs = if e < kept {
-                ((kept - e - 1) / n_exits + 1) as u64
-            } else {
-                0
-            };
-            steps += runs * exit.steps.len() as u64;
-            unit_ops += runs * exit.steps.iter().map(|s| s.ops).sum::<u64>();
-        }
-        (steps, unit_ops * batch as u64)
+        walker::fixed_cost(self, batch, n_samples)
     }
 
-    /// Policy-driven adaptive batched prediction on the integer path: the
-    /// flattened step list is executed in exit-boundary segments, and after
-    /// each exit head's ensemble joins the live rows, `policy` retires the
-    /// confident samples and the arena **compacts the surviving rows into a
-    /// dense smaller batch** — a gather on the pinned block-boundary slot
-    /// (which later steps never clobber) plus the live-index map, so only
-    /// the stragglers pay for the deeper blocks.
-    ///
-    /// Execution order per exit `e`: run the backbone segment up to the
-    /// exit's attachment block once in [`Mode::Eval`] on the live rows, then
-    /// draw `ceil(n_samples / n_exits)` MC samples from exit `e` — pass `p`
-    /// reseeds every mask stream from `stream_seed(seed, p)` (the fixed
-    /// path's assignment) with per-sample masks broadcast across the batch.
-    /// Each sample's output row is its running equally-weighted ensemble
-    /// mean over the exits consulted before it retired. Because masks are
-    /// per-sample and retirement decisions are row-local, every row —
-    /// probabilities *and* exit choice — is bit-exact with evaluating that
-    /// sample alone under the same policy, regardless of which samples
-    /// shared its batch or when they retired.
-    ///
-    /// With `n_samples == 0` the exits are consulted deterministically in
-    /// [`Mode::Eval`] (one consult per exit). With [`ExitPolicy::Never`] and
-    /// `n_samples > 0` the call delegates to
-    /// [`QuantPlan::predict_probs_batch_into`] and is bit-exact with it.
-    ///
-    /// Zero steady-state heap allocation once the arena is warm for the
-    /// batch (sequential executor); see [`QuantPlan::ensure_batch`].
+    /// Policy-driven adaptive batched prediction ([`walker::predict_adaptive`]):
+    /// confident samples retire at shallow exits and the survivors are
+    /// compacted in place within the pinned block-boundary slot, so only
+    /// stragglers pay for deeper blocks. Every row — probabilities *and*
+    /// exit — is bit-exact with evaluating that sample alone; `Never` is
+    /// bit-exact with [`QuantPlan::predict_probs_batch_into`]. Allocation-free
+    /// once warm, see [`QuantPlan::ensure_batch`].
     ///
     /// # Errors
     ///
@@ -1364,179 +1157,7 @@ impl QuantPlan {
         out: &mut Vec<f32>,
         exit_taken: &mut Vec<usize>,
     ) -> Result<AdaptiveStats, QuantError> {
-        policy.validate().map_err(QuantError::InvalidInput)?;
-        let n_exits = self.exits.len();
-        if n_exits == 0 {
-            return Err(QuantError::Internal("plan has no exits".into()));
-        }
-        if self
-            .exits
-            .windows(2)
-            .any(|w| w[0].after_block > w[1].after_block)
-        {
-            return Err(QuantError::Internal(
-                "adaptive execution requires exits in ascending block order".into(),
-            ));
-        }
-        let spe = if n_samples == 0 {
-            1
-        } else {
-            n_samples.div_ceil(n_exits)
-        };
-
-        // `Never` with MC samples is exactly the fixed-depth path; delegate
-        // so the accumulation order (pass-major) — and therefore every f32
-        // bit — matches `predict_probs_batch_into`. The deterministic
-        // `n_samples == 0` variant consults each exit once in Eval mode,
-        // which the generic loop below expresses directly.
-        if policy.is_never() && n_samples > 0 {
-            let (batch, classes) = self.predict_probs_batch_into(inputs, n_samples, seed, out)?;
-            exit_taken.clear();
-            exit_taken.resize(batch, n_exits - 1);
-            let (fixed_steps, fixed_ops) = self.fixed_cost(batch, n_samples);
-            return Ok(AdaptiveStats {
-                batch,
-                classes,
-                samples_per_exit: spe,
-                steps_executed: fixed_steps,
-                ops_executed: fixed_ops,
-                ops_fixed: fixed_ops,
-            });
-        }
-
-        let mode = if n_samples == 0 {
-            Mode::Eval
-        } else {
-            Mode::McSample
-        };
-        let batch = self.load_input(inputs)?;
-        let classes = self.classes;
-        let (_, fixed_ops) = self.fixed_cost(batch, n_samples);
-        let elems = batch * classes;
-        if out.len() != elems {
-            out.clear();
-            out.resize(elems, 0.0);
-        }
-        exit_taken.clear();
-        exit_taken.resize(batch, 0);
-        for (i, v) in self.arena.live_idx[..batch].iter_mut().enumerate() {
-            *v = i;
-        }
-        self.arena.acc[..elems].fill(0.0);
-
-        let exec = self.exec;
-        let width = self.width;
-        let mut live = batch;
-        let mut next_bound = 0usize;
-        let mut steps_executed = 0u64;
-        let mut ops_executed = 0u64;
-
-        for e in 0..n_exits {
-            let after_block = self.exits[e].after_block;
-            let bound = self.block_bounds[after_block];
-            if bound > next_bound {
-                let (s, o) = Self::run_steps(
-                    &mut self.backbone[next_bound..bound],
-                    &mut self.arena,
-                    width,
-                    exec,
-                    live,
-                    Mode::Eval,
-                    MaskGranularity::PerSample,
-                )?;
-                steps_executed += s;
-                ops_executed += o;
-                next_bound = bound;
-            }
-            for p in 0..spe {
-                if matches!(mode, Mode::McSample) {
-                    // Reseeding assigns every stream from the master seed, so
-                    // running only exit `e` afterwards draws the identical
-                    // masks the fixed path draws for this exit on pass `p`.
-                    self.reseed_mc_streams(stream_seed(seed, p as u64));
-                }
-                let (s, o) = Self::run_steps(
-                    &mut self.exits[e].steps,
-                    &mut self.arena,
-                    width,
-                    exec,
-                    live,
-                    mode,
-                    MaskGranularity::PerSample,
-                )?;
-                steps_executed += s;
-                ops_executed += o;
-                let (out_slot, out_params) = (self.exits[e].out_slot, self.exits[e].out_params);
-                let n: usize = self.exits[e].out_dims.iter().product::<usize>() * live;
-                let scale = out_params.scale();
-                for (l, &c) in self.arena.logits[..n]
-                    .iter_mut()
-                    .zip(&self.arena.slots[out_slot][..n])
-                {
-                    *l = c as f32 * scale;
-                }
-                softmax_rows_into(
-                    &self.arena.logits[..n],
-                    live,
-                    classes,
-                    &mut self.arena.probs[..n],
-                )?;
-                for (a, &p) in self.arena.acc[..n].iter_mut().zip(&self.arena.probs[..n]) {
-                    *a += p;
-                }
-            }
-            let consulted = ((e + 1) * spe) as f32;
-            let last = e + 1 == n_exits;
-
-            // Retire-or-compact pass: retired rows scatter their ensemble
-            // mean to their original output slot; survivors slide forward in
-            // the accumulator, the live-index map and the frontier block
-            // slot. The frontier slot is pinned — no backbone or exit step
-            // reuses it — so the gathered rows are exactly the block outputs
-            // the deeper segments read.
-            let frontier = self.block_slots[after_block];
-            let unit = self.block_units[after_block];
-            let arena = &mut self.arena;
-            let mut keep = 0usize;
-            for r in 0..live {
-                let start = r * classes;
-                let retire = last || policy.retires(&arena.acc[start..start + classes], consulted);
-                if retire {
-                    let orig = arena.live_idx[r];
-                    for c in 0..classes {
-                        out[orig * classes + c] = arena.acc[start + c] / consulted;
-                    }
-                    exit_taken[orig] = e;
-                } else {
-                    if keep != r {
-                        arena
-                            .acc
-                            .copy_within(start..start + classes, keep * classes);
-                        arena.live_idx[keep] = arena.live_idx[r];
-                        if !last {
-                            arena.slots[frontier]
-                                .copy_within(r * unit..(r + 1) * unit, keep * unit);
-                        }
-                    }
-                    keep += 1;
-                }
-            }
-            if keep == 0 {
-                live = 0;
-                break;
-            }
-            live = keep;
-        }
-        debug_assert_eq!(live, 0, "every sample retires by the last exit");
-
-        Ok(AdaptiveStats {
-            batch,
-            classes,
-            samples_per_exit: spe,
-            steps_executed,
-            ops_executed,
-            ops_fixed: fixed_ops,
-        })
+        walker::predict_adaptive(self, inputs, n_samples, seed, policy, out, exit_taken)
     }
 
     /// [`QuantPlan::predict_adaptive_batch_into`] returning owned values.
@@ -1551,21 +1172,101 @@ impl QuantPlan {
         seed: u64,
         policy: &ExitPolicy,
     ) -> Result<AdaptivePrediction, QuantError> {
-        let mut out = Vec::new();
-        let mut exit_taken = Vec::new();
-        let stats = self.predict_adaptive_batch_into(
-            inputs,
-            n_samples,
-            seed,
-            policy,
-            &mut out,
-            &mut exit_taken,
-        )?;
-        Ok(AdaptivePrediction {
-            probs: Tensor::from_vec(out, &[stats.batch, stats.classes])?,
-            exit_taken,
-            stats,
-        })
+        ExitPlan::predict_adaptive_batch(self, inputs, n_samples, seed, policy)
+    }
+
+    /// Backbone step range of `blocks`.
+    fn block_steps(&self, blocks: Range<usize>) -> Range<usize> {
+        let bound = |b: usize| b.checked_sub(1).map_or(0, |b| self.block_bounds[b]);
+        bound(blocks.start)..bound(blocks.end)
+    }
+}
+
+/// The walker's view of the integer plan: blocks and exits run on the
+/// arena at the plan's current mask granularity (per-sample outside
+/// [`QuantPlan::predict_probs_into`]), and compaction moves rows within the
+/// pinned block-boundary slots.
+impl ExitPlan for QuantPlan {
+    type Error = QuantError;
+
+    fn in_dims(&self) -> &[usize] {
+        &self.in_dims
+    }
+
+    fn num_exits(&self) -> usize {
+        self.exits.len()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.classes
+    }
+
+    fn exit_block(&self, exit: usize) -> usize {
+        self.exits[exit].after_block
+    }
+
+    fn block_cost(&self, block: usize) -> (u64, u64) {
+        let steps = &self.backbone[self.block_steps(block..block + 1)];
+        (steps.len() as u64, steps.iter().map(|s| s.ops).sum())
+    }
+
+    fn exit_cost(&self, exit: usize) -> (u64, u64) {
+        let steps = &self.exits[exit].steps;
+        (steps.len() as u64, steps.iter().map(|s| s.ops).sum())
+    }
+
+    fn ensure_batch(&mut self, max_batch: usize) {
+        QuantPlan::ensure_batch(self, max_batch);
+    }
+
+    fn stage_input(&mut self, inputs: &Tensor) -> Result<usize, QuantError> {
+        self.load_input(inputs)
+    }
+
+    fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), QuantError> {
+        let (width, exec, masks) = (self.width, self.exec, self.masks);
+        let steps = self.block_steps(blocks);
+        for step in &mut self.backbone[steps] {
+            run_step(step, &mut self.arena, width, exec, live, Mode::Eval, masks)?;
+        }
+        Ok(())
+    }
+
+    fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], QuantError> {
+        let (width, exec, masks) = (self.width, self.exec, self.masks);
+        let exit = &mut self.exits[exit];
+        for step in &mut exit.steps {
+            run_step(step, &mut self.arena, width, exec, live, mode, masks)?;
+        }
+        let n: usize = exit.out_dims.iter().product::<usize>() * live;
+        let scale = exit.out_params.scale();
+        let logits = &mut self.arena.logits[..n];
+        for (l, &c) in logits.iter_mut().zip(&self.arena.slots[exit.out_slot][..n]) {
+            *l = c as f32 * scale;
+        }
+        Ok(logits)
+    }
+
+    /// Walks the flat step list (backbone, then exits in attachment
+    /// order): the float network's stream assignment.
+    fn reseed_mc_streams(&mut self, master_seed: u64) {
+        let mut streams = SplitMix64::new(master_seed);
+        let exit_steps = self.exits.iter_mut().flat_map(|e| e.steps.iter_mut());
+        for step in self.backbone.iter_mut().chain(exit_steps) {
+            if let StepKind::McDropout { rng, .. } = &mut step.kind {
+                *rng = Xoshiro256StarStar::seed_from_u64(streams.next_u64());
+            }
+        }
+    }
+
+    fn move_row(&mut self, block: usize, from: usize, to: usize) {
+        let unit = self.block_units[block];
+        self.arena.slots[self.block_slots[block]]
+            .copy_within(from * unit..(from + 1) * unit, to * unit);
+    }
+
+    fn scratch(&mut self) -> &mut WalkScratch {
+        &mut self.arena.walk
     }
 }
 

@@ -4,13 +4,14 @@
 //! Monte-Carlo prediction: the result row for each sample must be bit-exact
 //! with a single-sample call at the same `(n_samples, seed)`, however the
 //! dynamic batcher happens to group requests. Both compiled plan families
-//! provide exactly that entry point — [`QuantEngine`] wraps the integer
-//! [`bnn_quant::QuantPlan`] (`predict_probs_batch_into`), [`FloatEngine`]
-//! wraps the float [`bnn_models::MultiExitPlan`]
-//! (`predict_probs_batch_into`) — so a worker can serve any mix of batch
+//! run the one exit walker ([`bnn_models::walker`]) with per-sample masks,
+//! so one generic [`PlanEngine`] serves either — [`QuantEngine`] over the
+//! integer [`bnn_quant::QuantPlan`], [`FloatEngine`] over the float
+//! [`bnn_models::MultiExitPlan`] — and a worker can serve any mix of batch
 //! sizes without changing a single response bit.
 
 use crate::error::ServeError;
+use bnn_models::walker::{self, ExitPlan};
 use bnn_models::{AdaptiveStats, ExitPolicy, MultiExitPlan};
 use bnn_quant::QuantPlan;
 use bnn_tensor::Tensor;
@@ -57,14 +58,11 @@ pub trait BatchEngine: Send {
         out: &mut Vec<f32>,
     ) -> Result<(), ServeError>;
 
-    /// Adaptive (early-exit) variant of
-    /// [`BatchEngine::predict_batch_into`]: after each exit head the
-    /// `policy` retires confident samples and the surviving rows are
-    /// compacted into a dense smaller batch, so deeper blocks only see the
-    /// stragglers. Fills `exit_taken[i]` with the exit request `i` retired
-    /// at and returns the execution accounting. Per-row results stay
-    /// batch-boundary invariant (bit-exact with a single-sample call under
-    /// the same policy).
+    /// Adaptive (early-exit) variant of [`BatchEngine::predict_batch_into`]:
+    /// `policy` retires confident samples after each exit and only the
+    /// compacted stragglers run deeper. Fills `exit_taken[i]` with request
+    /// `i`'s exit and returns the execution accounting; rows stay
+    /// batch-boundary invariant.
     ///
     /// # Errors
     ///
@@ -86,89 +84,37 @@ pub trait BatchEngine: Send {
     fn fork(&self) -> Box<dyn BatchEngine>;
 }
 
-/// [`BatchEngine`] over the integer [`QuantPlan`] — the production path:
-/// allocation-free in steady state and SIMD-dispatched.
+/// [`BatchEngine`] over any compiled plan the exit walker drives: a
+/// pass-through to [`walker::predict_fixed`] and
+/// [`walker::predict_adaptive`], whose per-sample masks make both
+/// batch-boundary invariant.
 #[derive(Debug, Clone)]
-pub struct QuantEngine {
-    plan: QuantPlan,
+pub struct PlanEngine<P> {
+    plan: P,
 }
 
-impl QuantEngine {
-    /// Wraps a compiled integer plan. Pin the plan to
-    /// `Executor::sequential()` first if the worker should stay strictly
-    /// allocation-free (results are bitwise identical either way).
-    pub fn new(plan: QuantPlan) -> Self {
-        QuantEngine { plan }
-    }
-}
+/// The engine over the integer [`QuantPlan`] — the production path:
+/// allocation-free in steady state and SIMD-dispatched. Pin the plan to
+/// `Executor::sequential()` first if the worker should stay strictly
+/// allocation-free (results are bitwise identical either way).
+pub type QuantEngine = PlanEngine<QuantPlan>;
 
-impl BatchEngine for QuantEngine {
-    fn in_dims(&self) -> &[usize] {
-        self.plan.in_dims()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.plan.num_classes()
-    }
-
-    fn num_exits(&self) -> usize {
-        self.plan.num_exits()
-    }
-
-    fn fixed_unit_ops(&self, n_samples: usize) -> u64 {
-        self.plan.fixed_cost(1, n_samples).1
-    }
-
-    fn ensure_batch(&mut self, max_batch: usize) {
-        self.plan.ensure_batch(max_batch);
-    }
-
-    fn predict_batch_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        out: &mut Vec<f32>,
-    ) -> Result<(), ServeError> {
-        self.plan
-            .predict_probs_batch_into(inputs, n_samples, seed, out)?;
-        Ok(())
-    }
-
-    fn predict_adaptive_batch_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        policy: &ExitPolicy,
-        out: &mut Vec<f32>,
-        exit_taken: &mut Vec<usize>,
-    ) -> Result<AdaptiveStats, ServeError> {
-        Ok(self
-            .plan
-            .predict_adaptive_batch_into(inputs, n_samples, seed, policy, out, exit_taken)?)
-    }
-
-    fn fork(&self) -> Box<dyn BatchEngine> {
-        Box::new(self.clone())
-    }
-}
-
-/// [`BatchEngine`] over the float [`MultiExitPlan`] — the reference path for
+/// The engine over the float [`MultiExitPlan`] — the reference path for
 /// networks that are not quantized (or not quantizable).
-#[derive(Debug, Clone)]
-pub struct FloatEngine {
-    plan: MultiExitPlan,
-}
+pub type FloatEngine = PlanEngine<MultiExitPlan>;
 
-impl FloatEngine {
-    /// Wraps a compiled float multi-exit plan.
-    pub fn new(plan: MultiExitPlan) -> Self {
-        FloatEngine { plan }
+impl<P> PlanEngine<P> {
+    /// Wraps a compiled plan.
+    pub fn new(plan: P) -> Self {
+        PlanEngine { plan }
     }
 }
 
-impl BatchEngine for FloatEngine {
+impl<P> BatchEngine for PlanEngine<P>
+where
+    P: ExitPlan + Clone + Send + 'static,
+    ServeError: From<P::Error>,
+{
     fn in_dims(&self) -> &[usize] {
         self.plan.in_dims()
     }
@@ -182,7 +128,7 @@ impl BatchEngine for FloatEngine {
     }
 
     fn fixed_unit_ops(&self, n_samples: usize) -> u64 {
-        self.plan.fixed_cost(1, n_samples).1
+        walker::fixed_cost(&self.plan, 1, n_samples).1
     }
 
     fn ensure_batch(&mut self, max_batch: usize) {
@@ -196,8 +142,7 @@ impl BatchEngine for FloatEngine {
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(), ServeError> {
-        self.plan
-            .predict_probs_batch_into(inputs, n_samples, seed, out)?;
+        walker::predict_fixed(&mut self.plan, inputs, n_samples, seed, out)?;
         Ok(())
     }
 
@@ -210,9 +155,10 @@ impl BatchEngine for FloatEngine {
         out: &mut Vec<f32>,
         exit_taken: &mut Vec<usize>,
     ) -> Result<AdaptiveStats, ServeError> {
-        Ok(self
-            .plan
-            .predict_adaptive_batch_into(inputs, n_samples, seed, policy, out, exit_taken)?)
+        let plan = &mut self.plan;
+        Ok(walker::predict_adaptive(
+            plan, inputs, n_samples, seed, policy, out, exit_taken,
+        )?)
     }
 
     fn fork(&self) -> Box<dyn BatchEngine> {

@@ -6,12 +6,12 @@
 //! (fired by **size or deadline**, whichever comes first) and run them on
 //! pinned plan replicas with arenas pre-sized for the maximum batch.
 //!
-//! The load-bearing property is **batch-boundary invariance**: engines
-//! (see [`BatchEngine`]) draw their MC-dropout masks at per-sample
-//! granularity, so the response to a request is bit-exact with a
-//! single-sample call at the server's `(mc_samples, seed)` — no matter how
-//! the batcher grouped it, which worker served it, or what `BNN_THREADS`
-//! is. Batching is purely a throughput knob, never a correctness one.
+//! The load-bearing property is **batch-boundary invariance**: the one
+//! engine, [`PlanEngine`] over either compiled plan ([`QuantEngine`],
+//! [`FloatEngine`]), runs the plans' shared exit walker with per-sample
+//! MC-dropout masks, so a response is bit-exact with a single-sample call
+//! at the server's `(mc_samples, seed)` — however the batcher grouped it,
+//! whichever worker served it, whatever `BNN_THREADS` is.
 //!
 //! No network dependencies: the queue is `Mutex<VecDeque>` + `Condvar`, the
 //! workers are std threads, and the traffic-replay harness
@@ -97,7 +97,7 @@ mod sync;
 
 pub use bnn_models::ExitPolicy;
 pub use degrade::{DegradeConfig, QualityStep};
-pub use engine::{BatchEngine, FloatEngine, QuantEngine};
+pub use engine::{BatchEngine, FloatEngine, PlanEngine, QuantEngine};
 pub use error::ServeError;
 pub use fault::{FaultAction, FaultPlan, FaultSpec, FaultyEngine};
 pub use replay::{FaultReplayOutcome, ReplayConfig, ReplayOutcome, ReplayReport};

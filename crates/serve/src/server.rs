@@ -34,7 +34,7 @@ use crate::degrade::{DegradeConfig, DegradeCtl};
 use crate::engine::BatchEngine;
 use crate::error::ServeError;
 use crate::sync::{lock_ok, panic_message, wait_ok, wait_timeout_ok};
-use bnn_models::ExitPolicy;
+use bnn_models::{ExitPolicy, SampleSchedule};
 use bnn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -962,6 +962,7 @@ fn serve_one_batch(
                     (fixed, fixed)
                 }
             };
+            let schedule = SampleSchedule::new(eff_mc, n_exits);
             // Indexed delivery (not drain) keeps the job list intact until
             // every reply is out: if delivery panics midway, the crash
             // sweep in `worker_loop` still reaches the undelivered tail.
@@ -975,7 +976,7 @@ fn serve_one_batch(
                 job.reply.deliver(Ok(Reply {
                     probs: ctx.probs[i * classes..(i + 1) * classes].to_vec(),
                     exit_taken: exit,
-                    mc_samples: ensemble_size(eff_mc, n_exits, exit, adaptive.is_some()),
+                    mc_samples: schedule.ensemble(exit),
                     quality_tier: tier,
                 }));
             }
@@ -1009,22 +1010,6 @@ fn serve_one_batch(
         stats.tier_counts[tier] += delivered_ok;
     }
     Flow::Continue
-}
-
-/// Number of MC samples in the ensemble behind a reply that retired at
-/// `exit`: the adaptive path accumulates `ceil(n_samples / n_exits)`
-/// samples per consulted exit (one deterministic consult when
-/// `n_samples == 0`); the fixed path always serves the full ensemble.
-fn ensemble_size(n_samples: usize, n_exits: usize, exit: usize, adaptive: bool) -> usize {
-    if !adaptive {
-        return if n_samples == 0 { n_exits } else { n_samples };
-    }
-    let spe = if n_samples == 0 {
-        1
-    } else {
-        n_samples.div_ceil(n_exits)
-    };
-    spe * (exit + 1)
 }
 
 #[cfg(test)]
@@ -1095,14 +1080,19 @@ mod tests {
 
     #[test]
     fn ensemble_size_arithmetic() {
+        // A reply's `mc_samples` is the walker schedule's ensemble at the
+        // exit it retired at; fixed depth always reports the last exit.
+        let ensemble = |n, n_exits, exit| SampleSchedule::new(n, n_exits).ensemble(exit);
         // fixed depth: the whole requested ensemble (n_exits deterministic
         // consults when sampling is off)
-        assert_eq!(ensemble_size(8, 2, 1, false), 8);
-        assert_eq!(ensemble_size(0, 2, 1, false), 2);
-        // adaptive: ceil(8/2) = 4 samples per consulted exit
-        assert_eq!(ensemble_size(8, 2, 0, true), 4);
-        assert_eq!(ensemble_size(8, 2, 1, true), 8);
-        assert_eq!(ensemble_size(0, 3, 1, true), 2);
+        assert_eq!(ensemble(8, 2, 1), 8);
+        assert_eq!(ensemble(0, 2, 1), 2);
+        // adaptive: 8 samples over 2 exits, 4 from each consulted exit
+        assert_eq!(ensemble(8, 2, 0), 4);
+        assert_eq!(ensemble(0, 3, 1), 2);
+        // uneven: 5 samples over 2 exits are 3 + 2, never more than 5
+        assert_eq!(ensemble(5, 2, 0), 3);
+        assert_eq!(ensemble(5, 2, 1), 5);
     }
 
     #[test]

@@ -18,13 +18,16 @@
 //! Run under `BNN_THREADS=1` and `BNN_THREADS=4` by `make test-adaptive`:
 //! the global-executor default must not leak into any result bit.
 
-use bayesnn_fpga::models::{zoo, ExitPolicy, ModelConfig, MultiExitNetwork};
+use bayesnn_fpga::models::{zoo, ExitPlan, ExitPolicy, ModelConfig, MultiExitNetwork};
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
 use bayesnn_fpga::tensor::exec::Executor;
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;
 use bayesnn_fpga::tensor::Tensor;
 
 const MC_SAMPLES: usize = 6;
+/// A sample count the two exits do not divide: exit 0 draws 3 samples and
+/// exit 1 draws 2, so a full-depth ensemble holds exactly 5.
+const UNEVEN_SAMPLES: usize = 5;
 const MC_SEED: u64 = 2023;
 const BATCH: usize = 5;
 
@@ -85,7 +88,7 @@ fn quant_adaptive_batch_matches_singles_across_formats_and_executors() {
 
     for format in FixedPointFormat::search_space() {
         for policy in policies() {
-            for n_samples in [0usize, MC_SAMPLES] {
+            for n_samples in [0usize, UNEVEN_SAMPLES, MC_SAMPLES] {
                 let mut reference: Option<(Vec<f32>, Vec<usize>)> = None;
                 for (name, exec) in [
                     ("sequential", Executor::sequential()),
@@ -175,41 +178,51 @@ fn quant_adaptive_never_matches_fixed_batch() {
 }
 
 /// Float-plan side of the single-sample parity (the reference path for
-/// unquantized serving), including `Never` ≡ fixed depth.
+/// unquantized serving), including `Never` ≡ fixed depth, at an even and an
+/// uneven split of the samples over the exits.
 #[test]
 fn float_adaptive_batch_matches_singles() {
     let network = small_lenet();
     let (inputs, singles) = batch_and_singles(4);
     let mut plan = network.compile_plan(&[1, 10, 10]).unwrap();
 
-    for policy in policies() {
-        let batched = plan
-            .predict_adaptive_batch(&inputs, MC_SAMPLES, MC_SEED, &policy)
-            .unwrap();
-        let mut concat = Vec::new();
-        let mut exits = Vec::new();
-        for single in &singles {
-            let one = plan
-                .predict_adaptive_batch(single, MC_SAMPLES, MC_SEED, &policy)
+    for n_samples in [UNEVEN_SAMPLES, MC_SAMPLES] {
+        for policy in policies() {
+            let batched = plan
+                .predict_adaptive_batch(&inputs, n_samples, MC_SEED, &policy)
                 .unwrap();
-            concat.extend_from_slice(one.probs.as_slice());
-            exits.extend_from_slice(&one.exit_taken);
+            assert!(
+                batched.stats.ops_executed <= batched.stats.ops_fixed,
+                "float {policy} n={n_samples}: executed more than fixed depth"
+            );
+            let mut concat = Vec::new();
+            let mut exits = Vec::new();
+            for single in &singles {
+                let one = plan
+                    .predict_adaptive_batch(single, n_samples, MC_SEED, &policy)
+                    .unwrap();
+                concat.extend_from_slice(one.probs.as_slice());
+                exits.extend_from_slice(&one.exit_taken);
+            }
+            assert_eq!(
+                batched.probs.as_slice(),
+                &concat[..],
+                "float {policy} n={n_samples}: batched != concat of single-sample calls"
+            );
+            assert_eq!(
+                batched.exit_taken, exits,
+                "float {policy} n={n_samples}: exit choices"
+            );
         }
-        assert_eq!(
-            batched.probs.as_slice(),
-            &concat[..],
-            "float {policy}: batched != concat of single-sample calls"
-        );
-        assert_eq!(batched.exit_taken, exits, "float {policy}: exit choices");
-    }
 
-    let fixed = plan
-        .predict_probs_batch(&inputs, MC_SAMPLES, MC_SEED)
-        .unwrap();
-    let never = plan
-        .predict_adaptive_batch(&inputs, MC_SAMPLES, MC_SEED, &ExitPolicy::Never)
-        .unwrap();
-    assert_eq!(never.probs.as_slice(), fixed.as_slice());
+        let fixed = plan
+            .predict_probs_batch(&inputs, n_samples, MC_SEED)
+            .unwrap();
+        let never = plan
+            .predict_adaptive_batch(&inputs, n_samples, MC_SEED, &ExitPolicy::Never)
+            .unwrap();
+        assert_eq!(never.probs.as_slice(), fixed.as_slice(), "n={n_samples}");
+    }
 }
 
 /// Compaction-pattern sweep on the 8-bit plan: the all-retire pattern

@@ -17,7 +17,7 @@
 mod fixtures;
 
 use bayesnn_fpga::hls::{HlsConfig, HlsError, HlsSimulator, LoweredDesign, SimMode};
-use bayesnn_fpga::models::{zoo, ModelConfig, NetworkSpec};
+use bayesnn_fpga::models::{zoo, ExitPlan, ModelConfig, NetworkSpec};
 use bayesnn_fpga::nn::Mode;
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantPlan};
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;

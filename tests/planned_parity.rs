@@ -13,7 +13,7 @@ use bayesnn_fpga::bayes::sampling::{McSampler, SamplingConfig};
 use bayesnn_fpga::bayes::BayesError;
 use bayesnn_fpga::models::zoo::Architecture;
 use bayesnn_fpga::models::{
-    ExitPolicy, LayerSpec, ModelConfig, ModelError, MultiExitNetwork, NetworkSpec,
+    ExitPlan, ExitPolicy, LayerSpec, ModelConfig, ModelError, MultiExitNetwork, NetworkSpec,
 };
 use bayesnn_fpga::nn::{Mode, Network, NnError};
 use bayesnn_fpga::tensor::exec::Executor;

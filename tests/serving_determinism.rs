@@ -12,12 +12,15 @@
 //!    `params_mut` only ever observe the pre- or post-mutation prediction,
 //!    never a stale cached plan.
 //! 3. **Server invariance** — the same request stream produces identical
-//!    per-request outputs regardless of batching config and worker count.
+//!    per-request outputs regardless of batching config and worker count,
+//!    on both the integer and the float engine.
 
-use bayesnn_fpga::models::{zoo, ModelConfig};
+use bayesnn_fpga::models::{zoo, ExitPlan, ModelConfig};
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
 use bayesnn_fpga::serve::replay::{replay, ReplayConfig};
-use bayesnn_fpga::serve::{ExitPolicy, InferenceServer, QuantEngine, ServerConfig};
+use bayesnn_fpga::serve::{
+    BatchEngine, ExitPolicy, FloatEngine, InferenceServer, QuantEngine, ServerConfig,
+};
 use bayesnn_fpga::tensor::exec::Executor;
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;
 use bayesnn_fpga::tensor::Tensor;
@@ -202,7 +205,7 @@ fn cached_plan_invalidation_is_safe_under_concurrent_prediction() {
 
 /// Serving determinism: one request stream, identical per-request outputs
 /// under every batching config and worker count (and bit-exact with direct
-/// single-sample plan calls).
+/// single-sample plan calls), for the integer and the float engine alike.
 #[test]
 fn server_outputs_are_invariant_to_batching_and_workers() {
     let network = small_lenet();
@@ -213,6 +216,7 @@ fn server_outputs_are_invariant_to_batching_and_workers() {
         .plan(FixedPointFormat::new(8, 3).unwrap())
         .unwrap();
     plan.set_executor(Executor::sequential());
+    let mut float_plan = network.compile_plan(&[1, 10, 10]).unwrap();
 
     let pool: Vec<Vec<f32>> = {
         let mut rng = Xoshiro256StarStar::seed_from_u64(41);
@@ -222,56 +226,79 @@ fn server_outputs_are_invariant_to_batching_and_workers() {
             .map(<[f32]>::to_vec)
             .collect()
     };
-    // Direct per-sample references through the plan itself.
-    let reference: Vec<Vec<f32>> = pool
+    // Direct per-sample references through each plan itself.
+    let singles: Vec<Tensor> = pool
         .iter()
-        .map(|s| {
-            let t = Tensor::from_vec(s.clone(), &[1, 1, 10, 10]).unwrap();
-            plan.predict_probs_batch(&t, MC_SAMPLES, MC_SEED)
+        .map(|s| Tensor::from_vec(s.clone(), &[1, 1, 10, 10]).unwrap())
+        .collect();
+    let quant_reference: Vec<Vec<f32>> = singles
+        .iter()
+        .map(|t| {
+            plan.predict_probs_batch(t, MC_SAMPLES, MC_SEED)
                 .unwrap()
                 .as_slice()
                 .to_vec()
         })
         .collect();
+    let float_reference: Vec<Vec<f32>> = singles
+        .iter()
+        .map(|t| {
+            float_plan
+                .predict_probs_batch(t, MC_SAMPLES, MC_SEED)
+                .unwrap()
+                .as_slice()
+                .to_vec()
+        })
+        .collect();
+    assert_ne!(quant_reference, float_reference);
 
     let configs = [
         (1usize, 1usize, Duration::ZERO),
         (2, 4, Duration::from_micros(500)),
         (3, 8, Duration::from_millis(2)),
     ];
-    for (workers, max_batch, max_delay) in configs {
-        let server = InferenceServer::start(
-            Box::new(QuantEngine::new(plan.clone())),
-            ServerConfig {
-                workers,
-                max_batch,
-                max_delay,
-                mc_samples: MC_SAMPLES,
-                seed: MC_SEED,
-                policy: ExitPolicy::Never,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let outcome = replay(
-            &server,
-            &pool,
-            &ReplayConfig {
-                requests: 48,
-                rate_per_sec: 50_000.0,
-                seed: 9,
-            },
-        )
-        .unwrap();
-        let stats = server.shutdown();
-        assert_eq!(stats.completed, 48, "every request must be served");
-        for (i, output) in outcome.outputs.iter().enumerate() {
+    for (engine, reference) in [("quant", &quant_reference), ("float", &float_reference)] {
+        for (workers, max_batch, max_delay) in configs {
+            let boxed: Box<dyn BatchEngine> = match engine {
+                "quant" => Box::new(QuantEngine::new(plan.clone())),
+                _ => Box::new(FloatEngine::new(float_plan.clone())),
+            };
+            let server = InferenceServer::start(
+                boxed,
+                ServerConfig {
+                    workers,
+                    max_batch,
+                    max_delay,
+                    mc_samples: MC_SAMPLES,
+                    seed: MC_SEED,
+                    policy: ExitPolicy::Never,
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            let outcome = replay(
+                &server,
+                &pool,
+                &ReplayConfig {
+                    requests: 48,
+                    rate_per_sec: 50_000.0,
+                    seed: 9,
+                },
+            )
+            .unwrap();
+            let stats = server.shutdown();
             assert_eq!(
-                &output.probs[..],
-                &reference[i % pool.len()][..],
-                "workers={workers} max_batch={max_batch}: request {i} output \
-                 depends on batch boundaries"
+                stats.completed, 48,
+                "{engine}: every request must be served"
             );
+            for (i, output) in outcome.outputs.iter().enumerate() {
+                assert_eq!(
+                    &output.probs[..],
+                    &reference[i % pool.len()][..],
+                    "{engine} workers={workers} max_batch={max_batch}: request {i} \
+                     output depends on batch boundaries"
+                );
+            }
         }
     }
 }
