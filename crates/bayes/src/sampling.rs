@@ -38,7 +38,7 @@
 //! while staying bitwise identical to the single-threaded run.
 
 use crate::BayesError;
-use bnn_models::{ExitPlan, ExitPolicy, MultiExitNetwork};
+use bnn_models::{ExitPlan, ExitPolicy, LayerPlace, MultiExitNetwork};
 use bnn_nn::layer::Mode;
 use bnn_nn::network::Network;
 use bnn_tensor::exec::{in_parallel_region, Executor};
@@ -391,32 +391,25 @@ fn sample_dims(inputs: &Tensor) -> Result<&[usize], BayesError> {
 /// stops at each exit (backbone blocks up to the exit's attachment point
 /// plus every exit head consulted along the way).
 fn exit_cumulative_flops_fraction(network: &MultiExitNetwork) -> Result<Vec<f64>, BayesError> {
-    let report = network.spec().flop_report()?;
-    let full = report.total().max(1) as f64;
-    let block_flops = backbone_cumulative_flops(network)?;
-    let mut cumulative = Vec::with_capacity(network.spec().exits.len());
+    let spec = network.spec();
+    let mut block_flops = vec![0u64; spec.blocks.len()];
+    let mut exit_flops = vec![0u64; spec.exits.len()];
+    spec.walk(|place, layer, input| {
+        let flops = layer.flops(input);
+        match place {
+            LayerPlace::Block(b) => block_flops[b] += flops,
+            LayerPlace::Exit { exit, .. } => exit_flops[exit] += flops,
+        }
+    })?;
+    let full = (block_flops.iter().sum::<u64>() + exit_flops.iter().sum::<u64>()).max(1) as f64;
+    let mut cumulative = Vec::with_capacity(spec.exits.len());
     let mut exit_acc = 0u64;
-    for (i, exit_spec) in network.spec().exits.iter().enumerate() {
-        exit_acc += report.exits[i];
-        cumulative.push((block_flops[exit_spec.after_block] + exit_acc) as f64 / full);
+    for (exit_spec, flops) in spec.exits.iter().zip(exit_flops) {
+        exit_acc += flops;
+        let backbone: u64 = block_flops[..=exit_spec.after_block].iter().sum();
+        cumulative.push((backbone + exit_acc) as f64 / full);
     }
     Ok(cumulative)
-}
-
-/// Cumulative backbone FLOPs up to and including each block (batch size 1).
-fn backbone_cumulative_flops(network: &MultiExitNetwork) -> Result<Vec<u64>, BayesError> {
-    let spec = network.spec();
-    let mut shape = spec.input_shape(1);
-    let mut acc = 0u64;
-    let mut out = Vec::with_capacity(spec.blocks.len());
-    for block in &spec.blocks {
-        for layer in block {
-            acc += layer.flops(&shape);
-            shape = layer.output_shape(&shape)?;
-        }
-        out.push(acc);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

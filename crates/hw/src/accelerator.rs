@@ -7,7 +7,7 @@ use crate::layer_model::{estimate_layer, LayerModelConfig};
 use crate::mapping::{MappedBayesianComponent, MappingStrategy};
 use crate::power::{PowerBreakdown, PowerModel};
 use crate::resource::{ResourceUsage, ResourceUtilization};
-use bnn_models::NetworkSpec;
+use bnn_models::{LayerPlace, NetworkSpec};
 
 /// Configuration of an accelerator instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,26 +148,11 @@ impl AcceleratorModel {
         let layer_cfg = &cfg.layer_model;
         let mut resources = ResourceUsage::zero();
         let mut single_pass_cycles = 0u64;
-        let mut shape = self.spec.input_shape(1);
-        let mut block_shapes = Vec::with_capacity(self.spec.blocks.len());
-        for block in &self.spec.blocks {
-            for layer in block {
-                let est = estimate_layer(layer, &shape, layer_cfg);
-                resources += est.resources;
-                single_pass_cycles += est.cycles;
-                shape = layer.output_shape(&shape)?;
-            }
-            block_shapes.push(shape.clone());
-        }
-        for exit in &self.spec.exits {
-            let mut exit_shape = block_shapes[exit.after_block].clone();
-            for layer in &exit.layers {
-                let est = estimate_layer(layer, &exit_shape, layer_cfg);
-                resources += est.resources;
-                single_pass_cycles += est.cycles;
-                exit_shape = layer.output_shape(&exit_shape)?;
-            }
-        }
+        self.spec.walk(|_, layer, input| {
+            let est = estimate_layer(layer, input, layer_cfg);
+            resources += est.resources;
+            single_pass_cycles += est.cycles;
+        })?;
         let samples = cfg.mc_samples.max(1);
         let cycles = single_pass_cycles * samples as u64;
         let latency_ms = cycles as f64 / (cfg.clock_mhz * 1e3);
@@ -207,61 +192,42 @@ impl AcceleratorModel {
         let mut non_bayes_cycles = 0u64;
         let mut bayes = ResourceUsage::zero();
         let mut bayes_cycles = 0u64;
-        let mut backbone_bayesian = false;
         let mut backbone_bayes_start_block: Option<usize> = None;
+        let mut exit_bayesian = vec![false; self.spec.num_exits()];
         let mut clone_elements = 0u64;
 
-        // Backbone blocks.
-        let mut shape = self.spec.input_shape(1);
-        let mut block_shapes = Vec::with_capacity(self.spec.blocks.len());
-        for (b, block) in self.spec.blocks.iter().enumerate() {
-            for layer in block {
-                let est = estimate_layer(layer, &shape, layer_cfg);
-                if !backbone_bayesian && est.is_mc_dropout {
-                    backbone_bayesian = true;
-                    backbone_bayes_start_block = Some(b);
-                    // The tensor cached and cloned per MC pass is the input of
-                    // the first Bayesian layer.
-                    clone_elements = shape.len() as u64;
-                }
-                if backbone_bayesian {
-                    bayes += est.resources;
-                    bayes_cycles += est.cycles;
-                } else {
-                    non_bayes += est.resources;
-                    non_bayes_cycles += est.cycles;
-                }
-                shape = layer.output_shape(&shape)?;
-            }
-            block_shapes.push(shape.clone());
-        }
-
-        // Exit branches.
-        for exit in &self.spec.exits {
-            let mut exit_shape = block_shapes[exit.after_block].clone();
-            let mut exit_bayesian = backbone_bayes_start_block
-                .map(|b| b <= exit.after_block)
-                .unwrap_or(false);
-            for layer in &exit.layers {
-                let est = estimate_layer(layer, &exit_shape, layer_cfg);
-                if !exit_bayesian && est.is_mc_dropout {
-                    exit_bayesian = true;
-                    if clone_elements == 0 {
-                        clone_elements = exit_shape.len() as u64;
-                    } else {
-                        clone_elements = clone_elements.max(exit_shape.len() as u64);
+        // A layer belongs to the Bayesian component from the first MCD layer
+        // on its path: backbone layers from the first MCD block onwards, exit
+        // layers when their attachment block is Bayesian or from the exit's
+        // own first MCD layer. The tensor cached and cloned per MC pass is
+        // the (largest) input of such a first MCD layer.
+        self.spec.walk(|place, layer, input| {
+            let est = estimate_layer(layer, input, layer_cfg);
+            let bayesian = match place {
+                LayerPlace::Block(b) => {
+                    if backbone_bayes_start_block.is_none() && est.is_mc_dropout {
+                        backbone_bayes_start_block = Some(b);
+                        clone_elements = input.len() as u64;
                     }
+                    backbone_bayes_start_block.is_some()
                 }
-                if exit_bayesian {
-                    bayes += est.resources;
-                    bayes_cycles += est.cycles;
-                } else {
-                    non_bayes += est.resources;
-                    non_bayes_cycles += est.cycles;
+                LayerPlace::Exit { exit, after_block } => {
+                    let inherited = backbone_bayes_start_block.is_some_and(|b| b <= after_block);
+                    if !inherited && !exit_bayesian[exit] && est.is_mc_dropout {
+                        exit_bayesian[exit] = true;
+                        clone_elements = clone_elements.max(input.len() as u64);
+                    }
+                    inherited || exit_bayesian[exit]
                 }
-                exit_shape = layer.output_shape(&exit_shape)?;
+            };
+            if bayesian {
+                bayes += est.resources;
+                bayes_cycles += est.cycles;
+            } else {
+                non_bayes += est.resources;
+                non_bayes_cycles += est.cycles;
             }
-        }
+        })?;
 
         let has_bayesian = bayes_cycles > 0 || bayes != ResourceUsage::zero();
         let passes = if has_bayesian {
@@ -315,7 +281,7 @@ impl AcceleratorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_models::{zoo, ModelConfig};
+    use bnn_models::{zoo, LayerSpec, ModelConfig};
 
     fn lenet_spec(mcd_layers: usize) -> NetworkSpec {
         zoo::lenet5(&ModelConfig::mnist().with_width_divisor(2))
@@ -327,6 +293,23 @@ mod tests {
         AcceleratorConfig::new(FpgaDevice::xcku115())
             .with_bits(8)
             .with_reuse_factor(16)
+    }
+
+    #[test]
+    fn zero_stride_spec_is_a_typed_error() {
+        let mut spec = lenet_spec(0);
+        let pool = spec.blocks[0]
+            .iter_mut()
+            .find(|l| matches!(l, LayerSpec::MaxPool2d { .. }))
+            .unwrap();
+        *pool = LayerSpec::MaxPool2d {
+            kernel: 2,
+            stride: 0,
+        };
+        assert!(matches!(
+            AcceleratorModel::new(spec, base_config()),
+            Err(HwError::Model(bnn_models::ModelError::InvalidSpec(_)))
+        ));
     }
 
     #[test]

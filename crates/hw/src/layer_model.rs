@@ -11,6 +11,7 @@
 use crate::error::HwError;
 use crate::resource::ResourceUsage;
 use crate::rng::Lfsr32;
+use bnn_models::spec::walk_chain;
 use bnn_models::{LayerSpec, NetworkSpec};
 use bnn_tensor::Shape;
 
@@ -89,17 +90,15 @@ fn weight_bram(params: u64, bits: u32) -> u64 {
     }
 }
 
-/// Output height/width of a square convolution over `input` (NCHW), with
-/// the `(1, 1)` fallback the resource model uses for malformed shapes.
-fn conv_out_hw(input: &Shape, kernel: usize, stride: usize, padding: usize) -> (u64, u64) {
-    match input.as_nchw() {
-        Ok((_, _, h, w)) => {
-            let oh = (h + 2 * padding).saturating_sub(kernel) / stride + 1;
-            let ow = (w + 2 * padding).saturating_sub(kernel) / stride + 1;
-            (oh as u64, ow as u64)
-        }
-        Err(_) => (1, 1),
-    }
+/// Output height/width of a convolution at `input`, from the spec's own
+/// shape rule, with the `(1, 1)` fallback the resource model uses for
+/// shapes that do not propagate.
+fn conv_out_hw(layer: &LayerSpec, input: &Shape) -> (u64, u64) {
+    layer
+        .output_shape(input)
+        .ok()
+        .and_then(|out| out.as_nchw().ok())
+        .map_or((1, 1), |(_, _, h, w)| (h as u64, w as u64))
 }
 
 /// Per-sample multiply-accumulates of one layer at `input` (batch 1) — the
@@ -114,10 +113,9 @@ pub fn layer_macs(layer: &LayerSpec, input: &Shape) -> u64 {
             in_channels,
             out_channels,
             kernel,
-            stride,
-            padding,
+            ..
         } => {
-            let (oh, ow) = conv_out_hw(input, *kernel, *stride, *padding);
+            let (oh, ow) = conv_out_hw(layer, input);
             (kernel * kernel * in_channels * out_channels) as u64 * oh * ow
         }
         LayerSpec::Dense {
@@ -126,19 +124,9 @@ pub fn layer_macs(layer: &LayerSpec, input: &Shape) -> u64 {
         } => (in_features * out_features) as u64,
         LayerSpec::Residual { main, shortcut } => {
             let mut total = 0u64;
-            let mut shape = input.clone();
-            for l in main {
-                total += layer_macs(l, &shape);
-                if let Ok(next) = l.output_shape(&shape) {
-                    shape = next;
-                }
-            }
-            let mut short_shape = input.clone();
-            for l in shortcut {
-                total += layer_macs(l, &short_shape);
-                if let Ok(next) = l.output_shape(&short_shape) {
-                    short_shape = next;
-                }
+            for path in [main, shortcut] {
+                // A path that stops propagating is priced up to that layer.
+                let _ = walk_chain(path, input, |l, shape| total += layer_macs(l, shape));
             }
             total
         }
@@ -147,34 +135,17 @@ pub fn layer_macs(layer: &LayerSpec, input: &Shape) -> u64 {
 }
 
 /// Total per-sample MACs of a whole spec: backbone blocks plus every exit
-/// branch, with shapes propagated from the spec's input. This is the static
-/// figure an emitted HLS design's schedule must agree with — the
-/// cross-check that keeps phase-2/3 scores and generated code from
-/// drifting apart.
+/// branch, summed over [`NetworkSpec::walk`]. This is the static figure an
+/// emitted HLS design's schedule must agree with — the cross-check that
+/// keeps phase-2/3 scores and generated code from drifting apart.
 ///
 /// # Errors
 ///
-/// Returns [`HwError::Model`] when a layer's output shape cannot be derived.
+/// Returns [`HwError::Model`] when an exit is attached after a missing block
+/// or a layer's output shape cannot be derived.
 pub fn network_macs(spec: &NetworkSpec) -> Result<u64, HwError> {
     let mut total = 0u64;
-    let mut shape = spec.input_shape(1);
-    for block in &spec.blocks {
-        for layer in block {
-            total += layer_macs(layer, &shape);
-            shape = layer.output_shape(&shape)?;
-        }
-    }
-    let block_shapes = spec.block_output_shapes()?;
-    for exit in &spec.exits {
-        let mut s = block_shapes
-            .get(exit.after_block)
-            .cloned()
-            .unwrap_or_else(|| spec.input_shape(1));
-        for layer in &exit.layers {
-            total += layer_macs(layer, &s);
-            s = layer.output_shape(&s)?;
-        }
-    }
+    spec.walk(|_, layer, input| total += layer_macs(layer, input))?;
     Ok(total)
 }
 
@@ -192,10 +163,9 @@ pub fn estimate_layer(
             in_channels,
             out_channels,
             kernel,
-            stride,
-            padding,
+            ..
         } => {
-            let (oh, ow) = conv_out_hw(input, *kernel, *stride, *padding);
+            let (oh, ow) = conv_out_hw(layer, input);
             let macs_per_pixel = (kernel * kernel * in_channels * out_channels) as u64;
             let multipliers = div_ceil(macs_per_pixel, reuse);
             let mut res = mac_array(multipliers, bits);
@@ -305,33 +275,24 @@ pub fn estimate_layer(
         }
         LayerSpec::Residual { main, shortcut } => {
             let mut resources = ResourceUsage::zero();
-            let mut cycles = 0u64;
-            let mut shape = input.clone();
-            for l in main {
-                let est = estimate_layer(l, &shape, config);
-                resources += est.resources;
-                cycles += est.cycles;
-                if let Ok(next) = l.output_shape(&shape) {
-                    shape = next;
-                }
-            }
-            let mut short_shape = input.clone();
-            let mut short_cycles = 0u64;
-            for l in shortcut {
-                let est = estimate_layer(l, &short_shape, config);
-                resources += est.resources;
-                short_cycles += est.cycles;
-                if let Ok(next) = l.output_shape(&short_shape) {
-                    short_shape = next;
-                }
-            }
+            let mut path = |layers: &[LayerSpec]| {
+                let mut cycles = 0u64;
+                let out = walk_chain(layers, input, |l, shape| {
+                    let est = estimate_layer(l, shape, config);
+                    resources += est.resources;
+                    cycles += est.cycles;
+                });
+                (out, cycles)
+            };
+            let (main_out, main_cycles) = path(main);
+            let (_, short_cycles) = path(shortcut);
             // Element-wise adder + ReLU at the merge point.
-            let out_len = shape.len() as u64;
+            let out_len = main_out.map_or(0, |shape| shape.len() as u64);
             resources += ResourceUsage::new(0, 0, 4 * bits as u64, 6 * bits as u64 + 32);
             LayerHardware {
                 kind: "residual".into(),
                 resources,
-                cycles: cycles.max(short_cycles) + out_len / 8 + PIPELINE_DEPTH,
+                cycles: main_cycles.max(short_cycles) + out_len / 8 + PIPELINE_DEPTH,
                 is_mc_dropout: main.iter().any(LayerSpec::is_mc_dropout)
                     || shortcut.iter().any(LayerSpec::is_mc_dropout),
             }
@@ -388,27 +349,42 @@ mod tests {
         assert_eq!(layer_macs(&block, &shape), expect);
     }
 
-    #[test]
-    fn network_macs_cover_backbone_and_exits() {
-        let spec = bnn_models::zoo::lenet5(
+    fn small_lenet_multi_exit() -> NetworkSpec {
+        bnn_models::zoo::lenet5(
             &bnn_models::ModelConfig::mnist()
                 .with_resolution(10, 10)
                 .with_width_divisor(8)
                 .with_classes(4),
         )
         .with_exits_after_every_block()
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn network_macs_cover_backbone_and_exits() {
+        let spec = small_lenet_multi_exit();
         let total = network_macs(&spec).unwrap();
         // Backbone alone must be strictly below the total: every exit head
         // ends in a dense classifier that contributes MACs.
         let mut backbone = 0u64;
-        let mut shape = spec.input_shape(1);
-        for layer in spec.blocks.iter().flatten() {
-            backbone += layer_macs(layer, &shape);
-            shape = layer.output_shape(&shape).unwrap();
-        }
+        spec.walk(|place, layer, input| {
+            if let bnn_models::LayerPlace::Block(_) = place {
+                backbone += layer_macs(layer, input);
+            }
+        })
+        .unwrap();
         assert!(backbone > 0);
         assert!(total > backbone);
+    }
+
+    #[test]
+    fn network_macs_reject_an_exit_after_a_missing_block() {
+        let mut spec = small_lenet_multi_exit();
+        spec.exits[0].after_block = spec.blocks.len();
+        assert!(matches!(
+            network_macs(&spec),
+            Err(HwError::Model(bnn_models::ModelError::InvalidSpec(_)))
+        ));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //!
 //! 1. instantiated into a trainable runtime model ([`MultiExitNetwork`],
 //!    built on `bnn-nn` layers), and
-//! 2. analysed symbolically (shape propagation, FLOPs, parameter counts) by
-//!    the hardware model in `bnn-hw` without ever allocating weights.
+//! 2. analysed symbolically (shape propagation, FLOPs, parameter counts)
+//!    without ever allocating weights. [`NetworkSpec::walk`] is the one
+//!    static pass every shape and cost folds over, here and in the hardware
+//!    model in `bnn-hw`; runtime layers carry no shape or cost model.
 //!
 //! The spec layer is also where the paper's two structural transformations
 //! live: attaching intermediary exits after each pooling-separated block
@@ -49,5 +51,5 @@ pub use multi_exit::{MultiExitNetwork, NetworkCheckpoint};
 pub use plan::MultiExitPlan;
 pub use policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 pub use residual::ResidualBlock;
-pub use spec::{ExitSpec, LayerSpec, NetworkSpec};
+pub use spec::{ExitSpec, LayerPlace, LayerSpec, NetworkSpec, SpecShapes};
 pub use walker::{ExitPlan, SampleSchedule, WalkScratch};

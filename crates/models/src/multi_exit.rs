@@ -5,7 +5,7 @@ use crate::spec::NetworkSpec;
 use bnn_nn::layer::{Mode, Param};
 use bnn_nn::network::Network;
 use bnn_nn::{Layer, NnError, Sequential};
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// A full snapshot of a trained [`MultiExitNetwork`]: every trainable
 /// parameter plus every layer's non-trainable state (e.g. batchnorm running
@@ -386,26 +386,6 @@ impl Network for MultiExitNetwork {
             Layer::reseed_mc_streams(exit, &mut streams);
         }
     }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        let mut shape = input.clone();
-        let mut total = 0u64;
-        let mut block_shapes = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            total += block.flops(&shape);
-            match block.output_shape(&shape) {
-                Ok(next) => shape = next,
-                Err(_) => return total,
-            }
-            block_shapes.push(shape.clone());
-        }
-        for (after_block, exit) in &self.exits {
-            if let Some(s) = block_shapes.get(*after_block) {
-                total += exit.flops(s);
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -673,14 +653,6 @@ mod tests {
         assert!(any_grad);
         // wrong gradient count is rejected
         assert!(net.backward_exits(&grads[..1]).is_err());
-    }
-
-    #[test]
-    fn flops_match_spec_flops() {
-        let spec = tiny_multi_exit_spec();
-        let net = spec.build(5).unwrap();
-        let spec_total = spec.total_flops().unwrap();
-        assert_eq!(net.flops(&spec.input_shape(1)), spec_total);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use bnn_nn::layer::{Layer, Mode, Param};
 use bnn_nn::{NnError, Sequential};
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// A residual block with a main path, an optional projection shortcut and a
 /// ReLU applied after the merge — the ResNet "basic block".
@@ -122,30 +122,17 @@ impl Layer for ResidualBlock {
         self.main.set_state(main_state)?;
         self.shortcut.set_state(shortcut_state)
     }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        self.main.output_shape(input)
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        let main = self.main.flops(input);
-        let shortcut = self.shortcut.flops(input);
-        let out_len = self
-            .main
-            .output_shape(input)
-            .map(|s| s.len() as u64)
-            .unwrap_or(0);
-        main + shortcut + 2 * out_len
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{walk_chain, LayerSpec};
     use bnn_nn::layers::batchnorm::BatchNorm2d;
     use bnn_nn::layers::conv2d::Conv2d;
     use bnn_nn::prelude::Relu;
     use bnn_tensor::rng::Xoshiro256StarStar;
+    use bnn_tensor::Shape;
 
     fn identity_block(channels: usize) -> ResidualBlock {
         let mut main = Sequential::new("main");
@@ -177,13 +164,6 @@ mod tests {
         let x = Tensor::ones(&[2, 4, 8, 8]);
         let y = block.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.dims(), x.dims());
-        assert_eq!(
-            block
-                .output_shape(&Shape::new(vec![2, 4, 8, 8]))
-                .unwrap()
-                .dims(),
-            &[2, 4, 8, 8]
-        );
     }
 
     #[test]
@@ -266,18 +246,30 @@ mod tests {
 
     #[test]
     fn flops_include_merge_and_relu() {
-        let block = identity_block(4);
-        let shape = Shape::new(vec![1, 4, 8, 8]);
-        let main_flops = {
-            let mut main = Sequential::new("main");
-            main.push(Conv2d::new(4, 4, 3, 1, 1, 1).unwrap());
-            main.push(BatchNorm2d::new(4).unwrap());
-            main.push(Relu::new());
-            main.push(Conv2d::new(4, 4, 3, 1, 1, 2).unwrap());
-            main.push(BatchNorm2d::new(4).unwrap());
-            main.flops(&shape)
+        // A residual block is priced by its spec: both paths, plus one add
+        // and one relu per element of the block's actual output.
+        let conv = LayerSpec::Conv2d {
+            in_channels: 4,
+            out_channels: 4,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
         };
-        assert_eq!(block.flops(&shape), main_flops + 2 * 4 * 64);
+        let bn = LayerSpec::BatchNorm2d { channels: 4 };
+        let main = vec![conv.clone(), bn.clone(), LayerSpec::Relu, conv, bn];
+        let shape = Shape::new(vec![1, 4, 8, 8]);
+        let mut main_flops = 0;
+        walk_chain(&main, &shape, |l, s| main_flops += l.flops(s)).unwrap();
+        let block = LayerSpec::Residual {
+            main,
+            shortcut: vec![],
+        };
+        let out = block
+            .build(&mut 0)
+            .unwrap()
+            .forward(&Tensor::ones(&[1, 4, 8, 8]), Mode::Eval)
+            .unwrap();
+        assert_eq!(block.flops(&shape), main_flops + 2 * out.len() as u64);
     }
 
     #[test]

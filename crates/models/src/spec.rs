@@ -92,38 +92,47 @@ pub enum LayerSpec {
     },
 }
 
-fn propagate(layers: &[LayerSpec], input: &Shape) -> Result<Shape, ModelError> {
-    let mut shape = input.clone();
-    for layer in layers {
-        shape = layer.output_shape(&shape)?;
-    }
-    Ok(shape)
-}
-
-fn flops_of(layers: &[LayerSpec], input: &Shape) -> u64 {
-    let mut shape = input.clone();
-    let mut total = 0u64;
-    for layer in layers {
-        total += layer.flops(&shape);
-        match layer.output_shape(&shape) {
-            Ok(next) => shape = next,
-            Err(_) => break,
-        }
-    }
-    total
+/// Walks a chain of layers from `input`, handing each layer to `visit` with
+/// its input shape, and returns the chain's output shape. Blocks, exit
+/// branches and the two paths of a residual block are all such chains.
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidSpec`] at the first layer that rejects its
+/// input shape (that layer has already been visited).
+pub fn walk_chain(
+    layers: &[LayerSpec],
+    input: &Shape,
+    mut visit: impl FnMut(&LayerSpec, &Shape),
+) -> Result<Shape, ModelError> {
+    layers.iter().try_fold(input.clone(), |shape, layer| {
+        visit(layer, &shape);
+        layer.output_shape(&shape)
+    })
 }
 
 impl LayerSpec {
-    /// Output shape of the layer for a given input shape.
+    /// Output shape of the layer for a given input shape — the one shape rule
+    /// every static cost (FLOPs, MACs, the hardware estimate) is priced on.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidSpec`] if the input shape is incompatible.
+    /// Returns [`ModelError::InvalidSpec`] if the input shape is incompatible,
+    /// or if a convolution or pool has a zero kernel or stride.
     pub fn output_shape(&self, input: &Shape) -> Result<Shape, ModelError> {
         let bad = |expected: &str| {
             ModelError::InvalidSpec(format!(
                 "layer {self:?} got input {input} but expects {expected}"
             ))
+        };
+        let positive_window = |kernel: usize, stride: usize| {
+            if kernel == 0 || stride == 0 {
+                Err(ModelError::InvalidSpec(format!(
+                    "layer {self:?} needs a positive kernel and stride"
+                )))
+            } else {
+                Ok(())
+            }
         };
         match *self {
             LayerSpec::Conv2d {
@@ -133,6 +142,7 @@ impl LayerSpec {
                 stride,
                 padding,
             } => {
+                positive_window(kernel, stride)?;
                 let (n, c, h, w) = input.as_nchw().map_err(|_| bad("rank-4 NCHW"))?;
                 if c != in_channels {
                     return Err(bad(&format!("{in_channels} input channels")));
@@ -173,6 +183,7 @@ impl LayerSpec {
                 Ok(input.clone())
             }
             LayerSpec::MaxPool2d { kernel, stride } | LayerSpec::AvgPool2d { kernel, stride } => {
+                positive_window(kernel, stride)?;
                 let (n, c, h, w) = input.as_nchw().map_err(|_| bad("rank-4 NCHW"))?;
                 if h < kernel || w < kernel {
                     return Err(bad("spatial size >= kernel"));
@@ -197,12 +208,8 @@ impl LayerSpec {
                 ref main,
                 ref shortcut,
             } => {
-                let main_out = propagate(main, input)?;
-                let short_out = if shortcut.is_empty() {
-                    input.clone()
-                } else {
-                    propagate(shortcut, input)?
-                };
+                let main_out = walk_chain(main, input, |_, _| {})?;
+                let short_out = walk_chain(shortcut, input, |_, _| {})?;
                 if main_out != short_out {
                     return Err(ModelError::InvalidSpec(format!(
                         "residual paths disagree: main {main_out} vs shortcut {short_out}"
@@ -213,65 +220,45 @@ impl LayerSpec {
         }
     }
 
-    /// Forward FLOPs of the layer for a given input shape (2 FLOPs per MAC).
+    /// Forward FLOPs of the layer for a given input shape, counting one MAC
+    /// as two FLOPs (the paper's convention); 0 if the shape does not
+    /// propagate.
     pub fn flops(&self, input: &Shape) -> u64 {
+        let Ok(output) = self.output_shape(input) else {
+            return 0;
+        };
+        let (in_len, out_len) = (input.len() as u64, output.len() as u64);
         match *self {
+            // Two FLOPs per MAC plus one bias add per output element.
             LayerSpec::Conv2d {
                 in_channels,
-                out_channels,
                 kernel,
-                stride,
-                padding,
-            } => match input.as_nchw() {
-                Ok((n, _c, h, w)) => {
-                    if h + 2 * padding < kernel || w + 2 * padding < kernel {
-                        return 0;
-                    }
-                    let oh = (h + 2 * padding - kernel) / stride + 1;
-                    let ow = (w + 2 * padding - kernel) / stride + 1;
-                    let macs = (kernel * kernel * in_channels * out_channels * oh * ow) as u64;
-                    n as u64 * (2 * macs + (out_channels * oh * ow) as u64)
-                }
-                Err(_) => 0,
-            },
-            LayerSpec::Dense {
-                in_features,
-                out_features,
-            } => {
-                let batch = input.dims().first().copied().unwrap_or(1) as u64;
-                batch * (2 * in_features as u64 * out_features as u64 + out_features as u64)
+                ..
+            } => out_len * (2 * (kernel * kernel * in_channels) as u64 + 1),
+            LayerSpec::Dense { in_features, .. } => out_len * (2 * in_features as u64 + 1),
+            // Normalise (subtract, multiply) + affine (multiply, add) per element.
+            LayerSpec::BatchNorm2d { .. } => 4 * in_len,
+            LayerSpec::Relu | LayerSpec::GlobalAvgPool2d => in_len,
+            // exp + add + div per element, plus the row max for stability.
+            LayerSpec::Softmax => 4 * in_len,
+            LayerSpec::MaxPool2d { kernel, .. } | LayerSpec::AvgPool2d { kernel, .. } => {
+                out_len * (kernel * kernel) as u64
             }
-            LayerSpec::BatchNorm2d { .. } => 4 * input.len() as u64,
-            LayerSpec::Relu => input.len() as u64,
-            LayerSpec::Softmax => 4 * input.len() as u64,
-            LayerSpec::MaxPool2d { kernel, stride } | LayerSpec::AvgPool2d { kernel, stride } => {
-                match input.as_nchw() {
-                    Ok((n, c, h, w)) => {
-                        if h < kernel || w < kernel {
-                            return 0;
-                        }
-                        let oh = (h - kernel) / stride + 1;
-                        let ow = (w - kernel) / stride + 1;
-                        (n * c * oh * ow * kernel * kernel) as u64
-                    }
-                    Err(_) => 0,
-                }
-            }
-            LayerSpec::GlobalAvgPool2d => input.len() as u64,
             LayerSpec::Flatten => 0,
-            LayerSpec::Dropout { .. } | LayerSpec::McDropout { .. } => 3 * input.len() as u64,
+            // The paper's Algorithm 1: one RNG draw, one compare and one
+            // multiply per element.
+            LayerSpec::Dropout { .. } | LayerSpec::McDropout { .. } => 3 * in_len,
             LayerSpec::Residual {
                 ref main,
                 ref shortcut,
             } => {
-                let main_flops = flops_of(main, input);
-                let short_flops = flops_of(shortcut, input);
-                let out_len = self
-                    .output_shape(input)
-                    .map(|s| s.len() as u64)
-                    .unwrap_or(0);
                 // add + relu after the merge
-                main_flops + short_flops + 2 * out_len
+                let mut total = 2 * out_len;
+                for path in [main, shortcut] {
+                    // Both paths propagate: the block's output shape did.
+                    let _ = walk_chain(path, input, |layer, shape| total += layer.flops(shape));
+                }
+                total
             }
         }
     }
@@ -394,6 +381,31 @@ pub struct ExitSpec {
     pub layers: Vec<LayerSpec>,
 }
 
+/// Where a layer sits in a [`NetworkSpec`], as [`NetworkSpec::walk`] hands
+/// it over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LayerPlace {
+    /// Backbone block `b`.
+    Block(usize),
+    /// Exit branch `exit`, attached after backbone block `after_block`.
+    Exit {
+        /// Index of the exit.
+        exit: usize,
+        /// Backbone block whose output the exit reads.
+        after_block: usize,
+    },
+}
+
+/// Batch-1 output shapes of every backbone block and exit branch, as
+/// [`NetworkSpec::walk`] returns them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecShapes {
+    /// Output shape of each backbone block.
+    pub blocks: Vec<Shape>,
+    /// Output shape of each exit branch.
+    pub exits: Vec<Shape>,
+}
+
 /// Symbolic description of a (possibly multi-exit) network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSpec {
@@ -467,19 +479,53 @@ impl NetworkSpec {
         in_blocks + in_exits
     }
 
+    /// The one static pass over the network at batch size 1, which every
+    /// static shape and cost (FLOPs here, MACs and the hardware estimate in
+    /// `bnn-hw`) folds over. Hands each layer to `visit` with its place and
+    /// input shape — the backbone blocks in order, then each exit from the
+    /// output of the block it is attached after — and returns the output
+    /// shape of every block and exit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidSpec`] if an exit is attached after a
+    /// block that does not exist or a shape does not propagate.
+    pub fn walk(
+        &self,
+        mut visit: impl FnMut(LayerPlace, &LayerSpec, &Shape),
+    ) -> Result<SpecShapes, ModelError> {
+        let mut shape = self.input_shape(1);
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for (b, block) in self.blocks.iter().enumerate() {
+            shape = walk_chain(block, &shape, |layer, input| {
+                visit(LayerPlace::Block(b), layer, input)
+            })?;
+            blocks.push(shape.clone());
+        }
+        let mut exits = Vec::with_capacity(self.exits.len());
+        for (exit, branch) in self.exits.iter().enumerate() {
+            let after_block = branch.after_block;
+            let attach = blocks.get(after_block).ok_or_else(|| {
+                ModelError::InvalidSpec(format!(
+                    "exit {exit} attached after block {after_block} but there are only {} blocks",
+                    self.blocks.len()
+                ))
+            })?;
+            let place = LayerPlace::Exit { exit, after_block };
+            exits.push(walk_chain(&branch.layers, attach, |layer, input| {
+                visit(place, layer, input)
+            })?);
+        }
+        Ok(SpecShapes { blocks, exits })
+    }
+
     /// Shape at the output of each backbone block for batch size 1.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidSpec`] if shapes do not propagate.
     pub fn block_output_shapes(&self) -> Result<Vec<Shape>, ModelError> {
-        let mut shapes = Vec::with_capacity(self.blocks.len());
-        let mut shape = self.input_shape(1);
-        for block in &self.blocks {
-            shape = propagate(block, &shape)?;
-            shapes.push(shape.clone());
-        }
-        Ok(shapes)
+        Ok(self.walk(|_, _, _| {})?.blocks)
     }
 
     /// Validates that every block and exit propagates shapes and produces
@@ -497,26 +543,17 @@ impl NetworkSpec {
         if self.exits.is_empty() {
             return Err(ModelError::InvalidSpec("network has no exits".into()));
         }
-        let block_shapes = self.block_output_shapes()?;
-        let last_block = self.blocks.len() - 1;
-        let mut previous = None;
-        for (i, exit) in self.exits.iter().enumerate() {
-            if exit.after_block >= self.blocks.len() {
-                return Err(ModelError::InvalidSpec(format!(
-                    "exit {i} attached after block {} but there are only {} blocks",
-                    exit.after_block,
-                    self.blocks.len()
-                )));
-            }
-            if let Some(prev) = previous {
-                if exit.after_block < prev {
-                    return Err(ModelError::InvalidSpec(
-                        "exits must be sorted by attachment block".into(),
-                    ));
-                }
-            }
-            previous = Some(exit.after_block);
-            let out = propagate(&exit.layers, &block_shapes[exit.after_block])?;
+        if self
+            .exits
+            .windows(2)
+            .any(|pair| pair[1].after_block < pair[0].after_block)
+        {
+            return Err(ModelError::InvalidSpec(
+                "exits must be sorted by attachment block".into(),
+            ));
+        }
+        let shapes = self.walk(|_, _, _| {})?;
+        for (i, out) in shapes.exits.iter().enumerate() {
             if out.dims() != [1, self.classes] {
                 return Err(ModelError::InvalidSpec(format!(
                     "exit {i} produces shape {out}, expected (1, {})",
@@ -525,7 +562,7 @@ impl NetworkSpec {
             }
         }
         let final_exit = self.exits.last().expect("non-empty");
-        if final_exit.after_block != last_block {
+        if final_exit.after_block != self.blocks.len() - 1 {
             return Err(ModelError::InvalidSpec(
                 "the last exit must be attached after the final block".into(),
             ));
@@ -538,21 +575,18 @@ impl NetworkSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidSpec`] if shapes do not propagate.
+    /// Returns [`ModelError::InvalidSpec`] if an exit is attached after a
+    /// missing block or shapes do not propagate.
     pub fn flop_report(&self) -> Result<FlopReport, ModelError> {
-        let mut shape = self.input_shape(1);
         let mut main = 0u64;
-        let mut block_shapes = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            main += flops_of(block, &shape);
-            shape = propagate(block, &shape)?;
-            block_shapes.push(shape.clone());
-        }
-        let exits = self
-            .exits
-            .iter()
-            .map(|e| flops_of(&e.layers, &block_shapes[e.after_block]))
-            .collect();
+        let mut exits = vec![0u64; self.exits.len()];
+        self.walk(|place, layer, input| {
+            let flops = layer.flops(input);
+            match place {
+                LayerPlace::Block(_) => main += flops,
+                LayerPlace::Exit { exit, .. } => exits[exit] += flops,
+            }
+        })?;
         Ok(FlopReport::new(main, exits))
     }
 
@@ -735,6 +769,8 @@ pub fn default_exit_branch(attach: &Shape, classes: usize) -> Result<Vec<LayerSp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bnn_nn::layer::Mode;
+    use bnn_tensor::Tensor;
 
     fn tiny_spec() -> NetworkSpec {
         NetworkSpec::single_exit(
@@ -848,6 +884,45 @@ mod tests {
 
     #[test]
     fn spec_flops_match_runtime_layer_flops() {
+        // The spec prices the runtime layer's own work: two FLOPs per use of
+        // each weight (once per output position) plus one bias add per
+        // output element, the output size taken from a real forward pass.
+        let cases = [
+            (
+                LayerSpec::Conv2d {
+                    in_channels: 16,
+                    out_channels: 32,
+                    kernel: 3,
+                    stride: 1,
+                    padding: 1,
+                },
+                vec![1, 16, 8, 8],
+            ),
+            (
+                LayerSpec::Dense {
+                    in_features: 100,
+                    out_features: 10,
+                },
+                vec![1, 100],
+            ),
+        ];
+        for (spec, dims) in cases {
+            let mut layer = spec.build(&mut 0).unwrap();
+            let out = layer.forward(&Tensor::zeros(&dims), Mode::Eval).unwrap();
+            let params = layer.params();
+            let (weights, biases) = (params[0].len() as u64, params[1].len() as u64);
+            let positions = out.len() as u64 / biases;
+            assert_eq!(
+                spec.flops(&Shape::new(dims)),
+                2 * weights * positions + out.len() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn conv_flops_known_case() {
+        // 3x3 conv, 16->32 channels, 8x8 output, batch 1:
+        // MACs = 9*16*32*64, FLOPs = 2*MACs + bias adds (32*64)
         let conv = LayerSpec::Conv2d {
             in_channels: 16,
             out_channels: 32,
@@ -855,16 +930,133 @@ mod tests {
             stride: 1,
             padding: 1,
         };
-        let runtime = Conv2d::new(16, 32, 3, 1, 1, 0).unwrap();
-        let shape = Shape::new(vec![1, 16, 8, 8]);
-        assert_eq!(conv.flops(&shape), runtime.flops(&shape));
+        let macs = 9u64 * 16 * 32 * 64;
+        assert_eq!(
+            conv.flops(&Shape::new(vec![1, 16, 8, 8])),
+            2 * macs + 32 * 64
+        );
+    }
+
+    #[test]
+    fn dense_flops_formula() {
         let dense = LayerSpec::Dense {
             in_features: 100,
             out_features: 10,
         };
-        let runtime = Dense::new(100, 10, 0).unwrap();
-        let shape = Shape::new(vec![1, 100]);
-        assert_eq!(dense.flops(&shape), runtime.flops(&shape));
+        assert_eq!(dense.flops(&Shape::new(vec![1, 100])), 2 * 100 * 10 + 10);
+        assert_eq!(
+            dense.flops(&Shape::new(vec![8, 100])),
+            8 * (2 * 100 * 10 + 10)
+        );
+    }
+
+    #[test]
+    fn flatten_has_zero_flops() {
+        assert_eq!(LayerSpec::Flatten.flops(&Shape::new(vec![2, 3, 4, 4])), 0);
+    }
+
+    #[test]
+    fn zero_kernel_or_stride_is_a_typed_error() {
+        let conv = |kernel, stride| LayerSpec::Conv2d {
+            in_channels: 1,
+            out_channels: 4,
+            kernel,
+            stride,
+            padding: 1,
+        };
+        // (position in block 0, replacement): the conv sits at 0, the pool at 2.
+        let cases = [
+            (0, conv(3, 0)),
+            (0, conv(0, 1)),
+            (
+                2,
+                LayerSpec::MaxPool2d {
+                    kernel: 2,
+                    stride: 0,
+                },
+            ),
+            (
+                2,
+                LayerSpec::MaxPool2d {
+                    kernel: 0,
+                    stride: 2,
+                },
+            ),
+            (
+                2,
+                LayerSpec::AvgPool2d {
+                    kernel: 2,
+                    stride: 0,
+                },
+            ),
+            (
+                2,
+                LayerSpec::AvgPool2d {
+                    kernel: 0,
+                    stride: 2,
+                },
+            ),
+        ];
+        for (index, bad) in cases {
+            let mut spec = tiny_spec();
+            spec.blocks[0][index] = bad;
+            assert!(matches!(spec.validate(), Err(ModelError::InvalidSpec(_))));
+            assert!(matches!(spec.build(0), Err(ModelError::InvalidSpec(_))));
+            assert!(matches!(
+                spec.flop_report(),
+                Err(ModelError::InvalidSpec(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn exit_after_a_missing_block_is_a_typed_error() {
+        let mut spec = crate::zoo::lenet5(&crate::ModelConfig::mnist())
+            .with_exits_after_every_block()
+            .unwrap();
+        spec.exits[0].after_block = spec.blocks.len();
+        assert!(matches!(
+            spec.flop_report(),
+            Err(ModelError::InvalidSpec(_))
+        ));
+        assert!(matches!(
+            spec.total_flops(),
+            Err(ModelError::InvalidSpec(_))
+        ));
+        assert!(matches!(
+            spec.walk(|_, _, _| {}),
+            Err(ModelError::InvalidSpec(_))
+        ));
+    }
+
+    #[test]
+    fn walk_hands_over_every_layer_in_place_order() {
+        let spec = tiny_spec().with_exits_after_every_block().unwrap();
+        let mut places = Vec::new();
+        let shapes = spec
+            .walk(|place, _, input| places.push((place, input.clone())))
+            .unwrap();
+        let layers = spec.blocks.iter().map(Vec::len).sum::<usize>()
+            + spec.exits.iter().map(|e| e.layers.len()).sum::<usize>();
+        assert_eq!(places.len(), layers);
+        assert_eq!(places[0], (LayerPlace::Block(0), spec.input_shape(1)));
+        // The first exit reads block 0's output.
+        let first_exit = places
+            .iter()
+            .find(|(p, _)| matches!(p, LayerPlace::Exit { .. }))
+            .unwrap();
+        assert_eq!(
+            *first_exit,
+            (
+                LayerPlace::Exit {
+                    exit: 0,
+                    after_block: 0
+                },
+                shapes.blocks[0].clone()
+            )
+        );
+        assert_eq!(shapes.blocks, spec.block_output_shapes().unwrap());
+        assert!(shapes.exits.iter().all(|s| s.dims() == [1, spec.classes]));
     }
 
     #[test]
@@ -952,10 +1144,10 @@ mod tests {
     fn default_exit_branch_shapes() {
         let branch = default_exit_branch(&Shape::new(vec![1, 32, 8, 8]), 10).unwrap();
         assert_eq!(branch.len(), 2);
-        let out = propagate(&branch, &Shape::new(vec![1, 32, 8, 8])).unwrap();
+        let out = walk_chain(&branch, &Shape::new(vec![1, 32, 8, 8]), |_, _| {}).unwrap();
         assert_eq!(out.dims(), &[1, 10]);
         let branch = default_exit_branch(&Shape::new(vec![1, 64]), 10).unwrap();
-        let out = propagate(&branch, &Shape::new(vec![1, 64])).unwrap();
+        let out = walk_chain(&branch, &Shape::new(vec![1, 64]), |_, _| {}).unwrap();
         assert_eq!(out.dims(), &[1, 10]);
         assert!(default_exit_branch(&Shape::new(vec![64]), 10).is_err());
     }

@@ -469,6 +469,45 @@ mod tests {
     }
 
     #[test]
+    fn spec_shapes_match_the_forward_pass() {
+        // The spec is the only static description of shapes: its block
+        // shapes must be what the built network's backbone produces, and
+        // every exit must emit [n, classes] logits, plain and multi-exit MCD.
+        let config = ModelConfig::cifar10()
+            .with_resolution(16, 16)
+            .with_width_divisor(16);
+        for arch in Architecture::all() {
+            let plain = arch.spec(&config);
+            let multi_exit = plain
+                .clone()
+                .with_exits_after_every_block()
+                .unwrap()
+                .with_exit_mcd(0.25)
+                .unwrap();
+            for spec in [plain, multi_exit] {
+                let shapes = spec.block_output_shapes().unwrap();
+                let mut net = spec.build(1).unwrap();
+                for n in [1, 3] {
+                    let x = Tensor::ones(&[n, 3, 16, 16]);
+                    let activations = net.forward_backbone(&x, Mode::Eval).unwrap();
+                    assert_eq!(activations.len(), shapes.len(), "{}", spec.name);
+                    for (act, shape) in activations.iter().zip(&shapes) {
+                        assert_eq!(act.dims()[0], n);
+                        assert_eq!(&act.dims()[1..], &shape.dims()[1..], "{}", spec.name);
+                    }
+                    let logits = net
+                        .forward_exits_from_activations(&activations, Mode::McSample)
+                        .unwrap();
+                    assert_eq!(logits.len(), spec.num_exits(), "{}", spec.name);
+                    for exit in logits {
+                        assert_eq!(exit.dims(), &[n, spec.classes], "{}", spec.name);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn architecture_display_names() {
         assert_eq!(Architecture::LeNet5.to_string(), "lenet5");
         assert_eq!(Architecture::ResNet18.to_string(), "resnet18");

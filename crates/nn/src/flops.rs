@@ -6,8 +6,6 @@
 //! model's cost into its shared backbone ("main body") and its exits, plus the
 //! closed-form sampling-cost formulas.
 
-use bnn_tensor::Shape;
-
 /// FLOP breakdown of a multi-exit model into backbone and exit components.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlopReport {
@@ -80,30 +78,6 @@ pub fn flop_reduction_rate(alpha: f64, n_samples: f64, n_exits: f64) -> f64 {
     (1.0 + alpha) / (1.0 / n_samples + alpha / n_exits)
 }
 
-/// Utility: FLOPs of a convolution layer given its geometry (2 FLOPs per MAC
-/// plus one bias add per output element), matching the `Layer::flops`
-/// implementation of [`crate::layers::conv2d::Conv2d`].
-pub fn conv_flops(
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
-    out_h: usize,
-    out_w: usize,
-) -> u64 {
-    let macs = (kernel * kernel * in_channels * out_channels * out_h * out_w) as u64;
-    2 * macs + (out_channels * out_h * out_w) as u64
-}
-
-/// Utility: FLOPs of a dense layer (2 FLOPs per MAC plus bias adds).
-pub fn dense_flops(in_features: usize, out_features: usize) -> u64 {
-    (2 * in_features * out_features + out_features) as u64
-}
-
-/// Utility: FLOPs of any elementwise layer over a shape.
-pub fn elementwise_flops(shape: &Shape, ops_per_element: u64) -> u64 {
-    shape.len() as u64 * ops_per_element
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,13 +126,6 @@ mod tests {
     fn eq3_degenerate_inputs() {
         assert_eq!(flop_reduction_rate(0.1, 0.0, 4.0), 0.0);
         assert_eq!(flop_reduction_rate(0.1, 8.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn layer_flop_helpers() {
-        assert_eq!(dense_flops(100, 10), 2010);
-        assert_eq!(conv_flops(16, 32, 3, 8, 8), 2 * 9 * 16 * 32 * 64 + 32 * 64);
-        assert_eq!(elementwise_flops(&Shape::new(vec![2, 3]), 4), 24);
     }
 
     proptest! {

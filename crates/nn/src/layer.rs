@@ -3,7 +3,7 @@
 
 use crate::NnError;
 use bnn_tensor::rng::SplitMix64;
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// Execution mode of a forward pass.
 ///
@@ -111,18 +111,6 @@ pub trait Layer: std::fmt::Debug + Send {
     fn params(&self) -> Vec<&Param> {
         Vec::new()
     }
-
-    /// Output shape for a given input shape, without running the layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible.
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError>;
-
-    /// Number of floating-point operations for a single forward pass with the
-    /// given input shape (multiply and add counted separately, i.e. one MAC is
-    /// two FLOPs, matching the convention used in the paper).
-    fn flops(&self, input: &Shape) -> u64;
 
     /// Total number of trainable scalars.
     fn num_params(&self) -> usize {

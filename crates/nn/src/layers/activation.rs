@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode};
 use crate::NnError;
 use bnn_tensor::ops::softmax;
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// Rectified linear unit applied elementwise.
 ///
@@ -65,14 +65,6 @@ impl Layer for Relu {
             }
         }
         Ok(grad)
-    }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        Ok(input.clone())
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        input.len() as u64
     }
 
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
@@ -138,16 +130,6 @@ impl Layer for Softmax {
             }
         }
         Tensor::from_vec(out, &[batch, classes]).map_err(NnError::from)
-    }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        input.as_matrix().map_err(NnError::from)?;
-        Ok(input.clone())
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        // exp + add + div per element, plus the row max for stability.
-        4 * input.len() as u64
     }
 }
 
@@ -223,14 +205,15 @@ mod tests {
 
     #[test]
     fn shapes_preserved() {
-        let relu = Relu::new();
-        let s = Shape::new(vec![2, 3, 4, 4]);
-        assert_eq!(relu.output_shape(&s).unwrap(), s);
-        assert_eq!(relu.flops(&s), 96);
-        let sm = Softmax::new();
-        assert!(sm.output_shape(&Shape::new(vec![2, 3, 4, 4])).is_err());
+        let mut relu = Relu::new();
+        let x = Tensor::ones(&[2, 3, 4, 4]);
+        assert_eq!(relu.forward(&x, Mode::Eval).unwrap().dims(), x.dims());
+        let mut sm = Softmax::new();
+        assert!(sm.forward(&x, Mode::Eval).is_err());
         assert_eq!(
-            sm.output_shape(&Shape::new(vec![2, 10])).unwrap().dims(),
+            sm.forward(&Tensor::ones(&[2, 10]), Mode::Eval)
+                .unwrap()
+                .dims(),
             &[2, 10]
         );
     }

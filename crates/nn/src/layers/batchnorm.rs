@@ -225,16 +225,6 @@ impl Layer for BatchNorm2d {
         vec![&self.gamma, &self.beta]
     }
 
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        self.check_input(input.dims())?;
-        Ok(input.clone())
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        // normalise (subtract, multiply) + affine (multiply, add) per element
-        4 * input.len() as u64
-    }
-
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
         Ok(crate::lowering::LayerLowering::Affine(
             crate::lowering::BatchNormLowering {

@@ -261,41 +261,6 @@ impl Layer for Conv2d {
         vec![&self.weight, &self.bias]
     }
 
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        let (n, _c, h, w) = {
-            let dims = input.dims();
-            let (n, c, h, w) = input.as_nchw().map_err(NnError::from)?;
-            if c != self.in_channels {
-                return Err(NnError::BadInputShape {
-                    layer: "conv2d".into(),
-                    got: dims.to_vec(),
-                    expected: format!("[batch, {}, h, w]", self.in_channels),
-                });
-            }
-            (n, c, h, w)
-        };
-        let geom = self.geometry(h, w);
-        Ok(Shape::new(vec![
-            n,
-            self.out_channels,
-            geom.out_h(),
-            geom.out_w(),
-        ]))
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        match input.as_nchw() {
-            Ok((n, _c, h, w)) => {
-                let geom = self.geometry(h, w);
-                let macs = (self.kernel * self.kernel * self.in_channels) as u64
-                    * self.out_channels as u64
-                    * (geom.out_h() * geom.out_w()) as u64;
-                n as u64 * (2 * macs + (self.out_channels * geom.out_h() * geom.out_w()) as u64)
-            }
-            Err(_) => 0,
-        }
-    }
-
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
         Ok(crate::lowering::LayerLowering::Conv2d {
             weight: self.weight.value.clone(),
@@ -418,30 +383,21 @@ mod tests {
     }
 
     #[test]
-    fn flops_known_case() {
-        // 3x3 conv, 16->32 channels, 8x8 output, batch 1:
-        // MACs = 9*16*32*64, FLOPs = 2*MACs + bias adds (32*64)
-        let conv = Conv2d::new(16, 32, 3, 1, 1, 0).unwrap();
-        let shape = Shape::new(vec![1, 16, 8, 8]);
-        let macs = 9u64 * 16 * 32 * 64;
-        assert_eq!(conv.flops(&shape), 2 * macs + 32 * 64);
-    }
-
-    #[test]
     fn output_shape_matches_forward() {
         let mut conv = Conv2d::new(3, 6, 3, 2, 1, 0).unwrap();
-        let shape = Shape::new(vec![2, 3, 32, 32]);
-        let predicted = conv.output_shape(&shape).unwrap();
+        let geom = ConvGeometry::square(32, 32, 3, 2, 1);
         let actual = conv
             .forward(&Tensor::zeros(&[2, 3, 32, 32]), Mode::Eval)
             .unwrap();
-        assert_eq!(predicted.dims(), actual.dims());
+        assert_eq!(actual.dims(), &[2, 6, geom.out_h(), geom.out_w()]);
     }
 
     #[test]
     fn stride_two_halves_resolution() {
-        let conv = Conv2d::new(4, 4, 3, 2, 1, 0).unwrap();
-        let out = conv.output_shape(&Shape::new(vec![1, 4, 32, 32])).unwrap();
+        let mut conv = Conv2d::new(4, 4, 3, 2, 1, 0).unwrap();
+        let out = conv
+            .forward(&Tensor::zeros(&[1, 4, 32, 32]), Mode::Eval)
+            .unwrap();
         assert_eq!(out.dims(), &[1, 4, 16, 16]);
     }
 

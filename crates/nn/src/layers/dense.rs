@@ -5,7 +5,7 @@ use crate::NnError;
 use bnn_tensor::init::Init;
 use bnn_tensor::linalg::{matmul, matmul_abt, matmul_atb};
 use bnn_tensor::rng::Xoshiro256StarStar;
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// Adds `bias` to every `bias.len()`-wide row of a `[batch, out]` product —
 /// the epilogue shared by [`Dense::forward`] and the compiled float plan.
@@ -146,24 +146,6 @@ impl Layer for Dense {
         vec![&self.weight, &self.bias]
     }
 
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        let (batch, features) = input.as_matrix().map_err(NnError::from)?;
-        if features != self.in_features {
-            return Err(NnError::BadInputShape {
-                layer: "dense".into(),
-                got: input.dims().to_vec(),
-                expected: format!("[batch, {}]", self.in_features),
-            });
-        }
-        Ok(Shape::new(vec![batch, self.out_features]))
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        let batch = input.dims().first().copied().unwrap_or(1) as u64;
-        // One MAC = 2 FLOPs, plus the bias add.
-        batch * (2 * self.in_features as u64 * self.out_features as u64 + self.out_features as u64)
-    }
-
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
         Ok(crate::lowering::LayerLowering::Dense {
             weight: self.weight.value.clone(),
@@ -235,7 +217,6 @@ mod tests {
     fn rejects_bad_input() {
         let mut dense = Dense::new(3, 2, 0).unwrap();
         assert!(dense.forward(&Tensor::ones(&[4, 5]), Mode::Eval).is_err());
-        assert!(dense.output_shape(&Shape::new(vec![4, 5])).is_err());
         assert!(Dense::new(0, 2, 0).is_err());
     }
 
@@ -264,15 +245,6 @@ mod tests {
         for &v in dense.bias.grad.as_slice() {
             assert_eq!(v, 4.0);
         }
-    }
-
-    #[test]
-    fn flops_formula() {
-        let dense = Dense::new(100, 10, 0).unwrap();
-        let shape = Shape::new(vec![1, 100]);
-        assert_eq!(dense.flops(&shape), 2 * 100 * 10 + 10);
-        let shape = Shape::new(vec![8, 100]);
-        assert_eq!(dense.flops(&shape), 8 * (2 * 100 * 10 + 10));
     }
 
     #[test]

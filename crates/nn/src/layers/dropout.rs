@@ -16,7 +16,7 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::NnError;
 use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 fn validate_rate(rate: f64) -> Result<(), NnError> {
     if !(0.0..1.0).contains(&rate) {
@@ -91,15 +91,6 @@ impl Layer for Dropout {
             *g *= m;
         }
         Ok(grad)
-    }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        Ok(input.clone())
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        // one multiply per element plus one RNG draw + compare
-        3 * input.len() as u64
     }
 
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
@@ -228,16 +219,6 @@ impl Layer for McDropout {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
-    }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        Ok(input.clone())
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        // Per the paper's Algorithm 1: one RNG draw, one compare and one
-        // multiply per element of the dropout buffer.
-        3 * input.len() as u64
     }
 
     fn is_mc_dropout(&self) -> bool {

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Mode};
 use crate::NnError;
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// Flattens all axes but the batch axis.
 ///
@@ -63,23 +63,6 @@ impl Layer for Flatten {
             })?;
         grad_output.reshape(&dims).map_err(NnError::from)
     }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        if input.rank() < 2 {
-            return Err(NnError::BadInputShape {
-                layer: "flatten".into(),
-                got: input.dims().to_vec(),
-                expected: "rank >= 2".into(),
-            });
-        }
-        let batch = input.dims()[0];
-        let rest: usize = input.dims()[1..].iter().product();
-        Ok(Shape::new(vec![batch, rest]))
-    }
-
-    fn flops(&self, _input: &Shape) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -101,18 +84,11 @@ mod tests {
     fn rejects_rank_one() {
         let mut f = Flatten::new();
         assert!(f.forward(&Tensor::ones(&[3]), Mode::Eval).is_err());
-        assert!(f.output_shape(&Shape::new(vec![3])).is_err());
     }
 
     #[test]
     fn backward_requires_forward() {
         let mut f = Flatten::new();
         assert!(f.backward(&Tensor::ones(&[2, 12])).is_err());
-    }
-
-    #[test]
-    fn zero_flops() {
-        let f = Flatten::new();
-        assert_eq!(f.flops(&Shape::new(vec![2, 3, 4, 4])), 0);
     }
 }

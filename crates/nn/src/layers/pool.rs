@@ -146,10 +146,6 @@ impl MaxPool2d {
             input_dims: None,
         })
     }
-
-    fn geometry(&self, h: usize, w: usize) -> ConvGeometry {
-        ConvGeometry::square(h, w, self.kernel, self.stride, 0)
-    }
 }
 
 impl Layer for MaxPool2d {
@@ -188,22 +184,6 @@ impl Layer for MaxPool2d {
             gslice[off] += g;
         }
         Ok(grad)
-    }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        let (n, c, h, w) = check_nchw("max_pool2d", input.dims())?;
-        let geom = self.geometry(h, w);
-        Ok(Shape::new(vec![n, c, geom.out_h(), geom.out_w()]))
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        match check_nchw("max_pool2d", input.dims()) {
-            Ok((n, c, h, w)) => {
-                let geom = self.geometry(h, w);
-                (n * c * geom.out_h() * geom.out_w()) as u64 * (self.kernel * self.kernel) as u64
-            }
-            Err(_) => 0,
-        }
     }
 
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
@@ -296,22 +276,6 @@ impl Layer for AvgPool2d {
         Ok(grad)
     }
 
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        let (n, c, h, w) = check_nchw("avg_pool2d", input.dims())?;
-        let geom = self.geometry(h, w);
-        Ok(Shape::new(vec![n, c, geom.out_h(), geom.out_w()]))
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        match check_nchw("avg_pool2d", input.dims()) {
-            Ok((n, c, h, w)) => {
-                let geom = self.geometry(h, w);
-                (n * c * geom.out_h() * geom.out_w()) as u64 * (self.kernel * self.kernel) as u64
-            }
-            Err(_) => 0,
-        }
-    }
-
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
         Ok(crate::lowering::LayerLowering::AvgPool2d {
             kernel: self.kernel,
@@ -373,17 +337,8 @@ impl Layer for GlobalAvgPool2d {
         Ok(grad)
     }
 
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        let (n, c, _h, _w) = check_nchw("global_avg_pool2d", input.dims())?;
-        Ok(Shape::new(vec![n, c]))
-    }
-
     fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
         Ok(crate::lowering::LayerLowering::GlobalAvgPool2d)
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        input.len() as u64
     }
 }
 
@@ -473,20 +428,16 @@ mod tests {
 
     #[test]
     fn output_shapes() {
-        let pool = MaxPool2d::new(2, 2).unwrap();
-        assert_eq!(
-            pool.output_shape(&Shape::new(vec![2, 8, 32, 32]))
-                .unwrap()
-                .dims(),
-            &[2, 8, 16, 16]
-        );
-        let gap = GlobalAvgPool2d::new();
-        assert_eq!(
-            gap.output_shape(&Shape::new(vec![2, 8, 4, 4]))
-                .unwrap()
-                .dims(),
-            &[2, 8]
-        );
-        assert!(gap.output_shape(&Shape::new(vec![2, 8])).is_err());
+        let mut pool = MaxPool2d::new(2, 2).unwrap();
+        let y = pool
+            .forward(&Tensor::ones(&[2, 8, 32, 32]), Mode::Eval)
+            .unwrap();
+        assert_eq!(y.dims(), &[2, 8, 16, 16]);
+        let mut gap = GlobalAvgPool2d::new();
+        let y = gap
+            .forward(&Tensor::ones(&[2, 8, 4, 4]), Mode::Eval)
+            .unwrap();
+        assert_eq!(y.dims(), &[2, 8]);
+        assert!(gap.forward(&Tensor::ones(&[2, 8]), Mode::Eval).is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! Monte-Carlo Dropout (MCD) layers.
 //!
 //! The engine is deliberately CPU-only and dependency-free: its purpose is to
-//! exercise the *algorithmic* behaviour (accuracy, calibration, FLOPs) of
+//! exercise the *algorithmic* behaviour (accuracy, calibration) of
 //! multi-exit MCD BayesNNs so that the transformation framework in `bnn-core`
 //! has a faithful software reference, mirroring the role PyTorch/Keras play in
 //! the paper.

@@ -7,7 +7,7 @@
 
 use crate::layer::{Mode, Param};
 use crate::NnError;
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// A trainable model with one or more prediction exits.
 pub trait Network: std::fmt::Debug {
@@ -40,9 +40,6 @@ pub trait Network: std::fmt::Debug {
 
     /// Number of classes predicted by the exits.
     fn num_classes(&self) -> usize;
-
-    /// FLOPs of one full forward pass (all exits) for the given input shape.
-    fn flops(&self, input: &Shape) -> u64;
 
     /// Total number of trainable scalars.
     fn num_params(&mut self) -> usize {

@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::network::Network;
 use crate::NnError;
-use bnn_tensor::{Shape, Tensor};
+use bnn_tensor::Tensor;
 
 /// An ordered stack of layers executed one after another.
 ///
@@ -104,33 +104,6 @@ impl Sequential {
         Ok(current)
     }
 
-    /// Output shape after every layer for the given input shape.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shape error encountered.
-    pub fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        let mut current = input.clone();
-        for layer in &self.layers {
-            current = layer.output_shape(&current)?;
-        }
-        Ok(current)
-    }
-
-    /// Total forward FLOPs for the given input shape.
-    pub fn flops(&self, input: &Shape) -> u64 {
-        let mut current = input.clone();
-        let mut total = 0u64;
-        for layer in &self.layers {
-            total += layer.flops(&current);
-            match layer.output_shape(&current) {
-                Ok(next) => current = next,
-                Err(_) => break,
-            }
-        }
-        total
-    }
-
     /// Mutable access to every parameter of every layer.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
@@ -171,14 +144,6 @@ impl Layer for Sequential {
 
     fn params(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    fn output_shape(&self, input: &Shape) -> Result<Shape, NnError> {
-        Sequential::output_shape(self, input)
-    }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        Sequential::flops(self, input)
     }
 
     fn reseed_mc_streams(&mut self, streams: &mut bnn_tensor::rng::SplitMix64) {
@@ -275,10 +240,6 @@ impl Network for Sequential {
             .map(|p| p.value.len())
             .unwrap_or(0)
     }
-
-    fn flops(&self, input: &Shape) -> u64 {
-        Sequential::flops(self, input)
-    }
 }
 
 #[cfg(test)]
@@ -311,30 +272,6 @@ mod tests {
             .forward(&Tensor::ones(&[2, 1, 8, 8]), Mode::Eval)
             .unwrap();
         assert_eq!(y.dims(), &[2, 3]);
-        assert_eq!(
-            net.output_shape(&Shape::new(vec![2, 1, 8, 8]))
-                .unwrap()
-                .dims(),
-            &[2, 3]
-        );
-    }
-
-    #[test]
-    fn flops_are_positive_and_additive() {
-        let net = small_cnn();
-        let shape = Shape::new(vec![1, 1, 8, 8]);
-        let total = net.flops(&shape);
-        assert!(total > 0);
-        let layer_sum: u64 = {
-            let mut current = shape.clone();
-            let mut acc = 0;
-            for l in net.iter() {
-                acc += l.flops(&current);
-                current = l.output_shape(&current).unwrap();
-            }
-            acc
-        };
-        assert_eq!(total, layer_sum);
     }
 
     #[test]
