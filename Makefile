@@ -19,8 +19,8 @@
 #   make test-adaptive - adaptive early-exit parity + allocation audit +
 #                     the exit walker's unit tests, under BNN_THREADS=1 and 4
 #   make test-hls   - HLS codegen golden-file snapshots, zoo-wide project
-#                     generation + sim-vs-plan differential suites, under
-#                     BNN_THREADS=1 and 4
+#                     generation + sim-vs-plan differential suites, and the
+#                     bnn-quant/bnn-hls unit tests, under BNN_THREADS=1 and 4
 #   make test-perfbench - build and unit-test the benchmark package
 #                     (perfbench/, its own cargo workspace)
 #   make bench-serving - replay the serving harness and record the results
@@ -103,13 +103,19 @@ test-adaptive:
 	BNN_THREADS=4 $(CARGO) test -q -p bnn-models
 
 # The HLS codegen guarantees at both ends of the thread-count range: emitted
-# defines.h/top.cpp pinned against the checked-in goldens (regenerate with
-# UPDATE_GOLDEN=1, see tests/hls_golden_files.rs), a complete project for
-# every zoo architecture, and the golden-reference simulator bit-exact with
-# the compiled integer plan across every zoo model × searched format.
+# defines.h, top.cpp, parameters.h and weights/weights.h pinned against the
+# checked-in goldens (ResNet-18's two constant files by length and hash;
+# regenerate with UPDATE_GOLDEN=1, see tests/hls_golden_files.rs), a
+# complete project for every zoo architecture, the golden-reference
+# simulator bit-exact with the compiled integer plan across every zoo model
+# × searched format, and the bnn-quant/bnn-hls unit tests (the plan's slot
+# liveness, batched invariance, saturation and 16-bit storage checks run the
+# ScheduleOp executor itself).
 test-hls:
 	BNN_THREADS=1 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim
+	BNN_THREADS=1 $(CARGO) test -q -p bnn-quant -p bnn-hls
 	BNN_THREADS=4 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim
+	BNN_THREADS=4 $(CARGO) test -q -p bnn-quant -p bnn-hls
 
 # The benchmark package has its own [workspace], so the root build never
 # compiles it; building and testing it here catches a removed public item

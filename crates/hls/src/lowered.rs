@@ -2,8 +2,8 @@
 //! pipeline generated from the compiled plan's step schedule.
 //!
 //! [`LoweredDesign::generate`] compiles a [`CalibratedNetwork`] into the
-//! same [`QuantPlan`] the integer inference path executes, exports the
-//! plan's flattened step list ([`PlanSchedule`]) and renders every
+//! same [`QuantPlan`] the integer inference path executes, takes the
+//! flattened step list that plan runs ([`PlanSchedule`]) and renders every
 //! network-dependent file from it:
 //!
 //! * `firmware/defines.h` — one `ap_fixed<W,I>` typedef **per tensor**
@@ -91,10 +91,10 @@ impl LoweredDesign {
             QuantError::Unsupported(msg) => HlsError::Unsupported(msg),
             other => HlsError::Quant(other),
         })?;
-        Self::from_schedule(plan.schedule(), config)
+        Self::from_schedule(plan.schedule().clone(), config)
     }
 
-    /// Emits the design from an already-exported schedule.
+    /// Emits the design from a compiled plan's schedule.
     ///
     /// # Errors
     ///

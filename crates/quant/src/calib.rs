@@ -442,12 +442,25 @@ impl CalibratedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::Unsupported`] for layers without an inference
+    /// Returns [`QuantError::InvalidInput`] for an empty batch or per-sample
+    /// dims other than the network's input shape,
+    /// [`QuantError::Unsupported`] for layers without an inference
     /// lowering, [`QuantError::NonFinite`] for NaN/infinite weights or
     /// activations, or propagated shape errors.
     pub fn calibrate(network: &MultiExitNetwork, calib: &Tensor) -> Result<Self, QuantError> {
+        let expected = network.spec().input_shape(1);
+        let dims = calib.dims();
+        if dims.len() != expected.dims().len() || dims[1..] != expected.dims()[1..] {
+            return Err(QuantError::InvalidInput(format!(
+                "calibration batch must be [batch, {:?}], got {dims:?}",
+                &expected.dims()[1..]
+            )));
+        }
+        if dims[0] == 0 {
+            return Err(QuantError::InvalidInput("empty calibration batch".into()));
+        }
         let input = ValueRange::observe(calib.as_slice())?;
-        let in_dims = calib.dims()[1..].to_vec();
+        let in_dims = dims[1..].to_vec();
         let mut act = calib.clone();
         let mut blocks = Vec::new();
         let mut block_acts = Vec::new();
@@ -479,5 +492,51 @@ impl CalibratedNetwork {
     /// Number of predicted classes.
     pub fn num_classes(&self) -> usize {
         self.classes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bnn_models::{zoo, ModelConfig};
+
+    /// The golden LeNet-5: a `1×10×10` input.
+    fn lenet() -> MultiExitNetwork {
+        zoo::lenet5(
+            &ModelConfig::mnist()
+                .with_resolution(10, 10)
+                .with_width_divisor(8)
+                .with_classes(4),
+        )
+        .with_exits_after_every_block()
+        .unwrap()
+        .build(3)
+        .unwrap()
+    }
+
+    fn rejects(dims: &[usize]) {
+        let batch = Tensor::zeros(dims);
+        assert!(
+            matches!(
+                CalibratedNetwork::calibrate(&lenet(), &batch),
+                Err(QuantError::InvalidInput(_))
+            ),
+            "{dims:?} must be rejected as invalid input"
+        );
+    }
+
+    #[test]
+    fn empty_calibration_batch_is_invalid_input() {
+        rejects(&[0, 1, 10, 10]);
+    }
+
+    #[test]
+    fn wrong_channel_count_is_invalid_input() {
+        rejects(&[2, 3, 10, 10]);
+    }
+
+    #[test]
+    fn rank_one_calibration_batch_is_invalid_input() {
+        rejects(&[100]);
     }
 }

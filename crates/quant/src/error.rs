@@ -4,13 +4,11 @@ use std::error::Error;
 use std::fmt;
 
 /// Error returned by quantization configuration, calibration, lowering and
-/// search.
+/// integer inference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuantError {
     /// The fixed-point format is invalid (zero width, integer bits > width, ...).
     InvalidFormat(String),
-    /// A search was configured with no candidates or an invalid tolerance.
-    InvalidSearch(String),
     /// The requested lowering is not supported by the integer path (a layer
     /// without an inference lowering, or a format wider than 16 bits).
     Unsupported(String),
@@ -32,7 +30,6 @@ impl fmt::Display for QuantError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QuantError::InvalidFormat(msg) => write!(f, "invalid fixed-point format: {msg}"),
-            QuantError::InvalidSearch(msg) => write!(f, "invalid bitwidth search: {msg}"),
             QuantError::Unsupported(msg) => write!(f, "unsupported integer lowering: {msg}"),
             QuantError::NonFinite(msg) => write!(f, "non-finite value: {msg}"),
             QuantError::Internal(msg) => write!(f, "internal quantization error: {msg}"),
@@ -78,9 +75,6 @@ mod tests {
         assert!(QuantError::InvalidFormat("w".into())
             .to_string()
             .contains("w"));
-        assert!(QuantError::InvalidSearch("s".into())
-            .to_string()
-            .contains("s"));
         assert!(QuantError::Unsupported("softmax".into())
             .to_string()
             .contains("softmax"));

@@ -3,7 +3,9 @@
 //! Fixed-point quantization for the BayesNN-FPGA reproduction, playing the
 //! role QKeras plays in the paper: Phase 3 of the transformation framework
 //! searches bitwidths in `{4, 6, 8, 16}` and channel scalings, subject to not
-//! degrading algorithmic quality.
+//! degrading algorithmic quality. The search itself is Phase 3's bitwidth ×
+//! reuse co-exploration in `bnn-core`; this crate supplies the formats and
+//! the integer executor each candidate is scored on.
 //!
 //! A quantized network has **one executor**, true integer inference
 //! ([`CalibratedNetwork`], [`QuantPlan`]): one float pass over a
@@ -13,9 +15,10 @@
 //! accumulation, power-of-two requantization shifts and explicit saturation
 //! — the arithmetic the FPGA datapath actually performs, including
 //! Monte-Carlo dropout masks applied in the integer domain from seeded
-//! streams. [`QuantPlan::schedule`] exports the flattened steps to code
-//! generators, and `bnn_hls::HlsSimulator` re-implements them as the
-//! independent golden reference (`tests/hls_golden_sim.rs`). Batch
+//! streams. The plan executes a [`PlanSchedule`], its flattened step list;
+//! [`QuantPlan::schedule`] hands that same value to code generators, and
+//! `bnn_hls::HlsSimulator` re-implements its steps as the independent golden
+//! reference (`tests/hls_golden_sim.rs`). Batch
 //! normalisation reaches the plan folded into a per-channel affine
 //! (`bnn_nn::BatchNormLowering::folded`) before quantization.
 //!
@@ -42,7 +45,8 @@
 //! let calib = Tensor::randn(&[8, 1, 12, 12], &mut rng);
 //! let calibrated = CalibratedNetwork::calibrate(&trained, &calib)?;
 //!
-//! // 2. Plan for one format: weights become i8 codes (8 total bits here).
+//! // 2. Plan for one format: weights become 8-bit codes, stored widened to
+//! //    i16 in the layout the integer kernels read.
 //! let mut plan = calibrated.plan(FixedPointFormat::new(8, 3)?)?;
 //!
 //! // 3. Integer inference: deterministic logits per exit...
@@ -62,21 +66,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitwidth;
 pub mod calib;
 pub mod error;
 pub mod fixed;
 mod lower;
 pub mod params;
 pub mod plan;
-pub mod qtensor;
 pub mod schedule;
 
-pub use bitwidth::{BitwidthSearch, CandidateResult};
 pub use calib::{CalibratedNetwork, GraphCalibration};
 pub use error::QuantError;
 pub use fixed::FixedPointFormat;
 pub use params::{IntWidth, QuantParams};
 pub use plan::QuantPlan;
-pub use qtensor::QuantData;
 pub use schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep};

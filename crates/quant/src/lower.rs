@@ -6,7 +6,6 @@
 use crate::calib::ValueRange;
 use crate::error::QuantError;
 use crate::params::QuantParams;
-use crate::qtensor::QuantData;
 use crate::schedule::MUL_FRAC;
 use bnn_tensor::Tensor;
 
@@ -23,7 +22,9 @@ pub(crate) fn div_round(n: i64, d: i64) -> i64 {
 /// Quantized weight/bias data derived for one format from a lowered weight
 /// layer and its recorded ranges.
 pub(crate) struct QuantizedWeights {
-    pub(crate) codes: QuantData,
+    /// Weight codes widened to `i16` (the layout the integer kernels
+    /// consume), in the weight tensor's own element order.
+    pub(crate) codes: Vec<i16>,
     pub(crate) w_frac: u32,
     pub(crate) bias: Vec<i64>,
     /// Accumulator-to-output requantization shift.
@@ -42,13 +43,13 @@ pub(crate) fn quantize_weights(
     out: QuantParams,
 ) -> Result<QuantizedWeights, QuantError> {
     let w_params = w_range.params(total_bits)?;
-    let codes = QuantData::from_codes(
-        w_params.width(),
-        weight
-            .as_slice()
-            .iter()
-            .map(|&v| w_params.quantize_value(v)),
-    );
+    // Codes saturate into the format's range, which fits `i16` for every
+    // format `QuantParams` accepts.
+    let codes = weight
+        .as_slice()
+        .iter()
+        .map(|&v| w_params.quantize_value(v) as i16)
+        .collect();
     let acc_frac = w_params.fractional_bits() + in_params.fractional_bits();
     let acc_scale = 2f64.powi(acc_frac as i32);
     let bias = bias
@@ -109,13 +110,15 @@ mod tests {
         let q = quantize_weights(&weight, &bias, range, 8, input, out).unwrap();
         // +1.0 needs two integer bits at 8 bits, leaving six fractional.
         assert_eq!(q.w_frac, 6);
-        assert_eq!(q.codes, QuantData::I8(vec![32, -16, 64, -64]));
+        assert_eq!(q.codes, vec![32, -16, 64, -64]);
         // The accumulator carries 6 + 5 fractional bits.
         assert_eq!(q.bias, vec![512, -256]);
         assert_eq!(q.shift, 11 - 6);
+        // At 16 bits the same weights take codes beyond the 8-bit range.
         let wide =
             quantize_weights(&weight, &bias, range, 16, params(16, 6), params(16, 6)).unwrap();
-        assert!(matches!(wide.codes, QuantData::I16(_)));
+        assert_eq!(wide.w_frac, 14);
+        assert_eq!(wide.codes, vec![8192, -4096, 16384, -16384]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Compile-once execution plans for the integer inference path.
 //!
 //! [`QuantPlan`] is the workspace's integer executor: the recursive lowering
-//! walk of a [`CalibratedNetwork`] is flattened into a linear step list, buffer
+//! walk of a [`CalibratedNetwork`] is flattened into a linear step list — a
+//! [`PlanSchedule`], the one format code generators read too — buffer
 //! lifetimes are planned at compile time (liveness over the flat list with
 //! free-list reuse, elementwise steps running in place when their input
 //! dies), weights are packed **once** into the transposed/widened `i16`
@@ -14,7 +15,7 @@
 //! design).
 //!
 //! Its arithmetic has an independent oracle: `bnn_hls::HlsSimulator`
-//! re-implements every exported [`PlanSchedule`] step (direct convolution,
+//! re-implements every [`PlanSchedule`] step (direct convolution,
 //! scalar loops, its own rounding primitives), and `tests/hls_golden_sim.rs`
 //! pins the two **bit-exact** for every zoo subject and searched format, in
 //! deterministic and Monte-Carlo execution and through the seeded
@@ -25,7 +26,7 @@
 //!   │                              │  flatten ops · derive QuantParams
 //!   │                              │  pack weights (i16, transposed)
 //!   │                              ▼  plan slot liveness
-//! (one float pass,            QuantPlan { steps, arena }
+//! (one float pass,            QuantPlan { schedule, streams, arena }
 //!  shared by all formats)         │
 //!                                 ▼  run many: predict_probs_into
 //!                            zero steady-state allocation
@@ -36,7 +37,6 @@ use crate::error::QuantError;
 use crate::fixed::FixedPointFormat;
 use crate::lower::{div_round, dropout_scale_q, quantize_affine, quantize_weights};
 use crate::params::{IntWidth, QuantParams};
-use crate::qtensor::QuantData;
 use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep, MUL_FRAC};
 use bnn_models::walker::{self, ExitPlan, WalkScratch};
 use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
@@ -56,116 +56,6 @@ use std::ops::Range;
 /// Minimum multiply-accumulate count before a plan kernel fans out over the
 /// parallel executor (the same threshold as the standalone integer kernels).
 const PAR_MACS_THRESHOLD: usize = 1 << 20;
-
-/// A packed convolution: weights widened/flattened to `[out_c, in_c*k*k]`
-/// `i16` once at compile time.
-#[derive(Debug, Clone)]
-struct PlanConv {
-    w16: Vec<i16>,
-    bias: Vec<i64>,
-    out_c: usize,
-    in_c: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    shift: i32,
-    /// Fractional bits of the weight codes (carried for schedule export;
-    /// execution only needs `shift`).
-    w_frac: u32,
-    out: QuantParams,
-}
-
-/// A packed dense layer: weights transposed to `[out_f, in_f]` `i16`.
-#[derive(Debug, Clone)]
-struct PlanDense {
-    wt16: Vec<i16>,
-    bias: Vec<i64>,
-    in_f: usize,
-    out_f: usize,
-    shift: i32,
-    /// Fractional bits of the weight codes (carried for schedule export).
-    w_frac: u32,
-    out: QuantParams,
-}
-
-/// Quantized per-channel affine multipliers.
-#[derive(Debug, Clone)]
-struct PlanAffine {
-    m: Vec<i64>,
-    b: Vec<i64>,
-    out: QuantParams,
-}
-
-/// One step of the flattened plan.
-#[derive(Debug, Clone)]
-enum StepKind {
-    Conv(Box<PlanConv>),
-    Dense(Box<PlanDense>),
-    Relu,
-    MaxPool {
-        kernel: usize,
-        stride: usize,
-    },
-    AvgPool {
-        kernel: usize,
-        stride: usize,
-    },
-    GlobalAvgPool,
-    Affine(Box<PlanAffine>),
-    McDropout {
-        rate: f64,
-        scale_q: i64,
-        params: QuantParams,
-        rng: Xoshiro256StarStar,
-    },
-    /// Residual merge: requantize both paths to the output format, add,
-    /// clamp into `[0, qmax]` (the merged ReLU).
-    Merge {
-        m_shift: i32,
-        s_shift: i32,
-        out: QuantParams,
-    },
-}
-
-/// A flattened op with its slot assignment and static per-sample shapes.
-#[derive(Debug, Clone)]
-struct Step {
-    kind: StepKind,
-    /// Source slot (the main path for [`StepKind::Merge`]).
-    src: usize,
-    /// Second source slot (the shortcut path of a merge).
-    src2: Option<usize>,
-    dst: usize,
-    /// Per-sample dims of the source activation (batch axis stripped).
-    in_dims: Vec<usize>,
-    /// Per-sample dims of the output activation.
-    out_dims: Vec<usize>,
-    /// Static per-sample integer-op estimate (MACs for conv/dense, touched
-    /// elements otherwise); multiply by the batch to price an invocation.
-    ops: u64,
-}
-
-impl Step {
-    fn in_elems(&self) -> usize {
-        self.in_dims.iter().product()
-    }
-
-    fn out_elems(&self) -> usize {
-        self.out_dims.iter().product()
-    }
-}
-
-/// One compiled exit branch.
-#[derive(Debug, Clone)]
-struct PlanExit {
-    steps: Vec<Step>,
-    out_slot: usize,
-    out_params: QuantParams,
-    out_dims: Vec<usize>,
-    /// Backbone block this exit reads from (attachment point) — the
-    /// segmentation boundary for adaptive execution.
-    after_block: usize,
-}
 
 /// How MC-dropout masks index into the batch.
 ///
@@ -238,14 +128,12 @@ struct Arena {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantPlan {
-    format: FixedPointFormat,
-    width: IntWidth,
-    classes: usize,
-    in_params: QuantParams,
-    in_dims: Vec<usize>,
-    input_slot: usize,
-    backbone: Vec<Step>,
-    exits: Vec<PlanExit>,
+    /// The flattened step list this plan executes — the same value
+    /// [`QuantPlan::schedule`] hands to code generators.
+    schedule: PlanSchedule,
+    /// One mask stream per step in flat schedule order (only MC-dropout
+    /// steps draw from theirs).
+    streams: Vec<Xoshiro256StarStar>,
     /// Backbone step count after each block — segmentation boundaries for
     /// adaptive execution (`backbone[..block_bounds[b]]` runs blocks
     /// `0..=b`).
@@ -256,8 +144,6 @@ pub struct QuantPlan {
     /// Per-sample element count of each block's boundary value — the gather
     /// unit for batch compaction.
     block_units: Vec<usize>,
-    /// Per-slot per-sample element capacity (max over the values sharing it).
-    slot_elems: Vec<usize>,
     /// Per-sample scratch capacities.
     cols_unit: usize,
     acc_unit: usize,
@@ -282,7 +168,7 @@ struct ValueInfo {
 /// into slot ids.
 struct PlanBuilder {
     total_bits: u32,
-    steps: Vec<Step>,
+    steps: Vec<ScheduleStep>,
     values: Vec<ValueInfo>,
     cols_unit: usize,
     acc_unit: usize,
@@ -325,47 +211,24 @@ impl PlanBuilder {
 
     fn push(
         &mut self,
-        kind: StepKind,
+        op: ScheduleOp,
         src: usize,
         src2: Option<usize>,
         out_dims: Vec<usize>,
     ) -> usize {
         let dst = self.new_value(out_dims.clone());
         let in_dims = self.dims(src);
-        let ops = step_unit_ops(&kind, &in_dims, &out_dims);
-        self.steps.push(Step {
-            kind,
+        let unit_ops = step_unit_ops(&op, &in_dims, &out_dims);
+        self.steps.push(ScheduleStep {
+            op,
             src,
             src2,
             dst,
             in_dims,
             out_dims,
-            ops,
+            unit_ops,
         });
         dst
-    }
-
-    /// Packs a weight code tensor into the widened `i16` layout; `transpose`
-    /// selects the `[out, in]` dense layout (`dims = (rows_in, cols_out)`).
-    fn widen_codes(codes: &QuantData, transpose: Option<(usize, usize)>) -> Vec<i16> {
-        match transpose {
-            None => match codes {
-                QuantData::I8(v) => v.iter().map(|&c| c as i16).collect(),
-                QuantData::I16(v) => v.clone(),
-            },
-            Some((rows, cols)) => {
-                let mut out = vec![0i16; rows * cols];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        out[c * rows + r] = match codes {
-                            QuantData::I8(v) => v[r * cols + c] as i16,
-                            QuantData::I16(v) => v[r * cols + c],
-                        };
-                    }
-                }
-                out
-            }
-        }
     }
 
     /// Emits the step(s) of one lowered op, consuming calibration records in
@@ -413,8 +276,8 @@ impl PlanBuilder {
                 self.cols_unit = self.cols_unit.max(kred * plane);
                 self.acc_unit = self.acc_unit.max(out_c * plane);
                 *cur = self.push(
-                    StepKind::Conv(Box::new(PlanConv {
-                        w16: Self::widen_codes(&w.codes, None),
+                    ScheduleOp::Conv {
+                        weights: w.codes,
                         bias: w.bias,
                         out_c,
                         in_c,
@@ -424,7 +287,7 @@ impl PlanBuilder {
                         shift: w.shift,
                         w_frac: w.w_frac,
                         out,
-                    })),
+                    },
                     *cur,
                     None,
                     record.out_dims.clone(),
@@ -448,16 +311,23 @@ impl PlanBuilder {
                     out,
                 )?;
                 self.acc_unit = self.acc_unit.max(out_f);
+                // The matmul kernels read dense weights as `[out_f, in_f]`.
+                let mut weights_t = vec![0i16; in_f * out_f];
+                for (i, row) in w.codes.chunks_exact(out_f).enumerate() {
+                    for (o, &code) in row.iter().enumerate() {
+                        weights_t[o * in_f + i] = code;
+                    }
+                }
                 *cur = self.push(
-                    StepKind::Dense(Box::new(PlanDense {
-                        wt16: Self::widen_codes(&w.codes, Some((in_f, out_f))),
+                    ScheduleOp::Dense {
+                        weights_t,
                         bias: w.bias,
                         in_f,
                         out_f,
                         shift: w.shift,
                         w_frac: w.w_frac,
                         out,
-                    })),
+                    },
                     *cur,
                     None,
                     record.out_dims.clone(),
@@ -466,12 +336,12 @@ impl PlanBuilder {
             }
             LayerLowering::Relu => {
                 let record = cursor.take(lowering.name())?;
-                *cur = self.push(StepKind::Relu, *cur, None, record.out_dims.clone());
+                *cur = self.push(ScheduleOp::Relu, *cur, None, record.out_dims.clone());
             }
             LayerLowering::MaxPool2d { kernel, stride } => {
                 let record = cursor.take(lowering.name())?;
                 *cur = self.push(
-                    StepKind::MaxPool {
+                    ScheduleOp::MaxPool {
                         kernel: *kernel,
                         stride: *stride,
                     },
@@ -483,7 +353,7 @@ impl PlanBuilder {
             LayerLowering::AvgPool2d { kernel, stride } => {
                 let record = cursor.take(lowering.name())?;
                 *cur = self.push(
-                    StepKind::AvgPool {
+                    ScheduleOp::AvgPool {
                         kernel: *kernel,
                         stride: *stride,
                     },
@@ -494,7 +364,12 @@ impl PlanBuilder {
             }
             LayerLowering::GlobalAvgPool2d => {
                 let record = cursor.take(lowering.name())?;
-                *cur = self.push(StepKind::GlobalAvgPool, *cur, None, record.out_dims.clone());
+                *cur = self.push(
+                    ScheduleOp::GlobalAvgPool,
+                    *cur,
+                    None,
+                    record.out_dims.clone(),
+                );
             }
             LayerLowering::Flatten => {
                 // Shape-only: the flat plan reinterprets the buffer in place.
@@ -514,7 +389,7 @@ impl PlanBuilder {
                 let (scale, shift) = bn.folded();
                 let (m, b) = quantize_affine(&scale, &shift, *params, out);
                 *cur = self.push(
-                    StepKind::Affine(Box::new(PlanAffine { m, b, out })),
+                    ScheduleOp::Affine { m, b, out },
                     *cur,
                     None,
                     record.out_dims.clone(),
@@ -532,11 +407,10 @@ impl PlanBuilder {
                 };
                 self.mask_unit = self.mask_unit.max(unit);
                 *cur = self.push(
-                    StepKind::McDropout {
+                    ScheduleOp::McDropout {
                         rate: *rate,
                         scale_q: dropout_scale_q(*rate),
                         params: *params,
-                        rng: Xoshiro256StarStar::seed_from_u64(0),
                     },
                     *cur,
                     None,
@@ -570,7 +444,7 @@ impl PlanBuilder {
                     .expect("residual records an output range")
                     .params(total_bits)?;
                 *cur = self.push(
-                    StepKind::Merge {
+                    ScheduleOp::Merge {
                         m_shift: main_params.fractional_bits() as i32
                             - out.fractional_bits() as i32,
                         s_shift: short_params.fractional_bits() as i32
@@ -591,26 +465,28 @@ impl PlanBuilder {
 /// Static per-sample integer-op estimate of one step: multiply-accumulates
 /// for conv/dense, touched elements for pools/element-wise steps, two
 /// requantize-adds per element for a residual merge.
-fn step_unit_ops(kind: &StepKind, in_dims: &[usize], out_dims: &[usize]) -> u64 {
+fn step_unit_ops(op: &ScheduleOp, in_dims: &[usize], out_dims: &[usize]) -> u64 {
     let in_elems: usize = in_dims.iter().product();
     let out_elems: usize = out_dims.iter().product();
-    match kind {
-        StepKind::Conv(c) => (c.in_c * c.kernel * c.kernel * out_elems) as u64,
-        StepKind::Dense(d) => (d.in_f * d.out_f) as u64,
-        StepKind::MaxPool { kernel, .. } | StepKind::AvgPool { kernel, .. } => {
+    match op {
+        ScheduleOp::Conv { in_c, kernel, .. } => (in_c * kernel * kernel * out_elems) as u64,
+        ScheduleOp::Dense { in_f, out_f, .. } => (in_f * out_f) as u64,
+        ScheduleOp::MaxPool { kernel, .. } | ScheduleOp::AvgPool { kernel, .. } => {
             (kernel * kernel * out_elems) as u64
         }
-        StepKind::GlobalAvgPool => in_elems as u64,
-        StepKind::Relu | StepKind::Affine(_) | StepKind::McDropout { .. } => out_elems as u64,
-        StepKind::Merge { .. } => 2 * out_elems as u64,
+        ScheduleOp::GlobalAvgPool => in_elems as u64,
+        ScheduleOp::Relu | ScheduleOp::Affine { .. } | ScheduleOp::McDropout { .. } => {
+            out_elems as u64
+        }
+        ScheduleOp::Merge { .. } => 2 * out_elems as u64,
     }
 }
 
 /// Elementwise steps may run in place when their input dies at the step.
-fn aliasable(kind: &StepKind) -> bool {
+fn aliasable(op: &ScheduleOp) -> bool {
     matches!(
-        kind,
-        StepKind::Relu | StepKind::Affine(_) | StepKind::McDropout { .. }
+        op,
+        ScheduleOp::Relu | ScheduleOp::Affine { .. } | ScheduleOp::McDropout { .. }
     )
 }
 
@@ -656,7 +532,6 @@ impl QuantPlan {
             block_params.push(params);
             block_bounds.push(builder.steps.len());
         }
-        let backbone_len = builder.steps.len();
 
         // Exit branches, attachment order.
         let mut exit_meta = Vec::with_capacity(calibrated.exits.len());
@@ -712,8 +587,8 @@ impl QuantPlan {
                     builder.root(step.src),
                     step.src2.map(|s| builder.root(s)),
                     builder.root(step.dst),
-                    aliasable(&step.kind),
-                    step.out_elems(),
+                    aliasable(&step.op),
+                    step.out_dims.iter().product(),
                 )
             };
             let src_dies = last_use[src_root] == j && !builder.values[src_root].pinned;
@@ -765,27 +640,25 @@ impl QuantPlan {
             }),
             "a plan step overwrites a pending residual operand"
         );
+        // Exit branches split off the tail of the flat list, last first.
         let total = steps.len();
         let mut exits = Vec::with_capacity(exit_meta.len());
-        let mut logit_unit = 0usize;
-        for (i, (start, out_value, out_params, after_block)) in exit_meta.iter().enumerate() {
-            let end = exit_meta
-                .get(i + 1)
-                .map(|(next_start, _, _, _)| *next_start)
-                .unwrap_or(total);
-            let exit_steps = steps[*start..end].to_vec();
-            let out_root = builder.values[*out_value].alias_of.unwrap_or(*out_value);
-            let out_dims = builder.values[*out_value].dims.clone();
-            logit_unit = logit_unit.max(out_dims.iter().product());
-            exits.push(PlanExit {
-                steps: exit_steps,
+        for &(start, out_value, out_params, after_block) in exit_meta.iter().rev() {
+            let out_root = builder.values[out_value].alias_of.unwrap_or(out_value);
+            exits.push(ScheduleExit {
+                steps: steps.split_off(start),
                 out_slot: slot_of[out_root],
-                out_params: *out_params,
-                out_dims,
-                after_block: *after_block,
+                out_params,
+                out_dims: builder.values[out_value].dims.clone(),
+                after_block,
             });
         }
-        steps.truncate(backbone_len);
+        exits.reverse();
+        let logit_unit = exits
+            .iter()
+            .map(|e| e.out_dims.iter().product())
+            .max()
+            .unwrap_or(0);
         let backbone = steps;
 
         // Block-boundary metadata for adaptive execution: the pinned slot
@@ -802,19 +675,22 @@ impl QuantPlan {
 
         let mut arena = Arena::default();
         arena.slots.resize(slot_elems.len(), Vec::new());
+        let streams = vec![Xoshiro256StarStar::seed_from_u64(0); total];
         Ok(QuantPlan {
-            format,
-            width: in_params.width(),
-            classes: calibrated.classes,
-            in_params,
-            in_dims: calibrated.in_dims.clone(),
-            input_slot: slot_of[input_value],
-            backbone,
-            exits,
+            schedule: PlanSchedule {
+                format,
+                classes: calibrated.classes,
+                in_params,
+                in_dims: calibrated.in_dims.clone(),
+                input_slot: slot_of[input_value],
+                backbone,
+                exits,
+                slot_elems,
+            },
+            streams,
             block_bounds,
             block_slots,
             block_units,
-            slot_elems,
             cols_unit: builder.cols_unit,
             acc_unit: builder.acc_unit,
             mask_unit: builder.mask_unit,
@@ -827,18 +703,18 @@ impl QuantPlan {
 
     /// The format this plan was compiled for.
     pub fn format(&self) -> FixedPointFormat {
-        self.format
+        self.schedule.format
     }
 
     /// Number of predicted classes.
     pub fn num_classes(&self) -> usize {
-        self.classes
+        self.schedule.classes
     }
 
     /// Per-sample input dims the plan was compiled for (batch axis
     /// stripped): inputs must be shaped `[batch, ..in_dims]`.
     pub fn in_dims(&self) -> &[usize] {
-        &self.in_dims
+        &self.schedule.in_dims
     }
 
     /// Pre-sizes the arena for `max_batch` samples, so a serving worker can
@@ -848,116 +724,16 @@ impl QuantPlan {
         self.ensure_arena(max_batch.max(1));
     }
 
-    /// Number of flattened steps (backbone plus all exits).
-    pub fn num_steps(&self) -> usize {
-        self.backbone.len() + self.exits.iter().map(|e| e.steps.len()).sum::<usize>()
+    /// The flattened step list this plan executes: its steps, constants,
+    /// shifts and slot assignments, for code generators and the simulator.
+    /// See [`crate::schedule`].
+    pub fn schedule(&self) -> &PlanSchedule {
+        &self.schedule
     }
 
-    /// Number of arena activation slots the liveness plan settled on.
-    pub fn num_slots(&self) -> usize {
-        self.slot_elems.len()
-    }
-
-    /// The calibrated output format of every exit branch, in attachment
-    /// order.
-    pub fn exit_out_params(&self) -> Vec<QuantParams> {
-        self.exits.iter().map(|e| e.out_params).collect()
-    }
-
-    /// Exports the plan's flattened step list as a backend-readable
-    /// [`PlanSchedule`]: the same steps, constants, shifts and slot
-    /// assignments this plan executes, with the runtime state (RNG streams,
-    /// arena, executor) stripped. See [`crate::schedule`].
-    pub fn schedule(&self) -> PlanSchedule {
-        fn export_step(step: &Step) -> ScheduleStep {
-            let op = match &step.kind {
-                StepKind::Conv(c) => ScheduleOp::Conv {
-                    weights: c.w16.clone(),
-                    bias: c.bias.clone(),
-                    out_c: c.out_c,
-                    in_c: c.in_c,
-                    kernel: c.kernel,
-                    stride: c.stride,
-                    padding: c.padding,
-                    shift: c.shift,
-                    w_frac: c.w_frac,
-                    out: c.out,
-                },
-                StepKind::Dense(d) => ScheduleOp::Dense {
-                    weights_t: d.wt16.clone(),
-                    bias: d.bias.clone(),
-                    in_f: d.in_f,
-                    out_f: d.out_f,
-                    shift: d.shift,
-                    w_frac: d.w_frac,
-                    out: d.out,
-                },
-                StepKind::Relu => ScheduleOp::Relu,
-                StepKind::MaxPool { kernel, stride } => ScheduleOp::MaxPool {
-                    kernel: *kernel,
-                    stride: *stride,
-                },
-                StepKind::AvgPool { kernel, stride } => ScheduleOp::AvgPool {
-                    kernel: *kernel,
-                    stride: *stride,
-                },
-                StepKind::GlobalAvgPool => ScheduleOp::GlobalAvgPool,
-                StepKind::Affine(a) => ScheduleOp::Affine {
-                    m: a.m.clone(),
-                    b: a.b.clone(),
-                    out: a.out,
-                },
-                StepKind::McDropout {
-                    rate,
-                    scale_q,
-                    params,
-                    rng: _,
-                } => ScheduleOp::McDropout {
-                    rate: *rate,
-                    scale_q: *scale_q,
-                    params: *params,
-                },
-                StepKind::Merge {
-                    m_shift,
-                    s_shift,
-                    out,
-                } => ScheduleOp::Merge {
-                    m_shift: *m_shift,
-                    s_shift: *s_shift,
-                    out: *out,
-                },
-            };
-            ScheduleStep {
-                op,
-                src: step.src,
-                src2: step.src2,
-                dst: step.dst,
-                in_dims: step.in_dims.clone(),
-                out_dims: step.out_dims.clone(),
-                unit_ops: step.ops,
-            }
-        }
-
-        PlanSchedule {
-            format: self.format,
-            classes: self.classes,
-            in_params: self.in_params,
-            in_dims: self.in_dims.clone(),
-            input_slot: self.input_slot,
-            backbone: self.backbone.iter().map(export_step).collect(),
-            exits: self
-                .exits
-                .iter()
-                .map(|e| ScheduleExit {
-                    steps: e.steps.iter().map(export_step).collect(),
-                    out_slot: e.out_slot,
-                    out_params: e.out_params,
-                    out_dims: e.out_dims.clone(),
-                    after_block: e.after_block,
-                })
-                .collect(),
-            slot_elems: self.slot_elems.clone(),
-        }
+    /// Storage width of every activation code (the format's).
+    fn width(&self) -> IntWidth {
+        self.schedule.in_params.width()
     }
 
     /// Pins every kernel in this plan to `exec` instead of the work-size
@@ -972,7 +748,8 @@ impl QuantPlan {
     /// Grows the arena for `batch` samples (monotone: repeated calls with
     /// the same or smaller batch perform no allocation).
     fn ensure_arena(&mut self, batch: usize) {
-        for (slot, &unit) in self.arena.slots.iter_mut().zip(&self.slot_elems) {
+        let width = self.width();
+        for (slot, &unit) in self.arena.slots.iter_mut().zip(&self.schedule.slot_elems) {
             let need = unit * batch;
             if slot.len() < need {
                 slot.resize(need, 0);
@@ -984,10 +761,10 @@ impl QuantPlan {
             }
         };
         grow(&mut self.arena.cols, self.cols_unit * batch);
-        if self.arena.acc32.len() < self.acc_unit * batch && self.width == IntWidth::W8 {
+        if self.arena.acc32.len() < self.acc_unit * batch && width == IntWidth::W8 {
             self.arena.acc32.resize(self.acc_unit * batch, 0);
         }
-        if self.arena.acc64.len() < self.acc_unit * batch && self.width == IntWidth::W16 {
+        if self.arena.acc64.len() < self.acc_unit * batch && width == IntWidth::W16 {
             self.arena.acc64.resize(self.acc_unit * batch, 0);
         }
         if self.arena.mask.len() < self.mask_unit * batch {
@@ -996,17 +773,17 @@ impl QuantPlan {
         if self.arena.logits.len() < self.logit_unit * batch {
             self.arena.logits.resize(self.logit_unit * batch, 0.0);
         }
-        self.arena.walk.reserve(batch, self.classes);
+        self.arena.walk.reserve(batch, self.schedule.classes);
     }
 
     /// Quantizes the float input batch into the input slot, rejecting NaN
     /// and infinite values (the float-to-code cast would otherwise map NaN
     /// to code 0 and return a normal-looking distribution).
     fn load_input(&mut self, inputs: &Tensor) -> Result<usize, QuantError> {
-        if inputs.dims().len() != self.in_dims.len() + 1 || inputs.dims()[1..] != self.in_dims[..] {
+        let in_dims = &self.schedule.in_dims;
+        if inputs.dims().len() != in_dims.len() + 1 || inputs.dims()[1..] != in_dims[..] {
             return Err(QuantError::InvalidInput(format!(
-                "plan expects input dims [batch, {:?}], got {:?}",
-                self.in_dims,
+                "plan expects input dims [batch, {in_dims:?}], got {:?}",
                 inputs.dims()
             )));
         }
@@ -1021,8 +798,8 @@ impl QuantPlan {
         }
         let batch = inputs.dims()[0];
         self.ensure_arena(batch);
-        let params = self.in_params;
-        let slot = &mut self.arena.slots[self.input_slot];
+        let params = self.schedule.in_params;
+        let slot = &mut self.arena.slots[self.schedule.input_slot];
         for (dst, &v) in slot.iter_mut().zip(inputs.as_slice()) {
             *dst = params.quantize_value(v) as i16;
         }
@@ -1046,11 +823,11 @@ impl QuantPlan {
         let batch = self.load_input(inputs)?;
         self.per_batch(|plan| {
             plan.run_blocks(0..plan.block_bounds.len(), batch)?;
-            (0..plan.exits.len())
+            (0..plan.schedule.exits.len())
                 .map(|e| {
                     let logits = plan.run_exit(e, batch, mode)?.to_vec();
                     let mut dims = vec![batch];
-                    dims.extend_from_slice(&plan.exits[e].out_dims);
+                    dims.extend_from_slice(&plan.schedule.exits[e].out_dims);
                     Ok(Tensor::from_vec(logits, &dims)?)
                 })
                 .collect()
@@ -1190,29 +967,29 @@ impl ExitPlan for QuantPlan {
     type Error = QuantError;
 
     fn in_dims(&self) -> &[usize] {
-        &self.in_dims
+        &self.schedule.in_dims
     }
 
     fn num_exits(&self) -> usize {
-        self.exits.len()
+        self.schedule.exits.len()
     }
 
     fn num_classes(&self) -> usize {
-        self.classes
+        self.schedule.classes
     }
 
     fn exit_block(&self, exit: usize) -> usize {
-        self.exits[exit].after_block
+        self.schedule.exits[exit].after_block
     }
 
     fn block_cost(&self, block: usize) -> (u64, u64) {
-        let steps = &self.backbone[self.block_steps(block..block + 1)];
-        (steps.len() as u64, steps.iter().map(|s| s.ops).sum())
+        let steps = &self.schedule.backbone[self.block_steps(block..block + 1)];
+        (steps.len() as u64, steps.iter().map(|s| s.unit_ops).sum())
     }
 
     fn exit_cost(&self, exit: usize) -> (u64, u64) {
-        let steps = &self.exits[exit].steps;
-        (steps.len() as u64, steps.iter().map(|s| s.ops).sum())
+        let steps = &self.schedule.exits[exit].steps;
+        (steps.len() as u64, steps.iter().map(|s| s.unit_ops).sum())
     }
 
     fn ensure_batch(&mut self, max_batch: usize) {
@@ -1224,19 +1001,27 @@ impl ExitPlan for QuantPlan {
     }
 
     fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), QuantError> {
-        let (width, exec, masks) = (self.width, self.exec, self.masks);
+        let (exec, masks) = (self.exec, self.masks);
         let steps = self.block_steps(blocks);
-        for step in &mut self.backbone[steps] {
-            run_step(step, &mut self.arena, width, exec, live, Mode::Eval, masks)?;
+        let streams = &mut self.streams[steps.clone()];
+        for (step, rng) in self.schedule.backbone[steps].iter().zip(streams) {
+            run_step(step, rng, &mut self.arena, exec, live, Mode::Eval, masks)?;
         }
         Ok(())
     }
 
     fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], QuantError> {
-        let (width, exec, masks) = (self.width, self.exec, self.masks);
-        let exit = &mut self.exits[exit];
-        for step in &mut exit.steps {
-            run_step(step, &mut self.arena, width, exec, live, mode, masks)?;
+        let (exec, masks) = (self.exec, self.masks);
+        // The exit's steps follow the backbone and every earlier exit in
+        // flat schedule order.
+        let first = self.schedule.backbone.len()
+            + self.schedule.exits[..exit]
+                .iter()
+                .map(|e| e.steps.len())
+                .sum::<usize>();
+        let exit = &self.schedule.exits[exit];
+        for (step, rng) in exit.steps.iter().zip(&mut self.streams[first..]) {
+            run_step(step, rng, &mut self.arena, exec, live, mode, masks)?;
         }
         let n: usize = exit.out_dims.iter().product::<usize>() * live;
         let scale = exit.out_params.scale();
@@ -1250,11 +1035,10 @@ impl ExitPlan for QuantPlan {
     /// Walks the flat step list (backbone, then exits in attachment
     /// order): the float network's stream assignment.
     fn reseed_mc_streams(&mut self, master_seed: u64) {
-        let mut streams = SplitMix64::new(master_seed);
-        let exit_steps = self.exits.iter_mut().flat_map(|e| e.steps.iter_mut());
-        for step in self.backbone.iter_mut().chain(exit_steps) {
-            if let StepKind::McDropout { rng, .. } = &mut step.kind {
-                *rng = Xoshiro256StarStar::seed_from_u64(streams.next_u64());
+        let mut seeds = SplitMix64::new(master_seed);
+        for (step, rng) in self.schedule.steps().zip(&mut self.streams) {
+            if matches!(step.op, ScheduleOp::McDropout { .. }) {
+                *rng = Xoshiro256StarStar::seed_from_u64(seeds.next_u64());
             }
         }
     }
@@ -1284,18 +1068,20 @@ impl CalibratedNetwork {
     }
 }
 
-/// Executes one flattened step on the arena.
+/// Executes one flattened step on the arena; an MC-dropout step draws its
+/// masks from `rng`, its own stream. Conv and dense steps accumulate at the
+/// width of their output format (every value in a plan shares one width).
 fn run_step(
-    step: &mut Step,
+    step: &ScheduleStep,
+    rng: &mut Xoshiro256StarStar,
     arena: &mut Arena,
-    width: IntWidth,
     exec: Option<Executor>,
     batch: usize,
     mode: Mode,
     masks: MaskGranularity,
 ) -> Result<(), QuantError> {
-    let in_elems = step.in_elems() * batch;
-    let out_elems = step.out_elems() * batch;
+    let in_elems = step.in_dims.iter().product::<usize>() * batch;
+    let out_elems = step.out_dims.iter().product::<usize>() * batch;
     let pick_exec = |work: usize| -> Executor {
         match exec {
             Some(e) => e,
@@ -1308,142 +1094,112 @@ fn run_step(
             }
         }
     };
-    let is_max_pool = matches!(step.kind, StepKind::MaxPool { .. });
-    match &mut step.kind {
-        StepKind::Conv(conv) => {
+    match &step.op {
+        ScheduleOp::Conv {
+            weights,
+            bias,
+            out_c,
+            in_c,
+            kernel,
+            stride,
+            padding,
+            shift,
+            out,
+            ..
+        } => {
+            let (out_c, shift) = (*out_c, *shift);
             let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-            let geom = ConvGeometry::square(h, w, conv.kernel, conv.stride, conv.padding);
+            let geom = ConvGeometry::square(h, w, *kernel, *stride, *padding);
             let plane = geom.out_h() * geom.out_w();
-            let kred = conv.in_c * conv.kernel * conv.kernel;
+            let kred = in_c * kernel * kernel;
             let ncols = batch * plane;
             let mut dst = std::mem::take(&mut arena.slots[step.dst]);
             {
                 let src = &arena.slots[step.src][..in_elems];
                 im2row_i16_into(src, batch, c, &geom, &mut arena.cols)?;
             }
-            let exec = pick_exec(conv.out_c * kred * ncols);
-            let out = conv.out;
+            let exec = pick_exec(out_c * kred * ncols);
             let (qmin, qmax) = (out.qmin(), out.qmax());
-            match width {
+            match out.width() {
                 IntWidth::W8 => {
-                    let acc = &mut arena.acc32[..conv.out_c * ncols];
+                    let acc = &mut arena.acc32[..out_c * ncols];
                     matmul_wide_i32_into(
                         &exec,
-                        &conv.w16,
+                        weights,
                         &arena.cols[..kred * ncols],
-                        conv.out_c,
+                        out_c,
                         kred,
                         ncols,
                         acc,
                     )?;
-                    for co in 0..conv.out_c {
+                    for co in 0..out_c {
                         for b in 0..batch {
                             let src_row =
                                 &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
-                            let start = (b * conv.out_c + co) * plane;
+                            let start = (b * out_c + co) * plane;
                             let dst_row = &mut dst[start..start + plane];
-                            requantize_i32_row_into(
-                                src_row,
-                                conv.bias[co],
-                                conv.shift,
-                                qmin,
-                                qmax,
-                                dst_row,
-                            );
+                            requantize_i32_row_into(src_row, bias[co], shift, qmin, qmax, dst_row);
                         }
                     }
                 }
                 IntWidth::W16 => {
-                    let acc = &mut arena.acc64[..conv.out_c * ncols];
+                    let acc = &mut arena.acc64[..out_c * ncols];
                     matmul_abt_i64_into(
                         &exec,
-                        &conv.w16,
+                        weights,
                         &arena.cols[..kred * ncols],
-                        conv.out_c,
+                        out_c,
                         kred,
                         ncols,
                         acc,
                     )?;
-                    for co in 0..conv.out_c {
+                    for co in 0..out_c {
                         for b in 0..batch {
                             let src_row =
                                 &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
-                            let start = (b * conv.out_c + co) * plane;
+                            let start = (b * out_c + co) * plane;
                             let dst_row = &mut dst[start..start + plane];
-                            requantize_i64_row_into(
-                                src_row,
-                                conv.bias[co],
-                                conv.shift,
-                                qmin,
-                                qmax,
-                                dst_row,
-                            );
+                            requantize_i64_row_into(src_row, bias[co], shift, qmin, qmax, dst_row);
                         }
                     }
                 }
             }
             arena.slots[step.dst] = dst;
         }
-        StepKind::Dense(dense) => {
+        ScheduleOp::Dense {
+            weights_t,
+            bias,
+            in_f,
+            out_f,
+            shift,
+            out,
+            ..
+        } => {
+            let (in_f, out_f, shift) = (*in_f, *out_f, *shift);
             let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-            let out = dense.out;
             let (qmin, qmax) = (out.qmin(), out.qmax());
-            let exec = pick_exec(batch * dense.in_f * dense.out_f);
-            match width {
+            let exec = pick_exec(batch * in_f * out_f);
+            let src = &arena.slots[step.src][..in_elems];
+            let dst_rows = dst[..out_elems].chunks_exact_mut(out_f);
+            match out.width() {
                 IntWidth::W8 => {
-                    let acc = &mut arena.acc32[..batch * dense.out_f];
-                    matmul_wide_i32_into(
-                        &exec,
-                        &arena.slots[step.src][..in_elems],
-                        &dense.wt16,
-                        batch,
-                        dense.in_f,
-                        dense.out_f,
-                        acc,
-                    )?;
-                    for (dst_row, acc_row) in dst[..out_elems]
-                        .chunks_exact_mut(dense.out_f)
-                        .zip(acc.chunks_exact(dense.out_f))
-                    {
-                        requantize_i32_row_biased_into(
-                            acc_row,
-                            &dense.bias,
-                            dense.shift,
-                            qmin,
-                            qmax,
-                            dst_row,
-                        );
+                    let acc = &mut arena.acc32[..batch * out_f];
+                    matmul_wide_i32_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
+                    for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
+                        requantize_i32_row_biased_into(acc_row, bias, shift, qmin, qmax, dst_row);
                     }
                 }
                 IntWidth::W16 => {
-                    let acc = &mut arena.acc64[..batch * dense.out_f];
-                    matmul_abt_i64_into(
-                        &exec,
-                        &arena.slots[step.src][..in_elems],
-                        &dense.wt16,
-                        batch,
-                        dense.in_f,
-                        dense.out_f,
-                        acc,
-                    )?;
-                    for (dst_row, acc_row) in dst[..out_elems]
-                        .chunks_exact_mut(dense.out_f)
-                        .zip(acc.chunks_exact(dense.out_f))
-                    {
-                        requantize_i64_row_biased_into(
-                            acc_row,
-                            &dense.bias,
-                            dense.shift,
-                            qmin,
-                            qmax,
-                            dst_row,
-                        );
+                    let acc = &mut arena.acc64[..batch * out_f];
+                    matmul_abt_i64_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
+                    for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
+                        requantize_i64_row_biased_into(acc_row, bias, shift, qmin, qmax, dst_row);
                     }
                 }
             }
             arena.slots[step.dst] = dst;
         }
-        StepKind::Relu => {
+        ScheduleOp::Relu => {
             if step.src == step.dst {
                 for v in arena.slots[step.dst][..in_elems].iter_mut() {
                     *v = (*v).max(0);
@@ -1459,8 +1215,8 @@ fn run_step(
                 arena.slots[step.dst] = dst;
             }
         }
-        StepKind::MaxPool { kernel, stride } | StepKind::AvgPool { kernel, stride } => {
-            let is_max = is_max_pool;
+        ScheduleOp::MaxPool { kernel, stride } | ScheduleOp::AvgPool { kernel, stride } => {
+            let is_max = matches!(step.op, ScheduleOp::MaxPool { .. });
             let (kernel, stride) = (*kernel, *stride);
             let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
             let geom = ConvGeometry::square(h, w, kernel, stride, 0);
@@ -1495,7 +1251,7 @@ fn run_step(
             }
             arena.slots[step.dst] = dst;
         }
-        StepKind::GlobalAvgPool => {
+        ScheduleOp::GlobalAvgPool => {
             let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
             let plane = (h * w) as i64;
             let mut dst = std::mem::take(&mut arena.slots[step.dst]);
@@ -1509,10 +1265,9 @@ fn run_step(
             }
             arena.slots[step.dst] = dst;
         }
-        StepKind::Affine(aff) => {
+        ScheduleOp::Affine { m, b: offsets, out } => {
             let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
             let plane = h * w;
-            let out = aff.out;
             let (qmin, qmax) = (out.qmin(), out.qmax());
             let apply = |src: &[i16], dst: &mut [i16]| {
                 for b in 0..batch {
@@ -1521,7 +1276,7 @@ fn run_step(
                         for i in 0..plane {
                             let x = src[start + i] as i64;
                             dst[start + i] =
-                                requantize(x * aff.m[ch] + aff.b[ch], MUL_FRAC as i32, qmin, qmax)
+                                requantize(x * m[ch] + offsets[ch], MUL_FRAC as i32, qmin, qmax)
                                     as i16;
                         }
                     }
@@ -1537,7 +1292,7 @@ fn run_step(
                         let start = (b * c + ch) * plane;
                         for v in src_copy[start..start + plane].iter_mut() {
                             *v = requantize(
-                                *v as i64 * aff.m[ch] + aff.b[ch],
+                                *v as i64 * m[ch] + offsets[ch],
                                 MUL_FRAC as i32,
                                 qmin,
                                 qmax,
@@ -1552,11 +1307,10 @@ fn run_step(
                 arena.slots[step.dst] = dst;
             }
         }
-        StepKind::McDropout {
+        ScheduleOp::McDropout {
             rate,
             scale_q,
             params,
-            rng,
         } => {
             let sampling = mode.samples_mc_dropout() && *rate > 0.0;
             if !sampling {
@@ -1622,7 +1376,7 @@ fn run_step(
                 arena.slots[step.dst] = dst;
             }
         }
-        StepKind::Merge {
+        ScheduleOp::Merge {
             m_shift,
             s_shift,
             out,
@@ -1683,11 +1437,13 @@ mod tests {
         let plan = calibrated.plan(fmt(8, 3)).unwrap();
         // The flat plan has many steps but far fewer slots: transient
         // activations ping-pong while block outputs stay pinned.
+        let (steps, slots) = (
+            plan.schedule().num_steps(),
+            plan.schedule().slot_elems.len(),
+        );
         assert!(
-            plan.num_steps() > plan.num_slots(),
-            "{} steps should outnumber {} slots",
-            plan.num_steps(),
-            plan.num_slots()
+            steps > slots,
+            "{steps} steps should outnumber {slots} slots"
         );
         assert_eq!(plan.num_exits(), 2);
         assert_eq!(plan.num_classes(), 4);
@@ -1897,9 +1653,10 @@ mod tests {
         let calibrated =
             CalibratedNetwork::calibrate(&net, &calib_batch(&[6, 1, 10, 10], 6)).unwrap();
         let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
-        assert_eq!(plan.width, IntWidth::W8);
+        assert_eq!(plan.width(), IntWidth::W8);
         let x = calib_batch(&[3, 1, 10, 10], 7);
-        let out_params = plan.exit_out_params();
+        let out_params: Vec<QuantParams> =
+            plan.schedule().exits.iter().map(|e| e.out_params).collect();
         for mode in [Mode::Eval, Mode::McSample] {
             let exits = plan.forward_exits_int(&x, mode).unwrap();
             for (logits, params) in exits.iter().zip(&out_params) {
@@ -1924,10 +1681,14 @@ mod tests {
             (fmt(16, 6), IntWidth::W16),
         ] {
             let mut plan = calibrated.plan(format).unwrap();
-            assert_eq!(plan.width, width, "{format}");
-            assert_eq!(plan.in_params.width(), width, "{format}");
-            for params in plan.exit_out_params() {
-                assert_eq!(params.width(), width, "{format}");
+            assert_eq!(plan.width(), width, "{format}");
+            for step in plan.schedule().steps() {
+                if let Some(params) = step.op.out_params() {
+                    assert_eq!(params.width(), width, "{format} {}", step.op.name());
+                }
+            }
+            for exit in &plan.schedule().exits {
+                assert_eq!(exit.out_params.width(), width, "{format}");
             }
             let logits = plan
                 .forward_exits_int(&calib_batch(&[2, 1, 10, 10], 14), Mode::Eval)
@@ -1963,7 +1724,7 @@ mod tests {
         let calibrated =
             CalibratedNetwork::calibrate(&net, &calib_batch(&[4, 1, 2, 4], 11)).unwrap();
         let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
-        let out = plan.exit_out_params()[0];
+        let out = plan.schedule().exits[0].out_params;
         for (fill, rail) in [(1e9f32, out.qmax()), (-1e9, out.qmin())] {
             let x = Tensor::full(&[1, 1, 2, 4], fill);
             let logits = plan.forward_exits_int(&x, Mode::Eval).unwrap();

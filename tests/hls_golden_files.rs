@@ -1,11 +1,24 @@
 //! Golden-file snapshot tests for the lowered per-tensor HLS generator.
 //!
-//! Every zoo model × searched format pins its emitted `firmware/defines.h`
-//! (the per-tensor `ap_fixed` typedefs) and top-level `.cpp` (the layer
-//! pipeline walked from the compiled plan's step schedule) against checked-in
-//! golden files under `tests/golden/hls/`. Any codegen change — intended or
-//! not — shows up as a readable text diff in review instead of a silent
-//! drift.
+//! Every zoo model × searched format pins four emitted files against
+//! checked-in goldens under `tests/golden/hls/`:
+//!
+//! * `firmware/defines.h` — the per-tensor `ap_fixed` typedefs;
+//! * the top-level `.cpp` — the layer pipeline walked from the compiled
+//!   plan's step schedule;
+//! * `firmware/parameters.h` — every step's geometry, requantize shifts and
+//!   affine/dropout multipliers;
+//! * `firmware/weights/weights.h` — the integer weight and bias codes.
+//!
+//! The last two carry the constants the plan computes with; the
+//! simulator-vs-plan suite reads the same constants from the same schedule,
+//! so only these snapshots catch a change to them. `defines.h` and the
+//! `.cpp` are pinned in full for every subject, as are LeNet-5's
+//! `parameters.h` and `weights.h`. ResNet-18's weight header runs to
+//! hundreds of kilobytes, so its two constant files are pinned by
+//! `digests.txt`: each file's byte length and FNV-1a-64 hash. Any codegen
+//! change — intended or not — shows up as a diff in review instead of a
+//! silent drift.
 //!
 //! To regenerate the goldens after an intentional generator change:
 //!
@@ -30,6 +43,9 @@ struct Subject {
     name: &'static str,
     spec: NetworkSpec,
     calibrated: CalibratedNetwork,
+    /// Pin `parameters.h`/`weights.h` in full (small designs) instead of by
+    /// length and hash in `digests.txt`.
+    constants_in_full: bool,
 }
 
 fn lenet_subject() -> Subject {
@@ -51,6 +67,7 @@ fn lenet_subject() -> Subject {
         name: "lenet5",
         spec,
         calibrated,
+        constants_in_full: true,
     }
 }
 
@@ -72,6 +89,7 @@ fn resnet_subject() -> Subject {
         name: "resnet18",
         spec,
         calibrated,
+        constants_in_full: false,
     }
 }
 
@@ -114,6 +132,22 @@ fn check_golden(case: &str, file: &str, actual: &str) {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One `digests.txt` line: file name, byte length and FNV-1a-64 hash.
+fn digest_line(file: &str, contents: &str) -> String {
+    format!(
+        "{file} {} {:016x}\n",
+        contents.len(),
+        fnv1a64(contents.as_bytes())
+    )
+}
+
 fn snapshot_subject(subject: &Subject) {
     for format in FixedPointFormat::search_space() {
         let config = HlsConfig::new(subject.name).with_format(format);
@@ -129,6 +163,28 @@ fn snapshot_subject(subject: &Subject) {
             .file(&format!("firmware/{}.cpp", subject.name))
             .expect("lowered project has a top-level cpp");
         check_golden(&case, "top.cpp", top);
+        let constants = [
+            ("parameters.h", "firmware/parameters.h"),
+            ("weights.h", "firmware/weights/weights.h"),
+        ]
+        .map(|(file, path)| {
+            let contents = design
+                .project()
+                .file(path)
+                .unwrap_or_else(|| panic!("lowered project has {path}"));
+            (file, contents)
+        });
+        if subject.constants_in_full {
+            for (file, contents) in constants {
+                check_golden(&case, file, contents);
+            }
+        } else {
+            let digests: String = constants
+                .iter()
+                .map(|(file, contents)| digest_line(file, contents))
+                .collect();
+            check_golden(&case, "digests.txt", &digests);
+        }
         // The snapshot covers the text; the summary guards the quantities a
         // reviewer cannot eyeball from the diff.
         assert_eq!(

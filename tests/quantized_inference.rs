@@ -79,7 +79,7 @@ fn extreme_inputs_saturate_through_the_whole_network() {
     let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
     for format in FixedPointFormat::search_space() {
         let mut plan = calibrated.plan(format).unwrap();
-        let out_params = plan.exit_out_params();
+        let out_params: Vec<_> = plan.schedule().exits.iter().map(|e| e.out_params).collect();
         for fill in [1e9f32, -1e9] {
             let hot = Tensor::full(&[2, 1, 10, 10], fill);
             let logits = plan.forward_exits_int(&hot, Mode::Eval).unwrap();
