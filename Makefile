@@ -58,9 +58,11 @@ test-doc:
 test-st:
 	BNN_THREADS=1 $(CARGO) test -q
 
-# Integer kernels are bitwise identical on every SIMD backend; running the
-# suite with BNN_SIMD=scalar keeps the scalar fallback verified on hosts
-# where auto-detection would otherwise never leave the vector path.
+# The integer kernels and the f32 matmul are bitwise identical on every SIMD
+# backend (the f32 kernel keeps one per-element order: separate multiply and
+# add, no FMA, zeros of the left operand skipped); running the suite with
+# BNN_SIMD=scalar keeps the scalar fallback verified on hosts where
+# auto-detection would otherwise never leave the vector path.
 test-scalar:
 	BNN_SIMD=scalar $(CARGO) test -q
 

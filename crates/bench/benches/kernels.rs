@@ -9,7 +9,7 @@ use bnn_nn::layers::conv2d::Conv2d;
 use bnn_nn::Layer;
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 use bnn_tensor::int::{im2row_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into};
-use bnn_tensor::linalg::{im2col, matmul, ConvGeometry};
+use bnn_tensor::linalg::{col2im, im2col, matmul, ConvGeometry};
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -78,6 +78,20 @@ fn bench_kernels(c: &mut Criterion) {
     let w2d = Tensor::randn(&[32, 144], &mut rng);
     group.bench_function("matmul_32x144x1024", |b| {
         b.iter(|| matmul(&w2d, &cols).unwrap())
+    });
+
+    // The two transforms of the backward pass: a conv weight gradient
+    // `cols x g2dᵀ` (ReLU-sparse columns, narrow output: a 4->4-channel 3x3
+    // conv at batch 32 on 12x12 planes) and the fold of the column gradient.
+    // Own stream, so the inputs of the rows below stay as they were.
+    let mut grad_rng = Xoshiro256StarStar::seed_from_u64(2);
+    let relu_cols = Tensor::randn(&[36, 4608], &mut grad_rng).map(|v| v.max(0.0));
+    let g2d_t = Tensor::randn(&[4608, 4], &mut grad_rng);
+    group.bench_function("matmul_36x4608x4", |b| {
+        b.iter(|| matmul(&relu_cols, &g2d_t).unwrap())
+    });
+    group.bench_function("col2im_4x16x16x16", |b| {
+        b.iter(|| col2im(&cols, 4, 16, &geom).unwrap())
     });
 
     // Covers the slice-based layout reorders on both sides of the im2col

@@ -3,9 +3,44 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::NnError;
 use bnn_tensor::init::Init;
-use bnn_tensor::linalg::{col2im, im2col_into, matmul, transpose, ConvGeometry};
+use bnn_tensor::linalg::{
+    col2im_slices_into, im2col_into, matmul, matmul_slices_into, ConvGeometry,
+};
 use bnn_tensor::rng::Xoshiro256StarStar;
 use bnn_tensor::{Shape, Tensor};
+use std::cell::RefCell;
+
+/// The temporaries of [`Conv2d::backward`], reused across batches. One set
+/// per thread serves every convolution layer, since backward passes run one
+/// layer at a time: per-layer sets would keep all of them alive for every
+/// layer of the network.
+#[derive(Default)]
+struct BackwardScratch {
+    /// `grad_output` as `[out_c, batch * plane]`.
+    g2d: Vec<f32>,
+    /// `g2d` transposed: `[batch * plane, out_c]`.
+    g2d_t: Vec<f32>,
+    /// The weight matrix transposed: `[c * k * k, out_c]`.
+    w_t: Vec<f32>,
+    /// The transposed weight gradient `cols * g2dᵀ`: `[c * k * k, out_c]`.
+    grad_w_t: Vec<f32>,
+    /// One input channel's rows of the column gradient `Wᵀ * g2d`:
+    /// `[k * k, batch * plane]`.
+    dcols: Vec<f32>,
+    /// The input gradient in channel-major order: `[c, batch, in_h, in_w]`.
+    grad_cm: Vec<f32>,
+}
+
+thread_local! {
+    static BACKWARD_SCRATCH: RefCell<BackwardScratch> = RefCell::new(BackwardScratch::default());
+}
+
+/// `buf` resized to exactly `len` elements (stale contents kept: every
+/// caller overwrites the whole slice).
+fn resized(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    buf.resize(len, 0.0);
+    buf
+}
 
 /// Reorders a `[out_c, batch * plane]` convolution product into
 /// `[batch, out_c, plane]`, adding each channel's bias — the epilogue shared
@@ -200,57 +235,88 @@ impl Layer for Conv2d {
                 })?;
         let (batch, _c, in_h, in_w) = self.check_input(&input_dims)?;
         let geom = self.geometry(in_h, in_w);
-        let out_h = geom.out_h();
-        let out_w = geom.out_w();
-        let plane = out_h * out_w;
-
-        // Reorder grad_output [b, out_c, oh, ow] -> g2d [out_c, b*oh*ow] by
-        // copying contiguous rows of `plane` elements. Guard the empty case:
-        // chunks_exact panics on a zero chunk size.
+        let plane = geom.out_h() * geom.out_w();
+        let (out_c, taps) = (self.out_channels, self.kernel * self.kernel);
+        let rows = self.in_channels * taps;
+        let cols_n = batch * plane;
         let g = grad_output.as_slice();
-        let mut g2d = vec![0.0f32; self.out_channels * batch * plane];
-        if plane > 0 {
-            for (src_idx, src_row) in g.chunks_exact(plane).enumerate() {
-                let (b, co) = (src_idx / self.out_channels, src_idx % self.out_channels);
-                let start = co * (batch * plane) + b * plane;
-                g2d[start..start + plane].copy_from_slice(src_row);
+        if g.len() != out_c * cols_n {
+            return Err(NnError::BadInputShape {
+                layer: "conv2d".into(),
+                got: grad_output.dims().to_vec(),
+                expected: format!("[{batch}, {out_c}, {}, {}]", geom.out_h(), geom.out_w()),
+            });
+        }
+        BACKWARD_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            // Reorder grad_output [b, out_c, oh, ow] into g2d [out_c, b*oh*ow]
+            // (contiguous rows of `plane`) and its transpose g2dᵀ
+            // [b*oh*ow, out_c]. Guard the empty case: chunks_exact panics on
+            // a zero chunk size.
+            let g2d = resized(&mut scratch.g2d, out_c * cols_n);
+            let g2d_t = resized(&mut scratch.g2d_t, cols_n * out_c);
+            if plane > 0 {
+                for (src_idx, src_row) in g.chunks_exact(plane).enumerate() {
+                    let (b, co) = (src_idx / out_c, src_idx % out_c);
+                    g2d[co * cols_n + b * plane..][..plane].copy_from_slice(src_row);
+                    for (s, &v) in src_row.iter().enumerate() {
+                        g2d_t[(b * plane + s) * out_c + co] = v;
+                    }
+                }
             }
-        }
-        let g2d = Tensor::from_vec(g2d, &[self.out_channels, batch * plane])?;
 
-        // dW = g2d * cols^T, computed as (cols * g2d^T)^T so the contiguous
-        // axpy matmul kernel applies. Only the small gradient matrix g2d
-        // ([out_c, b*oh*ow]) is transposed — the backward no longer clones
-        // the full im2col column matrix ([c*k*k, b*oh*ow], the dominant
-        // buffer) on every batch.
-        let grad_w2d_t = matmul(cols, &transpose(&g2d)?)?;
-        let grad_w = transpose(&grad_w2d_t)?.reshape(&[
-            self.out_channels,
-            self.in_channels,
-            self.kernel,
-            self.kernel,
-        ])?;
-        self.weight.grad.add_scaled_inplace(&grad_w, 1.0)?;
+            // dW = g2d * colsᵀ, computed as dWᵀ = cols * g2dᵀ so the column
+            // matrix ([c*k*k, b*oh*ow], the dominant buffer) is read in place
+            // and never transposed.
+            let grad_w_t = resized(&mut scratch.grad_w_t, rows * out_c);
+            matmul_slices_into(cols.as_slice(), g2d_t, rows, cols_n, out_c, grad_w_t)?;
+            let dw = self.weight.grad.as_mut_slice();
+            for (r, row) in grad_w_t.chunks_exact(out_c).enumerate() {
+                for (co, &v) in row.iter().enumerate() {
+                    dw[co * rows + r] += v;
+                }
+            }
 
-        // db = row sums of g2d.
-        let gd = g2d.as_slice();
-        let db = self.bias.grad.as_mut_slice();
-        for co in 0..self.out_channels {
-            let row_sum: f32 = gd[co * batch * plane..(co + 1) * batch * plane]
-                .iter()
-                .sum();
-            db[co] += row_sum;
-        }
+            // db = row sums of g2d.
+            let db = self.bias.grad.as_mut_slice();
+            if cols_n > 0 {
+                for (d, row) in db.iter_mut().zip(g2d.chunks_exact(cols_n)) {
+                    *d += row.iter().sum::<f32>();
+                }
+            }
 
-        // dcols = W2d^T * g2d, folded back to the input shape (the weight
-        // matrix transposed here is tiny relative to the column matrix).
-        let w2d = self.weight.value.reshape(&[
-            self.out_channels,
-            self.in_channels * self.kernel * self.kernel,
-        ])?;
-        let dcols = matmul(&transpose(&w2d)?, &g2d)?;
-        let grad_input = col2im(&dcols, batch, self.in_channels, &geom)?;
-        Ok(grad_input)
+            // dcols = Wᵀ * g2d, folded back to the input shape one input
+            // channel at a time: a channel's `k*k` rows of dcols fold into
+            // that channel's planes only, so the column gradient never needs
+            // more than one channel's rows. The fold writes channel-major
+            // planes, reordered to NCHW at the end.
+            let w_t = resized(&mut scratch.w_t, rows * out_c);
+            for (co, row) in self.weight.value.as_slice().chunks_exact(rows).enumerate() {
+                for (r, &v) in row.iter().enumerate() {
+                    w_t[r * out_c + co] = v;
+                }
+            }
+            let in_plane = in_h * in_w;
+            let mut grad_input = vec![0.0f32; batch * self.in_channels * in_plane];
+            if batch * in_plane == 0 {
+                return Tensor::from_vec(grad_input, &input_dims).map_err(NnError::from);
+            }
+            let dcols = resized(&mut scratch.dcols, taps * cols_n);
+            let grad_cm = resized(&mut scratch.grad_cm, grad_input.len());
+            for (w_rows, grad_ch) in w_t
+                .chunks_exact(taps * out_c)
+                .zip(grad_cm.chunks_exact_mut(batch * in_plane))
+            {
+                matmul_slices_into(w_rows, g2d, taps, out_c, cols_n, dcols)?;
+                col2im_slices_into(dcols, batch, 1, &geom, grad_ch)?;
+            }
+            for (cb, src) in grad_cm.chunks_exact(in_plane).enumerate() {
+                let (ch, b) = (cb / batch, cb % batch);
+                grad_input[(b * self.in_channels + ch) * in_plane..][..in_plane]
+                    .copy_from_slice(src);
+            }
+            Tensor::from_vec(grad_input, &input_dims).map_err(NnError::from)
+        })
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -35,25 +35,6 @@ fn auto_executor(work: usize, threshold: usize) -> Executor {
     }
 }
 
-/// Fills `out` rows `[row0, row0 + out.len() / n)` of the product
-/// `a [m, k] x b [k, n]`. The ikj loop order keeps the inner loop contiguous
-/// over both `b` and `out`.
-fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
-    for (local_i, out_row) in out.chunks_exact_mut(n).enumerate() {
-        let i = row0 + local_i;
-        for p in 0..k {
-            let a_ip = a[i * k + p];
-            if a_ip == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                *o += a_ip * b_pj;
-            }
-        }
-    }
-}
-
 /// Splits `out` (`m` rows of `n` elements) into one contiguous row block per
 /// executor thread and fills each block with `fill(block_row0, block)`.
 /// Shared by the float kernels here and the integer kernels in
@@ -159,8 +140,8 @@ pub fn matmul_slices_into(
 /// [`matmul`] over raw slices into a caller-provided exact-length slice —
 /// the arena-aware entry point used by the compiled float execution plans.
 ///
-/// `out` must hold exactly `m * n` elements; it is zeroed, then filled by
-/// exactly the kernel [`matmul`] runs, so results are bitwise identical to
+/// `out` must hold exactly `m * n` elements; it is overwritten by exactly
+/// the kernel [`matmul`] runs, so results are bitwise identical to
 /// the allocating entry point. The slice is never reallocated, so several
 /// steps of a plan can share one scratch buffer, and the call performs no
 /// heap allocation on a single thread.
@@ -185,9 +166,13 @@ pub fn matmul_slices_into_with(
             op: "matmul_slices_into",
         });
     }
-    out.fill(0.0);
+    // Each row block runs the register-tiled kernel of the active SIMD
+    // backend, which is bitwise identical on every backend (see
+    // [`crate::simd`]).
+    let backend = simdkern::active();
     fill_row_blocks(exec, out, m, n, |row0, chunk| {
-        matmul_block(a, b, chunk, row0, k, n)
+        let rows = chunk.len() / n;
+        simdkern::matmul_f32(backend, &a[row0 * k..(row0 + rows) * k], b, k, n, chunk)
     });
     Ok(())
 }
@@ -478,7 +463,6 @@ pub fn im2col_slices_into_with(
             op: "im2col_slices_into",
         });
     }
-    let (in_h, in_w) = (geom.in_h, geom.in_w);
     let out_h = geom.out_h();
     let out_w = geom.out_w();
     let rows = channels * geom.kernel_h * geom.kernel_w;
@@ -493,67 +477,115 @@ pub fn im2col_slices_into_with(
     if rows * cols == 0 {
         return Ok((rows, cols));
     }
+    let in_plane = geom.in_h * geom.in_w;
+    let out_plane = out_h * out_w;
+    let taps = geom.kernel_h * geom.kernel_w;
     // The unfold is a pure scatter: every output element is written exactly
     // once with a value independent of traversal order, so the two fill
-    // orders below are bitwise interchangeable. The batch-major order keeps
-    // one input plane hot across all nine kernel taps (fastest on a single
-    // thread); the row-major order produces disjoint contiguous output
-    // chunks, which is what the parallel split needs.
+    // orders below are bitwise interchangeable. Both fill whole
+    // `out_h x out_w` planes, one (batch, channel, tap) at a time, through
+    // the same segment routine. The batch-major order keeps one input plane
+    // hot across all kernel taps (fastest on a single thread); the row-major
+    // order produces disjoint contiguous output chunks, which is what the
+    // parallel split needs.
     if exec.threads() > 1 && !parpool::in_parallel_region() && rows > 1 {
         // One task per output row: a row is a fixed (channel, kh, kw) tap
         // evaluated at every (batch, oh, ow) position, contiguous in `out`.
         exec.par_chunks_mut(out, cols, |row, out_row| {
-            let c = row / (geom.kernel_h * geom.kernel_w);
-            let rem = row % (geom.kernel_h * geom.kernel_w);
-            let kh = rem / geom.kernel_w;
-            let kw = rem % geom.kernel_w;
-            for b in 0..batch {
-                for oh in 0..out_h {
-                    let ih = (oh * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                    for ow in 0..out_w {
-                        let iw = (ow * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                        let col = (b * out_h + oh) * out_w + ow;
-                        let value =
-                            if ih >= 0 && iw >= 0 && (ih as usize) < in_h && (iw as usize) < in_w {
-                                data[((b * channels + c) * in_h + ih as usize) * in_w + iw as usize]
-                            } else {
-                                0.0
-                            };
-                        out_row[col] = value;
-                    }
-                }
+            let (c, tap) = (row / taps, row % taps);
+            for (b, dst) in out_row.chunks_exact_mut(out_plane).enumerate() {
+                let src = &data[(b * channels + c) * in_plane..][..in_plane];
+                unfold_tap(src, geom, tap / geom.kernel_w, tap % geom.kernel_w, dst);
             }
         });
     } else {
-        for b in 0..batch {
-            for c in 0..channels {
-                for kh in 0..geom.kernel_h {
-                    for kw in 0..geom.kernel_w {
-                        let row = (c * geom.kernel_h + kh) * geom.kernel_w + kw;
-                        for oh in 0..out_h {
-                            let ih = (oh * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                            for ow in 0..out_w {
-                                let iw = (ow * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                                let col = (b * out_h + oh) * out_w + ow;
-                                let value = if ih >= 0
-                                    && iw >= 0
-                                    && (ih as usize) < in_h
-                                    && (iw as usize) < in_w
-                                {
-                                    data[((b * channels + c) * in_h + ih as usize) * in_w
-                                        + iw as usize]
-                                } else {
-                                    0.0
-                                };
-                                out[row * cols + col] = value;
-                            }
-                        }
-                    }
-                }
+        for bc in 0..batch * channels {
+            let (b, c) = (bc / channels, bc % channels);
+            let src = &data[bc * in_plane..][..in_plane];
+            for tap in 0..taps {
+                let dst = &mut out[(c * taps + tap) * cols + b * out_plane..][..out_plane];
+                unfold_tap(src, geom, tap / geom.kernel_w, tap % geom.kernel_w, dst);
             }
         }
     }
     Ok((rows, cols))
+}
+
+/// The output positions `o` in `[0, out_len)` whose input coordinate
+/// `o * stride + tap - pad` lies in `[0, in_len)`, as a half-open range
+/// (empty when the tap never lands inside the input).
+fn tap_range(
+    tap: usize,
+    stride: usize,
+    pad: usize,
+    in_len: usize,
+    out_len: usize,
+) -> (usize, usize) {
+    let lo = pad.saturating_sub(tap).div_ceil(stride).min(out_len);
+    let hi = (in_len + pad)
+        .saturating_sub(tap)
+        .div_ceil(stride)
+        .min(out_len);
+    (lo, hi.max(lo))
+}
+
+/// Unfolds kernel tap `(kh, kw)` of one input plane (`in_h x in_w`) into one
+/// `out_h x out_w` plane of the column matrix: per output row, a zero
+/// prefix, one (strided) copy of the in-bounds input segment and a zero
+/// suffix — the valid ranges are computed once per tap, not per element.
+fn unfold_tap(src: &[f32], geom: &ConvGeometry, kh: usize, kw: usize, dst: &mut [f32]) {
+    let (out_h, out_w) = (geom.out_h(), geom.out_w());
+    let (oh_lo, oh_hi) = tap_range(kh, geom.stride_h, geom.pad_h, geom.in_h, out_h);
+    let (ow_lo, ow_hi) = tap_range(kw, geom.stride_w, geom.pad_w, geom.in_w, out_w);
+    for (oh, row) in dst.chunks_exact_mut(out_w).enumerate() {
+        if oh < oh_lo || oh >= oh_hi || ow_lo == ow_hi {
+            row.fill(0.0);
+            continue;
+        }
+        let ih = oh * geom.stride_h + kh - geom.pad_h;
+        let iw0 = ow_lo * geom.stride_w + kw - geom.pad_w;
+        let in_row = &src[ih * geom.in_w + iw0..(ih + 1) * geom.in_w];
+        row[..ow_lo].fill(0.0);
+        let seg = &mut row[ow_lo..ow_hi];
+        // Unit stride (most convs) is one contiguous block move; the
+        // `step_by` gather below does not vectorize.
+        if geom.stride_w == 1 {
+            seg.copy_from_slice(&in_row[..seg.len()]);
+        } else {
+            for (d, &v) in seg.iter_mut().zip(in_row.iter().step_by(geom.stride_w)) {
+                *d = v;
+            }
+        }
+        row[ow_hi..].fill(0.0);
+    }
+}
+
+/// The adjoint of [`unfold_tap`]: adds one `out_h x out_w` plane of column
+/// gradients for tap `(kh, kw)` into one input-gradient plane, visiting the
+/// in-bounds positions in ascending `(oh, ow)` order.
+fn fold_tap(src: &[f32], geom: &ConvGeometry, kh: usize, kw: usize, dst: &mut [f32]) {
+    let (out_h, out_w) = (geom.out_h(), geom.out_w());
+    let (oh_lo, oh_hi) = tap_range(kh, geom.stride_h, geom.pad_h, geom.in_h, out_h);
+    let (ow_lo, ow_hi) = tap_range(kw, geom.stride_w, geom.pad_w, geom.in_w, out_w);
+    if ow_lo == ow_hi {
+        return;
+    }
+    for oh in oh_lo..oh_hi {
+        let ih = oh * geom.stride_h + kh - geom.pad_h;
+        let iw0 = ow_lo * geom.stride_w + kw - geom.pad_w;
+        let in_row = &mut dst[ih * geom.in_w + iw0..(ih + 1) * geom.in_w];
+        let src_row = &src[oh * out_w + ow_lo..oh * out_w + ow_hi];
+        // As in `unfold_tap`: unit stride gets the loop that vectorizes.
+        if geom.stride_w == 1 {
+            for (d, &v) in in_row.iter_mut().zip(src_row) {
+                *d += v;
+            }
+        } else {
+            for (d, &v) in in_row.iter_mut().step_by(geom.stride_w).zip(src_row) {
+                *d += v;
+            }
+        }
+    }
 }
 
 /// Folds columns back into an NCHW gradient tensor — the adjoint of [`im2col`].
@@ -571,10 +603,8 @@ pub fn col2im(
     channels: usize,
     geom: &ConvGeometry,
 ) -> Result<Tensor, TensorError> {
-    let out_h = geom.out_h();
-    let out_w = geom.out_w();
     let rows = channels * geom.kernel_h * geom.kernel_w;
-    let cols = batch * out_h * out_w;
+    let cols = batch * geom.out_h() * geom.out_w();
     let (r, c) = columns.shape().as_matrix()?;
     if r != rows || c != cols {
         return Err(TensorError::ShapeMismatch {
@@ -583,40 +613,79 @@ pub fn col2im(
             op: "col2im",
         });
     }
-    let data = columns.as_slice();
+    let mut out = vec![0.0f32; batch * channels * geom.in_h * geom.in_w];
+    col2im_slices_into(columns.as_slice(), batch, channels, geom, &mut out)?;
+    Tensor::from_vec(out, &[batch, channels, geom.in_h, geom.in_w])
+}
+
+/// [`col2im_slices_into_with`] on the same auto-selected executor as
+/// [`col2im`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `columns` is not exactly the
+/// column matrix's size or `out` does not hold
+/// `batch * channels * in_h * in_w` elements.
+pub fn col2im_slices_into(
+    columns: &[f32],
+    batch: usize,
+    channels: usize,
+    geom: &ConvGeometry,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    col2im_slices_into_with(
+        &auto_executor(out.len(), PAR_ELEMS_THRESHOLD),
+        columns,
+        batch,
+        channels,
+        geom,
+        out,
+    )
+}
+
+/// [`col2im`] over a raw column-matrix slice (`channels * k * k` rows by
+/// `batch * out_h * out_w` columns) into an exact-length NCHW slice, which
+/// is overwritten (bitwise identical fold; `out` is never reallocated).
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `columns` is not exactly the
+/// column matrix's size or `out` does not hold
+/// `batch * channels * in_h * in_w` elements.
+pub fn col2im_slices_into_with(
+    exec: &Executor,
+    columns: &[f32],
+    batch: usize,
+    channels: usize,
+    geom: &ConvGeometry,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    let out_plane = geom.out_h() * geom.out_w();
+    let taps = geom.kernel_h * geom.kernel_w;
+    let cols = batch * out_plane;
     let plane = geom.in_h * geom.in_w;
-    let mut out = vec![0.0f32; batch * channels * plane];
-    if !out.is_empty() {
-        let exec = auto_executor(out.len(), PAR_ELEMS_THRESHOLD);
-        // One task per (batch, channel) plane: planes are disjoint in `out`
-        // and each accumulates its taps in the sequential (kh, kw, oh, ow)
-        // order, so results match the single-threaded fold bit for bit.
-        exec.par_chunks_mut(&mut out, plane, |plane_idx, out_plane| {
-            let b = plane_idx / channels;
-            let ch = plane_idx % channels;
-            for kh in 0..geom.kernel_h {
-                for kw in 0..geom.kernel_w {
-                    let row = (ch * geom.kernel_h + kh) * geom.kernel_w + kw;
-                    for oh in 0..out_h {
-                        let ih = (oh * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                        if ih < 0 || ih as usize >= geom.in_h {
-                            continue;
-                        }
-                        for ow in 0..out_w {
-                            let iw = (ow * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                            if iw < 0 || iw as usize >= geom.in_w {
-                                continue;
-                            }
-                            let col = (b * out_h + oh) * out_w + ow;
-                            out_plane[ih as usize * geom.in_w + iw as usize] +=
-                                data[row * cols + col];
-                        }
-                    }
-                }
-            }
+    if columns.len() != channels * taps * cols || out.len() != batch * channels * plane {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![columns.len(), out.len()],
+            rhs: vec![batch, channels, geom.in_h, geom.in_w],
+            op: "col2im_slices_into",
         });
     }
-    Tensor::from_vec(out, &[batch, channels, geom.in_h, geom.in_w])
+    if out.is_empty() {
+        return Ok(());
+    }
+    out.fill(0.0);
+    // One task per (batch, channel) plane: planes are disjoint in `out` and
+    // each accumulates its taps in the sequential (kh, kw, oh, ow) order, so
+    // results match the single-threaded fold bit for bit.
+    exec.par_chunks_mut(out, plane, |plane_idx, dst| {
+        let (b, ch) = (plane_idx / channels, plane_idx % channels);
+        for tap in 0..taps {
+            let src = &columns[(ch * taps + tap) * cols + b * out_plane..][..out_plane];
+            fold_tap(src, geom, tap / geom.kernel_w, tap % geom.kernel_w, dst);
+        }
+    });
+    Ok(())
 }
 
 #[cfg(test)]
@@ -724,6 +793,146 @@ mod tests {
         let dims_par = im2col_into_with(&Executor::new(4), &input, &geom, &mut par).unwrap();
         assert_eq!(dims_seq, dims_par);
         assert_eq!(seq, par);
+    }
+
+    /// The per-element unfold: every column entry bounds-checked on its own.
+    fn im2col_reference(data: &[f32], batch: usize, channels: usize, g: &ConvGeometry) -> Vec<f32> {
+        let (out_h, out_w) = (g.out_h(), g.out_w());
+        let cols = batch * out_h * out_w;
+        let mut out = vec![f32::NAN; channels * g.kernel_h * g.kernel_w * cols];
+        for b in 0..batch {
+            for c in 0..channels {
+                for kh in 0..g.kernel_h {
+                    for kw in 0..g.kernel_w {
+                        let row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+                        for oh in 0..out_h {
+                            for ow in 0..out_w {
+                                let ih = (oh * g.stride_h + kh) as isize - g.pad_h as isize;
+                                let iw = (ow * g.stride_w + kw) as isize - g.pad_w as isize;
+                                let inside = ih >= 0
+                                    && iw >= 0
+                                    && (ih as usize) < g.in_h
+                                    && (iw as usize) < g.in_w;
+                                out[row * cols + (b * out_h + oh) * out_w + ow] = if inside {
+                                    data[((b * channels + c) * g.in_h + ih as usize) * g.in_w
+                                        + iw as usize]
+                                } else {
+                                    0.0
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The per-element fold, accumulating in (kh, kw, oh, ow) order.
+    fn col2im_reference(
+        cols_data: &[f32],
+        batch: usize,
+        channels: usize,
+        g: &ConvGeometry,
+    ) -> Vec<f32> {
+        let (out_h, out_w) = (g.out_h(), g.out_w());
+        let cols = batch * out_h * out_w;
+        let mut out = vec![0.0f32; batch * channels * g.in_h * g.in_w];
+        for b in 0..batch {
+            for c in 0..channels {
+                for kh in 0..g.kernel_h {
+                    for kw in 0..g.kernel_w {
+                        let row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+                        for oh in 0..out_h {
+                            for ow in 0..out_w {
+                                let ih = (oh * g.stride_h + kh) as isize - g.pad_h as isize;
+                                let iw = (ow * g.stride_w + kw) as isize - g.pad_w as isize;
+                                if ih < 0
+                                    || iw < 0
+                                    || ih as usize >= g.in_h
+                                    || iw as usize >= g.in_w
+                                {
+                                    continue;
+                                }
+                                out[((b * channels + c) * g.in_h + ih as usize) * g.in_w
+                                    + iw as usize] +=
+                                    cols_data[row * cols + (b * out_h + oh) * out_w + ow];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn segment_unfold_and_fold_match_per_element_reference() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(33);
+        // (in_h, in_w, kernel_h, kernel_w, stride_h, stride_w): strides 2 and
+        // 3, kernels larger than the input, 1x1 and 1-wide planes; every
+        // padding from 0 up to the kernel size.
+        let shapes = [
+            (7usize, 9usize, 3usize, 3usize, 2usize, 2usize),
+            (8, 5, 3, 2, 3, 3),
+            (5, 6, 4, 4, 3, 2),
+            (2, 3, 5, 4, 1, 2),
+            (1, 1, 3, 3, 1, 1),
+            (1, 1, 1, 1, 1, 1),
+            (6, 1, 3, 1, 2, 1),
+            (1, 7, 1, 3, 1, 3),
+            (4, 4, 1, 1, 2, 2),
+        ];
+        let pooled = Executor::new(4);
+        for (in_h, in_w, kernel_h, kernel_w, stride_h, stride_w) in shapes {
+            for pad in 0..=kernel_h.max(kernel_w) {
+                let geom = ConvGeometry {
+                    in_h,
+                    in_w,
+                    kernel_h,
+                    kernel_w,
+                    stride_h,
+                    stride_w,
+                    pad_h: pad.min(kernel_h),
+                    pad_w: pad.min(kernel_w),
+                };
+                for (batch, channels) in [(1usize, 1usize), (3, 2)] {
+                    let ctx = format!("{geom:?} batch={batch} channels={channels}");
+                    let data = Tensor::randn(&[batch, channels, in_h, in_w], &mut rng);
+                    let expected = im2col_reference(data.as_slice(), batch, channels, &geom);
+                    let grad = Tensor::randn(&[expected.len()], &mut rng);
+                    let folded = col2im_reference(grad.as_slice(), batch, channels, &geom);
+                    for exec in [Executor::sequential(), pooled] {
+                        let mut cols = vec![f32::NAN; expected.len()];
+                        im2col_slices_into_with(
+                            &exec,
+                            data.as_slice(),
+                            batch,
+                            channels,
+                            &geom,
+                            &mut cols,
+                        )
+                        .unwrap();
+                        assert_eq!(bits(&cols), bits(&expected), "im2col {ctx}");
+                        let mut fold = vec![f32::NAN; folded.len()];
+                        col2im_slices_into_with(
+                            &exec,
+                            grad.as_slice(),
+                            batch,
+                            channels,
+                            &geom,
+                            &mut fold,
+                        )
+                        .unwrap();
+                        assert_eq!(bits(&fold), bits(&folded), "col2im {ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

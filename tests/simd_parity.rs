@@ -3,7 +3,10 @@
 //! kernels, the requantize row helpers and the im2row fill, across odd
 //! shapes (remainder rows/columns, single-row and single-column products)
 //! and thread counts, and end to end through the quantized inference plans
-//! for every format in the paper's search space `{4, 6, 8, 16}`.
+//! for every format in the paper's search space `{4, 6, 8, 16}`. The f32
+//! matmul kernel is held to the same contract against a naive `ikj` loop,
+//! and one epoch of multi-exit ResNet-18 training must leave bit-identical
+//! weights on every backend.
 //!
 //! Backends are forced through the process-global override
 //! (`bnn_tensor::simd::set_backend_override`), so the scalar kernels stay
@@ -16,9 +19,10 @@ use bayesnn_fpga::tensor::int::{
     requantize_i32_row_biased_into, requantize_i32_row_into, requantize_i64_row_biased_into,
     requantize_i64_row_into,
 };
-use bayesnn_fpga::tensor::linalg::ConvGeometry;
+use bayesnn_fpga::tensor::linalg::{matmul_slices_into_with, ConvGeometry};
 use bayesnn_fpga::tensor::rng::{Rng, Xoshiro256StarStar};
 use bayesnn_fpga::tensor::simd::{available_backends, set_backend_override, Backend};
+use bayesnn_fpga::tensor::Tensor;
 use std::sync::Mutex;
 
 /// The backend override is process-global; every test in this binary takes
@@ -217,7 +221,6 @@ fn im2row_matches_scalar_bitwise_across_backends() {
 fn quantized_plans_are_backend_invariant_across_formats() {
     use bayesnn_fpga::models::{zoo, ModelConfig};
     use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
-    use bayesnn_fpga::tensor::Tensor;
 
     // A small multi-exit LeNet-5 (random weights suffice: parity is about
     // arithmetic, not accuracy) calibrated on random images.
@@ -255,4 +258,176 @@ fn quantized_plans_are_backend_invariant_across_formats() {
             );
         });
     }
+}
+
+/// The f32 matmul contract, written as the plainest loop: each element
+/// starts at `+0.0` and adds `a[i][p] * b[p][j]` for ascending `p`, skipping
+/// every `p` where `a[i][p] == 0.0`.
+fn matmul_f32_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+        for p in 0..k {
+            let a_ip = a[i * k + p];
+            if a_ip == 0.0 {
+                continue;
+            }
+            for (o, &b_pj) in out_row.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *o += a_ip * b_pj;
+            }
+        }
+    }
+    out
+}
+
+/// Operands that exercise every rule of the f32 contract: a ReLU-sparse `a`
+/// whose zeros carry both signs, a `b` with signed zeros, and a last `p`
+/// where every `a[i][p]` is zero opposite `b[p][j]` in {+inf, -inf, NaN} —
+/// the zero-skip rule keeps those out of the result. From `k >= 36` on, the
+/// first two `p` also pair a nonzero `a` column with `+inf`/`-inf` entries
+/// of `b`, so some outputs are legitimately infinite or NaN.
+fn f32_operands(
+    m: usize,
+    k: usize,
+    n: usize,
+    rng: &mut Xoshiro256StarStar,
+) -> (Vec<f32>, Vec<f32>) {
+    let signed_zero =
+        |rng: &mut Xoshiro256StarStar| if rng.next_u64() & 1 == 0 { 0.0 } else { -0.0 };
+    let mut a = Tensor::randn(&[m * k], rng).into_vec();
+    for v in &mut a {
+        if *v <= 0.0 {
+            *v = signed_zero(rng);
+        }
+    }
+    let mut b = Tensor::randn(&[k * n], rng).into_vec();
+    for v in &mut b {
+        if rng.next_u64() % 8 == 0 {
+            *v = signed_zero(rng);
+        }
+    }
+    let poison = k - 1;
+    for i in 0..m {
+        a[i * k + poison] = signed_zero(rng);
+    }
+    for (j, v) in b[poison * n..(poison + 1) * n].iter_mut().enumerate() {
+        *v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j % 3];
+    }
+    if k >= 36 {
+        for (p, inf) in [(0usize, f32::INFINITY), (1, f32::NEG_INFINITY)] {
+            for i in 0..m {
+                a[i * k + p] = 0.5 + a[i * k + p].abs();
+            }
+            for j in (0..n).step_by(4) {
+                b[p * n + j] = inf;
+            }
+        }
+    }
+    (a, b)
+}
+
+#[test]
+fn f32_matmul_matches_ikj_reference_bitwise_across_backends_and_threads() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(61);
+    for k in [1usize, 2, 36, 4608] {
+        for m in [1usize, 3, 5, 7, 9, 33] {
+            for n in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33] {
+                let (a, b) = f32_operands(m, k, n, &mut rng);
+                let expected: Vec<u32> = matmul_f32_reference(&a, &b, m, k, n)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                for threads in [1usize, 4] {
+                    let exec = Executor::new(threads);
+                    for_each_backend(|backend| {
+                        let mut out = vec![f32::NAN; m * n];
+                        matmul_slices_into_with(&exec, &a, &b, m, k, n, &mut out).unwrap();
+                        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            got, expected,
+                            "{m}x{k}x{n} threads={threads} backend={backend:?}"
+                        );
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn training_is_backend_invariant() {
+    use bayesnn_fpga::data::{DatasetSpec, SyntheticConfig};
+    use bayesnn_fpga::models::{zoo, LayerSpec, ModelConfig};
+    use bayesnn_fpga::nn::optimizer::Sgd;
+    use bayesnn_fpga::nn::trainer::{train, LabelledBatchSource, TrainConfig};
+
+    // A quick-demo-sized MCD+ME ResNet-18: batch norm throughout, a 1x1
+    // projection shortcut where a stage changes width, and MC-dropout exits
+    // after every block.
+    let spec = zoo::resnet18(
+        &ModelConfig::cifar10()
+            .with_resolution(12, 12)
+            .with_width_divisor(16),
+    )
+    .with_exits_after_every_block()
+    .unwrap()
+    .with_exit_mcd(0.25)
+    .unwrap();
+    let has_projection =
+        spec.blocks.iter().flatten().any(
+            |layer| matches!(layer, LayerSpec::Residual { shortcut, .. } if !shortcut.is_empty()),
+        );
+    assert!(has_projection && spec.exits.len() > 1);
+    let data = SyntheticConfig::new(DatasetSpec::cifar10_like().with_resolution(12, 12))
+        .with_samples(40, 8)
+        .generate(5)
+        .unwrap();
+    let batches =
+        LabelledBatchSource::new(data.train.inputs().clone(), data.train.labels().to_vec())
+            .unwrap();
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 16,
+        distillation_weight: 0.5,
+        temperature: 2.0,
+        seed: 3,
+        shuffle: true,
+    };
+    let train_once = || {
+        let mut network = spec.build(7).unwrap();
+        let mut sgd = Sgd::new(0.05).with_momentum(0.9).with_weight_decay(5e-4);
+        train(&mut network, &batches, &mut sgd, &cfg).unwrap();
+        let checkpoint = network.checkpoint();
+        let params: Vec<u32> = checkpoint
+            .params
+            .iter()
+            .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect();
+        let state: Vec<u32> = checkpoint
+            .container_state
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect();
+        (params, state)
+    };
+    let reference;
+    {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_backend_override(Some(Backend::Scalar));
+        reference = train_once();
+        set_backend_override(None);
+    }
+    assert!(!reference.0.is_empty() && !reference.1.is_empty());
+    for_each_backend(|backend| {
+        let got = train_once();
+        assert!(
+            got.0 == reference.0,
+            "trained weights differ on {backend:?}"
+        );
+        assert!(
+            got.1 == reference.1,
+            "batch-norm state differs on {backend:?}"
+        );
+    });
 }
