@@ -159,10 +159,12 @@ impl McSampler {
     /// independent given their seeded mask streams and fan out across the
     /// sampler's executor. Everything executes on the compiled
     /// [`bnn_models::MultiExitPlan`] **cached on the network**
-    /// ([`MultiExitNetwork::cached_plan`]) — backbone and exits run in
-    /// preallocated arenas reused across passes *and across predictions*
+    /// ([`MultiExitNetwork::cached_plan`]) — backbone and exits run in one
+    /// preallocated arena reused across passes *and across predictions*
     /// (the lowering + weight-packing compile reruns only after a weight
-    /// mutation or input-shape change), and worker replicas are plan clones.
+    /// mutation or input-shape change). Worker replicas are plan clones
+    /// taken after the backbone ran, which re-run the exits from the block
+    /// outputs pinned in their arena.
     /// The result is **bit-identical** to running the layer chain pass by
     /// pass, at every thread count.
     ///
@@ -183,14 +185,16 @@ impl McSampler {
         }
         let plan = network.cached_plan(sample_dims(inputs)?)?;
         let passes = self.config.passes_for(n_exits).max(1);
-        let activations = plan.forward_backbone(inputs, Mode::Eval)?;
+        plan.run_backbone(inputs, Mode::Eval)?;
         let pass_seeds: Vec<u64> = (0..passes)
             .map(|p| stream_seed(self.config.seed, p as u64))
             .collect();
 
         let pass_exits: Vec<Vec<Tensor>> =
             if self.executor.threads() > 1 && passes > 1 && !in_parallel_region() {
-                // One plan clone per *worker*, not per pass; worker w runs
+                // One plan clone per *worker*, not per pass, taken after the
+                // backbone ran, so each replica re-runs the exits from the
+                // block outputs pinned in its copied arena. Worker w runs
                 // passes w, w+W, … and each pass reseeds from its own
                 // stream, so the assignment does not affect the result. The
                 // cached plan itself serves the last worker, so only
@@ -210,7 +214,7 @@ impl McSampler {
                             .step_by(workers)
                             .map(|&seed| {
                                 replica.reseed_mc_streams(seed);
-                                replica.forward_exits_from_activations(&activations, Mode::McSample)
+                                replica.forward_exits(Mode::McSample)
                             })
                             .collect::<Result<Vec<Vec<Tensor>>, _>>()
                     })
@@ -224,8 +228,7 @@ impl McSampler {
                 let mut collected = Vec::with_capacity(passes);
                 for &seed in &pass_seeds {
                     plan.reseed_mc_streams(seed);
-                    collected
-                        .push(plan.forward_exits_from_activations(&activations, Mode::McSample)?);
+                    collected.push(plan.forward_exits(Mode::McSample)?);
                 }
                 collected
             };

@@ -1,16 +1,20 @@
-//! Compiled inference plans for multi-exit networks: the allocate-once
+//! The compiled float plan of a multi-exit network: the allocate-once
 //! counterpart of [`MultiExitNetwork`]'s forward path.
 //!
-//! [`MultiExitNetwork::compile_plan`] lowers every backbone block and exit
-//! branch into a [`bnn_nn::InferencePlan`]. The plans execute exactly the
-//! layer forward chain bit for bit (see `bnn_nn::plan`), so the Bayesian
-//! sampler can run its backbone-once/exits-many Monte-Carlo loop on a plan —
-//! reusing each plan's arena across passes instead of allocating per-layer
-//! activations and rebuilding model replicas — without changing a single
-//! output bit. Every zoo architecture compiles, batch normalisation and
-//! residual blocks included, so the plan is the only float inference
-//! executor; the layer chain remains the trainer and the test reference.
-//! Every input entry point rejects non-finite values with
+//! [`MultiExitPlan::compile`] runs the workspace's one step compiler
+//! ([`bnn_nn::skeleton`]) over every backbone block and exit branch with the
+//! float constants attached ([`bnn_nn::plan::FloatAttach`]): one flat step
+//! list over one f32 arena, with each block's output pinned in its own slot.
+//! That is the integer `bnn_quant::QuantPlan`'s layout too, and the plan
+//! drives the same exit walker through [`ExitPlan`]. The steps reproduce the
+//! layer chain bit for bit (see `bnn_nn::plan`), so the Bayesian sampler
+//! runs its backbone-once/exits-many Monte-Carlo loop on the plan — the
+//! backbone once, then each pass re-runs the exits from the pinned block
+//! slots — without changing a single output bit, and a served batch touches
+//! no allocator once the arena is warm. Every zoo architecture compiles,
+//! batch normalisation and residual blocks included, so the plan is the only
+//! float inference executor; the layer chain remains the trainer and the
+//! test reference. Every input entry point rejects non-finite values with
 //! [`ModelError::InvalidInput`], so NaN in never becomes NaN probabilities
 //! out.
 
@@ -19,31 +23,34 @@ use crate::multi_exit::MultiExitNetwork;
 use crate::policy::{AdaptiveStats, ExitPolicy};
 use crate::walker::{self, ExitPlan, WalkScratch};
 use bnn_nn::layer::Mode;
+use bnn_nn::lowering::LayerLowering;
 use bnn_nn::network::Network;
-use bnn_nn::{InferencePlan, Layer};
-use bnn_tensor::rng::SplitMix64;
+use bnn_nn::plan::{run_step, FloatArena, FloatAttach, FloatOp, MaskGranularity};
+use bnn_nn::skeleton::{self, steps_cost, ScheduleStep, Skeleton};
+use bnn_nn::NnError;
+use bnn_tensor::exec::Executor;
+use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
-use std::borrow::Cow;
 use std::ops::Range;
 
-/// Compiled plans of every backbone block and exit branch of a multi-exit
-/// network, in the network's own execution/attachment order.
+/// The compiled float plan of a multi-exit network: backbone blocks and exit
+/// branches as one flat step list over one arena.
 ///
-/// Cloning a plan clones its packed weights and arenas — a self-contained
-/// inference replica for a worker thread, without rebuilding the model from
-/// its spec.
+/// Cloning a plan clones its weights and arena — a self-contained inference
+/// replica for a worker thread, without rebuilding the model from its spec.
 #[derive(Debug, Clone)]
 pub struct MultiExitPlan {
-    blocks: Vec<InferencePlan>,
-    exits: Vec<(usize, InferencePlan)>,
+    steps: Skeleton<FloatOp, ()>,
+    /// One mask stream per step in flat order (only MC-dropout steps draw
+    /// from theirs).
+    streams: Vec<Xoshiro256StarStar>,
+    arena: FloatArena,
+    walk: WalkScratch,
     classes: usize,
-    in_dims: Vec<usize>,
-    /// The staged input, then each block's latest output (see the
-    /// [`ExitPlan`] impl).
-    frontier: Vec<Tensor>,
-    /// The latest exit head's logits.
-    logits: Tensor,
-    scratch: WalkScratch,
+    /// Rows of the block outputs the latest [`MultiExitPlan::run_backbone`]
+    /// left in their slots (0 once the walker has restaged the arena).
+    batch: usize,
+    exec: Option<Executor>,
 }
 
 /// A compiled plan memoised on its network, keyed by the weight version and
@@ -64,30 +71,9 @@ impl MultiExitNetwork {
     /// Returns [`ModelError::Nn`] when a layer has no inference lowering
     /// (an in-graph softmax) or `in_dims` does not fit the network.
     pub fn compile_plan(&self, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
-        let mut dims = in_dims.to_vec();
-        let mut blocks = Vec::with_capacity(self.num_blocks());
-        let mut block_dims = Vec::with_capacity(self.num_blocks());
-        for block in self.blocks() {
-            let plan = InferencePlan::compile(block as &dyn Layer, &dims)?;
-            dims = plan.out_dims().to_vec();
-            block_dims.push(dims.clone());
-            blocks.push(plan);
-        }
-        let mut exits = Vec::with_capacity(self.exits().len());
-        for (after_block, branch) in self.exits() {
-            let plan = InferencePlan::compile(branch as &dyn Layer, &block_dims[*after_block])?;
-            exits.push((*after_block, plan));
-        }
-        let empty = Tensor::zeros(&[0]);
-        Ok(MultiExitPlan {
-            frontier: vec![empty.clone(); blocks.len() + 1],
-            blocks,
-            exits,
-            classes: self.num_classes(),
-            in_dims: in_dims.to_vec(),
-            logits: empty,
-            scratch: WalkScratch::default(),
-        })
+        let blocks = self.block_lowerings()?;
+        let exits = self.exit_lowerings()?;
+        MultiExitPlan::compile(&blocks, &exits, in_dims, self.num_classes())
     }
 
     /// The compiled plan for inputs of shape `in_dims`, memoised on the
@@ -95,7 +81,7 @@ impl MultiExitNetwork {
     /// call (tracked by [`MultiExitNetwork::weight_version`]) or when
     /// `in_dims` differs. Repeated predictions on a trained network skip the
     /// full lowering + weight-packing pass this way; the returned plan is
-    /// handed out mutably because executing it mutates its arenas and MC
+    /// handed out mutably because executing it mutates its arena and MC
     /// streams, neither of which affects what a recompilation would produce.
     ///
     /// # Errors
@@ -124,66 +110,121 @@ impl MultiExitNetwork {
 }
 
 impl MultiExitPlan {
-    /// Runs the backbone, returning the activation after every block —
-    /// bit-identical to [`MultiExitNetwork::forward_backbone`] in
+    /// Compiles the plan of lowered `blocks` (execution order) and `exits`
+    /// (`(after_block, branch)`, attachment order) for per-sample inputs of
+    /// shape `in_dims`, predicting `classes` classes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Nn`] when a lowering has no plan step (an
+    /// in-graph softmax), on a shape mismatch or for an exit after a
+    /// missing block.
+    pub fn compile(
+        blocks: &[LayerLowering],
+        exits: &[(usize, LayerLowering)],
+        in_dims: &[usize],
+        classes: usize,
+    ) -> Result<Self, ModelError> {
+        let steps = skeleton::compile(
+            blocks,
+            exits.iter().map(|(after, branch)| (*after, branch)),
+            in_dims,
+            (),
+            &mut FloatAttach,
+        )?;
+        let streams = vec![Xoshiro256StarStar::seed_from_u64(0); steps.steps().count()];
+        Ok(MultiExitPlan {
+            steps,
+            streams,
+            arena: FloatArena::default(),
+            walk: WalkScratch::default(),
+            classes,
+            batch: 0,
+            exec: None,
+        })
+    }
+
+    /// Pins the plan's matmul and im2col kernels to `exec` instead of their
+    /// work-size based choice. `Executor::sequential()` makes the steady
+    /// state strictly allocation-free (the thread-pool fan-out of large
+    /// kernels allocates its scoped workers); results are bitwise identical
+    /// either way.
+    pub fn set_executor(&mut self, exec: Executor) {
+        self.exec = Some(exec);
+    }
+
+    /// Stages `input` and runs every block in `mode` with per-(batch,
+    /// channel) masks — the layer chain's rule — leaving each block's output
+    /// in its pinned slot for [`MultiExitPlan::forward_exits`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidInput`] for an empty batch, a shape
+    /// mismatch or non-finite input values, and [`ModelError::Nn`] for
+    /// [`Mode::Train`] (the plan is inference-only).
+    pub fn run_backbone(&mut self, input: &Tensor, mode: Mode) -> Result<(), ModelError> {
+        check_inference(mode)?;
+        let batch = self.stage_input(input)?;
+        let all = 0..self.steps.backbone.len();
+        self.run(all, batch, mode, MaskGranularity::PerBatch)?;
+        self.batch = batch;
+        Ok(())
+    }
+
+    /// [`MultiExitPlan::run_backbone`] returning the activation after every
+    /// block — bit-identical to [`MultiExitNetwork::forward_backbone`] in
     /// [`Mode::Eval`] and [`Mode::McSample`].
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidInput`] for non-finite input values, or
-    /// propagates plan execution errors ([`Mode::Train`] and shape
-    /// mismatches among them).
+    /// See [`MultiExitPlan::run_backbone`].
     pub fn forward_backbone(
         &mut self,
         input: &Tensor,
         mode: Mode,
     ) -> Result<Vec<Tensor>, ModelError> {
-        check_finite(input)?;
-        let mut activations = Vec::with_capacity(self.blocks.len());
-        for (i, block) in self.blocks.iter_mut().enumerate() {
-            let src = if i == 0 { input } else { &activations[i - 1] };
-            let out = block.forward(src, mode)?;
-            activations.push(out);
-        }
-        Ok(activations)
+        self.run_backbone(input, mode)?;
+        let blocks = &self.steps.blocks;
+        (blocks.slots.iter().zip(&blocks.dims))
+            .map(|(&slot, dims)| self.slot_tensor(slot, dims))
+            .collect()
     }
 
-    /// Runs only the exit branches on pre-computed backbone activations —
-    /// bit-identical to
-    /// [`MultiExitNetwork::forward_exits_from_activations`]. Re-running this
-    /// in [`Mode::McSample`] on the same activations draws additional MC
-    /// samples while reusing each exit plan's arena.
+    /// Runs every exit branch in `mode` on the block outputs the latest
+    /// [`MultiExitPlan::run_backbone`] left in their pinned slots, with
+    /// per-(batch, channel) masks — bit-identical to
+    /// [`MultiExitNetwork::forward_exits_from_activations`] on that
+    /// backbone's activations. Re-running this in [`Mode::McSample`] draws
+    /// further MC samples from the same backbone run.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidSpec`] if `activations` does not hold
-    /// one tensor per block, or propagates execution errors.
-    pub fn forward_exits_from_activations(
-        &mut self,
-        activations: &[Tensor],
-        mode: Mode,
-    ) -> Result<Vec<Tensor>, ModelError> {
-        if activations.len() != self.blocks.len() {
-            return Err(ModelError::InvalidSpec(format!(
-                "expected {} block activations, got {}",
-                self.blocks.len(),
-                activations.len()
-            )));
+    /// Returns [`ModelError::Nn`] for [`Mode::Train`],
+    /// [`ModelError::InvalidInput`] when no backbone run is staged (none
+    /// yet, or a walker call has reused the arena since), or propagates
+    /// execution errors.
+    pub fn forward_exits(&mut self, mode: Mode) -> Result<Vec<Tensor>, ModelError> {
+        check_inference(mode)?;
+        if self.batch == 0 {
+            let msg = "forward_exits needs a run_backbone first".into();
+            return Err(ModelError::InvalidInput(msg));
         }
-        let mut outputs = Vec::with_capacity(self.exits.len());
-        for (after_block, branch) in &mut self.exits {
-            outputs.push(branch.forward(&activations[*after_block], mode)?);
-        }
-        Ok(outputs)
+        (0..self.steps.exits.len())
+            .map(|e| {
+                self.run_exit_steps(e, self.batch, mode, MaskGranularity::PerBatch)?;
+                let exit = &self.steps.exits[e];
+                self.slot_tensor(exit.out_slot, &exit.out_dims)
+            })
+            .collect()
     }
 
     /// Seeded Monte-Carlo prediction into `out` (`[batch, classes]`,
     /// resized) by [`walker::predict_fixed`], the float counterpart of
     /// `bnn_quant::QuantPlan::predict_probs_batch_into`. Exit masks are drawn
     /// per sample and broadcast across the batch
-    /// ([`InferencePlan::forward_shared_mask`]), so every row is bit-exact
-    /// with a single-sample call at the same seed, however samples are
-    /// batched.
+    /// ([`MaskGranularity::PerSample`]), so every row is bit-exact with a
+    /// single-sample call at the same seed, however samples are batched.
+    /// Allocation-free once warm, see [`ExitPlan::ensure_batch`].
     ///
     /// # Errors
     ///
@@ -210,11 +251,13 @@ impl MultiExitPlan {
 
     /// Policy-driven adaptive batched prediction ([`walker::predict_adaptive`]):
     /// confident samples retire at shallow exits and the survivors are
-    /// compacted into a dense smaller batch for the deeper blocks. Every row
-    /// — probabilities *and* exit — is bit-exact with evaluating that sample
-    /// alone; `n_samples == 0` consults each exit once in [`Mode::Eval`]
+    /// compacted in place within the pinned block slot, so only stragglers
+    /// pay for deeper blocks. Every row — probabilities *and* exit — is
+    /// bit-exact with evaluating that sample alone; `n_samples == 0` consults
+    /// each exit once in [`Mode::Eval`]
     /// (`McSampler::confidence_exit_predict`), and `Never` is bit-exact with
-    /// [`MultiExitPlan::predict_probs_batch_into`].
+    /// [`MultiExitPlan::predict_probs_batch_into`]. Allocation-free once
+    /// warm.
     ///
     /// # Errors
     ///
@@ -233,21 +276,61 @@ impl MultiExitPlan {
     ) -> Result<AdaptiveStats, ModelError> {
         walker::predict_adaptive(self, inputs, n_samples, seed, policy, out, exit_taken)
     }
+
+    /// Runs backbone steps `steps` on `live` rows.
+    fn run(
+        &mut self,
+        steps: Range<usize>,
+        live: usize,
+        mode: Mode,
+        masks: MaskGranularity,
+    ) -> Result<(), ModelError> {
+        let streams = &mut self.streams[steps.clone()];
+        for (step, rng) in self.steps.backbone[steps].iter().zip(streams) {
+            run_step(step, rng, &mut self.arena, self.exec, live, mode, masks)?;
+        }
+        Ok(())
+    }
+
+    /// Runs exit `exit`'s steps on `live` rows.
+    fn run_exit_steps(
+        &mut self,
+        exit: usize,
+        live: usize,
+        mode: Mode,
+        masks: MaskGranularity,
+    ) -> Result<(), ModelError> {
+        let first = self.steps.exit_start(exit);
+        let steps: &[ScheduleStep<FloatOp>] = &self.steps.exits[exit].steps;
+        for (step, rng) in steps.iter().zip(&mut self.streams[first..]) {
+            run_step(step, rng, &mut self.arena, self.exec, live, mode, masks)?;
+        }
+        Ok(())
+    }
+
+    /// The staged batch's rows of per-sample `dims` in `slot`, as a tensor.
+    fn slot_tensor(&self, slot: usize, dims: &[usize]) -> Result<Tensor, ModelError> {
+        let dims: Vec<usize> = [self.batch].iter().chain(dims).copied().collect();
+        let n = dims.iter().product();
+        Ok(Tensor::from_vec(
+            self.arena.slots[slot][..n].to_vec(),
+            &dims,
+        )?)
+    }
 }
 
-/// The float plan's accessors and the walker's primitives. `frontier[0]`
-/// holds the staged input and `frontier[b + 1]` block `b`'s latest output;
-/// a block or exit run on `live` rows reads the first `live` rows of its
-/// source.
+/// The float plan's walker primitives: blocks and exits run on the arena
+/// with per-sample masks, and compaction moves rows within the pinned block
+/// slots.
 impl ExitPlan for MultiExitPlan {
     type Error = ModelError;
 
     fn in_dims(&self) -> &[usize] {
-        &self.in_dims
+        &self.steps.in_dims
     }
 
     fn num_exits(&self) -> usize {
-        self.exits.len()
+        self.steps.exits.len()
     }
 
     fn num_classes(&self) -> usize {
@@ -255,106 +338,88 @@ impl ExitPlan for MultiExitPlan {
     }
 
     fn exit_block(&self, exit: usize) -> usize {
-        self.exits[exit].0
+        self.steps.exits[exit].after_block
     }
 
     fn block_cost(&self, block: usize) -> (u64, u64) {
-        let block = &self.blocks[block];
-        (block.num_steps() as u64, block.unit_ops())
+        steps_cost(&self.steps.backbone[self.steps.blocks.steps(block..block + 1)])
     }
 
     fn exit_cost(&self, exit: usize) -> (u64, u64) {
-        let branch = &self.exits[exit].1;
-        (branch.num_steps() as u64, branch.unit_ops())
+        steps_cost(&self.steps.exits[exit].steps)
     }
 
     fn ensure_batch(&mut self, max_batch: usize) {
-        for block in &mut self.blocks {
-            block.ensure_batch(max_batch);
-        }
-        for (_, exit) in &mut self.exits {
-            exit.ensure_batch(max_batch);
-        }
-        self.scratch.reserve(max_batch, self.classes);
+        let batch = max_batch.max(1);
+        let steps = &self.steps;
+        self.arena.ensure(&steps.slot_elems, steps.scratch, batch);
+        self.walk.reserve(batch, self.classes);
     }
 
     fn stage_input(&mut self, inputs: &Tensor) -> Result<usize, ModelError> {
         let batch = match inputs.dims().split_first() {
-            Some((&batch, dims)) if dims == self.in_dims && batch > 0 => batch,
+            Some((&batch, dims)) if dims == self.steps.in_dims && batch > 0 => batch,
             _ => {
                 return Err(ModelError::InvalidInput(format!(
                     "plan expects a non-empty input [batch, {:?}], got {:?}",
-                    self.in_dims,
+                    self.steps.in_dims,
                     inputs.dims()
                 )))
             }
         };
-        check_finite(inputs)?;
-        self.frontier[0].clone_from(inputs);
+        if let Some(bad) = inputs.as_slice().iter().find(|v| !v.is_finite()) {
+            return Err(ModelError::InvalidInput(format!(
+                "input contains a non-finite value ({bad})"
+            )));
+        }
+        self.ensure_batch(batch);
+        self.arena.slots[self.steps.input_slot][..inputs.len()].copy_from_slice(inputs.as_slice());
+        self.batch = 0;
         Ok(batch)
     }
 
     fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), ModelError> {
-        self.frontier[..blocks.start].fill(Tensor::zeros(&[0]));
-        for b in blocks {
-            let out = self.blocks[b].forward(&*head(&self.frontier[b], live)?, Mode::Eval)?;
-            self.frontier[b + 1] = out;
-        }
-        Ok(())
+        let steps = self.steps.blocks.steps(blocks);
+        self.run(steps, live, Mode::Eval, MaskGranularity::PerSample)
     }
 
     fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], ModelError> {
-        let (after_block, branch) = &mut self.exits[exit];
-        self.logits =
-            branch.forward_shared_mask(&*head(&self.frontier[*after_block + 1], live)?, mode)?;
-        Ok(self.logits.as_slice())
+        self.run_exit_steps(exit, live, mode, MaskGranularity::PerSample)?;
+        let exit = &self.steps.exits[exit];
+        let n = exit.out_dims.iter().product::<usize>() * live;
+        Ok(&self.arena.slots[exit.out_slot][..n])
     }
 
-    /// Walks blocks then exits: the stream assignment of
-    /// [`Network::reseed_mc_streams`] on the compiled network.
+    /// Walks the flat step list (blocks, then exits in attachment order):
+    /// the stream assignment of [`Network::reseed_mc_streams`] on the
+    /// compiled network.
     fn reseed_mc_streams(&mut self, master_seed: u64) {
-        let mut streams = SplitMix64::new(master_seed);
-        for block in &mut self.blocks {
-            block.reseed_mc(&mut streams);
-        }
-        for (_, exit) in &mut self.exits {
-            exit.reseed_mc(&mut streams);
+        let mut seeds = SplitMix64::new(master_seed);
+        for (step, rng) in self.steps.steps().zip(&mut self.streams) {
+            if matches!(step.op, FloatOp::McDropout { .. }) {
+                *rng = Xoshiro256StarStar::seed_from_u64(seeds.next_u64());
+            }
         }
     }
 
     fn move_row(&mut self, block: usize, from: usize, to: usize) {
-        let act = &mut self.frontier[block + 1];
-        let unit = act.len() / act.dims()[0];
-        act.as_mut_slice()
-            .copy_within(from * unit..(from + 1) * unit, to * unit);
+        self.steps
+            .blocks
+            .move_row(&mut self.arena.slots, block, from, to);
     }
 
     fn scratch(&mut self) -> &mut WalkScratch {
-        &mut self.scratch
+        &mut self.walk
     }
 }
 
-/// The first `live` rows of a batched activation (borrowed when that is all
-/// of it).
-fn head(act: &Tensor, live: usize) -> Result<Cow<'_, Tensor>, ModelError> {
-    if act.dims()[0] == live {
-        return Ok(Cow::Borrowed(act));
+/// Rejects [`Mode::Train`]: the plan is inference-only.
+fn check_inference(mode: Mode) -> Result<(), ModelError> {
+    if mode.is_train() {
+        let msg = "a compiled inference plan cannot run in train mode".into();
+        return Err(NnError::InvalidConfig(msg).into());
     }
-    let mut dims = act.dims().to_vec();
-    let rows = act.as_slice()[..live * act.len() / dims[0]].to_vec();
-    dims[0] = live;
-    Ok(Cow::Owned(Tensor::from_vec(rows, &dims)?))
-}
-
-/// Rejects NaN and infinite input values, which no plan step can turn into
-/// meaningful probabilities.
-fn check_finite(input: &Tensor) -> Result<(), ModelError> {
-    match input.as_slice().iter().find(|v| !v.is_finite()) {
-        Some(bad) => Err(ModelError::InvalidInput(format!(
-            "input contains a non-finite value ({bad})"
-        ))),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -362,7 +427,14 @@ mod tests {
     use super::*;
     use crate::spec::{LayerSpec, NetworkSpec};
     use crate::{zoo, ModelConfig};
-    use bnn_tensor::rng::Xoshiro256StarStar;
+    use bnn_nn::layers::activation::{Relu, Softmax};
+    use bnn_nn::layers::batchnorm::BatchNorm2d;
+    use bnn_nn::layers::conv2d::Conv2d;
+    use bnn_nn::layers::dense::Dense;
+    use bnn_nn::layers::dropout::{Dropout, McDropout};
+    use bnn_nn::layers::flatten::Flatten;
+    use bnn_nn::layers::pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+    use bnn_nn::{Layer, Sequential};
 
     fn lenet() -> MultiExitNetwork {
         zoo::lenet5(
@@ -402,9 +474,7 @@ mod tests {
             let e_ref = net
                 .forward_exits_from_activations(&acts_ref, Mode::McSample)
                 .unwrap();
-            let e_plan = plan
-                .forward_exits_from_activations(&acts, Mode::McSample)
-                .unwrap();
+            let e_plan = plan.forward_exits(Mode::McSample).unwrap();
             for (a, b) in e_ref.iter().zip(&e_plan) {
                 assert_eq!(a.as_slice(), b.as_slice(), "seed {seed}");
             }
@@ -485,7 +555,13 @@ mod tests {
         let mut plan = net.compile_plan(&[1, 10, 10]).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(31);
         let x = Tensor::randn(&[3, 1, 10, 10], &mut rng);
+        plan.run_backbone(&x, Mode::Eval).unwrap();
         let fixed = plan.predict_probs_batch(&x, 6, 2023).unwrap();
+        // The walk restaged the arena: the backbone run is gone.
+        assert!(matches!(
+            plan.forward_exits(Mode::Eval),
+            Err(ModelError::InvalidInput(_))
+        ));
         let adaptive = plan
             .predict_adaptive_batch(&x, 6, 2023, &ExitPolicy::Never)
             .unwrap();
@@ -611,7 +687,7 @@ mod tests {
         let x = Tensor::ones(&[1, 1, 10, 10]);
         assert!(matches!(
             plan.forward_backbone(&x, Mode::Train),
-            Err(ModelError::Nn(bnn_nn::NnError::InvalidConfig(_)))
+            Err(ModelError::Nn(NnError::InvalidConfig(_)))
         ));
     }
 
@@ -650,14 +726,258 @@ mod tests {
         let x = Tensor::ones(&[2, 1, 8, 8]);
         plan.reseed_mc_streams(41);
         replica.reseed_mc_streams(41);
-        let acts_a = plan.forward_backbone(&x, Mode::Eval).unwrap();
-        let acts_b = replica.forward_backbone(&x, Mode::Eval).unwrap();
-        let a = plan
-            .forward_exits_from_activations(&acts_a, Mode::McSample)
-            .unwrap();
-        let b = replica
-            .forward_exits_from_activations(&acts_b, Mode::McSample)
-            .unwrap();
+        plan.run_backbone(&x, Mode::Eval).unwrap();
+        // A replica cloned after the backbone re-runs the exits from the
+        // pinned block slots it copied.
+        let mut late = plan.clone();
+        replica.run_backbone(&x, Mode::Eval).unwrap();
+        let a = plan.forward_exits(Mode::McSample).unwrap();
+        let b = replica.forward_exits(Mode::McSample).unwrap();
+        let c = late.forward_exits(Mode::McSample).unwrap();
         assert_eq!(a[0].as_slice(), b[0].as_slice());
+        assert_eq!(a[0].as_slice(), c[0].as_slice());
+    }
+
+    /// The float plan of a plain layer stack: one block, no exits.
+    fn stack_plan(layer: &dyn Layer, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
+        MultiExitPlan::compile(&[layer.lowering()?], &[], in_dims, 0)
+    }
+
+    /// The stack's output: the plan's one block output.
+    fn run_stack(plan: &mut MultiExitPlan, x: &Tensor, mode: Mode) -> Tensor {
+        plan.forward_backbone(x, mode).unwrap().pop().unwrap()
+    }
+
+    fn stack() -> Sequential {
+        let mut net = Sequential::new("s");
+        net.push(Conv2d::new(2, 4, 3, 1, 1, 1).unwrap());
+        net.push(Relu::new());
+        net.push(MaxPool2d::new(2, 2).unwrap());
+        net.push(Conv2d::new(4, 4, 3, 1, 1, 2).unwrap());
+        net.push(AvgPool2d::new(2, 2).unwrap());
+        net.push(Flatten::new());
+        net.push(Dropout::new(0.5, 3).unwrap());
+        net.push(Dense::new(4 * 2 * 2, 6, 4).unwrap());
+        net.push(McDropout::new(0.25, 5).unwrap());
+        net.push(Dense::new(6, 3, 6).unwrap());
+        net
+    }
+
+    #[test]
+    fn plan_matches_layer_chain_bitwise_in_eval() {
+        let mut net = stack();
+        let mut plan = stack_plan(&net, &[2, 8, 8]).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+        let x = Tensor::randn(&[3, 2, 8, 8], &mut rng);
+        let reference = net.forward(&x, Mode::Eval).unwrap();
+        let planned = run_stack(&mut plan, &x, Mode::Eval);
+        assert_eq!(reference.dims(), planned.dims());
+        assert_eq!(reference.as_slice(), planned.as_slice());
+        // steady state: a second run gives the same bits again
+        let again = run_stack(&mut plan, &x, Mode::Eval);
+        assert_eq!(planned.as_slice(), again.as_slice());
+    }
+
+    #[test]
+    fn plan_matches_layer_chain_bitwise_in_mc_sample() {
+        let mut net = stack();
+        let mut plan = stack_plan(&net, &[2, 8, 8]).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(9);
+        let x = Tensor::randn(&[2, 2, 8, 8], &mut rng);
+        for seed in [1u64, 42, 99] {
+            Layer::reseed_mc_streams(&mut net, &mut SplitMix64::new(seed));
+            plan.reseed_mc_streams(seed);
+            let reference = net.forward(&x, Mode::McSample).unwrap();
+            let planned = run_stack(&mut plan, &x, Mode::McSample);
+            assert_eq!(reference.as_slice(), planned.as_slice(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn filterwise_mask_plan_matches_layer() {
+        // MC dropout over NCHW draws per (batch, channel); the plan must
+        // reproduce the draw order exactly.
+        let mut net = Sequential::new("mcd");
+        net.push(Conv2d::new(1, 8, 3, 1, 1, 1).unwrap());
+        net.push(McDropout::new(0.5, 2).unwrap());
+        let mut plan = stack_plan(&net, &[1, 6, 6]).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
+        let x = Tensor::randn(&[4, 1, 6, 6], &mut rng);
+        Layer::reseed_mc_streams(&mut net, &mut SplitMix64::new(11));
+        plan.reseed_mc_streams(11);
+        let reference = net.forward(&x, Mode::McSample).unwrap();
+        let planned = run_stack(&mut plan, &x, Mode::McSample);
+        assert_eq!(reference.as_slice(), planned.as_slice());
+    }
+
+    #[test]
+    fn global_avg_pool_plans() {
+        let mut net = Sequential::new("gap");
+        net.push(GlobalAvgPool2d::new());
+        net.push(Dense::new(3, 2, 1).unwrap());
+        let mut plan = stack_plan(&net, &[3, 5, 5]).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        let x = Tensor::randn(&[2, 3, 5, 5], &mut rng);
+        let reference = net.forward(&x, Mode::Eval).unwrap();
+        let planned = run_stack(&mut plan, &x, Mode::Eval);
+        assert_eq!(reference.as_slice(), planned.as_slice());
+    }
+
+    /// A batch-norm layer whose running statistics and affine have moved off
+    /// their initial values.
+    fn trained_batchnorm(channels: usize, seed: u64) -> BatchNorm2d {
+        let mut bn = BatchNorm2d::new(channels).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        for _ in 0..3 {
+            let x = Tensor::randn(&[4, channels, 3, 3], &mut rng).map(|v| v * 2.0 + 0.7);
+            bn.forward(&x, Mode::Train).unwrap();
+        }
+        for p in bn.params_mut() {
+            let noise = Tensor::randn(p.value.dims(), &mut rng);
+            for (v, n) in p.value.as_mut_slice().iter_mut().zip(noise.as_slice()) {
+                *v += 0.3 * n;
+            }
+        }
+        bn
+    }
+
+    #[test]
+    fn batchnorm_plan_matches_layer_bitwise() {
+        let mut net = Sequential::new("bn");
+        net.push(Conv2d::new(2, 3, 3, 1, 1, 1).unwrap());
+        net.push(trained_batchnorm(3, 4));
+        net.push(Relu::new());
+        let mut plan = stack_plan(&net, &[2, 5, 5]).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(8);
+        let x = Tensor::randn(&[3, 2, 5, 5], &mut rng);
+        for mode in [Mode::Eval, Mode::McSample] {
+            let reference = net.forward(&x, mode).unwrap();
+            let planned = run_stack(&mut plan, &x, mode);
+            assert_eq!(reference.as_slice(), planned.as_slice(), "{mode:?}");
+        }
+    }
+
+    /// `relu(main(x) + shortcut(x))` evaluated with the layer chain.
+    fn residual_reference(
+        main: &mut Sequential,
+        shortcut: &mut Sequential,
+        x: &Tensor,
+        mode: Mode,
+    ) -> Tensor {
+        let m = main.forward(x, mode).unwrap();
+        let s = if shortcut.is_empty() {
+            x.clone()
+        } else {
+            shortcut.forward(x, mode).unwrap()
+        };
+        m.add(&s).unwrap().map(|v| if v > 0.0 { v } else { 0.0 })
+    }
+
+    fn residual_lowering(main: &Sequential, shortcut: &Sequential) -> LayerLowering {
+        let ops = |seq: &Sequential| match Layer::lowering(seq).unwrap() {
+            LayerLowering::Sequence(ops) => ops,
+            other => vec![other],
+        };
+        LayerLowering::Residual {
+            main: ops(main),
+            shortcut: ops(shortcut),
+        }
+    }
+
+    #[test]
+    fn residual_blocks_plan_bitwise_with_reserved_operands() {
+        // Projection shortcut (conv + batch norm) and MC dropout on the main
+        // path: the block input and main output must survive the shortcut.
+        let mut main = Sequential::new("main");
+        main.push(Conv2d::new(2, 4, 3, 2, 1, 1).unwrap());
+        main.push(trained_batchnorm(4, 2));
+        main.push(Relu::new());
+        main.push(McDropout::new(0.3, 9).unwrap());
+        main.push(Conv2d::new(4, 4, 3, 1, 1, 3).unwrap());
+        let mut shortcut = Sequential::new("short");
+        shortcut.push(Conv2d::new(2, 4, 1, 2, 0, 5).unwrap());
+        shortcut.push(trained_batchnorm(4, 6));
+        // An identity-shortcut block after it.
+        let mut main2 = Sequential::new("main2");
+        main2.push(trained_batchnorm(4, 7));
+        main2.push(Conv2d::new(4, 4, 3, 1, 1, 8).unwrap());
+        let mut identity = Sequential::new("id");
+        let lowering = LayerLowering::Sequence(vec![
+            residual_lowering(&main, &shortcut),
+            residual_lowering(&main2, &identity),
+        ]);
+        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 6, 6], 0).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(12);
+        let x = Tensor::randn(&[2, 2, 6, 6], &mut rng);
+        for (mode, seed) in [(Mode::Eval, 0u64), (Mode::McSample, 5), (Mode::McSample, 6)] {
+            Layer::reseed_mc_streams(&mut main, &mut SplitMix64::new(seed));
+            plan.reseed_mc_streams(seed);
+            let mid = residual_reference(&mut main, &mut shortcut, &x, mode);
+            let reference = residual_reference(&mut main2, &mut identity, &mid, mode);
+            let planned = run_stack(&mut plan, &x, mode);
+            assert_eq!(planned.dims(), &[2, 4, 3, 3]);
+            assert_eq!(reference.as_slice(), planned.as_slice(), "{mode:?} {seed}");
+        }
+    }
+
+    #[test]
+    fn element_wise_step_on_a_reserved_slot_writes_a_fresh_one() {
+        // The main path starts with in-place-capable steps: they must not
+        // clobber the block input the identity shortcut still reads.
+        let mut main = Sequential::new("main");
+        main.push(Relu::new());
+        main.push(trained_batchnorm(2, 3));
+        let mut identity = Sequential::new("id");
+        let lowering = residual_lowering(&main, &identity);
+        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 3, 3], 0).unwrap();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(13);
+        let x = Tensor::randn(&[3, 2, 3, 3], &mut rng);
+        let reference = residual_reference(&mut main, &mut identity, &x, Mode::Eval);
+        let planned = run_stack(&mut plan, &x, Mode::Eval);
+        assert_eq!(reference.as_slice(), planned.as_slice());
+    }
+
+    #[test]
+    fn train_mode_is_rejected() {
+        let net = stack();
+        let mut plan = stack_plan(&net, &[2, 8, 8]).unwrap();
+        let x = Tensor::ones(&[1, 2, 8, 8]);
+        let train_error = |r: Result<Vec<Tensor>, ModelError>| {
+            matches!(r, Err(ModelError::Nn(NnError::InvalidConfig(_))))
+        };
+        assert!(train_error(plan.forward_backbone(&x, Mode::Train)));
+        // A failed backbone run leaves nothing for the exits to read.
+        assert!(matches!(
+            plan.forward_exits(Mode::Eval),
+            Err(ModelError::InvalidInput(_))
+        ));
+        assert!(plan.forward_backbone(&x, Mode::Eval).is_ok());
+        assert!(train_error(plan.forward_exits(Mode::Train)));
+    }
+
+    #[test]
+    fn softmax_has_no_plan() {
+        let mut net = Sequential::new("sm");
+        net.push(Dense::new(3, 2, 0).unwrap());
+        net.push(Softmax::new());
+        assert!(matches!(
+            stack_plan(&net, &[3]),
+            Err(ModelError::Nn(NnError::UnsupportedLowering { .. }))
+        ));
+    }
+
+    #[test]
+    fn shape_mismatch_is_rejected() {
+        let mut net = Sequential::new("d");
+        net.push(Dense::new(4, 2, 0).unwrap());
+        assert!(matches!(
+            stack_plan(&net, &[5]),
+            Err(ModelError::Nn(NnError::InvalidConfig(_)))
+        ));
+        let mut plan = stack_plan(&net, &[4]).unwrap();
+        assert!(matches!(
+            plan.forward_backbone(&Tensor::ones(&[2, 5]), Mode::Eval),
+            Err(ModelError::InvalidInput(_))
+        ));
     }
 }

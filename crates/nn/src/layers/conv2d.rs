@@ -3,9 +3,7 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::NnError;
 use bnn_tensor::init::Init;
-use bnn_tensor::linalg::{
-    col2im_slices_into, im2col_into, matmul, matmul_slices_into, ConvGeometry,
-};
+use bnn_tensor::linalg::{col2im_slices_into, im2col_into, matmul_slices_into, ConvGeometry};
 use bnn_tensor::rng::Xoshiro256StarStar;
 use bnn_tensor::{Shape, Tensor};
 use std::cell::RefCell;
@@ -201,15 +199,21 @@ impl Layer for Conv2d {
             .map_or_else(Vec::new, Tensor::into_vec);
         let (col_rows, col_cols) = im2col_into(input, &geom, &mut col_buf)?;
         let cols = Tensor::from_vec(col_buf, &[col_rows, col_cols])?;
-        let w2d = self.weight.value.reshape(&[
+        // The `[out_c, in_c, k, k]` weights are already the row-major
+        // `[out_c, in_c*k*k]` operand: no reshaped copy.
+        let mut out2d = vec![0.0f32; self.out_channels * col_cols]; // [out_c, batch*out_h*out_w]
+        matmul_slices_into(
+            self.weight.value.as_slice(),
+            cols.as_slice(),
             self.out_channels,
-            self.in_channels * self.kernel * self.kernel,
-        ])?;
-        let out2d = matmul(&w2d, &cols)?; // [out_c, batch*out_h*out_w]
+            col_rows,
+            col_cols,
+            &mut out2d,
+        )?;
 
         let mut out = vec![0.0f32; batch * self.out_channels * out_h * out_w];
         scatter_bias(
-            out2d.as_slice(),
+            &out2d,
             self.bias.value.as_slice(),
             batch,
             out_h * out_w,

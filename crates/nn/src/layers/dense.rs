@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::NnError;
 use bnn_tensor::init::Init;
-use bnn_tensor::linalg::{matmul, matmul_abt, matmul_atb};
+use bnn_tensor::linalg::{matmul, transpose};
 use bnn_tensor::rng::Xoshiro256StarStar;
 use bnn_tensor::Tensor;
 
@@ -121,8 +121,8 @@ impl Layer for Dense {
             .ok_or_else(|| NnError::MissingForwardCache {
                 layer: "dense".into(),
             })?;
-        // dW = x^T g (transpose-free kernel)
-        let grad_w = matmul_atb(input, grad_output)?;
+        // dW = x^T g
+        let grad_w = matmul(&transpose(input)?, grad_output)?;
         self.weight.grad.add_scaled_inplace(&grad_w, 1.0)?;
         // db = column sums of g
         let (batch, out_f) = grad_output.shape().as_matrix()?;
@@ -133,8 +133,8 @@ impl Layer for Dense {
                 *d += gv;
             }
         }
-        // dx = g W^T (transpose-free kernel)
-        let grad_input = matmul_abt(grad_output, &self.weight.value)?;
+        // dx = g W^T
+        let grad_input = matmul(grad_output, &transpose(&self.weight.value)?)?;
         Ok(grad_input)
     }
 

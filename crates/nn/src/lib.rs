@@ -42,13 +42,13 @@ pub mod network;
 pub mod optimizer;
 pub mod plan;
 pub mod sequential;
+pub mod skeleton;
 pub mod trainer;
 
 pub use error::NnError;
 pub use layer::{Layer, Mode, Param};
 pub use lowering::{BatchNormLowering, LayerLowering};
 pub use network::Network;
-pub use plan::InferencePlan;
 pub use sequential::Sequential;
 
 /// Convenience re-exports of the most commonly used items.

@@ -4,13 +4,14 @@
 //! [`Layer::lowering`](crate::Layer::lowering) turns a layer into a
 //! [`LayerLowering`] — an owned, backward-free description carrying exactly
 //! what an inference backend needs: weights, geometry, normalisation
-//! constants and dropout rates. The compiled float plan
-//! ([`InferencePlan`](crate::InferencePlan)) executes them directly;
-//! `bnn-quant` consumes them to build the fixed-point integer inference path
-//! (`CalibratedNetwork` → `QuantPlan`), and the same descriptions — via the
-//! compiled integer plan's
-//! exported step schedule — are what `bnn-hls`'s lowered code generator
-//! walks to emit per-tensor `ap_fixed` types and packed integer weights. A
+//! constants and dropout rates. Beside it, the step compiler
+//! ([`crate::skeleton`]) turns the lowered blocks and exits of a multi-exit
+//! network into one flat step list over a slot arena. Both compiled plans
+//! are built by that one pass and attach only their own constants: the
+//! float plan (`bnn_models::MultiExitPlan`, kernels in [`crate::plan`])
+//! keeps the f32 weights and the unfolded batch norm, and `bnn-quant`'s
+//! `QuantPlan` quantizes each op from its calibration record into the
+//! `PlanSchedule` that `bnn-hls`'s code generator and simulator read. A
 //! lowering with no quantized emission rule is a typed error
 //! (`Unsupported`) on that path, never a silent fallback.
 //!

@@ -61,8 +61,8 @@ impl ValueRange {
     }
 }
 
-/// The calibration record of one lowered op: observed ranges plus the
-/// per-sample output shape (batch axis stripped), in graph walk order.
+/// The calibration record of one lowered op: its observed ranges, in graph
+/// walk order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct OpRecord {
     /// Stable op name (sanity-checked against the lowering walk at build
@@ -72,8 +72,6 @@ pub(crate) struct OpRecord {
     pub(crate) weight: Option<ValueRange>,
     /// Output activation range (format-defining ops only).
     pub(crate) out: Option<ValueRange>,
-    /// Per-sample output dims (batch axis stripped).
-    pub(crate) out_dims: Vec<usize>,
 }
 
 /// The calibration record of one lowered graph: the input range/shape and
@@ -88,7 +86,7 @@ pub struct GraphCalibration {
 
 impl GraphCalibration {
     /// Runs the pure-float calibration forward of `lowering` over `calib`,
-    /// recording ranges and shapes; returns the record and the graph's
+    /// recording ranges; returns the record and the graph's
     /// output activation (for chaining block records).
     ///
     /// # Errors
@@ -112,9 +110,9 @@ impl GraphCalibration {
     }
 }
 
-/// A read cursor over the op records of one graph; the builder walks the
-/// lowering in the same order the collector did and consumes one record per
-/// op.
+/// A read cursor over the op records of one graph: the step compiler walks
+/// the lowering in the same order the collector did, and the integer plan's
+/// attach hook consumes one record per op.
 pub(crate) struct RecordCursor<'a> {
     ops: &'a [OpRecord],
     next: usize,
@@ -155,21 +153,14 @@ impl<'a> RecordCursor<'a> {
     }
 }
 
-/// Appends the record(s) of `lowering` to `ops`, advancing the running float
-/// activation.
+/// Appends the record of one op to `ops`.
 fn push_record(
     ops: &mut Vec<OpRecord>,
     name: &'static str,
     weight: Option<ValueRange>,
     out: Option<ValueRange>,
-    act: &Tensor,
 ) {
-    ops.push(OpRecord {
-        name,
-        weight,
-        out,
-        out_dims: act.dims()[1..].to_vec(),
-    });
+    ops.push(OpRecord { name, weight, out });
 }
 
 fn collect_into(
@@ -196,22 +187,22 @@ fn collect_into(
             let y = conv_float(act, &w2d, bias.as_slice(), kernel, *stride, *padding)?;
             let out = ValueRange::observe(y.as_slice())?;
             *act = y;
-            push_record(ops, lowering.name(), Some(w_range), Some(out), act);
+            push_record(ops, lowering.name(), Some(w_range), Some(out));
         }
         LayerLowering::Dense { weight, bias } => {
             let w_range = ValueRange::observe(weight.as_slice())?;
             let y = dense_float(act, weight, bias.as_slice())?;
             let out = ValueRange::observe(y.as_slice())?;
             *act = y;
-            push_record(ops, lowering.name(), Some(w_range), Some(out), act);
+            push_record(ops, lowering.name(), Some(w_range), Some(out));
         }
         LayerLowering::Relu => {
             *act = act.map(|v| v.max(0.0));
-            push_record(ops, lowering.name(), None, None, act);
+            push_record(ops, lowering.name(), None, None);
         }
         LayerLowering::MaxPool2d { kernel, stride } => {
             *act = max_pool_float(act, *kernel, *stride)?;
-            push_record(ops, lowering.name(), None, None, act);
+            push_record(ops, lowering.name(), None, None);
         }
         LayerLowering::AvgPool2d { kernel, stride } => {
             // Plain averages: the range of the snapped integer average is
@@ -219,31 +210,31 @@ fn collect_into(
             // widen a range), so no output range is recorded.
             let norm = 1.0 / (kernel * kernel) as f32;
             *act = pool_float_with(act, *kernel, *stride, 0.0, |a, v| a + v, |acc| acc * norm)?;
-            push_record(ops, lowering.name(), None, None, act);
+            push_record(ops, lowering.name(), None, None);
         }
         LayerLowering::GlobalAvgPool2d => {
             *act = global_avg_pool_float(act)?;
-            push_record(ops, lowering.name(), None, None, act);
+            push_record(ops, lowering.name(), None, None);
         }
         LayerLowering::Flatten => {
             let batch = act.dims()[0];
             let rest: usize = act.dims()[1..].iter().product();
             *act = act.reshape(&[batch, rest])?;
-            push_record(ops, lowering.name(), None, None, act);
+            push_record(ops, lowering.name(), None, None);
         }
         LayerLowering::Affine(bn) => {
             let (scale, shift) = bn.folded();
             let y = affine_float(act, &scale, &shift, scale.len())?;
             let out = ValueRange::observe(y.as_slice())?;
             *act = y;
-            push_record(ops, lowering.name(), None, Some(out), act);
+            push_record(ops, lowering.name(), None, Some(out));
         }
         LayerLowering::McDropout { .. } => {
             // Calibration runs the deterministic path; the op only becomes
             // stochastic in Mode::McSample and never widens the range.
-            push_record(ops, lowering.name(), None, None, act);
+            push_record(ops, lowering.name(), None, None);
         }
-        LayerLowering::Identity => push_record(ops, lowering.name(), None, None, act),
+        LayerLowering::Identity => push_record(ops, lowering.name(), None, None),
         LayerLowering::Residual { main, shortcut } => {
             let input = act.clone();
             let mut main_act = input.clone();
@@ -257,7 +248,7 @@ fn collect_into(
             let sum = main_act.add(&short_act)?.map(|v| v.max(0.0));
             let out = ValueRange::observe(sum.as_slice())?;
             *act = sum;
-            push_record(ops, lowering.name(), None, Some(out), act);
+            push_record(ops, lowering.name(), None, Some(out));
         }
     }
     Ok(())

@@ -1,18 +1,22 @@
 //! Compile-once execution plans for the integer inference path.
 //!
-//! [`QuantPlan`] is the workspace's integer executor: the recursive lowering
-//! walk of a [`CalibratedNetwork`] is flattened into a linear step list — a
-//! [`PlanSchedule`], the one format code generators read too — buffer
-//! lifetimes are planned at compile time (liveness over the flat list with
-//! free-list reuse, elementwise steps running in place when their input
-//! dies), weights are packed **once** into the transposed/widened `i16`
-//! layout the integer matmul kernels consume, and every intermediate — code
-//! slots, the im2col scratch, accumulators, dropout masks, softmax staging —
-//! lives in a preallocated tensor arena. After a warm-up call that sizes the
-//! arena for the batch, [`QuantPlan::predict_probs_into`] performs **zero
-//! heap allocations** in the steady state (on a sequential executor; the
-//! thread-pool fan-out of large kernels allocates its scoped workers by
-//! design).
+//! [`QuantPlan`] is the workspace's integer executor. The workspace's one
+//! step compiler ([`bnn_nn::skeleton`]) flattens the lowered blocks and
+//! exits of a [`CalibratedNetwork`] into a linear step list with planned
+//! buffer lifetimes (liveness over the flat list with free-list reuse,
+//! elementwise steps running in place when their input dies) — the same
+//! pass, shapes and slots the float `bnn_models::MultiExitPlan` is built
+//! from. This module only attaches the integer constants to each step: it
+//! consumes the calibration records in the compiler's walk order, derives
+//! every value's [`QuantParams`], and packs weights **once** into the
+//! transposed/widened `i16` layout the integer matmul kernels consume. The
+//! result is a [`PlanSchedule`], the one format code generators read too.
+//! Every intermediate — code slots, the im2col scratch, accumulators,
+//! dropout masks, softmax staging — lives in a preallocated tensor arena.
+//! After a warm-up call that sizes the arena for the batch,
+//! [`QuantPlan::predict_probs_into`] performs **zero heap allocations** in
+//! the steady state (on a sequential executor; the thread-pool fan-out of
+//! large kernels allocates its scoped workers by design).
 //!
 //! Its arithmetic has an independent oracle: `bnn_hls::HlsSimulator`
 //! re-implements every [`PlanSchedule`] step (direct convolution,
@@ -23,16 +27,16 @@
 //!
 //! ```text
 //! CalibratedNetwork ──ranges──► compile(format)
-//!   │                              │  flatten ops · derive QuantParams
-//!   │                              │  pack weights (i16, transposed)
-//!   │                              ▼  plan slot liveness
+//!   │                              │  step skeleton (shapes, slots, costs)
+//!   │                              │  attach: QuantParams, packed i16
+//!   │                              ▼  weights, shifts, multipliers
 //! (one float pass,            QuantPlan { schedule, streams, arena }
 //!  shared by all formats)         │
 //!                                 ▼  run many: predict_probs_into
 //!                            zero steady-state allocation
 //! ```
 
-use crate::calib::{CalibratedNetwork, RecordCursor};
+use crate::calib::{CalibratedNetwork, RecordCursor, ValueRange};
 use crate::error::QuantError;
 use crate::fixed::FixedPointFormat;
 use crate::lower::{div_round, dropout_scale_q, quantize_affine, quantize_weights};
@@ -42,6 +46,8 @@ use bnn_models::walker::{self, ExitPlan, WalkScratch};
 use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
+use bnn_nn::plan::MaskGranularity;
+use bnn_nn::skeleton::{self, steps_cost, Attach, BlockLayout, Node, ScratchUnits};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::int::{
     im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, requantize,
@@ -56,28 +62,6 @@ use std::ops::Range;
 /// Minimum multiply-accumulate count before a plan kernel fans out over the
 /// parallel executor (the same threshold as the standalone integer kernels).
 const PAR_MACS_THRESHOLD: usize = 1 << 20;
-
-/// How MC-dropout masks index into the batch.
-///
-/// [`MaskGranularity::PerBatch`] draws one stream value per (batch, channel),
-/// so a batch of N consumes N times the draws and batched output differs
-/// from N single-sample calls. It is the mask rule of the float layer chain,
-/// which Phase 3 scores every format against (`McSampler::predict`), so
-/// Phase 3 scoring ([`QuantPlan::predict_probs`]) and `bnn_hls::HlsSimulator`
-/// use it too. Scoring with per-sample masks instead was measured to break
-/// the comparison: 16-bit accuracy rose to 0.667 against a float reference
-/// of 0.521, and the quick demo found no feasible design.
-/// [`MaskGranularity::PerSample`] draws one per-sample mask per pass and
-/// broadcasts it across the batch: every kernel in the plan computes each
-/// output element from one sample alone, so per-sample masks make a batched
-/// call bit-exact with the concatenation of single-sample calls — the
-/// batch-boundary invariance dynamic batching needs. For `batch == 1` the
-/// two modes draw and apply identical masks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MaskGranularity {
-    PerBatch,
-    PerSample,
-}
 
 /// The preallocated tensor arena: activation slots plus the shared scratch
 /// buffers. All sizes grow monotonically with the largest batch seen, so the
@@ -134,20 +118,11 @@ pub struct QuantPlan {
     /// One mask stream per step in flat schedule order (only MC-dropout
     /// steps draw from theirs).
     streams: Vec<Xoshiro256StarStar>,
-    /// Backbone step count after each block — segmentation boundaries for
-    /// adaptive execution (`backbone[..block_bounds[b]]` runs blocks
-    /// `0..=b`).
-    block_bounds: Vec<usize>,
-    /// Arena slot holding each block's boundary value (pinned: never reused
-    /// by later steps, so compacting it between exits is safe).
-    block_slots: Vec<usize>,
-    /// Per-sample element count of each block's boundary value — the gather
-    /// unit for batch compaction.
-    block_units: Vec<usize>,
+    /// Block boundaries: the adaptive walk's segments and the pinned slots
+    /// it compacts in.
+    blocks: BlockLayout,
     /// Per-sample scratch capacities.
-    cols_unit: usize,
-    acc_unit: usize,
-    mask_unit: usize,
+    scratch: ScratchUnits,
     logit_unit: usize,
     arena: Arena,
     exec: Option<Executor>,
@@ -156,161 +131,65 @@ pub struct QuantPlan {
     masks: MaskGranularity,
 }
 
-/// Compile-time value bookkeeping: every step output is a fresh value;
-/// flatten/identity alias their input (same storage, new shape).
-struct ValueInfo {
-    dims: Vec<usize>,
-    alias_of: Option<usize>,
-    pinned: bool,
-}
-
-/// The plan builder: emits steps with *value* ids, then linear-scans them
-/// into slot ids.
-struct PlanBuilder {
+/// The integer plan's [`Attach`]: quantized constants from the calibration
+/// records, consumed in the step compiler's walk order (one cursor per
+/// graph), with each value's [`QuantParams`] as its annotation.
+struct QuantAttach<'a> {
     total_bits: u32,
-    steps: Vec<ScheduleStep>,
-    values: Vec<ValueInfo>,
-    cols_unit: usize,
-    acc_unit: usize,
-    mask_unit: usize,
-    /// `(value, first, end)`: a residual operand that steps `first..end`
-    /// must not overwrite (checked in debug builds once slots are assigned).
-    pending: Vec<(usize, usize, usize)>,
+    cursors: Vec<RecordCursor<'a>>,
 }
 
-impl PlanBuilder {
-    fn new_value(&mut self, dims: Vec<usize>) -> usize {
-        self.values.push(ValueInfo {
-            dims,
-            alias_of: None,
-            pinned: false,
-        });
-        self.values.len() - 1
-    }
+/// A range the calibration collector records for `op`, or an internal error
+/// on lowering/record skew.
+fn recorded(range: Option<ValueRange>, op: &str, what: &str) -> Result<ValueRange, QuantError> {
+    range.ok_or_else(|| QuantError::Internal(format!("the {op} record has no {what} range")))
+}
 
-    fn alias_value(&mut self, of: usize, dims: Vec<usize>) -> usize {
-        let root = self.root(of);
-        self.values.push(ValueInfo {
-            dims,
-            alias_of: Some(root),
-            pinned: false,
-        });
-        self.values.len() - 1
-    }
+impl Attach for QuantAttach<'_> {
+    type Op = ScheduleOp;
+    type Note = QuantParams;
+    type Error = QuantError;
 
-    fn root(&self, v: usize) -> usize {
-        match self.values[v].alias_of {
-            Some(r) => r,
-            None => v,
-        }
-    }
-
-    fn dims(&self, v: usize) -> Vec<usize> {
-        self.values[v].dims.clone()
-    }
-
-    fn push(
+    fn step(
         &mut self,
-        op: ScheduleOp,
-        src: usize,
-        src2: Option<usize>,
-        out_dims: Vec<usize>,
-    ) -> usize {
-        let dst = self.new_value(out_dims.clone());
-        let in_dims = self.dims(src);
-        let unit_ops = step_unit_ops(&op, &in_dims, &out_dims);
-        self.steps.push(ScheduleStep {
-            op,
-            src,
-            src2,
-            dst,
-            in_dims,
-            out_dims,
-            unit_ops,
-        });
-        dst
-    }
-
-    /// Emits the step(s) of one lowered op, consuming calibration records in
-    /// the same walk order as the calibration collector.
-    fn emit(
-        &mut self,
-        lowering: &LayerLowering,
-        cursor: &mut RecordCursor<'_>,
-        params: &mut QuantParams,
-        cur: &mut usize,
-    ) -> Result<(), QuantError> {
-        let total_bits = self.total_bits;
-        match lowering {
-            LayerLowering::Sequence(children) => {
-                for child in children {
-                    self.emit(child, cursor, params, cur)?;
-                }
-            }
+        node: Node<'_, QuantParams>,
+    ) -> Result<(ScheduleOp, QuantParams), QuantError> {
+        let lowering = node.lowering;
+        let record = self.cursors[node.graph].take(lowering.name())?;
+        let (total_bits, params) = (self.total_bits, node.note);
+        let out = || recorded(record.out, record.name, "output")?.params(total_bits);
+        let weights = |weight: &Tensor, bias: &Tensor, out| {
+            let range = recorded(record.weight, record.name, "weight")?;
+            quantize_weights(weight, bias, range, total_bits, params, out)
+        };
+        Ok(match lowering {
             LayerLowering::Conv2d {
                 weight,
                 bias,
                 stride,
                 padding,
             } => {
-                let record = cursor.take(lowering.name())?;
+                let out = out()?;
+                let w = weights(weight, bias, out)?;
                 let dims = weight.dims();
-                let (out_c, in_c, kernel) = (dims[0], dims[1], dims[2]);
-                let out = record
-                    .out
-                    .expect("conv records an output range")
-                    .params(total_bits)?;
-                let w = quantize_weights(
-                    weight,
-                    bias,
-                    record.weight.expect("conv records a weight range"),
-                    total_bits,
-                    *params,
+                let op = ScheduleOp::Conv {
+                    weights: w.codes,
+                    bias: w.bias,
+                    out_c: dims[0],
+                    in_c: dims[1],
+                    kernel: dims[2],
+                    stride: *stride,
+                    padding: *padding,
+                    shift: w.shift,
+                    w_frac: w.w_frac,
                     out,
-                )?;
-                let in_dims = self.dims(*cur);
-                let (h, ww) = (in_dims[1], in_dims[2]);
-                let geom = ConvGeometry::square(h, ww, kernel, *stride, *padding);
-                let plane = geom.out_h() * geom.out_w();
-                let kred = in_c * kernel * kernel;
-                self.cols_unit = self.cols_unit.max(kred * plane);
-                self.acc_unit = self.acc_unit.max(out_c * plane);
-                *cur = self.push(
-                    ScheduleOp::Conv {
-                        weights: w.codes,
-                        bias: w.bias,
-                        out_c,
-                        in_c,
-                        kernel,
-                        stride: *stride,
-                        padding: *padding,
-                        shift: w.shift,
-                        w_frac: w.w_frac,
-                        out,
-                    },
-                    *cur,
-                    None,
-                    record.out_dims.clone(),
-                );
-                *params = out;
+                };
+                (op, out)
             }
             LayerLowering::Dense { weight, bias } => {
-                let record = cursor.take(lowering.name())?;
-                let dims = weight.dims();
-                let (in_f, out_f) = (dims[0], dims[1]);
-                let out = record
-                    .out
-                    .expect("dense records an output range")
-                    .params(total_bits)?;
-                let w = quantize_weights(
-                    weight,
-                    bias,
-                    record.weight.expect("dense records a weight range"),
-                    total_bits,
-                    *params,
-                    out,
-                )?;
-                self.acc_unit = self.acc_unit.max(out_f);
+                let out = out()?;
+                let w = weights(weight, bias, out)?;
+                let (in_f, out_f) = (weight.dims()[0], weight.dims()[1]);
                 // The matmul kernels read dense weights as `[out_f, in_f]`.
                 let mut weights_t = vec![0i16; in_f * out_f];
                 for (i, row) in w.codes.chunks_exact(out_f).enumerate() {
@@ -318,176 +197,66 @@ impl PlanBuilder {
                         weights_t[o * in_f + i] = code;
                     }
                 }
-                *cur = self.push(
-                    ScheduleOp::Dense {
-                        weights_t,
-                        bias: w.bias,
-                        in_f,
-                        out_f,
-                        shift: w.shift,
-                        w_frac: w.w_frac,
-                        out,
-                    },
-                    *cur,
-                    None,
-                    record.out_dims.clone(),
-                );
-                *params = out;
+                let op = ScheduleOp::Dense {
+                    weights_t,
+                    bias: w.bias,
+                    in_f,
+                    out_f,
+                    shift: w.shift,
+                    w_frac: w.w_frac,
+                    out,
+                };
+                (op, out)
             }
-            LayerLowering::Relu => {
-                let record = cursor.take(lowering.name())?;
-                *cur = self.push(ScheduleOp::Relu, *cur, None, record.out_dims.clone());
-            }
+            LayerLowering::Relu => (ScheduleOp::Relu, params),
             LayerLowering::MaxPool2d { kernel, stride } => {
-                let record = cursor.take(lowering.name())?;
-                *cur = self.push(
-                    ScheduleOp::MaxPool {
-                        kernel: *kernel,
-                        stride: *stride,
-                    },
-                    *cur,
-                    None,
-                    record.out_dims.clone(),
-                );
+                let (kernel, stride) = (*kernel, *stride);
+                (ScheduleOp::MaxPool { kernel, stride }, params)
             }
             LayerLowering::AvgPool2d { kernel, stride } => {
-                let record = cursor.take(lowering.name())?;
-                *cur = self.push(
-                    ScheduleOp::AvgPool {
-                        kernel: *kernel,
-                        stride: *stride,
-                    },
-                    *cur,
-                    None,
-                    record.out_dims.clone(),
-                );
+                let (kernel, stride) = (*kernel, *stride);
+                (ScheduleOp::AvgPool { kernel, stride }, params)
             }
-            LayerLowering::GlobalAvgPool2d => {
-                let record = cursor.take(lowering.name())?;
-                *cur = self.push(
-                    ScheduleOp::GlobalAvgPool,
-                    *cur,
-                    None,
-                    record.out_dims.clone(),
-                );
-            }
-            LayerLowering::Flatten => {
-                // Shape-only: the flat plan reinterprets the buffer in place.
-                let record = cursor.take(lowering.name())?;
-                *cur = self.alias_value(*cur, record.out_dims.clone());
-            }
-            LayerLowering::Identity => {
-                let record = cursor.take(lowering.name())?;
-                *cur = self.alias_value(*cur, record.out_dims.clone());
-            }
+            LayerLowering::GlobalAvgPool2d => (ScheduleOp::GlobalAvgPool, params),
             LayerLowering::Affine(bn) => {
-                let record = cursor.take(lowering.name())?;
-                let out = record
-                    .out
-                    .expect("affine records an output range")
-                    .params(total_bits)?;
+                let out = out()?;
                 let (scale, shift) = bn.folded();
-                let (m, b) = quantize_affine(&scale, &shift, *params, out);
-                *cur = self.push(
-                    ScheduleOp::Affine { m, b, out },
-                    *cur,
-                    None,
-                    record.out_dims.clone(),
-                );
-                *params = out;
+                let (m, b) = quantize_affine(&scale, &shift, params, out);
+                (ScheduleOp::Affine { m, b, out }, out)
             }
             LayerLowering::McDropout { rate } => {
-                let record = cursor.take(lowering.name())?;
-                let in_dims = self.dims(*cur);
-                let unit = if in_dims.len() == 3 {
-                    // NCHW at run time: one draw per (batch, channel).
-                    in_dims[0]
-                } else {
-                    in_dims.iter().product()
+                let scale_q = dropout_scale_q(*rate);
+                let op = ScheduleOp::McDropout {
+                    rate: *rate,
+                    scale_q,
+                    params,
                 };
-                self.mask_unit = self.mask_unit.max(unit);
-                *cur = self.push(
-                    ScheduleOp::McDropout {
-                        rate: *rate,
-                        scale_q: dropout_scale_q(*rate),
-                        params: *params,
-                    },
-                    *cur,
-                    None,
-                    record.out_dims.clone(),
-                );
+                (op, params)
             }
-            LayerLowering::Residual { main, shortcut } => {
-                let v_in = *cur;
-                let first = self.steps.len();
-                let in_params = *params;
-                let mut main_params = in_params;
-                let mut v_main = v_in;
-                for child in main {
-                    self.emit(child, cursor, &mut main_params, &mut v_main)?;
-                }
-                let main_end = self.steps.len();
-                let mut short_params = in_params;
-                let mut v_short = v_in;
-                for child in shortcut {
-                    self.emit(child, cursor, &mut short_params, &mut v_short)?;
-                }
-                let merge = self.steps.len();
-                // The block input survives the main path (its next reader is
-                // the first shortcut step, or the merge); the main output
-                // survives the shortcut.
-                self.pending.push((v_in, first, main_end));
-                self.pending.push((v_main, main_end, merge));
-                let record = cursor.take(lowering.name())?;
-                let out = record
-                    .out
-                    .expect("residual records an output range")
-                    .params(total_bits)?;
-                *cur = self.push(
-                    ScheduleOp::Merge {
-                        m_shift: main_params.fractional_bits() as i32
-                            - out.fractional_bits() as i32,
-                        s_shift: short_params.fractional_bits() as i32
-                            - out.fractional_bits() as i32,
-                        out,
-                    },
-                    v_main,
-                    Some(v_short),
-                    record.out_dims.clone(),
-                );
-                *params = out;
+            LayerLowering::Residual { .. } => {
+                let out = out()?;
+                let short = node.shortcut.ok_or_else(|| {
+                    QuantError::Internal("a residual merge without a shortcut format".into())
+                })?;
+                let shift =
+                    |p: QuantParams| p.fractional_bits() as i32 - out.fractional_bits() as i32;
+                let op = ScheduleOp::Merge {
+                    m_shift: shift(params),
+                    s_shift: shift(short),
+                    out,
+                };
+                (op, out)
             }
-        }
-        Ok(())
+            LayerLowering::Sequence(_) | LayerLowering::Flatten | LayerLowering::Identity => {
+                let msg = format!("{} is not a plan step", lowering.name());
+                return Err(QuantError::Internal(msg));
+            }
+        })
     }
-}
 
-/// Static per-sample integer-op estimate of one step: multiply-accumulates
-/// for conv/dense, touched elements for pools/element-wise steps, two
-/// requantize-adds per element for a residual merge.
-fn step_unit_ops(op: &ScheduleOp, in_dims: &[usize], out_dims: &[usize]) -> u64 {
-    let in_elems: usize = in_dims.iter().product();
-    let out_elems: usize = out_dims.iter().product();
-    match op {
-        ScheduleOp::Conv { in_c, kernel, .. } => (in_c * kernel * kernel * out_elems) as u64,
-        ScheduleOp::Dense { in_f, out_f, .. } => (in_f * out_f) as u64,
-        ScheduleOp::MaxPool { kernel, .. } | ScheduleOp::AvgPool { kernel, .. } => {
-            (kernel * kernel * out_elems) as u64
-        }
-        ScheduleOp::GlobalAvgPool => in_elems as u64,
-        ScheduleOp::Relu | ScheduleOp::Affine { .. } | ScheduleOp::McDropout { .. } => {
-            out_elems as u64
-        }
-        ScheduleOp::Merge { .. } => 2 * out_elems as u64,
+    fn alias(&mut self, graph: usize, lowering: &LayerLowering) -> Result<(), QuantError> {
+        self.cursors[graph].take(lowering.name()).map(|_| ())
     }
-}
-
-/// Elementwise steps may run in place when their input dies at the step.
-fn aliasable(op: &ScheduleOp) -> bool {
-    matches!(
-        op,
-        ScheduleOp::Relu | ScheduleOp::Affine { .. } | ScheduleOp::McDropout { .. }
-    )
 }
 
 impl QuantPlan {
@@ -504,196 +273,53 @@ impl QuantPlan {
     ) -> Result<Self, QuantError> {
         let total_bits = QuantParams::new(format)?.format().total_bits();
         let in_params = calibrated.input.params(total_bits)?;
-        let mut builder = PlanBuilder {
+        let records = (calibrated.blocks.iter().map(|(_, record)| record))
+            .chain(calibrated.exits.iter().map(|(_, _, record)| record));
+        let mut hook = QuantAttach {
             total_bits,
-            steps: Vec::new(),
-            values: Vec::new(),
-            cols_unit: 0,
-            acc_unit: 0,
-            mask_unit: 0,
-            pending: Vec::new(),
+            cursors: records.map(|r| RecordCursor::new(&r.ops)).collect(),
         };
-        let input_value = builder.new_value(calibrated.in_dims.clone());
-
-        // Backbone: blocks in execution order; the value live at each block
-        // boundary is pinned (exit branches re-read it on every MC pass).
-        let mut params = in_params;
-        let mut cur = input_value;
-        let mut block_values = Vec::with_capacity(calibrated.blocks.len());
-        let mut block_params = Vec::with_capacity(calibrated.blocks.len());
-        let mut block_bounds = Vec::with_capacity(calibrated.blocks.len());
-        for (lowering, record) in &calibrated.blocks {
-            let mut cursor = RecordCursor::new(&record.ops);
-            builder.emit(lowering, &mut cursor, &mut params, &mut cur)?;
+        let skeleton = skeleton::compile(
+            calibrated.blocks.iter().map(|(lowering, _)| lowering),
+            (calibrated.exits.iter()).map(|(after_block, lowering, _)| (*after_block, lowering)),
+            &calibrated.in_dims,
+            in_params,
+            &mut hook,
+        )?;
+        for cursor in hook.cursors {
             cursor.finish()?;
-            let root = builder.root(cur);
-            builder.values[root].pinned = true;
-            block_values.push(cur);
-            block_params.push(params);
-            block_bounds.push(builder.steps.len());
         }
-
-        // Exit branches, attachment order.
-        let mut exit_meta = Vec::with_capacity(calibrated.exits.len());
-        for (after_block, lowering, record) in &calibrated.exits {
-            let mut cursor = RecordCursor::new(&record.ops);
-            let mut exit_params = block_params[*after_block];
-            let mut exit_cur = block_values[*after_block];
-            let start = builder.steps.len();
-            builder.emit(lowering, &mut cursor, &mut exit_params, &mut exit_cur)?;
-            cursor.finish()?;
-            exit_meta.push((start, exit_cur, exit_params, *after_block));
-        }
-
-        // Liveness over the flat step list, then linear-scan slot assignment
-        // with free-list (ping-pong) reuse.
-        let n_values = builder.values.len();
-        let mut last_use = vec![usize::MAX; n_values];
-        for (j, step) in builder.steps.iter().enumerate() {
-            last_use[builder.root(step.src)] = j;
-            if let Some(s2) = step.src2 {
-                last_use[builder.root(s2)] = j;
-            }
-        }
-        let mut slot_of = vec![usize::MAX; n_values];
-        let mut slot_elems: Vec<usize> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
-        let assign = |slot_of: &mut Vec<usize>,
-                      slot_elems: &mut Vec<usize>,
-                      free: &mut Vec<usize>,
-                      value: usize,
-                      elems: usize|
-         -> usize {
-            let slot = free.pop().unwrap_or_else(|| {
-                slot_elems.push(0);
-                slot_elems.len() - 1
-            });
-            slot_of[value] = slot;
-            slot_elems[slot] = slot_elems[slot].max(elems);
-            slot
-        };
-        let input_elems: usize = calibrated.in_dims.iter().product();
-        assign(
-            &mut slot_of,
-            &mut slot_elems,
-            &mut free,
-            input_value,
-            input_elems,
-        );
-        for j in 0..builder.steps.len() {
-            let (src_root, src2_root, dst_root, kind_aliasable, out_elems) = {
-                let step = &builder.steps[j];
-                (
-                    builder.root(step.src),
-                    step.src2.map(|s| builder.root(s)),
-                    builder.root(step.dst),
-                    aliasable(&step.op),
-                    step.out_dims.iter().product(),
-                )
-            };
-            let src_dies = last_use[src_root] == j && !builder.values[src_root].pinned;
-            if kind_aliasable && src_dies {
-                let slot = slot_of[src_root];
-                slot_of[dst_root] = slot;
-                slot_elems[slot] = slot_elems[slot].max(out_elems);
-            } else {
-                assign(
-                    &mut slot_of,
-                    &mut slot_elems,
-                    &mut free,
-                    dst_root,
-                    out_elems,
-                );
-                let dst_slot = slot_of[dst_root];
-                let mut dead = [None, None];
-                if src_dies && slot_of[src_root] != dst_slot {
-                    dead[0] = Some(slot_of[src_root]);
-                }
-                if let Some(s2) = src2_root {
-                    if last_use[s2] == j
-                        && !builder.values[s2].pinned
-                        && slot_of[s2] != dst_slot
-                        && Some(slot_of[s2]) != dead[0]
-                    {
-                        dead[1] = Some(slot_of[s2]);
-                    }
-                }
-                for slot in dead.into_iter().flatten() {
-                    free.push(slot);
-                }
-            }
-        }
-
-        // Rewrite value ids into slot ids.
-        let mut steps = builder.steps;
-        for step in &mut steps {
-            step.src = slot_of[builder.values[step.src].alias_of.unwrap_or(step.src)];
-            if let Some(s2) = step.src2 {
-                step.src2 = Some(slot_of[builder.values[s2].alias_of.unwrap_or(s2)]);
-            }
-            step.dst = slot_of[builder.values[step.dst].alias_of.unwrap_or(step.dst)];
-        }
-        debug_assert!(
-            builder.pending.iter().all(|&(value, first, end)| {
-                let slot = slot_of[builder.values[value].alias_of.unwrap_or(value)];
-                steps[first..end].iter().all(|step| step.dst != slot)
-            }),
-            "a plan step overwrites a pending residual operand"
-        );
-        // Exit branches split off the tail of the flat list, last first.
-        let total = steps.len();
-        let mut exits = Vec::with_capacity(exit_meta.len());
-        for &(start, out_value, out_params, after_block) in exit_meta.iter().rev() {
-            let out_root = builder.values[out_value].alias_of.unwrap_or(out_value);
-            exits.push(ScheduleExit {
-                steps: steps.split_off(start),
-                out_slot: slot_of[out_root],
-                out_params,
-                out_dims: builder.values[out_value].dims.clone(),
-                after_block,
-            });
-        }
-        exits.reverse();
+        let exits: Vec<ScheduleExit> = (skeleton.exits.into_iter())
+            .map(|exit| ScheduleExit {
+                steps: exit.steps,
+                out_slot: exit.out_slot,
+                out_params: exit.out_note,
+                out_dims: exit.out_dims,
+                after_block: exit.after_block,
+            })
+            .collect();
         let logit_unit = exits
             .iter()
             .map(|e| e.out_dims.iter().product())
             .max()
             .unwrap_or(0);
-        let backbone = steps;
-
-        // Block-boundary metadata for adaptive execution: the pinned slot
-        // holding each block's output and its per-sample element count (the
-        // compaction gather unit — rows are packed at the value's own dims).
-        let block_slots: Vec<usize> = block_values
-            .iter()
-            .map(|&v| slot_of[builder.values[v].alias_of.unwrap_or(v)])
-            .collect();
-        let block_units: Vec<usize> = block_values
-            .iter()
-            .map(|&v| builder.values[v].dims.iter().product())
-            .collect();
-
+        let schedule = PlanSchedule {
+            format,
+            classes: calibrated.classes,
+            in_params,
+            in_dims: skeleton.in_dims,
+            input_slot: skeleton.input_slot,
+            backbone: skeleton.backbone,
+            exits,
+            slot_elems: skeleton.slot_elems,
+        };
         let mut arena = Arena::default();
-        arena.slots.resize(slot_elems.len(), Vec::new());
-        let streams = vec![Xoshiro256StarStar::seed_from_u64(0); total];
+        arena.slots.resize(schedule.slot_elems.len(), Vec::new());
         Ok(QuantPlan {
-            schedule: PlanSchedule {
-                format,
-                classes: calibrated.classes,
-                in_params,
-                in_dims: calibrated.in_dims.clone(),
-                input_slot: slot_of[input_value],
-                backbone,
-                exits,
-                slot_elems,
-            },
-            streams,
-            block_bounds,
-            block_slots,
-            block_units,
-            cols_unit: builder.cols_unit,
-            acc_unit: builder.acc_unit,
-            mask_unit: builder.mask_unit,
+            streams: vec![Xoshiro256StarStar::seed_from_u64(0); schedule.num_steps()],
+            schedule,
+            blocks: skeleton.blocks,
+            scratch: skeleton.scratch,
             logit_unit,
             arena,
             exec: None,
@@ -760,15 +386,16 @@ impl QuantPlan {
                 v.resize(need, 0);
             }
         };
-        grow(&mut self.arena.cols, self.cols_unit * batch);
-        if self.arena.acc32.len() < self.acc_unit * batch && width == IntWidth::W8 {
-            self.arena.acc32.resize(self.acc_unit * batch, 0);
+        let scratch = self.scratch;
+        grow(&mut self.arena.cols, scratch.cols * batch);
+        if self.arena.acc32.len() < scratch.acc * batch && width == IntWidth::W8 {
+            self.arena.acc32.resize(scratch.acc * batch, 0);
         }
-        if self.arena.acc64.len() < self.acc_unit * batch && width == IntWidth::W16 {
-            self.arena.acc64.resize(self.acc_unit * batch, 0);
+        if self.arena.acc64.len() < scratch.acc * batch && width == IntWidth::W16 {
+            self.arena.acc64.resize(scratch.acc * batch, 0);
         }
-        if self.arena.mask.len() < self.mask_unit * batch {
-            self.arena.mask.resize(self.mask_unit * batch, false);
+        if self.arena.mask.len() < scratch.mask * batch {
+            self.arena.mask.resize(scratch.mask * batch, false);
         }
         if self.arena.logits.len() < self.logit_unit * batch {
             self.arena.logits.resize(self.logit_unit * batch, 0.0);
@@ -822,7 +449,7 @@ impl QuantPlan {
     ) -> Result<Vec<Tensor>, QuantError> {
         let batch = self.load_input(inputs)?;
         self.per_batch(|plan| {
-            plan.run_blocks(0..plan.block_bounds.len(), batch)?;
+            plan.run_blocks(0..plan.blocks.ends.len(), batch)?;
             (0..plan.schedule.exits.len())
                 .map(|e| {
                     let logits = plan.run_exit(e, batch, mode)?.to_vec();
@@ -951,12 +578,6 @@ impl QuantPlan {
     ) -> Result<AdaptivePrediction, QuantError> {
         ExitPlan::predict_adaptive_batch(self, inputs, n_samples, seed, policy)
     }
-
-    /// Backbone step range of `blocks`.
-    fn block_steps(&self, blocks: Range<usize>) -> Range<usize> {
-        let bound = |b: usize| b.checked_sub(1).map_or(0, |b| self.block_bounds[b]);
-        bound(blocks.start)..bound(blocks.end)
-    }
 }
 
 /// The walker's view of the integer plan: blocks and exits run on the
@@ -983,13 +604,11 @@ impl ExitPlan for QuantPlan {
     }
 
     fn block_cost(&self, block: usize) -> (u64, u64) {
-        let steps = &self.schedule.backbone[self.block_steps(block..block + 1)];
-        (steps.len() as u64, steps.iter().map(|s| s.unit_ops).sum())
+        steps_cost(&self.schedule.backbone[self.blocks.steps(block..block + 1)])
     }
 
     fn exit_cost(&self, exit: usize) -> (u64, u64) {
-        let steps = &self.schedule.exits[exit].steps;
-        (steps.len() as u64, steps.iter().map(|s| s.unit_ops).sum())
+        steps_cost(&self.schedule.exits[exit].steps)
     }
 
     fn ensure_batch(&mut self, max_batch: usize) {
@@ -1002,7 +621,7 @@ impl ExitPlan for QuantPlan {
 
     fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), QuantError> {
         let (exec, masks) = (self.exec, self.masks);
-        let steps = self.block_steps(blocks);
+        let steps = self.blocks.steps(blocks);
         let streams = &mut self.streams[steps.clone()];
         for (step, rng) in self.schedule.backbone[steps].iter().zip(streams) {
             run_step(step, rng, &mut self.arena, exec, live, Mode::Eval, masks)?;
@@ -1044,9 +663,7 @@ impl ExitPlan for QuantPlan {
     }
 
     fn move_row(&mut self, block: usize, from: usize, to: usize) {
-        let unit = self.block_units[block];
-        self.arena.slots[self.block_slots[block]]
-            .copy_within(from * unit..(from + 1) * unit, to * unit);
+        self.blocks.move_row(&mut self.arena.slots, block, from, to);
     }
 
     fn scratch(&mut self) -> &mut WalkScratch {
@@ -1324,27 +941,7 @@ fn run_step(
                 return Ok(());
             }
             let keep = 1.0 - *rate;
-            // Filter-wise for NCHW (per-sample dims of rank 3), element-wise
-            // otherwise — the same draw order as `draw_keep_mask`. Per-sample
-            // granularity draws one sample's worth of masks and tiles them
-            // across the batch (`% draws`); for batch 1 the draw count and
-            // the applied mask are identical in both modes.
-            let (draws, plane) = if step.in_dims.len() == 3 {
-                let per_sample = match masks {
-                    MaskGranularity::PerBatch => batch,
-                    MaskGranularity::PerSample => 1,
-                };
-                (
-                    per_sample * step.in_dims[0],
-                    step.in_dims[1] * step.in_dims[2],
-                )
-            } else {
-                let per_sample = match masks {
-                    MaskGranularity::PerBatch => in_elems,
-                    MaskGranularity::PerSample => in_elems / batch,
-                };
-                (per_sample, 1)
-            };
+            let (draws, plane) = masks.draws(&step.in_dims, batch);
             for m in arena.mask[..draws].iter_mut() {
                 *m = rng.bernoulli(keep);
             }
@@ -1383,7 +980,9 @@ fn run_step(
         } => {
             let (qmin, qmax) = (out.qmin(), out.qmax());
             let (m_shift, s_shift) = (*m_shift, *s_shift);
-            let src2 = step.src2.expect("merge has a shortcut source");
+            let src2 = step.src2.ok_or_else(|| {
+                QuantError::Internal("a residual merge step has no shortcut source".into())
+            })?;
             let mut dst = std::mem::take(&mut arena.slots[step.dst]);
             let main = &arena.slots[step.src][..out_elems];
             let short = &arena.slots[src2][..out_elems];

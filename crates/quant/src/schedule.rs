@@ -195,26 +195,11 @@ impl ScheduleOp {
     }
 }
 
-/// One flattened step: the op plus its arena slot assignment and static
-/// per-sample shapes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleStep {
-    /// The step's arithmetic and folded constants.
-    pub op: ScheduleOp,
-    /// Source slot (the main path of a merge).
-    pub src: usize,
-    /// Second source slot (the shortcut path of a merge).
-    pub src2: Option<usize>,
-    /// Destination slot (may equal `src` for in-place elementwise steps).
-    pub dst: usize,
-    /// Per-sample dims of the source activation (batch axis stripped).
-    pub in_dims: Vec<usize>,
-    /// Per-sample dims of the output activation.
-    pub out_dims: Vec<usize>,
-    /// Static per-sample integer-op estimate (MACs for conv/dense, touched
-    /// elements otherwise) — the same figure `QuantPlan::fixed_cost` sums.
-    pub unit_ops: u64,
-}
+/// One flattened step of the integer schedule: a [`ScheduleOp`] plus its
+/// arena slots, static per-sample shapes and `unit_ops` (the per-sample
+/// figure `QuantPlan::fixed_cost` sums), as the step compiler
+/// ([`bnn_nn::skeleton`]) emits it for both plan families.
+pub type ScheduleStep = bnn_nn::skeleton::ScheduleStep<ScheduleOp>;
 
 /// One exit branch of the schedule, in attachment order.
 #[derive(Debug, Clone, PartialEq)]

@@ -19,12 +19,11 @@ use bnn_tensor::Tensor;
 /// A batch-capable inference engine a serving worker can own.
 ///
 /// Contract: `predict_batch_into` must be **batch-boundary invariant** (each
-/// output row bit-exact with a single-sample call at the same seed). An
-/// engine may also be **allocation-free in the steady state** after
-/// [`BatchEngine::ensure_batch`] warmed the arena for the largest batch it
-/// will see (output-buffer growth aside): only [`QuantEngine`] makes that
-/// promise, and `tests/allocation_audit.rs` is what checks it.
-/// [`FloatEngine`] allocates on every batch.
+/// output row bit-exact with a single-sample call at the same seed). Both
+/// engines are also **allocation-free in the steady state** after
+/// [`BatchEngine::ensure_batch`] warmed the arena for the largest batch they
+/// will see (output-buffer growth aside), on a plan pinned to a sequential
+/// executor; `tests/allocation_audit.rs` is what checks it.
 pub trait BatchEngine: Send {
     /// Per-sample input dims (batch axis stripped): submitted samples carry
     /// `in_dims().iter().product()` elements.
@@ -102,10 +101,10 @@ pub struct PlanEngine<P> {
 pub type QuantEngine = PlanEngine<QuantPlan>;
 
 /// The engine over the float [`MultiExitPlan`] — the reference path for
-/// networks that are not quantized (or not quantizable). Not allocation-free:
-/// the float plan returns a fresh tensor per block and exit run, and copies
-/// the live rows out of a partly retired batch, so every served batch
-/// allocates. Only [`QuantEngine`] is allocation-free in the steady state.
+/// networks that are not quantized (or not quantizable). Its plan is one
+/// flat arena across blocks and exits, like the integer plan's; pin it to
+/// `Executor::sequential()` (`MultiExitPlan::set_executor`) for a strictly
+/// allocation-free worker.
 pub type FloatEngine = PlanEngine<MultiExitPlan>;
 
 impl<P> PlanEngine<P> {

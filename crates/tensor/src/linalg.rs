@@ -3,11 +3,11 @@
 //!
 //! # Parallelism and determinism
 //!
-//! The heavy kernels ([`matmul`], [`matmul_abt`], [`matmul_atb`], [`im2col`],
-//! [`col2im`]) split their **output** into disjoint row/plane blocks and fill
-//! the blocks on a [`parpool::Executor`]. Every output element is computed by
-//! exactly one thread with exactly the accumulation order of the sequential
-//! loop, so results are bitwise identical for every thread count. The plain
+//! The heavy kernels ([`matmul`], [`im2col`], [`col2im`]) split their
+//! **output** into disjoint row/plane blocks and fill the blocks on a
+//! [`parpool::Executor`]. Every output element is computed by exactly one
+//! thread with exactly the accumulation order of the sequential loop, so
+//! results are bitwise identical for every thread count. The plain
 //! entry points auto-select between the process-global executor and inline
 //! execution based on a work-size threshold; the `*_with` variants accept an
 //! explicit executor (used by tests and by callers that manage their own
@@ -175,111 +175,6 @@ pub fn matmul_slices_into_with(
         simdkern::matmul_f32(backend, &a[row0 * k..(row0 + rows) * k], b, k, n, chunk)
     });
     Ok(())
-}
-
-/// Multiplies `a` by the transpose of `b`: `[m, k] x [n, k]ᵀ -> [m, n]`,
-/// without materialising the transpose.
-///
-/// Each output element is the dot product of a row of `a` and a row of `b`,
-/// accumulated in ascending index order — the same per-element order as
-/// `matmul(a, transpose(b))`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the trailing dimensions differ
-/// or either operand is not rank 2.
-pub fn matmul_abt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k) = a.shape().as_matrix()?;
-    let (n, _) = b.shape().as_matrix()?;
-    matmul_abt_with(&auto_executor(m * k * n, PAR_MACS_THRESHOLD), a, b)
-}
-
-/// [`matmul_abt`] on an explicit executor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the trailing dimensions differ
-/// or either operand is not rank 2.
-pub fn matmul_abt_with(exec: &Executor, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k_a) = a.shape().as_matrix()?;
-    let (n, k_b) = b.shape().as_matrix()?;
-    if k_a != k_b {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_abt",
-        });
-    }
-    let k = k_a;
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    fill_row_blocks(exec, &mut out, m, n, |row0, chunk| {
-        for (local_i, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-            let a_row = &a_data[(row0 + local_i) * k..(row0 + local_i + 1) * k];
-            for (o, b_row) in out_row.iter_mut().zip(b_data.chunks_exact(k)) {
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
-    });
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Multiplies the transpose of `a` by `b`: `[m, k]ᵀ x [m, n] -> [k, n]`,
-/// without materialising the transpose.
-///
-/// Accumulation runs over the shared `m` axis in ascending order for every
-/// output element — the same per-element order as `matmul(transpose(a), b)`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the leading dimensions differ
-/// or either operand is not rank 2.
-pub fn matmul_atb(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k) = a.shape().as_matrix()?;
-    let (_, n) = b.shape().as_matrix()?;
-    matmul_atb_with(&auto_executor(m * k * n, PAR_MACS_THRESHOLD), a, b)
-}
-
-/// [`matmul_atb`] on an explicit executor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the leading dimensions differ
-/// or either operand is not rank 2.
-pub fn matmul_atb_with(exec: &Executor, a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m_a, k) = a.shape().as_matrix()?;
-    let (m_b, n) = b.shape().as_matrix()?;
-    if m_a != m_b {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul_atb",
-        });
-    }
-    let m = m_a;
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    let mut out = vec![0.0f32; k * n];
-    fill_row_blocks(exec, &mut out, k, n, |p0, chunk| {
-        for i in 0..m {
-            let b_row = &b_data[i * n..(i + 1) * n];
-            for (local_p, out_row) in chunk.chunks_exact_mut(n).enumerate() {
-                let a_ip = a_data[i * k + p0 + local_p];
-                if a_ip == 0.0 {
-                    continue;
-                }
-                for (o, &b_ij) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * b_ij;
-                }
-            }
-        }
-    });
-    Tensor::from_vec(out, &[k, n])
 }
 
 /// Transposes a matrix `[m, n] -> [n, m]`.
@@ -719,55 +614,17 @@ mod tests {
     }
 
     #[test]
-    fn matmul_abt_matches_explicit_transpose() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-        let a = Tensor::randn(&[5, 7], &mut rng);
-        let b = Tensor::randn(&[4, 7], &mut rng);
-        let expected = matmul(&a, &transpose(&b).unwrap()).unwrap();
-        let got = matmul_abt(&a, &b).unwrap();
-        assert_eq!(got.dims(), &[5, 4]);
-        for (x, y) in got.as_slice().iter().zip(expected.as_slice()) {
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
-        assert!(matmul_abt(&a, &Tensor::zeros(&[4, 6])).is_err());
-    }
-
-    #[test]
-    fn matmul_atb_matches_explicit_transpose() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(4);
-        let a = Tensor::randn(&[6, 3], &mut rng);
-        let b = Tensor::randn(&[6, 5], &mut rng);
-        let expected = matmul(&transpose(&a).unwrap(), &b).unwrap();
-        let got = matmul_atb(&a, &b).unwrap();
-        assert_eq!(got.dims(), &[3, 5]);
-        for (x, y) in got.as_slice().iter().zip(expected.as_slice()) {
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
-        assert!(matmul_atb(&a, &Tensor::zeros(&[5, 5])).is_err());
-    }
-
-    #[test]
     fn parallel_kernels_are_bitwise_identical_to_sequential() {
         // The determinism contract of the threading layer: any executor
         // produces exactly the single-threaded result.
         let mut rng = Xoshiro256StarStar::seed_from_u64(9);
         let a = Tensor::randn(&[37, 23], &mut rng);
         let b = Tensor::randn(&[23, 41], &mut rng);
-        let bt = Tensor::randn(&[41, 23], &mut rng);
         let seq = Executor::sequential();
         let par = Executor::new(4);
         assert_eq!(
             matmul_with(&seq, &a, &b).unwrap().as_slice(),
             matmul_with(&par, &a, &b).unwrap().as_slice()
-        );
-        assert_eq!(
-            matmul_abt_with(&seq, &a, &bt).unwrap().as_slice(),
-            matmul_abt_with(&par, &a, &bt).unwrap().as_slice()
-        );
-        let b2 = Tensor::randn(&[37, 11], &mut rng);
-        assert_eq!(
-            matmul_atb_with(&seq, &a, &b2).unwrap().as_slice(),
-            matmul_atb_with(&par, &a, &b2).unwrap().as_slice()
         );
     }
 

@@ -1,15 +1,16 @@
 //! Allocation audit of the compiled execution plans: after a warm-up call
-//! sizes the arena, planned integer prediction must perform **zero** heap
-//! allocations per call (on a sequential executor — the thread-pool fan-out
-//! of large kernels allocates its scoped workers by design, which is why
-//! this binary pins the plan to `Executor::sequential()`; results are
-//! bitwise identical either way).
+//! sizes the arena, planned integer prediction and the float serving engine
+//! must perform **zero** heap allocations per call (on a sequential
+//! executor — the thread-pool fan-out of large kernels allocates its scoped
+//! workers by design, which is why this binary pins the plans to
+//! `Executor::sequential()`; results are bitwise identical either way).
 //!
 //! This lives in its own integration-test binary because the counting
 //! allocator is process-global.
 
 use bayesnn_fpga::models::{zoo, ExitPolicy, ModelConfig};
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
+use bayesnn_fpga::serve::{BatchEngine, FloatEngine};
 use bayesnn_fpga::tensor::exec::Executor;
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;
 use bayesnn_fpga::tensor::Tensor;
@@ -241,5 +242,95 @@ fn adaptive_batched_predict_is_allocation_free_after_warmup() {
             0,
             "partial-batch adaptive steady state must not allocate ({format})"
         );
+    }
+}
+
+/// The float serving engine carries the same guarantee as the integer one:
+/// its plan is one flat arena across blocks and exits, so after
+/// `ensure_batch(N)` and one warm-up call a fixed-depth batch and an
+/// adaptive batch (mixed retire pattern, survivors compacted in the pinned
+/// block slot) at batch N — and a partial batch below it — perform zero
+/// heap allocations. LeNet-5 covers conv/pool/dense exits; ResNet-18 adds
+/// batch norm, residual merges and global pooling.
+#[test]
+fn float_engine_is_allocation_free_at_max_batch() {
+    let _guard = AUDIT_LOCK.lock().unwrap();
+    const MAX_BATCH: usize = 4;
+    let lenet = zoo::lenet5(
+        &ModelConfig::mnist()
+            .with_resolution(10, 10)
+            .with_width_divisor(8)
+            .with_classes(4),
+    );
+    let resnet = zoo::resnet18(
+        &ModelConfig::cifar10()
+            .with_resolution(12, 12)
+            .with_width_divisor(16),
+    );
+    let mut rng = Xoshiro256StarStar::seed_from_u64(23);
+    for spec in [lenet, resnet] {
+        let spec = spec
+            .with_exits_after_every_block()
+            .unwrap()
+            .with_exit_mcd(0.25)
+            .unwrap();
+        let name = spec.name.clone();
+        let network = spec.build(3).unwrap();
+        let mut dims = spec.input_shape(MAX_BATCH).dims().to_vec();
+        let mut plan = network.compile_plan(&dims[1..]).unwrap();
+        plan.set_executor(Executor::sequential());
+        let mut engine = FloatEngine::new(plan);
+        engine.ensure_batch(MAX_BATCH);
+        let inputs = Tensor::randn(&dims, &mut rng);
+        dims[0] = MAX_BATCH - 2;
+        let small = Tensor::randn(&dims, &mut rng);
+        let (mut out, mut exits) = (Vec::new(), Vec::new());
+
+        // Fixed depth: warm-up, then steady state at max and partial batch.
+        for batch in [&inputs, &small] {
+            engine.predict_batch_into(batch, 6, 2023, &mut out).unwrap();
+            let warm = out.clone();
+            let before = alloc_counter::allocation_count();
+            engine.predict_batch_into(batch, 6, 2023, &mut out).unwrap();
+            let allocations = alloc_counter::allocation_count() - before;
+            assert_eq!(allocations, 0, "{name}: fixed-depth float batch allocated");
+            assert_eq!(out, warm, "{name}: fixed-depth result drifted");
+        }
+
+        // Adaptive: the midpoint of the first-exit confidences retires some
+        // rows at exit 0 and compacts the rest.
+        let probe = ExitPolicy::Confidence { threshold: 0.0 };
+        engine
+            .predict_adaptive_batch_into(&inputs, 6, 2023, &probe, &mut out, &mut exits)
+            .unwrap();
+        let confs: Vec<f32> = out
+            .chunks_exact(out.len() / MAX_BATCH)
+            .map(|r| r.iter().copied().fold(f32::NEG_INFINITY, f32::max))
+            .collect();
+        let min = confs.iter().copied().fold(f32::INFINITY, f32::min);
+        let max = confs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        assert!(min < max, "{name}: probe confidences are degenerate");
+        let policy = ExitPolicy::Confidence {
+            threshold: f64::from((min + max) / 2.0),
+        };
+        for batch in [&inputs, &small] {
+            engine
+                .predict_adaptive_batch_into(batch, 6, 2023, &policy, &mut out, &mut exits)
+                .unwrap();
+            let (warm, warm_exits) = (out.clone(), exits.clone());
+            let before = alloc_counter::allocation_count();
+            engine
+                .predict_adaptive_batch_into(batch, 6, 2023, &policy, &mut out, &mut exits)
+                .unwrap();
+            let allocations = alloc_counter::allocation_count() - before;
+            assert_eq!(allocations, 0, "{name}: adaptive float batch allocated");
+            assert_eq!((&out, &exits), (&warm, &warm_exits), "{name}: drifted");
+            if batch.dims()[0] == MAX_BATCH {
+                assert!(
+                    exits.contains(&0) && exits.iter().any(|&e| e != 0),
+                    "{name}: retire pattern must be mixed: {exits:?}"
+                );
+            }
+        }
     }
 }

@@ -16,9 +16,13 @@
 //! `.cpp` are pinned in full for every subject, as are LeNet-5's
 //! `parameters.h` and `weights.h`. ResNet-18's weight header runs to
 //! hundreds of kilobytes, so its two constant files are pinned by
-//! `digests.txt`: each file's byte length and FNV-1a-64 hash. Any codegen
-//! change — intended or not — shows up as a diff in review instead of a
-//! silent drift.
+//! `digests.txt`: each file's byte length and FNV-1a-64 hash. The untrained
+//! subjects have all-zero biases, so the trained fixture
+//! (`fixtures::trained_lenet5`) is a third subject at 8 bits, with its
+//! constant files pinned in full. `schedule_digests.txt` pins each subject's
+//! `PlanSchedule` itself (slot ids and liveness included) the same way. Any
+//! codegen change — intended or not — shows up as a diff in review instead
+//! of a silent drift.
 //!
 //! To regenerate the goldens after an intentional generator change:
 //!
@@ -31,9 +35,11 @@
 //! calibration batch, and integer-only scale comments — so the snapshots are
 //! stable across thread counts and SIMD backends.
 
+mod fixtures;
+
 use bayesnn_fpga::hls::{HlsConfig, LoweredDesign};
 use bayesnn_fpga::models::{zoo, ModelConfig, NetworkSpec};
-use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
+use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, ScheduleOp};
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;
 use bayesnn_fpga::tensor::Tensor;
 use std::path::PathBuf;
@@ -93,6 +99,19 @@ fn resnet_subject() -> Subject {
     }
 }
 
+/// The trained fixture (`fixtures::trained_lenet5`): non-zero biases and
+/// moved batch-norm offsets, which an untrained build never has.
+fn trained_subject() -> Subject {
+    let (net, calib, _) = fixtures::trained_lenet5(17, 4, 24);
+    let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+    Subject {
+        name: "lenet5_trained",
+        spec: net.spec().clone(),
+        calibrated,
+        constants_in_full: true,
+    }
+}
+
 fn golden_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -149,7 +168,11 @@ fn digest_line(file: &str, contents: &str) -> String {
 }
 
 fn snapshot_subject(subject: &Subject) {
-    for format in FixedPointFormat::search_space() {
+    snapshot_formats(subject, &FixedPointFormat::search_space());
+}
+
+fn snapshot_formats(subject: &Subject, formats: &[FixedPointFormat]) {
+    for &format in formats {
         let config = HlsConfig::new(subject.name).with_format(format);
         let design = LoweredDesign::generate(&subject.calibrated, &config).unwrap();
         let case = format!("{}_w{}", subject.name, format.total_bits());
@@ -203,6 +226,49 @@ fn lenet5_snapshots_are_stable_across_formats() {
 #[test]
 fn resnet18_snapshots_are_stable_across_formats() {
     snapshot_subject(&resnet_subject());
+}
+
+#[test]
+fn trained_lenet5_snapshot_pins_non_zero_biases() {
+    let subject = trained_subject();
+    let format = FixedPointFormat::new(8, 3).unwrap();
+    snapshot_formats(&subject, &[format]);
+    // The subject exists for its biases: the pinned weights.h must carry
+    // non-zero bias codes, or a bias rounding change would go unseen.
+    let plan = subject.calibrated.plan(format).unwrap();
+    let non_zero = plan.schedule().steps().any(|step| match &step.op {
+        ScheduleOp::Conv { bias, .. } | ScheduleOp::Dense { bias, .. } => {
+            bias.iter().any(|&b| b != 0)
+        }
+        _ => false,
+    });
+    assert!(
+        non_zero,
+        "the trained subject must have non-zero bias codes"
+    );
+}
+
+/// Every golden subject's compiled `PlanSchedule`, pinned by the length and
+/// FNV-1a-64 hash of its `{:?}` text: the steps, constants, slot ids and
+/// liveness the step compiler assigns, not just the code emitted from them.
+#[test]
+fn plan_schedules_match_their_recorded_digests() {
+    let mut digests = String::new();
+    for (subject, formats) in [
+        (lenet_subject(), FixedPointFormat::search_space()),
+        (resnet_subject(), FixedPointFormat::search_space()),
+        (
+            trained_subject(),
+            vec![FixedPointFormat::new(8, 3).unwrap()],
+        ),
+    ] {
+        for format in formats {
+            let plan = subject.calibrated.plan(format).unwrap();
+            let case = format!("{}_w{}", subject.name, format.total_bits());
+            digests.push_str(&digest_line(&case, &format!("{:?}", plan.schedule())));
+        }
+    }
+    check_golden("", "schedule_digests.txt", &digests);
 }
 
 #[test]

@@ -88,7 +88,7 @@ fn plan_matches_layer_chain_on_every_zoo_model() {
                 let acts = plan.forward_backbone(&x, mode).unwrap();
                 assert_bitwise(&acts_ref, &acts, &format!("{name} backbone {mode:?}"));
                 let exits_ref = net.forward_exits_from_activations(&acts_ref, mode).unwrap();
-                let exits = plan.forward_exits_from_activations(&acts, mode).unwrap();
+                let exits = plan.forward_exits(mode).unwrap();
                 assert_bitwise(&exits_ref, &exits, &format!("{name} exits {mode:?}"));
             }
         }

@@ -4,9 +4,10 @@
 //! shapes (remainder rows/columns, single-row and single-column products)
 //! and thread counts, and end to end through the quantized inference plans
 //! for every format in the paper's search space `{4, 6, 8, 16}`. The f32
-//! matmul kernel is held to the same contract against a naive `ikj` loop,
-//! and one epoch of multi-exit ResNet-18 training must leave bit-identical
-//! weights on every backend.
+//! matmul kernel is held to the same contract against a naive `ikj` loop
+//! (through `Dense::backward` too, an infinite weight opposite a zero
+//! gradient included), and one epoch of multi-exit ResNet-18 training must
+//! leave bit-identical weights on every backend.
 //!
 //! Backends are forced through the process-global override
 //! (`bnn_tensor::simd::set_backend_override`), so the scalar kernels stay
@@ -351,6 +352,44 @@ fn f32_matmul_matches_ikj_reference_bitwise_across_backends_and_threads() {
             }
         }
     }
+}
+
+/// `Dense::backward` runs both of its products on the tiled kernel, so the
+/// zero-skip rule reaches the input gradient: an infinite weight opposite a
+/// gradient column that is zero in every row contributes nothing, where a
+/// plain dot product would give `0 * inf = NaN`.
+#[test]
+fn dense_backward_skips_zero_gradients_opposite_infinite_weights() {
+    use bayesnn_fpga::nn::layers::dense::Dense;
+    use bayesnn_fpga::nn::{Layer, Mode};
+
+    let (batch, in_f, out_f) = (3usize, 5usize, 4usize);
+    let mut rng = Xoshiro256StarStar::seed_from_u64(67);
+    let x = Tensor::randn(&[batch, in_f], &mut rng);
+    let mut g = Tensor::randn(&[batch, out_f], &mut rng).into_vec();
+    for row in g.chunks_exact_mut(out_f) {
+        row[2] = 0.0;
+    }
+    let g = Tensor::from_vec(g, &[batch, out_f]).unwrap();
+    let mut expected = None;
+    for_each_backend(|backend| {
+        let mut dense = Dense::new(in_f, out_f, 3).unwrap();
+        for (row, inf) in [(0, f32::INFINITY), (3, f32::NEG_INFINITY)] {
+            dense.params_mut()[0].value.as_mut_slice()[row * out_f + 2] = inf;
+        }
+        let w = dense.params()[0].value.as_slice().to_vec();
+        let w_t: Vec<f32> = (0..out_f * in_f)
+            .map(|idx| w[(idx % in_f) * out_f + idx / in_f])
+            .collect();
+        dense.forward(&x, Mode::Train).unwrap();
+        let dx = dense.backward(&g).unwrap();
+        let reference = matmul_f32_reference(g.as_slice(), &w_t, batch, out_f, in_f);
+        assert!(reference.iter().all(|v| v.is_finite()));
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(dx.as_slice()), bits(&reference), "backend={backend:?}");
+        let got = bits(dx.as_slice());
+        assert_eq!(expected.get_or_insert_with(|| got.clone()), &got);
+    });
 }
 
 #[test]
