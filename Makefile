@@ -20,7 +20,8 @@
 #   make test-adaptive - adaptive early-exit parity + allocation audit +
 #                     the exit walker's unit tests, under BNN_THREADS=1 and 4
 #   make test-hls   - HLS codegen golden-file snapshots, zoo-wide project
-#                     generation + sim-vs-plan differential suites, and the
+#                     generation + sim-vs-plan differential suites, the
+#                     calibrate -> plan -> predict suite, and the
 #                     bnn-quant/bnn-hls unit tests, under BNN_THREADS=1 and 4
 #   make test-perfbench - build and unit-test the benchmark package
 #                     (perfbench/, its own cargo workspace)
@@ -116,13 +117,16 @@ test-adaptive:
 # regenerate with UPDATE_GOLDEN=1, see tests/hls_golden_files.rs), a
 # complete project for every zoo architecture, the golden-reference
 # simulator bit-exact with the compiled integer plan across every zoo model
-# × searched format, and the bnn-quant/bnn-hls unit tests (the plan's slot
+# × searched format, calibrate -> plan -> predict tracking the float model
+# (quantized_inference; calibration runs the float plan's pooled kernels, so
+# its ranges, and every golden derived from them, must not depend on the
+# thread count), and the bnn-quant/bnn-hls unit tests (the plan's slot
 # liveness, batched invariance, saturation and 16-bit storage checks run the
-# ScheduleOp executor itself).
+# ScheduleOp executor itself; record/step skew and non-finite calibration).
 test-hls:
-	BNN_THREADS=1 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim
+	BNN_THREADS=1 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim --test quantized_inference
 	BNN_THREADS=1 $(CARGO) test -q -p bnn-quant -p bnn-hls
-	BNN_THREADS=4 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim
+	BNN_THREADS=4 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim --test quantized_inference
 	BNN_THREADS=4 $(CARGO) test -q -p bnn-quant -p bnn-hls
 
 # The benchmark package has its own [workspace], so the root build never

@@ -89,23 +89,15 @@ impl MultiExitNetwork {
     /// See [`MultiExitNetwork::compile_plan`].
     pub fn cached_plan(&mut self, in_dims: &[usize]) -> Result<&mut MultiExitPlan, ModelError> {
         let version = self.weight_version();
-        let hit = matches!(
-            &self.plan_cache,
-            Some(c) if c.version == version && c.in_dims == in_dims
-        );
-        if !hit {
-            let plan = self.compile_plan(in_dims)?;
-            self.plan_cache = Some(PlanCache {
+        let cache = match self.plan_cache.take() {
+            Some(c) if c.version == version && c.in_dims == in_dims => c,
+            _ => PlanCache {
                 version,
                 in_dims: in_dims.to_vec(),
-                plan,
-            });
-        }
-        Ok(&mut self
-            .plan_cache
-            .as_mut()
-            .expect("plan cache populated above")
-            .plan)
+                plan: self.compile_plan(in_dims)?,
+            },
+        };
+        Ok(&mut self.plan_cache.insert(cache).plan)
     }
 }
 

@@ -540,9 +540,9 @@ impl NetworkSpec {
                 "network has no backbone blocks".into(),
             ));
         }
-        if self.exits.is_empty() {
+        let Some(final_exit) = self.exits.last() else {
             return Err(ModelError::InvalidSpec("network has no exits".into()));
-        }
+        };
         if self
             .exits
             .windows(2)
@@ -561,7 +561,6 @@ impl NetworkSpec {
                 )));
             }
         }
-        let final_exit = self.exits.last().expect("non-empty");
         if final_exit.after_block != self.blocks.len() - 1 {
             return Err(ModelError::InvalidSpec(
                 "the last exit must be attached after the final block".into(),

@@ -19,11 +19,13 @@
 //!   the merge (`relu(main + shortcut)`) reads both paths.
 //!
 //! A plan supplies only its constants and kernels through [`Attach`]: the
-//! compiler calls [`Attach::step`] once per step, in the walk order of the
-//! integer calibration collector (a residual's children before its merge),
-//! and [`Attach::alias`] for the shape-only ops. It threads one per-value
-//! annotation ([`Attach::Note`]) along the data flow — the integer plan's
-//! `QuantParams`, `()` for the float plan.
+//! compiler calls [`Attach::step`] once per step, in flat step order
+//! (backbone, then exits in attachment order; a residual's children before
+//! its merge), so a hook can pair step `n` with the `n`-th entry of any
+//! per-step record — calibration records ranges that way, and the integer
+//! plan consumes them in that order. It threads one per-value annotation
+//! ([`Attach::Note`]) along the data flow — the integer plan's `QuantParams`,
+//! `()` for the float plan.
 
 use crate::lowering::LayerLowering;
 use crate::plan::MaskGranularity;
@@ -62,9 +64,6 @@ pub fn steps_cost<Op>(steps: &[ScheduleStep<Op>]) -> (u64, u64) {
 /// One lowered op a plan attaches its constants to (see [`Attach::step`]).
 #[derive(Debug)]
 pub struct Node<'a, N> {
-    /// The graph being walked: blocks `0..num_blocks`, then the exits in
-    /// attachment order.
-    pub graph: usize,
     /// The op: a leaf lowering, or the `Residual` whose merge this is.
     pub lowering: &'a LayerLowering,
     /// Annotation of the input value (the main path's output for a merge).
@@ -83,23 +82,14 @@ pub trait Attach {
     type Error: From<NnError>;
 
     /// The op and output annotation of one step: every lowering except
-    /// `Sequence`, `Flatten` and `Identity`, with a `Residual` standing for
-    /// its merge (called after both of its paths).
+    /// `Sequence`, `Flatten` and `Identity` (shape-only ops, whose output
+    /// aliases their input and keeps its annotation), with a `Residual`
+    /// standing for its merge (called after both of its paths).
     ///
     /// # Errors
     ///
     /// Whatever the plan cannot attach.
     fn step(&mut self, node: Node<'_, Self::Note>) -> Result<(Self::Op, Self::Note), Self::Error>;
-
-    /// A shape-only op (`Flatten`, `Identity`): no step is emitted, and its
-    /// output aliases its input and keeps its annotation.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the plan cannot attach.
-    fn alias(&mut self, _graph: usize, _lowering: &LayerLowering) -> Result<(), Self::Error> {
-        Ok(())
-    }
 }
 
 /// Per-sample element counts of the scratch buffers the steps share.
@@ -259,7 +249,6 @@ impl<Op, N: Copy> Walk<Op, N> {
     fn emit<A: Attach<Op = Op, Note = N>>(
         &mut self,
         hook: &mut A,
-        graph: usize,
         lowering: &LayerLowering,
         cur: &mut usize,
     ) -> Result<(), A::Error> {
@@ -270,12 +259,11 @@ impl<Op, N: Copy> Walk<Op, N> {
         let (out_dims, unit_ops) = match lowering {
             LayerLowering::Sequence(children) => {
                 for child in children {
-                    self.emit(hook, graph, child, cur)?;
+                    self.emit(hook, child, cur)?;
                 }
                 return Ok(());
             }
             LayerLowering::Flatten | LayerLowering::Identity => {
-                hook.alias(graph, lowering)?;
                 let dims = match lowering {
                     LayerLowering::Flatten => vec![in_elems],
                     _ => in_dims,
@@ -288,12 +276,12 @@ impl<Op, N: Copy> Walk<Op, N> {
                 let (v_in, first) = (*cur, self.steps.len());
                 let mut v_main = v_in;
                 for child in main {
-                    self.emit(hook, graph, child, &mut v_main)?;
+                    self.emit(hook, child, &mut v_main)?;
                 }
                 let main_end = self.steps.len();
                 let mut v_short = v_in;
                 for child in shortcut {
-                    self.emit(hook, graph, child, &mut v_short)?;
+                    self.emit(hook, child, &mut v_short)?;
                 }
                 let out_dims = self.values[v_main].dims.clone();
                 if self.values[v_short].dims != out_dims {
@@ -309,7 +297,6 @@ impl<Op, N: Copy> Walk<Op, N> {
                 self.pending.push((v_in, first, main_end));
                 self.pending.push((v_main, main_end, self.steps.len()));
                 let attached = hook.step(Node {
-                    graph,
                     lowering,
                     note: self.values[v_main].note,
                     shortcut: Some(self.values[v_short].note),
@@ -380,7 +367,6 @@ impl<Op, N: Copy> Walk<Op, N> {
             LayerLowering::Relu => (in_dims.clone(), in_elems as u64),
         };
         let attached = hook.step(Node {
-            graph,
             lowering,
             note,
             shortcut: None,
@@ -489,8 +475,8 @@ pub fn compile<'a, A: Attach>(
     let mut cur = input;
     let mut block_values = Vec::new();
     let mut ends = Vec::new();
-    for (graph, lowering) in blocks.into_iter().enumerate() {
-        walk.emit(hook, graph, lowering, &mut cur)?;
+    for lowering in blocks {
+        walk.emit(hook, lowering, &mut cur)?;
         let root = walk.root(cur);
         walk.values[root].pinned = true;
         block_values.push(cur);
@@ -505,7 +491,7 @@ pub fn compile<'a, A: Attach>(
             return Err(NnError::InvalidConfig(msg).into());
         };
         let (start, mut exit_cur) = (walk.steps.len(), from);
-        walk.emit(hook, block_values.len() + e, lowering, &mut exit_cur)?;
+        walk.emit(hook, lowering, &mut exit_cur)?;
         exit_meta.push((start, exit_cur, after_block));
     }
 

@@ -1,15 +1,16 @@
-//! Calibrate-once range records: the float calibration forward runs **once**
-//! per trained model, and [`QuantParams`] for every candidate format are
-//! derived from the recorded ranges.
+//! Calibrate-once range records: the float network runs **once** per
+//! trained model, and [`QuantParams`] for every candidate format are derived
+//! from the recorded ranges.
 //!
-//! Before this module existed, lowering a network to the integer path ran a
-//! full float forward pass over the calibration batch *per format* — Phase
-//! 3's per-format loop paid that cost for each of the {4, 6, 8, 16}-bit
-//! design points. [`CalibratedNetwork::calibrate`] now walks the lowered
-//! graph once, recording per-tensor [`ValueRange`]s (weights and activation
-//! edges) plus the per-sample shape of every op output; compiling an
-//! execution plan ([`CalibratedNetwork::plan`]) for a format is then pure
-//! bookkeeping — no float inference, no model replica.
+//! [`CalibratedNetwork::calibrate`] compiles the network's lowered blocks
+//! and exits with the workspace's one step compiler ([`bnn_nn::skeleton`])
+//! and runs the float plan's own steps ([`bnn_nn::plan::run_step`], the
+//! production float path) over the calibration batch in [`Mode::Eval`].
+//! It records one range record per step in flat step order: record `n`
+//! belongs to step `n`, and the integer plan's compile consumes the records
+//! in that same order. Compiling an execution plan
+//! ([`CalibratedNetwork::plan`]) for a format is then pure bookkeeping — no
+//! float inference, no model replica.
 //!
 //! Ranges are observed on the **unquantized** float graph (raw weights, raw
 //! activations), so every format's integer/fractional splits derive from
@@ -18,9 +19,12 @@
 use crate::error::QuantError;
 use crate::params::QuantParams;
 use bnn_models::MultiExitNetwork;
+use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
+use bnn_nn::plan::{run_step, FloatArena, FloatAttach, FloatOp, MaskGranularity};
+use bnn_nn::skeleton::{self, Attach, Node};
 use bnn_nn::Network;
-use bnn_tensor::linalg::{im2col, matmul, ConvGeometry};
+use bnn_tensor::rng::Xoshiro256StarStar;
 use bnn_tensor::Tensor;
 
 /// An observed value range `[min, max]`, always containing zero (ranges start
@@ -61,335 +65,48 @@ impl ValueRange {
     }
 }
 
-/// The calibration record of one lowered op: its observed ranges, in graph
-/// walk order.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct OpRecord {
-    /// Stable op name (sanity-checked against the lowering walk at build
-    /// time — a cursor mismatch is an internal error, never silent skew).
-    pub(crate) name: &'static str,
+/// The calibration record of one plan step: record `n` belongs to flat step
+/// `n` (backbone, then exits in attachment order).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StepRecord {
     /// Weight range (conv / dense only).
     pub(crate) weight: Option<ValueRange>,
-    /// Output activation range (format-defining ops only).
+    /// Output activation range (format-defining steps only: conv, dense,
+    /// batch norm and residual merge).
     pub(crate) out: Option<ValueRange>,
 }
 
-/// The calibration record of one lowered graph: the input range/shape and
-/// one op record per op in deterministic walk order (residual children
-/// before the residual's own merge record).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphCalibration {
-    pub(crate) input: ValueRange,
-    pub(crate) in_dims: Vec<usize>,
-    pub(crate) ops: Vec<OpRecord>,
+/// [`FloatAttach`] that also observes each conv/dense weight range, in step
+/// order. Observing at compile time keeps a NaN weight an error even where
+/// the forward would hide it (a dense weight row met only by zero inputs).
+#[derive(Default)]
+struct WeightObserver {
+    weights: Vec<Option<ValueRange>>,
 }
 
-impl GraphCalibration {
-    /// Runs the pure-float calibration forward of `lowering` over `calib`,
-    /// recording ranges; returns the record and the graph's
-    /// output activation (for chaining block records).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::NonFinite`] for NaN/infinite weights or
-    /// activations, or propagated shape errors.
-    pub fn collect(lowering: &LayerLowering, calib: &Tensor) -> Result<(Self, Tensor), QuantError> {
-        let input = ValueRange::observe(calib.as_slice())?;
-        let in_dims = calib.dims()[1..].to_vec();
-        let mut ops = Vec::new();
-        let mut act = calib.clone();
-        collect_into(lowering, &mut act, &mut ops)?;
-        Ok((
-            GraphCalibration {
-                input,
-                in_dims,
-                ops,
-            },
-            act,
-        ))
-    }
-}
+impl Attach for WeightObserver {
+    type Op = FloatOp;
+    type Note = ();
+    type Error = QuantError;
 
-/// A read cursor over the op records of one graph: the step compiler walks
-/// the lowering in the same order the collector did, and the integer plan's
-/// attach hook consumes one record per op.
-pub(crate) struct RecordCursor<'a> {
-    ops: &'a [OpRecord],
-    next: usize,
-}
-
-impl<'a> RecordCursor<'a> {
-    pub(crate) fn new(ops: &'a [OpRecord]) -> Self {
-        RecordCursor { ops, next: 0 }
-    }
-
-    /// Consumes the next record, checking it belongs to the expected op.
-    pub(crate) fn take(&mut self, name: &'static str) -> Result<&'a OpRecord, QuantError> {
-        let record = self.ops.get(self.next).ok_or_else(|| {
-            QuantError::Internal(format!(
-                "calibration record exhausted at op {name} (lowering/record skew)"
-            ))
-        })?;
-        if record.name != name {
-            return Err(QuantError::Internal(format!(
-                "calibration record for {} consumed by op {name} (lowering/record skew)",
-                record.name
-            )));
-        }
-        self.next += 1;
-        Ok(record)
-    }
-
-    /// Errors unless every record was consumed.
-    pub(crate) fn finish(self) -> Result<(), QuantError> {
-        if self.next != self.ops.len() {
-            return Err(QuantError::Internal(format!(
-                "lowering consumed {} of {} calibration records",
-                self.next,
-                self.ops.len()
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Appends the record of one op to `ops`.
-fn push_record(
-    ops: &mut Vec<OpRecord>,
-    name: &'static str,
-    weight: Option<ValueRange>,
-    out: Option<ValueRange>,
-) {
-    ops.push(OpRecord { name, weight, out });
-}
-
-fn collect_into(
-    lowering: &LayerLowering,
-    act: &mut Tensor,
-    ops: &mut Vec<OpRecord>,
-) -> Result<(), QuantError> {
-    match lowering {
-        LayerLowering::Sequence(children) => {
-            for child in children {
-                collect_into(child, act, ops)?;
+    fn step(&mut self, node: Node<'_, ()>) -> Result<(FloatOp, ()), QuantError> {
+        let weight = match node.lowering {
+            LayerLowering::Conv2d { weight, .. } | LayerLowering::Dense { weight, .. } => {
+                Some(ValueRange::observe(weight.as_slice())?)
             }
-        }
-        LayerLowering::Conv2d {
-            weight,
-            bias,
-            stride,
-            padding,
-        } => {
-            let dims = weight.dims();
-            let (out_c, in_c, kernel) = (dims[0], dims[1], dims[2]);
-            let w_range = ValueRange::observe(weight.as_slice())?;
-            let w2d = weight.reshape(&[out_c, in_c * kernel * kernel])?;
-            let y = conv_float(act, &w2d, bias.as_slice(), kernel, *stride, *padding)?;
-            let out = ValueRange::observe(y.as_slice())?;
-            *act = y;
-            push_record(ops, lowering.name(), Some(w_range), Some(out));
-        }
-        LayerLowering::Dense { weight, bias } => {
-            let w_range = ValueRange::observe(weight.as_slice())?;
-            let y = dense_float(act, weight, bias.as_slice())?;
-            let out = ValueRange::observe(y.as_slice())?;
-            *act = y;
-            push_record(ops, lowering.name(), Some(w_range), Some(out));
-        }
-        LayerLowering::Relu => {
-            *act = act.map(|v| v.max(0.0));
-            push_record(ops, lowering.name(), None, None);
-        }
-        LayerLowering::MaxPool2d { kernel, stride } => {
-            *act = max_pool_float(act, *kernel, *stride)?;
-            push_record(ops, lowering.name(), None, None);
-        }
-        LayerLowering::AvgPool2d { kernel, stride } => {
-            // Plain averages: the range of the snapped integer average is
-            // contained in the input format's range anyway (pooling cannot
-            // widen a range), so no output range is recorded.
-            let norm = 1.0 / (kernel * kernel) as f32;
-            *act = pool_float_with(act, *kernel, *stride, 0.0, |a, v| a + v, |acc| acc * norm)?;
-            push_record(ops, lowering.name(), None, None);
-        }
-        LayerLowering::GlobalAvgPool2d => {
-            *act = global_avg_pool_float(act)?;
-            push_record(ops, lowering.name(), None, None);
-        }
-        LayerLowering::Flatten => {
-            let batch = act.dims()[0];
-            let rest: usize = act.dims()[1..].iter().product();
-            *act = act.reshape(&[batch, rest])?;
-            push_record(ops, lowering.name(), None, None);
-        }
-        LayerLowering::Affine(bn) => {
-            let (scale, shift) = bn.folded();
-            let y = affine_float(act, &scale, &shift, scale.len())?;
-            let out = ValueRange::observe(y.as_slice())?;
-            *act = y;
-            push_record(ops, lowering.name(), None, Some(out));
-        }
-        LayerLowering::McDropout { .. } => {
-            // Calibration runs the deterministic path; the op only becomes
-            // stochastic in Mode::McSample and never widens the range.
-            push_record(ops, lowering.name(), None, None);
-        }
-        LayerLowering::Identity => push_record(ops, lowering.name(), None, None),
-        LayerLowering::Residual { main, shortcut } => {
-            let input = act.clone();
-            let mut main_act = input.clone();
-            for child in main {
-                collect_into(child, &mut main_act, ops)?;
-            }
-            let mut short_act = input;
-            for child in shortcut {
-                collect_into(child, &mut short_act, ops)?;
-            }
-            let sum = main_act.add(&short_act)?.map(|v| v.max(0.0));
-            let out = ValueRange::observe(sum.as_slice())?;
-            *act = sum;
-            push_record(ops, lowering.name(), None, Some(out));
-        }
+            _ => None,
+        };
+        self.weights.push(weight);
+        Ok(FloatAttach.step(node)?)
     }
-    Ok(())
-}
-
-/// Float-reference convolution on a lowered weight matrix.
-fn conv_float(
-    x: &Tensor,
-    w2d: &Tensor,
-    bias: &[f32],
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<Tensor, QuantError> {
-    let (batch, _c, h, w) = x.shape().as_nchw()?;
-    let geom = ConvGeometry::square(h, w, kernel, stride, padding);
-    let cols = im2col(x, &geom)?;
-    let out2d = matmul(w2d, &cols)?;
-    let out_c = w2d.dims()[0];
-    let plane = geom.out_h() * geom.out_w();
-    // `[out_c, batch*plane]` matmul rows back to `[batch, out_c, plane]`.
-    let mut data = vec![0.0f32; batch * out_c * plane];
-    if plane > 0 && batch > 0 {
-        for (co, src_chan) in out2d.as_slice().chunks_exact(batch * plane).enumerate() {
-            for (b, src_row) in src_chan.chunks_exact(plane).enumerate() {
-                let start = (b * out_c + co) * plane;
-                for (dst, &v) in data[start..start + plane].iter_mut().zip(src_row) {
-                    *dst = v + bias[co];
-                }
-            }
-        }
-    }
-    Ok(Tensor::from_vec(
-        data,
-        &[batch, out_c, geom.out_h(), geom.out_w()],
-    )?)
-}
-
-/// Float-reference dense layer.
-fn dense_float(x: &Tensor, w: &Tensor, bias: &[f32]) -> Result<Tensor, QuantError> {
-    let mut out = matmul(x, w)?;
-    let out_f = w.dims()[1];
-    for row in out.as_mut_slice().chunks_exact_mut(out_f) {
-        for (o, &b) in row.iter_mut().zip(bias) {
-            *o += b;
-        }
-    }
-    Ok(out)
-}
-
-/// Float reference of square-window pooling: `combine` folds the window
-/// values, `finish` maps the folded value to the output.
-fn pool_float_with(
-    x: &Tensor,
-    kernel: usize,
-    stride: usize,
-    init: f32,
-    combine: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32) -> f32,
-) -> Result<Tensor, QuantError> {
-    let (n, c, h, w) = x.shape().as_nchw()?;
-    let geom = ConvGeometry::square(h, w, kernel, stride, 0);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let data = x.as_slice();
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    for b in 0..n {
-        for ch in 0..c {
-            for y in 0..oh {
-                for xx in 0..ow {
-                    let mut acc = init;
-                    for ky in 0..kernel {
-                        for kx in 0..kernel {
-                            let iy = y * stride + ky;
-                            let ix = xx * stride + kx;
-                            if iy < h && ix < w {
-                                acc = combine(acc, data[((b * c + ch) * h + iy) * w + ix]);
-                            }
-                        }
-                    }
-                    out[((b * c + ch) * oh + y) * ow + xx] = finish(acc);
-                }
-            }
-        }
-    }
-    Ok(Tensor::from_vec(out, &[n, c, oh, ow])?)
-}
-
-/// Float reference of max pooling.
-fn max_pool_float(x: &Tensor, kernel: usize, stride: usize) -> Result<Tensor, QuantError> {
-    pool_float_with(x, kernel, stride, f32::NEG_INFINITY, f32::max, |v| v)
-}
-
-/// Float reference of global average pooling.
-fn global_avg_pool_float(x: &Tensor) -> Result<Tensor, QuantError> {
-    let (n, c, h, w) = x.shape().as_nchw()?;
-    let plane = h * w;
-    let data = x.as_slice();
-    let mut out = vec![0.0f32; n * c];
-    for b in 0..n {
-        for ch in 0..c {
-            let start = (b * c + ch) * plane;
-            let acc: f32 = data[start..start + plane].iter().sum();
-            out[b * c + ch] = acc / plane as f32;
-        }
-    }
-    Ok(Tensor::from_vec(out, &[n, c])?)
-}
-
-/// Float reference of a per-channel affine over NCHW data.
-fn affine_float(
-    x: &Tensor,
-    scale: &[f32],
-    shift: &[f32],
-    channels: usize,
-) -> Result<Tensor, QuantError> {
-    let (n, c, h, w) = x.shape().as_nchw()?;
-    if c != channels {
-        return Err(QuantError::Internal(format!(
-            "affine over {channels} channel(s) received {c}"
-        )));
-    }
-    let plane = h * w;
-    let mut out = x.clone();
-    let data = out.as_mut_slice();
-    for b in 0..n {
-        for ch in 0..c {
-            let start = (b * c + ch) * plane;
-            for v in &mut data[start..start + plane] {
-                *v = scale[ch] * *v + shift[ch];
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// A trained multi-exit network calibrated **once**: the lowered inference
-/// graphs of every backbone block and exit branch, paired with their range
-/// records. Per-format compiled [`crate::QuantPlan`]s derive from this
-/// without re-running any float inference, which is what lets Phase 3 score
-/// every `(format, reuse)` design point against a single calibration pass
-/// and Phase 4 lower the winner from that same record.
+/// graphs of every backbone block and exit branch, and the range record of
+/// every step they compile to. Per-format compiled [`crate::QuantPlan`]s
+/// derive from this without re-running any float inference, which is what
+/// lets Phase 3 score every `(format, reuse)` design point against a single
+/// calibration pass and Phase 4 lower the winner from that same record.
 ///
 /// # Example
 ///
@@ -419,17 +136,20 @@ fn affine_float(
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibratedNetwork {
-    pub(crate) blocks: Vec<(LayerLowering, GraphCalibration)>,
-    pub(crate) exits: Vec<(usize, LayerLowering, GraphCalibration)>,
+    pub(crate) blocks: Vec<LayerLowering>,
+    pub(crate) exits: Vec<(usize, LayerLowering)>,
+    /// One record per step of the compiled lowerings, in flat step order.
+    pub(crate) records: Vec<StepRecord>,
     pub(crate) input: ValueRange,
     pub(crate) in_dims: Vec<usize>,
     pub(crate) classes: usize,
 }
 
 impl CalibratedNetwork {
-    /// Lowers the trained network and runs the single float calibration
-    /// forward over the representative batch `calib` (which must have the
-    /// network's input shape).
+    /// Lowers the trained network, compiles its float plan steps and runs
+    /// them once in [`Mode::Eval`] over the representative batch `calib`
+    /// (which must have the network's input shape), recording the ranges of
+    /// every step.
     ///
     /// # Errors
     ///
@@ -451,24 +171,39 @@ impl CalibratedNetwork {
             return Err(QuantError::InvalidInput("empty calibration batch".into()));
         }
         let input = ValueRange::observe(calib.as_slice())?;
-        let in_dims = dims[1..].to_vec();
-        let mut act = calib.clone();
-        let mut blocks = Vec::new();
-        let mut block_acts = Vec::new();
-        for lowering in network.block_lowerings()? {
-            let (record, out_act) = GraphCalibration::collect(&lowering, &act)?;
-            act = out_act;
-            block_acts.push(act.clone());
-            blocks.push((lowering, record));
-        }
-        let mut exits = Vec::new();
-        for (after_block, lowering) in network.exit_lowerings()? {
-            let (record, _out) = GraphCalibration::collect(&lowering, &block_acts[after_block])?;
-            exits.push((after_block, lowering, record));
-        }
+        let (batch, in_dims) = (dims[0], dims[1..].to_vec());
+        let blocks = network.block_lowerings()?;
+        let exits = network.exit_lowerings()?;
+        let mut observer = WeightObserver::default();
+        let exit_refs = exits.iter().map(|(after, branch)| (*after, branch));
+        let steps = skeleton::compile(&blocks, exit_refs, &in_dims, (), &mut observer)?;
+        let mut arena = FloatArena::default();
+        arena.ensure(&steps.slot_elems, steps.scratch, batch);
+        arena.slots[steps.input_slot][..calib.len()].copy_from_slice(calib.as_slice());
+        // Eval mode draws no dropout mask, so one idle stream serves every
+        // step.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0);
+        let records = (steps.steps().zip(observer.weights))
+            .map(|(step, weight)| {
+                let masks = MaskGranularity::PerBatch;
+                run_step(step, &mut rng, &mut arena, None, batch, Mode::Eval, masks)?;
+                let out = match step.op {
+                    FloatOp::Conv(_)
+                    | FloatOp::Dense { .. }
+                    | FloatOp::BatchNorm(_)
+                    | FloatOp::Merge => {
+                        let n = step.out_dims.iter().product::<usize>() * batch;
+                        Some(ValueRange::observe(&arena.slots[step.dst][..n])?)
+                    }
+                    _ => None,
+                };
+                Ok(StepRecord { weight, out })
+            })
+            .collect::<Result<_, QuantError>>()?;
         Ok(CalibratedNetwork {
             blocks,
             exits,
+            records,
             input,
             in_dims,
             classes: network.num_classes(),
@@ -529,5 +264,48 @@ mod tests {
     #[test]
     fn rank_one_calibration_batch_is_invalid_input() {
         rejects(&[100]);
+    }
+
+    fn randn_batch() -> Tensor {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        Tensor::randn(&[3, 1, 10, 10], &mut rng)
+    }
+
+    fn non_finite(network: &MultiExitNetwork, batch: &Tensor) -> bool {
+        matches!(
+            CalibratedNetwork::calibrate(network, batch),
+            Err(QuantError::NonFinite(_))
+        )
+    }
+
+    #[test]
+    fn non_finite_calibration_batch_is_rejected() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut batch = randn_batch();
+            batch.as_mut_slice()[17] = bad;
+            assert!(non_finite(&lenet(), &batch), "batch holding {bad}");
+        }
+    }
+
+    /// A NaN in the first weight of the given rank (4: conv, 2: dense) is
+    /// rejected, whatever the forward makes of it.
+    fn rejects_nan_weight(rank: usize) {
+        let mut network = lenet();
+        let param = (network.params_mut().into_iter())
+            .find(|p| p.value.dims().len() == rank)
+            .unwrap();
+        let last = param.value.len() - 1;
+        param.value.as_mut_slice()[last] = f32::NAN;
+        assert!(non_finite(&network, &randn_batch()), "rank-{rank} weight");
+    }
+
+    #[test]
+    fn nan_conv_weight_is_rejected() {
+        rejects_nan_weight(4);
+    }
+
+    #[test]
+    fn nan_dense_weight_is_rejected() {
+        rejects_nan_weight(2);
     }
 }

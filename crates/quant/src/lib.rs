@@ -74,7 +74,7 @@ pub mod params;
 pub mod plan;
 pub mod schedule;
 
-pub use calib::{CalibratedNetwork, GraphCalibration};
+pub use calib::CalibratedNetwork;
 pub use error::QuantError;
 pub use fixed::FixedPointFormat;
 pub use params::{IntWidth, QuantParams};

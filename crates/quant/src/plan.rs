@@ -7,10 +7,12 @@
 //! elementwise steps running in place when their input dies) — the same
 //! pass, shapes and slots the float `bnn_models::MultiExitPlan` is built
 //! from. This module only attaches the integer constants to each step: it
-//! consumes the calibration records in the compiler's walk order, derives
-//! every value's [`QuantParams`], and packs weights **once** into the
-//! transposed/widened `i16` layout the integer matmul kernels consume. The
-//! result is a [`PlanSchedule`], the one format code generators read too.
+//! consumes the calibration records in flat step order (record `n` belongs
+//! to step `n`; calibration ran the float plan's steps of the same
+//! compiler), derives every value's [`QuantParams`], and packs weights
+//! **once** into the transposed/widened `i16` layout the integer matmul
+//! kernels consume. The result is a [`PlanSchedule`], the one format code
+//! generators read too.
 //! Every intermediate — code slots, the im2col scratch, accumulators,
 //! dropout masks, softmax staging — lives in a preallocated tensor arena.
 //! After a warm-up call that sizes the arena for the batch,
@@ -36,7 +38,7 @@
 //!                            zero steady-state allocation
 //! ```
 
-use crate::calib::{CalibratedNetwork, RecordCursor, ValueRange};
+use crate::calib::{CalibratedNetwork, StepRecord, ValueRange};
 use crate::error::QuantError;
 use crate::fixed::FixedPointFormat;
 use crate::lower::{div_round, dropout_scale_q, quantize_affine, quantize_weights};
@@ -132,15 +134,15 @@ pub struct QuantPlan {
 }
 
 /// The integer plan's [`Attach`]: quantized constants from the calibration
-/// records, consumed in the step compiler's walk order (one cursor per
-/// graph), with each value's [`QuantParams`] as its annotation.
+/// records, one per step in flat step order, with each value's
+/// [`QuantParams`] as its annotation.
 struct QuantAttach<'a> {
     total_bits: u32,
-    cursors: Vec<RecordCursor<'a>>,
+    records: std::slice::Iter<'a, StepRecord>,
 }
 
-/// A range the calibration collector records for `op`, or an internal error
-/// on lowering/record skew.
+/// A range calibration records for `op`'s step, or an internal error on
+/// lowering/record skew.
 fn recorded(range: Option<ValueRange>, op: &str, what: &str) -> Result<ValueRange, QuantError> {
     range.ok_or_else(|| QuantError::Internal(format!("the {op} record has no {what} range")))
 }
@@ -155,11 +157,16 @@ impl Attach for QuantAttach<'_> {
         node: Node<'_, QuantParams>,
     ) -> Result<(ScheduleOp, QuantParams), QuantError> {
         let lowering = node.lowering;
-        let record = self.cursors[node.graph].take(lowering.name())?;
+        let name = lowering.name();
+        let record = self.records.next().ok_or_else(|| {
+            QuantError::Internal(format!(
+                "calibration records exhausted at op {name} (lowering/record skew)"
+            ))
+        })?;
         let (total_bits, params) = (self.total_bits, node.note);
-        let out = || recorded(record.out, record.name, "output")?.params(total_bits);
+        let out = || recorded(record.out, name, "output")?.params(total_bits);
         let weights = |weight: &Tensor, bias: &Tensor, out| {
-            let range = recorded(record.weight, record.name, "weight")?;
+            let range = recorded(record.weight, name, "weight")?;
             quantize_weights(weight, bias, range, total_bits, params, out)
         };
         Ok(match lowering {
@@ -248,14 +255,10 @@ impl Attach for QuantAttach<'_> {
                 (op, out)
             }
             LayerLowering::Sequence(_) | LayerLowering::Flatten | LayerLowering::Identity => {
-                let msg = format!("{} is not a plan step", lowering.name());
+                let msg = format!("{name} is not a plan step");
                 return Err(QuantError::Internal(msg));
             }
         })
-    }
-
-    fn alias(&mut self, graph: usize, lowering: &LayerLowering) -> Result<(), QuantError> {
-        self.cursors[graph].take(lowering.name()).map(|_| ())
     }
 }
 
@@ -273,21 +276,22 @@ impl QuantPlan {
     ) -> Result<Self, QuantError> {
         let total_bits = QuantParams::new(format)?.format().total_bits();
         let in_params = calibrated.input.params(total_bits)?;
-        let records = (calibrated.blocks.iter().map(|(_, record)| record))
-            .chain(calibrated.exits.iter().map(|(_, _, record)| record));
         let mut hook = QuantAttach {
             total_bits,
-            cursors: records.map(|r| RecordCursor::new(&r.ops)).collect(),
+            records: calibrated.records.iter(),
         };
         let skeleton = skeleton::compile(
-            calibrated.blocks.iter().map(|(lowering, _)| lowering),
-            (calibrated.exits.iter()).map(|(after_block, lowering, _)| (*after_block, lowering)),
+            &calibrated.blocks,
+            (calibrated.exits.iter()).map(|(after_block, lowering)| (*after_block, lowering)),
             &calibrated.in_dims,
             in_params,
             &mut hook,
         )?;
-        for cursor in hook.cursors {
-            cursor.finish()?;
+        if hook.records.len() != 0 {
+            return Err(QuantError::Internal(format!(
+                "{} calibration record(s) left over after the last step (lowering/record skew)",
+                hook.records.len()
+            )));
         }
         let exits: Vec<ScheduleExit> = (skeleton.exits.into_iter())
             .map(|exit| ScheduleExit {
@@ -1047,6 +1051,20 @@ mod tests {
         assert_eq!(plan.num_exits(), 2);
         assert_eq!(plan.num_classes(), 4);
         assert_eq!(plan.format(), fmt(8, 3));
+    }
+
+    #[test]
+    fn record_skew_is_an_internal_error() {
+        let calib = calib_batch(&[4, 1, 10, 10], 2);
+        let mut calibrated = CalibratedNetwork::calibrate(&lenet(1), &calib).unwrap();
+        let record = calibrated.records.pop().unwrap();
+        let skewed =
+            |c: &CalibratedNetwork| matches!(c.plan(fmt(8, 3)), Err(QuantError::Internal(_)));
+        assert!(skewed(&calibrated), "one record short");
+        calibrated.records.extend([record, record]);
+        assert!(skewed(&calibrated), "one record over");
+        calibrated.records.pop();
+        assert!(calibrated.plan(fmt(8, 3)).is_ok());
     }
 
     #[test]
