@@ -9,7 +9,7 @@ use bnn_nn::layers::conv2d::Conv2d;
 use bnn_nn::Layer;
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 use bnn_tensor::int::{im2row_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into};
-use bnn_tensor::linalg::{col2im, im2col, matmul, ConvGeometry};
+use bnn_tensor::linalg::{col2im, col2im_slices_into, im2col, im2col_into, matmul, ConvGeometry};
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -92,6 +92,33 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("col2im_4x16x16x16", |b| {
         b.iter(|| col2im(&cols, 4, 16, &geom).unwrap())
+    });
+
+    // The unfolds at the plane sizes ResNet-18 runs on 12x12 inputs (3x3
+    // convs, padding 1, batch 32): the smallest stage and the widest one,
+    // into reused buffers as the layers and plans call them. Own stream, so
+    // the inputs of the rows below stay as they were.
+    let mut unfold_rng = Xoshiro256StarStar::seed_from_u64(3);
+    for (channels, side) in [(16usize, 3usize), (4, 12)] {
+        let geom = ConvGeometry::square(side, side, 3, 1, 1);
+        let input = Tensor::randn(&[32, channels, side, side], &mut unfold_rng);
+        let mut cols = Vec::new();
+        im2col_into(&input, &geom, &mut cols).unwrap();
+        group.bench_function(format!("im2col_32x{channels}x{side}x{side}"), |b| {
+            b.iter(|| im2col_into(&input, &geom, &mut cols).unwrap())
+        });
+        let mut folded = vec![0.0f32; input.len()];
+        group.bench_function(format!("col2im_32x{channels}x{side}x{side}"), |b| {
+            b.iter(|| col2im_slices_into(&cols, 32, channels, &geom, &mut folded).unwrap())
+        });
+    }
+    let im2row_geom12 = ConvGeometry::square(12, 12, 3, 1, 1);
+    let codes12: Vec<i16> = (0..32 * 4 * 12 * 12)
+        .map(|_| (unfold_rng.next_u64() % 255) as i8 as i16)
+        .collect();
+    let mut packed12 = Vec::new();
+    group.bench_function("im2row_i16_32x4x12x12", |b| {
+        b.iter(|| im2row_i16_into(&codes12, 32, 4, &im2row_geom12, &mut packed12).unwrap())
     });
 
     // Covers the slice-based layout reorders on both sides of the im2col

@@ -33,6 +33,11 @@ pub enum NnError {
         /// Name of the offending layer.
         layer: String,
     },
+    /// A network's forward pass returned no exit logits.
+    NoExits {
+        /// Name of the offending network.
+        network: String,
+    },
 }
 
 impl fmt::Display for NnError {
@@ -56,6 +61,9 @@ impl fmt::Display for NnError {
             NnError::BadLabels(msg) => write!(f, "bad labels: {msg}"),
             NnError::UnsupportedLowering { layer } => {
                 write!(f, "layer `{layer}` has no inference-graph lowering")
+            }
+            NnError::NoExits { network } => {
+                write!(f, "network `{network}` returned no exit logits")
             }
         }
     }

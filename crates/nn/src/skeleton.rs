@@ -131,6 +131,17 @@ impl BlockLayout {
     }
 }
 
+/// Flat index of an exit's first step, given the backbone's step count and
+/// the step counts of every earlier exit: exits follow the backbone and
+/// every earlier exit, the order MC-dropout streams are assigned in. Both
+/// plans' step lists index their streams by this one rule.
+pub fn flat_exit_start(
+    backbone_steps: usize,
+    earlier_exits: impl IntoIterator<Item = usize>,
+) -> usize {
+    backbone_steps + earlier_exits.into_iter().sum::<usize>()
+}
+
 /// One exit branch of a skeleton, in attachment order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExitSteps<Op, N> {
@@ -167,15 +178,12 @@ pub struct Skeleton<Op, N> {
 }
 
 impl<Op, N> Skeleton<Op, N> {
-    /// Flat index of exit `exit`'s first step: exits follow the backbone
-    /// and every earlier exit (the order MC-dropout streams are assigned
-    /// in).
+    /// Flat index of exit `exit`'s first step (see [`flat_exit_start`]).
     pub fn exit_start(&self, exit: usize) -> usize {
-        self.backbone.len()
-            + self.exits[..exit]
-                .iter()
-                .map(|e| e.steps.len())
-                .sum::<usize>()
+        flat_exit_start(
+            self.backbone.len(),
+            self.exits[..exit].iter().map(|e| e.steps.len()),
+        )
     }
 
     /// Iterates every step: backbone first, then exits in attachment order.

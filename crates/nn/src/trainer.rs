@@ -143,7 +143,8 @@ impl LabelledBatchSource {
 ///
 /// # Errors
 ///
-/// Propagates any layer or loss error encountered during training.
+/// Returns [`NnError::NoExits`] if a forward pass yields no exit logits, and
+/// propagates any layer or loss error encountered during training.
 pub fn train(
     network: &mut dyn Network,
     data: &LabelledBatchSource,
@@ -169,6 +170,11 @@ pub fn train(
         for chunk in order.chunks(config.batch_size.max(1)) {
             let (inputs, labels) = data.gather(chunk)?;
             let exits = network.forward_exits(&inputs, Mode::Train)?;
+            let Some(final_logits) = exits.last() else {
+                return Err(NnError::NoExits {
+                    network: network.name().to_string(),
+                });
+            };
             let mut grads = Vec::with_capacity(exits.len());
             let mut batch_loss = 0.0f32;
 
@@ -196,7 +202,6 @@ pub fn train(
             }
 
             // accuracy of the final exit
-            let final_logits = exits.last().expect("at least one exit");
             let preds = bnn_tensor::ops::argmax_rows(final_logits)?;
             correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
 
@@ -244,6 +249,7 @@ pub fn evaluate_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Param;
     use crate::layers::activation::Relu;
     use crate::layers::dense::Dense;
     use crate::sequential::Sequential;
@@ -331,5 +337,41 @@ mod tests {
                 .loss
         };
         assert_eq!(run(7), run(7));
+    }
+
+    /// A network whose forward pass returns no exits.
+    #[derive(Debug)]
+    struct NoExitNetwork;
+
+    impl Network for NoExitNetwork {
+        fn name(&self) -> &str {
+            "no-exit"
+        }
+        fn forward_exits(&mut self, _input: &Tensor, _mode: Mode) -> Result<Vec<Tensor>, NnError> {
+            Ok(Vec::new())
+        }
+        fn backward_exits(&mut self, _grads: &[Tensor]) -> Result<(), NnError> {
+            Ok(())
+        }
+        fn params_mut(&mut self) -> Vec<&mut Param> {
+            Vec::new()
+        }
+        fn num_exits(&self) -> usize {
+            0
+        }
+        fn num_classes(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn zero_exit_network_is_a_typed_error() {
+        let data = two_moons(8, 1);
+        let mut sgd = Sgd::new(0.1);
+        let err = train(&mut NoExitNetwork, &data, &mut sgd, &TrainConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, NnError::NoExits { network } if network == "no-exit"),
+            "{err}"
+        );
     }
 }

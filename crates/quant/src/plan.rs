@@ -635,13 +635,7 @@ impl ExitPlan for QuantPlan {
 
     fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], QuantError> {
         let (exec, masks) = (self.exec, self.masks);
-        // The exit's steps follow the backbone and every earlier exit in
-        // flat schedule order.
-        let first = self.schedule.backbone.len()
-            + self.schedule.exits[..exit]
-                .iter()
-                .map(|e| e.steps.len())
-                .sum::<usize>();
+        let first = self.schedule.exit_start(exit);
         let exit = &self.schedule.exits[exit];
         for (step, rng) in exit.steps.iter().zip(&mut self.streams[first..]) {
             run_step(step, rng, &mut self.arena, exec, live, mode, masks)?;

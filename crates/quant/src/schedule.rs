@@ -250,9 +250,18 @@ impl PlanSchedule {
             .chain(self.exits.iter().flat_map(|e| e.steps.iter()))
     }
 
+    /// Flat index of exit `exit`'s first step (the rule of
+    /// [`bnn_nn::skeleton::flat_exit_start`]).
+    pub fn exit_start(&self, exit: usize) -> usize {
+        bnn_nn::skeleton::flat_exit_start(
+            self.backbone.len(),
+            self.exits[..exit].iter().map(|e| e.steps.len()),
+        )
+    }
+
     /// Total number of flattened steps (backbone plus all exits).
     pub fn num_steps(&self) -> usize {
-        self.backbone.len() + self.exits.iter().map(|e| e.steps.len()).sum::<usize>()
+        self.exit_start(self.exits.len())
     }
 
     /// Total per-sample multiply-accumulates of the conv/dense steps — the

@@ -25,8 +25,8 @@
 //!   output row blocks on a [`parpool::Executor`] exactly like the float
 //!   kernels, preserving the PR-3 threading contract (one writer per output
 //!   element, identical results for every thread count).
-//! * **SIMD dispatch.** The hot inner loops — the packed matmul kernels, the
-//!   requantize row helpers and the im2row fill — route through a runtime
+//! * **SIMD dispatch.** The hot inner loops — the packed matmul kernels and
+//!   the requantize row helpers — route through a runtime
 //!   backend selected once per process (see [`crate::simd`]). Because
 //!   accumulation is exact, every backend produces the same bits as the
 //!   scalar reference; the scalar kernels stay compiled in as the fallback
@@ -601,9 +601,10 @@ fn scalar_abt_i64_block(a: &[i16], bt: &[i16], k: usize, n: usize, chunk: &mut [
 /// layout `[cols, rows]` (`cols = batch * out_h * out_w` patch positions,
 /// `rows = channels * kh * kw` taps) — the right-hand-side layout the packed
 /// integer matmul kernels consume, produced without a separate transpose
-/// pass. Padding taps hold integer zero. `out` is fully overwritten and only
-/// reallocated when its size changes, so the steady state of an arena incurs
-/// no heap allocation.
+/// pass, by the same padded-plane unfold as [`crate::linalg::im2col`].
+/// Padding taps hold integer zero. Only the first `rows * cols` elements of
+/// `out` are written (all of them), and it only grows, so the steady state
+/// of an arena incurs no heap allocation.
 ///
 /// # Errors
 ///
@@ -633,67 +634,7 @@ pub fn im2row_i16_into(
     if out.len() < rows * cols {
         out.resize(rows * cols, 0);
     }
-    let backend = simdkern::active();
-    if backend == Backend::Scalar {
-        // Patch-major fill: one contiguous `rows`-length patch per output
-        // position, every element written (padding taps write literal 0).
-        for b in 0..batch {
-            for oh in 0..out_h {
-                for ow in 0..out_w {
-                    let col = (b * out_h + oh) * out_w + ow;
-                    let patch = &mut out[col * rows..(col + 1) * rows];
-                    let mut row = 0usize;
-                    for c in 0..channels {
-                        for kh in 0..geom.kernel_h {
-                            let ih = (oh * geom.stride_h + kh) as isize - geom.pad_h as isize;
-                            for kw in 0..geom.kernel_w {
-                                let iw = (ow * geom.stride_w + kw) as isize - geom.pad_w as isize;
-                                patch[row] = if ih >= 0
-                                    && iw >= 0
-                                    && (ih as usize) < geom.in_h
-                                    && (iw as usize) < geom.in_w
-                                {
-                                    input[((b * channels + c) * geom.in_h + ih as usize)
-                                        * geom.in_w
-                                        + iw as usize]
-                                } else {
-                                    0
-                                };
-                                row += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    } else {
-        // Vector backends share the branch-hoisted fill for wide kernel
-        // rows (per-patch range splits + contiguous run copies instead of
-        // per-tap bounds checks); simdkern routes short kernel rows — the
-        // common 3x3/5x5 convs — back to the naive fill, where the
-        // predictable per-tap branch is cheaper than the range-split
-        // bookkeeping. Identical bits on every route.
-        let shape = simdkern::ConvShape {
-            in_h: geom.in_h,
-            in_w: geom.in_w,
-            kernel_h: geom.kernel_h,
-            kernel_w: geom.kernel_w,
-            stride_h: geom.stride_h,
-            stride_w: geom.stride_w,
-            pad_h: geom.pad_h,
-            pad_w: geom.pad_w,
-            out_h,
-            out_w,
-        };
-        simdkern::im2row_i16(
-            backend,
-            input,
-            batch,
-            channels,
-            &shape,
-            &mut out[..rows * cols],
-        );
-    }
+    crate::unfold::im2row_i16(input, batch, channels, geom, &mut out[..rows * cols]);
     Ok((rows, cols))
 }
 

@@ -57,6 +57,7 @@ pub mod rng;
 pub mod shape;
 pub mod simd;
 pub mod tensor;
+mod unfold;
 
 pub use error::TensorError;
 pub use shape::Shape;

@@ -1,5 +1,7 @@
 //! Dense linear-algebra kernels: matrix multiplication and the im2col /
-//! col2im transforms used to express convolution as a matrix product.
+//! col2im transforms used to express convolution as a matrix product (both
+//! run the crate's one padded-plane unfold, shared with
+//! [`crate::int::im2row_i16_into`]).
 //!
 //! # Parallelism and determinism
 //!
@@ -259,31 +261,13 @@ pub fn im2col(input: &Tensor, geom: &ConvGeometry) -> Result<Tensor, TensorError
 /// dimensions of the column matrix.
 ///
 /// `out` is cleared and resized; reusing one buffer per convolution layer
-/// avoids reallocating the (large) column matrix on every batch. Each output
-/// row is independent, so rows are distributed over the executor.
+/// avoids reallocating the (large) column matrix on every batch. Channels
+/// are independent, so they are distributed over the executor.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] if the input is not rank 4.
 pub fn im2col_into(
-    input: &Tensor,
-    geom: &ConvGeometry,
-    out: &mut Vec<f32>,
-) -> Result<(usize, usize), TensorError> {
-    let elems = input
-        .len()
-        .saturating_mul(geom.kernel_h * geom.kernel_w)
-        .max(1);
-    im2col_into_with(&auto_executor(elems, PAR_ELEMS_THRESHOLD), input, geom, out)
-}
-
-/// [`im2col_into`] on an explicit executor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if the input is not rank 4.
-pub fn im2col_into_with(
-    exec: &Executor,
     input: &Tensor,
     geom: &ConvGeometry,
     out: &mut Vec<f32>,
@@ -300,7 +284,7 @@ pub fn im2col_into_with(
     if out.len() != len {
         *out = vec![0.0f32; len];
     }
-    im2col_slices_into_with(exec, input.as_slice(), batch, channels, geom, out)
+    im2col_slices_into(input.as_slice(), batch, channels, geom, out)
 }
 
 /// [`im2col_slices_into_with`] on the same auto-selected executor as
@@ -332,11 +316,12 @@ pub fn im2col_slices_into(
     )
 }
 
-/// [`im2col_into_with`] over a raw NCHW slice into an exact-length slice of
-/// `channels * k * k` rows by `batch * out_h * out_w` columns — the
-/// arena-aware entry point used by the compiled float execution plans
-/// (bitwise identical fill). Every element is overwritten and `out` is never
-/// reallocated, so plan steps can share one scratch buffer.
+/// [`im2col_into`] on an explicit executor, over a raw NCHW slice into an
+/// exact-length slice of `channels * k * k` rows by `batch * out_h * out_w`
+/// columns — the arena-aware entry point used by the compiled float
+/// execution plans (bitwise identical fill). Every element is overwritten
+/// and `out` is never reallocated, so plan steps can share one scratch
+/// buffer.
 ///
 /// # Errors
 ///
@@ -372,115 +357,8 @@ pub fn im2col_slices_into_with(
     if rows * cols == 0 {
         return Ok((rows, cols));
     }
-    let in_plane = geom.in_h * geom.in_w;
-    let out_plane = out_h * out_w;
-    let taps = geom.kernel_h * geom.kernel_w;
-    // The unfold is a pure scatter: every output element is written exactly
-    // once with a value independent of traversal order, so the two fill
-    // orders below are bitwise interchangeable. Both fill whole
-    // `out_h x out_w` planes, one (batch, channel, tap) at a time, through
-    // the same segment routine. The batch-major order keeps one input plane
-    // hot across all kernel taps (fastest on a single thread); the row-major
-    // order produces disjoint contiguous output chunks, which is what the
-    // parallel split needs.
-    if exec.threads() > 1 && !parpool::in_parallel_region() && rows > 1 {
-        // One task per output row: a row is a fixed (channel, kh, kw) tap
-        // evaluated at every (batch, oh, ow) position, contiguous in `out`.
-        exec.par_chunks_mut(out, cols, |row, out_row| {
-            let (c, tap) = (row / taps, row % taps);
-            for (b, dst) in out_row.chunks_exact_mut(out_plane).enumerate() {
-                let src = &data[(b * channels + c) * in_plane..][..in_plane];
-                unfold_tap(src, geom, tap / geom.kernel_w, tap % geom.kernel_w, dst);
-            }
-        });
-    } else {
-        for bc in 0..batch * channels {
-            let (b, c) = (bc / channels, bc % channels);
-            let src = &data[bc * in_plane..][..in_plane];
-            for tap in 0..taps {
-                let dst = &mut out[(c * taps + tap) * cols + b * out_plane..][..out_plane];
-                unfold_tap(src, geom, tap / geom.kernel_w, tap % geom.kernel_w, dst);
-            }
-        }
-    }
+    crate::unfold::im2col(exec, data, batch, channels, geom, out);
     Ok((rows, cols))
-}
-
-/// The output positions `o` in `[0, out_len)` whose input coordinate
-/// `o * stride + tap - pad` lies in `[0, in_len)`, as a half-open range
-/// (empty when the tap never lands inside the input).
-fn tap_range(
-    tap: usize,
-    stride: usize,
-    pad: usize,
-    in_len: usize,
-    out_len: usize,
-) -> (usize, usize) {
-    let lo = pad.saturating_sub(tap).div_ceil(stride).min(out_len);
-    let hi = (in_len + pad)
-        .saturating_sub(tap)
-        .div_ceil(stride)
-        .min(out_len);
-    (lo, hi.max(lo))
-}
-
-/// Unfolds kernel tap `(kh, kw)` of one input plane (`in_h x in_w`) into one
-/// `out_h x out_w` plane of the column matrix: per output row, a zero
-/// prefix, one (strided) copy of the in-bounds input segment and a zero
-/// suffix — the valid ranges are computed once per tap, not per element.
-fn unfold_tap(src: &[f32], geom: &ConvGeometry, kh: usize, kw: usize, dst: &mut [f32]) {
-    let (out_h, out_w) = (geom.out_h(), geom.out_w());
-    let (oh_lo, oh_hi) = tap_range(kh, geom.stride_h, geom.pad_h, geom.in_h, out_h);
-    let (ow_lo, ow_hi) = tap_range(kw, geom.stride_w, geom.pad_w, geom.in_w, out_w);
-    for (oh, row) in dst.chunks_exact_mut(out_w).enumerate() {
-        if oh < oh_lo || oh >= oh_hi || ow_lo == ow_hi {
-            row.fill(0.0);
-            continue;
-        }
-        let ih = oh * geom.stride_h + kh - geom.pad_h;
-        let iw0 = ow_lo * geom.stride_w + kw - geom.pad_w;
-        let in_row = &src[ih * geom.in_w + iw0..(ih + 1) * geom.in_w];
-        row[..ow_lo].fill(0.0);
-        let seg = &mut row[ow_lo..ow_hi];
-        // Unit stride (most convs) is one contiguous block move; the
-        // `step_by` gather below does not vectorize.
-        if geom.stride_w == 1 {
-            seg.copy_from_slice(&in_row[..seg.len()]);
-        } else {
-            for (d, &v) in seg.iter_mut().zip(in_row.iter().step_by(geom.stride_w)) {
-                *d = v;
-            }
-        }
-        row[ow_hi..].fill(0.0);
-    }
-}
-
-/// The adjoint of [`unfold_tap`]: adds one `out_h x out_w` plane of column
-/// gradients for tap `(kh, kw)` into one input-gradient plane, visiting the
-/// in-bounds positions in ascending `(oh, ow)` order.
-fn fold_tap(src: &[f32], geom: &ConvGeometry, kh: usize, kw: usize, dst: &mut [f32]) {
-    let (out_h, out_w) = (geom.out_h(), geom.out_w());
-    let (oh_lo, oh_hi) = tap_range(kh, geom.stride_h, geom.pad_h, geom.in_h, out_h);
-    let (ow_lo, ow_hi) = tap_range(kw, geom.stride_w, geom.pad_w, geom.in_w, out_w);
-    if ow_lo == ow_hi {
-        return;
-    }
-    for oh in oh_lo..oh_hi {
-        let ih = oh * geom.stride_h + kh - geom.pad_h;
-        let iw0 = ow_lo * geom.stride_w + kw - geom.pad_w;
-        let in_row = &mut dst[ih * geom.in_w + iw0..(ih + 1) * geom.in_w];
-        let src_row = &src[oh * out_w + ow_lo..oh * out_w + ow_hi];
-        // As in `unfold_tap`: unit stride gets the loop that vectorizes.
-        if geom.stride_w == 1 {
-            for (d, &v) in in_row.iter_mut().zip(src_row) {
-                *d += v;
-            }
-        } else {
-            for (d, &v) in in_row.iter_mut().step_by(geom.stride_w).zip(src_row) {
-                *d += v;
-            }
-        }
-    }
 }
 
 /// Folds columns back into an NCHW gradient tensor — the adjoint of [`im2col`].
@@ -569,17 +447,7 @@ pub fn col2im_slices_into_with(
     if out.is_empty() {
         return Ok(());
     }
-    out.fill(0.0);
-    // One task per (batch, channel) plane: planes are disjoint in `out` and
-    // each accumulates its taps in the sequential (kh, kw, oh, ow) order, so
-    // results match the single-threaded fold bit for bit.
-    exec.par_chunks_mut(out, plane, |plane_idx, dst| {
-        let (b, ch) = (plane_idx / channels, plane_idx % channels);
-        for tap in 0..taps {
-            let src = &columns[(ch * taps + tap) * cols + b * out_plane..][..out_plane];
-            fold_tap(src, geom, tap / geom.kernel_w, tap % geom.kernel_w, dst);
-        }
-    });
+    crate::unfold::col2im(exec, columns, batch, channels, geom, out);
     Ok(())
 }
 
@@ -630,8 +498,8 @@ mod tests {
 
     #[test]
     fn im2col_fill_orders_are_bitwise_identical() {
-        // The sequential (batch-major) and parallel (row-major) fills must
-        // scatter exactly the same values.
+        // The sequential fill and the per-channel pooled split must write
+        // exactly the same values.
         let mut rng = Xoshiro256StarStar::seed_from_u64(21);
         let input = Tensor::randn(&[3, 4, 9, 7], &mut rng);
         let geom = ConvGeometry {
@@ -644,10 +512,13 @@ mod tests {
             pad_h: 1,
             pad_w: 0,
         };
-        let mut seq = Vec::new();
-        let mut par = Vec::new();
-        let dims_seq = im2col_into_with(&Executor::sequential(), &input, &geom, &mut seq).unwrap();
-        let dims_par = im2col_into_with(&Executor::new(4), &input, &geom, &mut par).unwrap();
+        let len = 4 * 3 * 2 * 3 * geom.out_h() * geom.out_w();
+        let (mut seq, mut par) = (vec![0.0; len], vec![0.0; len]);
+        let data = input.as_slice();
+        let dims_seq =
+            im2col_slices_into_with(&Executor::sequential(), data, 3, 4, &geom, &mut seq).unwrap();
+        let dims_par =
+            im2col_slices_into_with(&Executor::new(4), data, 3, 4, &geom, &mut par).unwrap();
         assert_eq!(dims_seq, dims_par);
         assert_eq!(seq, par);
     }
@@ -727,12 +598,48 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The per-element im2row: the transposed unfold, one `rows`-long patch
+    /// per output position.
+    fn im2row_reference(data: &[i16], batch: usize, channels: usize, g: &ConvGeometry) -> Vec<i16> {
+        let (out_h, out_w) = (g.out_h(), g.out_w());
+        let rows = channels * g.kernel_h * g.kernel_w;
+        let mut out = vec![i16::MIN; rows * batch * out_h * out_w];
+        for b in 0..batch {
+            for oh in 0..out_h {
+                for ow in 0..out_w {
+                    let col = (b * out_h + oh) * out_w + ow;
+                    for c in 0..channels {
+                        for kh in 0..g.kernel_h {
+                            for kw in 0..g.kernel_w {
+                                let row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+                                let ih = (oh * g.stride_h + kh) as isize - g.pad_h as isize;
+                                let iw = (ow * g.stride_w + kw) as isize - g.pad_w as isize;
+                                let inside = ih >= 0
+                                    && iw >= 0
+                                    && (ih as usize) < g.in_h
+                                    && (iw as usize) < g.in_w;
+                                out[col * rows + row] = if inside {
+                                    data[((b * channels + c) * g.in_h + ih as usize) * g.in_w
+                                        + iw as usize]
+                                } else {
+                                    0
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn segment_unfold_and_fold_match_per_element_reference() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(33);
         // (in_h, in_w, kernel_h, kernel_w, stride_h, stride_w): strides 2 and
-        // 3, kernels larger than the input, 1x1 and 1-wide planes; every
-        // padding from 0 up to the kernel size.
+        // 3, kernels larger than the (padded) input, 1x1, 2x2, 3x3 and 1-wide
+        // planes, non-square planes and kernels; every padding from 0 up to
+        // the kernel size.
         let shapes = [
             (7usize, 9usize, 3usize, 3usize, 2usize, 2usize),
             (8, 5, 3, 2, 3, 3),
@@ -743,6 +650,12 @@ mod tests {
             (6, 1, 3, 1, 2, 1),
             (1, 7, 1, 3, 1, 3),
             (4, 4, 1, 1, 2, 2),
+            (2, 2, 3, 3, 1, 1),
+            (3, 3, 3, 3, 1, 1),
+            (3, 3, 2, 2, 2, 2),
+            (12, 12, 3, 3, 2, 2),
+            (6, 4, 1, 1, 2, 3),
+            (3, 2, 2, 3, 3, 1),
         ];
         let pooled = Executor::new(4);
         for (in_h, in_w, kernel_h, kernel_w, stride_h, stride_w) in shapes {
@@ -757,7 +670,7 @@ mod tests {
                     pad_h: pad.min(kernel_h),
                     pad_w: pad.min(kernel_w),
                 };
-                for (batch, channels) in [(1usize, 1usize), (3, 2)] {
+                for (batch, channels) in [(1usize, 1usize), (3, 2), (1, 3)] {
                     let ctx = format!("{geom:?} batch={batch} channels={channels}");
                     let data = Tensor::randn(&[batch, channels, in_h, in_w], &mut rng);
                     let expected = im2col_reference(data.as_slice(), batch, channels, &geom);
@@ -787,6 +700,21 @@ mod tests {
                         .unwrap();
                         assert_eq!(bits(&fold), bits(&folded), "col2im {ctx}");
                     }
+                    let codes: Vec<i16> = data
+                        .as_slice()
+                        .iter()
+                        .map(|&v| (v * 4096.0) as i16)
+                        .collect();
+                    let mut patches = vec![i16::MIN; expected.len() + 3];
+                    let dims =
+                        crate::int::im2row_i16_into(&codes, batch, channels, &geom, &mut patches)
+                            .unwrap();
+                    assert_eq!(dims.0 * dims.1, expected.len(), "im2row dims {ctx}");
+                    assert_eq!(
+                        patches[..expected.len()],
+                        im2row_reference(&codes, batch, channels, &geom),
+                        "im2row {ctx}"
+                    );
                 }
             }
         }

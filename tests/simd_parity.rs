@@ -1,6 +1,7 @@
 //! SIMD/scalar parity suite: every vector backend the host can run must
 //! reproduce the scalar reference **bitwise** — for the packed matmul
-//! kernels, the requantize row helpers and the im2row fill, across odd
+//! kernels, the requantize row helpers and the im2row fill (held to a
+//! per-element reference, since it has no backend route of its own), across odd
 //! shapes (remainder rows/columns, single-row and single-column products)
 //! and thread counts, and end to end through the quantized inference plans
 //! for every format in the paper's search space `{4, 6, 8, 16}`. The f32
@@ -182,37 +183,68 @@ fn requantize_rows_match_scalar_bitwise_across_backends() {
     }
 }
 
+/// The per-element im2row: every patch entry bounds-checked on its own.
+fn im2row_reference(input: &[i16], batch: usize, channels: usize, g: &ConvGeometry) -> Vec<i16> {
+    let (out_h, out_w) = (g.out_h(), g.out_w());
+    let mut out = Vec::new();
+    for b in 0..batch {
+        for oh in 0..out_h {
+            for ow in 0..out_w {
+                for c in 0..channels {
+                    for kh in 0..g.kernel_h {
+                        for kw in 0..g.kernel_w {
+                            let ih = (oh * g.stride_h + kh) as isize - g.pad_h as isize;
+                            let iw = (ow * g.stride_w + kw) as isize - g.pad_w as isize;
+                            let inside = ih >= 0
+                                && iw >= 0
+                                && (ih as usize) < g.in_h
+                                && (iw as usize) < g.in_w;
+                            out.push(if inside {
+                                input[((b * channels + c) * g.in_h + ih as usize) * g.in_w
+                                    + iw as usize]
+                            } else {
+                                0
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn im2row_matches_scalar_bitwise_across_backends() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(53);
-    // (kernel, stride, padding) over a non-square input: padded, unpadded,
-    // strided, 1x1, and a kernel wider than the padding.
+    // (batch, channels, in_h, in_w, kernel, stride, padding): padded,
+    // unpadded, strided, 1x1, 2x2, a kernel wider than the padding and one
+    // wider than the padded input, 3x3 planes, one channel and batch 1.
     let cases = [
-        (3usize, 1usize, 1usize),
-        (3, 2, 0),
-        (1, 1, 0),
-        (5, 1, 2),
-        (4, 3, 1),
+        (2usize, 3usize, 9usize, 7usize, 3usize, 1usize, 1usize),
+        (2, 3, 9, 7, 3, 2, 0),
+        (2, 3, 9, 7, 1, 1, 0),
+        (2, 3, 9, 7, 5, 1, 2),
+        (2, 3, 9, 7, 4, 3, 1),
+        (2, 3, 9, 7, 2, 2, 1),
+        (1, 1, 3, 3, 3, 1, 1),
+        (1, 2, 3, 3, 5, 1, 0),
+        (3, 1, 2, 2, 3, 3, 2),
+        (1, 4, 12, 12, 3, 2, 1),
     ];
-    let (batch, channels, in_h, in_w) = (2usize, 3usize, 9usize, 7usize);
-    let input = codes_i16(batch * channels * in_h * in_w, &mut rng);
-    for (kernel, stride, padding) in cases {
+    for (batch, channels, in_h, in_w, kernel, stride, padding) in cases {
+        let input = codes_i16(batch * channels * in_h * in_w, &mut rng);
         let geom = ConvGeometry::square(in_h, in_w, kernel, stride, padding);
-        let mut reference = Vec::new();
-        let ref_shape;
-        {
-            let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            set_backend_override(Some(Backend::Scalar));
-            ref_shape = im2row_i16_into(&input, batch, channels, &geom, &mut reference).unwrap();
-            set_backend_override(None);
-        }
+        let reference = im2row_reference(&input, batch, channels, &geom);
+        let rows = channels * kernel * kernel;
         for_each_backend(|backend| {
             let mut got = Vec::new();
             let shape = im2row_i16_into(&input, batch, channels, &geom, &mut got).unwrap();
-            assert_eq!(shape, ref_shape);
+            assert_eq!(shape, (rows, reference.len() / rows));
             assert_eq!(
                 got, reference,
-                "kernel={kernel} stride={stride} pad={padding} backend={backend:?}"
+                "{batch}x{channels}x{in_h}x{in_w} kernel={kernel} stride={stride} \
+                 pad={padding} backend={backend:?}"
             );
         });
     }
