@@ -17,8 +17,9 @@
 #   make test-robust - serving fault-tolerance suite (panic isolation,
 #                     deadlines, backpressure, degradation, chaos), under
 #                     BNN_THREADS=1 and 4
-#   make test-adaptive - adaptive early-exit parity + allocation audit +
-#                     the exit walker's unit tests, under BNN_THREADS=1 and 4
+#   make test-adaptive - both plan formats' shared contract (adaptive
+#                     early exit, batching, typed errors) + allocation audit
+#                     + the bnn-models unit tests, under BNN_THREADS=1 and 4
 #   make test-hls   - HLS codegen golden-file snapshots, zoo-wide project
 #                     generation + sim-vs-plan differential suites, the
 #                     calibrate -> plan -> predict suite, and the
@@ -104,9 +105,12 @@ test-robust:
 # The adaptive early-exit guarantees at both ends of the thread-count range:
 # adaptive-batch prediction bit-exact with per-sample evaluation across all
 # formats/policies/executors, `Never` identical to the fixed-depth path,
-# zero steady-state allocations through retirement + survivor compaction,
-# and the exit walker's own unit tests (bnn-models: sample schedule,
-# fixed_cost, compaction on a stub plan).
+# batched prediction the concatenation of single-sample calls, and typed
+# errors for malformed inputs and policies — each one generic body run on
+# both plan formats — zero steady-state allocations through retirement +
+# survivor compaction, and the bnn-models unit tests (the exit walker's
+# sample schedule, fixed_cost and compaction on a stub plan; the float
+# plan's layer-chain parity and exit-width check).
 test-adaptive:
 	BNN_THREADS=1 $(CARGO) test -q --test adaptive_exit_parity --test allocation_audit
 	BNN_THREADS=1 $(CARGO) test -q -p bnn-models
@@ -123,8 +127,9 @@ test-adaptive:
 # (quantized_inference; calibration runs the float plan's pooled kernels, so
 # its ranges, and every golden derived from them, must not depend on the
 # thread count), and the bnn-quant/bnn-hls unit tests (the plan's slot
-# liveness, batched invariance, saturation and 16-bit storage checks run the
-# ScheduleOp executor itself; record/step skew and non-finite calibration).
+# liveness, saturation and 16-bit storage checks run the integer kernel hook
+# itself; record/step skew and non-finite calibration). The plan contract
+# both formats share is `make test-adaptive`.
 test-hls:
 	BNN_THREADS=1 $(CARGO) test -q --test hls_golden_files --test hls_project_generation --test hls_golden_sim --test quantized_inference
 	BNN_THREADS=1 $(CARGO) test -q -p bnn-quant -p bnn-hls

@@ -9,7 +9,7 @@ use bnn_nn::layers::conv2d::Conv2d;
 use bnn_nn::Layer;
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 use bnn_tensor::int::{im2row_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into};
-use bnn_tensor::linalg::{col2im, col2im_slices_into, im2col, im2col_into, matmul, ConvGeometry};
+use bnn_tensor::linalg::{col2im_slices_into, im2col, im2col_into, matmul, ConvGeometry};
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -69,10 +69,13 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| conv.forward(&input, Mode::Eval).unwrap())
     });
 
-    // The two halves of the forward pass, timed separately.
+    // The two halves of the forward pass, timed separately; the unfold
+    // fills a reused buffer, as the layers and plans call it.
     let geom = ConvGeometry::square(16, 16, 3, 1, 1);
+    let mut unfolded = Vec::new();
+    im2col_into(&input, &geom, &mut unfolded).unwrap();
     group.bench_function("im2col_4x16x16x16", |b| {
-        b.iter(|| im2col(&input, &geom).unwrap())
+        b.iter(|| im2col_into(&input, &geom, &mut unfolded).unwrap())
     });
     let cols = im2col(&input, &geom).unwrap();
     let w2d = Tensor::randn(&[32, 144], &mut rng);
@@ -90,8 +93,9 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("matmul_36x4608x4", |b| {
         b.iter(|| matmul(&relu_cols, &g2d_t).unwrap())
     });
+    let mut folded = vec![0.0f32; input.len()];
     group.bench_function("col2im_4x16x16x16", |b| {
-        b.iter(|| col2im(&cols, 4, 16, &geom).unwrap())
+        b.iter(|| col2im_slices_into(cols.as_slice(), 4, 16, &geom, &mut folded).unwrap())
     });
 
     // The unfolds at the plane sizes ResNet-18 runs on 12x12 inputs (3x3

@@ -12,7 +12,7 @@ use crate::phase1::Phase1Artifact;
 use crate::pipeline::{NoopObserver, PhaseId, PipelineContext, PipelineObserver};
 use bnn_hw::accelerator::{AcceleratorConfig, AcceleratorModel, AcceleratorReport};
 use bnn_hw::MappingStrategy;
-use bnn_models::NetworkSpec;
+use bnn_models::{NetworkSpec, SampleSchedule};
 
 /// One evaluated mapping candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,10 +130,7 @@ pub(crate) fn explore(
     priority: OptPriority,
     observer: &dyn PipelineObserver,
 ) -> Result<Phase2Result, FrameworkError> {
-    let passes = base_config
-        .mc_samples
-        .div_ceil(spec.num_exits().max(1))
-        .max(1);
+    let passes = SampleSchedule::new(base_config.mc_samples, spec.num_exits()).passes();
     let mut candidates = Vec::new();
     for mapping in MappingStrategy::candidates(passes) {
         let config = base_config.clone().with_mapping(mapping);

@@ -120,10 +120,10 @@ impl LoweredDesign {
 
         let summary = StaticSchedule {
             steps: schedule.num_steps(),
-            macs: schedule.total_macs(),
+            macs: ScheduleOp::total_macs(&schedule),
             unit_ops: schedule.total_unit_ops(),
             buffer_elems: schedule.buffer_elems(),
-            weight_params: schedule.weight_params(),
+            weight_params: ScheduleOp::weight_params(&schedule),
             pipeline_depth: schedule.pipeline_depth(),
         };
         Ok(LoweredDesign {
@@ -212,18 +212,18 @@ impl Emitter {
             ),
             backbone: Vec::new(),
             exits: Vec::new(),
-            weight_bits: schedule.format.total_bits(),
+            weight_bits: schedule.in_note.format().total_bits(),
         };
         e.typedefs.push(format!(
             "typedef {} input_t; // calibrated input, scale 2^-{}",
-            ap_fixed(schedule.in_params),
-            schedule.in_params.fractional_bits()
+            ap_fixed(schedule.in_note),
+            schedule.in_note.fractional_bits()
         ));
 
         let mut owner: Vec<Option<SlotValue>> = vec![None; schedule.slot_elems.len()];
         owner[schedule.input_slot] = Some(SlotValue {
             name: "input".into(),
-            params: schedule.in_params,
+            params: schedule.in_note,
         });
 
         let mut k = 0usize;
@@ -246,7 +246,7 @@ impl Emitter {
                 .push((stages, out.name.clone(), format!("{}_t", out.name)));
         }
         let _ = writeln!(e.parameters, "#endif");
-        let total: usize = schedule.weight_params();
+        let total: usize = ScheduleOp::weight_params(schedule);
         let _ = writeln!(
             e.weights,
             "// total parameters: {total} (integer codes; scales are powers of two)\n#endif"
@@ -486,7 +486,7 @@ impl Emitter {
         let _ = writeln!(out, "\n#define NUM_EXITS {}\n#define MC_SAMPLES {}\n#define N_CLASSES {}\n#define INPUT_SIZE {}\n#define NUM_SLOTS {}\n#define ARENA_ELEMS {}\n\n#endif",
             schedule.exits.len(),
             self.config.mc_samples,
-            schedule.classes,
+            schedule.classes(),
             input_size,
             schedule.slot_elems.len(),
             schedule.buffer_elems(),
@@ -565,7 +565,7 @@ impl Emitter {
             upper = name.to_uppercase(),
             steps = schedule.num_steps(),
             exits = schedule.exits.len(),
-            params = schedule.weight_params(),
+            params = ScheduleOp::weight_params(schedule),
             elems = schedule.buffer_elems(),
             sig = self.signature(name),
         )
@@ -579,8 +579,8 @@ impl Emitter {
             steps = schedule.num_steps(),
             exits = schedule.exits.len(),
             depth = schedule.pipeline_depth(),
-            macs = schedule.total_macs(),
-            params = schedule.weight_params(),
+            macs = ScheduleOp::total_macs(schedule),
+            params = ScheduleOp::weight_params(schedule),
             elems = schedule.buffer_elems(),
             reuse = self.config.reuse_factor,
             period = self.config.clock_period_ns,
@@ -654,7 +654,7 @@ mod tests {
         let design = LoweredDesign::generate(&calibrated, &config).unwrap();
         let s = design.schedule();
         assert_eq!(design.summary().steps, s.num_steps());
-        assert_eq!(design.summary().macs, s.total_macs());
+        assert_eq!(design.summary().macs, ScheduleOp::total_macs(s));
         assert_eq!(design.summary().buffer_elems, s.buffer_elems());
         assert!(design.summary().macs > 0);
         assert!(design.summary().pipeline_depth <= design.summary().steps);

@@ -167,7 +167,7 @@ impl HlsSimulator {
             slot.resize(batch * elems, 0);
         }
         self.batch = batch;
-        let params = self.schedule.in_params;
+        let params = self.schedule.in_note;
         let slot = &mut self.slots[self.schedule.input_slot];
         for (dst, &v) in slot.iter_mut().zip(inputs.as_slice()) {
             *dst = params.quantize_value(v);
@@ -230,7 +230,7 @@ impl HlsSimulator {
             return Err(HlsError::Sim("design has no exits".into()));
         }
         let batch = self.load_input(inputs)?;
-        let classes = self.schedule.classes;
+        let classes = self.schedule.classes();
         let backbone = std::mem::take(&mut self.schedule.backbone);
         let mut stream_idx = 0usize;
         for step in &backbone {
@@ -265,7 +265,7 @@ impl HlsSimulator {
                     self.run_step(step, batch, SimMode::McSample, &mut stream_idx);
                 }
                 let n: usize = exit.out_dims.iter().product::<usize>() * batch;
-                let scale = exit.out_params.scale();
+                let scale = exit.out_note.scale();
                 logits.clear();
                 logits.extend(
                     self.slots[exit.out_slot][..n]

@@ -7,7 +7,7 @@ use crate::layer_model::{estimate_layer, LayerModelConfig};
 use crate::mapping::{MappedBayesianComponent, MappingStrategy};
 use crate::power::{PowerBreakdown, PowerModel};
 use crate::resource::{ResourceUsage, ResourceUtilization};
-use bnn_models::{LayerPlace, NetworkSpec};
+use bnn_models::{LayerPlace, NetworkSpec, SampleSchedule};
 
 /// Configuration of an accelerator instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,7 +231,7 @@ impl AcceleratorModel {
 
         let has_bayesian = bayes_cycles > 0 || bayes != ResourceUsage::zero();
         let passes = if has_bayesian {
-            cfg.mc_samples.div_ceil(self.spec.num_exits().max(1)).max(1)
+            SampleSchedule::new(cfg.mc_samples, self.spec.num_exits()).passes()
         } else {
             1
         };

@@ -48,7 +48,7 @@ pub mod zoo;
 pub use config::ModelConfig;
 pub use error::ModelError;
 pub use multi_exit::{MultiExitNetwork, NetworkCheckpoint};
-pub use plan::MultiExitPlan;
+pub use plan::{Kernel, MultiExitPlan, Plan};
 pub use policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 pub use residual::ResidualBlock;
 pub use spec::{ExitSpec, LayerPlace, LayerSpec, NetworkSpec, SpecShapes};

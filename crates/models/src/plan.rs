@@ -1,56 +1,201 @@
-//! The compiled float plan of a multi-exit network: the allocate-once
-//! counterpart of [`MultiExitNetwork`]'s forward path.
+//! The compiled plan of a multi-exit network: one runtime for every number
+//! format.
 //!
-//! [`MultiExitPlan::compile`] runs the workspace's one step compiler
-//! ([`bnn_nn::skeleton`]) over every backbone block and exit branch with the
-//! float constants attached ([`bnn_nn::plan::FloatAttach`]): one flat step
-//! list over one f32 arena, with each block's output pinned in its own slot.
-//! That is the integer `bnn_quant::QuantPlan`'s layout too, and the plan
-//! drives the same exit walker through [`ExitPlan`]. The steps reproduce the
-//! layer chain bit for bit (see `bnn_nn::plan`), so the Bayesian sampler
-//! runs its backbone-once/exits-many Monte-Carlo loop on the plan — the
-//! backbone once, then each pass re-runs the exits from the pinned block
-//! slots — without changing a single output bit, and a served batch touches
-//! no allocator once the arena is warm. Every zoo architecture compiles,
-//! batch normalisation and residual blocks included, so the plan is the only
+//! The workspace's one step compiler ([`bnn_nn::skeleton`]) turns a
+//! network's lowered blocks and exits into one flat step list over a slot
+//! arena, with each block's output pinned in its own slot. [`Plan`] executes
+//! that list whatever the number format: it holds the skeleton, one
+//! MC-dropout stream per flat step, the arena, the exit walker's scratch,
+//! the executor, the mask rule and the staged-batch count, and it is the one
+//! [`ExitPlan`] the walker drives. It runs the paper's split — the backbone
+//! once ([`Plan::run_backbone`]), then the exits as often as there are
+//! passes ([`Plan::forward_exits`]) from the pinned block slots — and every
+//! prediction entry point. A format supplies only a [`Kernel`]: its step
+//! op and kernels, its arena scratch, how an input batch is staged (copied
+//! or quantized), how an exit's output reads back as float logits, and which
+//! op is MC dropout.
+//!
+//! [`MultiExitPlan`] is the float plan ([`FloatKernel`], kernels in
+//! `bnn_nn::plan`). Its steps reproduce the layer chain bit for bit, so the
+//! Bayesian sampler runs its backbone-once/exits-many Monte-Carlo loop on it
+//! without changing a single output bit. Every zoo architecture compiles,
+//! batch normalisation and residual blocks included, so it is the only
 //! float inference executor; the layer chain remains the trainer and the
-//! test reference. Every input entry point rejects non-finite values with
-//! [`ModelError::InvalidInput`], so NaN in never becomes NaN probabilities
-//! out.
+//! test reference. `bnn_quant::QuantPlan` is the integer plan over the same
+//! runtime. A served batch touches no allocator once the arena is warm, and
+//! every input entry point rejects non-finite values with a typed error, so
+//! NaN in never becomes NaN probabilities out.
 
 use crate::error::ModelError;
 use crate::multi_exit::MultiExitNetwork;
-use crate::policy::{AdaptiveStats, ExitPolicy};
+use crate::policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use crate::walker::{self, ExitPlan, WalkScratch};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
-use bnn_nn::network::Network;
 use bnn_nn::plan::{run_step, FloatArena, FloatAttach, FloatOp, MaskGranularity};
-use bnn_nn::skeleton::{self, steps_cost, ScheduleStep, Skeleton};
+use bnn_nn::skeleton::{self, steps_cost, BlockLayout, ExitSteps, ScheduleStep, Skeleton};
 use bnn_nn::NnError;
 use bnn_tensor::exec::Executor;
 use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
+use std::fmt::Debug;
 use std::ops::Range;
 
-/// The compiled float plan of a multi-exit network: backbone blocks and exit
-/// branches as one flat step list over one arena.
+/// What a number format plugs into [`Plan`]: its step op, value annotation
+/// and arena, and the few things only the format knows.
+pub trait Kernel {
+    /// The step op, with the format's constants.
+    type Op: Clone + Debug;
+    /// The per-value annotation the step compiler threads along the data
+    /// flow (the integer plan's `QuantParams`, `()` for float).
+    type Note: Copy + Debug;
+    /// The activation slots plus the format's kernel scratch.
+    type Arena: Clone + Debug + Default;
+    /// The format's error type.
+    type Error: From<ModelError>;
+
+    /// Whether `op` is an MC-dropout step (the steps that draw from their
+    /// stream).
+    fn is_mc_dropout(op: &Self::Op) -> bool;
+
+    /// Grows `arena` for `batch` rows of `steps` (monotone: never shrinks,
+    /// so repeated calls at or below a warmed batch never allocate).
+    fn ensure(arena: &mut Self::Arena, steps: &Skeleton<Self::Op, Self::Note>, batch: usize);
+
+    /// Writes a shape-checked input batch into the input slot (copied for
+    /// float, quantized for integer), rejecting non-finite values.
+    ///
+    /// # Errors
+    ///
+    /// The format's error for a NaN or infinite input value.
+    fn stage(
+        arena: &mut Self::Arena,
+        steps: &Skeleton<Self::Op, Self::Note>,
+        inputs: &[f32],
+    ) -> Result<(), Self::Error>;
+
+    /// Executes one step on `batch` rows of the arena; an MC-dropout step
+    /// draws its masks from `rng`, its own stream, at granularity `masks`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel failures.
+    fn run_step(
+        step: &ScheduleStep<Self::Op>,
+        rng: &mut Xoshiro256StarStar,
+        arena: &mut Self::Arena,
+        exec: Option<Executor>,
+        batch: usize,
+        mode: Mode,
+        masks: MaskGranularity,
+    ) -> Result<(), Self::Error>;
+
+    /// Exit `exit`'s output on `live` rows as float logits.
+    fn read_exit<'a>(
+        arena: &'a mut Self::Arena,
+        exit: &ExitSteps<Self::Op, Self::Note>,
+        live: usize,
+    ) -> &'a [f32];
+
+    /// Copies row `from` of `block`'s output over row `to`.
+    fn move_row(
+        arena: &mut Self::Arena,
+        blocks: &BlockLayout,
+        block: usize,
+        from: usize,
+        to: usize,
+    );
+}
+
+/// A compiled multi-exit plan: backbone blocks and exit branches as one
+/// flat step list over one arena, executed by format `K`. See the
+/// [module documentation](self).
 ///
-/// Cloning a plan clones its weights and arena — a self-contained inference
-/// replica for a worker thread, without rebuilding the model from its spec.
+/// Cloning a plan clones its constants and arena — a self-contained
+/// inference replica for a worker thread, without recompiling.
 #[derive(Debug, Clone)]
-pub struct MultiExitPlan {
-    steps: Skeleton<FloatOp, ()>,
+pub struct Plan<K: Kernel> {
+    steps: Skeleton<K::Op, K::Note>,
     /// One mask stream per step in flat order (only MC-dropout steps draw
     /// from theirs).
     streams: Vec<Xoshiro256StarStar>,
-    arena: FloatArena,
+    arena: K::Arena,
     walk: WalkScratch,
-    classes: usize,
-    /// Rows of the block outputs the latest [`MultiExitPlan::run_backbone`]
-    /// left in their slots (0 once the walker has restaged the arena).
-    batch: usize,
     exec: Option<Executor>,
+    /// The mask rule of the call in progress: per-sample, except inside
+    /// [`Plan::run_backbone`], [`Plan::forward_exits`] and
+    /// [`Plan::predict_probs_into`].
+    masks: MaskGranularity,
+    /// Rows of the block outputs the latest [`Plan::run_backbone`] left in
+    /// their slots (0 once the walker has restaged the arena).
+    batch: usize,
+}
+
+/// The float format: f32 steps and arena from `bnn_nn::plan`.
+#[derive(Debug, Clone, Copy)]
+pub struct FloatKernel;
+
+/// The compiled float plan of a multi-exit network.
+pub type MultiExitPlan = Plan<FloatKernel>;
+
+impl Kernel for FloatKernel {
+    type Op = FloatOp;
+    type Note = ();
+    type Arena = FloatArena;
+    type Error = ModelError;
+
+    fn is_mc_dropout(op: &FloatOp) -> bool {
+        matches!(op, FloatOp::McDropout { .. })
+    }
+
+    fn ensure(arena: &mut FloatArena, steps: &Skeleton<FloatOp, ()>, batch: usize) {
+        arena.ensure(&steps.slot_elems, steps.scratch, batch);
+    }
+
+    fn stage(
+        arena: &mut FloatArena,
+        steps: &Skeleton<FloatOp, ()>,
+        inputs: &[f32],
+    ) -> Result<(), ModelError> {
+        if let Some(bad) = inputs.iter().find(|v| !v.is_finite()) {
+            return Err(ModelError::InvalidInput(format!(
+                "input contains a non-finite value ({bad})"
+            )));
+        }
+        arena.slots[steps.input_slot][..inputs.len()].copy_from_slice(inputs);
+        Ok(())
+    }
+
+    fn run_step(
+        step: &ScheduleStep<FloatOp>,
+        rng: &mut Xoshiro256StarStar,
+        arena: &mut FloatArena,
+        exec: Option<Executor>,
+        batch: usize,
+        mode: Mode,
+        masks: MaskGranularity,
+    ) -> Result<(), ModelError> {
+        Ok(run_step(step, rng, arena, exec, batch, mode, masks)?)
+    }
+
+    fn read_exit<'a>(
+        arena: &'a mut FloatArena,
+        exit: &ExitSteps<FloatOp, ()>,
+        live: usize,
+    ) -> &'a [f32] {
+        let n = exit.out_dims.iter().product::<usize>() * live;
+        &arena.slots[exit.out_slot][..n]
+    }
+
+    fn move_row(
+        arena: &mut FloatArena,
+        blocks: &BlockLayout,
+        block: usize,
+        from: usize,
+        to: usize,
+    ) {
+        blocks.move_row(&mut arena.slots, block, from, to);
+    }
 }
 
 /// A compiled plan memoised on its network, keyed by the weight version and
@@ -73,7 +218,7 @@ impl MultiExitNetwork {
     pub fn compile_plan(&self, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
         let blocks = self.block_lowerings()?;
         let exits = self.exit_lowerings()?;
-        MultiExitPlan::compile(&blocks, &exits, in_dims, self.num_classes())
+        MultiExitPlan::compile(&blocks, &exits, in_dims)
     }
 
     /// The compiled plan for inputs of shape `in_dims`, memoised on the
@@ -101,75 +246,34 @@ impl MultiExitNetwork {
     }
 }
 
-impl MultiExitPlan {
-    /// Compiles the plan of lowered `blocks` (execution order) and `exits`
-    /// (`(after_block, branch)`, attachment order) for per-sample inputs of
-    /// shape `in_dims`, predicting `classes` classes.
+impl Plan<FloatKernel> {
+    /// Compiles the float plan of lowered `blocks` (execution order) and
+    /// `exits` (`(after_block, branch)`, attachment order) for per-sample
+    /// inputs of shape `in_dims`. The class count is the exits' shared
+    /// output width.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Nn`] when a lowering has no plan step (an
-    /// in-graph softmax), on a shape mismatch or for an exit after a
-    /// missing block.
+    /// in-graph softmax), on a shape mismatch, for an exit after a missing
+    /// block or for exits whose output widths disagree.
     pub fn compile(
         blocks: &[LayerLowering],
         exits: &[(usize, LayerLowering)],
         in_dims: &[usize],
-        classes: usize,
     ) -> Result<Self, ModelError> {
-        let steps = skeleton::compile(
-            blocks,
-            exits.iter().map(|(after, branch)| (*after, branch)),
-            in_dims,
-            (),
-            &mut FloatAttach,
-        )?;
-        let streams = vec![Xoshiro256StarStar::seed_from_u64(0); steps.steps().count()];
-        Ok(MultiExitPlan {
-            steps,
-            streams,
-            arena: FloatArena::default(),
-            walk: WalkScratch::default(),
-            classes,
-            batch: 0,
-            exec: None,
-        })
+        let exits = exits.iter().map(|(after, branch)| (*after, branch));
+        let steps = skeleton::compile(blocks, exits, in_dims, (), &mut FloatAttach)?;
+        Ok(Plan::new(steps))
     }
 
-    /// Pins the plan's matmul and im2col kernels to `exec` instead of their
-    /// work-size based choice. `Executor::sequential()` makes the steady
-    /// state strictly allocation-free (the thread-pool fan-out of large
-    /// kernels allocates its scoped workers); results are bitwise identical
-    /// either way.
-    pub fn set_executor(&mut self, exec: Executor) {
-        self.exec = Some(exec);
-    }
-
-    /// Stages `input` and runs every block in `mode` with per-(batch,
-    /// channel) masks — the layer chain's rule — leaving each block's output
-    /// in its pinned slot for [`MultiExitPlan::forward_exits`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidInput`] for an empty batch, a shape
-    /// mismatch or non-finite input values, and [`ModelError::Nn`] for
-    /// [`Mode::Train`] (the plan is inference-only).
-    pub fn run_backbone(&mut self, input: &Tensor, mode: Mode) -> Result<(), ModelError> {
-        check_inference(mode)?;
-        let batch = self.stage_input(input)?;
-        let all = 0..self.steps.backbone.len();
-        self.run(all, batch, mode, MaskGranularity::PerBatch)?;
-        self.batch = batch;
-        Ok(())
-    }
-
-    /// [`MultiExitPlan::run_backbone`] returning the activation after every
-    /// block — bit-identical to [`MultiExitNetwork::forward_backbone`] in
+    /// [`Plan::run_backbone`] returning the activation after every block —
+    /// bit-identical to [`MultiExitNetwork::forward_backbone`] in
     /// [`Mode::Eval`] and [`Mode::McSample`].
     ///
     /// # Errors
     ///
-    /// See [`MultiExitPlan::run_backbone`].
+    /// See [`Plan::run_backbone`].
     pub fn forward_backbone(
         &mut self,
         input: &Tensor,
@@ -178,65 +282,202 @@ impl MultiExitPlan {
         self.run_backbone(input, mode)?;
         let blocks = &self.steps.blocks;
         (blocks.slots.iter().zip(&blocks.dims))
-            .map(|(&slot, dims)| self.slot_tensor(slot, dims))
-            .collect()
-    }
-
-    /// Runs every exit branch in `mode` on the block outputs the latest
-    /// [`MultiExitPlan::run_backbone`] left in their pinned slots, with
-    /// per-(batch, channel) masks — bit-identical to
-    /// [`MultiExitNetwork::forward_exits_from_activations`] on that
-    /// backbone's activations. Re-running this in [`Mode::McSample`] draws
-    /// further MC samples from the same backbone run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Nn`] for [`Mode::Train`],
-    /// [`ModelError::InvalidInput`] when no backbone run is staged (none
-    /// yet, or a walker call has reused the arena since), or propagates
-    /// execution errors.
-    pub fn forward_exits(&mut self, mode: Mode) -> Result<Vec<Tensor>, ModelError> {
-        check_inference(mode)?;
-        if self.batch == 0 {
-            let msg = "forward_exits needs a run_backbone first".into();
-            return Err(ModelError::InvalidInput(msg));
-        }
-        (0..self.steps.exits.len())
-            .map(|e| {
-                self.run_exit_steps(e, self.batch, mode, MaskGranularity::PerBatch)?;
-                let exit = &self.steps.exits[e];
-                self.slot_tensor(exit.out_slot, &exit.out_dims)
+            .map(|(&slot, dims)| {
+                let dims: Vec<usize> = [self.batch].iter().chain(dims).copied().collect();
+                let n = dims.iter().product();
+                Ok(Tensor::from_vec(
+                    self.arena.slots[slot][..n].to_vec(),
+                    &dims,
+                )?)
             })
             .collect()
     }
+}
 
-    /// Seeded Monte-Carlo prediction into `out` (`[batch, classes]`,
-    /// resized) by [`walker::predict_fixed`], the float counterpart of
-    /// `bnn_quant::QuantPlan::predict_probs_batch_into`. Exit masks are drawn
-    /// per sample and broadcast across the batch
-    /// ([`MaskGranularity::PerSample`]), so every row is bit-exact with a
-    /// single-sample call at the same seed, however samples are batched.
-    /// Allocation-free once warm, see [`ExitPlan::ensure_batch`].
+impl<K: Kernel> Plan<K> {
+    /// The plan of a compiled step skeleton, with every MC stream at a
+    /// fixed seed and an empty arena (sized by the first call or by
+    /// [`Plan::ensure_batch`]).
+    pub fn new(steps: Skeleton<K::Op, K::Note>) -> Self {
+        Plan {
+            streams: vec![Xoshiro256StarStar::seed_from_u64(0); steps.num_steps()],
+            steps,
+            arena: K::Arena::default(),
+            walk: WalkScratch::default(),
+            exec: None,
+            masks: MaskGranularity::PerSample,
+            batch: 0,
+        }
+    }
+
+    /// The flat step list this plan executes: its steps, constants, slot
+    /// assignments and input annotation — for the integer plan, the
+    /// schedule code generators and the HLS simulator read.
+    pub fn schedule(&self) -> &Skeleton<K::Op, K::Note> {
+        &self.steps
+    }
+
+    /// Pins every kernel of the plan to `exec` instead of its work-size
+    /// based choice. `Executor::sequential()` makes the steady state
+    /// strictly allocation-free (the thread-pool fan-out of large kernels
+    /// allocates its scoped workers); results are bitwise identical either
+    /// way.
+    pub fn set_executor(&mut self, exec: Executor) {
+        self.exec = Some(exec);
+    }
+
+    /// Pre-sizes every buffer for batches of up to `max_batch` samples, so a
+    /// serving worker can pay every allocation up front and later calls at
+    /// any batch up to `max_batch` stay allocation-free. Monotone: never
+    /// shrinks.
+    pub fn ensure_batch(&mut self, max_batch: usize) {
+        let batch = max_batch.max(1);
+        K::ensure(&mut self.arena, &self.steps, batch);
+        self.walk.reserve(batch, self.steps.classes());
+    }
+
+    /// Per-sample input dims the plan was compiled for (batch axis
+    /// stripped): inputs must be shaped `[batch, ..in_dims]`.
+    pub fn in_dims(&self) -> &[usize] {
+        &self.steps.in_dims
+    }
+
+    /// Number of predicted classes (the exits' shared output width).
+    pub fn num_classes(&self) -> usize {
+        self.steps.classes()
+    }
+
+    /// Stages `input` and runs every block in `mode` with per-(batch,
+    /// channel) masks — the layer chain's rule — leaving each block's output
+    /// in its pinned slot for [`Plan::forward_exits`].
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidInput`] for an empty batch, an input
-    /// shape mismatch or non-finite input values,
-    /// [`ModelError::InvalidSpec`] for a plan without exits, or propagates
-    /// execution errors.
+    /// Returns an invalid-input error for an empty batch, a shape mismatch
+    /// or non-finite input values, and an [`NnError::InvalidConfig`] for
+    /// [`Mode::Train`] (the plan is inference-only).
+    pub fn run_backbone(&mut self, input: &Tensor, mode: Mode) -> Result<(), K::Error> {
+        check_inference(mode)?;
+        let batch = self.stage_input(input)?;
+        let all = 0..self.steps.backbone.len();
+        self.per_batch(|plan| plan.run(all, batch, mode))?;
+        self.batch = batch;
+        Ok(())
+    }
+
+    /// Runs every exit branch in `mode` on the block outputs the latest
+    /// [`Plan::run_backbone`] left in their pinned slots, with per-(batch,
+    /// channel) masks, returning each exit's float logits (dequantized on
+    /// the integer plan). Re-running this in [`Mode::McSample`] draws
+    /// further MC samples from the same backbone run. On the float plan this
+    /// is bit-identical to [`MultiExitNetwork::forward_exits_from_activations`]
+    /// on that backbone's activations; on the integer plan, to
+    /// `bnn_hls::HlsSimulator::forward_exits`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`NnError::InvalidConfig`] for [`Mode::Train`], an
+    /// invalid-input error when no backbone run is staged (none yet, or a
+    /// walker call has reused the arena since), or propagates execution
+    /// errors.
+    pub fn forward_exits(&mut self, mode: Mode) -> Result<Vec<Tensor>, K::Error> {
+        check_inference(mode)?;
+        let batch = self.batch;
+        if batch == 0 {
+            let msg = "forward_exits needs a run_backbone first".into();
+            return Err(ModelError::InvalidInput(msg).into());
+        }
+        self.per_batch(|plan| {
+            (0..plan.steps.exits.len())
+                .map(|e| {
+                    let dims: Vec<usize> = [batch]
+                        .iter()
+                        .chain(&plan.steps.exits[e].out_dims)
+                        .copied()
+                        .collect();
+                    let logits = plan.run_exit(e, batch, mode)?.to_vec();
+                    Ok(Tensor::from_vec(logits, &dims).map_err(ModelError::from)?)
+                })
+                .collect()
+        })
+    }
+
+    /// Seeded Monte-Carlo prediction into `out` (`[batch, classes]`,
+    /// resized): [`walker::predict_fixed`] with masks drawn per (batch,
+    /// channel), the granularity of Phase 3 scoring and
+    /// `bnn_hls::HlsSimulator::predict_probs` (bit-exact with it on the
+    /// integer plan). Allocation-free once warm (sequential executor).
+    ///
+    /// # Errors
+    ///
+    /// See [`Plan::predict_probs_batch_into`].
+    pub fn predict_probs_into(
+        &mut self,
+        inputs: &Tensor,
+        n_samples: usize,
+        seed: u64,
+        out: &mut Vec<f32>,
+    ) -> Result<(usize, usize), K::Error> {
+        self.per_batch(|plan| walker::predict_fixed(plan, inputs, n_samples, seed, out))
+    }
+
+    /// [`Plan::predict_probs_into`] returning a fresh tensor.
+    ///
+    /// # Errors
+    ///
+    /// See [`Plan::predict_probs_batch_into`].
+    pub fn predict_probs(
+        &mut self,
+        inputs: &Tensor,
+        n_samples: usize,
+        seed: u64,
+    ) -> Result<Tensor, K::Error> {
+        let mut out = Vec::new();
+        let (batch, classes) = self.predict_probs_into(inputs, n_samples, seed, &mut out)?;
+        Ok(Tensor::from_vec(out, &[batch, classes]).map_err(ModelError::from)?)
+    }
+
+    /// The batch-boundary-invariant counterpart of
+    /// [`Plan::predict_probs_into`]: masks are drawn **per sample** and
+    /// broadcast across the batch, so every row is bit-exact with a
+    /// single-sample call at the same seed however samples are batched (and
+    /// the whole call is, for `batch == 1`). The serving entry point;
+    /// allocation-free once warm, see [`Plan::ensure_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an invalid-input error for an empty batch, an input shape
+    /// mismatch or non-finite input values, an invalid-spec error for a
+    /// plan without exits, or propagates execution errors.
     pub fn predict_probs_batch_into(
         &mut self,
         inputs: &Tensor,
         n_samples: usize,
         seed: u64,
         out: &mut Vec<f32>,
-    ) -> Result<(usize, usize), ModelError> {
+    ) -> Result<(usize, usize), K::Error> {
         walker::predict_fixed(self, inputs, n_samples, seed, out)
     }
 
+    /// [`Plan::predict_probs_batch_into`] returning a fresh tensor.
+    ///
+    /// # Errors
+    ///
+    /// See [`Plan::predict_probs_batch_into`].
+    pub fn predict_probs_batch(
+        &mut self,
+        inputs: &Tensor,
+        n_samples: usize,
+        seed: u64,
+    ) -> Result<Tensor, K::Error> {
+        let mut out = Vec::new();
+        let (batch, classes) = self.predict_probs_batch_into(inputs, n_samples, seed, &mut out)?;
+        Ok(Tensor::from_vec(out, &[batch, classes]).map_err(ModelError::from)?)
+    }
+
     /// Static cost of the fixed-depth path
-    /// ([`MultiExitPlan::predict_probs_batch_into`]) for a `batch`-sample
-    /// call at `n_samples` MC samples; see [`walker::fixed_cost`].
+    /// ([`Plan::predict_probs_batch_into`]) for a `batch`-sample call at
+    /// `n_samples` MC samples; see [`walker::fixed_cost`].
     pub fn fixed_cost(&self, batch: usize, n_samples: usize) -> (u64, u64) {
         walker::fixed_cost(self, batch, n_samples)
     }
@@ -246,17 +487,15 @@ impl MultiExitPlan {
     /// compacted in place within the pinned block slot, so only stragglers
     /// pay for deeper blocks. Every row — probabilities *and* exit — is
     /// bit-exact with evaluating that sample alone; `n_samples == 0` consults
-    /// each exit once in [`Mode::Eval`]
-    /// (`McSampler::confidence_exit_predict`), and `Never` is bit-exact with
-    /// [`MultiExitPlan::predict_probs_batch_into`]. Allocation-free once
-    /// warm.
+    /// each exit once in [`Mode::Eval`], and `Never` is bit-exact with
+    /// [`Plan::predict_probs_batch_into`]. Allocation-free once warm.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidInput`] for an invalid policy threshold,
-    /// an empty batch, a shape mismatch or non-finite input values,
-    /// [`ModelError::InvalidSpec`] for a plan without exits or with exits
-    /// attached out of depth order, or propagates execution errors.
+    /// Returns an invalid-input error for an invalid policy threshold, an
+    /// empty batch, a shape mismatch or non-finite input values, an
+    /// invalid-spec error for a plan without exits or with exits attached
+    /// out of depth order, or propagates execution errors.
     pub fn predict_adaptive_batch_into(
         &mut self,
         inputs: &Tensor,
@@ -265,68 +504,79 @@ impl MultiExitPlan {
         policy: &ExitPolicy,
         out: &mut Vec<f32>,
         exit_taken: &mut Vec<usize>,
-    ) -> Result<AdaptiveStats, ModelError> {
+    ) -> Result<AdaptiveStats, K::Error> {
         walker::predict_adaptive(self, inputs, n_samples, seed, policy, out, exit_taken)
     }
 
-    /// Runs backbone steps `steps` on `live` rows.
-    fn run(
+    /// [`Plan::predict_adaptive_batch_into`] returning owned values.
+    ///
+    /// # Errors
+    ///
+    /// See [`Plan::predict_adaptive_batch_into`].
+    pub fn predict_adaptive_batch(
         &mut self,
-        steps: Range<usize>,
-        live: usize,
-        mode: Mode,
-        masks: MaskGranularity,
-    ) -> Result<(), ModelError> {
+        inputs: &Tensor,
+        n_samples: usize,
+        seed: u64,
+        policy: &ExitPolicy,
+    ) -> Result<AdaptivePrediction, K::Error> {
+        let (mut out, mut exit_taken) = (Vec::new(), Vec::new());
+        let stats = self.predict_adaptive_batch_into(
+            inputs,
+            n_samples,
+            seed,
+            policy,
+            &mut out,
+            &mut exit_taken,
+        )?;
+        let probs =
+            Tensor::from_vec(out, &[stats.batch, stats.classes]).map_err(ModelError::from)?;
+        Ok(AdaptivePrediction {
+            probs,
+            exit_taken,
+            stats,
+        })
+    }
+
+    /// Runs `f` with masks drawn per (batch, channel) instead of the
+    /// walker's per-sample rule.
+    fn per_batch<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.masks = MaskGranularity::PerBatch;
+        let result = f(self);
+        self.masks = MaskGranularity::PerSample;
+        result
+    }
+
+    /// Runs backbone steps `steps` on `live` rows in `mode`.
+    fn run(&mut self, steps: Range<usize>, live: usize, mode: Mode) -> Result<(), K::Error> {
         let streams = &mut self.streams[steps.clone()];
         for (step, rng) in self.steps.backbone[steps].iter().zip(streams) {
-            run_step(step, rng, &mut self.arena, self.exec, live, mode, masks)?;
+            K::run_step(
+                step,
+                rng,
+                &mut self.arena,
+                self.exec,
+                live,
+                mode,
+                self.masks,
+            )?;
         }
         Ok(())
-    }
-
-    /// Runs exit `exit`'s steps on `live` rows.
-    fn run_exit_steps(
-        &mut self,
-        exit: usize,
-        live: usize,
-        mode: Mode,
-        masks: MaskGranularity,
-    ) -> Result<(), ModelError> {
-        let first = self.steps.exit_start(exit);
-        let steps: &[ScheduleStep<FloatOp>] = &self.steps.exits[exit].steps;
-        for (step, rng) in steps.iter().zip(&mut self.streams[first..]) {
-            run_step(step, rng, &mut self.arena, self.exec, live, mode, masks)?;
-        }
-        Ok(())
-    }
-
-    /// The staged batch's rows of per-sample `dims` in `slot`, as a tensor.
-    fn slot_tensor(&self, slot: usize, dims: &[usize]) -> Result<Tensor, ModelError> {
-        let dims: Vec<usize> = [self.batch].iter().chain(dims).copied().collect();
-        let n = dims.iter().product();
-        Ok(Tensor::from_vec(
-            self.arena.slots[slot][..n].to_vec(),
-            &dims,
-        )?)
     }
 }
 
-/// The float plan's walker primitives: blocks and exits run on the arena
-/// with per-sample masks, and compaction moves rows within the pinned block
-/// slots.
-impl ExitPlan for MultiExitPlan {
-    type Error = ModelError;
-
-    fn in_dims(&self) -> &[usize] {
-        &self.steps.in_dims
-    }
+/// The walker's view of a plan: blocks and exits run on the arena at the
+/// plan's current mask rule (per-sample outside the per-batch entry
+/// points), and compaction moves rows within the pinned block slots.
+impl<K: Kernel> ExitPlan for Plan<K> {
+    type Error = K::Error;
 
     fn num_exits(&self) -> usize {
         self.steps.exits.len()
     }
 
     fn num_classes(&self) -> usize {
-        self.classes
+        self.steps.classes()
     }
 
     fn exit_block(&self, exit: usize) -> usize {
@@ -341,14 +591,7 @@ impl ExitPlan for MultiExitPlan {
         steps_cost(&self.steps.exits[exit].steps)
     }
 
-    fn ensure_batch(&mut self, max_batch: usize) {
-        let batch = max_batch.max(1);
-        let steps = &self.steps;
-        self.arena.ensure(&steps.slot_elems, steps.scratch, batch);
-        self.walk.reserve(batch, self.classes);
-    }
-
-    fn stage_input(&mut self, inputs: &Tensor) -> Result<usize, ModelError> {
+    fn stage_input(&mut self, inputs: &Tensor) -> Result<usize, K::Error> {
         let batch = match inputs.dims().split_first() {
             Some((&batch, dims)) if dims == self.steps.in_dims && batch > 0 => batch,
             _ => {
@@ -356,48 +599,52 @@ impl ExitPlan for MultiExitPlan {
                     "plan expects a non-empty input [batch, {:?}], got {:?}",
                     self.steps.in_dims,
                     inputs.dims()
-                )))
+                ))
+                .into())
             }
         };
-        if let Some(bad) = inputs.as_slice().iter().find(|v| !v.is_finite()) {
-            return Err(ModelError::InvalidInput(format!(
-                "input contains a non-finite value ({bad})"
-            )));
-        }
         self.ensure_batch(batch);
-        self.arena.slots[self.steps.input_slot][..inputs.len()].copy_from_slice(inputs.as_slice());
+        K::stage(&mut self.arena, &self.steps, inputs.as_slice())?;
         self.batch = 0;
         Ok(batch)
     }
 
-    fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), ModelError> {
+    fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), K::Error> {
         let steps = self.steps.blocks.steps(blocks);
-        self.run(steps, live, Mode::Eval, MaskGranularity::PerSample)
+        self.run(steps, live, Mode::Eval)
     }
 
-    fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], ModelError> {
-        self.run_exit_steps(exit, live, mode, MaskGranularity::PerSample)?;
+    fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], K::Error> {
+        let first = self.steps.exit_start(exit);
         let exit = &self.steps.exits[exit];
-        let n = exit.out_dims.iter().product::<usize>() * live;
-        Ok(&self.arena.slots[exit.out_slot][..n])
+        for (step, rng) in exit.steps.iter().zip(&mut self.streams[first..]) {
+            K::run_step(
+                step,
+                rng,
+                &mut self.arena,
+                self.exec,
+                live,
+                mode,
+                self.masks,
+            )?;
+        }
+        Ok(K::read_exit(&mut self.arena, exit, live))
     }
 
-    /// Walks the flat step list (blocks, then exits in attachment order):
-    /// the stream assignment of [`Network::reseed_mc_streams`] on the
+    /// Walks the flat step list (backbone, then exits in attachment order):
+    /// the stream assignment of `Network::reseed_mc_streams` on the
     /// compiled network.
     fn reseed_mc_streams(&mut self, master_seed: u64) {
         let mut seeds = SplitMix64::new(master_seed);
         for (step, rng) in self.steps.steps().zip(&mut self.streams) {
-            if matches!(step.op, FloatOp::McDropout { .. }) {
+            if K::is_mc_dropout(&step.op) {
                 *rng = Xoshiro256StarStar::seed_from_u64(seeds.next_u64());
             }
         }
     }
 
     fn move_row(&mut self, block: usize, from: usize, to: usize) {
-        self.steps
-            .blocks
-            .move_row(&mut self.arena.slots, block, from, to);
+        K::move_row(&mut self.arena, &self.steps.blocks, block, from, to);
     }
 
     fn scratch(&mut self) -> &mut WalkScratch {
@@ -426,6 +673,7 @@ mod tests {
     use bnn_nn::layers::dropout::{Dropout, McDropout};
     use bnn_nn::layers::flatten::Flatten;
     use bnn_nn::layers::pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+    use bnn_nn::network::Network;
     use bnn_nn::{Layer, Sequential};
 
     fn lenet() -> MultiExitNetwork {
@@ -516,29 +764,61 @@ mod tests {
     }
 
     #[test]
-    fn batched_predict_is_concat_of_single_sample_calls() {
+    fn train_mode_is_a_typed_error() {
         let net = lenet();
         let mut plan = net.compile_plan(&[1, 10, 10]).unwrap();
-        plan.ensure_batch(3);
-        assert_eq!(plan.in_dims(), &[1, 10, 10]);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(14);
-        let x = Tensor::randn(&[3, 1, 10, 10], &mut rng);
-        let all = plan.predict_probs_batch(&x, 5, 2023).unwrap();
-        let per = 100usize;
-        for b in 0..3 {
-            let sample = Tensor::from_vec(
-                x.as_slice()[b * per..(b + 1) * per].to_vec(),
-                &[1, 1, 10, 10],
-            )
-            .unwrap();
-            let one = plan.predict_probs_batch(&sample, 5, 2023).unwrap();
-            assert_eq!(&all.as_slice()[b * 4..(b + 1) * 4], one.as_slice(), "{b}");
-        }
-        // rows are simplexes
-        for row in all.as_slice().chunks(4) {
-            let s: f32 = row.iter().sum();
-            assert!((s - 1.0).abs() < 1e-4);
-        }
+        let x = Tensor::ones(&[1, 1, 10, 10]);
+        assert!(matches!(
+            plan.forward_backbone(&x, Mode::Train),
+            Err(ModelError::Nn(NnError::InvalidConfig(_)))
+        ));
+    }
+
+    #[test]
+    fn plan_clone_is_an_independent_replica() {
+        let net = NetworkSpec::single_exit(
+            "tiny",
+            1,
+            8,
+            8,
+            2,
+            vec![vec![
+                LayerSpec::Conv2d {
+                    in_channels: 1,
+                    out_channels: 2,
+                    kernel: 3,
+                    stride: 1,
+                    padding: 1,
+                },
+                LayerSpec::Relu,
+            ]],
+            vec![
+                LayerSpec::GlobalAvgPool2d,
+                LayerSpec::Dense {
+                    in_features: 2,
+                    out_features: 2,
+                },
+            ],
+        )
+        .with_exit_mcd(0.5)
+        .unwrap()
+        .build(3)
+        .unwrap();
+        let mut plan = net.compile_plan(&[1, 8, 8]).unwrap();
+        let mut replica = plan.clone();
+        let x = Tensor::ones(&[2, 1, 8, 8]);
+        plan.reseed_mc_streams(41);
+        replica.reseed_mc_streams(41);
+        plan.run_backbone(&x, Mode::Eval).unwrap();
+        // A replica cloned after the backbone re-runs the exits from the
+        // pinned block slots it copied.
+        let mut late = plan.clone();
+        replica.run_backbone(&x, Mode::Eval).unwrap();
+        let a = plan.forward_exits(Mode::McSample).unwrap();
+        let b = replica.forward_exits(Mode::McSample).unwrap();
+        let c = late.forward_exits(Mode::McSample).unwrap();
+        assert_eq!(a[0].as_slice(), b[0].as_slice());
+        assert_eq!(a[0].as_slice(), c[0].as_slice());
     }
 
     #[test]
@@ -615,124 +895,16 @@ mod tests {
         assert_eq!(all_early.exit_taken, vec![0; 4]);
         assert!(all_early.stats.ops_executed < all_early.stats.ops_fixed);
         assert!(all_early.stats.ops_saved_fraction() > 0.0);
-    }
-
-    #[test]
-    fn adaptive_rejects_invalid_policy() {
-        let net = lenet();
-        let mut plan = net.compile_plan(&[1, 10, 10]).unwrap();
-        let x = Tensor::ones(&[1, 1, 10, 10]);
-        for bad in [f64::NAN, -0.5, 1.5] {
-            assert!(matches!(
-                plan.predict_adaptive_batch(&x, 4, 1, &ExitPolicy::Confidence { threshold: bad }),
-                Err(ModelError::InvalidInput(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn malformed_inputs_are_typed_errors() {
-        let net = lenet();
-        let mut plan = net.compile_plan(&[1, 10, 10]).unwrap();
-        let empty = Tensor::from_vec(Vec::new(), &[0, 1, 10, 10]).unwrap();
-        assert!(matches!(
-            plan.predict_probs_batch(&empty, 4, 1),
-            Err(ModelError::InvalidInput(_))
-        ));
-        let mut rng = Xoshiro256StarStar::seed_from_u64(15);
-        let wrong = Tensor::randn(&[2, 1, 9, 9], &mut rng);
-        assert!(matches!(
-            plan.predict_probs_batch(&wrong, 4, 1),
-            Err(ModelError::InvalidInput(_))
-        ));
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut x = Tensor::randn(&[2, 1, 10, 10], &mut rng);
-            x.as_mut_slice()[137] = bad;
-            assert!(
-                matches!(
-                    plan.predict_probs_batch(&x, 4, 1),
-                    Err(ModelError::InvalidInput(_))
-                ),
-                "{bad}"
-            );
-            assert!(
-                matches!(
-                    plan.predict_adaptive_batch(&x, 4, 1, &ExitPolicy::Never),
-                    Err(ModelError::InvalidInput(_))
-                ),
-                "{bad}"
-            );
-            assert!(
-                matches!(
-                    plan.forward_backbone(&x, Mode::Eval),
-                    Err(ModelError::InvalidInput(_))
-                ),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn train_mode_is_a_typed_error() {
-        let net = lenet();
-        let mut plan = net.compile_plan(&[1, 10, 10]).unwrap();
-        let x = Tensor::ones(&[1, 1, 10, 10]);
-        assert!(matches!(
-            plan.forward_backbone(&x, Mode::Train),
-            Err(ModelError::Nn(NnError::InvalidConfig(_)))
-        ));
-    }
-
-    #[test]
-    fn plan_clone_is_an_independent_replica() {
-        let net = NetworkSpec::single_exit(
-            "tiny",
-            1,
-            8,
-            8,
-            2,
-            vec![vec![
-                LayerSpec::Conv2d {
-                    in_channels: 1,
-                    out_channels: 2,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                LayerSpec::Relu,
-            ]],
-            vec![
-                LayerSpec::GlobalAvgPool2d,
-                LayerSpec::Dense {
-                    in_features: 2,
-                    out_features: 2,
-                },
-            ],
-        )
-        .with_exit_mcd(0.5)
-        .unwrap()
-        .build(3)
-        .unwrap();
-        let mut plan = net.compile_plan(&[1, 8, 8]).unwrap();
-        let mut replica = plan.clone();
-        let x = Tensor::ones(&[2, 1, 8, 8]);
-        plan.reseed_mc_streams(41);
-        replica.reseed_mc_streams(41);
-        plan.run_backbone(&x, Mode::Eval).unwrap();
-        // A replica cloned after the backbone re-runs the exits from the
-        // pinned block slots it copied.
-        let mut late = plan.clone();
-        replica.run_backbone(&x, Mode::Eval).unwrap();
-        let a = plan.forward_exits(Mode::McSample).unwrap();
-        let b = replica.forward_exits(Mode::McSample).unwrap();
-        let c = late.forward_exits(Mode::McSample).unwrap();
-        assert_eq!(a[0].as_slice(), b[0].as_slice());
-        assert_eq!(a[0].as_slice(), c[0].as_slice());
+        // Never pays full freight.
+        let never = plan
+            .predict_adaptive_batch(&x, 6, 2023, &ExitPolicy::Never)
+            .unwrap();
+        assert_eq!(never.stats.ops_saved_fraction(), 0.0);
     }
 
     /// The float plan of a plain layer stack: one block, no exits.
     fn stack_plan(layer: &dyn Layer, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
-        MultiExitPlan::compile(&[layer.lowering()?], &[], in_dims, 0)
+        MultiExitPlan::compile(&[layer.lowering()?], &[], in_dims)
     }
 
     /// The stack's output: the plan's one block output.
@@ -898,7 +1070,7 @@ mod tests {
             residual_lowering(&main, &shortcut),
             residual_lowering(&main2, &identity),
         ]);
-        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 6, 6], 0).unwrap();
+        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 6, 6]).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(12);
         let x = Tensor::randn(&[2, 2, 6, 6], &mut rng);
         for (mode, seed) in [(Mode::Eval, 0u64), (Mode::McSample, 5), (Mode::McSample, 6)] {
@@ -921,7 +1093,7 @@ mod tests {
         main.push(trained_batchnorm(2, 3));
         let mut identity = Sequential::new("id");
         let lowering = residual_lowering(&main, &identity);
-        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 3, 3], 0).unwrap();
+        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 3, 3]).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(13);
         let x = Tensor::randn(&[3, 2, 3, 3], &mut rng);
         let reference = residual_reference(&mut main, &mut identity, &x, Mode::Eval);
@@ -945,6 +1117,20 @@ mod tests {
         ));
         assert!(plan.forward_backbone(&x, Mode::Eval).is_ok());
         assert!(train_error(plan.forward_exits(Mode::Train)));
+    }
+
+    #[test]
+    fn exits_of_different_widths_are_a_compile_error() {
+        let dense = |out_f, seed| Dense::new(4, out_f, seed).unwrap().lowering().unwrap();
+        let blocks = [dense(4, 0)];
+        let agree = [(0, dense(2, 1)), (0, dense(2, 2))];
+        let plan = MultiExitPlan::compile(&blocks, &agree, &[4]).unwrap();
+        assert_eq!(plan.num_classes(), 2);
+        let disagree = [(0, dense(2, 1)), (0, dense(3, 2))];
+        assert!(matches!(
+            MultiExitPlan::compile(&blocks, &disagree, &[4]),
+            Err(ModelError::Nn(NnError::InvalidConfig(_)))
+        ));
     }
 
     #[test]

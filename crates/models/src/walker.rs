@@ -1,9 +1,10 @@
 //! The exit walker: the one Monte-Carlo sample schedule, fixed-depth loop
-//! and adaptive retire-and-compact walk that both compiled plan families
-//! (`bnn_quant::QuantPlan` and [`MultiExitPlan`](crate::MultiExitPlan))
-//! run on. A plan exposes the primitives the walk needs through
-//! [`ExitPlan`]; the walker decides what runs, on which rows and passes,
-//! and does the softmax ensembles, retirement and op accounting once.
+//! and adaptive retire-and-compact walk that the compiled
+//! [`Plan`](crate::Plan) runs for both number formats (`bnn_quant::QuantPlan`
+//! and [`MultiExitPlan`](crate::MultiExitPlan)). The plan exposes the
+//! primitives the walk needs through [`ExitPlan`]; the walker decides what
+//! runs, on which rows and passes, and does the softmax ensembles,
+//! retirement and op accounting once.
 //!
 //! Samples are drawn from the exits round-robin: pass `p` reseeds every
 //! mask stream from `stream_seed(seed, p)` and visits each exit, and the
@@ -12,7 +13,7 @@
 //! orders round differently, so the loops stay apart.
 
 use crate::error::ModelError;
-use crate::policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
+use crate::policy::{AdaptiveStats, ExitPolicy};
 use bnn_nn::layer::Mode;
 use bnn_tensor::ops::softmax_rows_into;
 use bnn_tensor::rng::stream_seed;
@@ -30,9 +31,6 @@ pub trait ExitPlan {
     /// [`ModelError::InvalidSpec`] (exits missing or out of order).
     type Error: From<ModelError>;
 
-    /// Per-sample input dims (batch axis stripped).
-    fn in_dims(&self) -> &[usize];
-
     /// Number of exit heads.
     fn num_exits(&self) -> usize;
 
@@ -47,9 +45,6 @@ pub trait ExitPlan {
 
     /// Static `(step invocations, per-sample ops)` of one run of `exit`.
     fn exit_cost(&self, exit: usize) -> (u64, u64);
-
-    /// Pre-sizes every buffer for batches of up to `max_batch` samples.
-    fn ensure_batch(&mut self, max_batch: usize);
 
     /// Validates `inputs` (`[batch, ..in_dims]`, non-empty, finite) and
     /// stages it as the backbone input, returning the batch size.
@@ -71,53 +66,6 @@ pub trait ExitPlan {
 
     /// The plan-owned buffers the walker works in.
     fn scratch(&mut self) -> &mut WalkScratch;
-
-    /// [`predict_fixed`] returning a fresh `[batch, classes]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// See [`predict_fixed`].
-    fn predict_probs_batch(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-    ) -> Result<Tensor, Self::Error> {
-        let mut out = Vec::new();
-        let (batch, classes) = predict_fixed(self, inputs, n_samples, seed, &mut out)?;
-        Ok(Tensor::from_vec(out, &[batch, classes]).map_err(ModelError::from)?)
-    }
-
-    /// [`predict_adaptive`] returning owned values.
-    ///
-    /// # Errors
-    ///
-    /// See [`predict_adaptive`].
-    fn predict_adaptive_batch(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        policy: &ExitPolicy,
-    ) -> Result<AdaptivePrediction, Self::Error> {
-        let (mut out, mut exit_taken) = (Vec::new(), Vec::new());
-        let stats = predict_adaptive(
-            self,
-            inputs,
-            n_samples,
-            seed,
-            policy,
-            &mut out,
-            &mut exit_taken,
-        )?;
-        let probs =
-            Tensor::from_vec(out, &[stats.batch, stats.classes]).map_err(ModelError::from)?;
-        Ok(AdaptivePrediction {
-            probs,
-            exit_taken,
-            stats,
-        })
-    }
 }
 
 /// The walker's buffers: softmax staging, running per-row ensembles and
@@ -164,6 +112,13 @@ impl SampleSchedule {
     /// Samples exit `exit` contributes (on passes `0..runs(exit)`).
     pub fn runs(&self, exit: usize) -> usize {
         (self.kept + self.n_exits - 1 - exit) / self.n_exits
+    }
+
+    /// Passes a full-depth ensemble runs (`⌈kept / n_exits⌉`, at least
+    /// one): exit 0's sample count. The one pass-count rule of the walker,
+    /// the hardware model and the mapping exploration.
+    pub fn passes(&self) -> usize {
+        self.runs(0)
     }
 
     /// Ensemble size of a sample that stops at `exit`.
@@ -420,9 +375,6 @@ mod tests {
     impl ExitPlan for Stub {
         type Error = ModelError;
 
-        fn in_dims(&self) -> &[usize] {
-            &[1]
-        }
         fn num_exits(&self) -> usize {
             self.exits
         }
@@ -438,7 +390,6 @@ mod tests {
         fn exit_cost(&self, exit: usize) -> (u64, u64) {
             (2 + exit as u64, 1000 << exit)
         }
-        fn ensure_batch(&mut self, _max_batch: usize) {}
         fn stage_input(&mut self, inputs: &Tensor) -> Result<usize, ModelError> {
             let batch = inputs.dims()[0];
             self.frontier[0] = (0..batch).collect();
@@ -491,6 +442,17 @@ mod tests {
         assert_eq!((s.ensemble(0), s.ensemble(1)), (3, 5));
         let det = SampleSchedule::new(0, 3);
         assert_eq!(det.kept, 3);
+        // `passes` is the hand formula it replaced, at every input.
+        for n in 0..12usize {
+            for exits in 0..5usize {
+                let by_hand = n.div_ceil(exits.max(1)).max(1);
+                assert_eq!(
+                    SampleSchedule::new(n, exits).passes(),
+                    by_hand,
+                    "n={n} exits={exits}"
+                );
+            }
+        }
         assert_eq!((0..3).map(|e| det.runs(e)).collect::<Vec<_>>(), [1, 1, 1]);
         let short = SampleSchedule::new(1, 3);
         assert_eq!((0..3).map(|e| short.runs(e)).collect::<Vec<_>>(), [1, 0, 0]);

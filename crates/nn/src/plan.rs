@@ -4,8 +4,9 @@
 //! The step compiler ([`crate::skeleton`]) decides shapes, slots and costs;
 //! this module attaches the float constants ([`FloatAttach`]: raw f32
 //! weights, batch norm kept unfolded) and executes one step on a flat f32
-//! arena ([`run_step`]). `bnn_models::MultiExitPlan` drives them over a
-//! whole multi-exit network. Each step runs the same kernels and shared
+//! arena ([`run_step`]). `bnn_models::plan::FloatKernel` plugs them into
+//! the one plan runtime (`bnn_models::Plan`), which drives them over a
+//! whole multi-exit network as `bnn_models::MultiExitPlan`. Each step runs the same kernels and shared
 //! loops as its layer, and MC-dropout steps draw from the same reseedable
 //! streams in the same order, so a plan reproduces the layer chain
 //! ([`Layer::forward`](crate::Layer::forward)) **bit for bit** in

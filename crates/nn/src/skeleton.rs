@@ -1,11 +1,12 @@
 //! The step compiler: one constant-free pass from a multi-exit network's
 //! lowered graphs to a flat step list over a slot arena.
 //!
-//! Both compiled plan families — the float `bnn_models::MultiExitPlan` and
-//! the integer `bnn_quant::QuantPlan` — are built by [`compile`]. It walks
-//! the backbone blocks in execution order, then each exit branch from the
-//! block it attaches to, and decides everything that does not depend on the
-//! number format:
+//! Both number formats of the one compiled plan runtime (`bnn_models::Plan`)
+//! — the float `bnn_models::MultiExitPlan` and the integer
+//! `bnn_quant::QuantPlan` — are built by [`compile`]; the plan executes the
+//! [`Skeleton`] it returns as it is. The compiler walks the backbone blocks
+//! in execution order, then each exit branch from the block it attaches to,
+//! and decides everything that does not depend on the number format:
 //!
 //! * per-sample dims of every value (with the shape checks of each op);
 //! * one [`ScheduleStep`] per op, with its static `unit_ops`;
@@ -131,17 +132,6 @@ impl BlockLayout {
     }
 }
 
-/// Flat index of an exit's first step, given the backbone's step count and
-/// the step counts of every earlier exit: exits follow the backbone and
-/// every earlier exit, the order MC-dropout streams are assigned in. Both
-/// plans' step lists index their streams by this one rule.
-pub fn flat_exit_start(
-    backbone_steps: usize,
-    earlier_exits: impl IntoIterator<Item = usize>,
-) -> usize {
-    backbone_steps + earlier_exits.into_iter().sum::<usize>()
-}
-
 /// One exit branch of a skeleton, in attachment order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExitSteps<Op, N> {
@@ -163,6 +153,8 @@ pub struct ExitSteps<Op, N> {
 pub struct Skeleton<Op, N> {
     /// Per-sample input dims (batch axis stripped).
     pub in_dims: Vec<usize>,
+    /// Annotation of the input value (the integer plan's input format).
+    pub in_note: N,
     /// Arena slot the input batch is written to.
     pub input_slot: usize,
     /// Backbone steps in execution order.
@@ -178,12 +170,14 @@ pub struct Skeleton<Op, N> {
 }
 
 impl<Op, N> Skeleton<Op, N> {
-    /// Flat index of exit `exit`'s first step (see [`flat_exit_start`]).
+    /// Flat index of exit `exit`'s first step: exits follow the backbone
+    /// and every earlier exit, the order MC-dropout streams are assigned in.
     pub fn exit_start(&self, exit: usize) -> usize {
-        flat_exit_start(
-            self.backbone.len(),
-            self.exits[..exit].iter().map(|e| e.steps.len()),
-        )
+        self.backbone.len()
+            + self.exits[..exit]
+                .iter()
+                .map(|e| e.steps.len())
+                .sum::<usize>()
     }
 
     /// Iterates every step: backbone first, then exits in attachment order.
@@ -191,6 +185,36 @@ impl<Op, N> Skeleton<Op, N> {
         self.backbone
             .iter()
             .chain(self.exits.iter().flat_map(|e| e.steps.iter()))
+    }
+
+    /// Total number of steps (backbone plus all exits).
+    pub fn num_steps(&self) -> usize {
+        self.exit_start(self.exits.len())
+    }
+
+    /// Number of predicted classes: the per-sample output width every exit
+    /// shares ([`compile`] rejects exits that disagree), 0 without exits.
+    pub fn classes(&self) -> usize {
+        self.exits
+            .first()
+            .map_or(0, |e| e.out_dims.iter().product())
+    }
+
+    /// Total per-sample unit ops over every step (the plans' `fixed_cost`
+    /// unit before batch/pass scaling).
+    pub fn total_unit_ops(&self) -> u64 {
+        self.steps().map(|s| s.unit_ops).sum()
+    }
+
+    /// Total per-sample activation buffer elements (sum of slot capacities).
+    pub fn buffer_elems(&self) -> usize {
+        self.slot_elems.iter().sum()
+    }
+
+    /// Depth of the longest step chain one input flows through: the
+    /// backbone plus the deepest exit branch.
+    pub fn pipeline_depth(&self) -> usize {
+        self.backbone.len() + self.exits.iter().map(|e| e.steps.len()).max().unwrap_or(0)
     }
 }
 
@@ -461,8 +485,8 @@ impl Slots {
 /// # Errors
 ///
 /// Returns [`NnError::InvalidConfig`] (through `A::Error`) on a shape
-/// mismatch or an exit after a missing block, and propagates the hook's
-/// errors.
+/// mismatch, an exit after a missing block or exits whose output widths
+/// (class counts) disagree, and propagates the hook's errors.
 pub fn compile<'a, A: Attach>(
     blocks: impl IntoIterator<Item = &'a LayerLowering>,
     exits: impl IntoIterator<Item = (usize, &'a LayerLowering)>,
@@ -492,7 +516,7 @@ pub fn compile<'a, A: Attach>(
     }
 
     // Exit branches, attachment order.
-    let mut exit_meta = Vec::new();
+    let mut exit_meta: Vec<(usize, usize, usize)> = Vec::new();
     for (e, (after_block, lowering)) in exits.into_iter().enumerate() {
         let Some(&from) = block_values.get(after_block) else {
             let msg = format!("exit {e} attaches after missing block {after_block}");
@@ -500,6 +524,14 @@ pub fn compile<'a, A: Attach>(
         };
         let (start, mut exit_cur) = (walk.steps.len(), from);
         walk.emit(hook, lowering, &mut exit_cur)?;
+        let width: usize = walk.values[exit_cur].dims.iter().product();
+        if let Some(&(_, first, _)) = exit_meta.first() {
+            let classes: usize = walk.values[first].dims.iter().product();
+            if width != classes {
+                let msg = format!("exit {e} predicts {width} classes, exit 0 predicts {classes}");
+                return Err(NnError::InvalidConfig(msg).into());
+            }
+        }
         exit_meta.push((start, exit_cur, after_block));
     }
 
@@ -541,6 +573,7 @@ pub fn compile<'a, A: Attach>(
     };
     Ok(Skeleton {
         in_dims: in_dims.to_vec(),
+        in_note,
         input_slot: slot(input),
         backbone: steps,
         exits: exit_steps,

@@ -15,10 +15,12 @@
 //! accumulation, power-of-two requantization shifts and explicit saturation
 //! — the arithmetic the FPGA datapath actually performs, including
 //! Monte-Carlo dropout masks applied in the integer domain from seeded
-//! streams. The plan executes a [`PlanSchedule`], its flattened step list;
-//! [`QuantPlan::schedule`] hands that same value to code generators, and
-//! `bnn_hls::HlsSimulator` re-implements its steps as the independent golden
-//! reference (`tests/hls_golden_sim.rs`). Batch
+//! streams. The plan is the workspace's one plan runtime
+//! (`bnn_models::Plan`) over the integer kernels ([`IntKernel`]), the same
+//! runtime the float plan uses. It executes a [`PlanSchedule`], its
+//! flattened step list; `QuantPlan::schedule` hands that same value to code
+//! generators, and `bnn_hls::HlsSimulator` re-implements its steps as the
+//! independent golden reference (`tests/hls_golden_sim.rs`). Batch
 //! normalisation reaches the plan folded into a per-channel affine
 //! (`bnn_nn::BatchNormLowering::folded`) before quantization.
 //!
@@ -49,9 +51,11 @@
 //! //    i16 in the layout the integer kernels read.
 //! let mut plan = calibrated.plan(FixedPointFormat::new(8, 3)?)?;
 //!
-//! // 3. Integer inference: deterministic logits per exit...
+//! // 3. Integer inference: the backbone once, then deterministic
+//! //    (dequantized) logits per exit...
 //! let inputs = Tensor::randn(&[4, 1, 12, 12], &mut rng);
-//! let logits = plan.forward_exits_int(&inputs, Mode::Eval)?;
+//! plan.run_backbone(&inputs, Mode::Eval)?;
+//! let logits = plan.forward_exits(Mode::Eval)?;
 //! assert_eq!(logits.last().unwrap().dims(), &[4, 10]);
 //!
 //! // 4. ...and seeded Monte-Carlo prediction (masks drawn in the integer
@@ -78,5 +82,5 @@ pub use calib::CalibratedNetwork;
 pub use error::QuantError;
 pub use fixed::FixedPointFormat;
 pub use params::{IntWidth, QuantParams};
-pub use plan::QuantPlan;
-pub use schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep};
+pub use plan::{IntKernel, QuantPlan};
+pub use schedule::{PlanSchedule, ScheduleOp, ScheduleStep};

@@ -1,22 +1,25 @@
-//! Compile-once execution plans for the integer inference path.
+//! The integer format of the compiled plan.
 //!
-//! [`QuantPlan`] is the workspace's integer executor. The workspace's one
-//! step compiler ([`bnn_nn::skeleton`]) flattens the lowered blocks and
-//! exits of a [`CalibratedNetwork`] into a linear step list with planned
-//! buffer lifetimes (liveness over the flat list with free-list reuse,
-//! elementwise steps running in place when their input dies) — the same
-//! pass, shapes and slots the float `bnn_models::MultiExitPlan` is built
-//! from. This module only attaches the integer constants to each step: it
-//! consumes the calibration records in flat step order (record `n` belongs
-//! to step `n`; calibration ran the float plan's steps of the same
-//! compiler), derives every value's [`QuantParams`], and packs weights
-//! **once** into the transposed/widened `i16` layout the integer matmul
-//! kernels consume. The result is a [`PlanSchedule`], the one format code
-//! generators read too.
+//! [`QuantPlan`] is the workspace's integer executor: the one plan runtime
+//! ([`bnn_models::Plan`]) over [`IntKernel`]. The workspace's one step
+//! compiler ([`bnn_nn::skeleton`]) flattens the lowered blocks and exits of
+//! a [`CalibratedNetwork`] into a linear step list with planned buffer
+//! lifetimes (liveness over the flat list with free-list reuse, elementwise
+//! steps running in place when their input dies) — the same pass, shapes
+//! and slots the float `bnn_models::MultiExitPlan` is built from. This
+//! module attaches the integer constants to each step: it consumes the
+//! calibration records in flat step order (record `n` belongs to step `n`;
+//! calibration ran the float plan's steps of the same compiler), derives
+//! every value's [`QuantParams`], and packs weights **once** into the
+//! transposed/widened `i16` layout the integer matmul kernels consume. The
+//! result is a [`PlanSchedule`], the one format code generators read too.
+//! [`IntKernel`] is everything else only the integer format knows: its
+//! step kernels, its arena scratch, quantizing the input batch and
+//! dequantizing an exit's logits.
 //! Every intermediate — code slots, the im2col scratch, accumulators,
-//! dropout masks, softmax staging — lives in a preallocated tensor arena.
+//! dropout masks, dequantized logits — lives in a preallocated arena.
 //! After a warm-up call that sizes the arena for the batch,
-//! [`QuantPlan::predict_probs_into`] performs **zero heap allocations** in
+//! `QuantPlan::predict_probs_into` performs **zero heap allocations** in
 //! the steady state (on a sequential executor; the thread-pool fan-out of
 //! large kernels allocates its scoped workers by design).
 //!
@@ -28,11 +31,11 @@
 //! `predict_probs` loop.
 //!
 //! ```text
-//! CalibratedNetwork ──ranges──► compile(format)
+//! CalibratedNetwork ──ranges──► plan(format)
 //!   │                              │  step skeleton (shapes, slots, costs)
 //!   │                              │  attach: QuantParams, packed i16
 //!   │                              ▼  weights, shifts, multipliers
-//! (one float pass,            QuantPlan { schedule, streams, arena }
+//! (one float pass,            Plan<IntKernel> { schedule, streams, arena }
 //!  shared by all formats)         │
 //!                                 ▼  run many: predict_probs_into
 //!                            zero steady-state allocation
@@ -43,13 +46,12 @@ use crate::error::QuantError;
 use crate::fixed::FixedPointFormat;
 use crate::lower::{div_round, dropout_scale_q, quantize_affine, quantize_weights};
 use crate::params::{IntWidth, QuantParams};
-use crate::schedule::{PlanSchedule, ScheduleExit, ScheduleOp, ScheduleStep, MUL_FRAC};
-use bnn_models::walker::{self, ExitPlan, WalkScratch};
-use bnn_models::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
+use crate::schedule::{PlanSchedule, ScheduleOp, ScheduleStep, MUL_FRAC};
+use bnn_models::{Kernel, Plan};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
 use bnn_nn::plan::MaskGranularity;
-use bnn_nn::skeleton::{self, steps_cost, Attach, BlockLayout, Node, ScratchUnits};
+use bnn_nn::skeleton::{self, Attach, BlockLayout, ExitSteps, Node};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::int::{
     im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, requantize,
@@ -57,19 +59,19 @@ use bnn_tensor::int::{
     requantize_i64_row_into,
 };
 use bnn_tensor::linalg::ConvGeometry;
-use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
+use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
-use std::ops::Range;
 
 /// Minimum multiply-accumulate count before a plan kernel fans out over the
 /// parallel executor (the same threshold as the standalone integer kernels).
 const PAR_MACS_THRESHOLD: usize = 1 << 20;
 
-/// The preallocated tensor arena: activation slots plus the shared scratch
-/// buffers. All sizes grow monotonically with the largest batch seen, so the
-/// steady state of repeated same-batch calls never reallocates.
+/// The integer plan's preallocated arena: activation code slots plus the
+/// shared scratch buffers. All sizes grow monotonically with the largest
+/// batch seen, so the steady state of repeated same-batch calls never
+/// reallocates.
 #[derive(Debug, Clone, Default)]
-struct Arena {
+pub struct IntArena {
     slots: Vec<Vec<i16>>,
     cols: Vec<i16>,
     acc32: Vec<i32>,
@@ -77,15 +79,17 @@ struct Arena {
     mask: Vec<bool>,
     /// The latest exit head's dequantized logits.
     logits: Vec<f32>,
-    /// The exit walker's softmax staging, ensembles and live-row map.
-    walk: WalkScratch,
 }
 
+/// The integer format: [`ScheduleOp`] steps on `i16` codes annotated with
+/// their [`QuantParams`].
+#[derive(Debug, Clone, Copy)]
+pub struct IntKernel;
+
 /// A compiled, arena-allocated execution plan for the integer inference of
-/// a calibrated multi-exit network at one fixed-point format.
-///
-/// Build one with [`CalibratedNetwork::plan`]; see the
-/// [module documentation](self) for the dataflow.
+/// a calibrated multi-exit network at one fixed-point format. Build one
+/// with [`CalibratedNetwork::plan`]; see the [module documentation](self)
+/// for the dataflow.
 ///
 /// # Example
 ///
@@ -112,25 +116,397 @@ struct Arena {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct QuantPlan {
-    /// The flattened step list this plan executes — the same value
-    /// [`QuantPlan::schedule`] hands to code generators.
-    schedule: PlanSchedule,
-    /// One mask stream per step in flat schedule order (only MC-dropout
-    /// steps draw from theirs).
-    streams: Vec<Xoshiro256StarStar>,
-    /// Block boundaries: the adaptive walk's segments and the pinned slots
-    /// it compacts in.
-    blocks: BlockLayout,
-    /// Per-sample scratch capacities.
-    scratch: ScratchUnits,
-    logit_unit: usize,
-    arena: Arena,
-    exec: Option<Executor>,
-    /// Mask granularity of the walk in progress: per-sample except inside
-    /// [`QuantPlan::predict_probs_into`].
-    masks: MaskGranularity,
+pub type QuantPlan = Plan<IntKernel>;
+
+impl Kernel for IntKernel {
+    type Op = ScheduleOp;
+    type Note = QuantParams;
+    type Arena = IntArena;
+    type Error = QuantError;
+
+    fn is_mc_dropout(op: &ScheduleOp) -> bool {
+        matches!(op, ScheduleOp::McDropout { .. })
+    }
+
+    /// Grows the arena for `batch` samples; the accumulators exist at the
+    /// storage width of the plan's values only.
+    fn ensure(arena: &mut IntArena, steps: &PlanSchedule, batch: usize) {
+        fn grow<T: Clone + Default>(v: &mut Vec<T>, need: usize) {
+            if v.len() < need {
+                v.resize(need, T::default());
+            }
+        }
+        arena.slots.resize(steps.slot_elems.len(), Vec::new());
+        for (slot, &unit) in arena.slots.iter_mut().zip(&steps.slot_elems) {
+            grow(slot, unit * batch);
+        }
+        let scratch = steps.scratch;
+        grow(&mut arena.cols, scratch.cols * batch);
+        match steps.in_note.width() {
+            IntWidth::W8 => grow(&mut arena.acc32, scratch.acc * batch),
+            IntWidth::W16 => grow(&mut arena.acc64, scratch.acc * batch),
+        }
+        grow(&mut arena.mask, scratch.mask * batch);
+        grow(&mut arena.logits, steps.classes() * batch);
+    }
+
+    /// Quantizes the input batch into the input slot, rejecting NaN and
+    /// infinite values (the float-to-code cast would otherwise map NaN to
+    /// code 0 and return a normal-looking distribution).
+    fn stage(arena: &mut IntArena, steps: &PlanSchedule, inputs: &[f32]) -> Result<(), QuantError> {
+        if let Some(i) = inputs.iter().position(|v| !v.is_finite()) {
+            return Err(QuantError::NonFinite(format!(
+                "input element {i} is {}",
+                inputs[i]
+            )));
+        }
+        let params = steps.in_note;
+        for (dst, &v) in arena.slots[steps.input_slot].iter_mut().zip(inputs) {
+            *dst = params.quantize_value(v) as i16;
+        }
+        Ok(())
+    }
+
+    /// Conv and dense steps accumulate at the width of their output format
+    /// (every value in a plan shares one width).
+    fn run_step(
+        step: &ScheduleStep,
+        rng: &mut Xoshiro256StarStar,
+        arena: &mut IntArena,
+        exec: Option<Executor>,
+        batch: usize,
+        mode: Mode,
+        masks: MaskGranularity,
+    ) -> Result<(), QuantError> {
+        let in_elems = step.in_dims.iter().product::<usize>() * batch;
+        let out_elems = step.out_dims.iter().product::<usize>() * batch;
+        let pick_exec = |work: usize| -> Executor {
+            match exec {
+                Some(e) => e,
+                None => {
+                    if work >= PAR_MACS_THRESHOLD {
+                        Executor::global()
+                    } else {
+                        Executor::sequential()
+                    }
+                }
+            }
+        };
+        match &step.op {
+            ScheduleOp::Conv {
+                weights,
+                bias,
+                out_c,
+                in_c,
+                kernel,
+                stride,
+                padding,
+                shift,
+                out,
+                ..
+            } => {
+                let (out_c, shift) = (*out_c, *shift);
+                let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
+                let geom = ConvGeometry::square(h, w, *kernel, *stride, *padding);
+                let plane = geom.out_h() * geom.out_w();
+                let kred = in_c * kernel * kernel;
+                let ncols = batch * plane;
+                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                {
+                    let src = &arena.slots[step.src][..in_elems];
+                    im2row_i16_into(src, batch, c, &geom, &mut arena.cols)?;
+                }
+                let exec = pick_exec(out_c * kred * ncols);
+                let (qmin, qmax) = (out.qmin(), out.qmax());
+                match out.width() {
+                    IntWidth::W8 => {
+                        let acc = &mut arena.acc32[..out_c * ncols];
+                        matmul_wide_i32_into(
+                            &exec,
+                            weights,
+                            &arena.cols[..kred * ncols],
+                            out_c,
+                            kred,
+                            ncols,
+                            acc,
+                        )?;
+                        for co in 0..out_c {
+                            for b in 0..batch {
+                                let src_row =
+                                    &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
+                                let start = (b * out_c + co) * plane;
+                                let dst_row = &mut dst[start..start + plane];
+                                requantize_i32_row_into(
+                                    src_row, bias[co], shift, qmin, qmax, dst_row,
+                                );
+                            }
+                        }
+                    }
+                    IntWidth::W16 => {
+                        let acc = &mut arena.acc64[..out_c * ncols];
+                        matmul_abt_i64_into(
+                            &exec,
+                            weights,
+                            &arena.cols[..kred * ncols],
+                            out_c,
+                            kred,
+                            ncols,
+                            acc,
+                        )?;
+                        for co in 0..out_c {
+                            for b in 0..batch {
+                                let src_row =
+                                    &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
+                                let start = (b * out_c + co) * plane;
+                                let dst_row = &mut dst[start..start + plane];
+                                requantize_i64_row_into(
+                                    src_row, bias[co], shift, qmin, qmax, dst_row,
+                                );
+                            }
+                        }
+                    }
+                }
+                arena.slots[step.dst] = dst;
+            }
+            ScheduleOp::Dense {
+                weights_t,
+                bias,
+                in_f,
+                out_f,
+                shift,
+                out,
+                ..
+            } => {
+                let (in_f, out_f, shift) = (*in_f, *out_f, *shift);
+                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                let (qmin, qmax) = (out.qmin(), out.qmax());
+                let exec = pick_exec(batch * in_f * out_f);
+                let src = &arena.slots[step.src][..in_elems];
+                let dst_rows = dst[..out_elems].chunks_exact_mut(out_f);
+                match out.width() {
+                    IntWidth::W8 => {
+                        let acc = &mut arena.acc32[..batch * out_f];
+                        matmul_wide_i32_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
+                        for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
+                            requantize_i32_row_biased_into(
+                                acc_row, bias, shift, qmin, qmax, dst_row,
+                            );
+                        }
+                    }
+                    IntWidth::W16 => {
+                        let acc = &mut arena.acc64[..batch * out_f];
+                        matmul_abt_i64_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
+                        for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
+                            requantize_i64_row_biased_into(
+                                acc_row, bias, shift, qmin, qmax, dst_row,
+                            );
+                        }
+                    }
+                }
+                arena.slots[step.dst] = dst;
+            }
+            ScheduleOp::Relu => {
+                if step.src == step.dst {
+                    for v in arena.slots[step.dst][..in_elems].iter_mut() {
+                        *v = (*v).max(0);
+                    }
+                } else {
+                    let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                    for (d, &s) in dst[..in_elems]
+                        .iter_mut()
+                        .zip(&arena.slots[step.src][..in_elems])
+                    {
+                        *d = s.max(0);
+                    }
+                    arena.slots[step.dst] = dst;
+                }
+            }
+            ScheduleOp::MaxPool { kernel, stride } | ScheduleOp::AvgPool { kernel, stride } => {
+                let is_max = matches!(step.op, ScheduleOp::MaxPool { .. });
+                let (kernel, stride) = (*kernel, *stride);
+                let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
+                let geom = ConvGeometry::square(h, w, kernel, stride, 0);
+                let (oh, ow) = (geom.out_h(), geom.out_w());
+                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                let src = &arena.slots[step.src][..in_elems];
+                for b in 0..batch {
+                    for ch in 0..c {
+                        for y in 0..oh {
+                            for x in 0..ow {
+                                let mut best = i64::MIN;
+                                let mut acc = 0i64;
+                                for ky in 0..kernel {
+                                    for kx in 0..kernel {
+                                        let iy = y * stride + ky;
+                                        let ix = x * stride + kx;
+                                        if iy < h && ix < w {
+                                            let v = src[((b * c + ch) * h + iy) * w + ix] as i64;
+                                            best = best.max(v);
+                                            acc += v;
+                                        }
+                                    }
+                                }
+                                dst[((b * c + ch) * oh + y) * ow + x] = if is_max {
+                                    best as i16
+                                } else {
+                                    div_round(acc, (kernel * kernel) as i64) as i16
+                                };
+                            }
+                        }
+                    }
+                }
+                arena.slots[step.dst] = dst;
+            }
+            ScheduleOp::GlobalAvgPool => {
+                let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
+                let plane = (h * w) as i64;
+                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                let src = &arena.slots[step.src][..in_elems];
+                for b in 0..batch {
+                    for ch in 0..c {
+                        let start = (b * c + ch) * h * w;
+                        let acc: i64 = src[start..start + h * w].iter().map(|&v| v as i64).sum();
+                        dst[b * c + ch] = div_round(acc, plane) as i16;
+                    }
+                }
+                arena.slots[step.dst] = dst;
+            }
+            ScheduleOp::Affine { m, b: offsets, out } => {
+                let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
+                let plane = h * w;
+                let (qmin, qmax) = (out.qmin(), out.qmax());
+                let apply = |src: &[i16], dst: &mut [i16]| {
+                    for b in 0..batch {
+                        for ch in 0..c {
+                            let start = (b * c + ch) * plane;
+                            for i in 0..plane {
+                                let x = src[start + i] as i64;
+                                dst[start + i] = requantize(
+                                    x * m[ch] + offsets[ch],
+                                    MUL_FRAC as i32,
+                                    qmin,
+                                    qmax,
+                                ) as i16;
+                            }
+                        }
+                    }
+                };
+                if step.src == step.dst {
+                    let mut buf = std::mem::take(&mut arena.slots[step.dst]);
+                    let src_copy: &mut [i16] = &mut buf[..in_elems];
+                    // Elementwise read-then-write on the same index is in-place
+                    // safe; do it in a single pass.
+                    for b in 0..batch {
+                        for ch in 0..c {
+                            let start = (b * c + ch) * plane;
+                            for v in src_copy[start..start + plane].iter_mut() {
+                                *v = requantize(
+                                    *v as i64 * m[ch] + offsets[ch],
+                                    MUL_FRAC as i32,
+                                    qmin,
+                                    qmax,
+                                ) as i16;
+                            }
+                        }
+                    }
+                    arena.slots[step.dst] = buf;
+                } else {
+                    let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                    apply(&arena.slots[step.src][..in_elems], &mut dst[..in_elems]);
+                    arena.slots[step.dst] = dst;
+                }
+            }
+            ScheduleOp::McDropout {
+                rate,
+                scale_q,
+                params,
+            } => {
+                let sampling = mode.samples_mc_dropout() && *rate > 0.0;
+                if !sampling {
+                    // Stream positions stay aligned: a non-sampling pass draws
+                    // nothing, exactly like the float McDropout layer.
+                    if step.src != step.dst {
+                        let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                        dst[..in_elems].copy_from_slice(&arena.slots[step.src][..in_elems]);
+                        arena.slots[step.dst] = dst;
+                    }
+                    return Ok(());
+                }
+                let keep = 1.0 - *rate;
+                let (draws, plane) = masks.draws(&step.in_dims, batch);
+                for m in arena.mask[..draws].iter_mut() {
+                    *m = rng.bernoulli(keep);
+                }
+                let (qmin, qmax) = (params.qmin(), params.qmax());
+                let scale_q = *scale_q;
+                let mask = &arena.mask;
+                let drop_one = |v: i64, kept: bool| -> i16 {
+                    if kept {
+                        requantize(v * scale_q, MUL_FRAC as i32, qmin, qmax) as i16
+                    } else {
+                        0
+                    }
+                };
+                if step.src == step.dst {
+                    let mut buf = std::mem::take(&mut arena.slots[step.dst]);
+                    for (i, v) in buf[..in_elems].iter_mut().enumerate() {
+                        *v = drop_one(*v as i64, mask[(i / plane) % draws]);
+                    }
+                    arena.slots[step.dst] = buf;
+                } else {
+                    let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                    for (i, (d, &s)) in dst[..in_elems]
+                        .iter_mut()
+                        .zip(&arena.slots[step.src][..in_elems])
+                        .enumerate()
+                    {
+                        *d = drop_one(s as i64, mask[(i / plane) % draws]);
+                    }
+                    arena.slots[step.dst] = dst;
+                }
+            }
+            ScheduleOp::Merge {
+                m_shift,
+                s_shift,
+                out,
+            } => {
+                let (qmin, qmax) = (out.qmin(), out.qmax());
+                let (m_shift, s_shift) = (*m_shift, *s_shift);
+                let src2 = step.src2.ok_or_else(|| {
+                    QuantError::Internal("a residual merge step has no shortcut source".into())
+                })?;
+                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
+                let main = &arena.slots[step.src][..out_elems];
+                let short = &arena.slots[src2][..out_elems];
+                for ((d, &a), &b) in dst[..out_elems].iter_mut().zip(main).zip(short) {
+                    let x = requantize(a as i64, m_shift, qmin, qmax);
+                    let y = requantize(b as i64, s_shift, qmin, qmax);
+                    *d = (x + y).max(0).min(qmax) as i16;
+                }
+                arena.slots[step.dst] = dst;
+            }
+        }
+        Ok(())
+    }
+
+    /// Dequantizes the exit's output codes at its calibrated scale.
+    fn read_exit<'a>(
+        arena: &'a mut IntArena,
+        exit: &ExitSteps<ScheduleOp, QuantParams>,
+        live: usize,
+    ) -> &'a [f32] {
+        let n = exit.out_dims.iter().product::<usize>() * live;
+        let scale = exit.out_note.scale();
+        let logits = &mut arena.logits[..n];
+        for (l, &c) in logits.iter_mut().zip(&arena.slots[exit.out_slot][..n]) {
+            *l = c as f32 * scale;
+        }
+        logits
+    }
+
+    fn move_row(arena: &mut IntArena, blocks: &BlockLayout, block: usize, from: usize, to: usize) {
+        blocks.move_row(&mut arena.slots, block, from, to);
+    }
 }
 
 /// The integer plan's [`Attach`]: quantized constants from the calibration
@@ -262,413 +638,6 @@ impl Attach for QuantAttach<'_> {
     }
 }
 
-impl QuantPlan {
-    /// Compiles the plan for one format from a calibrated network. See
-    /// [`CalibratedNetwork::plan`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::Unsupported`] for formats wider than 16 bits,
-    /// or [`QuantError::Internal`] on lowering/record skew.
-    pub(crate) fn compile(
-        calibrated: &CalibratedNetwork,
-        format: FixedPointFormat,
-    ) -> Result<Self, QuantError> {
-        let total_bits = QuantParams::new(format)?.format().total_bits();
-        let in_params = calibrated.input.params(total_bits)?;
-        let mut hook = QuantAttach {
-            total_bits,
-            records: calibrated.records.iter(),
-        };
-        let skeleton = skeleton::compile(
-            &calibrated.blocks,
-            (calibrated.exits.iter()).map(|(after_block, lowering)| (*after_block, lowering)),
-            &calibrated.in_dims,
-            in_params,
-            &mut hook,
-        )?;
-        if hook.records.len() != 0 {
-            return Err(QuantError::Internal(format!(
-                "{} calibration record(s) left over after the last step (lowering/record skew)",
-                hook.records.len()
-            )));
-        }
-        let exits: Vec<ScheduleExit> = (skeleton.exits.into_iter())
-            .map(|exit| ScheduleExit {
-                steps: exit.steps,
-                out_slot: exit.out_slot,
-                out_params: exit.out_note,
-                out_dims: exit.out_dims,
-                after_block: exit.after_block,
-            })
-            .collect();
-        let logit_unit = exits
-            .iter()
-            .map(|e| e.out_dims.iter().product())
-            .max()
-            .unwrap_or(0);
-        let schedule = PlanSchedule {
-            format,
-            classes: calibrated.classes,
-            in_params,
-            in_dims: skeleton.in_dims,
-            input_slot: skeleton.input_slot,
-            backbone: skeleton.backbone,
-            exits,
-            slot_elems: skeleton.slot_elems,
-        };
-        let mut arena = Arena::default();
-        arena.slots.resize(schedule.slot_elems.len(), Vec::new());
-        Ok(QuantPlan {
-            streams: vec![Xoshiro256StarStar::seed_from_u64(0); schedule.num_steps()],
-            schedule,
-            blocks: skeleton.blocks,
-            scratch: skeleton.scratch,
-            logit_unit,
-            arena,
-            exec: None,
-            masks: MaskGranularity::PerSample,
-        })
-    }
-
-    /// The format this plan was compiled for.
-    pub fn format(&self) -> FixedPointFormat {
-        self.schedule.format
-    }
-
-    /// Number of predicted classes.
-    pub fn num_classes(&self) -> usize {
-        self.schedule.classes
-    }
-
-    /// Per-sample input dims the plan was compiled for (batch axis
-    /// stripped): inputs must be shaped `[batch, ..in_dims]`.
-    pub fn in_dims(&self) -> &[usize] {
-        &self.schedule.in_dims
-    }
-
-    /// Pre-sizes the arena for `max_batch` samples, so a serving worker can
-    /// pay every allocation up front and subsequent calls with any batch up
-    /// to `max_batch` stay allocation-free. Monotone: never shrinks.
-    pub fn ensure_batch(&mut self, max_batch: usize) {
-        self.ensure_arena(max_batch.max(1));
-    }
-
-    /// The flattened step list this plan executes: its steps, constants,
-    /// shifts and slot assignments, for code generators and the simulator.
-    /// See [`crate::schedule`].
-    pub fn schedule(&self) -> &PlanSchedule {
-        &self.schedule
-    }
-
-    /// Storage width of every activation code (the format's).
-    fn width(&self) -> IntWidth {
-        self.schedule.in_params.width()
-    }
-
-    /// Pins every kernel in this plan to `exec` instead of the work-size
-    /// based auto selection. `Executor::sequential()` makes the steady state
-    /// strictly allocation-free (the thread-pool fan-out of large kernels
-    /// allocates its scoped workers); results are bitwise identical either
-    /// way.
-    pub fn set_executor(&mut self, exec: Executor) {
-        self.exec = Some(exec);
-    }
-
-    /// Grows the arena for `batch` samples (monotone: repeated calls with
-    /// the same or smaller batch perform no allocation).
-    fn ensure_arena(&mut self, batch: usize) {
-        let width = self.width();
-        for (slot, &unit) in self.arena.slots.iter_mut().zip(&self.schedule.slot_elems) {
-            let need = unit * batch;
-            if slot.len() < need {
-                slot.resize(need, 0);
-            }
-        }
-        let grow = |v: &mut Vec<i16>, need: usize| {
-            if v.len() < need {
-                v.resize(need, 0);
-            }
-        };
-        let scratch = self.scratch;
-        grow(&mut self.arena.cols, scratch.cols * batch);
-        if self.arena.acc32.len() < scratch.acc * batch && width == IntWidth::W8 {
-            self.arena.acc32.resize(scratch.acc * batch, 0);
-        }
-        if self.arena.acc64.len() < scratch.acc * batch && width == IntWidth::W16 {
-            self.arena.acc64.resize(scratch.acc * batch, 0);
-        }
-        if self.arena.mask.len() < scratch.mask * batch {
-            self.arena.mask.resize(scratch.mask * batch, false);
-        }
-        if self.arena.logits.len() < self.logit_unit * batch {
-            self.arena.logits.resize(self.logit_unit * batch, 0.0);
-        }
-        self.arena.walk.reserve(batch, self.schedule.classes);
-    }
-
-    /// Quantizes the float input batch into the input slot, rejecting NaN
-    /// and infinite values (the float-to-code cast would otherwise map NaN
-    /// to code 0 and return a normal-looking distribution).
-    fn load_input(&mut self, inputs: &Tensor) -> Result<usize, QuantError> {
-        let in_dims = &self.schedule.in_dims;
-        if inputs.dims().len() != in_dims.len() + 1 || inputs.dims()[1..] != in_dims[..] {
-            return Err(QuantError::InvalidInput(format!(
-                "plan expects input dims [batch, {in_dims:?}], got {:?}",
-                inputs.dims()
-            )));
-        }
-        if inputs.dims()[0] == 0 {
-            return Err(QuantError::InvalidInput("empty input batch".into()));
-        }
-        if let Some(i) = inputs.as_slice().iter().position(|v| !v.is_finite()) {
-            return Err(QuantError::NonFinite(format!(
-                "input element {i} is {}",
-                inputs.as_slice()[i]
-            )));
-        }
-        let batch = inputs.dims()[0];
-        self.ensure_arena(batch);
-        let params = self.schedule.in_params;
-        let slot = &mut self.arena.slots[self.schedule.input_slot];
-        for (dst, &v) in slot.iter_mut().zip(inputs.as_slice()) {
-            *dst = params.quantize_value(v) as i16;
-        }
-        Ok(batch)
-    }
-
-    /// Runs the backbone deterministically and the exit branches in `mode`,
-    /// returning one dequantized logit tensor per exit (bit-exact with
-    /// `bnn_hls::HlsSimulator::forward_exits`, see `tests/hls_golden_sim.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidInput`] for an empty batch or an input
-    /// shape mismatch, [`QuantError::NonFinite`] for NaN/infinite input
-    /// values, or propagates execution errors.
-    pub fn forward_exits_int(
-        &mut self,
-        inputs: &Tensor,
-        mode: Mode,
-    ) -> Result<Vec<Tensor>, QuantError> {
-        let batch = self.load_input(inputs)?;
-        self.per_batch(|plan| {
-            plan.run_blocks(0..plan.blocks.ends.len(), batch)?;
-            (0..plan.schedule.exits.len())
-                .map(|e| {
-                    let logits = plan.run_exit(e, batch, mode)?.to_vec();
-                    let mut dims = vec![batch];
-                    dims.extend_from_slice(&plan.schedule.exits[e].out_dims);
-                    Ok(Tensor::from_vec(logits, &dims)?)
-                })
-                .collect()
-        })
-    }
-
-    /// Runs `f` with masks drawn per (batch, channel), the granularity of
-    /// Phase 3 scoring and `bnn_hls::HlsSimulator`.
-    fn per_batch<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        self.masks = MaskGranularity::PerBatch;
-        let result = f(self);
-        self.masks = MaskGranularity::PerSample;
-        result
-    }
-
-    /// Seeded Monte-Carlo prediction into `out` (`[batch, classes]`,
-    /// resized): [`walker::predict_fixed`] with masks drawn per (batch,
-    /// channel) (`MaskGranularity::PerBatch`). Bit-exact with
-    /// `bnn_hls::HlsSimulator::predict_probs`; zero steady-state heap
-    /// allocation once the arena is warm (sequential executor).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::Internal`] for a plan without exits,
-    /// [`QuantError::InvalidInput`] for an empty batch or an input shape
-    /// mismatch, [`QuantError::NonFinite`] for NaN/infinite input values, or
-    /// propagates execution errors.
-    pub fn predict_probs_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize), QuantError> {
-        self.per_batch(|plan| walker::predict_fixed(plan, inputs, n_samples, seed, out))
-    }
-
-    /// The batch-boundary-invariant counterpart of
-    /// [`QuantPlan::predict_probs_into`]: masks are drawn **per sample** and
-    /// broadcast across the batch, so every row is bit-exact with a
-    /// single-sample call at the same seed however requests were batched
-    /// (and the whole call is, for `batch == 1`). The serving entry point;
-    /// allocation-free once warm, see [`QuantPlan::ensure_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidInput`] for an empty batch or an input
-    /// shape mismatch, [`QuantError::NonFinite`] for NaN/infinite input
-    /// values, or propagates execution errors.
-    pub fn predict_probs_batch_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        out: &mut Vec<f32>,
-    ) -> Result<(usize, usize), QuantError> {
-        walker::predict_fixed(self, inputs, n_samples, seed, out)
-    }
-
-    /// [`QuantPlan::predict_probs_into`] returning a fresh tensor.
-    ///
-    /// # Errors
-    ///
-    /// See [`QuantPlan::predict_probs_into`].
-    pub fn predict_probs(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-    ) -> Result<Tensor, QuantError> {
-        let mut out = Vec::new();
-        let (batch, classes) = self.predict_probs_into(inputs, n_samples, seed, &mut out)?;
-        Ok(Tensor::from_vec(out, &[batch, classes])?)
-    }
-
-    /// Static cost of the fixed-depth path
-    /// ([`QuantPlan::predict_probs_batch_into`]) for a `batch`-sample call
-    /// at `n_samples` MC samples; see [`walker::fixed_cost`].
-    pub fn fixed_cost(&self, batch: usize, n_samples: usize) -> (u64, u64) {
-        walker::fixed_cost(self, batch, n_samples)
-    }
-
-    /// Policy-driven adaptive batched prediction ([`walker::predict_adaptive`]):
-    /// confident samples retire at shallow exits and the survivors are
-    /// compacted in place within the pinned block-boundary slot, so only
-    /// stragglers pay for deeper blocks. Every row — probabilities *and*
-    /// exit — is bit-exact with evaluating that sample alone; `Never` is
-    /// bit-exact with [`QuantPlan::predict_probs_batch_into`]. Allocation-free
-    /// once warm, see [`QuantPlan::ensure_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidInput`] for an invalid policy threshold,
-    /// an empty batch or a shape mismatch, [`QuantError::NonFinite`] for
-    /// NaN/infinite input values, [`QuantError::Internal`] for a plan
-    /// without exits or with exits attached out of depth order, or
-    /// propagates execution errors.
-    pub fn predict_adaptive_batch_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        policy: &ExitPolicy,
-        out: &mut Vec<f32>,
-        exit_taken: &mut Vec<usize>,
-    ) -> Result<AdaptiveStats, QuantError> {
-        walker::predict_adaptive(self, inputs, n_samples, seed, policy, out, exit_taken)
-    }
-
-    /// [`QuantPlan::predict_adaptive_batch_into`] returning owned values.
-    ///
-    /// # Errors
-    ///
-    /// See [`QuantPlan::predict_adaptive_batch_into`].
-    pub fn predict_adaptive_batch(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        policy: &ExitPolicy,
-    ) -> Result<AdaptivePrediction, QuantError> {
-        ExitPlan::predict_adaptive_batch(self, inputs, n_samples, seed, policy)
-    }
-}
-
-/// The walker's view of the integer plan: blocks and exits run on the
-/// arena at the plan's current mask granularity (per-sample outside
-/// [`QuantPlan::predict_probs_into`]), and compaction moves rows within the
-/// pinned block-boundary slots.
-impl ExitPlan for QuantPlan {
-    type Error = QuantError;
-
-    fn in_dims(&self) -> &[usize] {
-        &self.schedule.in_dims
-    }
-
-    fn num_exits(&self) -> usize {
-        self.schedule.exits.len()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.schedule.classes
-    }
-
-    fn exit_block(&self, exit: usize) -> usize {
-        self.schedule.exits[exit].after_block
-    }
-
-    fn block_cost(&self, block: usize) -> (u64, u64) {
-        steps_cost(&self.schedule.backbone[self.blocks.steps(block..block + 1)])
-    }
-
-    fn exit_cost(&self, exit: usize) -> (u64, u64) {
-        steps_cost(&self.schedule.exits[exit].steps)
-    }
-
-    fn ensure_batch(&mut self, max_batch: usize) {
-        QuantPlan::ensure_batch(self, max_batch);
-    }
-
-    fn stage_input(&mut self, inputs: &Tensor) -> Result<usize, QuantError> {
-        self.load_input(inputs)
-    }
-
-    fn run_blocks(&mut self, blocks: Range<usize>, live: usize) -> Result<(), QuantError> {
-        let (exec, masks) = (self.exec, self.masks);
-        let steps = self.blocks.steps(blocks);
-        let streams = &mut self.streams[steps.clone()];
-        for (step, rng) in self.schedule.backbone[steps].iter().zip(streams) {
-            run_step(step, rng, &mut self.arena, exec, live, Mode::Eval, masks)?;
-        }
-        Ok(())
-    }
-
-    fn run_exit(&mut self, exit: usize, live: usize, mode: Mode) -> Result<&[f32], QuantError> {
-        let (exec, masks) = (self.exec, self.masks);
-        let first = self.schedule.exit_start(exit);
-        let exit = &self.schedule.exits[exit];
-        for (step, rng) in exit.steps.iter().zip(&mut self.streams[first..]) {
-            run_step(step, rng, &mut self.arena, exec, live, mode, masks)?;
-        }
-        let n: usize = exit.out_dims.iter().product::<usize>() * live;
-        let scale = exit.out_params.scale();
-        let logits = &mut self.arena.logits[..n];
-        for (l, &c) in logits.iter_mut().zip(&self.arena.slots[exit.out_slot][..n]) {
-            *l = c as f32 * scale;
-        }
-        Ok(logits)
-    }
-
-    /// Walks the flat step list (backbone, then exits in attachment
-    /// order): the float network's stream assignment.
-    fn reseed_mc_streams(&mut self, master_seed: u64) {
-        let mut seeds = SplitMix64::new(master_seed);
-        for (step, rng) in self.schedule.steps().zip(&mut self.streams) {
-            if matches!(step.op, ScheduleOp::McDropout { .. }) {
-                *rng = Xoshiro256StarStar::seed_from_u64(seeds.next_u64());
-            }
-        }
-    }
-
-    fn move_row(&mut self, block: usize, from: usize, to: usize) {
-        self.blocks.move_row(&mut self.arena.slots, block, from, to);
-    }
-
-    fn scratch(&mut self) -> &mut WalkScratch {
-        &mut self.arena.walk
-    }
-}
-
 impl CalibratedNetwork {
     /// Compiles the arena-allocated execution plan for one format — pure
     /// bookkeeping over the stored records plus one-time weight packing; no
@@ -679,327 +648,32 @@ impl CalibratedNetwork {
     /// Returns [`QuantError::Unsupported`] for formats wider than 16 bits,
     /// or [`QuantError::Internal`] on lowering/record skew.
     pub fn plan(&self, format: FixedPointFormat) -> Result<QuantPlan, QuantError> {
-        QuantPlan::compile(self, format)
+        let total_bits = QuantParams::new(format)?.format().total_bits();
+        let mut hook = QuantAttach {
+            total_bits,
+            records: self.records.iter(),
+        };
+        let schedule = skeleton::compile(
+            &self.blocks,
+            (self.exits.iter()).map(|(after_block, lowering)| (*after_block, lowering)),
+            &self.in_dims,
+            self.input.params(total_bits)?,
+            &mut hook,
+        )?;
+        if hook.records.len() != 0 {
+            return Err(QuantError::Internal(format!(
+                "{} calibration record(s) left over after the last step (lowering/record skew)",
+                hook.records.len()
+            )));
+        }
+        Ok(Plan::new(schedule))
     }
-}
-
-/// Executes one flattened step on the arena; an MC-dropout step draws its
-/// masks from `rng`, its own stream. Conv and dense steps accumulate at the
-/// width of their output format (every value in a plan shares one width).
-fn run_step(
-    step: &ScheduleStep,
-    rng: &mut Xoshiro256StarStar,
-    arena: &mut Arena,
-    exec: Option<Executor>,
-    batch: usize,
-    mode: Mode,
-    masks: MaskGranularity,
-) -> Result<(), QuantError> {
-    let in_elems = step.in_dims.iter().product::<usize>() * batch;
-    let out_elems = step.out_dims.iter().product::<usize>() * batch;
-    let pick_exec = |work: usize| -> Executor {
-        match exec {
-            Some(e) => e,
-            None => {
-                if work >= PAR_MACS_THRESHOLD {
-                    Executor::global()
-                } else {
-                    Executor::sequential()
-                }
-            }
-        }
-    };
-    match &step.op {
-        ScheduleOp::Conv {
-            weights,
-            bias,
-            out_c,
-            in_c,
-            kernel,
-            stride,
-            padding,
-            shift,
-            out,
-            ..
-        } => {
-            let (out_c, shift) = (*out_c, *shift);
-            let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-            let geom = ConvGeometry::square(h, w, *kernel, *stride, *padding);
-            let plane = geom.out_h() * geom.out_w();
-            let kred = in_c * kernel * kernel;
-            let ncols = batch * plane;
-            let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-            {
-                let src = &arena.slots[step.src][..in_elems];
-                im2row_i16_into(src, batch, c, &geom, &mut arena.cols)?;
-            }
-            let exec = pick_exec(out_c * kred * ncols);
-            let (qmin, qmax) = (out.qmin(), out.qmax());
-            match out.width() {
-                IntWidth::W8 => {
-                    let acc = &mut arena.acc32[..out_c * ncols];
-                    matmul_wide_i32_into(
-                        &exec,
-                        weights,
-                        &arena.cols[..kred * ncols],
-                        out_c,
-                        kred,
-                        ncols,
-                        acc,
-                    )?;
-                    for co in 0..out_c {
-                        for b in 0..batch {
-                            let src_row =
-                                &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
-                            let start = (b * out_c + co) * plane;
-                            let dst_row = &mut dst[start..start + plane];
-                            requantize_i32_row_into(src_row, bias[co], shift, qmin, qmax, dst_row);
-                        }
-                    }
-                }
-                IntWidth::W16 => {
-                    let acc = &mut arena.acc64[..out_c * ncols];
-                    matmul_abt_i64_into(
-                        &exec,
-                        weights,
-                        &arena.cols[..kred * ncols],
-                        out_c,
-                        kred,
-                        ncols,
-                        acc,
-                    )?;
-                    for co in 0..out_c {
-                        for b in 0..batch {
-                            let src_row =
-                                &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
-                            let start = (b * out_c + co) * plane;
-                            let dst_row = &mut dst[start..start + plane];
-                            requantize_i64_row_into(src_row, bias[co], shift, qmin, qmax, dst_row);
-                        }
-                    }
-                }
-            }
-            arena.slots[step.dst] = dst;
-        }
-        ScheduleOp::Dense {
-            weights_t,
-            bias,
-            in_f,
-            out_f,
-            shift,
-            out,
-            ..
-        } => {
-            let (in_f, out_f, shift) = (*in_f, *out_f, *shift);
-            let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-            let (qmin, qmax) = (out.qmin(), out.qmax());
-            let exec = pick_exec(batch * in_f * out_f);
-            let src = &arena.slots[step.src][..in_elems];
-            let dst_rows = dst[..out_elems].chunks_exact_mut(out_f);
-            match out.width() {
-                IntWidth::W8 => {
-                    let acc = &mut arena.acc32[..batch * out_f];
-                    matmul_wide_i32_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
-                    for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
-                        requantize_i32_row_biased_into(acc_row, bias, shift, qmin, qmax, dst_row);
-                    }
-                }
-                IntWidth::W16 => {
-                    let acc = &mut arena.acc64[..batch * out_f];
-                    matmul_abt_i64_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
-                    for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
-                        requantize_i64_row_biased_into(acc_row, bias, shift, qmin, qmax, dst_row);
-                    }
-                }
-            }
-            arena.slots[step.dst] = dst;
-        }
-        ScheduleOp::Relu => {
-            if step.src == step.dst {
-                for v in arena.slots[step.dst][..in_elems].iter_mut() {
-                    *v = (*v).max(0);
-                }
-            } else {
-                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                for (d, &s) in dst[..in_elems]
-                    .iter_mut()
-                    .zip(&arena.slots[step.src][..in_elems])
-                {
-                    *d = s.max(0);
-                }
-                arena.slots[step.dst] = dst;
-            }
-        }
-        ScheduleOp::MaxPool { kernel, stride } | ScheduleOp::AvgPool { kernel, stride } => {
-            let is_max = matches!(step.op, ScheduleOp::MaxPool { .. });
-            let (kernel, stride) = (*kernel, *stride);
-            let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-            let geom = ConvGeometry::square(h, w, kernel, stride, 0);
-            let (oh, ow) = (geom.out_h(), geom.out_w());
-            let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-            let src = &arena.slots[step.src][..in_elems];
-            for b in 0..batch {
-                for ch in 0..c {
-                    for y in 0..oh {
-                        for x in 0..ow {
-                            let mut best = i64::MIN;
-                            let mut acc = 0i64;
-                            for ky in 0..kernel {
-                                for kx in 0..kernel {
-                                    let iy = y * stride + ky;
-                                    let ix = x * stride + kx;
-                                    if iy < h && ix < w {
-                                        let v = src[((b * c + ch) * h + iy) * w + ix] as i64;
-                                        best = best.max(v);
-                                        acc += v;
-                                    }
-                                }
-                            }
-                            dst[((b * c + ch) * oh + y) * ow + x] = if is_max {
-                                best as i16
-                            } else {
-                                div_round(acc, (kernel * kernel) as i64) as i16
-                            };
-                        }
-                    }
-                }
-            }
-            arena.slots[step.dst] = dst;
-        }
-        ScheduleOp::GlobalAvgPool => {
-            let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-            let plane = (h * w) as i64;
-            let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-            let src = &arena.slots[step.src][..in_elems];
-            for b in 0..batch {
-                for ch in 0..c {
-                    let start = (b * c + ch) * h * w;
-                    let acc: i64 = src[start..start + h * w].iter().map(|&v| v as i64).sum();
-                    dst[b * c + ch] = div_round(acc, plane) as i16;
-                }
-            }
-            arena.slots[step.dst] = dst;
-        }
-        ScheduleOp::Affine { m, b: offsets, out } => {
-            let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-            let plane = h * w;
-            let (qmin, qmax) = (out.qmin(), out.qmax());
-            let apply = |src: &[i16], dst: &mut [i16]| {
-                for b in 0..batch {
-                    for ch in 0..c {
-                        let start = (b * c + ch) * plane;
-                        for i in 0..plane {
-                            let x = src[start + i] as i64;
-                            dst[start + i] =
-                                requantize(x * m[ch] + offsets[ch], MUL_FRAC as i32, qmin, qmax)
-                                    as i16;
-                        }
-                    }
-                }
-            };
-            if step.src == step.dst {
-                let mut buf = std::mem::take(&mut arena.slots[step.dst]);
-                let src_copy: &mut [i16] = &mut buf[..in_elems];
-                // Elementwise read-then-write on the same index is in-place
-                // safe; do it in a single pass.
-                for b in 0..batch {
-                    for ch in 0..c {
-                        let start = (b * c + ch) * plane;
-                        for v in src_copy[start..start + plane].iter_mut() {
-                            *v = requantize(
-                                *v as i64 * m[ch] + offsets[ch],
-                                MUL_FRAC as i32,
-                                qmin,
-                                qmax,
-                            ) as i16;
-                        }
-                    }
-                }
-                arena.slots[step.dst] = buf;
-            } else {
-                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                apply(&arena.slots[step.src][..in_elems], &mut dst[..in_elems]);
-                arena.slots[step.dst] = dst;
-            }
-        }
-        ScheduleOp::McDropout {
-            rate,
-            scale_q,
-            params,
-        } => {
-            let sampling = mode.samples_mc_dropout() && *rate > 0.0;
-            if !sampling {
-                // Stream positions stay aligned: a non-sampling pass draws
-                // nothing, exactly like the float McDropout layer.
-                if step.src != step.dst {
-                    let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                    dst[..in_elems].copy_from_slice(&arena.slots[step.src][..in_elems]);
-                    arena.slots[step.dst] = dst;
-                }
-                return Ok(());
-            }
-            let keep = 1.0 - *rate;
-            let (draws, plane) = masks.draws(&step.in_dims, batch);
-            for m in arena.mask[..draws].iter_mut() {
-                *m = rng.bernoulli(keep);
-            }
-            let (qmin, qmax) = (params.qmin(), params.qmax());
-            let scale_q = *scale_q;
-            let mask = &arena.mask;
-            let drop_one = |v: i64, kept: bool| -> i16 {
-                if kept {
-                    requantize(v * scale_q, MUL_FRAC as i32, qmin, qmax) as i16
-                } else {
-                    0
-                }
-            };
-            if step.src == step.dst {
-                let mut buf = std::mem::take(&mut arena.slots[step.dst]);
-                for (i, v) in buf[..in_elems].iter_mut().enumerate() {
-                    *v = drop_one(*v as i64, mask[(i / plane) % draws]);
-                }
-                arena.slots[step.dst] = buf;
-            } else {
-                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                for (i, (d, &s)) in dst[..in_elems]
-                    .iter_mut()
-                    .zip(&arena.slots[step.src][..in_elems])
-                    .enumerate()
-                {
-                    *d = drop_one(s as i64, mask[(i / plane) % draws]);
-                }
-                arena.slots[step.dst] = dst;
-            }
-        }
-        ScheduleOp::Merge {
-            m_shift,
-            s_shift,
-            out,
-        } => {
-            let (qmin, qmax) = (out.qmin(), out.qmax());
-            let (m_shift, s_shift) = (*m_shift, *s_shift);
-            let src2 = step.src2.ok_or_else(|| {
-                QuantError::Internal("a residual merge step has no shortcut source".into())
-            })?;
-            let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-            let main = &arena.slots[step.src][..out_elems];
-            let short = &arena.slots[src2][..out_elems];
-            for ((d, &a), &b) in dst[..out_elems].iter_mut().zip(main).zip(short) {
-                let x = requantize(a as i64, m_shift, qmin, qmax);
-                let y = requantize(b as i64, s_shift, qmin, qmax);
-                *d = (x + y).max(0).min(qmax) as i16;
-            }
-            arena.slots[step.dst] = dst;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_models::{zoo, LayerSpec, ModelConfig, NetworkSpec};
-    use bnn_nn::layer::Mode;
+    use bnn_models::{zoo, ExitPlan, LayerSpec, ModelConfig, NetworkSpec};
     use bnn_nn::Network;
 
     fn fmt(total: u32, int: u32) -> FixedPointFormat {
@@ -1009,6 +683,12 @@ mod tests {
     fn calib_batch(dims: &[usize], seed: u64) -> Tensor {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         Tensor::randn(dims, &mut rng)
+    }
+
+    /// The backbone once in [`Mode::Eval`], then every exit in `mode`.
+    fn run_exits(plan: &mut QuantPlan, x: &Tensor, mode: Mode) -> Vec<Tensor> {
+        plan.run_backbone(x, Mode::Eval).unwrap();
+        plan.forward_exits(mode).unwrap()
     }
 
     fn lenet(seed: u64) -> bnn_models::MultiExitNetwork {
@@ -1044,7 +724,7 @@ mod tests {
         );
         assert_eq!(plan.num_exits(), 2);
         assert_eq!(plan.num_classes(), 4);
-        assert_eq!(plan.format(), fmt(8, 3));
+        assert_eq!(plan.schedule().in_note.format().total_bits(), 8);
     }
 
     #[test]
@@ -1059,184 +739,6 @@ mod tests {
         assert!(skewed(&calibrated), "one record over");
         calibrated.records.pop();
         assert!(calibrated.plan(fmt(8, 3)).is_ok());
-    }
-
-    #[test]
-    fn batched_predict_is_concat_of_single_sample_calls() {
-        let net = lenet(21);
-        let calib = calib_batch(&[6, 1, 10, 10], 22);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let batch = 3usize;
-        let x = calib_batch(&[batch, 1, 10, 10], 23);
-        let per = 100usize;
-        for format in [fmt(4, 2), fmt(8, 3), fmt(16, 6)] {
-            let mut plan = calibrated.plan(format).unwrap();
-            let all = plan.predict_probs_batch(&x, 5, 2023).unwrap();
-            for b in 0..batch {
-                let sample = Tensor::from_vec(
-                    x.as_slice()[b * per..(b + 1) * per].to_vec(),
-                    &[1, 1, 10, 10],
-                )
-                .unwrap();
-                let one = plan.predict_probs_batch(&sample, 5, 2023).unwrap();
-                assert_eq!(
-                    &all.as_slice()[b * 4..(b + 1) * 4],
-                    one.as_slice(),
-                    "{format} sample {b}"
-                );
-                // Single-sample batched calls are bit-exact with the
-                // unbatched entry point (same draws, same indexing).
-                let plain = plan.predict_probs(&sample, 5, 2023).unwrap();
-                assert_eq!(one.as_slice(), plain.as_slice(), "{format} sample {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_never_matches_fixed_batch_bitwise() {
-        let net = lenet(41);
-        let calib = calib_batch(&[6, 1, 10, 10], 42);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let x = calib_batch(&[3, 1, 10, 10], 43);
-        for format in [fmt(4, 2), fmt(8, 3), fmt(16, 6)] {
-            let mut plan = calibrated.plan(format).unwrap();
-            let fixed = plan.predict_probs_batch(&x, 6, 2023).unwrap();
-            let adaptive = plan
-                .predict_adaptive_batch(&x, 6, 2023, &ExitPolicy::Never)
-                .unwrap();
-            assert_eq!(fixed.as_slice(), adaptive.probs.as_slice(), "{format}");
-            assert_eq!(adaptive.exit_taken, vec![1; 3], "{format}");
-            assert_eq!(adaptive.stats.ops_executed, adaptive.stats.ops_fixed);
-            assert!(adaptive.stats.ops_fixed > 0);
-        }
-    }
-
-    #[test]
-    fn adaptive_rows_match_single_sample_evaluation() {
-        let net = lenet(45);
-        let calib = calib_batch(&[6, 1, 10, 10], 46);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let batch = 4usize;
-        let x = calib_batch(&[batch, 1, 10, 10], 47);
-        let per = 100usize;
-        for format in [fmt(4, 2), fmt(8, 3), fmt(16, 6)] {
-            let mut plan = calibrated.plan(format).unwrap();
-            for policy in [
-                ExitPolicy::Confidence { threshold: 0.3 },
-                ExitPolicy::Entropy { threshold: 0.97 },
-                ExitPolicy::Confidence { threshold: 0.0 }, // all retire at exit 0
-                ExitPolicy::Confidence { threshold: 1.0 }, // none retire early
-            ] {
-                for n_samples in [0usize, 6] {
-                    let all = plan
-                        .predict_adaptive_batch(&x, n_samples, 2023, &policy)
-                        .unwrap();
-                    for b in 0..batch {
-                        let sample = Tensor::from_vec(
-                            x.as_slice()[b * per..(b + 1) * per].to_vec(),
-                            &[1, 1, 10, 10],
-                        )
-                        .unwrap();
-                        let one = plan
-                            .predict_adaptive_batch(&sample, n_samples, 2023, &policy)
-                            .unwrap();
-                        assert_eq!(
-                            &all.probs.as_slice()[b * 4..(b + 1) * 4],
-                            one.probs.as_slice(),
-                            "{format} {policy} n={n_samples} row {b}"
-                        );
-                        assert_eq!(
-                            all.exit_taken[b], one.exit_taken[0],
-                            "{format} {policy} n={n_samples} row {b}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_saves_ops_when_samples_retire_early() {
-        let net = lenet(51);
-        let calib = calib_batch(&[6, 1, 10, 10], 52);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
-        let x = calib_batch(&[4, 1, 10, 10], 53);
-        let all_early = plan
-            .predict_adaptive_batch(&x, 6, 2023, &ExitPolicy::Confidence { threshold: 0.0 })
-            .unwrap();
-        assert_eq!(all_early.exit_taken, vec![0; 4]);
-        assert!(all_early.stats.ops_executed < all_early.stats.ops_fixed);
-        assert!(all_early.stats.ops_saved_fraction() > 0.0);
-        // Never pays full freight.
-        let never = plan
-            .predict_adaptive_batch(&x, 6, 2023, &ExitPolicy::Never)
-            .unwrap();
-        assert_eq!(never.stats.ops_saved_fraction(), 0.0);
-    }
-
-    #[test]
-    fn adaptive_rejects_invalid_policy() {
-        let net = lenet(55);
-        let calib = calib_batch(&[4, 1, 10, 10], 56);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
-        let x = Tensor::ones(&[1, 1, 10, 10]);
-        for bad in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
-            assert!(matches!(
-                plan.predict_adaptive_batch(&x, 4, 1, &ExitPolicy::Entropy { threshold: bad }),
-                Err(QuantError::InvalidInput(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn malformed_inputs_are_typed_errors() {
-        let net = lenet(31);
-        let calib = calib_batch(&[4, 1, 10, 10], 32);
-        let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
-        let mut plan = calibrated.plan(fmt(8, 3)).unwrap();
-        assert_eq!(plan.in_dims(), &[1, 10, 10]);
-        let empty = Tensor::from_vec(Vec::new(), &[0, 1, 10, 10]).unwrap();
-        assert!(matches!(
-            plan.predict_probs(&empty, 4, 1),
-            Err(QuantError::InvalidInput(_))
-        ));
-        let wrong = calib_batch(&[2, 1, 9, 9], 33);
-        assert!(matches!(
-            plan.predict_probs(&wrong, 4, 1),
-            Err(QuantError::InvalidInput(_))
-        ));
-        assert!(matches!(
-            plan.predict_probs_batch(&wrong, 4, 1),
-            Err(QuantError::InvalidInput(_))
-        ));
-        let no_batch_axis = calib_batch(&[1, 10, 10], 34);
-        assert!(matches!(
-            plan.predict_probs(&no_batch_axis, 4, 1),
-            Err(QuantError::InvalidInput(_))
-        ));
-        // A single non-finite pixel is rejected on every entry point.
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut x = calib_batch(&[2, 1, 10, 10], 35);
-            x.as_mut_slice()[137] = bad;
-            assert!(matches!(
-                plan.forward_exits_int(&x, Mode::Eval),
-                Err(QuantError::NonFinite(_))
-            ));
-            assert!(matches!(
-                plan.predict_probs(&x, 4, 1),
-                Err(QuantError::NonFinite(_))
-            ));
-            assert!(matches!(
-                plan.predict_probs_batch(&x, 4, 1),
-                Err(QuantError::NonFinite(_))
-            ));
-            assert!(matches!(
-                plan.predict_adaptive_batch(&x, 4, 1, &ExitPolicy::Never),
-                Err(QuantError::NonFinite(_))
-            ));
-        }
     }
 
     #[test]
@@ -1264,12 +766,12 @@ mod tests {
         let calibrated =
             CalibratedNetwork::calibrate(&net, &calib_batch(&[6, 1, 10, 10], 6)).unwrap();
         let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
-        assert_eq!(plan.width(), IntWidth::W8);
+        assert_eq!(plan.schedule().in_note.width(), IntWidth::W8);
         let x = calib_batch(&[3, 1, 10, 10], 7);
         let out_params: Vec<QuantParams> =
-            plan.schedule().exits.iter().map(|e| e.out_params).collect();
+            plan.schedule().exits.iter().map(|e| e.out_note).collect();
         for mode in [Mode::Eval, Mode::McSample] {
-            let exits = plan.forward_exits_int(&x, mode).unwrap();
+            let exits = run_exits(&mut plan, &x, mode);
             for (logits, params) in exits.iter().zip(&out_params) {
                 for &v in logits.as_slice() {
                     let steps = v / params.scale();
@@ -1292,18 +794,16 @@ mod tests {
             (fmt(16, 6), IntWidth::W16),
         ] {
             let mut plan = calibrated.plan(format).unwrap();
-            assert_eq!(plan.width(), width, "{format}");
+            assert_eq!(plan.schedule().in_note.width(), width, "{format}");
             for step in plan.schedule().steps() {
                 if let Some(params) = step.op.out_params() {
                     assert_eq!(params.width(), width, "{format} {}", step.op.name());
                 }
             }
             for exit in &plan.schedule().exits {
-                assert_eq!(exit.out_params.width(), width, "{format}");
+                assert_eq!(exit.out_note.width(), width, "{format}");
             }
-            let logits = plan
-                .forward_exits_int(&calib_batch(&[2, 1, 10, 10], 14), Mode::Eval)
-                .unwrap();
+            let logits = run_exits(&mut plan, &calib_batch(&[2, 1, 10, 10], 14), Mode::Eval);
             assert!(logits
                 .iter()
                 .all(|t| t.as_slice().iter().all(|v| v.is_finite())));
@@ -1335,10 +835,10 @@ mod tests {
         let calibrated =
             CalibratedNetwork::calibrate(&net, &calib_batch(&[4, 1, 2, 4], 11)).unwrap();
         let mut plan = calibrated.plan(fmt(4, 2)).unwrap();
-        let out = plan.schedule().exits[0].out_params;
+        let out = plan.schedule().exits[0].out_note;
         for (fill, rail) in [(1e9f32, out.qmax()), (-1e9, out.qmin())] {
             let x = Tensor::full(&[1, 1, 2, 4], fill);
-            let logits = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+            let logits = run_exits(&mut plan, &x, Mode::Eval);
             for &v in logits[0].as_slice() {
                 assert_eq!(
                     v,
@@ -1415,7 +915,7 @@ mod tests {
         let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
         let mut plan = calibrated.plan(fmt(16, 6)).unwrap();
         let x = calib_batch(&[2, 3, 6, 6], 9);
-        let int_logits = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        let int_logits = run_exits(&mut plan, &x, Mode::Eval);
         let float_logits = net.forward_exits(&x, Mode::Eval).unwrap();
         // Measured: max |Δ| = 1.9e-4 against logits up to 1.27 in magnitude;
         // the bound is one step of the ap_fixed<16,6> grid (2^-10).
@@ -1432,8 +932,8 @@ mod tests {
         let x = calib_batch(&[2, 1, 10, 10], 11);
 
         plan.reseed_mc_streams(77);
-        let a = plan.forward_exits_int(&x, Mode::McSample).unwrap();
-        let b = plan.forward_exits_int(&x, Mode::McSample).unwrap();
+        let a = run_exits(&mut plan, &x, Mode::McSample);
+        let b = run_exits(&mut plan, &x, Mode::McSample);
         assert!(
             a.iter()
                 .zip(&b)
@@ -1442,16 +942,16 @@ mod tests {
         );
         // Reseeding replays the exact masks.
         plan.reseed_mc_streams(77);
-        let replay = plan.forward_exits_int(&x, Mode::McSample).unwrap();
+        let replay = run_exits(&mut plan, &x, Mode::McSample);
         for (ta, tr) in a.iter().zip(&replay) {
             assert_eq!(ta.as_slice(), tr.as_slice());
         }
         // Eval draws nothing: it ignores the stream state entirely.
         plan.reseed_mc_streams(5);
-        let e1 = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        let e1 = run_exits(&mut plan, &x, Mode::Eval);
         plan.reseed_mc_streams(6);
-        let _ = plan.forward_exits_int(&x, Mode::McSample).unwrap();
-        let e2 = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        let _ = run_exits(&mut plan, &x, Mode::McSample);
+        let e2 = run_exits(&mut plan, &x, Mode::Eval);
         for (t1, t2) in e1.iter().zip(&e2) {
             assert_eq!(t1.as_slice(), t2.as_slice());
         }

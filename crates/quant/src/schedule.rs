@@ -1,10 +1,11 @@
 //! A compiled plan's flattened step list.
 //!
-//! [`PlanSchedule`] is the step list a [`QuantPlan`] executes — packed
-//! integer weight codes, accumulator-scale biases, requantize shifts,
-//! per-tensor [`QuantParams`] and the liveness-planned arena slot assignment.
-//! The plan keeps its runtime state (RNG streams, arena buffers, executor)
-//! beside it, not in it. Code generators walk the same value to emit a design
+//! [`PlanSchedule`] is the step list a [`QuantPlan`] executes: the step
+//! compiler's skeleton ([`bnn_nn::skeleton`]) with [`ScheduleOp`]s attached —
+//! packed integer weight codes, accumulator-scale biases, requantize shifts
+//! — per-tensor [`QuantParams`] notes and the liveness-planned arena slot
+//! assignment. The plan keeps its runtime state (RNG streams, arena buffers,
+//! executor) beside it, not in it. Code generators walk the same value to emit a design
 //! that computes exactly what the integer path computed when the design
 //! point was scored; `bnn_hls::sim` interprets it as the golden reference
 //! against [`QuantPlan::predict_probs`].
@@ -17,7 +18,7 @@
 //!
 //! ```
 //! use bnn_models::{zoo, ModelConfig};
-//! use bnn_quant::{CalibratedNetwork, FixedPointFormat};
+//! use bnn_quant::{CalibratedNetwork, FixedPointFormat, ScheduleOp};
 //! use bnn_tensor::rng::Xoshiro256StarStar;
 //! use bnn_tensor::Tensor;
 //!
@@ -34,7 +35,7 @@
 //! let schedule = plan.schedule();
 //! assert_eq!(schedule.exits.len(), 2);
 //! assert!(schedule.num_steps() > schedule.slot_elems.len());
-//! assert!(schedule.total_macs() > 0);
+//! assert!(ScheduleOp::total_macs(schedule) > 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -43,8 +44,8 @@
 //! [`QuantPlan::predict_probs`]: crate::QuantPlan::predict_probs
 //! [`QuantPlan::schedule`]: crate::QuantPlan::schedule
 
-use crate::fixed::FixedPointFormat;
 use crate::params::QuantParams;
+use bnn_nn::skeleton::Skeleton;
 
 /// Fractional bits of the fixed-point multipliers the schedule's
 /// [`ScheduleOp::Affine`] and [`ScheduleOp::McDropout`] steps scale by
@@ -193,102 +194,21 @@ impl ScheduleOp {
     pub fn is_mac(&self) -> bool {
         matches!(self, ScheduleOp::Conv { .. } | ScheduleOp::Dense { .. })
     }
-}
 
-/// One flattened step of the integer schedule: a [`ScheduleOp`] plus its
-/// arena slots, static per-sample shapes and `unit_ops` (the per-sample
-/// figure `QuantPlan::fixed_cost` sums), as the step compiler
-/// ([`bnn_nn::skeleton`]) emits it for both plan families.
-pub type ScheduleStep = bnn_nn::skeleton::ScheduleStep<ScheduleOp>;
-
-/// One exit branch of the schedule, in attachment order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleExit {
-    /// The exit's steps, executed after the backbone prefix.
-    pub steps: Vec<ScheduleStep>,
-    /// Slot holding the exit's output codes.
-    pub out_slot: usize,
-    /// Calibrated output (logit) format.
-    pub out_params: QuantParams,
-    /// Per-sample output dims.
-    pub out_dims: Vec<usize>,
-    /// Backbone block this exit reads from.
-    pub after_block: usize,
-}
-
-/// The full flattened schedule of a compiled [`QuantPlan`]: backbone steps,
-/// exit branches and the arena slot plan. See the [module docs](self).
-///
-/// [`QuantPlan`]: crate::QuantPlan
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanSchedule {
-    /// The fixed-point format the plan was compiled for.
-    pub format: FixedPointFormat,
-    /// Number of predicted classes.
-    pub classes: usize,
-    /// Calibrated input activation format.
-    pub in_params: QuantParams,
-    /// Per-sample input dims (batch axis stripped).
-    pub in_dims: Vec<usize>,
-    /// Arena slot the quantized input batch is written to.
-    pub input_slot: usize,
-    /// Backbone steps in execution order.
-    pub backbone: Vec<ScheduleStep>,
-    /// Exit branches in attachment order.
-    pub exits: Vec<ScheduleExit>,
-    /// Per-slot per-sample element capacity (the design's activation
-    /// buffer sizes).
-    pub slot_elems: Vec<usize>,
-}
-
-impl PlanSchedule {
-    /// Iterates every step: backbone first, then exits in attachment order
-    /// — the stream order MC-dropout mask streams are assigned in.
-    pub fn steps(&self) -> impl Iterator<Item = &ScheduleStep> {
-        self.backbone
-            .iter()
-            .chain(self.exits.iter().flat_map(|e| e.steps.iter()))
-    }
-
-    /// Flat index of exit `exit`'s first step (the rule of
-    /// [`bnn_nn::skeleton::flat_exit_start`]).
-    pub fn exit_start(&self, exit: usize) -> usize {
-        bnn_nn::skeleton::flat_exit_start(
-            self.backbone.len(),
-            self.exits[..exit].iter().map(|e| e.steps.len()),
-        )
-    }
-
-    /// Total number of flattened steps (backbone plus all exits).
-    pub fn num_steps(&self) -> usize {
-        self.exit_start(self.exits.len())
-    }
-
-    /// Total per-sample multiply-accumulates of the conv/dense steps — the
-    /// figure the `bnn-hw` layer model prices, so generated designs can be
-    /// cross-checked against phase-2/3 scores.
-    pub fn total_macs(&self) -> u64 {
-        self.steps()
+    /// Total per-sample multiply-accumulates of `schedule`'s conv/dense
+    /// steps — the figure the `bnn-hw` layer model prices, so generated
+    /// designs can be cross-checked against phase-2/3 scores.
+    pub fn total_macs(schedule: &PlanSchedule) -> u64 {
+        (schedule.steps())
             .filter(|s| s.op.is_mac())
             .map(|s| s.unit_ops)
             .sum()
     }
 
-    /// Total per-sample integer ops over every step (the
-    /// `QuantPlan::fixed_cost` unit before batch/pass scaling).
-    pub fn total_unit_ops(&self) -> u64 {
-        self.steps().map(|s| s.unit_ops).sum()
-    }
-
-    /// Total per-sample activation buffer elements (sum of slot capacities).
-    pub fn buffer_elems(&self) -> usize {
-        self.slot_elems.iter().sum()
-    }
-
-    /// Total emitted parameters: weight codes plus biases plus affine
-    /// constant pairs.
-    pub fn weight_params(&self) -> usize {
-        self.steps()
+    /// Total parameters `schedule` emits: weight codes plus biases plus
+    /// affine constant pairs.
+    pub fn weight_params(schedule: &PlanSchedule) -> usize {
+        (schedule.steps())
             .map(|s| match &s.op {
                 ScheduleOp::Conv { weights, bias, .. } => weights.len() + bias.len(),
                 ScheduleOp::Dense {
@@ -299,10 +219,19 @@ impl PlanSchedule {
             })
             .sum()
     }
-
-    /// Depth of the longest step chain one input flows through: the
-    /// backbone plus the deepest exit branch.
-    pub fn pipeline_depth(&self) -> usize {
-        self.backbone.len() + self.exits.iter().map(|e| e.steps.len()).max().unwrap_or(0)
-    }
 }
+
+/// One flattened step of the integer schedule: a [`ScheduleOp`] plus its
+/// arena slots, static per-sample shapes and `unit_ops` (the per-sample
+/// figure `QuantPlan::fixed_cost` sums), as the step compiler
+/// ([`bnn_nn::skeleton`]) emits it for both plan families.
+pub type ScheduleStep = bnn_nn::skeleton::ScheduleStep<ScheduleOp>;
+
+/// The flattened schedule of a compiled [`QuantPlan`]: the step compiler's
+/// [`Skeleton`] with the integer ops attached and every value annotated
+/// with its [`QuantParams`] — backbone steps, exit branches, the arena slot
+/// plan, and the calibrated input format as the skeleton's `in_note`. See
+/// the [module docs](self).
+///
+/// [`QuantPlan`]: crate::QuantPlan
+pub type PlanSchedule = Skeleton<ScheduleOp, QuantParams>;

@@ -3,17 +3,18 @@
 //! A [`BatchEngine`] is anything that can run **batch-boundary-invariant**
 //! Monte-Carlo prediction: the result row for each sample must be bit-exact
 //! with a single-sample call at the same `(n_samples, seed)`, however the
-//! dynamic batcher happens to group requests. Both compiled plan families
-//! run the one exit walker ([`bnn_models::walker`]) with per-sample masks,
-//! so one generic [`PlanEngine`] serves either — [`QuantEngine`] over the
-//! integer [`bnn_quant::QuantPlan`], [`FloatEngine`] over the float
-//! [`bnn_models::MultiExitPlan`] — and a worker can serve any mix of batch
-//! sizes without changing a single response bit.
+//! dynamic batcher happens to group requests. Both number formats run the
+//! one compiled plan runtime ([`bnn_models::Plan`]) and its exit walker with
+//! per-sample masks, so one generic [`PlanEngine`] serves either —
+//! [`QuantEngine`] over the integer [`bnn_quant::QuantPlan`],
+//! [`FloatEngine`] over the float [`bnn_models::MultiExitPlan`] — and a
+//! worker can serve any mix of batch sizes without changing a single
+//! response bit.
 
 use crate::error::ServeError;
-use bnn_models::walker::{self, ExitPlan};
-use bnn_models::{AdaptiveStats, ExitPolicy, MultiExitPlan};
-use bnn_quant::QuantPlan;
+use bnn_models::plan::FloatKernel;
+use bnn_models::{AdaptiveStats, ExitPlan, ExitPolicy, Kernel, Plan};
+use bnn_quant::IntKernel;
 use bnn_tensor::Tensor;
 
 /// A batch-capable inference engine a serving worker can own.
@@ -85,39 +86,39 @@ pub trait BatchEngine: Send {
     fn fork(&self) -> Box<dyn BatchEngine>;
 }
 
-/// [`BatchEngine`] over any compiled plan the exit walker drives: a
-/// pass-through to [`walker::predict_fixed`] and
-/// [`walker::predict_adaptive`], whose per-sample masks make both
+/// [`BatchEngine`] over the compiled plan of number format `K`: a
+/// pass-through to [`Plan::predict_probs_batch_into`] and
+/// [`Plan::predict_adaptive_batch_into`], whose per-sample masks make both
 /// batch-boundary invariant.
 #[derive(Debug, Clone)]
-pub struct PlanEngine<P> {
-    plan: P,
+pub struct PlanEngine<K: Kernel> {
+    plan: Plan<K>,
 }
 
-/// The engine over the integer [`QuantPlan`] — the production path:
-/// allocation-free in steady state and SIMD-dispatched. Pin the plan to
-/// `Executor::sequential()` first if the worker should stay strictly
+/// The engine over the integer [`bnn_quant::QuantPlan`] — the production
+/// path: allocation-free in steady state and SIMD-dispatched. Pin the plan
+/// to `Executor::sequential()` first if the worker should stay strictly
 /// allocation-free (results are bitwise identical either way).
-pub type QuantEngine = PlanEngine<QuantPlan>;
+pub type QuantEngine = PlanEngine<IntKernel>;
 
-/// The engine over the float [`MultiExitPlan`] — the reference path for
-/// networks that are not quantized (or not quantizable). Its plan is one
-/// flat arena across blocks and exits, like the integer plan's; pin it to
-/// `Executor::sequential()` (`MultiExitPlan::set_executor`) for a strictly
+/// The engine over the float [`bnn_models::MultiExitPlan`] — the reference
+/// path for networks that are not quantized (or not quantizable). Pin its
+/// plan to `Executor::sequential()` (`Plan::set_executor`) for a strictly
 /// allocation-free worker.
-pub type FloatEngine = PlanEngine<MultiExitPlan>;
+pub type FloatEngine = PlanEngine<FloatKernel>;
 
-impl<P> PlanEngine<P> {
+impl<K: Kernel> PlanEngine<K> {
     /// Wraps a compiled plan.
-    pub fn new(plan: P) -> Self {
+    pub fn new(plan: Plan<K>) -> Self {
         PlanEngine { plan }
     }
 }
 
-impl<P> BatchEngine for PlanEngine<P>
+impl<K> BatchEngine for PlanEngine<K>
 where
-    P: ExitPlan + Clone + Send + 'static,
-    ServeError: From<P::Error>,
+    K: Kernel + Clone + Send + 'static,
+    Plan<K>: Send,
+    ServeError: From<K::Error>,
 {
     fn in_dims(&self) -> &[usize] {
         self.plan.in_dims()
@@ -132,7 +133,7 @@ where
     }
 
     fn fixed_unit_ops(&self, n_samples: usize) -> u64 {
-        walker::fixed_cost(&self.plan, 1, n_samples).1
+        self.plan.fixed_cost(1, n_samples).1
     }
 
     fn ensure_batch(&mut self, max_batch: usize) {
@@ -146,7 +147,8 @@ where
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(), ServeError> {
-        walker::predict_fixed(&mut self.plan, inputs, n_samples, seed, out)?;
+        self.plan
+            .predict_probs_batch_into(inputs, n_samples, seed, out)?;
         Ok(())
     }
 
@@ -160,9 +162,7 @@ where
         exit_taken: &mut Vec<usize>,
     ) -> Result<AdaptiveStats, ServeError> {
         let plan = &mut self.plan;
-        Ok(walker::predict_adaptive(
-            plan, inputs, n_samples, seed, policy, out, exit_taken,
-        )?)
+        Ok(plan.predict_adaptive_batch_into(inputs, n_samples, seed, policy, out, exit_taken)?)
     }
 
     fn fork(&self) -> Box<dyn BatchEngine> {

@@ -107,8 +107,15 @@ fn design_and_plan(subject: &Subject, format: FixedPointFormat) -> (LoweredDesig
     (design, plan)
 }
 
+/// The plan's backbone once in `Mode::Eval`, then every exit's dequantized
+/// logits in `mode`: the plan side of the simulator's `forward_exits`.
+fn plan_exits(plan: &mut QuantPlan, x: &Tensor, mode: Mode) -> Vec<Tensor> {
+    plan.run_backbone(x, Mode::Eval).unwrap();
+    plan.forward_exits(mode).unwrap()
+}
+
 /// Dequantizes one exit's integer codes the way the plan's
-/// `forward_exits_int` does, for exact f32 comparison.
+/// `forward_exits` does, for exact f32 comparison.
 fn dequant(codes: &[i64], scale: f32) -> Vec<f32> {
     codes.iter().map(|&c| c as f32 * scale).collect()
 }
@@ -129,10 +136,10 @@ fn check_forward_is_bit_exact(subject: &Subject) {
 
         // Deterministic forward: no masks drawn on either side.
         let sim_eval = sim.forward_exits(&subject.input, SimMode::Eval).unwrap();
-        let plan_eval = plan.forward_exits_int(&subject.input, Mode::Eval).unwrap();
+        let plan_eval = plan_exits(&mut plan, &subject.input, Mode::Eval);
         assert_eq!(sim_eval.len(), plan_eval.len());
         for (e, (codes, reference)) in sim_eval.iter().zip(&plan_eval).enumerate() {
-            let scale = design.schedule().exits[e].out_params.scale();
+            let scale = design.schedule().exits[e].out_note.scale();
             assert_eq!(
                 dequant(codes, scale),
                 reference.as_slice(),
@@ -150,11 +157,9 @@ fn check_forward_is_bit_exact(subject: &Subject) {
             let sim_mc = sim
                 .forward_exits(&subject.input, SimMode::McSample)
                 .unwrap();
-            let plan_mc = plan
-                .forward_exits_int(&subject.input, Mode::McSample)
-                .unwrap();
+            let plan_mc = plan_exits(&mut plan, &subject.input, Mode::McSample);
             for (e, (codes, reference)) in sim_mc.iter().zip(&plan_mc).enumerate() {
-                let scale = design.schedule().exits[e].out_params.scale();
+                let scale = design.schedule().exits[e].out_note.scale();
                 assert_eq!(
                     dequant(codes, scale),
                     reference.as_slice(),
@@ -252,14 +257,14 @@ fn check_saturation_edges_pin_identically(subject: &Subject) {
         let mut sim = HlsSimulator::new(design.schedule().clone());
 
         // The input quantizer pins at the format's rails.
-        let in_params = design.schedule().in_params;
+        let in_params = design.schedule().in_note;
         assert_eq!(in_params.quantize_value(1.0e6), in_params.qmax());
         assert_eq!(in_params.quantize_value(-1.0e6), in_params.qmin());
 
         let sim_out = sim.forward_exits(&x, SimMode::Eval).unwrap();
-        let plan_out = plan.forward_exits_int(&x, Mode::Eval).unwrap();
+        let plan_out = plan_exits(&mut plan, &x, Mode::Eval);
         for (e, (codes, reference)) in sim_out.iter().zip(&plan_out).enumerate() {
-            let params = design.schedule().exits[e].out_params;
+            let params = design.schedule().exits[e].out_note;
             assert_eq!(
                 dequant(codes, params.scale()),
                 reference.as_slice(),

@@ -7,8 +7,15 @@ mod fixtures;
 
 use bayesnn_fpga::nn::layer::Mode;
 use bayesnn_fpga::nn::Network;
-use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantError};
+use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantError, QuantPlan};
 use bayesnn_fpga::tensor::Tensor;
+
+/// The plan's backbone once in `Mode::Eval`, then every exit's dequantized
+/// logits in `mode`.
+fn plan_exits(plan: &mut QuantPlan, x: &Tensor, mode: Mode) -> Vec<Tensor> {
+    plan.run_backbone(x, Mode::Eval).unwrap();
+    plan.forward_exits(mode).unwrap()
+}
 
 /// At `ap_fixed<16,6>` the compiled integer plan tracks the float network:
 /// per exit, every Eval logit is within `BOUND` of the float
@@ -30,7 +37,7 @@ fn sixteen_bit_plan_tracks_float_network_eval_logits() {
     let mut plan = calibrated
         .plan(FixedPointFormat::new(16, 6).unwrap())
         .unwrap();
-    let int_logits = plan.forward_exits_int(&eval, Mode::Eval).unwrap();
+    let int_logits = plan_exits(&mut plan, &eval, Mode::Eval);
     let float_logits = network.forward_exits(&eval, Mode::Eval).unwrap();
     assert_eq!(int_logits.len(), float_logits.len());
     for (exit, (a, b)) in int_logits.iter().zip(&float_logits).enumerate() {
@@ -79,10 +86,10 @@ fn extreme_inputs_saturate_through_the_whole_network() {
     let calibrated = CalibratedNetwork::calibrate(&network, &calib).unwrap();
     for format in FixedPointFormat::search_space() {
         let mut plan = calibrated.plan(format).unwrap();
-        let out_params: Vec<_> = plan.schedule().exits.iter().map(|e| e.out_params).collect();
+        let out_params: Vec<_> = plan.schedule().exits.iter().map(|e| e.out_note).collect();
         for fill in [1e9f32, -1e9] {
             let hot = Tensor::full(&[2, 1, 10, 10], fill);
-            let logits = plan.forward_exits_int(&hot, Mode::Eval).unwrap();
+            let logits = plan_exits(&mut plan, &hot, Mode::Eval);
             for (exit, (t, params)) in logits.iter().zip(&out_params).enumerate() {
                 for &v in t.as_slice() {
                     assert!(v.is_finite(), "{format} exit {exit}: {v}");
@@ -117,8 +124,8 @@ fn shared_calibration_record_matches_one_shot_lowering() {
             .unwrap()
             .plan(format)
             .unwrap();
-        let a = from_record.forward_exits_int(&eval, Mode::Eval).unwrap();
-        let b = one_shot.forward_exits_int(&eval, Mode::Eval).unwrap();
+        let a = plan_exits(&mut from_record, &eval, Mode::Eval);
+        let b = plan_exits(&mut one_shot, &eval, Mode::Eval);
         for (ta, tb) in a.iter().zip(&b) {
             assert_eq!(ta.as_slice(), tb.as_slice(), "{format}");
         }

@@ -15,7 +15,7 @@
 //!    per-request outputs regardless of batching config and worker count,
 //!    on both the integer and the float engine.
 
-use bayesnn_fpga::models::{zoo, ExitPlan, ModelConfig};
+use bayesnn_fpga::models::{zoo, ModelConfig};
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
 use bayesnn_fpga::serve::replay::{replay, ReplayConfig};
 use bayesnn_fpga::serve::{

@@ -9,7 +9,7 @@
 //!
 //! Run under `BNN_THREADS=1` and `4` via `make test-robust`.
 
-use bayesnn_fpga::models::{zoo, ExitPlan, ExitPolicy, ModelConfig};
+use bayesnn_fpga::models::{zoo, ExitPolicy, ModelConfig};
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantPlan};
 use bayesnn_fpga::serve::replay::{replay_under_faults, ReplayConfig};
 use bayesnn_fpga::serve::{

@@ -4,7 +4,7 @@
 //! calls), and that the replay report is internally consistent. Sized to
 //! finish in a few seconds.
 
-use bayesnn_fpga::models::{zoo, ExitPlan, ModelConfig};
+use bayesnn_fpga::models::{zoo, ModelConfig};
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat};
 use bayesnn_fpga::serve::replay::{replay, ReplayConfig};
 use bayesnn_fpga::serve::{ExitPolicy, InferenceServer, QuantEngine, ServeError, ServerConfig};
