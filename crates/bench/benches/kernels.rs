@@ -125,6 +125,24 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| im2row_i16_into(&codes12, 32, 4, &im2row_geom12, &mut packed12).unwrap())
     });
 
+    // The 6x6 stage between those two, and the stride-2 3x3 conv that
+    // leaves it (6x6 -> 3x3). Own stream, so the inputs of the rows below
+    // stay as they were.
+    let mut stage_rng = Xoshiro256StarStar::seed_from_u64(4);
+    for (stride, suffix) in [(1usize, ""), (2, "_s2")] {
+        let geom = ConvGeometry::square(6, 6, 3, stride, 1);
+        let input = Tensor::randn(&[32, 8, 6, 6], &mut stage_rng);
+        let mut cols = Vec::new();
+        im2col_into(&input, &geom, &mut cols).unwrap();
+        group.bench_function(format!("im2col_32x8x6x6{suffix}"), |b| {
+            b.iter(|| im2col_into(&input, &geom, &mut cols).unwrap())
+        });
+        let mut folded = vec![0.0f32; input.len()];
+        group.bench_function(format!("col2im_32x8x6x6{suffix}"), |b| {
+            b.iter(|| col2im_slices_into(&cols, 32, 8, &geom, &mut folded).unwrap())
+        });
+    }
+
     // Covers the slice-based layout reorders on both sides of the im2col
     // matmul (forward output reorder + backward gradient reorder).
     let out = conv.forward(&input, Mode::Train).unwrap();

@@ -58,10 +58,9 @@ impl Layer for ResidualBlock {
                 layer: "residual_block".into(),
             })?;
         let mut grad_sum = grad_output.clone();
+        // A select, not a branch: see `Relu::backward`.
         for (g, &keep) in grad_sum.as_mut_slice().iter_mut().zip(mask) {
-            if !keep {
-                *g = 0.0;
-            }
+            *g = if keep { *g } else { 0.0 };
         }
         let grad_main = self.main.backward(&grad_sum)?;
         let grad_short = if self.shortcut.is_empty() {
@@ -270,6 +269,49 @@ mod tests {
             .forward(&Tensor::ones(&[1, 4, 8, 8]), Mode::Eval)
             .unwrap();
         assert_eq!(block.flops(&shape), main_flops + 2 * out.len() as u64);
+    }
+
+    #[test]
+    fn backward_mask_matches_branchy_mask_bitwise() {
+        // Identity paths on both sides: the block is relu(2x), and its
+        // input gradient is m + m for the masked gradient m.
+        let vals = [
+            -2.0,
+            1.5,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffc0_0042),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE / 2.0,
+        ];
+        let n = vals.len();
+        let x: Vec<f32> = (0..n * n).map(|i| vals[i / n]).collect();
+        let g: Vec<f32> = (0..n * n).map(|i| vals[i % n]).collect();
+        let mut block = ResidualBlock::new(Sequential::new("main"), Sequential::new("shortcut"));
+        let dims = [1, 1, n, n];
+        block
+            .forward(&Tensor::from_vec(x.clone(), &dims).unwrap(), Mode::Train)
+            .unwrap();
+        let got = block
+            .backward(&Tensor::from_vec(g.clone(), &dims).unwrap())
+            .unwrap();
+        let expected: Vec<f32> = g
+            .iter()
+            .zip(&x)
+            .map(|(&gi, &xi)| {
+                let mut m = gi;
+                let keep = xi + xi > 0.0;
+                if !keep {
+                    m = 0.0;
+                }
+                m + m
+            })
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.as_slice()), bits(&expected));
     }
 
     #[test]

@@ -59,10 +59,10 @@ impl Layer for Relu {
             });
         }
         let mut grad = grad_output.clone();
+        // A select, not a branch: the mask is data-dependent, so a branch
+        // mispredicts, while the select vectorizes.
         for (g, &keep) in grad.as_mut_slice().iter_mut().zip(mask) {
-            if !keep {
-                *g = 0.0;
-            }
+            *g = if keep { *g } else { 0.0 };
         }
         Ok(grad)
     }
@@ -154,6 +154,47 @@ mod tests {
         let g = Tensor::ones(&[1, 4]);
         let gi = relu.backward(&g).unwrap();
         assert_eq!(gi.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
+    }
+
+    /// Inputs and gradients with every sign, zero, infinity and NaN payload
+    /// the masks must pass through bit for bit.
+    fn special_values() -> Vec<f32> {
+        vec![
+            -2.0,
+            1.5,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffc0_0042),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE / 2.0,
+        ]
+    }
+
+    #[test]
+    fn relu_backward_matches_branchy_mask_bitwise() {
+        let vals = special_values();
+        let n = vals.len();
+        // Every input against every gradient.
+        let x: Vec<f32> = (0..n * n).map(|i| vals[i / n]).collect();
+        let g: Vec<f32> = (0..n * n).map(|i| vals[i % n]).collect();
+        let mut relu = Relu::new();
+        relu.forward(&Tensor::from_vec(x.clone(), &[n, n]).unwrap(), Mode::Train)
+            .unwrap();
+        let got = relu
+            .backward(&Tensor::from_vec(g.clone(), &[n, n]).unwrap())
+            .unwrap();
+        let mut expected = g;
+        for (e, &xi) in expected.iter_mut().zip(&x) {
+            let keep = xi > 0.0;
+            if !keep {
+                *e = 0.0;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.as_slice()), bits(&expected));
     }
 
     #[test]

@@ -277,12 +277,16 @@ pub fn im2col_into(
     debug_assert_eq!(in_w, geom.in_w);
     // The fill writes every element (padding taps write literal 0.0), so a
     // buffer that is already the right size needs no re-initialisation — the
-    // steady-state reuse path is a pure overwrite. A fresh allocation goes
-    // through `vec![0.0; n]` (calloc's lazily zeroed pages) rather than
-    // `resize` (explicit memset).
+    // steady-state reuse path is a pure overwrite. A buffer with room keeps
+    // its allocation across batch sizes (a short last batch only truncates
+    // it); only outgrowing it allocates afresh, through `vec![0.0; n]`
+    // (calloc's lazily zeroed pages) rather than `resize`, which would also
+    // copy the stale contents over.
     let len = channels * geom.kernel_h * geom.kernel_w * batch * geom.out_h() * geom.out_w();
-    if out.len() != len {
+    if len > out.capacity() {
         *out = vec![0.0f32; len];
+    } else {
+        out.resize(len, 0.0);
     }
     im2col_slices_into(input.as_slice(), batch, channels, geom, out)
 }
@@ -598,6 +602,15 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// [`bits`] with every NaN read as one value: which payload a sum of
+    /// two NaNs carries is unspecified (the compiler may swap the operands
+    /// of an addition), so a fold is held to NaN-ness, not to payloads.
+    fn sum_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
     /// The per-element im2row: the transposed unfold, one `rows`-long patch
     /// per output position.
     fn im2row_reference(data: &[i16], batch: usize, channels: usize, g: &ConvGeometry) -> Vec<i16> {
@@ -638,8 +651,9 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(33);
         // (in_h, in_w, kernel_h, kernel_w, stride_h, stride_w): strides 2 and
         // 3, kernels larger than the (padded) input, 1x1, 2x2, 3x3 and 1-wide
-        // planes, non-square planes and kernels; every padding from 0 up to
-        // the kernel size.
+        // planes, non-square planes and kernels, output planes just below
+        // and at the size from which planes stop stacking (7x9 and 8x8 at
+        // padding 1); every padding from 0 up to the kernel size.
         let shapes = [
             (7usize, 9usize, 3usize, 3usize, 2usize, 2usize),
             (8, 5, 3, 2, 3, 3),
@@ -656,7 +670,24 @@ mod tests {
             (12, 12, 3, 3, 2, 2),
             (6, 4, 1, 1, 2, 3),
             (3, 2, 2, 3, 3, 1),
+            (7, 9, 3, 3, 1, 1),
+            (8, 8, 3, 3, 1, 1),
         ];
+        // Non-finite values and -0.0: unfolds copy them bit for bit, folds
+        // add them in the reference's order.
+        let specials = [
+            f32::from_bits(0x7fc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+        ];
+        let with_specials = |t: Tensor| {
+            let mut v = t.into_vec();
+            for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % 5 == 2) {
+                *x = specials[i / 5 % specials.len()];
+            }
+            v
+        };
         let pooled = Executor::new(4);
         for (in_h, in_w, kernel_h, kernel_w, stride_h, stride_w) in shapes {
             for pad in 0..=kernel_h.max(kernel_w) {
@@ -670,41 +701,30 @@ mod tests {
                     pad_h: pad.min(kernel_h),
                     pad_w: pad.min(kernel_w),
                 };
-                for (batch, channels) in [(1usize, 1usize), (3, 2), (1, 3)] {
+                // A batch that is not a multiple of the stacked group, where
+                // planes stack.
+                let group = crate::unfold::stack_group(&geom, usize::MAX);
+                let ragged = (group > 1).then_some((group + group / 2 + 1, 2));
+                for (batch, channels) in
+                    [(1usize, 1usize), (3, 2), (1, 3)].into_iter().chain(ragged)
+                {
                     let ctx = format!("{geom:?} batch={batch} channels={channels}");
-                    let data = Tensor::randn(&[batch, channels, in_h, in_w], &mut rng);
-                    let expected = im2col_reference(data.as_slice(), batch, channels, &geom);
-                    let grad = Tensor::randn(&[expected.len()], &mut rng);
-                    let folded = col2im_reference(grad.as_slice(), batch, channels, &geom);
+                    let data =
+                        with_specials(Tensor::randn(&[batch, channels, in_h, in_w], &mut rng));
+                    let expected = im2col_reference(&data, batch, channels, &geom);
+                    let grad = with_specials(Tensor::randn(&[expected.len()], &mut rng));
+                    let folded = col2im_reference(&grad, batch, channels, &geom);
                     for exec in [Executor::sequential(), pooled] {
                         let mut cols = vec![f32::NAN; expected.len()];
-                        im2col_slices_into_with(
-                            &exec,
-                            data.as_slice(),
-                            batch,
-                            channels,
-                            &geom,
-                            &mut cols,
-                        )
-                        .unwrap();
+                        im2col_slices_into_with(&exec, &data, batch, channels, &geom, &mut cols)
+                            .unwrap();
                         assert_eq!(bits(&cols), bits(&expected), "im2col {ctx}");
                         let mut fold = vec![f32::NAN; folded.len()];
-                        col2im_slices_into_with(
-                            &exec,
-                            grad.as_slice(),
-                            batch,
-                            channels,
-                            &geom,
-                            &mut fold,
-                        )
-                        .unwrap();
-                        assert_eq!(bits(&fold), bits(&folded), "col2im {ctx}");
+                        col2im_slices_into_with(&exec, &grad, batch, channels, &geom, &mut fold)
+                            .unwrap();
+                        assert_eq!(sum_bits(&fold), sum_bits(&folded), "col2im {ctx}");
                     }
-                    let codes: Vec<i16> = data
-                        .as_slice()
-                        .iter()
-                        .map(|&v| (v * 4096.0) as i16)
-                        .collect();
+                    let codes: Vec<i16> = data.iter().map(|&v| (v * 4096.0) as i16).collect();
                     let mut patches = vec![i16::MIN; expected.len() + 3];
                     let dims =
                         crate::int::im2row_i16_into(&codes, batch, channels, &geom, &mut patches)
@@ -730,6 +750,14 @@ mod tests {
         let (rows, cols) = im2col_into(&input, &geom, &mut buf).unwrap();
         assert_eq!((rows, cols), (reference.dims()[0], reference.dims()[1]));
         assert_eq!(buf.as_slice(), reference.as_slice());
+        // A smaller batch, then the full one again, reuse the allocation.
+        let ptr = buf.as_ptr();
+        let half = Tensor::from_vec(input.as_slice()[..3 * 36].to_vec(), &[1, 3, 6, 6]).unwrap();
+        im2col_into(&half, &geom, &mut buf).unwrap();
+        assert_eq!(buf.as_slice(), im2col(&half, &geom).unwrap().as_slice());
+        im2col_into(&input, &geom, &mut buf).unwrap();
+        assert_eq!(buf.as_slice(), reference.as_slice());
+        assert_eq!(buf.as_ptr(), ptr);
     }
 
     #[test]

@@ -1,15 +1,30 @@
 //! The one unfold behind every convolution: the f32 im2col fill, its col2im
 //! adjoint and the `i16` im2row fill.
 //!
-//! Each `(batch, channel)` plane is copied once into a zero-bordered padded
-//! plane of `(out - 1) * stride + kernel` rows and columns (so a kernel wider
-//! than the padded input still reads zeros); a per-geometry offset map then
-//! fills every tap with one plain copy loop, [`gather`], free of padding
-//! branches. The fold adds the taps into a zeroed padded plane in
-//! `(kh, kw, oh, ow)` order and copies the interior out. Unfolds are pure
-//! copies and the fold keeps the per-element addition order, so all three
-//! are bit-identical to their per-element definitions. The padded plane and
-//! the map are grow-only thread-local scratch: no steady-state allocation.
+//! The input planes of one channel are copied, a group of batch rows at a
+//! time, into a stack of zero-bordered padded planes of
+//! `(out - 1) * stride + kernel` rows and columns each (so a kernel wider
+//! than the padded input still reads zeros). One per-geometry offset map
+//! covers the whole stack, so every kernel tap fills with one plain copy
+//! loop over `group * out_h * out_w` positions, [`gather`], free of padding
+//! branches. Wide planes go one at a time (their loops are long already);
+//! small planes stack the batch, which is what keeps a 3x3 or 2x2 plane
+//! from paying a loop set-up per handful of copied elements
+//! ([`stack_group`]).
+//!
+//! The fold adds each tap's column row into a zeroed stack through the same
+//! map, in `(kh, kw)` tap order, and copies the interiors out: element by
+//! element on narrow outputs, by output-row runs (the contiguous loop that
+//! vectorizes) from [`WIDE_ROW`] columns on. Within one tap the stack
+//! targets are distinct (one window position per target and plane), so
+//! every input element still receives its contributions in `(kh, kw)`
+//! order starting from `+0.0`, whatever the group or the path: the fold's
+//! addition order is the per-element definition's. Unfolds are pure copies,
+//! so all three are bit-identical to their per-element definitions. The
+//! integer im2row keeps its position-major layout one plane at a time:
+//! each position's patch is its own short copy, so stacking would lengthen
+//! no copy loop. The stack and the map are grow-only thread-local scratch:
+//! no steady-state allocation.
 
 use crate::linalg::{fill_row_blocks, ConvGeometry};
 use parpool::Executor;
@@ -21,33 +36,61 @@ thread_local! {
     static I16_SCRATCH: RefCell<TapMap<i16>> = RefCell::default();
 }
 
-/// One thread's unfold scratch: where each window of one geometry reads
-/// its padded plane, and the plane.
+/// Output positions below which a plane is small enough to stack.
+const SMALL_PLANE: usize = 64;
+
+/// Most output positions one stack of small planes holds, bounding the
+/// scratch for large batches.
+const STACK_POSITIONS: usize = 4096;
+
+/// Output width from which the fold adds whole output-row runs (a
+/// contiguous, vectorizing loop at unit stride) instead of scattering
+/// element by element.
+const WIDE_ROW: usize = 8;
+
+/// Batch rows unfolded or folded together for geometry `g`: one for planes
+/// of [`SMALL_PLANE`] output positions or more, otherwise as many as fit
+/// in [`STACK_POSITIONS`] positions, up to the whole batch.
+pub(crate) fn stack_group(g: &ConvGeometry, batch: usize) -> usize {
+    let out_plane = g.out_h() * g.out_w();
+    if out_plane >= SMALL_PLANE {
+        1
+    } else {
+        (STACK_POSITIONS / out_plane).clamp(1, batch.max(1))
+    }
+}
+
+/// One thread's unfold scratch: where each window of a stack of planes of
+/// one geometry reads the stack, and the stack.
 #[derive(Debug, Default)]
 struct TapMap<T> {
     /// Padded plane rows and columns.
     dims: (usize, usize),
-    /// Window origin of each output position, `(oh, ow)` order.
+    /// Window origin of each output position, `(plane, oh, ow)` order.
     pos: Vec<usize>,
     /// Offset of each kernel tap inside a window, `(kh, kw)` order.
     taps: Vec<usize>,
-    /// The padded plane.
+    /// The stacked padded planes.
     padded: Vec<T>,
 }
 
 impl<T: Copy + Default> TapMap<T> {
-    /// Rebuilds the map for `g` and zeroes a padded plane of its size, in
-    /// place (the vectors only grow).
-    fn rebuild(&mut self, g: &ConvGeometry) {
+    /// Rebuilds the map for a stack of `group` planes of geometry `g` and
+    /// zeroes the stack, in place (the vectors only grow).
+    fn rebuild(&mut self, g: &ConvGeometry, group: usize) {
         let (out_h, out_w) = (g.out_h(), g.out_w());
         let pw = (out_w - 1) * g.stride_w + g.kernel_w;
         self.dims = ((out_h - 1) * g.stride_h + g.kernel_h, pw);
+        let plane = self.plane_len();
         self.padded.clear();
-        self.padded.resize(self.dims.0 * pw, T::default());
+        self.padded.resize(group * plane, T::default());
         self.pos.clear();
-        for oh in 0..out_h {
-            self.pos
-                .extend((0..out_w).map(|ow| oh * g.stride_h * pw + ow * g.stride_w));
+        for p in 0..group {
+            for oh in 0..out_h {
+                self.pos.extend(
+                    (0..out_w).map(|ow| p * plane + oh * g.stride_h * pw + ow * g.stride_w),
+                );
+            }
         }
         self.taps.clear();
         for kh in 0..g.kernel_h {
@@ -55,9 +98,14 @@ impl<T: Copy + Default> TapMap<T> {
         }
     }
 
+    /// Elements of one padded plane.
+    fn plane_len(&self) -> usize {
+        self.dims.0 * self.dims.1
+    }
+
     /// `(plane offset, padded offset, length)` of each input row's part
-    /// inside the padded plane; rows and columns past the last window's
-    /// reach are never read.
+    /// inside a padded plane; rows and columns past the last window's reach
+    /// are never read.
     fn interior<'a>(
         &self,
         g: &'a ConvGeometry,
@@ -72,47 +120,37 @@ impl<T: Copy + Default> TapMap<T> {
         (0..h).map(move |ih| (ih * g.in_w, (ih + g.pad_h) * pw + g.pad_w, w))
     }
 
-    /// Pads one input `plane`, then fills `dst[k * stride..]` with the
-    /// padded plane read at `outer[k] + inner[i]` for every `i`: im2col
-    /// walks the taps outside and the window positions inside, im2row
-    /// (`taps_outside == false`) the reverse.
-    fn unfold(
-        &mut self,
-        g: &ConvGeometry,
-        plane: &[T],
-        taps_outside: bool,
-        dst: &mut [T],
-        stride: usize,
-    ) {
+    /// Copies input `plane` into stack slot `slot`, leaving its border zero.
+    fn pad(&mut self, g: &ConvGeometry, slot: usize, plane: &[T]) {
+        let base = slot * self.plane_len();
         for (src, at, w) in self.interior(g) {
-            self.padded[at..][..w].copy_from_slice(&plane[src..][..w]);
-        }
-        let (outer, inner) = if taps_outside {
-            (&self.taps, &self.pos)
-        } else {
-            (&self.pos, &self.taps)
-        };
-        for (k, &origin) in outer.iter().enumerate() {
-            gather(
-                &mut dst[k * stride..][..inner.len()],
-                &self.padded[origin..],
-                inner,
-            );
+            self.padded[base + at..][..w].copy_from_slice(&plane[src..][..w]);
         }
     }
 }
 
-/// Runs `f` on this thread's scratch in `key`, rebuilt for `g`.
+/// Runs `f` on this thread's scratch in `key`, rebuilt for a stack of
+/// `group` planes of geometry `g`.
 fn with_map<T: Copy + Default>(
     key: &'static LocalKey<RefCell<TapMap<T>>>,
     g: &ConvGeometry,
+    group: usize,
     f: impl FnOnce(&mut TapMap<T>),
 ) {
     key.with(|map| {
         let map = &mut *map.borrow_mut();
-        map.rebuild(g);
+        map.rebuild(g, group);
         f(map)
     })
+}
+
+/// Fills `dst[k * stride..]` with `src` read at `outer[k] + inner[i]` for
+/// every `i`: im2col walks the taps outside and the window positions
+/// inside, im2row the reverse.
+fn gather_rows<T: Copy>(dst: &mut [T], stride: usize, src: &[T], outer: &[usize], inner: &[usize]) {
+    for (k, &origin) in outer.iter().enumerate() {
+        gather(&mut dst[k * stride..][..inner.len()], &src[origin..], inner);
+    }
 }
 
 /// `dst[i] = src[idx[i]]`, four loads per iteration: the copy loop every
@@ -126,6 +164,43 @@ fn gather<T: Copy>(dst: &mut [T], src: &[T], idx: &[usize]) {
     for (d, &i) in dst4.into_remainder().iter_mut().zip(idx4.remainder()) {
         *d = src[i];
     }
+}
+
+/// `dst[idx[i]] += src[i]` with distinct `idx`, four elements per
+/// iteration: the fold's add loop on narrow planes.
+fn scatter_add(dst: &mut [f32], src: &[f32], idx: &[usize]) {
+    let mut src4 = src.chunks_exact(4);
+    let mut idx4 = idx.chunks_exact(4);
+    for (s, i) in (&mut src4).zip(&mut idx4) {
+        dst[i[0]] += s[0];
+        dst[i[1]] += s[1];
+        dst[i[2]] += s[2];
+        dst[i[3]] += s[3];
+    }
+    for (&s, &i) in src4.remainder().iter().zip(idx4.remainder()) {
+        dst[i] += s;
+    }
+}
+
+/// `run[i * stride] += grad[i]`: one output-row run of the fold on wide
+/// planes, each element added once. Unit stride is the contiguous loop that
+/// vectorizes; taking both as parameters tells the compiler they do not
+/// overlap.
+fn add_run(run: &mut [f32], grad: &[f32], stride: usize) {
+    if stride == 1 {
+        run.iter_mut().zip(grad).for_each(|(a, &v)| *a += v);
+    } else {
+        run.iter_mut()
+            .step_by(stride)
+            .zip(grad)
+            .for_each(|(a, &v)| *a += v);
+    }
+}
+
+/// The batch rows `lo..hi` whose plane of channel `c` lies in NCHW planes
+/// `p0..p1` of a `channels`-channel tensor.
+fn batch_rows(p0: usize, p1: usize, c: usize, channels: usize) -> std::ops::Range<usize> {
+    p0.saturating_sub(c).div_ceil(channels)..p1.saturating_sub(c).div_ceil(channels)
 }
 
 /// Fills the `[channels * kh * kw, batch * out_h * out_w]` column matrix
@@ -142,12 +217,18 @@ pub(crate) fn im2col(
     let (in_plane, out_plane) = (g.in_h * g.in_w, g.out_h() * g.out_w());
     let cols = batch * out_plane;
     let block = g.kernel_h * g.kernel_w * cols;
+    let group = stack_group(g, batch);
     fill_row_blocks(exec, out, channels, block, |c0, rows| {
-        with_map(&F32_SCRATCH, g, |map| {
+        with_map(&F32_SCRATCH, g, group, |map| {
             for (c, rows) in (c0..).zip(rows.chunks_exact_mut(block)) {
-                for b in 0..batch {
-                    let plane = &data[(b * channels + c) * in_plane..];
-                    map.unfold(g, plane, true, &mut rows[b * out_plane..], cols);
+                for b0 in (0..batch).step_by(group) {
+                    let n = group.min(batch - b0);
+                    for slot in 0..n {
+                        let plane = &data[((b0 + slot) * channels + c) * in_plane..];
+                        map.pad(g, slot, plane);
+                    }
+                    let (pos, dst) = (&map.pos[..n * out_plane], &mut rows[b0 * out_plane..]);
+                    gather_rows(dst, cols, &map.padded, &map.taps, pos);
                 }
             }
         });
@@ -168,40 +249,45 @@ pub(crate) fn col2im(
     let (in_plane, out_w) = (g.in_h * g.in_w, g.out_w());
     let out_plane = g.out_h() * out_w;
     let (cols, taps) = (batch * out_plane, g.kernel_h * g.kernel_w);
+    let group = stack_group(g, batch);
+    let scatter = out_w < WIDE_ROW;
     fill_row_blocks(exec, out, batch * channels, in_plane, |p0, planes| {
-        with_map(&F32_SCRATCH, g, |map| {
-            let row_step = map.dims.1 * g.stride_h;
-            for (p, dst) in (p0..).zip(planes.chunks_exact_mut(in_plane)) {
-                let (b, c) = (p / channels, p % channels);
-                map.padded.fill(0.0);
-                for (t, &tap) in map.taps.iter().enumerate() {
-                    let grad = &columns[(c * taps + t) * cols + b * out_plane..][..out_plane];
-                    let runs = map.padded[tap..].chunks_mut(row_step);
-                    for (run, grad_row) in runs.zip(grad.chunks_exact(out_w)) {
-                        add_run(run, grad_row, g.stride_w);
+        let p1 = p0 + planes.len() / in_plane;
+        with_map(&F32_SCRATCH, g, group, |map| {
+            let (plane_len, row_step) = (map.plane_len(), map.dims.1 * g.stride_h);
+            for c in 0..channels {
+                let rows = batch_rows(p0, p1, c, channels);
+                for b0 in rows.clone().step_by(group) {
+                    let n = group.min(rows.end - b0);
+                    let stack = &mut map.padded[..n * plane_len];
+                    stack.fill(0.0);
+                    for (t, &tap) in map.taps.iter().enumerate() {
+                        let grad = &columns[(c * taps + t) * cols + b0 * out_plane..];
+                        let grad = &grad[..n * out_plane];
+                        if scatter {
+                            scatter_add(&mut stack[tap..], grad, &map.pos[..grad.len()]);
+                        } else {
+                            for (slot, grad) in grad.chunks_exact(out_plane).enumerate() {
+                                let runs = stack[slot * plane_len + tap..].chunks_mut(row_step);
+                                for (run, grad_row) in runs.zip(grad.chunks_exact(out_w)) {
+                                    add_run(run, grad_row, g.stride_w);
+                                }
+                            }
+                        }
                     }
-                }
-                dst.fill(0.0);
-                for (dst_row, src, w) in map.interior(g) {
-                    dst[dst_row..][..w].copy_from_slice(&map.padded[src..][..w]);
+                    for slot in 0..n {
+                        let dst = &mut planes[((b0 + slot) * channels + c - p0) * in_plane..];
+                        let dst = &mut dst[..in_plane];
+                        dst.fill(0.0);
+                        let padded = &map.padded[slot * plane_len..];
+                        for (dst_row, src, w) in map.interior(g) {
+                            dst[dst_row..][..w].copy_from_slice(&padded[src..][..w]);
+                        }
+                    }
                 }
             }
         });
     });
-}
-
-/// `run[i * stride] += grad[i]`: one output-row run of the fold, each
-/// element added once. Unit stride is the contiguous loop that vectorizes;
-/// taking both as parameters tells the compiler they do not overlap.
-fn add_run(run: &mut [f32], grad: &[f32], stride: usize) {
-    if stride == 1 {
-        run.iter_mut().zip(grad).for_each(|(a, &v)| *a += v);
-    } else {
-        run.iter_mut()
-            .step_by(stride)
-            .zip(grad)
-            .for_each(|(a, &v)| *a += v);
-    }
 }
 
 /// Fills the transposed `[batch * out_h * out_w, channels * kh * kw]`
@@ -217,11 +303,12 @@ pub(crate) fn im2row_i16(
     let (in_plane, out_plane) = (g.in_h * g.in_w, g.out_h() * g.out_w());
     let taps = g.kernel_h * g.kernel_w;
     let rows = channels * taps;
-    with_map(&I16_SCRATCH, g, |map| {
+    with_map(&I16_SCRATCH, g, 1, |map| {
         for p in 0..batch * channels {
             let (b, c) = (p / channels, p % channels);
-            let patches = &mut out[b * out_plane * rows + c * taps..];
-            map.unfold(g, &input[p * in_plane..], false, patches, rows);
+            map.pad(g, 0, &input[p * in_plane..]);
+            let dst = &mut out[b * out_plane * rows + c * taps..];
+            gather_rows(dst, rows, &map.padded, &map.pos, &map.taps);
         }
     });
 }
