@@ -10,8 +10,8 @@
 #   make bench-save - run kernels + framework_phases benches and record the
 #                     results as BENCH_kernels.json / BENCH_phases.json
 #   make test-plans - allocation-audit + zoo-wide float-plan parity + SIMD
-#                     parity suites and the bnn-bayes and bnn-tensor unit
-#                     tests, under BNN_THREADS=1 and 4
+#                     parity + Phase-1 golden suites and the bnn-bayes and
+#                     bnn-tensor unit tests, under BNN_THREADS=1 and 4
 #   make test-serving - serving smoke + determinism suites, under
 #                     BNN_THREADS=1 and 4
 #   make test-robust - serving fault-tolerance suite (panic isolation,
@@ -72,17 +72,19 @@ test-scalar:
 # The execution-plan guarantees, pinned at both ends of the thread-count
 # range: zero steady-state allocations in planned predict_probs and in the
 # FloatEngine's fixed-depth and adaptive batches (allocation_audit), the
-# float plan (and every sampler entry point on it) bit-exact with the layer
-# chain on every zoo model, SIMD kernels bit-exact with scalar, the
-# bnn-bayes unit tests — parallel_sampling_matches_sequential_bitwise runs
-# the sampler's plan clones taken after the backbone — and the bnn-tensor
+# float plan (and every sampler entry point on it, each against its own
+# layer-chain oracle) bit-exact with the layer chain on every zoo model,
+# SIMD kernels bit-exact with scalar, Phase 1's candidate metrics pinned
+# bit for bit against tests/golden/phase1/ (phase1_golden), the bnn-bayes
+# unit tests — parallel_sampling_matches_sequential_bitwise pins the
+# sampler's plan kernels to one and to four threads — and the bnn-tensor
 # unit tests, which hold the shared unfold (im2col, col2im, im2row; its
 # sequential and pooled branches) to per-element references. (Integer plan
 # vs the independent simulator is `make test-hls`.)
 test-plans:
-	BNN_THREADS=1 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity
+	BNN_THREADS=1 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity --test phase1_golden
 	BNN_THREADS=1 $(CARGO) test -q -p bnn-bayes -p bnn-tensor
-	BNN_THREADS=4 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity
+	BNN_THREADS=4 $(CARGO) test -q --test allocation_audit --test planned_parity --test simd_parity --test phase1_golden
 	BNN_THREADS=4 $(CARGO) test -q -p bnn-bayes -p bnn-tensor
 
 # The serving-layer guarantees at both ends of the thread-count range: every

@@ -5,8 +5,6 @@
 //! * [`sampling`] — Monte-Carlo Dropout prediction for multi-exit networks,
 //!   including the backbone-caching optimisation that makes multi-exit MC
 //!   sampling cheap (paper Eq. 2), and confidence-threshold early exiting.
-//! * [`ensemble`] — the deep-ensemble baseline the paper compares calibration
-//!   against.
 //! * [`metrics`] — accuracy, expected calibration error (ECE), maximum
 //!   calibration error, negative log-likelihood, Brier score, predictive
 //!   entropy and mutual information.
@@ -31,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ensemble;
 pub mod error;
 pub mod evaluation;
 pub mod flops_analysis;

@@ -1,14 +1,14 @@
 //! Monte-Carlo Dropout prediction for multi-exit networks.
 //!
-//! Two prediction paths are provided:
-//!
-//! * [`McSampler::predict`] — the paper's multi-exit MCD inference: the
-//!   deterministic backbone runs **once**, its block activations are cached,
-//!   and every additional MC sample only re-runs the (cheap) exit branches
-//!   with fresh dropout masks. One forward pass of all exits yields
-//!   `N_exit` samples, so `N_pass = ceil(N_sample / N_exit)` (paper §IV-B).
-//! * [`McSampler::predict_single_exit`] — the vanilla MCD baseline that
-//!   re-runs the whole network for every sample (paper Eq. 1).
+//! [`McSampler::predict`] is the paper's multi-exit MCD inference (Eq. 2):
+//! the deterministic backbone runs **once** and every MC sample only
+//! re-runs an exit branch with fresh dropout masks. One pass over all exits
+//! yields `N_exit` samples, so `N_pass = ceil(N_sample / N_exit)` (paper
+//! §IV-B). A single-exit network with exit MCD is the same walk with one
+//! exit: it draws the masks the vanilla MCD baseline (paper Eq. 1) draws by
+//! re-running the whole network, because nothing before the exit is
+//! stochastic. [`McSampler::predict_deterministic`] is the non-Bayesian
+//! baseline: the final exit with dropout off.
 //!
 //! Threshold-based early exiting (used for the ECE-optimal rows of
 //! Table I) is provided by [`McSampler::adaptive_exit_predict`], with
@@ -18,42 +18,38 @@
 //! are compacted into a shrinking dense batch and easy samples stop paying
 //! for deeper blocks.
 //!
-//! Both multi-exit paths execute on the network's compiled
-//! [`bnn_models::MultiExitPlan`], which every zoo architecture (batch
-//! normalisation and residual blocks included) compiles to and which
-//! reproduces the layer chain bit for bit. A network that cannot compile
-//! (an in-graph softmax) is a typed error, not a detour through the layer
-//! chain; the single-exit and deterministic baselines still run the layer
-//! chain, as the paper's Eq. 1 reference.
+//! Every entry point is a front end over the network's compiled
+//! [`bnn_models::MultiExitPlan`] ([`MultiExitNetwork::cached_plan`]),
+//! which every zoo architecture (batch normalisation and residual blocks
+//! included) compiles to and which reproduces the layer chain bit for bit.
+//! The pass loop itself is the plan's exit walker ([`bnn_models::walker`]);
+//! this module runs no loop of its own. A network that cannot compile (an
+//! in-graph softmax) is a typed error, not a detour through the layer
+//! chain, and so is MC dropout inside a backbone block, which the walker's
+//! run-the-backbone-once schedule cannot resample.
 //!
-//! # Determinism and parallelism
+//! # Determinism
 //!
 //! Every Monte-Carlo pass draws its dropout masks from a dedicated RNG
 //! stream derived from [`SamplingConfig::seed`] and the pass index (via
-//! [`bnn_tensor::rng::stream_seed`] and [`Network::reseed_mc_streams`]), so a
-//! prediction depends only on the network checkpoint, the inputs and the
-//! sampler seed — never on earlier passes or on scheduling. That is what
-//! lets [`McSampler::predict`] fan independent passes out across the
-//! executor's thread pool (each worker gets a clone of the compiled plan)
-//! while staying bitwise identical to the single-threaded run.
+//! [`bnn_tensor::rng::stream_seed`]), so a prediction depends only on the
+//! network checkpoint, the inputs and the sampler seed — never on earlier
+//! passes, on the executor or on the thread count.
 
 use crate::BayesError;
-use bnn_models::{ExitPlan, ExitPolicy, LayerPlace, MultiExitNetwork};
+use bnn_models::{ExitPolicy, LayerPlace, LayerSpec, MultiExitNetwork};
 use bnn_nn::layer::Mode;
 use bnn_nn::network::Network;
-use bnn_tensor::exec::{in_parallel_region, Executor};
+use bnn_tensor::exec::Executor;
 use bnn_tensor::ops::softmax;
-use bnn_tensor::rng::stream_seed;
 use bnn_tensor::Tensor;
 
 /// Configuration of an MC-Dropout prediction run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingConfig {
-    /// Total number of MC samples to draw (across all exits).
+    /// Total number of MC samples to draw (across all exits); `0` draws one
+    /// sample per exit.
     pub n_samples: usize,
-    /// Calibration bin count used by downstream evaluation (carried along for
-    /// convenience in reports).
-    pub bins: usize,
     /// Master seed of the per-pass dropout-mask streams. Predictions with the
     /// same seed, network and inputs are bitwise reproducible.
     pub seed: u64,
@@ -61,11 +57,7 @@ pub struct SamplingConfig {
 
 impl Default for SamplingConfig {
     fn default() -> Self {
-        SamplingConfig {
-            n_samples: 4,
-            bins: 15,
-            seed: 2023,
-        }
+        SamplingConfig::new(4)
     }
 }
 
@@ -74,7 +66,6 @@ impl SamplingConfig {
     pub fn new(n_samples: usize) -> Self {
         SamplingConfig {
             n_samples,
-            bins: 15,
             seed: 2023,
         }
     }
@@ -84,14 +75,6 @@ impl SamplingConfig {
         self.seed = seed;
         self
     }
-
-    /// Number of exit forward passes needed for a network with `n_exits` exits.
-    pub fn passes_for(&self, n_exits: usize) -> usize {
-        if n_exits == 0 {
-            return 0;
-        }
-        self.n_samples.div_ceil(n_exits)
-    }
 }
 
 /// The result of an MC-Dropout prediction.
@@ -99,11 +82,10 @@ impl SamplingConfig {
 pub struct McPrediction {
     /// Equally weighted mean of all per-sample probability tensors, `[batch, classes]`.
     pub mean_probs: Tensor,
-    /// Every individual sample's probabilities (one `[batch, classes]` tensor
-    /// per exit per pass).
+    /// Every individual sample's probabilities, `[batch, classes]` each, in
+    /// schedule order: sample `s` comes from exit `s % n_exits` on pass
+    /// `s / n_exits` ([`bnn_models::SampleSchedule`]).
     pub per_sample: Vec<Tensor>,
-    /// Number of exit forward passes that were executed.
-    pub passes: usize,
 }
 
 impl McPrediction {
@@ -128,23 +110,24 @@ pub struct EarlyExitPrediction {
 #[derive(Debug, Clone, Default)]
 pub struct McSampler {
     config: SamplingConfig,
-    executor: Executor,
+    executor: Option<Executor>,
 }
 
 impl McSampler {
-    /// Creates a sampler with the given configuration on the process-global
-    /// executor ([`Executor::global`]).
+    /// Creates a sampler with the given configuration; the plan's kernels
+    /// keep their work-size based executor choice.
     pub fn new(config: SamplingConfig) -> Self {
         McSampler {
             config,
-            executor: Executor::global(),
+            executor: None,
         }
     }
 
-    /// Sets the executor MC passes fan out on. [`Executor::sequential`]
-    /// forces single-threaded sampling (results are identical either way).
+    /// Pins the plan's kernels to `executor` for this sampler's predictions
+    /// ([`bnn_models::Plan::set_executor`]). [`Executor::sequential`] forces
+    /// single-threaded kernels; results are identical either way.
     pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
+        self.executor = Some(executor);
         self
     }
 
@@ -155,144 +138,79 @@ impl McSampler {
 
     /// Multi-exit MCD prediction with backbone caching (paper Eq. 2).
     ///
-    /// The deterministic backbone runs once; the (cheap) exit passes are
-    /// independent given their seeded mask streams and fan out across the
-    /// sampler's executor. Everything executes on the compiled
-    /// [`bnn_models::MultiExitPlan`] **cached on the network**
-    /// ([`MultiExitNetwork::cached_plan`]) — backbone and exits run in one
-    /// preallocated arena reused across passes *and across predictions*
-    /// (the lowering + weight-packing compile reruns only after a weight
-    /// mutation or input-shape change). Worker replicas are plan clones
-    /// taken after the backbone ran, which re-run the exits from the block
-    /// outputs pinned in their arena.
-    /// The result is **bit-identical** to running the layer chain pass by
-    /// pass, at every thread count.
+    /// Runs [`bnn_models::Plan::predict_samples_into`] on the plan **cached
+    /// on the network** ([`MultiExitNetwork::cached_plan`]): the backbone
+    /// once in [`Mode::Eval`], then the [`bnn_models::SampleSchedule`] of
+    /// `n_samples` samples over the exits, pass-major, with masks drawn per
+    /// (batch, channel) — the layer chain's rule. The plan's arena is
+    /// reused across predictions; the lowering + weight-packing compile
+    /// reruns only after a weight mutation or input-shape change. The result
+    /// is **bit-identical** to running the layer chain pass by pass, at
+    /// every thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`BayesError::Invalid`] for a network without exits or an
-    /// input without a batch axis, [`BayesError::Model`] when the network
-    /// does not compile to a plan or the input is malformed (wrong shape,
-    /// non-finite values), or propagates execution errors.
+    /// Returns [`BayesError::Invalid`] for a network without exits, with MC
+    /// dropout inside a backbone block, or an input without a batch axis,
+    /// [`BayesError::Model`] when the network does not compile to a plan or
+    /// the input is malformed (wrong shape, non-finite values), or
+    /// propagates execution errors.
     pub fn predict(
         &self,
         network: &mut MultiExitNetwork,
         inputs: &Tensor,
     ) -> Result<McPrediction, BayesError> {
-        let n_exits = network.num_exits();
-        if n_exits == 0 {
+        if network.num_exits() == 0 {
             return Err(BayesError::Invalid("network has no exits".into()));
         }
+        let spec = network.spec();
+        if spec.blocks.iter().flatten().any(LayerSpec::is_mc_dropout) {
+            return Err(BayesError::Invalid(format!(
+                "{}: MC dropout inside a backbone block cannot be resampled by \
+                 a backbone-once walk; place it in the exits (with_exit_mcd)",
+                spec.name
+            )));
+        }
         let plan = network.cached_plan(sample_dims(inputs)?)?;
-        let passes = self.config.passes_for(n_exits).max(1);
-        plan.run_backbone(inputs, Mode::Eval)?;
-        let pass_seeds: Vec<u64> = (0..passes)
-            .map(|p| stream_seed(self.config.seed, p as u64))
-            .collect();
-
-        let pass_exits: Vec<Vec<Tensor>> =
-            if self.executor.threads() > 1 && passes > 1 && !in_parallel_region() {
-                // One plan clone per *worker*, not per pass, taken after the
-                // backbone ran, so each replica re-runs the exits from the
-                // block outputs pinned in its copied arena. Worker w runs
-                // passes w, w+W, … and each pass reseeds from its own
-                // stream, so the assignment does not affect the result. The
-                // cached plan itself serves the last worker, so only
-                // `workers - 1` clones are materialised.
-                let workers = self.executor.threads().min(passes);
-                let mut clones: Vec<bnn_models::MultiExitPlan> = Vec::with_capacity(workers - 1);
-                for _ in 0..workers - 1 {
-                    clones.push(plan.clone());
-                }
-                let mut replicas: Vec<&mut bnn_models::MultiExitPlan> = clones.iter_mut().collect();
-                replicas.push(plan);
-                let per_worker: Vec<Vec<Vec<Tensor>>> = self
-                    .executor
-                    .par_map_mut(&mut replicas, |w, replica| {
-                        pass_seeds[w..]
-                            .iter()
-                            .step_by(workers)
-                            .map(|&seed| {
-                                replica.reseed_mc_streams(seed);
-                                replica.forward_exits(Mode::McSample)
-                            })
-                            .collect::<Result<Vec<Vec<Tensor>>, _>>()
-                    })
-                    .into_iter()
-                    .collect::<Result<_, _>>()?;
-                let mut per_worker = per_worker;
-                (0..passes)
-                    .map(|p| std::mem::take(&mut per_worker[p % workers][p / workers]))
-                    .collect()
-            } else {
-                let mut collected = Vec::with_capacity(passes);
-                for &seed in &pass_seeds {
-                    plan.reseed_mc_streams(seed);
-                    collected.push(plan.forward_exits(Mode::McSample)?);
-                }
-                collected
-            };
-        let mut per_sample = Vec::with_capacity(passes * n_exits);
-        for exits in pass_exits {
-            for logits in exits {
-                per_sample.push(softmax(&logits)?);
-            }
-        }
-        // Keep exactly n_samples samples if the pass granularity overshot.
-        if self.config.n_samples > 0 && per_sample.len() > self.config.n_samples {
-            per_sample.truncate(self.config.n_samples);
-        }
-        let mean_probs = Tensor::mean_of(&per_sample)?;
+        plan.set_executor(self.executor);
+        let (mut mean, mut samples) = (Vec::new(), Vec::new());
+        let (batch, classes) = plan.predict_samples_into(
+            inputs,
+            self.config.n_samples,
+            self.config.seed,
+            &mut mean,
+            &mut samples,
+        )?;
+        let per_sample = samples
+            .chunks_exact(batch * classes)
+            .map(|s| Tensor::from_vec(s.to_vec(), &[batch, classes]))
+            .collect::<Result<_, _>>()?;
         Ok(McPrediction {
-            mean_probs,
+            mean_probs: Tensor::from_vec(mean, &[batch, classes])?,
             per_sample,
-            passes,
-        })
-    }
-
-    /// Vanilla single-exit MCD prediction: the whole network is re-run for
-    /// every MC sample and only the final exit is used (paper Eq. 1).
-    ///
-    /// This is deliberately the paper's slow baseline and stays sequential,
-    /// but each sample still draws from its own seeded mask stream, so the
-    /// result is reproducible and matches any parallel re-implementation
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates network errors.
-    pub fn predict_single_exit(
-        &self,
-        network: &mut dyn Network,
-        inputs: &Tensor,
-    ) -> Result<McPrediction, BayesError> {
-        let samples = self.config.n_samples.max(1);
-        let mut per_sample = Vec::with_capacity(samples);
-        for s in 0..samples {
-            network.reseed_mc_streams(stream_seed(self.config.seed, s as u64));
-            let logits = network.forward_final(inputs, Mode::McSample)?;
-            per_sample.push(softmax(&logits)?);
-        }
-        let mean_probs = Tensor::mean_of(&per_sample)?;
-        Ok(McPrediction {
-            mean_probs,
-            per_sample,
-            passes: samples,
         })
     }
 
     /// Deterministic (dropout-disabled) prediction of the final exit — the
-    /// non-Bayesian baseline.
+    /// non-Bayesian baseline — on the network's cached plan.
     ///
     /// # Errors
     ///
-    /// Propagates network errors.
+    /// Returns [`BayesError::Invalid`] for a network without exits or an
+    /// input without a batch axis, [`BayesError::Model`] when the network
+    /// does not compile to a plan or the input is malformed.
     pub fn predict_deterministic(
         &self,
-        network: &mut dyn Network,
+        network: &mut MultiExitNetwork,
         inputs: &Tensor,
     ) -> Result<Tensor, BayesError> {
-        let logits = network.forward_final(inputs, Mode::Eval)?;
+        let plan = network.cached_plan(sample_dims(inputs)?)?;
+        plan.set_executor(self.executor);
+        plan.run_backbone(inputs, Mode::Eval)?;
+        let logits = plan
+            .forward_exits(Mode::Eval)?
+            .pop()
+            .ok_or_else(|| BayesError::Invalid("network has no exits".into()))?;
         Ok(softmax(&logits)?)
     }
 
@@ -364,6 +282,7 @@ impl McSampler {
         }
         let cumulative = exit_cumulative_flops_fraction(network)?;
         let plan = network.cached_plan(sample_dims(inputs)?)?;
+        plan.set_executor(self.executor);
         let mut out = Vec::new();
         let mut exit_taken = Vec::new();
         // n_samples = 0: one deterministic (dropout-disabled) consult per
@@ -435,11 +354,19 @@ mod tests {
 
     #[test]
     fn sampling_config_pass_arithmetic() {
-        let cfg = SamplingConfig::new(8);
-        assert_eq!(cfg.passes_for(4), 2);
-        assert_eq!(cfg.passes_for(3), 3);
-        assert_eq!(cfg.passes_for(0), 0);
-        assert_eq!(SamplingConfig::default().n_samples, 4);
+        assert_eq!(SamplingConfig::default(), SamplingConfig::new(4));
+        assert_eq!(SamplingConfig::new(8).with_seed(5).seed, 5);
+        // The sample count is the walker's schedule: `n_samples`, or one
+        // deterministic-seeded sample per exit for 0.
+        let mut net = small_lenet();
+        let x = Tensor::ones(&[2, 1, 10, 10]);
+        for n in [0, 1, 3, 5, 8] {
+            let pred = McSampler::new(SamplingConfig::new(n))
+                .predict(&mut net, &x)
+                .unwrap();
+            let kept = bnn_models::SampleSchedule::new(n, net.num_exits()).kept;
+            assert_eq!(pred.num_samples(), kept, "n={n}");
+        }
     }
 
     #[test]
@@ -450,7 +377,6 @@ mod tests {
         let pred = sampler.predict(&mut net, &x).unwrap();
         assert_eq!(pred.mean_probs.dims(), &[3, 10]);
         assert_eq!(pred.num_samples(), 8);
-        assert_eq!(pred.passes, 2);
         // rows sum to one
         for b in 0..3 {
             let s: f32 = pred.mean_probs.as_slice()[b * 10..(b + 1) * 10]
@@ -558,12 +484,46 @@ mod tests {
 
     #[test]
     fn single_exit_prediction_uses_requested_samples() {
-        let mut net = small_net();
+        // Vanilla MCD: one exit with exit MCD, every sample a fresh pass.
+        let config = ModelConfig::cifar10()
+            .with_resolution(12, 12)
+            .with_width_divisor(16);
+        let mut net = zoo::resnet18(&config)
+            .with_exit_mcd(0.3)
+            .unwrap()
+            .build(11)
+            .unwrap();
         let sampler = McSampler::new(SamplingConfig::new(5));
         let x = Tensor::ones(&[2, 3, 12, 12]);
-        let pred = sampler.predict_single_exit(&mut net, &x).unwrap();
+        let pred = sampler.predict(&mut net, &x).unwrap();
         assert_eq!(pred.num_samples(), 5);
         assert_eq!(pred.mean_probs.dims(), &[2, 10]);
+        assert_ne!(pred.per_sample[0].as_slice(), pred.per_sample[1].as_slice());
+    }
+
+    #[test]
+    fn backbone_dropout_is_a_typed_error() {
+        let config = ModelConfig::mnist()
+            .with_resolution(10, 10)
+            .with_width_divisor(8)
+            .with_classes(4);
+        let x = Tensor::ones(&[2, 1, 10, 10]);
+        let sampler = McSampler::new(SamplingConfig::new(4));
+        // LeNet-5's last three weight layers are the head's dense layers, so
+        // one MCD layer lands in the exit and the fourth in block 1.
+        let lenet = |mcd| zoo::lenet5(&config).with_mcd_layers(mcd, 0.25).unwrap();
+        let in_exit = lenet(1);
+        assert!(!in_exit
+            .blocks
+            .iter()
+            .flatten()
+            .any(LayerSpec::is_mc_dropout));
+        assert!(sampler.predict(&mut in_exit.build(3).unwrap(), &x).is_ok());
+        let in_backbone = lenet(4);
+        assert!(matches!(
+            sampler.predict(&mut in_backbone.build(3).unwrap(), &x),
+            Err(BayesError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -27,7 +27,6 @@ use bnn_models::{ModelConfig, MultiExitNetwork, NetworkCheckpoint, NetworkSpec};
 use bnn_nn::network::Network;
 use bnn_nn::optimizer::Sgd;
 use bnn_nn::trainer::{train, LabelledBatchSource, TrainConfig};
-use bnn_tensor::exec::Executor;
 use bnn_tensor::rng::stream_seed;
 use bnn_tensor::Tensor;
 use std::sync::Arc;
@@ -416,12 +415,13 @@ fn train_spec_seeded(
     Ok(network)
 }
 
-/// Evaluates one trained network under its variant's prediction rule.
+/// Evaluates one trained network under its variant's prediction rule: the
+/// single-exit baseline deterministically, every other variant through
+/// [`McSampler::predict`] (for MCD on one exit that walk draws the masks a
+/// whole-network re-run would, since only the exit is stochastic).
 ///
 /// `sampler_seed` seeds the MC-Dropout mask streams, so the evaluation is a
-/// pure function of the trained network, the inputs and the seed;
-/// `executor` bounds the MC fan-out (inside a candidate worker the nested
-/// region runs inline anyway).
+/// pure function of the trained network, the inputs and the seed.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_network(
     variant: ModelVariant,
@@ -432,29 +432,21 @@ fn evaluate_network(
     baseline_flops: u64,
     spec: &NetworkSpec,
     sampler_seed: u64,
-    executor: Executor,
 ) -> Result<(CandidateMetrics, Vec<CandidateMetrics>), FrameworkError> {
-    let sampler = McSampler::new(SamplingConfig::new(config.mc_samples).with_seed(sampler_seed))
-        .with_executor(executor);
+    let sampler = McSampler::new(SamplingConfig::new(config.mc_samples).with_seed(sampler_seed));
     let spec_flops = spec.total_flops()? as f64;
     let base_ratio = spec_flops / baseline_flops.max(1) as f64;
 
     // MC sampling is seeded, so one prediction serves both the base metrics
     // and the per-exit breakdown below (a second predict would redraw the
     // exact same samples).
-    let multi_exit_prediction: Option<McPrediction> = if variant.uses_multi_exit() {
-        Some(sampler.predict(network, test_inputs)?)
-    } else {
-        None
+    let prediction: Option<McPrediction> = match variant {
+        ModelVariant::SingleExit => None,
+        _ => Some(sampler.predict(network, test_inputs)?),
     };
-    let probs = match (&multi_exit_prediction, variant) {
-        (Some(prediction), _) => prediction.mean_probs.clone(),
-        (None, ModelVariant::SingleExit) => sampler.predict_deterministic(network, test_inputs)?,
-        (None, _) => {
-            sampler
-                .predict_single_exit(network, test_inputs)?
-                .mean_probs
-        }
+    let probs = match &prediction {
+        Some(prediction) => prediction.mean_probs.clone(),
+        None => sampler.predict_deterministic(network, test_inputs)?,
     };
     let metrics = CandidateMetrics {
         dropout_rate: spec
@@ -476,7 +468,7 @@ fn evaluate_network(
     // prediction of each individual exit (MC-averaged over that exit's
     // samples) and confidence-threshold early exiting over exit ensembles.
     let mut threshold_metrics = Vec::new();
-    if let Some(prediction) = &multi_exit_prediction {
+    if let Some(prediction) = prediction.filter(|_| variant.uses_multi_exit()) {
         let n_exits = network.num_exits();
         for exit in 0..n_exits {
             let exit_samples: Vec<Tensor> = prediction
@@ -629,7 +621,6 @@ impl Phase1Stage {
                     baseline_flops,
                     &spec,
                     streams.sampler,
-                    ctx.executor,
                 )?;
                 let summary = format!(
                     "{variant} dropout {rate:.3}: acc {:.4}, ece {:.4}, flops {:.3}x",

@@ -262,11 +262,7 @@ pub(crate) fn explore(
     executor: &Executor,
     observer: &dyn PipelineObserver,
 ) -> Result<(Phase3Result, CalibratedNetwork), FrameworkError> {
-    // The sampler inherits the phase executor, so a pinned thread count
-    // (FrameworkConfig::threads) also governs the MC fan-out of the
-    // reference prediction below; inside the per-format workers the nested
-    // region runs it inline.
-    let sampler = McSampler::new(SamplingConfig::new(phase3.mc_samples)).with_executor(*executor);
+    let sampler = McSampler::new(SamplingConfig::new(phase3.mc_samples));
     let inputs = eval_set.inputs().clone();
     let labels = eval_set.labels().to_vec();
 

@@ -17,11 +17,11 @@
 //!
 //! [`MultiExitPlan`] is the float plan ([`FloatKernel`], kernels in
 //! `bnn_nn::plan`). Its steps reproduce the layer chain bit for bit, so the
-//! Bayesian sampler runs its backbone-once/exits-many Monte-Carlo loop on it
-//! without changing a single output bit. Every zoo architecture compiles,
-//! batch normalisation and residual blocks included, so it is the only
-//! float inference executor; the layer chain remains the trainer and the
-//! test reference. `bnn_quant::QuantPlan` is the integer plan over the same
+//! Bayesian sampler runs on it — the exit walker's backbone-once,
+//! exits-many Monte-Carlo loop — without changing a single output bit.
+//! Every zoo architecture compiles, batch normalisation and residual blocks
+//! included, so it is the only float inference executor; the layer chain
+//! remains the trainer and the test reference. `bnn_quant::QuantPlan` is the integer plan over the same
 //! runtime. A served batch touches no allocator once the arena is warm, and
 //! every input entry point rejects non-finite values with a typed error, so
 //! NaN in never becomes NaN probabilities out.
@@ -32,8 +32,8 @@ use crate::policy::{AdaptivePrediction, AdaptiveStats, ExitPolicy};
 use crate::walker::{self, ExitPlan, WalkScratch};
 use bnn_nn::layer::Mode;
 use bnn_nn::lowering::LayerLowering;
-use bnn_nn::plan::{run_step, FloatArena, FloatAttach, FloatOp, MaskGranularity};
-use bnn_nn::skeleton::{self, steps_cost, BlockLayout, ExitSteps, ScheduleStep, Skeleton};
+use bnn_nn::plan::{compile_owned, run_step, FloatArena, FloatOp, MaskGranularity};
+use bnn_nn::skeleton::{steps_cost, BlockLayout, ExitSteps, ScheduleStep, Skeleton};
 use bnn_nn::NnError;
 use bnn_tensor::exec::Executor;
 use bnn_tensor::rng::{Rng, SplitMix64, Xoshiro256StarStar};
@@ -216,9 +216,7 @@ impl MultiExitNetwork {
     /// Returns [`ModelError::Nn`] when a layer has no inference lowering
     /// (an in-graph softmax) or `in_dims` does not fit the network.
     pub fn compile_plan(&self, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
-        let blocks = self.block_lowerings()?;
-        let exits = self.exit_lowerings()?;
-        MultiExitPlan::compile(&blocks, &exits, in_dims)
+        MultiExitPlan::compile(self.block_lowerings()?, self.exit_lowerings()?, in_dims)
     }
 
     /// The compiled plan for inputs of shape `in_dims`, memoised on the
@@ -249,8 +247,8 @@ impl MultiExitNetwork {
 impl Plan<FloatKernel> {
     /// Compiles the float plan of lowered `blocks` (execution order) and
     /// `exits` (`(after_block, branch)`, attachment order) for per-sample
-    /// inputs of shape `in_dims`. The class count is the exits' shared
-    /// output width.
+    /// inputs of shape `in_dims`, moving their weights into the steps. The
+    /// class count is the exits' shared output width.
     ///
     /// # Errors
     ///
@@ -258,13 +256,11 @@ impl Plan<FloatKernel> {
     /// in-graph softmax), on a shape mismatch, for an exit after a missing
     /// block or for exits whose output widths disagree.
     pub fn compile(
-        blocks: &[LayerLowering],
-        exits: &[(usize, LayerLowering)],
+        blocks: Vec<LayerLowering>,
+        exits: Vec<(usize, LayerLowering)>,
         in_dims: &[usize],
     ) -> Result<Self, ModelError> {
-        let exits = exits.iter().map(|(after, branch)| (*after, branch));
-        let steps = skeleton::compile(blocks, exits, in_dims, (), &mut FloatAttach)?;
-        Ok(Plan::new(steps))
+        Ok(Plan::new(compile_owned(blocks, exits, in_dims)?))
     }
 
     /// [`Plan::run_backbone`] returning the activation after every block —
@@ -318,12 +314,12 @@ impl<K: Kernel> Plan<K> {
     }
 
     /// Pins every kernel of the plan to `exec` instead of its work-size
-    /// based choice. `Executor::sequential()` makes the steady state
-    /// strictly allocation-free (the thread-pool fan-out of large kernels
-    /// allocates its scoped workers); results are bitwise identical either
-    /// way.
-    pub fn set_executor(&mut self, exec: Executor) {
-        self.exec = Some(exec);
+    /// based choice, or restores that choice for `None`.
+    /// `Executor::sequential()` makes the steady state strictly
+    /// allocation-free (the thread-pool fan-out of large kernels allocates
+    /// its scoped workers); results are bitwise identical either way.
+    pub fn set_executor(&mut self, exec: impl Into<Option<Executor>>) {
+        self.exec = exec.into();
     }
 
     /// Pre-sizes every buffer for batches of up to `max_batch` samples, so a
@@ -418,7 +414,28 @@ impl<K: Kernel> Plan<K> {
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize), K::Error> {
-        self.per_batch(|plan| walker::predict_fixed(plan, inputs, n_samples, seed, out))
+        self.per_batch(|plan| walker::predict_fixed(plan, inputs, n_samples, seed, out, None))
+    }
+
+    /// [`Plan::predict_probs_into`] that also keeps every MC sample's
+    /// probabilities in `samples`: `kept` blocks of `[batch, classes]` in
+    /// schedule order (sample `s` from exit `s % n_exits` on pass
+    /// `s / n_exits`, see [`walker::SampleSchedule`]). `out` is their mean.
+    ///
+    /// # Errors
+    ///
+    /// See [`Plan::predict_probs_batch_into`].
+    pub fn predict_samples_into(
+        &mut self,
+        inputs: &Tensor,
+        n_samples: usize,
+        seed: u64,
+        out: &mut Vec<f32>,
+        samples: &mut Vec<f32>,
+    ) -> Result<(usize, usize), K::Error> {
+        self.per_batch(|plan| {
+            walker::predict_fixed(plan, inputs, n_samples, seed, out, Some(samples))
+        })
     }
 
     /// [`Plan::predict_probs_into`] returning a fresh tensor.
@@ -456,7 +473,7 @@ impl<K: Kernel> Plan<K> {
         seed: u64,
         out: &mut Vec<f32>,
     ) -> Result<(usize, usize), K::Error> {
-        walker::predict_fixed(self, inputs, n_samples, seed, out)
+        walker::predict_fixed(self, inputs, n_samples, seed, out, None)
     }
 
     /// [`Plan::predict_probs_batch_into`] returning a fresh tensor.
@@ -904,7 +921,7 @@ mod tests {
 
     /// The float plan of a plain layer stack: one block, no exits.
     fn stack_plan(layer: &dyn Layer, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
-        MultiExitPlan::compile(&[layer.lowering()?], &[], in_dims)
+        MultiExitPlan::compile(vec![layer.lowering()?], vec![], in_dims)
     }
 
     /// The stack's output: the plan's one block output.
@@ -1070,7 +1087,7 @@ mod tests {
             residual_lowering(&main, &shortcut),
             residual_lowering(&main2, &identity),
         ]);
-        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 6, 6]).unwrap();
+        let mut plan = MultiExitPlan::compile(vec![lowering], vec![], &[2, 6, 6]).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(12);
         let x = Tensor::randn(&[2, 2, 6, 6], &mut rng);
         for (mode, seed) in [(Mode::Eval, 0u64), (Mode::McSample, 5), (Mode::McSample, 6)] {
@@ -1093,7 +1110,7 @@ mod tests {
         main.push(trained_batchnorm(2, 3));
         let mut identity = Sequential::new("id");
         let lowering = residual_lowering(&main, &identity);
-        let mut plan = MultiExitPlan::compile(&[lowering], &[], &[2, 3, 3]).unwrap();
+        let mut plan = MultiExitPlan::compile(vec![lowering], vec![], &[2, 3, 3]).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(13);
         let x = Tensor::randn(&[3, 2, 3, 3], &mut rng);
         let reference = residual_reference(&mut main, &mut identity, &x, Mode::Eval);
@@ -1122,13 +1139,13 @@ mod tests {
     #[test]
     fn exits_of_different_widths_are_a_compile_error() {
         let dense = |out_f, seed| Dense::new(4, out_f, seed).unwrap().lowering().unwrap();
-        let blocks = [dense(4, 0)];
-        let agree = [(0, dense(2, 1)), (0, dense(2, 2))];
-        let plan = MultiExitPlan::compile(&blocks, &agree, &[4]).unwrap();
+        let blocks = vec![dense(4, 0)];
+        let agree = vec![(0, dense(2, 1)), (0, dense(2, 2))];
+        let plan = MultiExitPlan::compile(blocks.clone(), agree, &[4]).unwrap();
         assert_eq!(plan.num_classes(), 2);
-        let disagree = [(0, dense(2, 1)), (0, dense(3, 2))];
+        let disagree = vec![(0, dense(2, 1)), (0, dense(3, 2))];
         assert!(matches!(
-            MultiExitPlan::compile(&blocks, &disagree, &[4]),
+            MultiExitPlan::compile(blocks, disagree, &[4]),
             Err(ModelError::Nn(NnError::InvalidConfig(_)))
         ));
     }

@@ -145,7 +145,10 @@ pub fn fixed_cost<P: ExitPlan + ?Sized>(plan: &P, batch: usize, n_samples: usize
 
 /// Seeded fixed-depth MC prediction: the backbone once, then the
 /// [`SampleSchedule`]'s samples pass-major in [`Mode::McSample`], averaged
-/// into `out` (`[batch, classes]`, resized). Returns `(batch, classes)`.
+/// into `out` (`[batch, classes]`, resized). With a `samples` sink, every
+/// sample's probabilities are also kept there, `kept` blocks of
+/// `[batch, classes]` in schedule order (cleared first); without one the
+/// loop allocates nothing once warm. Returns `(batch, classes)`.
 ///
 /// # Errors
 ///
@@ -157,13 +160,14 @@ pub fn predict_fixed<P: ExitPlan + ?Sized>(
     n_samples: usize,
     seed: u64,
     out: &mut Vec<f32>,
+    samples: Option<&mut Vec<f32>>,
 ) -> Result<(usize, usize), P::Error> {
     if plan.num_exits() == 0 {
         return Err(ModelError::InvalidSpec("plan has no exits".into()).into());
     }
     let batch = plan.stage_input(inputs)?;
     let mut scratch = take_scratch(plan, batch);
-    let result = fixed_loop(plan, &mut scratch, batch, n_samples, seed, out);
+    let result = fixed_loop(plan, &mut scratch, batch, n_samples, seed, out, samples);
     *plan.scratch() = scratch;
     result.map(|()| (batch, plan.num_classes()))
 }
@@ -218,7 +222,7 @@ pub fn predict_adaptive<P: ExitPlan + ?Sized>(
     let mut s = take_scratch(plan, batch);
     let mut walk = || -> Result<(u64, u64), P::Error> {
         if policy.is_never() && n_samples > 0 {
-            fixed_loop(plan, &mut s, batch, n_samples, seed, out)?;
+            fixed_loop(plan, &mut s, batch, n_samples, seed, out, None)?;
             return Ok((steps_fixed, ops_fixed));
         }
         out.clear();
@@ -299,7 +303,8 @@ pub fn predict_adaptive<P: ExitPlan + ?Sized>(
     })
 }
 
-/// The pass-major fixed-depth loop on a staged batch.
+/// The pass-major fixed-depth loop on a staged batch, optionally keeping
+/// every sample in `samples` (see [`predict_fixed`]).
 fn fixed_loop<P: ExitPlan + ?Sized>(
     plan: &mut P,
     scratch: &mut WalkScratch,
@@ -307,12 +312,17 @@ fn fixed_loop<P: ExitPlan + ?Sized>(
     n_samples: usize,
     seed: u64,
     out: &mut Vec<f32>,
+    mut samples: Option<&mut Vec<f32>>,
 ) -> Result<(), P::Error> {
     let (n_exits, classes) = (plan.num_exits(), plan.num_classes());
     plan.run_blocks(0..plan.exit_block(n_exits - 1) + 1, batch)?;
     let schedule = SampleSchedule::new(n_samples, n_exits);
     out.clear();
     out.resize(batch * classes, 0.0);
+    if let Some(samples) = samples.as_deref_mut() {
+        samples.clear();
+        samples.reserve(schedule.kept * batch * classes);
+    }
     let probs = &mut scratch.probs[..batch * classes];
     for sample in 0..schedule.kept {
         let (pass, e) = (sample / n_exits, sample % n_exits);
@@ -323,6 +333,9 @@ fn fixed_loop<P: ExitPlan + ?Sized>(
         softmax_rows_into(logits, batch, classes, probs).map_err(ModelError::from)?;
         for (o, &p) in out.iter_mut().zip(probs.iter()) {
             *o += p;
+        }
+        if let Some(samples) = samples.as_deref_mut() {
+            samples.extend_from_slice(probs);
         }
     }
     let inv = 1.0 / schedule.kept as f32;
@@ -470,7 +483,7 @@ mod tests {
             for exits in 1..=3 {
                 let mut plan = Stub::new(exits);
                 let mut out = Vec::new();
-                predict_fixed(&mut plan, &inputs(), n, 1, &mut out).unwrap();
+                predict_fixed(&mut plan, &inputs(), n, 1, &mut out, None).unwrap();
                 let schedule = SampleSchedule::new(n, exits);
                 let (mut steps, mut unit_ops) = (0u64, 0u64);
                 for &b in &plan.block_runs {
@@ -489,6 +502,35 @@ mod tests {
                     "n={n} exits={exits}"
                 );
                 assert!(plan.exit_runs.iter().all(|(_, rows)| rows.len() == BATCH));
+            }
+        }
+    }
+
+    #[test]
+    fn sample_sink_keeps_the_averaged_samples_in_schedule_order() {
+        for n in SWEEP_SAMPLES {
+            for exits in 1..=3 {
+                let mut plan = Stub::new(exits);
+                let (mut out, mut samples) = (Vec::new(), vec![9.0]);
+                predict_fixed(&mut plan, &inputs(), n, 1, &mut out, Some(&mut samples)).unwrap();
+                let kept = SampleSchedule::new(n, exits).kept;
+                let block = BATCH * 2;
+                assert_eq!(samples.len(), kept * block, "n={n} exits={exits}");
+                let mut mean = vec![0.0f32; block];
+                for (s, probs) in samples.chunks_exact(block).enumerate() {
+                    // Sample s ran exit s % exits: confident rows are the
+                    // samples with that bit set.
+                    for (i, row) in probs.chunks_exact(2).enumerate() {
+                        let confident = (i >> (s % exits)) & 1 == 1;
+                        assert_eq!(row[0] > row[1], confident, "n={n} exits={exits} s={s}");
+                    }
+                    for (m, &p) in mean.iter_mut().zip(probs) {
+                        *m += p;
+                    }
+                }
+                let inv = 1.0 / kept as f32;
+                let mean: Vec<f32> = mean.iter().map(|m| m * inv).collect();
+                assert_eq!(mean, out, "n={n} exits={exits}");
             }
         }
     }
@@ -564,7 +606,7 @@ mod tests {
     fn faults_are_detected_before_anything_runs() {
         let mut plan = Stub::new(0);
         let mut out = Vec::new();
-        assert!(predict_fixed(&mut plan, &inputs(), 4, 1, &mut out).is_err());
+        assert!(predict_fixed(&mut plan, &inputs(), 4, 1, &mut out, None).is_err());
         let mut plan = Stub::new(2);
         let bad = ExitPolicy::Entropy { threshold: 2.0 };
         let err = predict_adaptive(&mut plan, &inputs(), 4, 1, &bad, &mut out, &mut Vec::new());

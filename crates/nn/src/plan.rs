@@ -22,7 +22,7 @@ use crate::layers::conv2d::scatter_bias;
 use crate::layers::dense::add_bias_rows;
 use crate::layers::pool::{global_avg_into, Window};
 use crate::lowering::LayerLowering;
-use crate::skeleton::{Attach, Node, ScheduleStep, ScratchUnits};
+use crate::skeleton::{self, Attach, Node, ScheduleStep, ScratchUnits, Skeleton};
 use crate::NnError;
 use bnn_tensor::exec::Executor;
 use bnn_tensor::linalg::{
@@ -38,9 +38,9 @@ use bnn_tensor::TensorError;
 /// [`MaskGranularity::PerBatch`] draws one stream value per (batch,
 /// channel), so a batch of N consumes N times the draws and batched output
 /// differs from N single-sample calls. It is the mask rule of the float
-/// layer chain, which Phase 3 scores every format against
-/// (`McSampler::predict`), so the sampler's plan passes, Phase 3 scoring
-/// and `bnn_hls::HlsSimulator` use it. Scoring with per-sample masks
+/// layer chain and of `Plan::predict_probs_into`, the per-batch entry point
+/// that `McSampler::predict` (Phase 3's float reference), Phase 3's
+/// integer scoring and `bnn_hls::HlsSimulator` all run. Scoring with per-sample masks
 /// instead was measured to break the comparison: 16-bit accuracy rose to
 /// 0.667 against a float reference of 0.521, and the quick demo found no
 /// feasible design. [`MaskGranularity::PerSample`] draws one per-sample mask
@@ -133,8 +133,16 @@ impl FloatOp {
 }
 
 /// The float plan's [`Attach`]: each lowering's f32 constants as they are.
+/// The default attach copies them out of the borrowed lowering (the
+/// calibration walk keeps its lowerings for the integer plans);
+/// [`compile_owned`] attaches with the constants deferred and then moves
+/// them in, so a float compile copies each weight once.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FloatAttach;
+pub struct FloatAttach {
+    /// Leave conv/dense weights and biases and batch-norm vectors empty for
+    /// [`compile_owned`] to move in.
+    defer: bool,
+}
 
 impl Attach for FloatAttach {
     type Op = FloatOp;
@@ -142,6 +150,7 @@ impl Attach for FloatAttach {
     type Error = NnError;
 
     fn step(&mut self, node: Node<'_, ()>) -> Result<(FloatOp, ()), NnError> {
+        let copy = |v: &[f32]| if self.defer { Vec::new() } else { v.to_vec() };
         let op = match node.lowering {
             LayerLowering::Conv2d {
                 weight,
@@ -151,8 +160,8 @@ impl Attach for FloatAttach {
             } => {
                 let dims = weight.dims();
                 FloatOp::Conv(Box::new(FloatConv {
-                    w: weight.as_slice().to_vec(),
-                    bias: bias.as_slice().to_vec(),
+                    w: copy(weight.as_slice()),
+                    bias: copy(bias.as_slice()),
                     out_c: dims[0],
                     in_c: dims[1],
                     kernel: dims[2],
@@ -161,8 +170,8 @@ impl Attach for FloatAttach {
                 }))
             }
             LayerLowering::Dense { weight, bias } => FloatOp::Dense {
-                w: weight.as_slice().to_vec(),
-                bias: bias.as_slice().to_vec(),
+                w: copy(weight.as_slice()),
+                bias: copy(bias.as_slice()),
             },
             LayerLowering::Relu => FloatOp::Relu,
             LayerLowering::MaxPool2d { kernel, stride } => FloatOp::Pool {
@@ -177,10 +186,10 @@ impl Attach for FloatAttach {
             },
             LayerLowering::GlobalAvgPool2d => FloatOp::GlobalAvgPool,
             LayerLowering::Affine(bn) => FloatOp::BatchNorm(Box::new([
-                bn.mean.clone(),
+                copy(&bn.mean),
                 std_inv(&bn.var, bn.eps),
-                bn.gamma.clone(),
-                bn.beta.clone(),
+                copy(&bn.gamma),
+                copy(&bn.beta),
             ])),
             LayerLowering::McDropout { rate } => FloatOp::McDropout { rate: *rate },
             LayerLowering::Residual { .. } => FloatOp::Merge,
@@ -190,6 +199,74 @@ impl Attach for FloatAttach {
             }
         };
         Ok((op, ()))
+    }
+}
+
+/// Compiles owned lowered `blocks` (execution order) and `exits`
+/// (`(after_block, branch)`, attachment order) into the float step list,
+/// moving every conv/dense weight and bias and every batch-norm vector into
+/// its step instead of copying it.
+///
+/// # Errors
+///
+/// See [`skeleton::compile`].
+pub fn compile_owned(
+    blocks: Vec<LayerLowering>,
+    exits: Vec<(usize, LayerLowering)>,
+    in_dims: &[usize],
+) -> Result<Skeleton<FloatOp, ()>, NnError> {
+    let exit_refs = exits.iter().map(|(after, branch)| (*after, branch));
+    let mut attach = FloatAttach { defer: true };
+    let mut steps = skeleton::compile(&blocks, exit_refs, in_dims, (), &mut attach)?;
+    let mut leaves = Vec::with_capacity(steps.num_steps());
+    for lowering in blocks.into_iter().chain(exits.into_iter().map(|(_, b)| b)) {
+        step_lowerings(lowering, &mut leaves);
+    }
+    let skew = || NnError::InvalidConfig("float steps and lowerings out of step".into());
+    if leaves.len() != steps.num_steps() {
+        return Err(skew());
+    }
+    let exit_steps = steps.exits.iter_mut().flat_map(|e| &mut e.steps);
+    for (step, leaf) in steps.backbone.iter_mut().chain(exit_steps).zip(leaves) {
+        match (&mut step.op, leaf) {
+            (FloatOp::Conv(conv), LayerLowering::Conv2d { weight, bias, .. }) => {
+                (conv.w, conv.bias) = (weight.into_vec(), bias.into_vec());
+            }
+            (FloatOp::Dense { w, bias }, LayerLowering::Dense { weight, bias: b }) => {
+                (*w, *bias) = (weight.into_vec(), b.into_vec());
+            }
+            (FloatOp::BatchNorm(bn), LayerLowering::Affine(l)) => {
+                (bn[0], bn[2], bn[3]) = (l.mean, l.gamma, l.beta);
+            }
+            (FloatOp::Conv(_) | FloatOp::Dense { .. } | FloatOp::BatchNorm(_), _) => {
+                return Err(skew())
+            }
+            _ => {}
+        }
+    }
+    Ok(steps)
+}
+
+/// Flattens `lowering` into one lowering per step, in the order
+/// [`skeleton::compile`] attaches them: sequences inlined, shape-only ops
+/// dropped, a residual's main path, then its shortcut, then the residual
+/// itself for its merge.
+fn step_lowerings(lowering: LayerLowering, out: &mut Vec<LayerLowering>) {
+    match lowering {
+        LayerLowering::Sequence(children) => {
+            children.into_iter().for_each(|c| step_lowerings(c, out));
+        }
+        LayerLowering::Flatten | LayerLowering::Identity => {}
+        LayerLowering::Residual { main, shortcut } => {
+            main.into_iter()
+                .chain(shortcut)
+                .for_each(|c| step_lowerings(c, out));
+            out.push(LayerLowering::Residual {
+                main: Vec::new(),
+                shortcut: Vec::new(),
+            });
+        }
+        leaf => out.push(leaf),
     }
 }
 

@@ -97,7 +97,7 @@ impl Attach for WeightObserver {
             _ => None,
         };
         self.weights.push(weight);
-        Ok(FloatAttach.step(node)?)
+        Ok(FloatAttach::default().step(node)?)
     }
 }
 

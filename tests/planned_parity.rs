@@ -21,10 +21,9 @@ use bayesnn_fpga::tensor::ops::softmax;
 use bayesnn_fpga::tensor::rng::{stream_seed, Xoshiro256StarStar};
 use bayesnn_fpga::tensor::Tensor;
 
-/// A small configuration of `arch` with an exit after every block and exit
-/// MCD, optionally with MCD layers inside the backbone too.
-fn spec(arch: Architecture, backbone_mcd: bool) -> NetworkSpec {
-    let config = match arch {
+/// A small configuration of `arch`.
+fn model_config(arch: Architecture) -> ModelConfig {
+    match arch {
         Architecture::LeNet5 => ModelConfig::mnist()
             .with_resolution(10, 10)
             .with_width_divisor(8)
@@ -32,9 +31,14 @@ fn spec(arch: Architecture, backbone_mcd: bool) -> NetworkSpec {
         _ => ModelConfig::cifar10()
             .with_resolution(12, 12)
             .with_width_divisor(16),
-    };
+    }
+}
+
+/// A small configuration of `arch` with an exit after every block and exit
+/// MCD, optionally with MCD layers inside the backbone too.
+fn spec(arch: Architecture, backbone_mcd: bool) -> NetworkSpec {
     let spec = arch
-        .spec(&config)
+        .spec(&model_config(arch))
         .with_exits_after_every_block()
         .unwrap()
         .with_exit_mcd(0.3)
@@ -46,26 +50,39 @@ fn spec(arch: Architecture, backbone_mcd: bool) -> NetworkSpec {
     }
 }
 
-/// Every zoo subject, built and with its batch-norm running statistics
-/// moved off their initial values by a few train-mode forwards.
+/// `spec` built, with its batch-norm running statistics moved off their
+/// initial values by a few train-mode forwards, and a 3-sample input.
+fn subject(spec: &NetworkSpec) -> (MultiExitNetwork, Tensor) {
+    let mut net = spec.build(7).unwrap();
+    let mut dims = spec.input_shape(3).dims().to_vec();
+    let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+    for _ in 0..3 {
+        let x = Tensor::randn(&dims, &mut rng).map(|v| 1.5 * v + 0.4);
+        net.forward_exits(&x, Mode::Train).unwrap();
+    }
+    dims[0] = 3;
+    (net, Tensor::randn(&dims, &mut rng))
+}
+
+/// Every zoo subject, with and without MCD inside the backbone.
 fn subjects() -> Vec<(String, MultiExitNetwork, Tensor)> {
     let mut out = Vec::new();
     for arch in Architecture::all() {
         for backbone_mcd in [false, true] {
-            let spec = spec(arch, backbone_mcd);
-            let mut net = spec.build(7).unwrap();
-            let mut dims = spec.input_shape(3).dims().to_vec();
-            let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-            for _ in 0..3 {
-                let x = Tensor::randn(&dims, &mut rng).map(|v| 1.5 * v + 0.4);
-                net.forward_exits(&x, Mode::Train).unwrap();
-            }
-            dims[0] = 3;
-            let input = Tensor::randn(&dims, &mut rng);
+            let (net, input) = subject(&spec(arch, backbone_mcd));
             out.push((format!("{arch} mcd={backbone_mcd}"), net, input));
         }
     }
     out
+}
+
+/// Whether a subject carries MC dropout inside a backbone block.
+fn has_backbone_mcd(net: &MultiExitNetwork) -> bool {
+    net.spec()
+        .blocks
+        .iter()
+        .flatten()
+        .any(LayerSpec::is_mc_dropout)
 }
 
 fn assert_bitwise(a: &[Tensor], b: &[Tensor], what: &str) {
@@ -103,7 +120,7 @@ fn layer_chain_predict(
     x: &Tensor,
     config: &SamplingConfig,
 ) -> (Tensor, Vec<Tensor>) {
-    let passes = config.passes_for(net.num_exits()).max(1);
+    let passes = config.n_samples.div_ceil(net.num_exits()).max(1);
     let activations = net.forward_backbone(x, Mode::Eval).unwrap();
     let mut per_sample = Vec::new();
     for pass in 0..passes {
@@ -126,6 +143,14 @@ fn sampler_predict_matches_the_layer_chain_at_any_thread_count() {
         let (mean_ref, per_sample_ref) = layer_chain_predict(&mut net, &x, &config);
         for threads in [1, 4] {
             let sampler = McSampler::new(config).with_executor(Executor::new(threads));
+            if has_backbone_mcd(&net) {
+                // A backbone-once walk cannot resample backbone dropout.
+                assert!(
+                    matches!(sampler.predict(&mut net, &x), Err(BayesError::Invalid(_))),
+                    "{name}"
+                );
+                continue;
+            }
             let pred = sampler.predict(&mut net, &x).unwrap();
             assert_eq!(
                 pred.mean_probs.as_slice(),
@@ -138,6 +163,55 @@ fn sampler_predict_matches_the_layer_chain_at_any_thread_count() {
                 &format!("{name} threads={threads}"),
             );
         }
+    }
+}
+
+/// Vanilla MCD computed on the layer chain (paper Eq. 1): per sample,
+/// reseed every stream and re-run the whole network to its final exit.
+fn layer_chain_single_exit(
+    net: &mut MultiExitNetwork,
+    x: &Tensor,
+    config: &SamplingConfig,
+) -> (Tensor, Vec<Tensor>) {
+    let per_sample: Vec<Tensor> = (0..config.n_samples.max(1))
+        .map(|s| {
+            net.reseed_mc_streams(stream_seed(config.seed, s as u64));
+            softmax(&net.forward_final(x, Mode::McSample).unwrap()).unwrap()
+        })
+        .collect();
+    (Tensor::mean_of(&per_sample).unwrap(), per_sample)
+}
+
+/// On one exit with exit MCD nothing before the dropout is stochastic, so
+/// the sampler's backbone-once walk draws exactly the masks of re-running
+/// the whole chain per sample.
+#[test]
+fn single_exit_mcd_predict_matches_a_whole_network_rerun() {
+    for arch in [Architecture::LeNet5, Architecture::ResNet18] {
+        let spec = arch.spec(&model_config(arch)).with_exit_mcd(0.3).unwrap();
+        let (mut net, x) = subject(&spec);
+        for n in [1, 4, 5] {
+            let config = SamplingConfig::new(n).with_seed(41);
+            let (mean_ref, per_sample_ref) = layer_chain_single_exit(&mut net, &x, &config);
+            let pred = McSampler::new(config).predict(&mut net, &x).unwrap();
+            assert_eq!(
+                pred.mean_probs.as_slice(),
+                mean_ref.as_slice(),
+                "{arch} n={n}"
+            );
+            assert_bitwise(&pred.per_sample, &per_sample_ref, &format!("{arch} n={n}"));
+        }
+    }
+}
+
+#[test]
+fn deterministic_predict_matches_the_final_exit_of_the_layer_chain() {
+    let sampler = McSampler::default();
+    for (name, mut net, x) in subjects() {
+        let reference = softmax(&net.forward_final(&x, Mode::Eval).unwrap()).unwrap();
+        let probs = sampler.predict_deterministic(&mut net, &x).unwrap();
+        assert_eq!(probs.dims(), reference.dims(), "{name}");
+        assert_eq!(probs.as_slice(), reference.as_slice(), "{name}");
     }
 }
 
