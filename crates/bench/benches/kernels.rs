@@ -3,11 +3,14 @@
 
 use bnn_bayes::metrics::expected_calibration_error;
 use bnn_bayes::sampling::{McSampler, SamplingConfig};
-use bnn_models::{zoo, ModelConfig};
+use bnn_core::ModelVariant;
+use bnn_models::zoo::{self, Architecture};
+use bnn_models::ModelConfig;
 use bnn_nn::layer::Mode;
 use bnn_nn::layers::conv2d::Conv2d;
 use bnn_nn::Layer;
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
+use bnn_tensor::exec::Executor;
 use bnn_tensor::int::{im2row_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into};
 use bnn_tensor::linalg::{col2im_slices_into, im2col, im2col_into, matmul, ConvGeometry};
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
@@ -176,6 +179,30 @@ fn bench_kernels(c: &mut Criterion) {
     let mut plan = calibrated.plan(fmt8).unwrap();
     group.bench_function("quantized_predict_lenet5_8bit", |b| {
         b.iter(|| plan.predict_probs(&images, 8, 2023).unwrap())
+    });
+    // The same loop on the offline benchmark subject's shape: an MC-dropout
+    // multi-exit ResNet-18 on 12x12 inputs at width/16, batch 32, 8
+    // samples, where the folded batch norms, residual merges and exit
+    // dropouts run beside the convolutions; on one thread, as that subject
+    // runs. Own stream, so the inputs of the rows below stay as they were.
+    let mut resnet_rng = Xoshiro256StarStar::seed_from_u64(5);
+    let resnet_config = ModelConfig::cifar10()
+        .with_resolution(12, 12)
+        .with_width_divisor(16);
+    let resnet = ModelVariant::McdMultiExit
+        .build_spec(&Architecture::ResNet18.spec(&resnet_config), 0.25)
+        .unwrap()
+        .build(11)
+        .unwrap();
+    let resnet_calib = Tensor::randn(&[32, 3, 12, 12], &mut resnet_rng);
+    let mut resnet_plan = CalibratedNetwork::calibrate(&resnet, &resnet_calib)
+        .unwrap()
+        .plan(fmt8)
+        .unwrap();
+    resnet_plan.set_executor(Executor::sequential());
+    let resnet_images = Tensor::randn(&[32, 3, 12, 12], &mut resnet_rng);
+    group.bench_function("quantized_predict_resnet18_8bit", |b| {
+        b.iter(|| resnet_plan.predict_probs(&resnet_images, 8, 2023).unwrap())
     });
     // Compile costs: the one-off calibration forward and per-format plan
     // derivation Phase 3 amortises across its (format, reuse) grid.

@@ -8,7 +8,10 @@
 //! bit-exactness with [`QuantPlan::predict_probs`]: the differential tests
 //! diff the two across every zoo model × format, so the emitted design can
 //! never silently drift from the arithmetic the accelerator was scored on.
-//! This is the role C-simulation plays in a real HLS flow.
+//! This is the role C-simulation plays in a real HLS flow. It keeps its own
+//! scalar `i64` `requant` loops for the batch-norm, dropout and merge steps
+//! as that independent oracle, and never calls the plan's `i32`-lane
+//! elementwise kernels in `bnn_tensor::int`.
 //!
 //! The only pieces shared with the plan are the ones that *define* the
 //! sampled semantics rather than implement arithmetic: the Xoshiro mask

@@ -422,15 +422,19 @@ fn run_into(
         }
         FloatOp::McDropout { rate } if mode.samples_mc_dropout() && *rate > 0.0 => {
             // Draw the mask exactly like `McDropout::sample_mask`, then
-            // multiply element by element.
+            // multiply each draw's plane by its mask value.
             let keep = 1.0 - *rate;
             let scale = (1.0 / keep) as f32;
             let (draws, per_draw) = masks.draws(&step.in_dims, batch);
-            for m in arena.mask[..draws].iter_mut() {
+            let mask = &mut arena.mask[..draws];
+            for m in mask.iter_mut() {
                 *m = if rng.bernoulli(keep) { scale } else { 0.0 };
             }
-            for (i, v) in dst[..in_elems].iter_mut().enumerate() {
-                *v *= arena.mask[(i / per_draw) % draws];
+            let planes = dst[..in_elems].chunks_exact_mut(per_draw);
+            for (plane, &m) in planes.zip(mask.iter().cycle()) {
+                for v in plane {
+                    *v *= m;
+                }
             }
         }
         // Identity outside sampling (the layer returns its input unchanged);

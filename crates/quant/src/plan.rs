@@ -23,6 +23,19 @@
 //! the steady state (on a sequential executor; the thread-pool fan-out of
 //! large kernels allocates its scoped workers by design).
 //!
+//! The elementwise requantizing steps run on the `i32`-lane row kernels of
+//! `bnn_tensor::int`, with exactly the bits of its scalar `requantize`.
+//! `Affine` (folded batch norm) builds one [`AffineRequant`] per channel
+//! and applies it to that channel's plane of every sample. `McDropout`
+//! draws one Bernoulli keep per mask from its step's stream, in mask
+//! order, zero-fills dropped planes and sends kept ones through one
+//! `AffineRequant` (`m = scale_q`, `b = 0`). `Merge` calls
+//! [`merge_i16_row_into`] with its two shifts. A map whose constants break
+//! the `i32` bound ([`bnn_tensor::int::affine_fits_i32`]) runs the scalar
+//! `i64` requantize instead, decided from the step's constants on each
+//! call. An elementwise step whose source and destination slots differ
+//! copies its source once, then rewrites the destination in place.
+//!
 //! Its arithmetic has an independent oracle: `bnn_hls::HlsSimulator`
 //! re-implements every [`PlanSchedule`] step (direct convolution,
 //! scalar loops, its own rounding primitives), and `tests/hls_golden_sim.rs`
@@ -54,9 +67,9 @@ use bnn_nn::plan::MaskGranularity;
 use bnn_nn::skeleton::{self, Attach, BlockLayout, ExitSteps, Node};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::int::{
-    im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, requantize,
+    im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, merge_i16_row_into,
     requantize_i32_row_biased_into, requantize_i32_row_into, requantize_i64_row_biased_into,
-    requantize_i64_row_into,
+    requantize_i64_row_into, AffineRequant,
 };
 use bnn_tensor::linalg::ConvGeometry;
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
@@ -306,19 +319,8 @@ impl Kernel for IntKernel {
                 arena.slots[step.dst] = dst;
             }
             ScheduleOp::Relu => {
-                if step.src == step.dst {
-                    for v in arena.slots[step.dst][..in_elems].iter_mut() {
-                        *v = (*v).max(0);
-                    }
-                } else {
-                    let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                    for (d, &s) in dst[..in_elems]
-                        .iter_mut()
-                        .zip(&arena.slots[step.src][..in_elems])
-                    {
-                        *d = s.max(0);
-                    }
-                    arena.slots[step.dst] = dst;
+                for v in elementwise_codes(&mut arena.slots, step, in_elems) {
+                    *v = (*v).max(0);
                 }
             }
             ScheduleOp::MaxPool { kernel, stride } | ScheduleOp::AvgPool { kernel, stride } => {
@@ -371,49 +373,16 @@ impl Kernel for IntKernel {
                 }
                 arena.slots[step.dst] = dst;
             }
-            ScheduleOp::Affine { m, b: offsets, out } => {
-                let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-                let plane = h * w;
-                let (qmin, qmax) = (out.qmin(), out.qmax());
-                let apply = |src: &[i16], dst: &mut [i16]| {
-                    for b in 0..batch {
-                        for ch in 0..c {
-                            let start = (b * c + ch) * plane;
-                            for i in 0..plane {
-                                let x = src[start + i] as i64;
-                                dst[start + i] = requantize(
-                                    x * m[ch] + offsets[ch],
-                                    MUL_FRAC as i32,
-                                    qmin,
-                                    qmax,
-                                ) as i16;
-                            }
-                        }
+            ScheduleOp::Affine { m, b, out } => {
+                let (c, plane) = (step.in_dims[0], step.in_dims[1] * step.in_dims[2]);
+                let codes = elementwise_codes(&mut arena.slots, step, in_elems);
+                // Channel-outer, so each channel's lane width is decided once
+                // for all its planes in the batch.
+                for (ch, (&m, &b)) in m.iter().zip(b).enumerate() {
+                    let map = AffineRequant::new(m, b, MUL_FRAC, out.qmin(), out.qmax());
+                    for sample in codes.chunks_exact_mut(c * plane) {
+                        map.apply(&mut sample[ch * plane..(ch + 1) * plane]);
                     }
-                };
-                if step.src == step.dst {
-                    let mut buf = std::mem::take(&mut arena.slots[step.dst]);
-                    let src_copy: &mut [i16] = &mut buf[..in_elems];
-                    // Elementwise read-then-write on the same index is in-place
-                    // safe; do it in a single pass.
-                    for b in 0..batch {
-                        for ch in 0..c {
-                            let start = (b * c + ch) * plane;
-                            for v in src_copy[start..start + plane].iter_mut() {
-                                *v = requantize(
-                                    *v as i64 * m[ch] + offsets[ch],
-                                    MUL_FRAC as i32,
-                                    qmin,
-                                    qmax,
-                                ) as i16;
-                            }
-                        }
-                    }
-                    arena.slots[step.dst] = buf;
-                } else {
-                    let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                    apply(&arena.slots[step.src][..in_elems], &mut dst[..in_elems]);
-                    arena.slots[step.dst] = dst;
                 }
             }
             ScheduleOp::McDropout {
@@ -422,47 +391,26 @@ impl Kernel for IntKernel {
                 params,
             } => {
                 let sampling = mode.samples_mc_dropout() && *rate > 0.0;
+                // A non-sampling pass draws nothing (stream positions stay
+                // aligned, exactly like the float McDropout layer) and copies
+                // the codes through.
+                let codes = elementwise_codes(&mut arena.slots, step, in_elems);
                 if !sampling {
-                    // Stream positions stay aligned: a non-sampling pass draws
-                    // nothing, exactly like the float McDropout layer.
-                    if step.src != step.dst {
-                        let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                        dst[..in_elems].copy_from_slice(&arena.slots[step.src][..in_elems]);
-                        arena.slots[step.dst] = dst;
-                    }
                     return Ok(());
                 }
                 let keep = 1.0 - *rate;
                 let (draws, plane) = masks.draws(&step.in_dims, batch);
-                for m in arena.mask[..draws].iter_mut() {
+                let mask = &mut arena.mask[..draws];
+                for m in mask.iter_mut() {
                     *m = rng.bernoulli(keep);
                 }
-                let (qmin, qmax) = (params.qmin(), params.qmax());
-                let scale_q = *scale_q;
-                let mask = &arena.mask;
-                let drop_one = |v: i64, kept: bool| -> i16 {
+                let map = AffineRequant::new(*scale_q, 0, MUL_FRAC, params.qmin(), params.qmax());
+                for (plane_codes, &kept) in codes.chunks_exact_mut(plane).zip(mask.iter().cycle()) {
                     if kept {
-                        requantize(v * scale_q, MUL_FRAC as i32, qmin, qmax) as i16
+                        map.apply(plane_codes);
                     } else {
-                        0
+                        plane_codes.fill(0);
                     }
-                };
-                if step.src == step.dst {
-                    let mut buf = std::mem::take(&mut arena.slots[step.dst]);
-                    for (i, v) in buf[..in_elems].iter_mut().enumerate() {
-                        *v = drop_one(*v as i64, mask[(i / plane) % draws]);
-                    }
-                    arena.slots[step.dst] = buf;
-                } else {
-                    let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                    for (i, (d, &s)) in dst[..in_elems]
-                        .iter_mut()
-                        .zip(&arena.slots[step.src][..in_elems])
-                        .enumerate()
-                    {
-                        *d = drop_one(s as i64, mask[(i / plane) % draws]);
-                    }
-                    arena.slots[step.dst] = dst;
                 }
             }
             ScheduleOp::Merge {
@@ -470,19 +418,19 @@ impl Kernel for IntKernel {
                 s_shift,
                 out,
             } => {
-                let (qmin, qmax) = (out.qmin(), out.qmax());
-                let (m_shift, s_shift) = (*m_shift, *s_shift);
                 let src2 = step.src2.ok_or_else(|| {
                     QuantError::Internal("a residual merge step has no shortcut source".into())
                 })?;
                 let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                let main = &arena.slots[step.src][..out_elems];
-                let short = &arena.slots[src2][..out_elems];
-                for ((d, &a), &b) in dst[..out_elems].iter_mut().zip(main).zip(short) {
-                    let x = requantize(a as i64, m_shift, qmin, qmax);
-                    let y = requantize(b as i64, s_shift, qmin, qmax);
-                    *d = (x + y).max(0).min(qmax) as i16;
-                }
+                merge_i16_row_into(
+                    &arena.slots[step.src][..out_elems],
+                    &arena.slots[src2][..out_elems],
+                    *m_shift,
+                    *s_shift,
+                    out.qmin(),
+                    out.qmax(),
+                    &mut dst[..out_elems],
+                );
                 arena.slots[step.dst] = dst;
             }
         }
@@ -507,6 +455,21 @@ impl Kernel for IntKernel {
     fn move_row(arena: &mut IntArena, blocks: &BlockLayout, block: usize, from: usize, to: usize) {
         blocks.move_row(&mut arena.slots, block, from, to);
     }
+}
+
+/// The codes an elementwise step rewrites in place: the first `n` codes of
+/// its destination slot, holding a copy of its source when the two differ.
+fn elementwise_codes<'a>(
+    slots: &'a mut [Vec<i16>],
+    step: &ScheduleStep,
+    n: usize,
+) -> &'a mut [i16] {
+    if step.src != step.dst {
+        let mut dst = std::mem::take(&mut slots[step.dst]);
+        dst[..n].copy_from_slice(&slots[step.src][..n]);
+        slots[step.dst] = dst;
+    }
+    &mut slots[step.dst][..n]
 }
 
 /// The integer plan's [`Attach`]: quantized constants from the calibration

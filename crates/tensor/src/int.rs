@@ -31,6 +31,13 @@
 //!   accumulation is exact, every backend produces the same bits as the
 //!   scalar reference; the scalar kernels stay compiled in as the fallback
 //!   and as the oracle the parity suite checks vector backends against.
+//! * **Elementwise steps in `i32` lanes.** [`AffineRequant`] and
+//!   [`merge_i16_row_into`] are portable loops without a dispatch: they
+//!   round by the branch-free ties-away identity in `i32` lanes, which the
+//!   compiler vectorizes at baseline codegen, whenever the constants prove
+//!   the lanes cannot overflow ([`affine_fits_i32`]), and fall back to the
+//!   scalar `i64` [`requantize`] otherwise. Either way the bits are those of
+//!   [`requantize`].
 
 use crate::linalg::{fill_row_blocks, ConvGeometry};
 use crate::simd::Backend;
@@ -259,6 +266,230 @@ pub fn requantize_i64_row_biased_into(
     } else {
         for ((o, &a), &b) in out.iter_mut().zip(acc).zip(biases) {
             *o = requantize(a + b, shift, min, max) as i16;
+        }
+    }
+}
+
+/// Returns true when the affine requantize `round_shift(x·m + b, shift)` is
+/// exact in `i32` lanes for every `i16` code `x`:
+/// `2^15·|m| + |b| + 2^shift < 2^31`. The product, the offset and the
+/// rounding bias then never leave `i32`. [`AffineRequant`] decides its
+/// lane width by this rule.
+///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::int::affine_fits_i32;
+///
+/// // A folded batch-norm multiplier of about 1.0 at 12 fractional bits.
+/// assert!(affine_fits_i32(4096, -300, 12));
+/// // An inverted-dropout scale of 1/0.05 = 20 at 12 fractional bits.
+/// assert!(!affine_fits_i32(81920, 0, 12));
+/// ```
+pub fn affine_fits_i32(m: i64, b: i64, shift: u32) -> bool {
+    let reach = (u128::from(m.unsigned_abs()) << 15)
+        + u128::from(b.unsigned_abs())
+        + (1u128 << shift.min(64));
+    reach < 1 << 31
+}
+
+/// True when `[min, max]` is a non-empty range of `i16` codes, the bounds
+/// the `i32`-lane kernels clamp into.
+fn i16_bounds(min: i64, max: i64) -> bool {
+    i16::MIN as i64 <= min && min <= max && max <= i16::MAX as i64
+}
+
+/// One power-of-two requantize in `i32` lanes:
+/// `clamp(((t << up) + half - [t < 0]) >> down, lo, hi)`. With `down > 0`,
+/// `half = 2^(down-1)` and the `[t < 0]` correction this is the branch-free
+/// form of [`round_shift`] (ties away from zero); with `down = 0` both are
+/// zero and the value is only scaled up and clamped. Every caller proves
+/// its lanes cannot overflow before building one.
+#[derive(Debug, Clone, Copy)]
+struct LaneRequant {
+    up: u32,
+    down: u32,
+    half: i32,
+    /// `-1` (all ones) when rounding, so `(t >> 31) & neg` is `-[t < 0]`.
+    neg: i32,
+    lo: i16,
+    hi: i16,
+}
+
+impl LaneRequant {
+    /// A rounding right shift by `down` into `[min, max]` (both in `i16`).
+    fn right(down: u32, min: i64, max: i64) -> Self {
+        let rounding = down > 0;
+        LaneRequant {
+            up: 0,
+            down,
+            half: if rounding { 1 << (down - 1) } else { 0 },
+            neg: -i32::from(rounding),
+            lo: min as i16,
+            hi: max as i16,
+        }
+    }
+
+    /// [`requantize`] of one `i16` code by any `shift` into `[min, max]`
+    /// (both in `i16`), with shifts capped where the cap changes no result.
+    /// A right shift of 17 or more rounds every `i16` code to 0 (the rounded
+    /// `|x| / 2^17 <= 1/4`), so 17 stands for all of them. A scale-up of 15
+    /// bits already takes every nonzero code to `|x| >= 2^15`, at or past
+    /// both `i16` rails, so the clamp gives the same result as the saturating
+    /// scale-up by more; `2^15 · 2^15` stays inside `i32`.
+    fn code(shift: i32, min: i64, max: i64) -> Self {
+        if shift >= 0 {
+            Self::right(shift.unsigned_abs().min(17), min, max)
+        } else {
+            LaneRequant {
+                up: shift.unsigned_abs().min(15),
+                ..Self::right(0, min, max)
+            }
+        }
+    }
+
+    /// The clamp saturates into `i16` first and then clamps to the rails in
+    /// `i16`: the same result, as one narrowing pack and two `i16` min/max
+    /// at baseline codegen instead of `i32` compare-and-blend sequences.
+    #[inline(always)]
+    fn apply(self, t: i32) -> i16 {
+        let t = t << self.up;
+        let r = (t + self.half + ((t >> 31) & self.neg)) >> self.down;
+        (r.clamp(i16::MIN.into(), i16::MAX.into()) as i16)
+            .max(self.lo)
+            .min(self.hi)
+    }
+}
+
+/// The requantizing affine map
+/// `x ↦ saturate(round_shift(x·m + b, shift), min, max)` on `i16` codes,
+/// with exactly the bits of [`requantize`] — the folded batch-norm step of
+/// the integer plans (and, with `b = 0`, the kept planes of inverted MC
+/// dropout).
+///
+/// [`AffineRequant::new`] picks the lane width once, so a caller that maps
+/// many small planes with the same constants decides only once: when
+/// [`affine_fits_i32`] holds and `[min, max]` lies in `i16` (every plan
+/// format does), [`AffineRequant::apply`] runs in `i32` lanes with the
+/// branch-free ties-away rounding `(t + 2^(shift-1) - [t < 0]) >> shift`,
+/// which the compiler vectorizes at baseline codegen; otherwise it runs the
+/// scalar `i64` [`requantize`] on each code.
+///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::int::AffineRequant;
+///
+/// // x * 1.5 - 0.5 at 2 fractional bits: m = 6, b = -2.
+/// let mut codes = [1i16, 2, -1, 100];
+/// AffineRequant::new(6, -2, 2, -128, 127).apply(&mut codes);
+/// assert_eq!(codes, [1, 3, -2, 127]); // 1.0, 2.5 (ties away), -2.0, saturated
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct AffineRequant {
+    m: i64,
+    b: i64,
+    shift: u32,
+    min: i64,
+    max: i64,
+    /// The `i32`-lane form, when the constants prove it exact.
+    lane: Option<LaneRequant>,
+}
+
+impl AffineRequant {
+    /// The map for one set of constants, with its lane width decided.
+    pub fn new(m: i64, b: i64, shift: u32, min: i64, max: i64) -> Self {
+        let exact = affine_fits_i32(m, b, shift) && i16_bounds(min, max);
+        AffineRequant {
+            m,
+            b,
+            shift,
+            min,
+            max,
+            lane: exact.then(|| LaneRequant::right(shift, min, max)),
+        }
+    }
+
+    /// Maps every code in place. To map `src` into a different `dst`, copy
+    /// it there first.
+    pub fn apply(&self, codes: &mut [i16]) {
+        let (m, b) = (self.m, self.b);
+        match self.lane {
+            Some(lane) => {
+                let (m, b) = (m as i32, b as i32);
+                for v in codes.iter_mut() {
+                    *v = lane.apply(*v as i32 * m + b);
+                }
+            }
+            None => {
+                let (shift, min, max) = (self.shift as i32, self.min, self.max);
+                for v in codes.iter_mut() {
+                    *v = requantize(*v as i64 * m + b, shift, min, max) as i16;
+                }
+            }
+        }
+    }
+}
+
+/// The residual merge of the integer plans: each operand requantized to the
+/// output format by its own shift, then the sum clamped into `[0, max]`
+/// (the merge's ReLU):
+/// `out[i] = (requantize(main[i], main_shift) + requantize(short[i], short_shift)).max(0).min(max)`,
+/// both requantizes saturating into `[min, max]`. A negative shift scales
+/// up (saturating), as in [`requantize`].
+///
+/// With `[min, max]` in `i16` (every plan format) the loop runs in `i32`
+/// lanes for every pair of shifts: right shifts round by the branch-free
+/// ties-away identity, and shifts are capped at 17 bits down and 15 bits
+/// up, beyond which no clamped result changes. Other bounds run the scalar
+/// `i64` loop.
+///
+/// # Panics
+///
+/// Panics if `main`, `short` and `out` differ in length.
+///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::int::merge_i16_row_into;
+///
+/// // main at one more fractional bit than the output, shortcut at one fewer.
+/// let (main, short) = ([5i16, -9, 254], [3i16, -1, 1]);
+/// let mut out = [0i16; 3];
+/// merge_i16_row_into(&main, &short, 1, -1, -128, 127, &mut out);
+/// assert_eq!(out, [9, 0, 127]); // 3 + 6; max(-5 - 2, 0); 127 + 2 saturated
+/// ```
+pub fn merge_i16_row_into(
+    main: &[i16],
+    short: &[i16],
+    main_shift: i32,
+    short_shift: i32,
+    min: i64,
+    max: i64,
+    out: &mut [i16],
+) {
+    assert_eq!(main.len(), out.len(), "merge_i16_row_into length mismatch");
+    assert_eq!(short.len(), out.len(), "merge_i16_row_into length mismatch");
+    if i16_bounds(min, max) {
+        let (a_lane, b_lane) = (
+            LaneRequant::code(main_shift, min, max),
+            LaneRequant::code(short_shift, min, max),
+        );
+        // Both operands lie in [min, max], so the saturating i16 sum
+        // clamps to [0, max] exactly as the i64 sum does.
+        let hi = max as i16;
+        for ((o, &a), &b) in out.iter_mut().zip(main).zip(short) {
+            *o = a_lane
+                .apply(a as i32)
+                .saturating_add(b_lane.apply(b as i32))
+                .max(0)
+                .min(hi);
+        }
+    } else {
+        for ((o, &a), &b) in out.iter_mut().zip(main).zip(short) {
+            let x = requantize(a as i64, main_shift, min, max);
+            let y = requantize(b as i64, short_shift, min, max);
+            *o = (x + y).max(0).min(max) as i16;
         }
     }
 }
@@ -721,6 +952,129 @@ mod tests {
         assert_eq!(requantize(100, -2, -128, 127), 127);
         assert_eq!(requantize(5, -2, -128, 127), 20);
         assert_eq!(requantize(i64::MAX / 2, -30, i64::MIN, i64::MAX), i64::MAX);
+    }
+
+    /// Every `i16` code, ascending.
+    fn every_code() -> Vec<i16> {
+        (i16::MIN..=i16::MAX).collect()
+    }
+
+    /// The `(qmin, qmax)` rails of the 4-, 6-, 8- and 16-bit formats.
+    fn format_rails() -> [(i64, i64); 4] {
+        [4u32, 6, 8, 16].map(|bits| (-(1i64 << (bits - 1)), (1i64 << (bits - 1)) - 1))
+    }
+
+    /// Checks `AffineRequant` on every code against the scalar
+    /// `requantize`, in place on the whole slice and through the plans'
+    /// out-of-place route (copy the source into a distinct destination,
+    /// then map it there).
+    fn check_affine(m: i64, b: i64, shift: u32, min: i64, max: i64) {
+        let codes = every_code();
+        let expected: Vec<i16> = codes
+            .iter()
+            .map(|&x| requantize(x as i64 * m + b, shift as i32, min, max) as i16)
+            .collect();
+        let map = AffineRequant::new(m, b, shift, min, max);
+        let mut in_place = codes.clone();
+        map.apply(&mut in_place);
+        assert_eq!(
+            in_place, expected,
+            "in place m={m} b={b} shift={shift} [{min}, {max}]"
+        );
+        let mut dst = vec![i16::MAX; codes.len()];
+        dst.copy_from_slice(&codes);
+        map.apply(&mut dst);
+        assert_eq!(dst, expected, "out of place m={m} b={b} shift={shift}");
+        assert_eq!(codes, every_code(), "the source is read only");
+    }
+
+    #[test]
+    fn affine_kernel_matches_requantize_on_every_code() {
+        const SHIFT: u32 = 12;
+        // The largest 2^15·|m| + |b| with the rounding bias still in i32.
+        let reach = (1i64 << 31) - (1 << SHIFT) - 1;
+        let m_edge = reach >> 15;
+        let b_edge = reach - (m_edge << 15);
+        let mut cases = vec![
+            // Folded batch-norm constants of the usual size.
+            (4096, 0, true),
+            (4096, -300, true),
+            (6000, 12345, true),
+            (-12288, 7, true),
+            (1, 0, true),
+            (0, 5, true),
+        ];
+        for (sm, sb) in [(1, 1), (1, -1), (-1, 1), (-1, -1)] {
+            cases.push((sm * m_edge, sb * b_edge, true));
+            cases.push((sm * m_edge, sb * (b_edge + 1), false));
+            cases.push((sm * (m_edge + 1), sb * b_edge, false));
+        }
+        // Inverted-dropout scales, round(2^12 / keep): rates 0, 0.25, 0.5
+        // and 0.9 fit i32 lanes; 0.95 (81920) does not. With b = 0 the edge
+        // is m = 2^16 - 1.
+        for (rate, fits) in [
+            (0.0, true),
+            (0.25, true),
+            (0.5, true),
+            (0.9, true),
+            (0.95, false),
+        ] {
+            let scale_q = (1.0 / (1.0 - rate) * 4096.0f64).round() as i64;
+            cases.push((scale_q, 0, fits));
+        }
+        cases.extend([(65535, 0, true), (65536, 0, false)]);
+        for (m, b, fits) in cases {
+            assert_eq!(affine_fits_i32(m, b, SHIFT), fits, "m={m} b={b}");
+            for (min, max) in format_rails() {
+                check_affine(m, b, SHIFT, min, max);
+            }
+        }
+        // Other shifts, including no rounding at all, and bounds wider
+        // than i16 (the scalar route).
+        for shift in [0, 1, 5] {
+            check_affine(3, -2, shift, -128, 127);
+            check_affine(-700, 9, shift, -32768, 32767);
+        }
+        check_affine(4096, 0, SHIFT, -40_000, 40_000);
+    }
+
+    /// Checks `merge_i16_row_into` against the scalar per-operand
+    /// `requantize`, on every code as the main operand (and, reversed, as
+    /// the shortcut).
+    fn check_merge(main_shift: i32, short_shift: i32, min: i64, max: i64) {
+        let main = every_code();
+        let short: Vec<i16> = main.iter().rev().copied().collect();
+        let expected: Vec<i16> = main
+            .iter()
+            .zip(&short)
+            .map(|(&a, &b)| {
+                let x = requantize(a as i64, main_shift, min, max);
+                let y = requantize(b as i64, short_shift, min, max);
+                (x + y).max(0).min(max) as i16
+            })
+            .collect();
+        let mut out = vec![0i16; main.len()];
+        merge_i16_row_into(&main, &short, main_shift, short_shift, min, max, &mut out);
+        assert_eq!(
+            out, expected,
+            "shifts {main_shift}/{short_shift} [{min}, {max}]"
+        );
+    }
+
+    #[test]
+    fn merge_kernel_matches_requantize_on_every_code_and_shift() {
+        // Every shift in -17..=17 on each side, plus shifts past the lane
+        // caps (17 down, 15 up), where the caps must change no result.
+        let beyond = [-40, -31, -20, -16, 18, 20, 31, 40];
+        for (min, max) in format_rails() {
+            for s in (-17..=17).chain(beyond) {
+                for t in [-17, -1, 0, 1, 17, -s] {
+                    check_merge(s, t, min, max);
+                    check_merge(t, s, min, max);
+                }
+            }
+        }
+        check_merge(2, -3, -40_000, 40_000);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 mod fixtures;
 
 use bayesnn_fpga::hls::{HlsConfig, HlsError, HlsSimulator, LoweredDesign, SimMode};
-use bayesnn_fpga::models::{zoo, ExitPlan, ModelConfig, NetworkSpec};
-use bayesnn_fpga::nn::Mode;
-use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantPlan};
+use bayesnn_fpga::models::{zoo, ExitPlan, LayerSpec, ModelConfig, NetworkSpec};
+use bayesnn_fpga::nn::{Mode, Network};
+use bayesnn_fpga::quant::schedule::MUL_FRAC;
+use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantPlan, ScheduleOp};
+use bayesnn_fpga::tensor::int::affine_fits_i32;
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;
 use bayesnn_fpga::tensor::Tensor;
 use std::sync::OnceLock;
@@ -231,6 +233,89 @@ fn predict_probs_is_bit_exact_resnet18() {
 #[test]
 fn predict_probs_is_bit_exact_lenet5_trained() {
     check_predict_probs_is_bit_exact(subject("lenet5_trained"));
+}
+
+/// A step whose constants break the plan's `i32`-lane bound
+/// (`2^15·|m| + |b| + 2^MUL_FRAC < 2^31`) runs the scalar `i64` route and
+/// stays bit-exact with the simulator. The exit's 0.95 dropout has
+/// `scale_q = 81920` at every format; a batch norm that scales a thousand-
+/// times-smaller conv channel back up by a thousand has a channel multiplier
+/// past the bound at 16 bits (so the route runs in `Eval` too).
+#[test]
+fn constants_past_the_i32_lane_bound_stay_bit_exact() {
+    let conv = LayerSpec::Conv2d {
+        in_channels: 3,
+        out_channels: 3,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let residual = LayerSpec::Residual {
+        main: vec![conv, LayerSpec::BatchNorm2d { channels: 3 }],
+        shortcut: Vec::new(),
+    };
+    let head = vec![
+        LayerSpec::GlobalAvgPool2d,
+        LayerSpec::Dense {
+            in_features: 3,
+            out_features: 3,
+        },
+    ];
+    let spec = NetworkSpec::single_exit(
+        "wide_constants",
+        3,
+        6,
+        6,
+        3,
+        vec![vec![residual, LayerSpec::Relu]],
+        head,
+    )
+    .with_exit_mcd(0.95)
+    .unwrap();
+    let mut net = spec.build(21).unwrap();
+    {
+        let mut params = net.params_mut();
+        assert_eq!(params[0].value.dims(), &[3, 3, 3, 3], "conv weight");
+        assert_eq!(params[2].value.dims(), &[3], "batch-norm gamma");
+        for w in &mut params[0].value.as_mut_slice()[..27] {
+            *w *= 1e-3;
+        }
+        params[2].value.as_mut_slice()[0] = 1e3;
+    }
+    let mut rng = Xoshiro256StarStar::seed_from_u64(22);
+    let calib = Tensor::randn(&[4, 3, 6, 6], &mut rng);
+    let subject = Subject {
+        name: "wide_constants",
+        calibrated: CalibratedNetwork::calibrate(&net, &calib).unwrap(),
+        input: Tensor::randn(&[2, 3, 6, 6], &mut rng),
+        spec,
+    };
+    let past = |m: i64, b: i64| !affine_fits_i32(m, b, MUL_FRAC);
+    for format in FixedPointFormat::search_space() {
+        let plan = subject.calibrated.plan(format).unwrap();
+        let (mut affine_past, mut dropout_past) = (false, false);
+        for step in plan.schedule().steps() {
+            match &step.op {
+                ScheduleOp::Affine { m, b, .. } => {
+                    affine_past |= m.iter().zip(b).any(|(&m, &b)| past(m, b));
+                }
+                ScheduleOp::McDropout { scale_q, .. } => dropout_past |= past(*scale_q, 0),
+                _ => {}
+            }
+        }
+        assert!(
+            dropout_past,
+            "{format:?}: the dropout scale should break the bound"
+        );
+        if format.total_bits() == 16 {
+            assert!(
+                affine_past,
+                "{format:?}: a channel multiplier should break the bound"
+            );
+        }
+    }
+    check_forward_is_bit_exact(&subject);
+    check_predict_probs_is_bit_exact(&subject);
 }
 
 /// Max-magnitude inputs against calibration ranges measured on unit-scale
