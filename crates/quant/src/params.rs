@@ -38,6 +38,7 @@ pub enum IntWidth {
 /// assert_eq!(p.scale(), 1.0 / 32.0); // 5 fractional bits
 /// assert_eq!(p.zero_point(), 0);
 /// assert_eq!((p.qmin(), p.qmax()), (-128, 127));
+/// assert_eq!(p.code_rails(), (-128i16, 127i16));
 /// assert_eq!(p.quantize_value(0.3751), 12); // 12/32 = 0.375
 /// assert_eq!(p.quantize_value(100.0), 127); // saturates
 /// # Ok(())
@@ -148,6 +149,13 @@ impl QuantParams {
     /// Largest representable code, `2^(W-1) - 1`.
     pub fn qmax(&self) -> i64 {
         (1i64 << (self.format.total_bits() - 1)) - 1
+    }
+
+    /// `(qmin, qmax)` as `i16` codes, the type the integer plans store and
+    /// requantize into. Every format fits: [`QuantParams::new`] rejects
+    /// formats wider than 16 bits.
+    pub fn code_rails(&self) -> (i16, i16) {
+        (self.qmin() as i16, self.qmax() as i16)
     }
 
     /// The storage width codes of this format occupy.

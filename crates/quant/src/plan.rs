@@ -378,8 +378,9 @@ impl Kernel for IntKernel {
                 let codes = elementwise_codes(&mut arena.slots, step, in_elems);
                 // Channel-outer, so each channel's lane width is decided once
                 // for all its planes in the batch.
+                let (min, max) = out.code_rails();
                 for (ch, (&m, &b)) in m.iter().zip(b).enumerate() {
-                    let map = AffineRequant::new(m, b, MUL_FRAC, out.qmin(), out.qmax());
+                    let map = AffineRequant::new(m, b, MUL_FRAC, min, max);
                     for sample in codes.chunks_exact_mut(c * plane) {
                         map.apply(&mut sample[ch * plane..(ch + 1) * plane]);
                     }
@@ -404,7 +405,8 @@ impl Kernel for IntKernel {
                 for m in mask.iter_mut() {
                     *m = rng.bernoulli(keep);
                 }
-                let map = AffineRequant::new(*scale_q, 0, MUL_FRAC, params.qmin(), params.qmax());
+                let (min, max) = params.code_rails();
+                let map = AffineRequant::new(*scale_q, 0, MUL_FRAC, min, max);
                 for (plane_codes, &kept) in codes.chunks_exact_mut(plane).zip(mask.iter().cycle()) {
                     if kept {
                         map.apply(plane_codes);
@@ -421,14 +423,15 @@ impl Kernel for IntKernel {
                 let src2 = step.src2.ok_or_else(|| {
                     QuantError::Internal("a residual merge step has no shortcut source".into())
                 })?;
+                let (min, max) = out.code_rails();
                 let mut dst = std::mem::take(&mut arena.slots[step.dst]);
                 merge_i16_row_into(
                     &arena.slots[step.src][..out_elems],
                     &arena.slots[src2][..out_elems],
                     *m_shift,
                     *s_shift,
-                    out.qmin(),
-                    out.qmax(),
+                    min,
+                    max,
                     &mut dst[..out_elems],
                 );
                 arena.slots[step.dst] = dst;

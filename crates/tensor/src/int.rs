@@ -34,10 +34,11 @@
 //! * **Elementwise steps in `i32` lanes.** [`AffineRequant`] and
 //!   [`merge_i16_row_into`] are portable loops without a dispatch: they
 //!   round by the branch-free ties-away identity in `i32` lanes, which the
-//!   compiler vectorizes at baseline codegen, whenever the constants prove
-//!   the lanes cannot overflow ([`affine_fits_i32`]), and fall back to the
-//!   scalar `i64` [`requantize`] otherwise. Either way the bits are those of
-//!   [`requantize`].
+//!   compiler vectorizes at baseline codegen. The merge is exact in `i32`
+//!   for every pair of shifts; the affine map is exact when its constants
+//!   prove the lanes cannot overflow ([`affine_fits_i32`]) and falls back
+//!   to the scalar `i64` [`requantize`] otherwise. Either way the bits are
+//!   those of [`requantize`].
 
 use crate::linalg::{fill_row_blocks, ConvGeometry};
 use crate::simd::Backend;
@@ -293,12 +294,6 @@ pub fn affine_fits_i32(m: i64, b: i64, shift: u32) -> bool {
     reach < 1 << 31
 }
 
-/// True when `[min, max]` is a non-empty range of `i16` codes, the bounds
-/// the `i32`-lane kernels clamp into.
-fn i16_bounds(min: i64, max: i64) -> bool {
-    i16::MIN as i64 <= min && min <= max && max <= i16::MAX as i64
-}
-
 /// One power-of-two requantize in `i32` lanes:
 /// `clamp(((t << up) + half - [t < 0]) >> down, lo, hi)`. With `down > 0`,
 /// `half = 2^(down-1)` and the `[t < 0]` correction this is the branch-free
@@ -317,27 +312,27 @@ struct LaneRequant {
 }
 
 impl LaneRequant {
-    /// A rounding right shift by `down` into `[min, max]` (both in `i16`).
-    fn right(down: u32, min: i64, max: i64) -> Self {
+    /// A rounding right shift by `down` into `[min, max]`.
+    fn right(down: u32, min: i16, max: i16) -> Self {
         let rounding = down > 0;
         LaneRequant {
             up: 0,
             down,
             half: if rounding { 1 << (down - 1) } else { 0 },
             neg: -i32::from(rounding),
-            lo: min as i16,
-            hi: max as i16,
+            lo: min,
+            hi: max,
         }
     }
 
-    /// [`requantize`] of one `i16` code by any `shift` into `[min, max]`
-    /// (both in `i16`), with shifts capped where the cap changes no result.
+    /// [`requantize`] of one `i16` code by any `shift` into `[min, max]`,
+    /// with shifts capped where the cap changes no result.
     /// A right shift of 17 or more rounds every `i16` code to 0 (the rounded
     /// `|x| / 2^17 <= 1/4`), so 17 stands for all of them. A scale-up of 15
     /// bits already takes every nonzero code to `|x| >= 2^15`, at or past
     /// both `i16` rails, so the clamp gives the same result as the saturating
     /// scale-up by more; `2^15 · 2^15` stays inside `i32`.
-    fn code(shift: i32, min: i64, max: i64) -> Self {
+    fn code(shift: i32, min: i16, max: i16) -> Self {
         if shift >= 0 {
             Self::right(shift.unsigned_abs().min(17), min, max)
         } else {
@@ -369,8 +364,7 @@ impl LaneRequant {
 ///
 /// [`AffineRequant::new`] picks the lane width once, so a caller that maps
 /// many small planes with the same constants decides only once: when
-/// [`affine_fits_i32`] holds and `[min, max]` lies in `i16` (every plan
-/// format does), [`AffineRequant::apply`] runs in `i32` lanes with the
+/// [`affine_fits_i32`] holds, [`AffineRequant::apply`] runs in `i32` lanes with the
 /// branch-free ties-away rounding `(t + 2^(shift-1) - [t < 0]) >> shift`,
 /// which the compiler vectorizes at baseline codegen; otherwise it runs the
 /// scalar `i64` [`requantize`] on each code.
@@ -390,16 +384,17 @@ pub struct AffineRequant {
     m: i64,
     b: i64,
     shift: u32,
-    min: i64,
-    max: i64,
+    min: i16,
+    max: i16,
     /// The `i32`-lane form, when the constants prove it exact.
     lane: Option<LaneRequant>,
 }
 
 impl AffineRequant {
-    /// The map for one set of constants, with its lane width decided.
-    pub fn new(m: i64, b: i64, shift: u32, min: i64, max: i64) -> Self {
-        let exact = affine_fits_i32(m, b, shift) && i16_bounds(min, max);
+    /// The map for one set of constants into the codes `[min, max]`
+    /// (`min <= max`), with its lane width decided.
+    pub fn new(m: i64, b: i64, shift: u32, min: i16, max: i16) -> Self {
+        let exact = affine_fits_i32(m, b, shift);
         AffineRequant {
             m,
             b,
@@ -422,7 +417,7 @@ impl AffineRequant {
                 }
             }
             None => {
-                let (shift, min, max) = (self.shift as i32, self.min, self.max);
+                let (shift, min, max) = (self.shift as i32, self.min.into(), self.max.into());
                 for v in codes.iter_mut() {
                     *v = requantize(*v as i64 * m + b, shift, min, max) as i16;
                 }
@@ -438,11 +433,10 @@ impl AffineRequant {
 /// both requantizes saturating into `[min, max]`. A negative shift scales
 /// up (saturating), as in [`requantize`].
 ///
-/// With `[min, max]` in `i16` (every plan format) the loop runs in `i32`
-/// lanes for every pair of shifts: right shifts round by the branch-free
-/// ties-away identity, and shifts are capped at 17 bits down and 15 bits
-/// up, beyond which no clamped result changes. Other bounds run the scalar
-/// `i64` loop.
+/// The loop runs in `i32` lanes for every pair of shifts: right shifts
+/// round by the branch-free ties-away identity, and shifts are capped at 17
+/// bits down and 15 bits up, beyond which no clamped result changes.
+/// `[min, max]` are the output format's codes (`min <= max`).
 ///
 /// # Panics
 ///
@@ -464,33 +458,24 @@ pub fn merge_i16_row_into(
     short: &[i16],
     main_shift: i32,
     short_shift: i32,
-    min: i64,
-    max: i64,
+    min: i16,
+    max: i16,
     out: &mut [i16],
 ) {
     assert_eq!(main.len(), out.len(), "merge_i16_row_into length mismatch");
     assert_eq!(short.len(), out.len(), "merge_i16_row_into length mismatch");
-    if i16_bounds(min, max) {
-        let (a_lane, b_lane) = (
-            LaneRequant::code(main_shift, min, max),
-            LaneRequant::code(short_shift, min, max),
-        );
-        // Both operands lie in [min, max], so the saturating i16 sum
-        // clamps to [0, max] exactly as the i64 sum does.
-        let hi = max as i16;
-        for ((o, &a), &b) in out.iter_mut().zip(main).zip(short) {
-            *o = a_lane
-                .apply(a as i32)
-                .saturating_add(b_lane.apply(b as i32))
-                .max(0)
-                .min(hi);
-        }
-    } else {
-        for ((o, &a), &b) in out.iter_mut().zip(main).zip(short) {
-            let x = requantize(a as i64, main_shift, min, max);
-            let y = requantize(b as i64, short_shift, min, max);
-            *o = (x + y).max(0).min(max) as i16;
-        }
+    let (a_lane, b_lane) = (
+        LaneRequant::code(main_shift, min, max),
+        LaneRequant::code(short_shift, min, max),
+    );
+    // Both operands lie in [min, max], so the saturating i16 sum clamps to
+    // [0, max] exactly as the i64 sum does.
+    for ((o, &a), &b) in out.iter_mut().zip(main).zip(short) {
+        *o = a_lane
+            .apply(a as i32)
+            .saturating_add(b_lane.apply(b as i32))
+            .max(0)
+            .min(max);
     }
 }
 
@@ -960,19 +945,23 @@ mod tests {
     }
 
     /// The `(qmin, qmax)` rails of the 4-, 6-, 8- and 16-bit formats.
-    fn format_rails() -> [(i64, i64); 4] {
-        [4u32, 6, 8, 16].map(|bits| (-(1i64 << (bits - 1)), (1i64 << (bits - 1)) - 1))
+    fn format_rails() -> [(i16, i16); 4] {
+        [4u32, 6, 8, 16].map(|bits| {
+            let half = 1i32 << (bits - 1);
+            (-half as i16, (half - 1) as i16)
+        })
     }
 
     /// Checks `AffineRequant` on every code against the scalar
     /// `requantize`, in place on the whole slice and through the plans'
     /// out-of-place route (copy the source into a distinct destination,
     /// then map it there).
-    fn check_affine(m: i64, b: i64, shift: u32, min: i64, max: i64) {
+    fn check_affine(m: i64, b: i64, shift: u32, min: i16, max: i16) {
         let codes = every_code();
+        let (lo, hi) = (min.into(), max.into());
         let expected: Vec<i16> = codes
             .iter()
-            .map(|&x| requantize(x as i64 * m + b, shift as i32, min, max) as i16)
+            .map(|&x| requantize(x as i64 * m + b, shift as i32, lo, hi) as i16)
             .collect();
         let map = AffineRequant::new(m, b, shift, min, max);
         let mut in_place = codes.clone();
@@ -1029,28 +1018,27 @@ mod tests {
                 check_affine(m, b, SHIFT, min, max);
             }
         }
-        // Other shifts, including no rounding at all, and bounds wider
-        // than i16 (the scalar route).
+        // Other shifts, including no rounding at all.
         for shift in [0, 1, 5] {
             check_affine(3, -2, shift, -128, 127);
             check_affine(-700, 9, shift, -32768, 32767);
         }
-        check_affine(4096, 0, SHIFT, -40_000, 40_000);
     }
 
     /// Checks `merge_i16_row_into` against the scalar per-operand
     /// `requantize`, on every code as the main operand (and, reversed, as
     /// the shortcut).
-    fn check_merge(main_shift: i32, short_shift: i32, min: i64, max: i64) {
+    fn check_merge(main_shift: i32, short_shift: i32, min: i16, max: i16) {
+        let (lo, hi) = (min.into(), max.into());
         let main = every_code();
         let short: Vec<i16> = main.iter().rev().copied().collect();
         let expected: Vec<i16> = main
             .iter()
             .zip(&short)
             .map(|(&a, &b)| {
-                let x = requantize(a as i64, main_shift, min, max);
-                let y = requantize(b as i64, short_shift, min, max);
-                (x + y).max(0).min(max) as i16
+                let x = requantize(a as i64, main_shift, lo, hi);
+                let y = requantize(b as i64, short_shift, lo, hi);
+                (x + y).max(0).min(hi) as i16
             })
             .collect();
         let mut out = vec![0i16; main.len()];
@@ -1074,7 +1062,6 @@ mod tests {
                 }
             }
         }
-        check_merge(2, -3, -40_000, 40_000);
     }
 
     #[test]
