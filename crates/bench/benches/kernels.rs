@@ -11,7 +11,10 @@ use bnn_nn::layers::conv2d::Conv2d;
 use bnn_nn::Layer;
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 use bnn_tensor::exec::Executor;
-use bnn_tensor::int::{im2row_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into};
+use bnn_tensor::int::{
+    conv_i32_into, conv_i64_into, im2col_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into,
+    IntConv,
+};
 use bnn_tensor::linalg::{col2im_slices_into, im2col, im2col_into, matmul, ConvGeometry};
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
 use bnn_tensor::Tensor;
@@ -50,8 +53,8 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // The requantize epilogue over one output row (shift + saturate into i16
-    // codes) and the i16 im2row fill of the planned conv — both dispatch to
-    // the runtime SIMD backend.
+    // codes), which dispatches to the runtime SIMD backend, and the i16
+    // tap-major unfold of the planned conv.
     let acc: Vec<i32> = (0..4096).map(|_| rng.next_u64() as i32 >> 8).collect();
     let mut requant_out = vec![0i16; 4096];
     group.bench_function("requantize_row_4096", |b| {
@@ -62,8 +65,9 @@ fn bench_kernels(c: &mut Criterion) {
         .map(|_| (rng.next_u64() % 255) as i8 as i16)
         .collect();
     let mut packed = Vec::new();
-    group.bench_function("im2row_i16_4x16x16x16", |b| {
-        b.iter(|| im2row_i16_into(&codes, 4, 16, &im2row_geom, &mut packed).unwrap())
+    let seq = Executor::sequential();
+    group.bench_function("im2col_i16_4x16x16x16", |b| {
+        b.iter(|| im2col_i16_into(&seq, &codes, 4, 16, &im2row_geom, &mut packed).unwrap())
     });
 
     let mut conv = Conv2d::new(16, 32, 3, 1, 1, 0).unwrap();
@@ -124,8 +128,8 @@ fn bench_kernels(c: &mut Criterion) {
         .map(|_| (unfold_rng.next_u64() % 255) as i8 as i16)
         .collect();
     let mut packed12 = Vec::new();
-    group.bench_function("im2row_i16_32x4x12x12", |b| {
-        b.iter(|| im2row_i16_into(&codes12, 32, 4, &im2row_geom12, &mut packed12).unwrap())
+    group.bench_function("im2col_i16_32x4x12x12", |b| {
+        b.iter(|| im2col_i16_into(&seq, &codes12, 32, 4, &im2row_geom12, &mut packed12).unwrap())
     });
 
     // The 6x6 stage between those two, and the stride-2 3x3 conv that
@@ -143,6 +147,52 @@ fn bench_kernels(c: &mut Criterion) {
         let mut folded = vec![0.0f32; input.len()];
         group.bench_function(format!("col2im_32x8x6x6{suffix}"), |b| {
             b.iter(|| col2im_slices_into(&cols, 32, 8, &geom, &mut folded).unwrap())
+        });
+    }
+
+    // The integer plan's conv step (tap-major unfold, outer-product GEMM,
+    // requantize into NCHW codes) at the offline ResNet-18's shapes, batch
+    // 32 on one thread: the widest 8-bit conv (4 -> 4 channels on 12x12
+    // planes), the deepest (32 -> 32 on 3x3) and the widest at 16 bits.
+    // Own stream, so the inputs of the rows below stay as they were.
+    let mut conv_rng = Xoshiro256StarStar::seed_from_u64(6);
+    for (name, channels, side, wide) in [
+        ("conv_i8_32x4x12x12_k3", 4usize, 12usize, false),
+        ("conv_i8_32x32x3x3_k3", 32, 3, false),
+        ("conv_i16_32x4x12x12_k3", 4, 12, true),
+    ] {
+        let mut codes = |n: usize| -> Vec<i16> {
+            (0..n)
+                .map(|_| match wide {
+                    false => (conv_rng.next_u64() % 255) as i8 as i16,
+                    true => conv_rng.next_u64() as i16,
+                })
+                .collect()
+        };
+        let input = codes(32 * channels * side * side);
+        let weights = codes(channels * channels * 9);
+        let bias: Vec<i64> = codes(channels).iter().map(|&v| v as i64 * 64).collect();
+        let (shift, (min, max)) = match wide {
+            false => (7, (-128, 127)),
+            true => (15, (i16::MIN, i16::MAX)),
+        };
+        let conv = IntConv {
+            geom: ConvGeometry::square(side, side, 3, 1, 1),
+            in_c: channels,
+            out_c: channels,
+            weights: &weights,
+            bias: &bias,
+            shift,
+            min,
+            max,
+        };
+        let (mut cols, mut acc32, mut acc64) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = vec![0i16; input.len()];
+        group.bench_function(name, |b| {
+            b.iter(|| match wide {
+                false => conv_i32_into(&seq, &conv, &input, 32, &mut cols, &mut acc32, &mut out),
+                true => conv_i64_into(&seq, &conv, &input, 32, &mut cols, &mut acc64, &mut out),
+            })
         });
     }
 

@@ -343,7 +343,7 @@ impl Network for MultiExitNetwork {
         }
         let mut downstream: Option<Tensor> = None;
         for (i, block) in self.blocks.iter_mut().enumerate().rev() {
-            let mut grad_out = match (pending[i].take(), downstream.take()) {
+            let grad_out = match (pending[i].take(), downstream.take()) {
                 (Some(mut a), Some(b)) => {
                     a.add_scaled_inplace(&b, 1.0)?;
                     a
@@ -356,8 +356,12 @@ impl Network for MultiExitNetwork {
                     )))
                 }
             };
-            grad_out = block.backward(&grad_out)?;
-            downstream = Some(grad_out);
+            // Nothing reads the stem's input gradient.
+            if i == 0 {
+                block.backward_params(&grad_out)?;
+            } else {
+                downstream = Some(block.backward(&grad_out)?);
+            }
         }
         Ok(())
     }
@@ -445,6 +449,39 @@ mod tests {
         .unwrap()
         .with_exit_mcd(0.25)
         .unwrap()
+    }
+
+    #[test]
+    fn stem_backward_params_accumulates_the_gradients_of_backward() {
+        let config = crate::ModelConfig::cifar10()
+            .with_resolution(12, 12)
+            .with_width_divisor(16);
+        let spec = crate::zoo::resnet18(&config)
+            .with_exits_after_every_block()
+            .unwrap();
+        let (mut full, mut params_only) = (spec.build(4).unwrap(), spec.build(4).unwrap());
+        let stem = Layer::lowering(&full.blocks[0]).unwrap();
+        assert!(matches!(
+            &stem,
+            bnn_nn::lowering::LayerLowering::Sequence(ops)
+                if matches!(ops[0], bnn_nn::lowering::LayerLowering::Conv2d { .. })
+        ));
+        let mut rng = Xoshiro256StarStar::seed_from_u64(8);
+        let x = Tensor::randn(&[3, 3, 12, 12], &mut rng);
+        let out = full.blocks[0].forward(&x, Mode::Train).unwrap();
+        params_only.blocks[0].forward(&x, Mode::Train).unwrap();
+        let g = Tensor::randn(out.dims(), &mut rng);
+        full.blocks[0].backward(&g).unwrap();
+        params_only.blocks[0].backward_params(&g).unwrap();
+        let grad_bits = |net: &MultiExitNetwork| -> Vec<u32> {
+            let params = Layer::params(&net.blocks[0]);
+            params
+                .iter()
+                .flat_map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert!(grad_bits(&full).iter().any(|&b| b != 0));
+        assert_eq!(grad_bits(&full), grad_bits(&params_only));
     }
 
     #[test]

@@ -102,6 +102,18 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Returns [`NnError::MissingForwardCache`] if called before `forward`.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
 
+    /// [`Layer::backward`] for a layer whose input gradient nothing reads
+    /// (the first layer of a network): accumulates the same parameter
+    /// gradients and returns no input gradient, so a layer may skip the work
+    /// of computing it. The default runs `backward` and drops the result.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        self.backward(grad_output).map(drop)
+    }
+
     /// Mutable access to the layer's trainable parameters (may be empty).
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()

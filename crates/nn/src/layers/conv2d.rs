@@ -225,6 +225,42 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
+        let grad = self.backward_with(grad_output, true)?;
+        Ok(grad.expect("backward_with returns the input gradient when asked for it"))
+    }
+
+    /// Skips the input gradient's `Wᵀ·g` GEMM and `col2im` fold.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        self.backward_with(grad_output, false).map(drop)
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        vec![&mut self.weight, &mut self.bias]
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
+        Ok(crate::lowering::LayerLowering::Conv2d {
+            weight: self.weight.value.clone(),
+            bias: self.bias.value.clone(),
+            stride: self.stride,
+            padding: self.padding,
+        })
+    }
+}
+
+impl Conv2d {
+    /// The backward pass: accumulates the weight and bias gradients and,
+    /// when `input_grad` is set, returns the input gradient (`Wᵀ·g` folded
+    /// back by `col2im`); without it that GEMM and the fold are skipped.
+    fn backward_with(
+        &mut self,
+        grad_output: &Tensor,
+        input_grad: bool,
+    ) -> Result<Option<Tensor>, NnError> {
         let cols = self
             .cached_cols
             .as_ref()
@@ -289,6 +325,10 @@ impl Layer for Conv2d {
                 }
             }
 
+            if !input_grad {
+                return Ok(None);
+            }
+
             // dcols = Wᵀ * g2d, folded back to the input shape one input
             // channel at a time: a channel's `k*k` rows of dcols fold into
             // that channel's planes only, so the column gradient never needs
@@ -303,7 +343,7 @@ impl Layer for Conv2d {
             let in_plane = in_h * in_w;
             let mut grad_input = vec![0.0f32; batch * self.in_channels * in_plane];
             if batch * in_plane == 0 {
-                return Tensor::from_vec(grad_input, &input_dims).map_err(NnError::from);
+                return Ok(Some(Tensor::from_vec(grad_input, &input_dims)?));
             }
             let dcols = resized(&mut scratch.dcols, taps * cols_n);
             let grad_cm = resized(&mut scratch.grad_cm, grad_input.len());
@@ -319,24 +359,7 @@ impl Layer for Conv2d {
                 grad_input[(b * self.in_channels + ch) * in_plane..][..in_plane]
                     .copy_from_slice(src);
             }
-            Tensor::from_vec(grad_input, &input_dims).map_err(NnError::from)
-        })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::Conv2d {
-            weight: self.weight.value.clone(),
-            bias: self.bias.value.clone(),
-            stride: self.stride,
-            padding: self.padding,
+            Ok(Some(Tensor::from_vec(grad_input, &input_dims)?))
         })
     }
 }
@@ -344,6 +367,33 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Weight and bias gradient bits of a layer.
+    fn grad_bits(conv: &Conv2d) -> Vec<u32> {
+        conv.params()
+            .iter()
+            .flat_map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_gradients_of_backward() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        // Stride 2 and padding 1: a 7x7 plane maps to 4x4.
+        let x = Tensor::randn(&[3, 2, 7, 7], &mut rng);
+        let g = Tensor::randn(&[3, 4, 4, 4], &mut rng);
+        let mut full = Conv2d::new(2, 4, 3, 2, 1, 9).unwrap();
+        let mut params_only = Conv2d::new(2, 4, 3, 2, 1, 9).unwrap();
+        // Twice, so the second pass accumulates onto the first.
+        for _ in 0..2 {
+            full.forward(&x, Mode::Train).unwrap();
+            params_only.forward(&x, Mode::Train).unwrap();
+            full.backward(&g).unwrap();
+            params_only.backward_params(&g).unwrap();
+        }
+        assert!(grad_bits(&full).iter().any(|&b| b != 0));
+        assert_eq!(grad_bits(&full), grad_bits(&params_only));
+    }
 
     #[test]
     fn forward_shape() {

@@ -104,6 +104,24 @@ impl Sequential {
         Ok(current)
     }
 
+    /// [`Sequential::backward`] without the container's input gradient: the
+    /// first layer runs [`Layer::backward_params`], so it may skip
+    /// computing a gradient nothing reads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first layer error encountered.
+    pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut current = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            current = layer.backward(&current)?;
+        }
+        first.backward_params(&current)
+    }
+
     /// Mutable access to every parameter of every layer.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
@@ -136,6 +154,10 @@ impl Layer for Sequential {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
         Sequential::backward(self, grad_output)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        Sequential::backward_params(self, grad_output)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -11,7 +11,8 @@
 //! calibration records in flat step order (record `n` belongs to step `n`;
 //! calibration ran the float plan's steps of the same compiler), derives
 //! every value's [`QuantParams`], and packs weights **once** into the
-//! transposed/widened `i16` layout the integer matmul kernels consume. The
+//! widened `i16` layouts the integer matmul kernels consume (`[out_c,
+//! c*kh*kw]` for convs, `[out_f, in_f]` for dense layers). The
 //! result is a [`PlanSchedule`], the one format code generators read too.
 //! [`IntKernel`] is everything else only the integer format knows: its
 //! step kernels, its arena scratch, quantizing the input batch and
@@ -22,6 +23,18 @@
 //! `QuantPlan::predict_probs_into` performs **zero heap allocations** in
 //! the steady state (on a sequential executor; the thread-pool fan-out of
 //! large kernels allocates its scoped workers by design).
+//!
+//! `Conv` runs as one GEMM over the output positions
+//! ([`bnn_tensor::int::conv_i32_into`], [`bnn_tensor::int::conv_i64_into`]
+//! at 9–16 bits): the input is unfolded into the tap-major
+//! `[c*kh*kw, batch*out_plane]` code columns in the arena's `cols` (the
+//! float im2col's layout and loops), the packed weights multiply them in
+//! the outer-product kernel into exact accumulators in the arena, and each
+//! output channel's whole `[batch*out_plane]` row is requantized in one
+//! pass — in `i32` lanes when `k·2^14 + |bias| + 2^shift < 2^31`
+//! ([`bnn_tensor::int::conv_requant_fits_i32`]), else by the `i64` row
+//! requantize — before its plane runs are copied into the NCHW slot.
+//! `Dense` runs the dot-product kernels on `[batch, in_f]` codes.
 //!
 //! The elementwise requantizing steps run on the `i32`-lane row kernels of
 //! `bnn_tensor::int`, with exactly the bits of its scalar `requantize`.
@@ -67,9 +80,8 @@ use bnn_nn::plan::MaskGranularity;
 use bnn_nn::skeleton::{self, Attach, BlockLayout, ExitSteps, Node};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::int::{
-    im2row_i16_into, matmul_abt_i64_into, matmul_wide_i32_into, merge_i16_row_into,
-    requantize_i32_row_biased_into, requantize_i32_row_into, requantize_i64_row_biased_into,
-    requantize_i64_row_into, AffineRequant,
+    conv_i32_into, conv_i64_into, matmul_abt_i64_into, matmul_wide_i32_into, merge_i16_row_into,
+    requantize_i32_row_biased_into, requantize_i64_row_biased_into, AffineRequant, IntConv,
 };
 use bnn_tensor::linalg::ConvGeometry;
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
@@ -218,68 +230,32 @@ impl Kernel for IntKernel {
                 out,
                 ..
             } => {
-                let (out_c, shift) = (*out_c, *shift);
-                let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
-                let geom = ConvGeometry::square(h, w, *kernel, *stride, *padding);
-                let plane = geom.out_h() * geom.out_w();
-                let kred = in_c * kernel * kernel;
-                let ncols = batch * plane;
+                let (h, w) = (step.in_dims[1], step.in_dims[2]);
+                let conv = IntConv {
+                    geom: ConvGeometry::square(h, w, *kernel, *stride, *padding),
+                    in_c: *in_c,
+                    out_c: *out_c,
+                    weights,
+                    bias,
+                    shift: *shift,
+                    min: out.code_rails().0,
+                    max: out.code_rails().1,
+                };
+                // out_elems = out_c * batch * out_plane.
+                let exec = pick_exec(weights.len() / out_c * out_elems);
                 let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                {
-                    let src = &arena.slots[step.src][..in_elems];
-                    im2row_i16_into(src, batch, c, &geom, &mut arena.cols)?;
-                }
-                let exec = pick_exec(out_c * kred * ncols);
-                let (qmin, qmax) = (out.qmin(), out.qmax());
-                match out.width() {
+                let src = &arena.slots[step.src][..in_elems];
+                let cols = &mut arena.cols;
+                let result = match out.width() {
                     IntWidth::W8 => {
-                        let acc = &mut arena.acc32[..out_c * ncols];
-                        matmul_wide_i32_into(
-                            &exec,
-                            weights,
-                            &arena.cols[..kred * ncols],
-                            out_c,
-                            kred,
-                            ncols,
-                            acc,
-                        )?;
-                        for co in 0..out_c {
-                            for b in 0..batch {
-                                let src_row =
-                                    &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
-                                let start = (b * out_c + co) * plane;
-                                let dst_row = &mut dst[start..start + plane];
-                                requantize_i32_row_into(
-                                    src_row, bias[co], shift, qmin, qmax, dst_row,
-                                );
-                            }
-                        }
+                        conv_i32_into(&exec, &conv, src, batch, cols, &mut arena.acc32, &mut dst)
                     }
                     IntWidth::W16 => {
-                        let acc = &mut arena.acc64[..out_c * ncols];
-                        matmul_abt_i64_into(
-                            &exec,
-                            weights,
-                            &arena.cols[..kred * ncols],
-                            out_c,
-                            kred,
-                            ncols,
-                            acc,
-                        )?;
-                        for co in 0..out_c {
-                            for b in 0..batch {
-                                let src_row =
-                                    &acc[co * ncols + b * plane..co * ncols + (b + 1) * plane];
-                                let start = (b * out_c + co) * plane;
-                                let dst_row = &mut dst[start..start + plane];
-                                requantize_i64_row_into(
-                                    src_row, bias[co], shift, qmin, qmax, dst_row,
-                                );
-                            }
-                        }
+                        conv_i64_into(&exec, &conv, src, batch, cols, &mut arena.acc64, &mut dst)
                     }
-                }
+                };
                 arena.slots[step.dst] = dst;
+                result?;
             }
             ScheduleOp::Dense {
                 weights_t,

@@ -25,8 +25,10 @@
 //!   output row blocks on a [`parpool::Executor`] exactly like the float
 //!   kernels, preserving the PR-3 threading contract (one writer per output
 //!   element, identical results for every thread count).
-//! * **SIMD dispatch.** The hot inner loops — the packed matmul kernels and
-//!   the requantize row helpers — route through a runtime
+//! * **SIMD dispatch.** The hot inner loops — the packed matmul kernels
+//!   (the outer-product convolution GEMM [`matmul_ab_i32_into`] /
+//!   [`matmul_ab_i64_into`] and the dot-product dense GEMM) and the
+//!   requantize row helpers — route through a runtime
 //!   backend selected once per process (see [`crate::simd`]). Because
 //!   accumulation is exact, every backend produces the same bits as the
 //!   scalar reference; the scalar kernels stay compiled in as the fallback
@@ -39,6 +41,12 @@
 //!   prove the lanes cannot overflow ([`affine_fits_i32`]) and falls back
 //!   to the scalar `i64` [`requantize`] otherwise. Either way the bits are
 //!   those of [`requantize`].
+//! * **The convolution step.** [`conv_i32_into`] and [`conv_i64_into`] are
+//!   the integer plans' conv: the tap-major unfold ([`im2col_i16_into`]),
+//!   the outer-product GEMM, and one requantize pass per output channel's
+//!   whole accumulator row (in `i32` lanes when [`conv_requant_fits_i32`]
+//!   holds), copied out to NCHW a plane run at a time. The position-major
+//!   [`im2row_i16_into`] is no longer on a plan's path.
 
 use crate::linalg::{fill_row_blocks, ConvGeometry};
 use crate::simd::Backend;
@@ -813,11 +821,343 @@ fn scalar_abt_i64_block(a: &[i16], bt: &[i16], k: usize, n: usize, chunk: &mut [
     }
 }
 
+fn check_matmul_ab(
+    a: &[i16],
+    b: &[i16],
+    m: usize,
+    k: usize,
+    n: usize,
+    out_len: usize,
+    op: &'static str,
+) -> Result<(), TensorError> {
+    if a.len() != m * k || b.len() != k * n || out_len != m * n {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![a.len(), m, k],
+            rhs: vec![b.len(), k, n],
+            op,
+        });
+    }
+    Ok(())
+}
+
+/// Multiplies `a` (`[m, k]` row-major, i8-range codes widened to `i16`) by
+/// `b` (`[k, n]` row-major, i8-range) into the exact `i32` accumulator
+/// slice `out` (`[m, n]`, fully overwritten) — the convolution GEMM of the
+/// integer plans, with the packed `[out_c, c * kh * kw]` weights as `a` and
+/// the tap-major columns of [`im2col_i16_into`] as `b`.
+///
+/// The kernel vectorizes along the output columns (an outer product per
+/// tap pair, see `simdkern::matmul_ab_i32`), so the reduction length costs
+/// nothing per output: no horizontal sum, no scalar tail, and a 27-tap
+/// convolution runs on the vector path like a 288-tap one. Row blocks fan
+/// out over `exec`; integer accumulation is exact, so every backend and
+/// thread count gives the same bits as a plain dot product.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if slice lengths do not match
+/// `m * k` / `k * n` / `m * n`, or if `k` exceeds the exact-accumulation
+/// bound for i8-range operands (`k < 2^17`).
+///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::exec::Executor;
+/// use bnn_tensor::int::matmul_ab_i32_into;
+///
+/// # fn main() -> Result<(), bnn_tensor::TensorError> {
+/// let a = [1i16, 2, 3, 4]; // [2, 2]
+/// let b = [5i16, 6, 7, 8]; // [2, 2]
+/// let mut out = [0i32; 4];
+/// matmul_ab_i32_into(&Executor::sequential(), &a, &b, 2, 2, 2, &mut out)?;
+/// assert_eq!(out, [19, 22, 43, 50]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn matmul_ab_i32_into(
+    exec: &Executor,
+    a: &[i16],
+    b: &[i16],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [i32],
+) -> Result<(), TensorError> {
+    check_matmul_ab(a, b, m, k, n, out.len(), "matmul_ab_i32_into")?;
+    if k >= (1 << 17) {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![m, k],
+            rhs: vec![k, n],
+            op: "matmul_ab_i32_into: k exceeds exact i32 accumulation bound (< 2^17)",
+        });
+    }
+    let backend = simdkern::active();
+    fill_row_blocks(exec, out, m, n, |row0, chunk| {
+        let rows = chunk.len() / n;
+        simdkern::matmul_ab_i32(backend, &a[row0 * k..(row0 + rows) * k], b, k, n, chunk);
+    });
+    Ok(())
+}
+
+/// [`matmul_ab_i32_into`] for full-range `i16` operands into exact `i64`
+/// accumulators — the wide-format (9–16 bit) convolution GEMM.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if slice lengths do not match.
+pub fn matmul_ab_i64_into(
+    exec: &Executor,
+    a: &[i16],
+    b: &[i16],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [i64],
+) -> Result<(), TensorError> {
+    check_matmul_ab(a, b, m, k, n, out.len(), "matmul_ab_i64_into")?;
+    let backend = simdkern::active();
+    fill_row_blocks(exec, out, m, n, |row0, chunk| {
+        let rows = chunk.len() / n;
+        simdkern::matmul_ab_i64(backend, &a[row0 * k..(row0 + rows) * k], b, k, n, chunk);
+    });
+    Ok(())
+}
+
+/// Unfolds an NCHW `i16` code tensor into the tap-major column matrix
+/// `[rows, cols]` (`rows = channels * kh * kw` taps,
+/// `cols = batch * out_h * out_w` output positions) — the layout of
+/// [`crate::linalg::im2col`],
+/// filled by the same stacked unfold, and the right-hand side of
+/// [`matmul_ab_i32_into`]/[`matmul_ab_i64_into`]. Padding taps hold integer
+/// zero. Channels fan out over `exec`. Only the first `rows * cols`
+/// elements of `out` are written (all of them), and it only grows, so the
+/// steady state of an arena incurs no heap allocation.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `input` does not hold
+/// `batch * channels * in_h * in_w` codes.
+pub fn im2col_i16_into(
+    exec: &Executor,
+    input: &[i16],
+    batch: usize,
+    channels: usize,
+    geom: &ConvGeometry,
+    out: &mut Vec<i16>,
+) -> Result<(usize, usize), TensorError> {
+    if input.len() != batch * channels * geom.in_h * geom.in_w {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![input.len()],
+            rhs: vec![batch, channels, geom.in_h, geom.in_w],
+            op: "im2col_i16_into",
+        });
+    }
+    let rows = channels * geom.kernel_h * geom.kernel_w;
+    let cols = batch * geom.out_h() * geom.out_w();
+    if out.len() < rows * cols {
+        out.resize(rows * cols, 0);
+    }
+    crate::unfold::im2col(exec, input, batch, channels, geom, &mut out[..rows * cols]);
+    Ok((rows, cols))
+}
+
+/// Returns true when a convolution's requantize
+/// `round_shift(acc + bias, shift)` is exact in `i32` lanes for every
+/// accumulator of a `k`-tap reduction over i8-range codes:
+/// `k·2^14 + |bias| + 2^shift < 2^31` with `shift >= 0`. Each product is at
+/// most `2^14` in magnitude, so the sum, the bias and the rounding bias then
+/// never leave `i32`. [`conv_i32_into`] decides each output channel's lane
+/// width by this rule.
+///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::int::conv_requant_fits_i32;
+///
+/// assert!(conv_requant_fits_i32(288, -5_000, 9));
+/// assert!(!conv_requant_fits_i32(288, i64::from(i32::MAX) - 4_000_000, 9));
+/// assert!(!conv_requant_fits_i32(288, 0, -1)); // a scale-up stays in i64
+/// ```
+pub fn conv_requant_fits_i32(k: usize, bias: i64, shift: i32) -> bool {
+    let Ok(shift) = u32::try_from(shift) else {
+        return false;
+    };
+    let reach = ((k as u128) << 14) + u128::from(bias.unsigned_abs()) + (1u128 << shift.min(64));
+    reach < 1 << 31
+}
+
+/// One integer convolution step: its geometry, the packed
+/// `[out_c, in_c * kh * kw]` weight codes, one accumulator-scale bias per
+/// output channel, the requantize shift and the output codes' rails.
+#[derive(Debug, Clone, Copy)]
+pub struct IntConv<'a> {
+    /// The window geometry.
+    pub geom: ConvGeometry,
+    /// Input channels.
+    pub in_c: usize,
+    /// Output channels.
+    pub out_c: usize,
+    /// Weight codes, `[out_c, in_c * kh * kw]` row-major.
+    pub weights: &'a [i16],
+    /// Bias at the accumulator's scale, one per output channel.
+    pub bias: &'a [i64],
+    /// Requantize shift from the accumulator's scale to the output's; a
+    /// negative shift scales up.
+    pub shift: i32,
+    /// Lowest output code.
+    pub min: i16,
+    /// Highest output code.
+    pub max: i16,
+}
+
+impl IntConv<'_> {
+    /// Taps of one output: `in_c * kh * kw`.
+    fn taps(&self) -> usize {
+        self.in_c * self.geom.kernel_h * self.geom.kernel_w
+    }
+}
+
+/// Runs an integer convolution on i8-range NCHW codes into NCHW output
+/// codes: the tap-major unfold into `cols` ([`im2col_i16_into`]), the
+/// outer-product GEMM into exact `i32` accumulators in `acc`
+/// ([`matmul_ab_i32_into`]) and the requantize
+/// `saturate(round_shift(acc + bias, shift), min, max)` of each output
+/// channel's whole `[batch * out_plane]` accumulator row, whose plane runs
+/// are then written into the output. A row whose constants pass
+/// [`conv_requant_fits_i32`] requantizes in `i32` lanes by the branch-free
+/// ties-away identity (the loop the compiler vectorizes, narrowing with one
+/// saturating pack); any other row runs [`requantize_i32_row_into`]. Both
+/// give the bits of [`requantize`]. `cols` and `acc` only grow; the first
+/// `batch * out_c * out_h * out_w` codes of `out` are written.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `input`, the weights, the
+/// biases or `out` do not match the convolution, or the reduction breaks
+/// the `k < 2^17` bound.
+pub fn conv_i32_into(
+    exec: &Executor,
+    conv: &IntConv<'_>,
+    input: &[i16],
+    batch: usize,
+    cols: &mut Vec<i16>,
+    acc: &mut Vec<i32>,
+    out: &mut [i16],
+) -> Result<(), TensorError> {
+    let (k, shift, (min, max)) = (conv.taps(), conv.shift, (conv.min, conv.max));
+    conv_into(
+        exec,
+        conv,
+        input,
+        batch,
+        cols,
+        acc,
+        out,
+        matmul_ab_i32_into,
+        |row, bias, codes| {
+            if conv_requant_fits_i32(k, bias, shift) {
+                let (lane, bias) = (LaneRequant::right(shift as u32, min, max), bias as i32);
+                for (o, &a) in codes.iter_mut().zip(row) {
+                    *o = lane.apply(a + bias);
+                }
+            } else {
+                requantize_i32_row_into(row, bias, shift, min.into(), max.into(), codes);
+            }
+        },
+    )
+}
+
+/// [`conv_i32_into`] for full-range `i16` codes: exact `i64` accumulators
+/// ([`matmul_ab_i64_into`]) requantized a whole output-channel row at a
+/// time by [`requantize_i64_row_into`].
+///
+/// # Errors
+///
+/// As [`conv_i32_into`], without the reduction bound.
+pub fn conv_i64_into(
+    exec: &Executor,
+    conv: &IntConv<'_>,
+    input: &[i16],
+    batch: usize,
+    cols: &mut Vec<i16>,
+    acc: &mut Vec<i64>,
+    out: &mut [i16],
+) -> Result<(), TensorError> {
+    let (shift, min, max) = (conv.shift, conv.min.into(), conv.max.into());
+    conv_into(
+        exec,
+        conv,
+        input,
+        batch,
+        cols,
+        acc,
+        out,
+        matmul_ab_i64_into,
+        |row, bias, codes| requantize_i64_row_into(row, bias, shift, min, max, codes),
+    )
+}
+
+/// The body of [`conv_i32_into`] and [`conv_i64_into`]: unfold, `gemm`,
+/// then `requant` of each output channel's accumulator row (with its bias)
+/// into the free head of `cols`, copied out one plane run per sample.
+#[allow(clippy::too_many_arguments)]
+fn conv_into<A: Copy + Default>(
+    exec: &Executor,
+    conv: &IntConv<'_>,
+    input: &[i16],
+    batch: usize,
+    cols: &mut Vec<i16>,
+    acc: &mut Vec<A>,
+    out: &mut [i16],
+    gemm: impl FnOnce(
+        &Executor,
+        &[i16],
+        &[i16],
+        usize,
+        usize,
+        usize,
+        &mut [A],
+    ) -> Result<(), TensorError>,
+    requant: impl Fn(&[A], i64, &mut [i16]),
+) -> Result<(), TensorError> {
+    let (out_c, k) = (conv.out_c, conv.taps());
+    let plane = conv.geom.out_h() * conv.geom.out_w();
+    let n = batch * plane;
+    if conv.bias.len() != out_c || out.len() < out_c * n {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![conv.bias.len(), out.len()],
+            rhs: vec![out_c, batch, plane],
+            op: "conv_into",
+        });
+    }
+    im2col_i16_into(exec, input, batch, conv.in_c, &conv.geom, cols)?;
+    if n == 0 {
+        return Ok(());
+    }
+    if acc.len() < out_c * n {
+        acc.resize(out_c * n, A::default());
+    }
+    let acc = &mut acc[..out_c * n];
+    gemm(exec, conv.weights, &cols[..k * n], out_c, k, n, acc)?;
+    // The columns are spent: their head holds one requantized row.
+    let codes = &mut cols[..n];
+    for (co, (row, &bias)) in acc.chunks_exact(n).zip(conv.bias).enumerate() {
+        requant(row, bias, codes);
+        for (b, run) in codes.chunks_exact(plane).enumerate() {
+            out[(b * out_c + co) * plane..][..plane].copy_from_slice(run);
+        }
+    }
+    Ok(())
+}
+
 /// Unfolds an NCHW `i16` code tensor directly into the **transposed** im2col
 /// layout `[cols, rows]` (`cols = batch * out_h * out_w` patch positions,
-/// `rows = channels * kh * kw` taps) — the right-hand-side layout the packed
-/// integer matmul kernels consume, produced without a separate transpose
-/// pass, by the same padded-plane unfold as [`crate::linalg::im2col`].
+/// `rows = channels * kh * kw` taps) — the right-hand-side layout of the
+/// dot-product kernel [`matmul_wide_i32_into`], produced without a separate
+/// transpose pass, by the same padded-plane unfold as
+/// [`crate::linalg::im2col`]. The integer plans' conv runs on the tap-major
+/// [`im2col_i16_into`] instead; this layout stays for the benchmark's
+/// per-layer rows.
 /// Padding taps hold integer zero. Only the first `rows * cols` elements of
 /// `out` are written (all of them), and it only grows, so the steady state
 /// of an arena incurs no heap allocation.

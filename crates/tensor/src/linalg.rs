@@ -528,10 +528,16 @@ mod tests {
     }
 
     /// The per-element unfold: every column entry bounds-checked on its own.
-    fn im2col_reference(data: &[f32], batch: usize, channels: usize, g: &ConvGeometry) -> Vec<f32> {
+    fn im2col_reference<T: Copy + Default>(
+        data: &[T],
+        batch: usize,
+        channels: usize,
+        g: &ConvGeometry,
+        unset: T,
+    ) -> Vec<T> {
         let (out_h, out_w) = (g.out_h(), g.out_w());
         let cols = batch * out_h * out_w;
-        let mut out = vec![f32::NAN; channels * g.kernel_h * g.kernel_w * cols];
+        let mut out = vec![unset; channels * g.kernel_h * g.kernel_w * cols];
         for b in 0..batch {
             for c in 0..channels {
                 for kh in 0..g.kernel_h {
@@ -549,7 +555,7 @@ mod tests {
                                     data[((b * channels + c) * g.in_h + ih as usize) * g.in_w
                                         + iw as usize]
                                 } else {
-                                    0.0
+                                    T::default()
                                 };
                             }
                         }
@@ -711,7 +717,7 @@ mod tests {
                     let ctx = format!("{geom:?} batch={batch} channels={channels}");
                     let data =
                         with_specials(Tensor::randn(&[batch, channels, in_h, in_w], &mut rng));
-                    let expected = im2col_reference(&data, batch, channels, &geom);
+                    let expected = im2col_reference(&data, batch, channels, &geom, f32::NAN);
                     let grad = with_specials(Tensor::randn(&[expected.len()], &mut rng));
                     let folded = col2im_reference(&grad, batch, channels, &geom);
                     for exec in [Executor::sequential(), pooled] {
@@ -725,6 +731,17 @@ mod tests {
                         assert_eq!(sum_bits(&fold), sum_bits(&folded), "col2im {ctx}");
                     }
                     let codes: Vec<i16> = data.iter().map(|&v| (v * 4096.0) as i16).collect();
+                    let code_cols = im2col_reference(&codes, batch, channels, &geom, i16::MIN);
+                    for exec in [Executor::sequential(), pooled] {
+                        let mut got = vec![i16::MIN; expected.len() + 3];
+                        let dims = crate::int::im2col_i16_into(
+                            &exec, &codes, batch, channels, &geom, &mut got,
+                        )
+                        .unwrap();
+                        assert_eq!(dims.0 * dims.1, expected.len(), "i16 im2col dims {ctx}");
+                        assert_eq!(got[..expected.len()], code_cols, "i16 im2col {ctx}");
+                        assert_eq!(got[expected.len()..], [i16::MIN; 3], "i16 im2col {ctx}");
+                    }
                     let mut patches = vec![i16::MIN; expected.len() + 3];
                     let dims =
                         crate::int::im2row_i16_into(&codes, batch, channels, &geom, &mut patches)

@@ -1,16 +1,23 @@
-//! The one unfold behind every convolution: the f32 im2col fill, its col2im
-//! adjoint and the `i16` im2row fill.
+//! The one unfold behind every convolution: the tap-major im2col fill (of
+//! `f32` values for the float layers and plans, of `i16` codes for the
+//! integer plan), its `f32` col2im adjoint and the position-major `i16`
+//! im2row fill.
 //!
 //! The input planes of one channel are copied, a group of batch rows at a
 //! time, into a stack of zero-bordered padded planes of
 //! `(out - 1) * stride + kernel` rows and columns each (so a kernel wider
 //! than the padded input still reads zeros). One per-geometry offset map
-//! covers the whole stack, so every kernel tap fills with one plain copy
-//! loop over `group * out_h * out_w` positions, [`gather`], free of padding
-//! branches. Wide planes go one at a time (their loops are long already);
-//! small planes stack the batch, which is what keeps a 3x3 or 2x2 plane
-//! from paying a loop set-up per handful of copied elements
-//! ([`stack_group`]).
+//! covers the whole stack, so every kernel tap fills free of padding
+//! branches: with one plain copy loop over `group * out_h * out_w`
+//! positions, [`gather`], or, at unit stride from [`WIDE_ROW`] output
+//! columns on, with one block copy per output row ([`copy_runs`]: each
+//! row's windows read one contiguous run of the stack). Wide planes go one
+//! at a time (their loops are long already); small planes stack the batch,
+//! which is what keeps a 3x3 or 2x2 plane from paying a loop set-up per
+//! handful of copied elements ([`stack_group`]). The im2col body is generic
+//! over the element type, so the integer plan's
+//! `[c * kh * kw, batch * out_plane]` code columns come from the same loops
+//! as the float ones.
 //!
 //! The fold adds each tap's column row into a zeroed stack through the same
 //! map, in `(kh, kw)` tap order, and copies the interiors out: element by
@@ -20,11 +27,11 @@
 //! every input element still receives its contributions in `(kh, kw)`
 //! order starting from `+0.0`, whatever the group or the path: the fold's
 //! addition order is the per-element definition's. Unfolds are pure copies,
-//! so all three are bit-identical to their per-element definitions. The
-//! integer im2row keeps its position-major layout one plane at a time:
-//! each position's patch is its own short copy, so stacking would lengthen
-//! no copy loop. The stack and the map are grow-only thread-local scratch:
-//! no steady-state allocation.
+//! so all of them are bit-identical to their per-element definitions. The
+//! position-major `i16` im2row (`int::im2row_i16_into`, on no plan's
+//! path) goes one plane at a time: each position's patch is its own short
+//! copy, so stacking would lengthen no copy loop. The stack and
+//! the map are grow-only thread-local scratch: no steady-state allocation.
 
 use crate::linalg::{fill_row_blocks, ConvGeometry};
 use parpool::Executor;
@@ -45,7 +52,8 @@ const STACK_POSITIONS: usize = 4096;
 
 /// Output width from which the fold adds whole output-row runs (a
 /// contiguous, vectorizing loop at unit stride) instead of scattering
-/// element by element.
+/// element by element, and a unit-stride unfold copies whole output-row
+/// runs instead of gathering element by element.
 const WIDE_ROW: usize = 8;
 
 /// Batch rows unfolded or folded together for geometry `g`: one for planes
@@ -60,10 +68,28 @@ pub(crate) fn stack_group(g: &ConvGeometry, batch: usize) -> usize {
     }
 }
 
+/// An element type the unfolds copy, with its thread's scratch.
+pub(crate) trait Element: Copy + Default + Send + Sync + 'static {
+    /// This thread's unfold scratch for the type.
+    fn scratch() -> &'static LocalKey<RefCell<TapMap<Self>>>;
+}
+
+impl Element for f32 {
+    fn scratch() -> &'static LocalKey<RefCell<TapMap<f32>>> {
+        &F32_SCRATCH
+    }
+}
+
+impl Element for i16 {
+    fn scratch() -> &'static LocalKey<RefCell<TapMap<i16>>> {
+        &I16_SCRATCH
+    }
+}
+
 /// One thread's unfold scratch: where each window of a stack of planes of
 /// one geometry reads the stack, and the stack.
 #[derive(Debug, Default)]
-struct TapMap<T> {
+pub(crate) struct TapMap<T> {
     /// Padded plane rows and columns.
     dims: (usize, usize),
     /// Window origin of each output position, `(plane, oh, ow)` order.
@@ -129,15 +155,10 @@ impl<T: Copy + Default> TapMap<T> {
     }
 }
 
-/// Runs `f` on this thread's scratch in `key`, rebuilt for a stack of
+/// Runs `f` on this thread's scratch for `T`, rebuilt for a stack of
 /// `group` planes of geometry `g`.
-fn with_map<T: Copy + Default>(
-    key: &'static LocalKey<RefCell<TapMap<T>>>,
-    g: &ConvGeometry,
-    group: usize,
-    f: impl FnOnce(&mut TapMap<T>),
-) {
-    key.with(|map| {
+fn with_map<T: Element>(g: &ConvGeometry, group: usize, f: impl FnOnce(&mut TapMap<T>)) {
+    T::scratch().with(|map| {
         let map = &mut *map.borrow_mut();
         map.rebuild(g, group);
         f(map)
@@ -150,6 +171,25 @@ fn with_map<T: Copy + Default>(
 fn gather_rows<T: Copy>(dst: &mut [T], stride: usize, src: &[T], outer: &[usize], inner: &[usize]) {
     for (k, &origin) in outer.iter().enumerate() {
         gather(&mut dst[k * stride..][..inner.len()], &src[origin..], inner);
+    }
+}
+
+/// [`gather_rows`] for unit-stride windows at least [`WIDE_ROW`] positions
+/// wide: the `width` positions of one output row read one contiguous run
+/// of the stack, so each row is one block copy.
+fn copy_runs<T: Copy>(
+    dst: &mut [T],
+    stride: usize,
+    src: &[T],
+    taps: &[usize],
+    pos: &[usize],
+    width: usize,
+) {
+    for (k, &tap) in taps.iter().enumerate() {
+        let dst = &mut dst[k * stride..][..pos.len()];
+        for (run, &origin) in dst.chunks_exact_mut(width).zip(pos.iter().step_by(width)) {
+            run.copy_from_slice(&src[origin + tap..][..width]);
+        }
     }
 }
 
@@ -203,23 +243,25 @@ fn batch_rows(p0: usize, p1: usize, c: usize, channels: usize) -> std::ops::Rang
     p0.saturating_sub(c).div_ceil(channels)..p1.saturating_sub(c).div_ceil(channels)
 }
 
-/// Fills the `[channels * kh * kw, batch * out_h * out_w]` column matrix
-/// `out` from NCHW `data` (lengths checked by the caller), channels split
-/// over `exec`.
-pub(crate) fn im2col(
+/// Fills the tap-major `[channels * kh * kw, batch * out_h * out_w]`
+/// column matrix `out` from NCHW `data` (lengths checked by the caller),
+/// channels split over `exec`.
+pub(crate) fn im2col<T: Element>(
     exec: &Executor,
-    data: &[f32],
+    data: &[T],
     batch: usize,
     channels: usize,
     g: &ConvGeometry,
-    out: &mut [f32],
+    out: &mut [T],
 ) {
     let (in_plane, out_plane) = (g.in_h * g.in_w, g.out_h() * g.out_w());
     let cols = batch * out_plane;
     let block = g.kernel_h * g.kernel_w * cols;
     let group = stack_group(g, batch);
+    let out_w = g.out_w();
+    let runs = g.stride_w == 1 && out_w >= WIDE_ROW;
     fill_row_blocks(exec, out, channels, block, |c0, rows| {
-        with_map(&F32_SCRATCH, g, group, |map| {
+        with_map(g, group, |map: &mut TapMap<T>| {
             for (c, rows) in (c0..).zip(rows.chunks_exact_mut(block)) {
                 for b0 in (0..batch).step_by(group) {
                     let n = group.min(batch - b0);
@@ -228,7 +270,11 @@ pub(crate) fn im2col(
                         map.pad(g, slot, plane);
                     }
                     let (pos, dst) = (&map.pos[..n * out_plane], &mut rows[b0 * out_plane..]);
-                    gather_rows(dst, cols, &map.padded, &map.taps, pos);
+                    if runs {
+                        copy_runs(dst, cols, &map.padded, &map.taps, pos, out_w);
+                    } else {
+                        gather_rows(dst, cols, &map.padded, &map.taps, pos);
+                    }
                 }
             }
         });
@@ -253,7 +299,7 @@ pub(crate) fn col2im(
     let scatter = out_w < WIDE_ROW;
     fill_row_blocks(exec, out, batch * channels, in_plane, |p0, planes| {
         let p1 = p0 + planes.len() / in_plane;
-        with_map(&F32_SCRATCH, g, group, |map| {
+        with_map(g, group, |map: &mut TapMap<f32>| {
             let (plane_len, row_step) = (map.plane_len(), map.dims.1 * g.stride_h);
             for c in 0..channels {
                 let rows = batch_rows(p0, p1, c, channels);
@@ -303,7 +349,7 @@ pub(crate) fn im2row_i16(
     let (in_plane, out_plane) = (g.in_h * g.in_w, g.out_h() * g.out_w());
     let taps = g.kernel_h * g.kernel_w;
     let rows = channels * taps;
-    with_map(&I16_SCRATCH, g, 1, |map| {
+    with_map(g, 1, |map: &mut TapMap<i16>| {
         for p in 0..batch * channels {
             let (b, c) = (p / channels, p % channels);
             map.pad(g, 0, &input[p * in_plane..]);

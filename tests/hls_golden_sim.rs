@@ -21,7 +21,7 @@ use bayesnn_fpga::models::{zoo, ExitPlan, LayerSpec, ModelConfig, NetworkSpec};
 use bayesnn_fpga::nn::{Mode, Network};
 use bayesnn_fpga::quant::schedule::MUL_FRAC;
 use bayesnn_fpga::quant::{CalibratedNetwork, FixedPointFormat, QuantPlan, ScheduleOp};
-use bayesnn_fpga::tensor::int::affine_fits_i32;
+use bayesnn_fpga::tensor::int::{affine_fits_i32, conv_requant_fits_i32};
 use bayesnn_fpga::tensor::rng::Xoshiro256StarStar;
 use bayesnn_fpga::tensor::Tensor;
 use std::sync::OnceLock;
@@ -313,6 +313,87 @@ fn constants_past_the_i32_lane_bound_stay_bit_exact() {
                 "{format:?}: a channel multiplier should break the bound"
             );
         }
+    }
+    check_forward_is_bit_exact(&subject);
+    check_predict_probs_is_bit_exact(&subject);
+}
+
+/// A conv whose bias breaks the `i32` requantize bound of the integer conv
+/// (`k·2^14 + |bias| + 2^shift < 2^31`) runs the `i64` requantize and stays
+/// bit-exact with the simulator, beside a conv that stays within it. The
+/// second conv's channel 0 carries a bias of 10^9, past the bound at every
+/// 8-bit-or-narrower format; the first conv's biases are the build's.
+#[test]
+fn conv_bias_past_the_i32_requantize_bound_stays_bit_exact() {
+    let conv = |in_channels| LayerSpec::Conv2d {
+        in_channels,
+        out_channels: 4,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let head = vec![
+        LayerSpec::GlobalAvgPool2d,
+        LayerSpec::Dense {
+            in_features: 4,
+            out_features: 3,
+        },
+    ];
+    let spec = NetworkSpec::single_exit(
+        "wide_conv_bias",
+        3,
+        6,
+        6,
+        3,
+        vec![
+            vec![conv(3), LayerSpec::Relu],
+            vec![conv(4), LayerSpec::Relu],
+        ],
+        head,
+    )
+    .with_exit_mcd(0.25)
+    .unwrap();
+    let mut net = spec.build(23).unwrap();
+    {
+        let mut params = net.params_mut();
+        assert_eq!(params[3].value.dims(), &[4], "second conv bias");
+        params[3].value.as_mut_slice()[0] = 1e9;
+    }
+    let mut rng = Xoshiro256StarStar::seed_from_u64(24);
+    let calib = Tensor::randn(&[4, 3, 6, 6], &mut rng);
+    let subject = Subject {
+        name: "wide_conv_bias",
+        calibrated: CalibratedNetwork::calibrate(&net, &calib).unwrap(),
+        input: Tensor::randn(&[2, 3, 6, 6], &mut rng),
+        spec,
+    };
+    for format in FixedPointFormat::search_space() {
+        if format.total_bits() > 8 {
+            continue; // wider formats accumulate and requantize in i64 anyway
+        }
+        let plan = subject.calibrated.plan(format).unwrap();
+        let convs: Vec<bool> = plan
+            .schedule()
+            .steps()
+            .filter_map(|step| match &step.op {
+                ScheduleOp::Conv {
+                    bias,
+                    in_c,
+                    kernel,
+                    shift,
+                    ..
+                } => {
+                    let k = in_c * kernel * kernel;
+                    Some(bias.iter().all(|&b| conv_requant_fits_i32(k, b, *shift)))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            convs,
+            [true, false],
+            "{format:?}: only the second conv should break the bound"
+        );
     }
     check_forward_is_bit_exact(&subject);
     check_predict_probs_is_bit_exact(&subject);

@@ -1,6 +1,8 @@
 //! SIMD/scalar parity suite: every vector backend the host can run must
 //! reproduce the scalar reference **bitwise** — for the packed matmul
-//! kernels, the requantize row helpers and the im2row fill (held to a
+//! kernels, the outer-product convolution GEMMs (held to a naive triple
+//! loop at the `pmaddwd` pair limit and the `2^17` reduction bound), the
+//! requantize row helpers and the im2row fill (held to a
 //! per-element reference, since it has no backend route of its own), across odd
 //! shapes (remainder rows/columns, single-row and single-column products)
 //! and thread counts, and end to end through the quantized inference plans
@@ -17,9 +19,9 @@
 
 use bayesnn_fpga::tensor::exec::Executor;
 use bayesnn_fpga::tensor::int::{
-    im2row_i16_into, matmul_abt_i64_into, matmul_i16, matmul_wide_i32_into,
-    requantize_i32_row_biased_into, requantize_i32_row_into, requantize_i64_row_biased_into,
-    requantize_i64_row_into,
+    im2row_i16_into, matmul_ab_i32_into, matmul_ab_i64_into, matmul_abt_i64_into, matmul_i16,
+    matmul_wide_i32_into, requantize_i32_row_biased_into, requantize_i32_row_into,
+    requantize_i64_row_biased_into, requantize_i64_row_into,
 };
 use bayesnn_fpga::tensor::linalg::{matmul_slices_into_with, ConvGeometry};
 use bayesnn_fpga::tensor::rng::{Rng, Xoshiro256StarStar};
@@ -108,6 +110,88 @@ fn matmul_kernels_match_scalar_bitwise_across_backends_and_threads() {
             });
         }
     }
+}
+
+/// The plain `a [m, k] x b [k, n]` triple loop in `i64`: the reference of
+/// the outer-product GEMMs.
+fn matmul_ab_reference(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
+    let mut out = vec![0i64; m * n];
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av as i64 * bv as i64;
+            }
+        }
+    }
+    out
+}
+
+/// Runs `matmul_ab_i32_into` and `matmul_ab_i64_into` on every backend at
+/// one and four threads and holds both to [`matmul_ab_reference`]; the
+/// `i32` kernel only on i8-range operands (`wide == false`).
+fn check_matmul_ab(a: &[i16], b: &[i16], m: usize, k: usize, n: usize, wide: bool) {
+    let reference = matmul_ab_reference(a, b, m, k, n);
+    for threads in [1usize, 4] {
+        let exec = Executor::new(threads);
+        for_each_backend(|backend| {
+            let ctx = format!("{m}x{k}x{n} wide={wide} threads={threads} backend={backend:?}");
+            if !wide {
+                let mut got = vec![i32::MIN; m * n];
+                matmul_ab_i32_into(&exec, a, b, m, k, n, &mut got).unwrap();
+                let got: Vec<i64> = got.into_iter().map(i64::from).collect();
+                assert!(got == reference, "ab_i32 {ctx}");
+            }
+            let mut got = vec![i64::MIN; m * n];
+            matmul_ab_i64_into(&exec, a, b, m, k, n, &mut got).unwrap();
+            assert!(got == reference, "ab_i64 {ctx}");
+        });
+    }
+}
+
+#[test]
+fn outer_product_matmuls_match_naive_reference_across_backends_and_threads() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(61);
+    // Row counts around the 4-row tile, reductions with an odd last tap
+    // (1, 27) and even ones, widths around the 16- and 8-column tiles plus
+    // the widest conv of the offline ResNet-18 (batch 32 on 12x12 planes).
+    for m in [1usize, 3, 4, 5, 8, 33] {
+        for k in [1usize, 2, 27, 36, 288] {
+            for n in [1usize, 15, 16, 17, 4608] {
+                // Every operand at -128: each pmaddwd pair sums to 2^15,
+                // its largest i8-range value.
+                let (a, b) = (vec![-128i16; m * k], vec![-128i16; k * n]);
+                check_matmul_ab(&a, &b, m, k, n, false);
+                let a = codes_i8_range(m * k, &mut rng);
+                let b = codes_i8_range(k * n, &mut rng);
+                check_matmul_ab(&a, &b, m, k, n, false);
+                // Full-range codes and the i16 extremes, for the i64 body.
+                let mut a = codes_i16(m * k, &mut rng);
+                let mut b = codes_i16(k * n, &mut rng);
+                a[0] = i16::MIN;
+                b[0] = i16::MIN;
+                a[m * k - 1] = i16::MAX;
+                b[k * n - 1] = i16::MIN;
+                check_matmul_ab(&a, &b, m, k, n, true);
+                let (a, b) = (vec![i16::MIN; m * k], vec![i16::MAX; k * n]);
+                check_matmul_ab(&a, &b, m, k, n, true);
+            }
+        }
+    }
+}
+
+#[test]
+fn outer_product_i32_matmul_is_exact_at_the_reduction_bound() {
+    // k = 2^17 - 1 taps at -128 x -128 sum to 2^31 - 2^14: the largest
+    // accumulator the i32 kernel may produce. One more tap is rejected.
+    let k = (1usize << 17) - 1;
+    for (m, n) in [(1usize, 17usize), (5, 16)] {
+        let (a, b) = (vec![-128i16; m * k], vec![-128i16; k * n]);
+        check_matmul_ab(&a, &b, m, k, n, false);
+    }
+    let (a, b) = (vec![0i16; 1 << 17], vec![0i16; 1 << 17]);
+    let mut out = [0i32; 1];
+    let exec = Executor::sequential();
+    assert!(matmul_ab_i32_into(&exec, &a, &b, 1, 1 << 17, 1, &mut out).is_err());
 }
 
 #[test]
