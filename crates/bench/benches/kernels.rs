@@ -12,8 +12,8 @@ use bnn_nn::Layer;
 use bnn_quant::{CalibratedNetwork, FixedPointFormat};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::int::{
-    conv_i32_into, conv_i64_into, im2col_i16_into, matmul_i16, matmul_i8, requantize_i32_row_into,
-    IntConv,
+    conv_i32_into, conv_i64_into, dense_i32_into, dense_i64_into, im2col_i16_into,
+    requantize_i32_row_into, IntConv, IntDense,
 };
 use bnn_tensor::linalg::{col2im_slices_into, im2col, im2col_into, matmul, ConvGeometry};
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
@@ -34,23 +34,55 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| matmul(&ma, &mb).unwrap())
     });
 
-    // The integer kernels of the fixed-point inference path on the same
-    // shape: i8 storage with i32 accumulation and i16 with i64. The int8
-    // kernel is the hot path of Phase 3's integer scoring.
+    // The integer plan's dense step (weights-left dot-product GEMM plus the
+    // shared requantize epilogue) at the offline ResNet-18's widest exit
+    // head, 32 -> 10 features at batch 32, on one thread: 8-bit codes with
+    // i32 accumulation and 16-bit with i64. The operands are cut from two
+    // 256x256 draws, so the rows below keep their inputs.
     let qa: Vec<i8> = (0..256 * 256)
         .map(|_| (rng.next_u64() % 255) as i8)
         .collect();
     let qb: Vec<i8> = (0..256 * 256)
         .map(|_| (rng.next_u64() % 255) as i8)
         .collect();
-    group.bench_function("matmul_i8_256x256x256", |b| {
-        b.iter(|| matmul_i8(&qa, &qb, 256, 256, 256).unwrap())
-    });
-    let wa: Vec<i16> = qa.iter().map(|&v| v as i16 * 97).collect();
-    let wb: Vec<i16> = qb.iter().map(|&v| v as i16 * 97).collect();
-    group.bench_function("matmul_i16_256x256x256", |b| {
-        b.iter(|| matmul_i16(&wa, &wb, 256, 256, 256).unwrap())
-    });
+    let (in_f, out_f, batch) = (32usize, 10usize, 32usize);
+    let dense_bias: Vec<i64> = qa[..out_f].iter().map(|&v| v as i64 * 64).collect();
+    let seq = Executor::sequential();
+    for (name, wide) in [("dense_i8_32x32x10", false), ("dense_i16_32x32x10", true)] {
+        let (scale, shift, (min, max)) = match wide {
+            false => (1i16, 7, (-128, 127)),
+            true => (97, 15, (i16::MIN, i16::MAX)),
+        };
+        let weights: Vec<i16> = qa[..out_f * in_f]
+            .iter()
+            .map(|&v| v as i16 * scale)
+            .collect();
+        let input: Vec<i16> = qb[..batch * in_f]
+            .iter()
+            .map(|&v| v as i16 * scale)
+            .collect();
+        let dense = IntDense {
+            in_f,
+            out_f,
+            weights: &weights,
+            bias: &dense_bias,
+            shift,
+            min,
+            max,
+        };
+        let (mut codes, mut acc32, mut acc64) = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = vec![0i16; batch * out_f];
+        group.bench_function(name, |b| {
+            b.iter(|| match wide {
+                false => dense_i32_into(
+                    &seq, &dense, &input, batch, &mut codes, &mut acc32, &mut out,
+                ),
+                true => dense_i64_into(
+                    &seq, &dense, &input, batch, &mut codes, &mut acc64, &mut out,
+                ),
+            })
+        });
+    }
 
     // The requantize epilogue over one output row (shift + saturate into i16
     // codes), which dispatches to the runtime SIMD backend, and the i16
@@ -65,7 +97,6 @@ fn bench_kernels(c: &mut Criterion) {
         .map(|_| (rng.next_u64() % 255) as i8 as i16)
         .collect();
     let mut packed = Vec::new();
-    let seq = Executor::sequential();
     group.bench_function("im2col_i16_4x16x16x16", |b| {
         b.iter(|| im2col_i16_into(&seq, &codes, 4, 16, &im2row_geom, &mut packed).unwrap())
     });

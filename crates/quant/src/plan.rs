@@ -28,13 +28,17 @@
 //! ([`bnn_tensor::int::conv_i32_into`], [`bnn_tensor::int::conv_i64_into`]
 //! at 9–16 bits): the input is unfolded into the tap-major
 //! `[c*kh*kw, batch*out_plane]` code columns in the arena's `cols` (the
-//! float im2col's layout and loops), the packed weights multiply them in
-//! the outer-product kernel into exact accumulators in the arena, and each
-//! output channel's whole `[batch*out_plane]` row is requantized in one
-//! pass — in `i32` lanes when `k·2^14 + |bias| + 2^shift < 2^31`
-//! ([`bnn_tensor::int::conv_requant_fits_i32`]), else by the `i64` row
-//! requantize — before its plane runs are copied into the NCHW slot.
-//! `Dense` runs the dot-product kernels on `[batch, in_f]` codes.
+//! float im2col's layout and loops), and the packed weights multiply them in
+//! the outer-product kernel into exact accumulators in the arena. `Dense`
+//! runs weights-left ([`bnn_tensor::int::dense_i32_into`],
+//! [`bnn_tensor::int::dense_i64_into`]): the dot-product kernels multiply
+//! the packed `[out_f, in_f]` weights by the `[batch, in_f]` codes into
+//! `[out_f, batch]` accumulators. Both then share one epilogue: each output
+//! channel's whole accumulator row is requantized in one pass with its one
+//! bias — in `i32` lanes when `k·2^14 + |bias| + 2^shift < 2^31`
+//! ([`bnn_tensor::int::conv_requant_fits_i32`]), else by the row
+//! requantize — and its runs are copied into the destination slot (plane
+//! runs into NCHW; one code per sample into `[batch, out_f]`).
 //!
 //! The elementwise requantizing steps run on the `i32`-lane row kernels of
 //! `bnn_tensor::int`, with exactly the bits of its scalar `requantize`.
@@ -80,8 +84,8 @@ use bnn_nn::plan::MaskGranularity;
 use bnn_nn::skeleton::{self, Attach, BlockLayout, ExitSteps, Node};
 use bnn_tensor::exec::Executor;
 use bnn_tensor::int::{
-    conv_i32_into, conv_i64_into, matmul_abt_i64_into, matmul_wide_i32_into, merge_i16_row_into,
-    requantize_i32_row_biased_into, requantize_i64_row_biased_into, AffineRequant, IntConv,
+    conv_i32_into, conv_i64_into, dense_i32_into, dense_i64_into, merge_i16_row_into,
+    AffineRequant, IntConv, IntDense,
 };
 use bnn_tensor::linalg::ConvGeometry;
 use bnn_tensor::rng::{Rng, Xoshiro256StarStar};
@@ -266,33 +270,30 @@ impl Kernel for IntKernel {
                 out,
                 ..
             } => {
-                let (in_f, out_f, shift) = (*in_f, *out_f, *shift);
-                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
-                let (qmin, qmax) = (out.qmin(), out.qmax());
+                let dense = IntDense {
+                    in_f: *in_f,
+                    out_f: *out_f,
+                    weights: weights_t,
+                    bias,
+                    shift: *shift,
+                    min: out.code_rails().0,
+                    max: out.code_rails().1,
+                };
                 let exec = pick_exec(batch * in_f * out_f);
+                let mut dst = std::mem::take(&mut arena.slots[step.dst]);
                 let src = &arena.slots[step.src][..in_elems];
-                let dst_rows = dst[..out_elems].chunks_exact_mut(out_f);
-                match out.width() {
+                // The conv columns' scratch holds the requantized rows.
+                let codes = &mut arena.cols;
+                let result = match out.width() {
                     IntWidth::W8 => {
-                        let acc = &mut arena.acc32[..batch * out_f];
-                        matmul_wide_i32_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
-                        for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
-                            requantize_i32_row_biased_into(
-                                acc_row, bias, shift, qmin, qmax, dst_row,
-                            );
-                        }
+                        dense_i32_into(&exec, &dense, src, batch, codes, &mut arena.acc32, &mut dst)
                     }
                     IntWidth::W16 => {
-                        let acc = &mut arena.acc64[..batch * out_f];
-                        matmul_abt_i64_into(&exec, src, weights_t, batch, in_f, out_f, acc)?;
-                        for (dst_row, acc_row) in dst_rows.zip(acc.chunks_exact(out_f)) {
-                            requantize_i64_row_biased_into(
-                                acc_row, bias, shift, qmin, qmax, dst_row,
-                            );
-                        }
+                        dense_i64_into(&exec, &dense, src, batch, codes, &mut arena.acc64, &mut dst)
                     }
-                }
+                };
                 arena.slots[step.dst] = dst;
+                result?;
             }
             ScheduleOp::Relu => {
                 for v in elementwise_codes(&mut arena.slots, step, in_elems) {

@@ -27,12 +27,14 @@
 //!   element, identical results for every thread count).
 //! * **SIMD dispatch.** The hot inner loops — the packed matmul kernels
 //!   (the outer-product convolution GEMM [`matmul_ab_i32_into`] /
-//!   [`matmul_ab_i64_into`] and the dot-product dense GEMM) and the
-//!   requantize row helpers — route through a runtime
-//!   backend selected once per process (see [`crate::simd`]). Because
-//!   accumulation is exact, every backend produces the same bits as the
-//!   scalar reference; the scalar kernels stay compiled in as the fallback
-//!   and as the oracle the parity suite checks vector backends against.
+//!   [`matmul_ab_i64_into`] and the 8-bit dot-product dense GEMM
+//!   [`matmul_wide_i32_into`]) and the requantize row helpers — route
+//!   through a runtime backend selected once per process (see
+//!   [`crate::simd`]). Because accumulation is exact, every backend produces
+//!   the same bits as the scalar reference; the scalar kernels stay compiled
+//!   in as the fallback and as the oracle the parity suite checks vector
+//!   backends against. The 16-bit dense GEMM [`matmul_abt_i64_into`] runs
+//!   portable code only.
 //! * **Elementwise steps in `i32` lanes.** [`AffineRequant`] and
 //!   [`merge_i16_row_into`] are portable loops without a dispatch: they
 //!   round by the branch-free ties-away identity in `i32` lanes, which the
@@ -41,29 +43,19 @@
 //!   prove the lanes cannot overflow ([`affine_fits_i32`]) and falls back
 //!   to the scalar `i64` [`requantize`] otherwise. Either way the bits are
 //!   those of [`requantize`].
-//! * **The convolution step.** [`conv_i32_into`] and [`conv_i64_into`] are
-//!   the integer plans' conv: the tap-major unfold ([`im2col_i16_into`]),
-//!   the outer-product GEMM, and one requantize pass per output channel's
-//!   whole accumulator row (in `i32` lanes when [`conv_requant_fits_i32`]
-//!   holds), copied out to NCHW a plane run at a time. The position-major
-//!   [`im2row_i16_into`] is no longer on a plan's path.
+//! * **The GEMM steps: one epilogue.** The plans' conv ([`conv_i32_into`],
+//!   [`conv_i64_into`]: tap-major unfold, outer-product GEMM) and dense
+//!   steps ([`dense_i32_into`], [`dense_i64_into`]: weights-left
+//!   dot-product GEMM) fill one exact accumulator row per output channel
+//!   and share one epilogue: a requantize pass per row with its one bias
+//!   (in `i32` lanes when [`conv_requant_fits_i32`] holds), copied out a
+//!   plane run per sample (one code per sample for a dense layer). The
+//!   position-major [`im2row_i16_into`] is on no plan's path.
 
 use crate::linalg::{fill_row_blocks, ConvGeometry};
 use crate::simd::Backend;
 use crate::TensorError;
 use parpool::Executor;
-
-/// Minimum number of multiply-accumulates before an integer matrix product
-/// fans out over the global executor (mirrors the float kernels' threshold).
-const PAR_MACS_THRESHOLD: usize = 1 << 20;
-
-fn auto_executor(work: usize) -> Executor {
-    if work >= PAR_MACS_THRESHOLD {
-        Executor::global()
-    } else {
-        Executor::sequential()
-    }
-}
 
 /// Rounds `value / 2^shift` to the nearest integer, ties away from zero.
 ///
@@ -139,7 +131,7 @@ fn simd_requant_ok(backend: Backend, shift: i32, min: i64, max: i64) -> bool {
 
 /// Requantizes a whole row of `i32` accumulators sharing one bias into `i16`
 /// storage: `out[i] = saturate(round_shift(acc[i] + bias, shift), min, max)`
-/// — the per-output-channel epilogue of a quantized convolution. Dispatches
+/// — the per-output-channel epilogue of the conv and dense steps. Dispatches
 /// to the active SIMD backend when the parameters fit its contract
 /// (`shift >= 0`, bounds within `i16`), otherwise runs the scalar reference;
 /// both produce identical bits.
@@ -182,7 +174,7 @@ pub fn requantize_i32_row_into(
 }
 
 /// [`requantize_i32_row_into`] for `i64` accumulators (the wide-format
-/// convolution epilogue).
+/// conv and dense epilogue).
 ///
 /// # Panics
 ///
@@ -206,75 +198,6 @@ pub fn requantize_i64_row_into(
     } else {
         for (o, &a) in out.iter_mut().zip(acc) {
             *o = requantize(a + bias, shift, min, max) as i16;
-        }
-    }
-}
-
-/// [`requantize_i32_row_into`] with one bias per element
-/// (`out[i] = saturate(round_shift(acc[i] + biases[i], shift), min, max)`)
-/// — the dense-layer epilogue, where each output feature carries its own
-/// bias.
-///
-/// # Panics
-///
-/// Panics if `acc`, `biases` and `out` differ in length.
-pub fn requantize_i32_row_biased_into(
-    acc: &[i32],
-    biases: &[i64],
-    shift: i32,
-    min: i64,
-    max: i64,
-    out: &mut [i16],
-) {
-    assert_eq!(
-        acc.len(),
-        out.len(),
-        "requantize_i32_row_biased_into length mismatch"
-    );
-    assert_eq!(
-        acc.len(),
-        biases.len(),
-        "requantize_i32_row_biased_into bias mismatch"
-    );
-    let backend = simdkern::active();
-    if simd_requant_ok(backend, shift, min, max) {
-        simdkern::requantize_i32_row_biased(backend, acc, biases, shift as u32, min, max, out);
-    } else {
-        for ((o, &a), &b) in out.iter_mut().zip(acc).zip(biases) {
-            *o = requantize(a as i64 + b, shift, min, max) as i16;
-        }
-    }
-}
-
-/// [`requantize_i32_row_biased_into`] for `i64` accumulators.
-///
-/// # Panics
-///
-/// Panics if `acc`, `biases` and `out` differ in length.
-pub fn requantize_i64_row_biased_into(
-    acc: &[i64],
-    biases: &[i64],
-    shift: i32,
-    min: i64,
-    max: i64,
-    out: &mut [i16],
-) {
-    assert_eq!(
-        acc.len(),
-        out.len(),
-        "requantize_i64_row_biased_into length mismatch"
-    );
-    assert_eq!(
-        acc.len(),
-        biases.len(),
-        "requantize_i64_row_biased_into bias mismatch"
-    );
-    let backend = simdkern::active();
-    if simd_requant_ok(backend, shift, min, max) {
-        simdkern::requantize_i64_row_biased(backend, acc, biases, shift as u32, min, max, out);
-    } else {
-        for ((o, &a), &b) in out.iter_mut().zip(acc).zip(biases) {
-            *o = requantize(a + b, shift, min, max) as i16;
         }
     }
 }
@@ -487,119 +410,37 @@ pub fn merge_i16_row_into(
     }
 }
 
+/// Checks the operand lengths of an `[m, k] x [k, n]` product (`b` either
+/// `[k, n]` or, transposed, `[n, k]`) into `out_len` accumulators.
 fn check_matmul(
-    a_len: usize,
-    b_len: usize,
+    a: &[i16],
+    b: &[i16],
     m: usize,
     k: usize,
     n: usize,
+    out_len: usize,
     op: &'static str,
 ) -> Result<(), TensorError> {
-    if a_len != m * k || b_len != k * n {
+    if a.len() != m * k || b.len() != k * n || out_len != m * n {
         return Err(TensorError::ShapeMismatch {
-            lhs: vec![a_len, m, k],
-            rhs: vec![b_len, k, n],
+            lhs: vec![a.len(), m, k],
+            rhs: vec![b.len(), k, n],
             op,
         });
     }
     Ok(())
 }
 
-/// Multiplies two `i8` matrices, `[m, k] x [k, n]`, into an exact `i32`
-/// accumulator matrix `[m, n]`.
+/// Multiplies `a16` (`[m, k]` row-major) by the transpose of `bt16`
+/// (`[n, k]` row-major) into the exact `i32` accumulator slice `out`
+/// (`[m, n]`, fully overwritten) — the dense GEMM of the integer plans
+/// ([`dense_i32_into`]), with the packed `[out_f, in_f]` weights as `a16`
+/// and the `[batch, in_f]` input codes as `bt16`.
 ///
-/// The reduction over `k` must stay below `2^17` terms so the accumulator
-/// cannot overflow (see the [module documentation](self)); this is checked.
-/// Large products are parallelized over output row blocks with bitwise
-/// identical results for every thread count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the slice lengths do not match
-/// `m * k` / `k * n`, or if `k` exceeds the exact-accumulation bound.
-///
-/// # Example
-///
-/// ```
-/// use bnn_tensor::int::matmul_i8;
-///
-/// # fn main() -> Result<(), bnn_tensor::TensorError> {
-/// let a: Vec<i8> = vec![1, 2, 3, 4]; // [2, 2]
-/// let b: Vec<i8> = vec![5, 6, 7, 8]; // [2, 2]
-/// assert_eq!(matmul_i8(&a, &b, 2, 2, 2)?, vec![19, 22, 43, 50]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn matmul_i8(
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i32>, TensorError> {
-    matmul_i8_with(&auto_executor(m * k * n), a, b, m, k, n)
-}
-
-/// [`matmul_i8`] on an explicit executor.
-///
-/// The kernel widens both operands to `i16` (with `b` transposed so every
-/// dot product runs over two contiguous slices) and register-blocks eight
-/// output rows per `b`-row stream: the widening `i16 * i16 -> i32`
-/// reduction is the integer inner loop LLVM vectorizes well at baseline
-/// codegen (`pmaddwd`), and the 8-way reuse of each `b` load is what lets
-/// the 8-bit path overtake the float kernel on the same shape. Integer
-/// accumulation is exact, so the reduction order is free to differ from
-/// the float kernels without breaking bitwise determinism.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on length mismatches or a `k`
-/// beyond the exact-accumulation bound.
-pub fn matmul_i8_with(
-    exec: &Executor,
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i32>, TensorError> {
-    check_matmul(a.len(), b.len(), m, k, n, "matmul_i8")?;
-    // Fast-fail the exact-accumulation bound before paying for widening and
-    // packing (the packed kernel re-checks it as its own contract).
-    if k >= (1 << 17) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: vec![k, n],
-            op: "matmul_i8: k exceeds exact i32 accumulation bound (< 2^17)",
-        });
-    }
-    // Widen once up front: `a` row-major, `b` transposed to [n, k] so every
-    // dot product runs over two contiguous i16 slices.
-    let mut a16 = vec![0i16; m * k];
-    for (dst, &src) in a16.iter_mut().zip(a) {
-        *dst = src as i16;
-    }
-    let mut bt16 = vec![0i16; n * k];
-    for (p, b_row) in b.chunks_exact(n).enumerate() {
-        for (j, &v) in b_row.iter().enumerate() {
-            bt16[j * k + p] = v as i16;
-        }
-    }
-    let mut out = vec![0i32; m * n];
-    matmul_wide_i32_into(exec, &a16, &bt16, m, k, n, &mut out)?;
-    Ok(out)
-}
-
-/// The pre-packed core of [`matmul_i8`]: multiplies `a16` (`[m, k]`
-/// row-major) by the transpose of `bt16` (`[n, k]` row-major) into the exact
-/// `i32` accumulator slice `out` (`[m, n]`, fully overwritten).
-///
-/// Operands must hold **i8-range** values widened to `i16` — this is the
-/// arena-aware entry point of the compiled execution plans, which pack
-/// weights into this layout once at plan compilation and store activations
-/// widened. The loops are exactly the register-blocked kernel of
-/// [`matmul_i8`], so results are bitwise identical to the packing entry
-/// point, and no heap allocation happens here (single-threaded).
+/// Operands must hold **i8-range** values widened to `i16`. Every output
+/// is a dot product of two contiguous rows, vectorized along the reduction
+/// and register-blocked eight `a16` rows per `bt16` row; row blocks fan out
+/// over `exec`, and one thread allocates nothing.
 ///
 /// # Errors
 ///
@@ -607,6 +448,22 @@ pub fn matmul_i8_with(
 /// `m * k` / `n * k` / `m * n`, or if `k` exceeds the exact-accumulation
 /// bound for i8-range operands (`k < 2^17`; see the
 /// [module documentation](self)).
+///
+/// # Example
+///
+/// ```
+/// use bnn_tensor::exec::Executor;
+/// use bnn_tensor::int::matmul_wide_i32_into;
+///
+/// # fn main() -> Result<(), bnn_tensor::TensorError> {
+/// let a = [1i16, 2, 3, 4]; // [2, 2]
+/// let bt = [5i16, 7, 6, 8]; // [5 6; 7 8] transposed
+/// let mut out = [0i32; 4];
+/// matmul_wide_i32_into(&Executor::sequential(), &a, &bt, 2, 2, 2, &mut out)?;
+/// assert_eq!(out, [19, 22, 43, 50]);
+/// # Ok(())
+/// # }
+/// ```
 pub fn matmul_wide_i32_into(
     exec: &Executor,
     a16: &[i16],
@@ -616,13 +473,7 @@ pub fn matmul_wide_i32_into(
     n: usize,
     out: &mut [i32],
 ) -> Result<(), TensorError> {
-    if a16.len() != m * k || bt16.len() != n * k || out.len() != m * n {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![a16.len(), m, k],
-            rhs: vec![bt16.len(), n, k],
-            op: "matmul_wide_i32_into",
-        });
-    }
+    check_matmul(a16, bt16, m, k, n, out.len(), "matmul_wide_i32_into")?;
     // Strict bound: |product| peaks at (-128)^2 = 2^14, so k = 2^17 terms
     // could reach exactly 2^31 and overflow i32; only k < 2^17 is exact.
     if k >= (1 << 17) {
@@ -633,7 +484,11 @@ pub fn matmul_wide_i32_into(
         });
     }
     let a16 = &a16[..m * k];
-    let backend = effective_matmul_backend(k);
+    let backend = if k < VECTOR_MATMUL_MIN_K {
+        Backend::Scalar
+    } else {
+        simdkern::active()
+    };
     fill_row_blocks(exec, out, m, n, |row0, chunk| {
         let rows = chunk.len() / n;
         let ablock = &a16[row0 * k..(row0 + rows) * k];
@@ -645,23 +500,12 @@ pub fn matmul_wide_i32_into(
     Ok(())
 }
 
-/// Minimum reduction length before the vector matmul kernels pay for
+/// Minimum reduction length before the vector dot-product kernels pay for
 /// themselves: each output element costs a horizontal accumulator sum plus
-/// a scalar tail of up to one vector width, so short dot products (e.g. the
-/// 25-tap first conv of LeNet) are faster on the register-blocked scalar
-/// core.
+/// a scalar tail of up to one vector width, so short dot products (a dense
+/// layer on fewer than 32 features) run on the register-blocked scalar
+/// core. Bits are identical either way.
 const VECTOR_MATMUL_MIN_K: usize = 32;
-
-/// The backend the packed matmuls should actually run on: the active
-/// backend, demoted to scalar when the reduction is too short to amortize
-/// the vector kernels' per-output overhead. Bits are identical either way.
-fn effective_matmul_backend(k: usize) -> Backend {
-    if k < VECTOR_MATMUL_MIN_K {
-        Backend::Scalar
-    } else {
-        simdkern::active()
-    }
-}
 
 /// The scalar register-blocked core of [`matmul_wide_i32_into`], operating
 /// on one block of `a` rows (`chunk.len() / n` of them, relative-indexed).
@@ -755,11 +599,12 @@ fn scalar_wide_i32_block(a16: &[i16], bt16: &[i16], k: usize, n: usize, chunk: &
 /// Multiplies `a` (`[m, k]` row-major `i16`) by the transpose of `bt`
 /// (`[n, k]` row-major) into the exact `i64` accumulator slice `out`
 /// (`[m, n]`, fully overwritten) — the wide-format (9–16 bit) counterpart of
-/// [`matmul_wide_i32_into`], used by the compiled execution plans.
+/// [`matmul_wide_i32_into`] and the GEMM of [`dense_i64_into`].
 ///
 /// Every output element is an ascending-index dot product of two contiguous
-/// rows; integer accumulation is exact, so results match [`matmul_i16`] on
-/// the same operands bit for bit regardless of the differing loop order.
+/// rows, in portable code on every backend: its one plan caller is the
+/// 16-bit exit heads, whose few outputs leave nothing for a vector body to
+/// win. Row blocks fan out over `exec`.
 ///
 /// # Errors
 ///
@@ -773,32 +618,19 @@ pub fn matmul_abt_i64_into(
     n: usize,
     out: &mut [i64],
 ) -> Result<(), TensorError> {
-    if a.len() != m * k || bt.len() != n * k || out.len() != m * n {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![a.len(), m, k],
-            rhs: vec![bt.len(), n, k],
-            op: "matmul_abt_i64_into",
-        });
-    }
-    let backend = effective_matmul_backend(k);
+    check_matmul(a, bt, m, k, n, out.len(), "matmul_abt_i64_into")?;
     fill_row_blocks(exec, out, m, n, |row0, chunk| {
         let rows = chunk.len() / n;
-        let ablock = &a[row0 * k..(row0 + rows) * k];
-        match backend {
-            Backend::Scalar => scalar_abt_i64_block(ablock, bt, k, n, chunk),
-            b => simdkern::matmul_abt_i64(b, ablock, bt, k, n, chunk),
-        }
+        scalar_abt_i64_block(&a[row0 * k..(row0 + rows) * k], bt, k, n, chunk);
     });
     Ok(())
 }
 
-/// The scalar core of [`matmul_abt_i64_into`] on one relative-indexed block
-/// of `a` rows — the bit-exactness reference for the SIMD backends.
+/// The core of [`matmul_abt_i64_into`] on one relative-indexed block of `a`
+/// rows.
 fn scalar_abt_i64_block(a: &[i16], bt: &[i16], k: usize, n: usize, chunk: &mut [i64]) {
-    // Four output rows per pass over `bt`: each packed right-hand-side
-    // row is streamed once per row *block* instead of once per row,
-    // which matters for the few-output-channel convolutions where the
-    // patch count dwarfs the channel count.
+    // Four output rows per pass over `bt`: each right-hand-side row is
+    // streamed once per row *block* instead of once per row.
     let rows = chunk.len() / n;
     let mut i = 0;
     while i < rows {
@@ -819,25 +651,6 @@ fn scalar_abt_i64_block(a: &[i16], bt: &[i16], k: usize, n: usize, chunk: &mut [
         }
         i += block;
     }
-}
-
-fn check_matmul_ab(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    out_len: usize,
-    op: &'static str,
-) -> Result<(), TensorError> {
-    if a.len() != m * k || b.len() != k * n || out_len != m * n {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![a.len(), m, k],
-            rhs: vec![b.len(), k, n],
-            op,
-        });
-    }
-    Ok(())
 }
 
 /// Multiplies `a` (`[m, k]` row-major, i8-range codes widened to `i16`) by
@@ -883,7 +696,7 @@ pub fn matmul_ab_i32_into(
     n: usize,
     out: &mut [i32],
 ) -> Result<(), TensorError> {
-    check_matmul_ab(a, b, m, k, n, out.len(), "matmul_ab_i32_into")?;
+    check_matmul(a, b, m, k, n, out.len(), "matmul_ab_i32_into")?;
     if k >= (1 << 17) {
         return Err(TensorError::ShapeMismatch {
             lhs: vec![m, k],
@@ -914,7 +727,7 @@ pub fn matmul_ab_i64_into(
     n: usize,
     out: &mut [i64],
 ) -> Result<(), TensorError> {
-    check_matmul_ab(a, b, m, k, n, out.len(), "matmul_ab_i64_into")?;
+    check_matmul(a, b, m, k, n, out.len(), "matmul_ab_i64_into")?;
     let backend = simdkern::active();
     fill_row_blocks(exec, out, m, n, |row0, chunk| {
         let rows = chunk.len() / n;
@@ -961,13 +774,13 @@ pub fn im2col_i16_into(
     Ok((rows, cols))
 }
 
-/// Returns true when a convolution's requantize
+/// Returns true when a conv or dense step's requantize
 /// `round_shift(acc + bias, shift)` is exact in `i32` lanes for every
 /// accumulator of a `k`-tap reduction over i8-range codes:
 /// `k·2^14 + |bias| + 2^shift < 2^31` with `shift >= 0`. Each product is at
 /// most `2^14` in magnitude, so the sum, the bias and the rounding bias then
-/// never leave `i32`. [`conv_i32_into`] decides each output channel's lane
-/// width by this rule.
+/// never leave `i32`. [`conv_i32_into`] and [`dense_i32_into`] decide each
+/// output channel's lane width by this rule.
 ///
 /// # Example
 ///
@@ -1015,20 +828,45 @@ impl IntConv<'_> {
     fn taps(&self) -> usize {
         self.in_c * self.geom.kernel_h * self.geom.kernel_w
     }
+
+    /// Positions of one output plane: `out_h * out_w`.
+    fn plane(&self) -> usize {
+        self.geom.out_h() * self.geom.out_w()
+    }
+}
+
+/// One integer dense step: the packed `[out_f, in_f]` weight codes, one
+/// accumulator-scale bias per output feature, the requantize shift and the
+/// output codes' rails.
+#[derive(Debug, Clone, Copy)]
+pub struct IntDense<'a> {
+    /// Input features.
+    pub in_f: usize,
+    /// Output features.
+    pub out_f: usize,
+    /// Weight codes, `[out_f, in_f]` row-major.
+    pub weights: &'a [i16],
+    /// Bias at the accumulator's scale, one per output feature.
+    pub bias: &'a [i64],
+    /// Requantize shift from the accumulator's scale to the output's; a
+    /// negative shift scales up.
+    pub shift: i32,
+    /// Lowest output code.
+    pub min: i16,
+    /// Highest output code.
+    pub max: i16,
 }
 
 /// Runs an integer convolution on i8-range NCHW codes into NCHW output
 /// codes: the tap-major unfold into `cols` ([`im2col_i16_into`]), the
 /// outer-product GEMM into exact `i32` accumulators in `acc`
-/// ([`matmul_ab_i32_into`]) and the requantize
-/// `saturate(round_shift(acc + bias, shift), min, max)` of each output
-/// channel's whole `[batch * out_plane]` accumulator row, whose plane runs
-/// are then written into the output. A row whose constants pass
-/// [`conv_requant_fits_i32`] requantizes in `i32` lanes by the branch-free
-/// ties-away identity (the loop the compiler vectorizes, narrowing with one
-/// saturating pack); any other row runs [`requantize_i32_row_into`]. Both
-/// give the bits of [`requantize`]. `cols` and `acc` only grow; the first
-/// `batch * out_c * out_h * out_w` codes of `out` are written.
+/// ([`matmul_ab_i32_into`]), then the epilogue shared with
+/// [`dense_i32_into`]: each output channel's whole `[batch * out_plane]`
+/// row is requantized with its bias — in `i32` lanes by the branch-free
+/// ties-away identity when [`conv_requant_fits_i32`] holds, else by
+/// [`requantize_i32_row_into`], both with the bits of [`requantize`] — and
+/// its plane runs are written into the output. `cols` and `acc` only grow;
+/// the first `batch * out_c * out_h * out_w` codes of `out` are written.
 ///
 /// # Errors
 ///
@@ -1044,25 +882,18 @@ pub fn conv_i32_into(
     acc: &mut Vec<i32>,
     out: &mut [i16],
 ) -> Result<(), TensorError> {
-    let (k, shift, (min, max)) = (conv.taps(), conv.shift, (conv.min, conv.max));
-    conv_into(
-        exec,
-        conv,
-        input,
+    let requant = requant_i32(conv.taps(), conv.shift, conv.min, conv.max);
+    gemm_step_into(
+        conv.bias,
         batch,
+        conv.plane(),
         cols,
         acc,
         out,
-        matmul_ab_i32_into,
-        |row, bias, codes| {
-            if conv_requant_fits_i32(k, bias, shift) {
-                let (lane, bias) = (LaneRequant::right(shift as u32, min, max), bias as i32);
-                for (o, &a) in codes.iter_mut().zip(row) {
-                    *o = lane.apply(a + bias);
-                }
-            } else {
-                requantize_i32_row_into(row, bias, shift, min.into(), max.into(), codes);
-            }
+        requant,
+        |cols, acc| {
+            let (k, n) = im2col_i16_into(exec, input, batch, conv.in_c, &conv.geom, cols)?;
+            matmul_ab_i32_into(exec, conv.weights, &cols[..k * n], conv.out_c, k, n, acc)
         },
     )
 }
@@ -1083,68 +914,136 @@ pub fn conv_i64_into(
     acc: &mut Vec<i64>,
     out: &mut [i16],
 ) -> Result<(), TensorError> {
-    let (shift, min, max) = (conv.shift, conv.min.into(), conv.max.into());
-    conv_into(
-        exec,
-        conv,
-        input,
+    let requant = requant_i64(conv.shift, conv.min, conv.max);
+    gemm_step_into(
+        conv.bias,
         batch,
+        conv.plane(),
         cols,
         acc,
         out,
-        matmul_ab_i64_into,
-        |row, bias, codes| requantize_i64_row_into(row, bias, shift, min, max, codes),
+        requant,
+        |cols, acc| {
+            let (k, n) = im2col_i16_into(exec, input, batch, conv.in_c, &conv.geom, cols)?;
+            matmul_ab_i64_into(exec, conv.weights, &cols[..k * n], conv.out_c, k, n, acc)
+        },
     )
 }
 
-/// The body of [`conv_i32_into`] and [`conv_i64_into`]: unfold, `gemm`,
-/// then `requant` of each output channel's accumulator row (with its bias)
-/// into the free head of `cols`, copied out one plane run per sample.
-#[allow(clippy::too_many_arguments)]
-fn conv_into<A: Copy + Default>(
+/// Runs an integer dense layer on i8-range `[batch, in_f]` codes into
+/// `[batch, out_f]` codes, weights on the left: the dot-product GEMM
+/// `acc[out_f, batch] = weights · inputᵀ` ([`matmul_wide_i32_into`]), then
+/// the epilogue of [`conv_i32_into`] with one-code planes, each row staged
+/// in `codes`. `codes` and `acc` only grow; the first `batch * out_f` codes
+/// of `out` are written.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `input`, the weights, the
+/// biases or `out` do not match the layer, or `in_f` breaks the
+/// `k < 2^17` bound.
+pub fn dense_i32_into(
     exec: &Executor,
-    conv: &IntConv<'_>,
+    dense: &IntDense<'_>,
     input: &[i16],
     batch: usize,
-    cols: &mut Vec<i16>,
+    codes: &mut Vec<i16>,
+    acc: &mut Vec<i32>,
+    out: &mut [i16],
+) -> Result<(), TensorError> {
+    let d = dense;
+    let requant = requant_i32(d.in_f, d.shift, d.min, d.max);
+    gemm_step_into(d.bias, batch, 1, codes, acc, out, requant, |_, acc| {
+        matmul_wide_i32_into(exec, d.weights, input, d.out_f, d.in_f, batch, acc)
+    })
+}
+
+/// [`dense_i32_into`] for full-range `i16` codes: exact `i64` accumulators
+/// ([`matmul_abt_i64_into`]) requantized a whole output-feature row at a
+/// time by [`requantize_i64_row_into`].
+///
+/// # Errors
+///
+/// As [`dense_i32_into`], without the reduction bound.
+pub fn dense_i64_into(
+    exec: &Executor,
+    dense: &IntDense<'_>,
+    input: &[i16],
+    batch: usize,
+    codes: &mut Vec<i16>,
+    acc: &mut Vec<i64>,
+    out: &mut [i16],
+) -> Result<(), TensorError> {
+    let d = dense;
+    let requant = requant_i64(d.shift, d.min, d.max);
+    gemm_step_into(d.bias, batch, 1, codes, acc, out, requant, |_, acc| {
+        matmul_abt_i64_into(exec, d.weights, input, d.out_f, d.in_f, batch, acc)
+    })
+}
+
+/// The row requantize of the `i32` GEMM steps over `k`-tap reductions: in
+/// `i32` lanes when [`conv_requant_fits_i32`] holds for the row's bias,
+/// else [`requantize_i32_row_into`].
+fn requant_i32(k: usize, shift: i32, min: i16, max: i16) -> impl Fn(&[i32], i64, &mut [i16]) {
+    move |row, bias, codes| {
+        if conv_requant_fits_i32(k, bias, shift) {
+            let (lane, bias) = (LaneRequant::right(shift as u32, min, max), bias as i32);
+            for (o, &a) in codes.iter_mut().zip(row) {
+                *o = lane.apply(a + bias);
+            }
+        } else {
+            requantize_i32_row_into(row, bias, shift, min.into(), max.into(), codes);
+        }
+    }
+}
+
+/// The row requantize of the `i64` GEMM steps.
+fn requant_i64(shift: i32, min: i16, max: i16) -> impl Fn(&[i64], i64, &mut [i16]) {
+    move |row, bias, codes| requantize_i64_row_into(row, bias, shift, min.into(), max.into(), codes)
+}
+
+/// The one epilogue of the integer GEMM steps. `gemm` fills the exact
+/// accumulators `[rows, batch * plane]` (`rows = bias.len()`, using
+/// `scratch` as it needs); then each row is requantized with its one bias
+/// by `requant` into the head of `scratch` and written into `out` as
+/// `[batch, rows, plane]`, one run of `plane` codes per sample — NCHW for
+/// a conv, `[batch, out_f]` for a dense layer (`plane = 1`). `scratch` and
+/// `acc` only grow.
+#[allow(clippy::too_many_arguments)]
+fn gemm_step_into<A: Copy + Default>(
+    bias: &[i64],
+    batch: usize,
+    plane: usize,
+    scratch: &mut Vec<i16>,
     acc: &mut Vec<A>,
     out: &mut [i16],
-    gemm: impl FnOnce(
-        &Executor,
-        &[i16],
-        &[i16],
-        usize,
-        usize,
-        usize,
-        &mut [A],
-    ) -> Result<(), TensorError>,
     requant: impl Fn(&[A], i64, &mut [i16]),
+    gemm: impl FnOnce(&mut Vec<i16>, &mut [A]) -> Result<(), TensorError>,
 ) -> Result<(), TensorError> {
-    let (out_c, k) = (conv.out_c, conv.taps());
-    let plane = conv.geom.out_h() * conv.geom.out_w();
-    let n = batch * plane;
-    if conv.bias.len() != out_c || out.len() < out_c * n {
+    let (rows, n) = (bias.len(), batch * plane);
+    if out.len() < rows * n {
         return Err(TensorError::ShapeMismatch {
-            lhs: vec![conv.bias.len(), out.len()],
-            rhs: vec![out_c, batch, plane],
-            op: "conv_into",
+            lhs: vec![out.len()],
+            rhs: vec![batch, rows, plane],
+            op: "gemm_step_into",
         });
     }
-    im2col_i16_into(exec, input, batch, conv.in_c, &conv.geom, cols)?;
+    if acc.len() < rows * n {
+        acc.resize(rows * n, A::default());
+    }
+    let acc = &mut acc[..rows * n];
+    gemm(scratch, acc)?;
     if n == 0 {
         return Ok(());
     }
-    if acc.len() < out_c * n {
-        acc.resize(out_c * n, A::default());
+    if scratch.len() < n {
+        scratch.resize(n, 0);
     }
-    let acc = &mut acc[..out_c * n];
-    gemm(exec, conv.weights, &cols[..k * n], out_c, k, n, acc)?;
-    // The columns are spent: their head holds one requantized row.
-    let codes = &mut cols[..n];
-    for (co, (row, &bias)) in acc.chunks_exact(n).zip(conv.bias).enumerate() {
-        requant(row, bias, codes);
-        for (b, run) in codes.chunks_exact(plane).enumerate() {
-            out[(b * out_c + co) * plane..][..plane].copy_from_slice(run);
+    let codes = &mut scratch[..n];
+    for (row_idx, (row, &b)) in acc.chunks_exact(n).zip(bias).enumerate() {
+        requant(row, b, codes);
+        for (sample, run) in codes.chunks_exact(plane).enumerate() {
+            out[(sample * rows + row_idx) * plane..][..plane].copy_from_slice(run);
         }
     }
     Ok(())
@@ -1192,58 +1091,6 @@ pub fn im2row_i16_into(
     }
     crate::unfold::im2row_i16(input, batch, channels, geom, &mut out[..rows * cols]);
     Ok((rows, cols))
-}
-
-/// Multiplies two `i16` matrices, `[m, k] x [k, n]`, into an exact `i64`
-/// accumulator matrix `[m, n]`.
-///
-/// Products are at most `2^30`, so the `i64` accumulator is exact for any
-/// reduction length that fits in memory. Parallelized over output row blocks
-/// with bitwise identical results for every thread count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the slice lengths do not match
-/// `m * k` / `k * n`.
-pub fn matmul_i16(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i64>, TensorError> {
-    matmul_i16_with(&auto_executor(m * k * n), a, b, m, k, n)
-}
-
-/// [`matmul_i16`] on an explicit executor.
-///
-/// Transposes `b` once up front and runs the register-blocked
-/// [`matmul_abt_i64_into`] kernel — the same transposed-layout treatment the
-/// i8 path got, which replaces the old strided `ikj` walk with contiguous
-/// dot products (and picks up the SIMD backends for free). Integer
-/// accumulation is exact, so the repack changes no bits.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on length mismatches.
-pub fn matmul_i16_with(
-    exec: &Executor,
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Vec<i64>, TensorError> {
-    check_matmul(a.len(), b.len(), m, k, n, "matmul_i16")?;
-    let mut bt = vec![0i16; n * k];
-    for (p, b_row) in b.chunks_exact(n.max(1)).enumerate() {
-        for (j, &v) in b_row.iter().enumerate() {
-            bt[j * k + p] = v;
-        }
-    }
-    let mut out = vec![0i64; m * n];
-    matmul_abt_i64_into(exec, a, &bt, m, k, n, &mut out)?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1404,12 +1251,76 @@ mod tests {
         }
     }
 
+    /// `b` (`[k, n]` row-major) widened to `i16` and transposed to
+    /// `[n, k]`: the right-hand layout of the dot-product kernels.
+    fn pack_bt<T: Copy + Into<i16>>(b: &[T], k: usize, n: usize) -> Vec<i16> {
+        let mut bt = vec![0i16; n * k];
+        for (p, row) in b.chunks_exact(n.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                bt[j * k + p] = v.into();
+            }
+        }
+        bt
+    }
+
+    /// `[m, k] x [k, n]` on `i8` codes through [`matmul_wide_i32_into`].
+    fn matmul_i8(
+        exec: &Executor,
+        a: &[i8],
+        b: &[i8],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Result<Vec<i32>, TensorError> {
+        let a16: Vec<i16> = a.iter().map(|&v| v.into()).collect();
+        let mut out = vec![0i32; m * n];
+        matmul_wide_i32_into(exec, &a16, &pack_bt(b, k, n), m, k, n, &mut out)?;
+        Ok(out)
+    }
+
+    /// `[m, k] x [k, n]` on `i16` codes through [`matmul_abt_i64_into`].
+    fn matmul_i16(
+        exec: &Executor,
+        a: &[i16],
+        b: &[i16],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Result<Vec<i64>, TensorError> {
+        let mut out = vec![0i64; m * n];
+        matmul_abt_i64_into(exec, a, &pack_bt(b, k, n), m, k, n, &mut out)?;
+        Ok(out)
+    }
+
+    /// The plain `[m, k] x [k, n]` triple loop in `i64`.
+    fn matmul_reference<T: Copy + Into<i64>>(
+        a: &[T],
+        b: &[T],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<i64> {
+        let mut out = vec![0i64; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                out[i * n + j] = (0..k)
+                    .map(|p| a[i * k + p].into() * b[p * n + j].into())
+                    .sum();
+            }
+        }
+        out
+    }
+
     #[test]
     fn matmul_i8_known_values() {
+        let seq = Executor::sequential();
         let a: Vec<i8> = vec![1, 2, 3, 4];
         let b: Vec<i8> = vec![5, 6, 7, 8];
-        assert_eq!(matmul_i8(&a, &b, 2, 2, 2).unwrap(), vec![19, 22, 43, 50]);
-        assert!(matmul_i8(&a, &b, 2, 3, 2).is_err());
+        assert_eq!(
+            matmul_i8(&seq, &a, &b, 2, 2, 2).unwrap(),
+            vec![19, 22, 43, 50]
+        );
+        assert!(matmul_i8(&seq, &a, &b, 2, 3, 2).is_err());
     }
 
     #[test]
@@ -1421,7 +1332,7 @@ mod tests {
         let af = Tensor::from_vec(a.iter().map(|&v| v as f32).collect(), &[m, k]).unwrap();
         let bf = Tensor::from_vec(b.iter().map(|&v| v as f32).collect(), &[k, n]).unwrap();
         let cf = matmul(&af, &bf).unwrap();
-        let ci = matmul_i8(&a, &b, m, k, n).unwrap();
+        let ci = matmul_i8(&Executor::sequential(), &a, &b, m, k, n).unwrap();
         // products and partial sums stay far below 2^24, so f32 is exact here
         for (x, &y) in ci.iter().zip(cf.as_slice()) {
             assert_eq!(*x as f32, y);
@@ -1436,8 +1347,9 @@ mod tests {
         let b8 = random_codes_i8(k * n, &mut rng);
         let a16: Vec<i16> = a8.iter().map(|&v| v as i16).collect();
         let b16: Vec<i16> = b8.iter().map(|&v| v as i16).collect();
-        let c8 = matmul_i8(&a8, &b8, m, k, n).unwrap();
-        let c16 = matmul_i16(&a16, &b16, m, k, n).unwrap();
+        let seq = Executor::sequential();
+        let c8 = matmul_i8(&seq, &a8, &b8, m, k, n).unwrap();
+        let c16 = matmul_i16(&seq, &a16, &b16, m, k, n).unwrap();
         for (x, y) in c8.iter().zip(&c16) {
             assert_eq!(*x as i64, *y);
         }
@@ -1449,62 +1361,63 @@ mod tests {
         let (m, k, n) = (37, 23, 41);
         let a = random_codes_i8(m * k, &mut rng);
         let b = random_codes_i8(k * n, &mut rng);
-        let seq = matmul_i8_with(&Executor::sequential(), &a, &b, m, k, n).unwrap();
-        let par = matmul_i8_with(&Executor::new(4), &a, &b, m, k, n).unwrap();
+        let seq = matmul_i8(&Executor::sequential(), &a, &b, m, k, n).unwrap();
+        let par = matmul_i8(&Executor::new(4), &a, &b, m, k, n).unwrap();
         assert_eq!(seq, par);
         let a16: Vec<i16> = a.iter().map(|&v| v as i16 * 100).collect();
         let b16: Vec<i16> = b.iter().map(|&v| v as i16 * 100).collect();
-        let seq = matmul_i16_with(&Executor::sequential(), &a16, &b16, m, k, n).unwrap();
-        let par = matmul_i16_with(&Executor::new(4), &a16, &b16, m, k, n).unwrap();
+        let seq = matmul_i16(&Executor::sequential(), &a16, &b16, m, k, n).unwrap();
+        let par = matmul_i16(&Executor::new(4), &a16, &b16, m, k, n).unwrap();
         assert_eq!(seq, par);
     }
 
     #[test]
     fn matmul_i8_rejects_oversized_reduction() {
+        let seq = Executor::sequential();
         let a = vec![0i8; 1 << 18];
         let b = vec![0i8; 1 << 18];
-        assert!(matmul_i8(&a, &b, 1, 1 << 18, 1).is_err());
+        assert!(matmul_i8(&seq, &a, &b, 1, 1 << 18, 1).is_err());
         // Boundary: k = 2^17 all-extreme products reach exactly 2^31, one
         // past i32::MAX, so the bound is strict.
         let a = vec![i8::MIN; 1 << 17];
-        assert!(matmul_i8(&a, &a, 1, 1 << 17, 1).is_err());
+        assert!(matmul_i8(&seq, &a, &a, 1, 1 << 17, 1).is_err());
         let a = vec![i8::MIN; (1 << 17) - 1];
-        let c = matmul_i8(&a, &a, 1, (1 << 17) - 1, 1).unwrap();
+        let c = matmul_i8(&seq, &a, &a, 1, (1 << 17) - 1, 1).unwrap();
         assert_eq!(c[0], (1 << 14) * ((1 << 17) - 1));
     }
 
     #[test]
-    fn packed_kernels_match_packing_entry_points() {
-        // The plan-facing pre-packed kernels must reproduce the packing
-        // entry points bit for bit on identical operands.
+    fn packed_kernels_match_naive_reference() {
+        // The dot-product kernels on operands packed once, as the plans
+        // hold them, against the plain triple loop.
         let mut rng = Xoshiro256StarStar::seed_from_u64(11);
         let (m, k, n) = (19, 31, 23);
         let a = random_codes_i8(m * k, &mut rng);
         let b = random_codes_i8(k * n, &mut rng);
-        let reference = matmul_i8(&a, &b, m, k, n).unwrap();
-
         let a16: Vec<i16> = a.iter().map(|&v| v as i16).collect();
-        let mut bt16 = vec![0i16; n * k];
-        for (p, b_row) in b.chunks_exact(n).enumerate() {
-            for (j, &v) in b_row.iter().enumerate() {
-                bt16[j * k + p] = v as i16;
-            }
-        }
+        let bt16 = pack_bt(&b, k, n);
         let mut out = vec![0i32; m * n];
         matmul_wide_i32_into(&Executor::sequential(), &a16, &bt16, m, k, n, &mut out).unwrap();
-        assert_eq!(out, reference);
+        let out: Vec<i64> = out.into_iter().map(i64::from).collect();
+        assert_eq!(out, matmul_reference(&a, &b, m, k, n));
 
-        // The abt i64 kernel agrees with matmul_i16 despite the different
-        // loop order (integer accumulation is exact).
         let aw: Vec<i16> = a16.iter().map(|&v| v * 50).collect();
-        let btw: Vec<i16> = bt16.iter().map(|&v| v * 50).collect();
         let bw: Vec<i16> = b.iter().map(|&v| v as i16 * 50).collect();
-        let reference = matmul_i16(&aw, &bw, m, k, n).unwrap();
         let mut out64 = vec![0i64; m * n];
-        matmul_abt_i64_into(&Executor::new(4), &aw, &btw, m, k, n, &mut out64).unwrap();
-        assert_eq!(out64, reference);
+        matmul_abt_i64_into(
+            &Executor::new(4),
+            &aw,
+            &pack_bt(&bw, k, n),
+            m,
+            k,
+            n,
+            &mut out64,
+        )
+        .unwrap();
+        assert_eq!(out64, matmul_reference(&aw, &bw, m, k, n));
 
         // shape validation
+        let mut out = vec![0i32; m * n];
         assert!(
             matmul_wide_i32_into(&Executor::sequential(), &a16, &bt16, m, k + 1, n, &mut out)
                 .is_err()
@@ -1521,6 +1434,74 @@ mod tests {
             &mut one
         )
         .is_err());
+    }
+
+    #[test]
+    fn dense_steps_match_the_per_element_requantize() {
+        // Each output feature's bias lands on its own column of the
+        // `[batch, out_f]` codes; feature 0's bias breaks the i32-lane
+        // bound, so both requantize routes run in one call. The 11 features
+        // span the 8-row register block and its remainder, four threads
+        // split them, batch 0 writes nothing and the code past the last
+        // output is left alone.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(17);
+        let (in_f, out_f, shift) = (40usize, 11usize, 9i32);
+        let mut bias: Vec<i64> = (0..out_f)
+            .map(|_| (rng.next_u64() % 20_000) as i64 - 10_000)
+            .collect();
+        bias[0] = 1 << 31;
+        assert!(!conv_requant_fits_i32(in_f, bias[0], shift));
+        assert!(conv_requant_fits_i32(in_f, bias[1], shift));
+        for wide in [false, true] {
+            let codes = |n: usize, rng: &mut Xoshiro256StarStar| -> Vec<i16> {
+                let v = random_codes_i8(n, rng);
+                v.iter()
+                    .map(|&c| c as i16 * if wide { 199 } else { 1 })
+                    .collect()
+            };
+            let weights = codes(out_f * in_f, &mut rng);
+            let (min, max) = if wide {
+                (i16::MIN, i16::MAX)
+            } else {
+                (-128, 127)
+            };
+            let dense = IntDense {
+                in_f,
+                out_f,
+                weights: &weights,
+                bias: &bias,
+                shift,
+                min,
+                max,
+            };
+            for batch in [0usize, 1, 3, 33] {
+                let input = codes(batch * in_f, &mut rng);
+                let mut expected = vec![7i16; batch * out_f + 1];
+                for s in 0..batch {
+                    for o in 0..out_f {
+                        let dot: i64 = (0..in_f)
+                            .map(|p| input[s * in_f + p] as i64 * weights[o * in_f + p] as i64)
+                            .sum();
+                        let code = requantize(dot + bias[o], shift, min.into(), max.into());
+                        expected[s * out_f + o] = code as i16;
+                    }
+                }
+                let mut out = vec![7i16; batch * out_f + 1];
+                let exec = Executor::new(4);
+                let (mut scratch, mut acc32, mut acc64) = (Vec::new(), Vec::new(), Vec::new());
+                let (input, scratch) = (&input, &mut scratch);
+                match wide {
+                    false => {
+                        dense_i32_into(&exec, &dense, input, batch, scratch, &mut acc32, &mut out)
+                    }
+                    true => {
+                        dense_i64_into(&exec, &dense, input, batch, scratch, &mut acc64, &mut out)
+                    }
+                }
+                .unwrap();
+                assert_eq!(out, expected, "wide={wide} batch={batch}");
+            }
+        }
     }
 
     #[test]
@@ -1567,7 +1548,7 @@ mod tests {
         let k = 64usize;
         let a = vec![i16::MIN; k];
         let b = vec![i16::MIN; k];
-        let c = matmul_i16(&a, &b, 1, k, 1).unwrap();
+        let c = matmul_i16(&Executor::sequential(), &a, &b, 1, k, 1).unwrap();
         assert_eq!(c[0], (i16::MIN as i64) * (i16::MIN as i64) * k as i64);
         // requantizing that into an i16 range must saturate, not wrap
         assert_eq!(requantize(c[0], 8, i16::MIN as i64, i16::MAX as i64), 32767);

@@ -399,6 +399,112 @@ fn conv_bias_past_the_i32_requantize_bound_stays_bit_exact() {
     check_predict_probs_is_bit_exact(&subject);
 }
 
+/// The dense steps' share of the conv epilogue: a dense layer's
+/// `[out_f, batch]` accumulator rows requantize with one bias each and
+/// scatter into `[batch, out_f]`, bit-exact with the simulator in Eval,
+/// McSample and `predict_probs`, at every searched format (16 bits runs
+/// the `i64` dense GEMM). Two nets:
+/// - a backbone dense layer whose feature-0 bias of 10^9 breaks the `i32`
+///   requantize bound (`k·2^14 + |bias| + 2^shift < 2^31`) at 4, 6 and 8
+///   bits, beside an exit head that stays within it;
+/// - a dense-only net at batch 1 and at batch 33, where the 256 -> 131
+///   backbone layer passes the plans' fan-out threshold, so its rows split
+///   over the executor's threads.
+#[test]
+fn dense_bias_past_the_i32_requantize_bound_stays_bit_exact() {
+    let dense = |in_features, out_features| LayerSpec::Dense {
+        in_features,
+        out_features,
+    };
+    let dense_fits = |plan: &QuantPlan| -> Vec<bool> {
+        plan.schedule()
+            .steps()
+            .filter_map(|step| match &step.op {
+                ScheduleOp::Dense {
+                    bias, in_f, shift, ..
+                } => Some(
+                    bias.iter()
+                        .all(|&b| conv_requant_fits_i32(*in_f, b, *shift)),
+                ),
+                _ => None,
+            })
+            .collect()
+    };
+
+    let spec = NetworkSpec::single_exit(
+        "wide_dense_bias",
+        3,
+        6,
+        6,
+        3,
+        vec![vec![LayerSpec::Flatten, dense(108, 16), LayerSpec::Relu]],
+        vec![dense(16, 3)],
+    )
+    .with_exit_mcd(0.25)
+    .unwrap();
+    let mut net = spec.build(25).unwrap();
+    {
+        let mut params = net.params_mut();
+        assert_eq!(params[1].value.dims(), &[16], "backbone dense bias");
+        params[1].value.as_mut_slice()[0] = 1e9;
+    }
+    let mut rng = Xoshiro256StarStar::seed_from_u64(26);
+    let calib = Tensor::randn(&[4, 3, 6, 6], &mut rng);
+    let subject = Subject {
+        name: "wide_dense_bias",
+        calibrated: CalibratedNetwork::calibrate(&net, &calib).unwrap(),
+        input: Tensor::randn(&[3, 3, 6, 6], &mut rng),
+        spec,
+    };
+    for format in FixedPointFormat::search_space() {
+        if format.total_bits() <= 8 {
+            let plan = subject.calibrated.plan(format).unwrap();
+            assert_eq!(
+                dense_fits(&plan),
+                [false, true],
+                "{format:?}: only the backbone dense layer should break the bound"
+            );
+        }
+    }
+    check_forward_is_bit_exact(&subject);
+    check_predict_probs_is_bit_exact(&subject);
+
+    let spec = NetworkSpec::single_exit(
+        "dense_only",
+        1,
+        16,
+        16,
+        5,
+        vec![vec![LayerSpec::Flatten, dense(256, 131), LayerSpec::Relu]],
+        vec![dense(131, 5)],
+    )
+    .with_exit_mcd(0.25)
+    .unwrap();
+    let net = spec.build(27).unwrap();
+    let mut rng = Xoshiro256StarStar::seed_from_u64(28);
+    let calib = Tensor::randn(&[8, 1, 16, 16], &mut rng);
+    let calibrated = CalibratedNetwork::calibrate(&net, &calib).unwrap();
+    assert!(dense_fits(
+        &calibrated
+            .plan(FixedPointFormat::new(8, 3).unwrap())
+            .unwrap()
+    )
+    .iter()
+    .all(|&fits| fits));
+    // Batch 33 runs 33 * 256 * 131 > 2^20 multiply-accumulates: past the
+    // plans' fan-out threshold.
+    for batch in [1usize, 33] {
+        let subject = Subject {
+            name: "dense_only",
+            calibrated: calibrated.clone(),
+            input: Tensor::randn(&[batch, 1, 16, 16], &mut rng),
+            spec: spec.clone(),
+        };
+        check_forward_is_bit_exact(&subject);
+        check_predict_probs_is_bit_exact(&subject);
+    }
+}
+
 /// Max-magnitude inputs against calibration ranges measured on unit-scale
 /// data: the input quantizer and the downstream requantizers must clamp,
 /// both implementations must clamp the same way, and at least one exit

@@ -19,9 +19,8 @@
 
 use bayesnn_fpga::tensor::exec::Executor;
 use bayesnn_fpga::tensor::int::{
-    im2row_i16_into, matmul_ab_i32_into, matmul_ab_i64_into, matmul_abt_i64_into, matmul_i16,
-    matmul_wide_i32_into, requantize_i32_row_biased_into, requantize_i32_row_into,
-    requantize_i64_row_biased_into, requantize_i64_row_into,
+    im2row_i16_into, matmul_ab_i32_into, matmul_ab_i64_into, matmul_abt_i64_into,
+    matmul_wide_i32_into, requantize, requantize_i32_row_into, requantize_i64_row_into,
 };
 use bayesnn_fpga::tensor::linalg::{matmul_slices_into_with, ConvGeometry};
 use bayesnn_fpga::tensor::rng::{Rng, Xoshiro256StarStar};
@@ -196,9 +195,9 @@ fn outer_product_i32_matmul_is_exact_at_the_reduction_bound() {
 
 #[test]
 fn transposed_i16_matmul_matches_naive_reference() {
-    // `matmul_i16` now repacks through the register-blocked abt kernel; pin
-    // it to a naive triple loop so the repack itself is verified, not just
-    // backend-vs-backend consistency.
+    // `[m, k] x [k, n]` through an in-test transpose of `b` and the abt
+    // kernel, pinned to a naive triple loop so the packed layout itself is
+    // verified, not just backend-vs-backend consistency.
     let mut rng = Xoshiro256StarStar::seed_from_u64(43);
     for &(m, k, n) in SHAPES {
         let a = codes_i16(m * k, &mut rng);
@@ -213,8 +212,15 @@ fn transposed_i16_matmul_matches_naive_reference() {
                 naive[i * n + j] = acc;
             }
         }
+        let mut bt = vec![0i16; n * k];
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
+            for (j, &v) in b_row.iter().enumerate() {
+                bt[j * k + p] = v;
+            }
+        }
         for_each_backend(|backend| {
-            let got = matmul_i16(&a, &b, m, k, n).unwrap();
+            let mut got = vec![0i64; m * n];
+            matmul_abt_i64_into(&Executor::sequential(), &a, &bt, m, k, n, &mut got).unwrap();
             assert_eq!(got, naive, "{m}x{k}x{n} backend={backend:?}");
         });
     }
@@ -229,6 +235,8 @@ fn requantize_rows_match_scalar_bitwise_across_backends() {
     let biases: Vec<i64> = (0..len)
         .map(|_| (rng.next_u64() % 4096) as i64 - 2048)
         .collect();
+    // Rows of an accumulator matrix, one bias each, as the GEMM steps'
+    // epilogue runs them: the 163-long row once per bias.
     // Shift 0, mid-range shifts, a shift past every accumulator bit, and a
     // negative (scale-up) shift that must take the scalar fallback; bounds
     // include narrow 4-bit-style ranges and the full i16 storage range.
@@ -240,17 +248,19 @@ fn requantize_rows_match_scalar_bitwise_across_backends() {
         ] {
             let mut reference32 = vec![0i16; len];
             let mut reference64 = vec![0i16; len];
-            let mut ref32b = vec![0i16; len];
-            let mut ref64b = vec![0i16; len];
             {
                 let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
                 set_backend_override(Some(Backend::Scalar));
                 requantize_i32_row_into(&acc32, 77, shift, qmin, qmax, &mut reference32);
                 requantize_i64_row_into(&acc64, -129, shift, qmin, qmax, &mut reference64);
-                requantize_i32_row_biased_into(&acc32, &biases, shift, qmin, qmax, &mut ref32b);
-                requantize_i64_row_biased_into(&acc64, &biases, shift, qmin, qmax, &mut ref64b);
                 set_backend_override(None);
             }
+            // The per-row-bias cases against the per-element `requantize`.
+            let naive = |acc: &dyn Fn(usize) -> i64, bias: i64| -> Vec<i16> {
+                (0..len)
+                    .map(|i| requantize(acc(i) + bias, shift, qmin, qmax) as i16)
+                    .collect()
+            };
             for_each_backend(|backend| {
                 let ctx = format!("shift={shift} bounds=({qmin},{qmax}) backend={backend:?}");
                 let mut got = vec![0i16; len];
@@ -258,10 +268,14 @@ fn requantize_rows_match_scalar_bitwise_across_backends() {
                 assert_eq!(got, reference32, "i32 row {ctx}");
                 requantize_i64_row_into(&acc64, -129, shift, qmin, qmax, &mut got);
                 assert_eq!(got, reference64, "i64 row {ctx}");
-                requantize_i32_row_biased_into(&acc32, &biases, shift, qmin, qmax, &mut got);
-                assert_eq!(got, ref32b, "i32 biased row {ctx}");
-                requantize_i64_row_biased_into(&acc64, &biases, shift, qmin, qmax, &mut got);
-                assert_eq!(got, ref64b, "i64 biased row {ctx}");
+                for (r, &bias) in biases.iter().enumerate() {
+                    requantize_i32_row_into(&acc32, bias, shift, qmin, qmax, &mut got);
+                    let expected = naive(&|i| acc32[i].into(), bias);
+                    assert_eq!(got, expected, "i32 row {r} bias={bias} {ctx}");
+                    requantize_i64_row_into(&acc64, bias, shift, qmin, qmax, &mut got);
+                    let expected = naive(&|i| acc64[i], bias);
+                    assert_eq!(got, expected, "i64 row {r} bias={bias} {ctx}");
+                }
             });
         }
     }
