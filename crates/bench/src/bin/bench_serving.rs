@@ -221,7 +221,7 @@ fn estimate_service_time(engine: &QuantEngine, pool: &[Vec<f32>]) -> Duration {
     let mut engine = engine.clone();
     engine.ensure_batch(1);
     let per = pool[0].len();
-    let mut out = Vec::new();
+    let (mut out, mut exits) = (Vec::new(), Vec::new());
     let reps = 32usize;
     // Warm-up pass, then the timed passes.
     for phase in 0..2 {
@@ -231,7 +231,14 @@ fn estimate_service_time(engine: &QuantEngine, pool: &[Vec<f32>]) -> Duration {
                 .expect("pool samples are well-formed");
             assert_eq!(t.len(), per);
             engine
-                .predict_batch_into(&t, MC_SAMPLES, MC_SEED, &mut out)
+                .predict_adaptive_batch_into(
+                    &t,
+                    MC_SAMPLES,
+                    MC_SEED,
+                    &ExitPolicy::Never,
+                    &mut out,
+                    &mut exits,
+                )
                 .expect("estimate predict");
         }
         if phase == 1 {

@@ -2,9 +2,9 @@
 
 use crate::table::TextTable;
 use bnn_bayes::flops_analysis::SamplingCostModel;
-use bnn_core::phase1::{ModelVariant, Phase1Config, Phase1Stage};
-use bnn_core::pipeline::PipelineContext;
-use bnn_core::OptPriority;
+use bnn_core::framework::FrameworkConfig;
+use bnn_core::phase1::{self, ModelVariant, Phase1Config};
+use bnn_core::pipeline::NoopObserver;
 use bnn_data::{DatasetSpec, SyntheticConfig};
 use bnn_hw::accelerator::{AcceleratorConfig, AcceleratorModel};
 use bnn_hw::baselines::{fpga_baselines, paper_our_work_quoted, software_baselines_quoted};
@@ -174,10 +174,9 @@ pub fn table1(scale: Table1Scale) -> Result<TextTable, ExperimentError> {
         Table1Scale::Quick => vec![Architecture::ResNet18, Architecture::Vgg19],
     };
     for architecture in architectures {
-        let config = table1_phase1_config(architecture, scale);
-        let ctx =
-            PipelineContext::new(FpgaDevice::xcku115()).with_priority(OptPriority::Calibration);
-        let artifact = Phase1Stage::new(config).run(&ctx)?;
+        let mut config = FrameworkConfig::quick_demo(architecture);
+        config.phase1 = table1_phase1_config(architecture, scale);
+        let artifact = phase1::run(&config, &NoopObserver)?;
         let result = &artifact.result;
         for variant in ModelVariant::all() {
             if let Some(candidate) = result.best_of_variant(variant) {

@@ -1,6 +1,7 @@
 //! User constraints and optimization priorities (the two inputs that steer the
 //! design-space exploration in Fig. 3 of the paper).
 
+use crate::error::FrameworkError;
 use bnn_hw::ResourceUsage;
 
 /// What the grid search optimises for once constraints are satisfied.
@@ -85,6 +86,32 @@ impl UserConstraints {
     pub fn with_max_power_w(mut self, power_w: f64) -> Self {
         self.max_power_w = Some(power_w);
         self
+    }
+
+    /// Checks that every set bound is finite. A NaN bound rejects every
+    /// candidate, which would surface as a misleading
+    /// [`FrameworkError::NoFeasibleDesign`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameworkError::InvalidConfig`] naming the first
+    /// non-finite bound.
+    pub fn validate(&self) -> Result<(), FrameworkError> {
+        let bounds = [
+            ("minimum accuracy", self.min_accuracy),
+            ("maximum ECE", self.max_ece),
+            ("maximum FLOPs ratio", self.max_flops_ratio),
+            ("maximum latency", self.max_latency_ms),
+            ("maximum power", self.max_power_w),
+        ];
+        for (name, bound) in bounds {
+            if let Some(bound) = bound.filter(|b| !b.is_finite()) {
+                return Err(FrameworkError::InvalidConfig(format!(
+                    "the {name} constraint must be finite, got {bound}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Checks the algorithmic part of the constraints.

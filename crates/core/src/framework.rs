@@ -1,10 +1,10 @@
-//! The end-to-end transformation framework driver.
+//! The framework's one configuration and the outcome of a full run.
 //!
-//! [`TransformationFramework`] is a thin compatibility wrapper over the staged
-//! pipeline in [`crate::pipeline`]: `new` applies the same per-stage
-//! validation as [`crate::pipeline::PipelineSession::new`], and `run`
-//! constructs a session and completes it. Use the session directly for
-//! partial runs, artifact reuse and observers.
+//! [`FrameworkConfig`] carries every input of the four phases: the
+//! per-phase grids ([`Phase1Config`], [`Phase3Config`]) and what every phase
+//! sees (device, clock, MC samples, constraints, priority, thread count).
+//! [`crate::pipeline::PipelineSession`] validates it once and drives the
+//! phase functions over it.
 
 use crate::constraints::{OptPriority, UserConstraints};
 use crate::error::FrameworkError;
@@ -12,9 +12,10 @@ use crate::phase1::{Phase1Config, Phase1Result};
 use crate::phase2::Phase2Result;
 use crate::phase3::{Phase3Config, Phase3Result};
 use crate::phase4::Phase4Output;
-use crate::pipeline::{self, PipelineBuilder, PipelineSession};
+use bnn_hw::accelerator::AcceleratorConfig;
 use bnn_hw::FpgaDevice;
 use bnn_models::zoo::Architecture;
+use bnn_tensor::exec::Executor;
 
 /// Configuration of a full framework run.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,10 +80,50 @@ impl FrameworkConfig {
         self
     }
 
-    /// Starts a [`PipelineBuilder`] from this configuration, for per-stage
-    /// customisation and validation.
-    pub fn builder(self) -> PipelineBuilder {
-        PipelineBuilder::from_config(self)
+    /// Validates the shared inputs and both phase grids.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameworkError::InvalidConfig`] for a clock frequency that
+    /// is not positive and finite, zero MC samples, an empty project name, a
+    /// non-finite constraint bound, or a failed
+    /// [`Phase1Config::validate`] / [`Phase3Config::validate`].
+    pub fn validate(&self) -> Result<(), FrameworkError> {
+        if !(self.clock_mhz.is_finite() && self.clock_mhz > 0.0) {
+            return Err(FrameworkError::InvalidConfig(format!(
+                "clock frequency must be positive and finite, got {}",
+                self.clock_mhz
+            )));
+        }
+        if self.mc_samples == 0 {
+            return Err(FrameworkError::InvalidConfig(
+                "the accelerator must draw at least one MC sample".into(),
+            ));
+        }
+        if self.project_name.is_empty() {
+            return Err(FrameworkError::InvalidConfig(
+                "the HLS project name must not be empty".into(),
+            ));
+        }
+        self.constraints.validate()?;
+        self.phase1.validate()?;
+        self.phase3.validate()
+    }
+
+    /// The accelerator baseline shared by the hardware phases: the target
+    /// device with this configuration's clock and MC sample count, before
+    /// any mapping/bitwidth/reuse decision is applied.
+    pub fn accelerator_baseline(&self) -> AcceleratorConfig {
+        AcceleratorConfig::new(self.device.clone())
+            .with_clock_mhz(self.clock_mhz)
+            .with_mc_samples(self.mc_samples)
+    }
+
+    /// The executor the parallel phases fan out on: [`Self::threads`] when
+    /// set, else the process default ([`Executor::global`]). An executor
+    /// holds no worker state, so building one per phase costs nothing.
+    pub fn executor(&self) -> Executor {
+        self.threads.map_or_else(Executor::global, Executor::new)
     }
 }
 
@@ -137,51 +178,12 @@ impl FrameworkOutcome {
     }
 }
 
-/// The four-phase transformation framework (paper Fig. 2).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransformationFramework {
-    config: FrameworkConfig,
-}
-
-impl TransformationFramework {
-    /// Creates a framework instance after validating the configuration with
-    /// the per-stage `validate()` checks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::InvalidConfig`] for non-positive clock
-    /// frequencies or empty search grids.
-    pub fn new(config: FrameworkConfig) -> Result<Self, FrameworkError> {
-        pipeline::validate_config(&config)?;
-        Ok(TransformationFramework { config })
-    }
-
-    /// The configuration of this framework instance.
-    pub fn config(&self) -> &FrameworkConfig {
-        &self.config
-    }
-
-    /// Runs all four phases and returns the selected design.
-    ///
-    /// Equivalent to `PipelineSession::new(config)?.run()`; the Phase 1
-    /// trained model is carried forward through the session's artifacts, so
-    /// Phase 3 never retrains it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any phase error, including
-    /// [`FrameworkError::NoFeasibleDesign`] when the constraints cannot be met.
-    pub fn run(&self) -> Result<FrameworkOutcome, FrameworkError> {
-        PipelineSession::new(self.config.clone())?.run()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::phase1::ModelVariant;
     use crate::phase3::CALIBRATION_SAMPLES;
-    use crate::pipeline::{PhaseId, StageArtifact};
+    use crate::pipeline::{PhaseId, PipelineSession, StageArtifact};
     use bnn_data::{DatasetSpec, SyntheticConfig};
     use bnn_hls::LoweredDesign;
     use bnn_models::ModelConfig;
@@ -213,22 +215,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn configuration_validation() {
-        let mut config = tiny_framework_config();
-        config.clock_mhz = 0.0;
-        assert!(TransformationFramework::new(config).is_err());
-        let mut config = tiny_framework_config();
-        config.phase1.variants.clear();
-        assert!(TransformationFramework::new(config).is_err());
-        let mut config = tiny_framework_config();
-        config.phase3.formats.clear();
-        assert!(TransformationFramework::new(config).is_err());
-    }
-
-    #[test]
     fn end_to_end_run_produces_a_complete_design() {
-        let framework = TransformationFramework::new(tiny_framework_config()).unwrap();
-        let outcome = framework.run().unwrap();
+        let outcome = PipelineSession::new(tiny_framework_config())
+            .unwrap()
+            .run()
+            .unwrap();
         // Phase 1 explored both requested variants.
         assert_eq!(outcome.phase1.candidates.len(), 2);
         // Phase 2 selected a feasible mapping.

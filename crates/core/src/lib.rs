@@ -20,26 +20,25 @@
 //!    record at the selected format into the HLS project (`bnn-hls`'s
 //!    `LoweredDesign`) and the predicted implementation report (`bnn-hw`).
 //!
-//! The phases are exposed as a **staged pipeline** ([`pipeline`]): typed stage
-//! structs ([`phase1::Phase1Stage`] … [`phase4::Phase4Stage`]) run against a
-//! shared [`pipeline::PipelineContext`] and pass typed artifacts from stage to
-//! stage, so intermediate results can be inspected, stored and resumed.
-//! [`pipeline::PipelineSession`] drives them with artifact caching
-//! (`run_to` / `resume_from` / `run`) and streams progress to a
-//! [`pipeline::PipelineObserver`]. [`framework::TransformationFramework`] is a
-//! thin compatibility wrapper that chains all four phases behind a single
-//! call; each stage is also usable on its own (the benchmark harness drives
-//! them individually to regenerate the paper's tables).
+//! Each phase is a plain function of the one configuration,
+//! [`framework::FrameworkConfig`], and the previous phase's artifact
+//! ([`phase1::run`] … [`phase4::run`]); artifacts pass from phase to phase
+//! and embed their predecessors, so intermediate results can be inspected,
+//! stored and resumed. [`pipeline::PipelineSession`] validates the
+//! configuration once and drives the phases with artifact caching
+//! (`run_to` / `resume_from` / `run`), streaming progress to a
+//! [`pipeline::PipelineObserver`]. The benchmark harness calls the phase
+//! functions one by one to time them and to regenerate the paper's tables.
 //!
 //! # Threading model
 //!
 //! The parallel phases — Phase 1 candidate training and Phase 3 design-point
-//! evaluation — fan out on the [`pipeline::PipelineContext::executor`]
+//! evaluation — fan out on [`framework::FrameworkConfig::executor`]
 //! ([`bnn_tensor::exec::Executor`]), which resolves its thread count from,
 //! in order:
 //!
-//! 1. [`framework::FrameworkConfig::threads`] (or
-//!    [`pipeline::PipelineContext::with_threads`]) when set,
+//! 1. [`framework::FrameworkConfig::threads`] (see
+//!    [`framework::FrameworkConfig::with_threads`]) when set,
 //! 2. the `BNN_THREADS` environment variable,
 //! 3. the number of available CPUs.
 //!
@@ -63,7 +62,8 @@
 //!
 //! # fn main() -> Result<(), bnn_core::FrameworkError> {
 //! let config = FrameworkConfig::quick_demo(Architecture::LeNet5);
-//! let mut session = PipelineSession::new(config)?.with_observer(TraceObserver::default());
+//! let mut session = PipelineSession::new(config)?;
+//! session.set_observer(TraceObserver::default());
 //! // Inspect the algorithmic phases before committing to hardware generation.
 //! session.run_to(PhaseId::Phase2)?;
 //! let outcome = session.run()?;
@@ -86,14 +86,12 @@ pub mod pipeline;
 
 pub use constraints::{OptPriority, UserConstraints};
 pub use error::FrameworkError;
-pub use framework::{FrameworkConfig, FrameworkOutcome, TransformationFramework};
-pub use phase1::{
-    ModelVariant, Phase1Artifact, Phase1Candidate, Phase1Config, Phase1Result, Phase1Stage,
-};
-pub use phase2::{Phase2Artifact, Phase2Result, Phase2Stage};
-pub use phase3::{Phase3Artifact, Phase3Config, Phase3Result, Phase3Stage};
-pub use phase4::{Phase4Artifact, Phase4Output, Phase4Stage};
+pub use framework::{FrameworkConfig, FrameworkOutcome};
+pub use phase1::{ModelVariant, Phase1Artifact, Phase1Candidate, Phase1Config, Phase1Result};
+pub use phase2::{Phase2Artifact, Phase2Result};
+pub use phase3::{Phase3Artifact, Phase3Config, Phase3Result};
+pub use phase4::{Phase4Artifact, Phase4Output};
 pub use pipeline::{
-    NoopObserver, PhaseId, PipelineArtifacts, PipelineBuilder, PipelineContext, PipelineEvent,
-    PipelineObserver, PipelineSession, RecordingObserver, StageArtifact, TraceObserver,
+    NoopObserver, PhaseId, PipelineArtifacts, PipelineEvent, PipelineObserver, PipelineSession,
+    RecordingObserver, StageArtifact, TraceObserver,
 };

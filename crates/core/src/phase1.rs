@@ -10,7 +10,7 @@
 //!
 //! The candidates are independent — each builds, trains and evaluates its own
 //! network — so the exploration fans out across
-//! [`PipelineContext::executor`]. Every candidate derives its own RNG streams
+//! [`FrameworkConfig::executor`]. Every candidate derives its own RNG streams
 //! (weight init, batch shuffling, MC evaluation masks) from the master seed
 //! and its candidate index via [`bnn_tensor::rng::stream_seed`], so the
 //! artifact is bitwise identical for every thread count. Observer candidate
@@ -18,7 +18,8 @@
 
 use crate::constraints::OptPriority;
 use crate::error::FrameworkError;
-use crate::pipeline::{NoopObserver, PhaseId, PipelineContext, PipelineObserver};
+use crate::framework::FrameworkConfig;
+use crate::pipeline::{PhaseId, PipelineObserver};
 use bnn_bayes::sampling::{McPrediction, McSampler, SamplingConfig};
 use bnn_bayes::Evaluation;
 use bnn_data::{Dataset, SyntheticConfig, TrainTestSplit};
@@ -170,6 +171,44 @@ impl Phase1Config {
         self.confidence_thresholds =
             vec![0.1, 0.15, 0.25, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999];
         self
+    }
+
+    /// Validates the exploration grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameworkError::InvalidConfig`] for an empty variant list or
+    /// an MCD variant with no dropout rates to search.
+    pub fn validate(&self) -> Result<(), FrameworkError> {
+        if self.variants.is_empty() {
+            return Err(FrameworkError::InvalidConfig(
+                "phase 1 must explore at least one model variant".into(),
+            ));
+        }
+        // MCD variants contribute one candidate per dropout rate, so an
+        // all-MCD exploration with no rates could never produce a candidate.
+        // A mixed variant list stays valid: its other variants still give
+        // candidates.
+        if self.variants.iter().all(ModelVariant::uses_mcd) && self.dropout_rates.is_empty() {
+            return Err(FrameworkError::InvalidConfig(
+                "phase 1 explores only MCD variants but has no dropout rates to search".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The deterministic candidate grid: one `(variant, dropout-rate)` pair
+    /// per candidate, in exploration order.
+    fn candidate_grid(&self) -> Vec<(ModelVariant, f64)> {
+        let mut grid = Vec::new();
+        for &variant in &self.variants {
+            if variant.uses_mcd() {
+                grid.extend(self.dropout_rates.iter().map(|&r| (variant, r)));
+            } else {
+                grid.push((variant, 0.0));
+            }
+        }
+        grid
     }
 }
 
@@ -370,24 +409,9 @@ impl CandidateStreams {
     }
 }
 
-/// Trains one spec and returns the trained runtime network.
-///
-/// Exposed so later phases (and the framework driver) can retrain the selected
-/// Phase 1 candidate without duplicating the training setup.
-///
-/// # Errors
-///
-/// Propagates dataset and training errors.
-pub fn train_spec(
-    spec: &NetworkSpec,
-    data: &TrainTestSplit,
-    config: &Phase1Config,
-) -> Result<MultiExitNetwork, FrameworkError> {
-    train_spec_seeded(spec, data, config, config.seed, config.train.seed)
-}
-
-/// [`train_spec`] with explicit weight-initialisation and batch-shuffling
-/// seeds (the per-candidate streams of the parallel exploration).
+/// Trains one spec from the given weight-initialisation and
+/// batch-shuffling seeds (one candidate's streams of the parallel
+/// exploration) and returns the trained runtime network.
 fn train_spec_seeded(
     spec: &NetworkSpec,
     data: &TrainTestSplit,
@@ -510,204 +534,147 @@ fn evaluate_network(
     Ok((metrics, threshold_metrics))
 }
 
-/// The Phase 1 stage: multi-exit optimization.
+/// Runs the Phase 1 exploration, reporting each evaluated candidate to
+/// `observer`.
 ///
-/// Holds the phase-specific configuration; shared inputs (constraints,
-/// priority) come from the [`PipelineContext`] at run time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Phase1Stage {
-    /// The exploration configuration.
-    pub config: Phase1Config,
-}
+/// Candidates train and evaluate concurrently on
+/// [`FrameworkConfig::executor`]; each derives its own RNG streams from the
+/// master seed and its grid index, so the artifact — and the observer event
+/// sequence, delivered in grid order once all candidates finish — is
+/// independent of the thread count.
+///
+/// # Errors
+///
+/// Returns [`FrameworkError::NoFeasibleDesign`] if every candidate
+/// violates the constraints, or propagates training/evaluation errors.
+pub fn run(
+    framework: &FrameworkConfig,
+    observer: &dyn PipelineObserver,
+) -> Result<Phase1Artifact, FrameworkError> {
+    let config = &framework.phase1;
+    let data = config.dataset.generate(config.seed)?;
+    let base_spec = config.architecture.spec(&config.model);
+    let baseline_flops = base_spec.total_flops()?;
+    let test_labels = data.test.labels().to_vec();
+    let test_inputs = data.test.inputs().clone();
 
-impl Phase1Stage {
-    /// Creates the stage from its configuration.
-    pub fn new(config: Phase1Config) -> Self {
-        Phase1Stage { config }
+    struct TrainedCandidate {
+        candidate: Phase1Candidate,
+        checkpoint: NetworkCheckpoint,
+        summary: String,
     }
 
-    /// Validates the stage configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::InvalidConfig`] for an empty variant list or
-    /// an MCD variant with no dropout rates to search.
-    pub fn validate(&self) -> Result<(), FrameworkError> {
-        if self.config.variants.is_empty() {
-            return Err(FrameworkError::InvalidConfig(
-                "phase 1 must explore at least one model variant".into(),
-            ));
-        }
-        // MCD variants contribute one candidate per dropout rate, so an
-        // all-MCD exploration with no rates could never produce a candidate.
-        // A mixed variant list stays valid (the old constructor accepted it).
-        if self.config.variants.iter().all(ModelVariant::uses_mcd)
-            && self.config.dropout_rates.is_empty()
-        {
-            return Err(FrameworkError::InvalidConfig(
-                "phase 1 explores only MCD variants but has no dropout rates to search".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The deterministic candidate grid of this stage: one `(variant,
-    /// dropout-rate)` pair per candidate, in exploration order.
-    fn candidate_grid(&self) -> Vec<(ModelVariant, f64)> {
-        let mut grid = Vec::new();
-        for &variant in &self.config.variants {
-            if variant.uses_mcd() {
-                grid.extend(self.config.dropout_rates.iter().map(|&r| (variant, r)));
-            } else {
-                grid.push((variant, 0.0));
-            }
-        }
-        grid
-    }
-
-    /// Runs the full Phase 1 exploration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::NoFeasibleDesign`] if every candidate
-    /// violates the constraints, or propagates training/evaluation errors.
-    pub fn run(&self, ctx: &PipelineContext) -> Result<Phase1Artifact, FrameworkError> {
-        self.run_observed(ctx, &NoopObserver)
-    }
-
-    /// Runs the exploration, reporting each evaluated candidate to `observer`.
-    ///
-    /// Candidates train and evaluate concurrently on `ctx.executor`; each
-    /// derives its own RNG streams from the master seed and its grid index,
-    /// so the artifact — and the observer event sequence, delivered in grid
-    /// order once all candidates finish — is independent of the thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::NoFeasibleDesign`] if every candidate
-    /// violates the constraints, or propagates training/evaluation errors.
-    pub fn run_observed(
-        &self,
-        ctx: &PipelineContext,
-        observer: &dyn PipelineObserver,
-    ) -> Result<Phase1Artifact, FrameworkError> {
-        let config = &self.config;
-        let data = config.dataset.generate(config.seed)?;
-        let base_spec = config.architecture.spec(&config.model);
-        let baseline_flops = base_spec.total_flops()?;
-        let test_labels = data.test.labels().to_vec();
-        let test_inputs = data.test.inputs().clone();
-
-        struct TrainedCandidate {
-            candidate: Phase1Candidate,
-            checkpoint: NetworkCheckpoint,
-            summary: String,
-        }
-
-        let grid = self.candidate_grid();
-        let outcomes = ctx.executor.par_map_indexed(
-            &grid,
-            |index, &(variant, rate)| -> Result<TrainedCandidate, FrameworkError> {
-                let streams = CandidateStreams::derive(config, index as u64);
-                let spec = variant.build_spec(&base_spec, rate)?;
-                let mut network =
-                    train_spec_seeded(&spec, &data, config, streams.build, streams.shuffle)?;
-                let (metrics, threshold_metrics) = evaluate_network(
+    let grid = config.candidate_grid();
+    let outcomes = framework.executor().par_map_indexed(
+        &grid,
+        |index, &(variant, rate)| -> Result<TrainedCandidate, FrameworkError> {
+            let streams = CandidateStreams::derive(config, index as u64);
+            let spec = variant.build_spec(&base_spec, rate)?;
+            let mut network =
+                train_spec_seeded(&spec, &data, config, streams.build, streams.shuffle)?;
+            let (metrics, threshold_metrics) = evaluate_network(
+                variant,
+                &mut network,
+                &test_inputs,
+                &test_labels,
+                config,
+                baseline_flops,
+                &spec,
+                streams.sampler,
+            )?;
+            let summary = format!(
+                "{variant} dropout {rate:.3}: acc {:.4}, ece {:.4}, flops {:.3}x",
+                metrics.evaluation.accuracy, metrics.evaluation.ece, metrics.flops_ratio
+            );
+            Ok(TrainedCandidate {
+                candidate: Phase1Candidate {
                     variant,
-                    &mut network,
-                    &test_inputs,
-                    &test_labels,
-                    config,
-                    baseline_flops,
-                    &spec,
-                    streams.sampler,
-                )?;
-                let summary = format!(
-                    "{variant} dropout {rate:.3}: acc {:.4}, ece {:.4}, flops {:.3}x",
-                    metrics.evaluation.accuracy, metrics.evaluation.ece, metrics.flops_ratio
-                );
-                Ok(TrainedCandidate {
-                    candidate: Phase1Candidate {
-                        variant,
-                        spec,
-                        metrics,
-                        threshold_metrics,
-                    },
-                    checkpoint: network.checkpoint(),
-                    summary,
-                })
-            },
-        );
-
-        let mut candidates = Vec::with_capacity(grid.len());
-        let mut candidate_checkpoints = Vec::with_capacity(grid.len());
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            let trained = outcome?;
-            observer.on_candidate(PhaseId::Phase1, index, &trained.summary);
-            candidates.push(trained.candidate);
-            candidate_checkpoints.push(trained.checkpoint);
-        }
-
-        // Constraint filtering, then priority-based selection.
-        let feasible: Vec<usize> = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                ctx.constraints.accepts_algorithm(
-                    c.metrics.evaluation.accuracy,
-                    c.metrics.evaluation.ece,
-                    c.metrics.flops_ratio,
-                )
+                    spec,
+                    metrics,
+                    threshold_metrics,
+                },
+                checkpoint: network.checkpoint(),
+                summary,
             })
-            .map(|(i, _)| i)
-            .collect();
-        if feasible.is_empty() {
-            return Err(FrameworkError::NoFeasibleDesign(
-                "no Phase 1 candidate satisfies the accuracy/ECE/FLOPs constraints".into(),
-            ));
-        }
-        let best_index = feasible
-            .into_iter()
-            .max_by(|&a, &b| {
-                let score = |i: usize| -> f64 {
-                    let c = &candidates[i];
-                    match ctx.priority {
-                        OptPriority::Accuracy => c.accuracy_optimal().evaluation.accuracy,
-                        OptPriority::Calibration => -c.ece_optimal().evaluation.ece,
-                        OptPriority::Flops => -c.ece_optimal().flops_ratio,
-                        // Latency/energy are hardware priorities; at this phase
-                        // they reduce to minimising FLOPs.
-                        OptPriority::Latency | OptPriority::Energy => -c.metrics.flops_ratio,
-                    }
-                };
-                score(a)
-                    .partial_cmp(&score(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("feasible set is non-empty");
+        },
+    );
 
-        let result = Phase1Result {
-            candidates,
-            best_index,
-            baseline_flops,
-        };
-        Ok(Phase1Artifact {
-            result,
-            candidate_checkpoints: Arc::new(candidate_checkpoints),
-            data: Arc::new(data),
-            seed: config.seed,
-        })
+    let mut candidates = Vec::with_capacity(grid.len());
+    let mut candidate_checkpoints = Vec::with_capacity(grid.len());
+    for (index, outcome) in outcomes.into_iter().enumerate() {
+        let trained = outcome?;
+        observer.on_candidate(PhaseId::Phase1, index, &trained.summary);
+        candidates.push(trained.candidate);
+        candidate_checkpoints.push(trained.checkpoint);
     }
+
+    // Constraint filtering, then priority-based selection.
+    let feasible: Vec<usize> = candidates
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| {
+            framework.constraints.accepts_algorithm(
+                c.metrics.evaluation.accuracy,
+                c.metrics.evaluation.ece,
+                c.metrics.flops_ratio,
+            )
+        })
+        .map(|(i, _)| i)
+        .collect();
+    if feasible.is_empty() {
+        return Err(FrameworkError::NoFeasibleDesign(
+            "no Phase 1 candidate satisfies the accuracy/ECE/FLOPs constraints".into(),
+        ));
+    }
+    let best_index = feasible
+        .into_iter()
+        .max_by(|&a, &b| {
+            let score = |i: usize| -> f64 {
+                let c = &candidates[i];
+                match framework.priority {
+                    OptPriority::Accuracy => c.accuracy_optimal().evaluation.accuracy,
+                    OptPriority::Calibration => -c.ece_optimal().evaluation.ece,
+                    OptPriority::Flops => -c.ece_optimal().flops_ratio,
+                    // Latency/energy are hardware priorities; at this phase
+                    // they reduce to minimising FLOPs.
+                    OptPriority::Latency | OptPriority::Energy => -c.metrics.flops_ratio,
+                }
+            };
+            score(a)
+                .partial_cmp(&score(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .expect("feasible set is non-empty");
+
+    let result = Phase1Result {
+        candidates,
+        best_index,
+        baseline_flops,
+    };
+    Ok(Phase1Artifact {
+        result,
+        candidate_checkpoints: Arc::new(candidate_checkpoints),
+        data: Arc::new(data),
+        seed: config.seed,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraints::UserConstraints;
-    use bnn_hw::FpgaDevice;
+    use crate::pipeline::NoopObserver;
 
-    fn ctx(priority: OptPriority) -> PipelineContext {
-        PipelineContext::new(FpgaDevice::xcku115()).with_priority(priority)
+    fn run_tiny(
+        phase1: Phase1Config,
+        priority: OptPriority,
+        constraints: UserConstraints,
+    ) -> Result<Phase1Artifact, FrameworkError> {
+        let mut framework = FrameworkConfig::quick_demo(Architecture::LeNet5)
+            .with_priority(priority)
+            .with_constraints(constraints);
+        framework.phase1 = phase1;
+        run(&framework, &NoopObserver)
     }
 
     fn tiny_config() -> Phase1Config {
@@ -750,9 +717,7 @@ mod tests {
     #[test]
     fn phase1_runs_and_orders_variants() {
         let config = tiny_config();
-        let artifact = Phase1Stage::new(config)
-            .run(&ctx(OptPriority::Calibration))
-            .unwrap();
+        let artifact = run_tiny(config, OptPriority::Calibration, UserConstraints::none()).unwrap();
         let result = &artifact.result;
         assert_eq!(result.candidates.len(), 4);
         assert!(result.baseline_flops > 0);
@@ -779,9 +744,7 @@ mod tests {
     fn artifact_instantiates_trained_candidates() {
         let mut config = tiny_config();
         config.variants = vec![ModelVariant::SingleExit, ModelVariant::McdMultiExit];
-        let artifact = Phase1Stage::new(config)
-            .run(&ctx(OptPriority::Calibration))
-            .unwrap();
+        let artifact = run_tiny(config, OptPriority::Calibration, UserConstraints::none()).unwrap();
         let mut network = artifact.instantiate_best().unwrap();
         let loaded = network.checkpoint();
         assert_eq!(
@@ -801,37 +764,33 @@ mod tests {
 
     #[test]
     fn stage_validation() {
-        let stage = Phase1Stage::new(tiny_config());
-        assert!(stage.validate().is_ok());
+        assert!(tiny_config().validate().is_ok());
         let mut bad = tiny_config();
         bad.variants.clear();
-        assert!(Phase1Stage::new(bad).validate().is_err());
+        assert!(bad.validate().is_err());
         // all-MCD exploration with no rates can never produce a candidate
         let mut bad = tiny_config();
         bad.variants = vec![ModelVariant::Mcd, ModelVariant::McdMultiExit];
         bad.dropout_rates.clear();
-        assert!(Phase1Stage::new(bad).validate().is_err());
+        assert!(bad.validate().is_err());
         // a mixed variant list with no rates stays valid (old behaviour)
         let mut mixed = tiny_config();
         mixed.dropout_rates.clear();
-        assert!(Phase1Stage::new(mixed).validate().is_ok());
+        assert!(mixed.validate().is_ok());
     }
 
     #[test]
     fn impossible_constraints_are_reported() {
         let config = tiny_config();
-        let context = ctx(OptPriority::Accuracy)
-            .with_constraints(UserConstraints::none().with_min_accuracy(1.01));
-        let err = Phase1Stage::new(config).run(&context).unwrap_err();
+        let constraints = UserConstraints::none().with_min_accuracy(1.01);
+        let err = run_tiny(config, OptPriority::Accuracy, constraints).unwrap_err();
         assert!(matches!(err, FrameworkError::NoFeasibleDesign(_)));
     }
 
     #[test]
     fn accuracy_and_ece_optimal_selection() {
         let config = tiny_config();
-        let artifact = Phase1Stage::new(config)
-            .run(&ctx(OptPriority::Accuracy))
-            .unwrap();
+        let artifact = run_tiny(config, OptPriority::Accuracy, UserConstraints::none()).unwrap();
         for candidate in &artifact.result.candidates {
             let acc_opt = candidate.accuracy_optimal();
             let ece_opt = candidate.ece_optimal();

@@ -8,8 +8,9 @@
 
 use crate::constraints::{OptPriority, UserConstraints};
 use crate::error::FrameworkError;
+use crate::framework::FrameworkConfig;
 use crate::phase1::Phase1Artifact;
-use crate::pipeline::{NoopObserver, PhaseId, PipelineContext, PipelineObserver};
+use crate::pipeline::{PhaseId, PipelineObserver};
 use bnn_hw::accelerator::{AcceleratorConfig, AcceleratorModel, AcceleratorReport};
 use bnn_hw::MappingStrategy;
 use bnn_models::{NetworkSpec, SampleSchedule};
@@ -58,67 +59,30 @@ impl Phase2Artifact {
     }
 }
 
-/// The Phase 2 stage: spatial/temporal mapping exploration.
+/// Runs the mapping exploration on the Phase 1 best network, reporting each
+/// mapping candidate to `observer`. The candidate set is derived from the
+/// network and [`FrameworkConfig::mc_samples`].
 ///
-/// Phase 2 has no configuration of its own — the mapping candidate set is
-/// derived from the network and the context's MC sample count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Phase2Stage;
-
-impl Phase2Stage {
-    /// Creates the stage.
-    pub fn new() -> Self {
-        Phase2Stage
-    }
-
-    /// Validates the stage configuration (always succeeds; present for
-    /// uniformity with the other stages).
-    ///
-    /// # Errors
-    ///
-    /// Never fails today.
-    pub fn validate(&self) -> Result<(), FrameworkError> {
-        Ok(())
-    }
-
-    /// Runs the mapping exploration on the Phase 1 best network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::NoFeasibleDesign`] if no mapping fits the
-    /// device and constraints, or propagates estimation errors.
-    pub fn run(
-        &self,
-        ctx: &PipelineContext,
-        input: &Phase1Artifact,
-    ) -> Result<Phase2Artifact, FrameworkError> {
-        self.run_observed(ctx, input, &NoopObserver)
-    }
-
-    /// Runs the exploration, reporting each mapping candidate to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::NoFeasibleDesign`] if no mapping fits the
-    /// device and constraints, or propagates estimation errors.
-    pub fn run_observed(
-        &self,
-        ctx: &PipelineContext,
-        input: &Phase1Artifact,
-        observer: &dyn PipelineObserver,
-    ) -> Result<Phase2Artifact, FrameworkError> {
-        let result = explore(
-            input.best_spec(),
-            &ctx.accelerator_baseline(),
-            &ctx.constraints,
-            ctx.priority,
-            observer,
-        )?;
-        Ok(Phase2Artifact {
-            phase1: input.clone(),
-            result,
-        })
-    }
+/// # Errors
+///
+/// Returns [`FrameworkError::NoFeasibleDesign`] if no mapping fits the
+/// device and constraints, or propagates estimation errors.
+pub fn run(
+    framework: &FrameworkConfig,
+    input: &Phase1Artifact,
+    observer: &dyn PipelineObserver,
+) -> Result<Phase2Artifact, FrameworkError> {
+    let result = explore(
+        input.best_spec(),
+        &framework.accelerator_baseline(),
+        &framework.constraints,
+        framework.priority,
+        observer,
+    )?;
+    Ok(Phase2Artifact {
+        phase1: input.clone(),
+        result,
+    })
 }
 
 /// The mapping exploration over a network spec and accelerator baseline
@@ -196,10 +160,11 @@ pub(crate) fn explore(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::NoopObserver;
     use bnn_hw::FpgaDevice;
     use bnn_models::{zoo, ModelConfig};
 
-    fn run(
+    fn map(
         spec: &NetworkSpec,
         base_config: &AcceleratorConfig,
         constraints: &UserConstraints,
@@ -225,7 +190,7 @@ mod tests {
 
     #[test]
     fn explores_multiple_mappings() {
-        let result = run(
+        let result = map(
             &spec(),
             &config(),
             &UserConstraints::none(),
@@ -238,7 +203,7 @@ mod tests {
 
     #[test]
     fn latency_priority_prefers_spatial() {
-        let result = run(
+        let result = map(
             &spec(),
             &config(),
             &UserConstraints::none(),
@@ -255,7 +220,7 @@ mod tests {
 
     #[test]
     fn resource_priority_prefers_temporal() {
-        let result = run(
+        let result = map(
             &spec(),
             &config(),
             &UserConstraints::none(),
@@ -268,7 +233,7 @@ mod tests {
     #[test]
     fn tight_latency_constraint_excludes_temporal() {
         // Find the spatial latency and constrain just above it.
-        let unconstrained = run(
+        let unconstrained = map(
             &spec(),
             &config(),
             &UserConstraints::none(),
@@ -277,14 +242,14 @@ mod tests {
         .unwrap();
         let spatial_latency = unconstrained.best().report.latency_ms;
         let constraints = UserConstraints::none().with_max_latency_ms(spatial_latency * 1.01);
-        let result = run(&spec(), &config(), &constraints, OptPriority::Calibration).unwrap();
+        let result = map(&spec(), &config(), &constraints, OptPriority::Calibration).unwrap();
         assert_eq!(result.best().mapping, MappingStrategy::Spatial);
     }
 
     #[test]
     fn impossible_constraints_error() {
         let constraints = UserConstraints::none().with_max_latency_ms(1e-9);
-        let err = run(&spec(), &config(), &constraints, OptPriority::Latency).unwrap_err();
+        let err = map(&spec(), &config(), &constraints, OptPriority::Latency).unwrap_err();
         assert!(matches!(err, FrameworkError::NoFeasibleDesign(_)));
     }
 }

@@ -21,12 +21,13 @@
 //! no float inference and rebuilds no model. Evaluation uses integer
 //! accumulation and saturation — the arithmetic the generated accelerator
 //! actually performs. Formats wider than 16 bits have no integer plan and
-//! are rejected by [`Phase3Stage::validate`].
+//! are rejected by [`Phase3Config::validate`].
 
 use crate::constraints::{OptPriority, UserConstraints};
 use crate::error::FrameworkError;
+use crate::framework::FrameworkConfig;
 use crate::phase2::Phase2Artifact;
-use crate::pipeline::{NoopObserver, PhaseId, PipelineContext, PipelineObserver};
+use crate::pipeline::{PhaseId, PipelineObserver};
 use bnn_bayes::metrics::accuracy;
 use bnn_bayes::sampling::{McSampler, SamplingConfig};
 use bnn_data::Dataset;
@@ -101,6 +102,41 @@ impl Default for Phase3Config {
     }
 }
 
+impl Phase3Config {
+    /// Validates the co-exploration grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameworkError::InvalidConfig`] for an empty format/reuse
+    /// grid, a format wider than 16 bits (the integer plan's widest code), an
+    /// accuracy tolerance that is negative or not finite, or zero evaluation
+    /// MC samples.
+    pub fn validate(&self) -> Result<(), FrameworkError> {
+        if self.formats.is_empty() || self.reuse_factors.is_empty() {
+            return Err(FrameworkError::InvalidConfig(
+                "phase 3 must have at least one bitwidth and one reuse factor".into(),
+            ));
+        }
+        if let Some(wide) = self.formats.iter().find(|f| f.total_bits() > 16) {
+            return Err(FrameworkError::InvalidConfig(format!(
+                "phase 3 scores formats on the integer plan, which holds at most 16 bits; got {wide}"
+            )));
+        }
+        if !(self.accuracy_tolerance.is_finite() && self.accuracy_tolerance >= 0.0) {
+            return Err(FrameworkError::InvalidConfig(format!(
+                "phase 3 accuracy tolerance must be non-negative and finite, got {}",
+                self.accuracy_tolerance
+            )));
+        }
+        if self.mc_samples == 0 {
+            return Err(FrameworkError::InvalidConfig(
+                "phase 3 must evaluate with at least one MC sample".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The reusable output of Phase 3: the co-exploration result, the
 /// calibration record every candidate was scored from, and the embedded
 /// Phase 2 artifact, so it is a self-sufficient resume point.
@@ -133,111 +169,54 @@ impl Phase3Artifact {
     }
 }
 
-/// The Phase 3 stage: bitwidth/reuse-factor co-exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Phase3Stage {
-    /// The co-exploration grid configuration.
-    pub config: Phase3Config,
-}
-
-impl Phase3Stage {
-    /// Creates the stage from its configuration.
-    pub fn new(config: Phase3Config) -> Self {
-        Phase3Stage { config }
-    }
-
-    /// Validates the stage configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::InvalidConfig`] for an empty format/reuse
-    /// grid, a format wider than 16 bits (the integer plan's widest code), a
-    /// negative accuracy tolerance or zero evaluation MC samples.
-    pub fn validate(&self) -> Result<(), FrameworkError> {
-        if self.config.formats.is_empty() || self.config.reuse_factors.is_empty() {
-            return Err(FrameworkError::InvalidConfig(
-                "phase 3 must have at least one bitwidth and one reuse factor".into(),
-            ));
-        }
-        if let Some(wide) = self.config.formats.iter().find(|f| f.total_bits() > 16) {
-            return Err(FrameworkError::InvalidConfig(format!(
-                "phase 3 scores formats on the integer plan, which holds at most 16 bits; got {wide}"
-            )));
-        }
-        if self.config.accuracy_tolerance < 0.0 {
-            return Err(FrameworkError::InvalidConfig(
-                "phase 3 accuracy tolerance must be non-negative".into(),
-            ));
-        }
-        if self.config.mc_samples == 0 {
-            return Err(FrameworkError::InvalidConfig(
-                "phase 3 must evaluate with at least one MC sample".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Runs the co-exploration on the Phase 1 trained model under the Phase 2
-    /// mapping. The model is instantiated from the artifact's stored weights —
-    /// it is **not** retrained.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::NoFeasibleDesign`] if no point is feasible,
-    /// or propagates evaluation/estimation errors.
-    pub fn run(
-        &self,
-        ctx: &PipelineContext,
-        input: &Phase2Artifact,
-    ) -> Result<Phase3Artifact, FrameworkError> {
-        self.run_observed(ctx, input, &NoopObserver)
-    }
-
-    /// Runs the co-exploration, reporting each grid point to `observer`.
-    ///
-    /// The per-format design points evaluate concurrently on `ctx.executor`
-    /// (each format quantizes its own instantiation of the trained Phase 1
-    /// model); MC evaluation masks come from seeded streams, so the result —
-    /// and the observer event sequence, delivered in grid order at the phase
-    /// boundary — is independent of the thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::NoFeasibleDesign`] if no point is feasible,
-    /// or propagates evaluation/estimation errors.
-    pub fn run_observed(
-        &self,
-        ctx: &PipelineContext,
-        input: &Phase2Artifact,
-        observer: &dyn PipelineObserver,
-    ) -> Result<Phase3Artifact, FrameworkError> {
-        let mut trained = input.phase1.instantiate_best()?;
-        // Integer-path candidates calibrate their activation formats on a
-        // representative batch of *training* inputs (never the held-out
-        // evaluation set the quality check runs on).
-        let train = &input.phase1.data.train;
-        let calib = train
-            .take(CALIBRATION_SAMPLES.min(train.len()))?
-            .inputs()
-            .clone();
-        let (result, calibrated) = explore(
-            input.phase1.best_spec(),
-            &mut trained,
-            &input.phase1.data.test,
-            &calib,
-            &ctx.accelerator_baseline().with_mapping(input.mapping()),
-            &self.config,
-            &ctx.constraints,
-            ctx.priority,
-            &ctx.executor,
-            observer,
-        )?;
-        Ok(Phase3Artifact {
-            phase2: input.clone(),
-            result,
-            calibrated: Arc::new(calibrated),
-        })
-    }
+/// Runs the co-exploration on the Phase 1 trained model under the Phase 2
+/// mapping, reporting each grid point to `observer`. The model is
+/// instantiated from the artifact's stored weights — it is **not**
+/// retrained.
+///
+/// The per-format design points evaluate concurrently on
+/// [`FrameworkConfig::executor`], each from the one shared calibration
+/// record; MC evaluation masks come from seeded streams, so the result —
+/// and the observer event sequence, delivered in grid order at the phase
+/// boundary — is independent of the thread count.
+///
+/// # Errors
+///
+/// Returns [`FrameworkError::NoFeasibleDesign`] if no point is feasible,
+/// or propagates evaluation/estimation errors.
+pub fn run(
+    framework: &FrameworkConfig,
+    input: &Phase2Artifact,
+    observer: &dyn PipelineObserver,
+) -> Result<Phase3Artifact, FrameworkError> {
+    let mut trained = input.phase1.instantiate_best()?;
+    // Integer-path candidates calibrate their activation formats on a
+    // representative batch of *training* inputs (never the held-out
+    // evaluation set the quality check runs on).
+    let train = &input.phase1.data.train;
+    let calib = train
+        .take(CALIBRATION_SAMPLES.min(train.len()))?
+        .inputs()
+        .clone();
+    let (result, calibrated) = explore(
+        input.phase1.best_spec(),
+        &mut trained,
+        &input.phase1.data.test,
+        &calib,
+        &framework
+            .accelerator_baseline()
+            .with_mapping(input.mapping()),
+        &framework.phase3,
+        &framework.constraints,
+        framework.priority,
+        &framework.executor(),
+        observer,
+    )?;
+    Ok(Phase3Artifact {
+        phase2: input.clone(),
+        result,
+        calibrated: Arc::new(calibrated),
+    })
 }
 
 /// The co-exploration over a trained model, returned with the calibration
@@ -375,6 +354,7 @@ pub(crate) fn explore(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::NoopObserver;
     use bnn_data::{DatasetSpec, SyntheticConfig};
     use bnn_hw::FpgaDevice;
     use bnn_models::{zoo, ModelConfig};
@@ -382,7 +362,7 @@ mod tests {
     use bnn_nn::trainer::{train, LabelledBatchSource, TrainConfig};
 
     #[allow(clippy::too_many_arguments)]
-    fn run(
+    fn co_explore(
         spec: &NetworkSpec,
         trained: &mut MultiExitNetwork,
         eval_set: &Dataset,
@@ -443,9 +423,9 @@ mod tests {
     #[test]
     fn validate_rejects_formats_wider_than_the_integer_plan() {
         let mut config = Phase3Config::default();
-        assert!(Phase3Stage::new(config.clone()).validate().is_ok());
+        assert!(config.validate().is_ok());
         config.formats.push(FixedPointFormat::new(24, 8).unwrap());
-        match Phase3Stage::new(config).validate() {
+        match config.validate() {
             Err(FrameworkError::InvalidConfig(msg)) => assert!(msg.contains("16"), "{msg}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
@@ -455,7 +435,7 @@ mod tests {
     fn co_exploration_selects_a_feasible_point() {
         let (spec, mut network, test, calib) = trained_setup();
         let base = AcceleratorConfig::new(FpgaDevice::xcku115());
-        let result = run(
+        let result = co_explore(
             &spec,
             &mut network,
             &test,
@@ -477,7 +457,7 @@ mod tests {
     fn sixteen_bit_candidates_preserve_accuracy() {
         let (spec, mut network, test, calib) = trained_setup();
         let base = AcceleratorConfig::new(FpgaDevice::xcku115());
-        let result = run(
+        let result = co_explore(
             &spec,
             &mut network,
             &test,
@@ -507,7 +487,7 @@ mod tests {
     fn energy_priority_never_picks_a_slower_wider_design_than_needed() {
         let (spec, mut network, test, calib) = trained_setup();
         let base = AcceleratorConfig::new(FpgaDevice::xcku115());
-        let result = run(
+        let result = co_explore(
             &spec,
             &mut network,
             &test,

@@ -16,8 +16,9 @@
 //! tests pin.
 
 use crate::error::FrameworkError;
+use crate::framework::FrameworkConfig;
 use crate::phase3::Phase3Artifact;
-use crate::pipeline::{NoopObserver, PhaseId, PipelineContext, PipelineObserver};
+use crate::pipeline::{PhaseId, PipelineObserver};
 use bnn_hls::{HlsConfig, LoweredDesign};
 use bnn_hw::accelerator::{AcceleratorModel, AcceleratorReport};
 use std::path::Path;
@@ -30,7 +31,7 @@ pub struct Phase4Output {
     /// The HLS generation configuration that was used.
     pub hls_config: HlsConfig,
     /// The calibrated per-tensor design lowered from the winner's compiled
-    /// integer plan. Always `Some` on an output [`Phase4Stage`] produced.
+    /// integer plan. Always `Some` on an output [`run`] produced.
     pub lowered: Option<LoweredDesign>,
 }
 
@@ -58,129 +59,93 @@ pub struct Phase4Artifact {
     pub output: Phase4Output,
 }
 
-/// The Phase 4 stage: HLS accelerator generation.
+/// Generates the accelerator with every upstream decision applied, reporting
+/// the emitted design to `observer`. Every decision (mapping, bitwidth,
+/// reuse factor) and the calibration record arrive through the Phase 3
+/// artifact; the project name comes from the configuration.
 ///
-/// Phase 4 has no configuration of its own — every decision (mapping,
-/// bitwidth, reuse factor) and the calibration record arrive through the
-/// Phase 3 artifact and the project name through the context.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Phase4Stage;
-
-impl Phase4Stage {
-    /// Creates the stage.
-    pub fn new() -> Self {
-        Phase4Stage
-    }
-
-    /// Validates the stage configuration (always succeeds; present for
-    /// uniformity with the other stages).
-    ///
-    /// # Errors
-    ///
-    /// Never fails today.
-    pub fn validate(&self) -> Result<(), FrameworkError> {
-        Ok(())
-    }
-
-    /// Generates the accelerator with every upstream decision applied.
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimation and generation errors.
-    pub fn run(
-        &self,
-        ctx: &PipelineContext,
-        input: &Phase3Artifact,
-    ) -> Result<Phase4Artifact, FrameworkError> {
-        self.run_observed(ctx, input, &NoopObserver)
-    }
-
-    /// Generates the accelerator, reporting the emitted design to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimation errors, and surfaces
-    /// [`bnn_hls::HlsError::Unsupported`] (via [`FrameworkError::Hls`]) when
-    /// the selected format has no integer plan or a lowered node has no HLS
-    /// emission rule.
-    pub fn run_observed(
-        &self,
-        ctx: &PipelineContext,
-        input: &Phase3Artifact,
-        observer: &dyn PipelineObserver,
-    ) -> Result<Phase4Artifact, FrameworkError> {
-        let accel_config = ctx
-            .accelerator_baseline()
-            .with_mapping(input.mapping())
-            .with_bits(input.format().total_bits())
-            .with_reuse_factor(input.reuse_factor());
-        let hls_config = HlsConfig::new(&ctx.project_name)
-            .with_format(input.format())
-            .with_reuse_factor(accel_config.layer_model.reuse_factor)
-            .with_mapping(accel_config.mapping)
-            .with_mc_samples(accel_config.mc_samples);
-        let report = AcceleratorModel::new(input.phase2.phase1.best_spec().clone(), accel_config)?
-            .estimate()?;
-        let lowered = LoweredDesign::generate(&input.calibrated, &hls_config)?;
-        observer.on_candidate(
-            PhaseId::Phase4,
-            0,
-            &format!(
-                "project {} ({} files): latency {:.4} ms, fits {}, lowered design: {} stages / {} MACs",
-                ctx.project_name,
-                lowered.project().paths().len(),
-                report.latency_ms,
-                report.fits,
-                lowered.summary().steps,
-                lowered.summary().macs
-            ),
-        );
-        Ok(Phase4Artifact {
-            phase3: input.clone(),
-            output: Phase4Output {
-                report,
-                hls_config,
-                lowered: Some(lowered),
-            },
-        })
-    }
+/// # Errors
+///
+/// Propagates estimation errors, and surfaces
+/// [`bnn_hls::HlsError::Unsupported`] (via [`FrameworkError::Hls`]) when
+/// the selected format has no integer plan or a lowered node has no HLS
+/// emission rule.
+pub fn run(
+    framework: &FrameworkConfig,
+    input: &Phase3Artifact,
+    observer: &dyn PipelineObserver,
+) -> Result<Phase4Artifact, FrameworkError> {
+    let accel_config = framework
+        .accelerator_baseline()
+        .with_mapping(input.mapping())
+        .with_bits(input.format().total_bits())
+        .with_reuse_factor(input.reuse_factor());
+    let hls_config = HlsConfig::new(&framework.project_name)
+        .with_format(input.format())
+        .with_reuse_factor(accel_config.layer_model.reuse_factor)
+        .with_mapping(accel_config.mapping)
+        .with_mc_samples(accel_config.mc_samples);
+    let report =
+        AcceleratorModel::new(input.phase2.phase1.best_spec().clone(), accel_config)?.estimate()?;
+    let lowered = LoweredDesign::generate(&input.calibrated, &hls_config)?;
+    observer.on_candidate(
+        PhaseId::Phase4,
+        0,
+        &format!(
+            "project {} ({} files): latency {:.4} ms, fits {}, lowered design: {} stages / {} MACs",
+            framework.project_name,
+            lowered.project().paths().len(),
+            report.latency_ms,
+            report.fits,
+            lowered.summary().steps,
+            lowered.summary().macs
+        ),
+    );
+    Ok(Phase4Artifact {
+        phase3: input.clone(),
+        output: Phase4Output {
+            report,
+            hls_config,
+            lowered: Some(lowered),
+        },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::tests::tiny_framework_config;
-    use crate::pipeline::{PipelineEvent, PipelineSession, RecordingObserver};
+    use crate::pipeline::{NoopObserver, PipelineEvent, PipelineSession, RecordingObserver};
     use bnn_hls::HlsError;
     use bnn_quant::FixedPointFormat;
     use std::sync::OnceLock;
 
     /// One tiny pipeline run through Phase 3, shared by the tests below.
-    fn phase3() -> &'static (PipelineContext, Phase3Artifact) {
-        static RUN: OnceLock<(PipelineContext, Phase3Artifact)> = OnceLock::new();
+    fn phase3() -> &'static (FrameworkConfig, Phase3Artifact) {
+        static RUN: OnceLock<(FrameworkConfig, Phase3Artifact)> = OnceLock::new();
         RUN.get_or_init(|| {
             let mut session = PipelineSession::new(tiny_framework_config()).unwrap();
             session.run_to(PhaseId::Phase3).unwrap();
             let a3 = session.artifacts().phase3.clone().unwrap();
-            (session.context().clone(), a3)
+            (session.config().clone(), a3)
         })
     }
 
     #[test]
     fn generates_project_and_report() {
-        let (ctx, a3) = phase3();
+        let (config, a3) = phase3();
         let observer = RecordingObserver::new();
-        let a4 = Phase4Stage::new().run_observed(ctx, a3, &observer).unwrap();
+        let a4 = run(config, a3, &observer).unwrap();
         let output = &a4.output;
         assert!(output.report.fits);
         let design = output.lowered.as_ref().expect("phase 4 always lowers");
-        let cpp = format!("firmware/{}.cpp", ctx.project_name);
+        let cpp = format!("firmware/{}.cpp", config.project_name);
         assert!(design.project().file(&cpp).is_some());
         // Every Phase 3 decision reaches the emitted configuration.
         assert_eq!(output.hls_config.format, a3.format());
         assert_eq!(output.hls_config.reuse_factor, a3.reuse_factor());
         assert_eq!(output.hls_config.mapping, a3.mapping());
-        assert_eq!(output.hls_config.mc_samples, ctx.mc_samples);
+        assert_eq!(output.hls_config.mc_samples, config.mc_samples);
         // The observer counts the lowered files.
         let files = format!("({} files)", design.project().paths().len());
         match observer.events().as_slice() {
@@ -193,8 +158,8 @@ mod tests {
 
     #[test]
     fn lowered_design_macs_match_the_hw_model() {
-        let (ctx, a3) = phase3();
-        let a4 = Phase4Stage::new().run(ctx, a3).unwrap();
+        let (config, a3) = phase3();
+        let a4 = run(config, a3, &NoopObserver).unwrap();
         let design = a4.output.lowered.unwrap();
         // The static schedule of the emitted design and the analytic hw
         // model price the same machine: exact MAC agreement, no tolerance.
@@ -205,8 +170,8 @@ mod tests {
 
     #[test]
     fn project_round_trips_to_disk() {
-        let (ctx, a3) = phase3();
-        let output = Phase4Stage::new().run(ctx, a3).unwrap().output;
+        let (config, a3) = phase3();
+        let output = run(config, a3, &NoopObserver).unwrap().output;
         let dir = std::env::temp_dir().join(format!("bnn_phase4_{}", std::process::id()));
         output.write_project(&dir).unwrap();
         // The lowered files land at the root of the output directory.
@@ -221,11 +186,11 @@ mod tests {
 
     #[test]
     fn wide_formats_surface_a_typed_unsupported_error() {
-        let (ctx, a3) = phase3();
+        let (config, a3) = phase3();
         let mut wide = a3.clone();
         let best = wide.result.best_index;
         wide.result.points[best].format = FixedPointFormat::new(24, 8).unwrap();
-        match Phase4Stage::new().run(ctx, &wide) {
+        match run(config, &wide, &NoopObserver) {
             Err(FrameworkError::Hls(HlsError::Unsupported(msg))) => {
                 assert!(msg.contains("16"), "message should name the limit: {msg}");
             }

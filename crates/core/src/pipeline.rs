@@ -1,18 +1,16 @@
-//! The staged pipeline API over the four transformation phases.
+//! The pipeline driver over the four transformation phases.
 //!
-//! [`crate::framework::TransformationFramework::run`] chains all four phases
-//! behind a single opaque call. This module exposes the same pipeline as
-//! composable, observable stages:
-//!
-//! - [`PipelineContext`] carries the inputs shared by every phase (target
-//!   device, clock, MC sample count, user constraints, optimization priority).
-//! - [`Phase1Stage`] … [`Phase4Stage`] each expose
-//!   `run(&ctx, input) -> Result<ArtifactN>`; artifacts flow explicitly from
-//!   stage to stage and each artifact embeds its predecessor, so any artifact
-//!   is a self-sufficient resume point.
-//! - [`PipelineSession`] drives the stages with caching: [`PipelineSession::run_to`]
-//!   executes phases up to a target, [`PipelineSession::resume_from`] installs
-//!   a previously stored artifact (skipping the phases that produced it), and
+//! - [`FrameworkConfig`] carries every input: the per-phase grids and what
+//!   every phase sees (target device, clock, MC sample count, user
+//!   constraints, optimization priority, thread count).
+//! - [`crate::phase1::run`] … [`crate::phase4::run`] are plain functions of
+//!   the configuration and the previous phase's artifact; artifacts flow
+//!   explicitly from phase to phase and each artifact embeds its
+//!   predecessor, so any artifact is a self-sufficient resume point.
+//! - [`PipelineSession`] validates the configuration once and drives the
+//!   phases with caching: [`PipelineSession::run_to`] executes phases up to
+//!   a target, [`PipelineSession::resume_from`] installs a previously stored
+//!   artifact (skipping the phases that produced it), and
 //!   [`PipelineSession::run`] completes the pipeline into a
 //!   [`FrameworkOutcome`].
 //! - [`PipelineObserver`] receives phase lifecycle and per-candidate events;
@@ -35,8 +33,8 @@
 //! let config = FrameworkConfig::quick_demo(Architecture::LeNet5);
 //!
 //! // Run the algorithmic phases once...
-//! let mut session =
-//!     PipelineSession::new(config.clone())?.with_observer(TraceObserver::default());
+//! let mut session = PipelineSession::new(config.clone())?;
+//! session.set_observer(TraceObserver::default());
 //! session.run_to(PhaseId::Phase2)?;
 //! let checkpoint = session.artifacts().phase2.clone().expect("phase 2 ran");
 //!
@@ -49,16 +47,12 @@
 //! # }
 //! ```
 
-use crate::constraints::{OptPriority, UserConstraints};
 use crate::error::FrameworkError;
 use crate::framework::{FrameworkConfig, FrameworkOutcome};
-use crate::phase1::{Phase1Artifact, Phase1Config, Phase1Stage};
-use crate::phase2::{Phase2Artifact, Phase2Stage};
-use crate::phase3::{Phase3Artifact, Phase3Config, Phase3Stage};
-use crate::phase4::{Phase4Artifact, Phase4Stage};
-use bnn_hw::accelerator::AcceleratorConfig;
-use bnn_hw::FpgaDevice;
-use bnn_tensor::exec::Executor;
+use crate::phase1::{self, Phase1Artifact};
+use crate::phase2::{self, Phase2Artifact};
+use crate::phase3::{self, Phase3Artifact};
+use crate::phase4::{self, Phase4Artifact};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -113,144 +107,6 @@ impl std::fmt::Display for PhaseId {
     }
 }
 
-/// Inputs shared by every pipeline stage.
-///
-/// Phase-specific knobs live on the stage structs
-/// ([`Phase1Stage`]/[`Phase3Stage`]); the context carries only what every
-/// phase can see: the target device, the accelerator baseline parameters and
-/// the user's constraints and optimization priority.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineContext {
-    /// Name of the generated HLS project (used by Phase 4).
-    pub project_name: String,
-    /// Target FPGA device.
-    pub device: FpgaDevice,
-    /// Accelerator clock frequency in MHz.
-    pub clock_mhz: f64,
-    /// Number of MC samples the accelerator draws per input.
-    pub mc_samples: usize,
-    /// User constraints applied at every phase.
-    pub constraints: UserConstraints,
-    /// Optimization priority.
-    pub priority: OptPriority,
-    /// The executor parallel phases fan work out on.
-    ///
-    /// Defaults to one thread per available CPU, overridable through the
-    /// `BNN_THREADS` environment variable and [`FrameworkConfig::threads`].
-    /// Thanks to per-candidate / per-pass RNG streams, pipeline results are
-    /// bitwise identical for every thread count.
-    pub executor: Executor,
-}
-
-impl PipelineContext {
-    /// A context for `device` with the paper's defaults: 181 MHz clock,
-    /// 3 MC samples, no constraints, calibration priority, and the
-    /// process-default executor ([`Executor::global`]).
-    pub fn new(device: FpgaDevice) -> Self {
-        PipelineContext {
-            project_name: "bayes_accel".to_string(),
-            device,
-            clock_mhz: 181.0,
-            mc_samples: 3,
-            constraints: UserConstraints::none(),
-            priority: OptPriority::default(),
-            executor: Executor::global(),
-        }
-    }
-
-    /// Builds the context from a full framework configuration.
-    pub fn from_config(config: &FrameworkConfig) -> Self {
-        PipelineContext {
-            project_name: config.project_name.clone(),
-            device: config.device.clone(),
-            clock_mhz: config.clock_mhz,
-            mc_samples: config.mc_samples,
-            constraints: config.constraints.clone(),
-            priority: config.priority,
-            executor: config
-                .threads
-                .map(Executor::new)
-                .unwrap_or_else(Executor::global),
-        }
-    }
-
-    /// Sets the HLS project name.
-    pub fn with_project_name(mut self, name: impl Into<String>) -> Self {
-        self.project_name = name.into();
-        self
-    }
-
-    /// Sets the accelerator clock frequency.
-    pub fn with_clock_mhz(mut self, clock_mhz: f64) -> Self {
-        self.clock_mhz = clock_mhz;
-        self
-    }
-
-    /// Sets the number of accelerator MC samples.
-    pub fn with_mc_samples(mut self, mc_samples: usize) -> Self {
-        self.mc_samples = mc_samples;
-        self
-    }
-
-    /// Sets the user constraints.
-    pub fn with_constraints(mut self, constraints: UserConstraints) -> Self {
-        self.constraints = constraints;
-        self
-    }
-
-    /// Sets the optimization priority.
-    pub fn with_priority(mut self, priority: OptPriority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets the executor parallel phases run on.
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self
-    }
-
-    /// Sets the executor to a fixed thread count (clamped to at least 1).
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_executor(Executor::new(threads))
-    }
-
-    /// The accelerator baseline shared by the hardware phases: the target
-    /// device with this context's clock and MC sample count, before any
-    /// mapping/bitwidth/reuse decision is applied.
-    pub fn accelerator_baseline(&self) -> AcceleratorConfig {
-        AcceleratorConfig::new(self.device.clone())
-            .with_clock_mhz(self.clock_mhz)
-            .with_mc_samples(self.mc_samples)
-    }
-
-    /// Validates the context-level inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::InvalidConfig`] for a non-positive clock
-    /// frequency, zero MC samples or an empty project name.
-    pub fn validate(&self) -> Result<(), FrameworkError> {
-        if self.clock_mhz <= 0.0 {
-            return Err(FrameworkError::InvalidConfig(format!(
-                "clock frequency must be positive, got {}",
-                self.clock_mhz
-            )));
-        }
-        if self.mc_samples == 0 {
-            return Err(FrameworkError::InvalidConfig(
-                "the accelerator must draw at least one MC sample".into(),
-            ));
-        }
-        if self.project_name.is_empty() {
-            return Err(FrameworkError::InvalidConfig(
-                "the HLS project name must not be empty".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Receives pipeline lifecycle events.
 ///
 /// Every method has a no-op default, so implementors override only what they
@@ -282,7 +138,7 @@ pub trait PipelineObserver: Send + Sync {
     }
 }
 
-/// The do-nothing observer (the default for unobserved stage runs).
+/// The do-nothing observer (the default for unobserved runs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -344,7 +200,7 @@ pub enum PipelineEvent {
 /// An observer that records every event, for tests and telemetry.
 ///
 /// Cloning shares the underlying event log, so a clone handed to
-/// [`PipelineSession::with_observer`] can still be inspected afterwards
+/// [`PipelineSession::set_observer`] can still be inspected afterwards
 /// through the original handle.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingObserver {
@@ -404,18 +260,6 @@ pub enum StageArtifact {
     Phase4(Phase4Artifact),
 }
 
-impl StageArtifact {
-    /// The phase that produced this artifact.
-    pub fn phase_id(&self) -> PhaseId {
-        match self {
-            StageArtifact::Phase1(_) => PhaseId::Phase1,
-            StageArtifact::Phase2(_) => PhaseId::Phase2,
-            StageArtifact::Phase3(_) => PhaseId::Phase3,
-            StageArtifact::Phase4(_) => PhaseId::Phase4,
-        }
-    }
-}
-
 /// The artifacts a session has produced (or been seeded with) so far.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineArtifacts {
@@ -446,32 +290,11 @@ impl PipelineArtifacts {
     }
 }
 
-/// Validates a full framework configuration through the per-stage
-/// `validate()` methods (the same checks `PipelineSession::new` and the
-/// builder apply).
-///
-/// # Errors
-///
-/// Returns [`FrameworkError::InvalidConfig`] describing the first violated
-/// check.
-pub fn validate_config(config: &FrameworkConfig) -> Result<(), FrameworkError> {
-    PipelineContext::from_config(config).validate()?;
-    Phase1Stage::new(config.phase1.clone()).validate()?;
-    Phase2Stage::new().validate()?;
-    Phase3Stage::new(config.phase3.clone()).validate()?;
-    Phase4Stage::new().validate()?;
-    Ok(())
-}
-
-/// A stateful driver over the four stages with artifact caching.
+/// A stateful driver over the four phases with artifact caching.
 ///
 /// See the [module documentation](self) for a worked example.
 pub struct PipelineSession {
-    ctx: PipelineContext,
-    phase1: Phase1Stage,
-    phase2: Phase2Stage,
-    phase3: Phase3Stage,
-    phase4: Phase4Stage,
+    config: FrameworkConfig,
     artifacts: PipelineArtifacts,
     observer: Box<dyn PipelineObserver>,
 }
@@ -479,64 +302,36 @@ pub struct PipelineSession {
 impl std::fmt::Debug for PipelineSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineSession")
-            .field("ctx", &self.ctx)
+            .field("config", &self.config)
             .field("artifacts", &self.artifacts)
             .finish_non_exhaustive()
     }
 }
 
 impl PipelineSession {
-    /// Creates a session from a full framework configuration after validating
-    /// every stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::InvalidConfig`] describing the first violated
-    /// per-stage check.
-    pub fn new(config: FrameworkConfig) -> Result<Self, FrameworkError> {
-        let ctx = PipelineContext::from_config(&config);
-        let session = PipelineSession {
-            ctx,
-            phase1: Phase1Stage::new(config.phase1),
-            phase2: Phase2Stage::new(),
-            phase3: Phase3Stage::new(config.phase3),
-            phase4: Phase4Stage::new(),
-            artifacts: PipelineArtifacts::default(),
-            observer: Box::new(NoopObserver),
-        };
-        session.validate()?;
-        Ok(session)
-    }
-
-    /// Validates the context and every stage of this session.
+    /// Creates a session after [`FrameworkConfig::validate`].
     ///
     /// # Errors
     ///
     /// Returns [`FrameworkError::InvalidConfig`] describing the first violated
     /// check.
-    pub fn validate(&self) -> Result<(), FrameworkError> {
-        self.ctx.validate()?;
-        self.phase1.validate()?;
-        self.phase2.validate()?;
-        self.phase3.validate()?;
-        self.phase4.validate()?;
-        Ok(())
+    pub fn new(config: FrameworkConfig) -> Result<Self, FrameworkError> {
+        config.validate()?;
+        Ok(PipelineSession {
+            config,
+            artifacts: PipelineArtifacts::default(),
+            observer: Box::new(NoopObserver),
+        })
     }
 
-    /// Attaches an observer (replacing the current one).
-    pub fn with_observer(mut self, observer: impl PipelineObserver + 'static) -> Self {
-        self.observer = Box::new(observer);
-        self
-    }
-
-    /// Replaces the observer on an existing session.
+    /// Replaces the observer (the default observes nothing).
     pub fn set_observer(&mut self, observer: impl PipelineObserver + 'static) {
         self.observer = Box::new(observer);
     }
 
-    /// The shared context of this session.
-    pub fn context(&self) -> &PipelineContext {
-        &self.ctx
+    /// The configuration this session runs.
+    pub fn config(&self) -> &FrameworkConfig {
+        &self.config
     }
 
     /// The artifacts produced (or installed) so far.
@@ -585,9 +380,7 @@ impl PipelineSession {
     pub fn run_to(&mut self, target: PhaseId) -> Result<&PipelineArtifacts, FrameworkError> {
         if self.artifacts.phase1.is_none() {
             self.observer.on_phase_start(PhaseId::Phase1);
-            let a1 = self
-                .phase1
-                .run_observed(&self.ctx, self.observer.as_ref())?;
+            let a1 = phase1::run(&self.config, self.observer.as_ref())?;
             let best = a1.result.best();
             self.observer.on_phase_complete(
                 PhaseId::Phase1,
@@ -604,9 +397,7 @@ impl PipelineSession {
         if target >= PhaseId::Phase2 && self.artifacts.phase2.is_none() {
             let a1 = self.artifacts.phase1.as_ref().expect("phase 1 just ran");
             self.observer.on_phase_start(PhaseId::Phase2);
-            let a2 = self
-                .phase2
-                .run_observed(&self.ctx, a1, self.observer.as_ref())?;
+            let a2 = phase2::run(&self.config, a1, self.observer.as_ref())?;
             self.observer.on_phase_complete(
                 PhaseId::Phase2,
                 &format!(
@@ -620,9 +411,7 @@ impl PipelineSession {
         if target >= PhaseId::Phase3 && self.artifacts.phase3.is_none() {
             let a2 = self.artifacts.phase2.as_ref().expect("phase 2 just ran");
             self.observer.on_phase_start(PhaseId::Phase3);
-            let a3 = self
-                .phase3
-                .run_observed(&self.ctx, a2, self.observer.as_ref())?;
+            let a3 = phase3::run(&self.config, a2, self.observer.as_ref())?;
             self.observer.on_phase_complete(
                 PhaseId::Phase3,
                 &format!(
@@ -637,14 +426,12 @@ impl PipelineSession {
         if target >= PhaseId::Phase4 && self.artifacts.phase4.is_none() {
             let a3 = self.artifacts.phase3.as_ref().expect("phase 3 just ran");
             self.observer.on_phase_start(PhaseId::Phase4);
-            let a4 = self
-                .phase4
-                .run_observed(&self.ctx, a3, self.observer.as_ref())?;
+            let a4 = phase4::run(&self.config, a3, self.observer.as_ref())?;
             self.observer.on_phase_complete(
                 PhaseId::Phase4,
                 &format!(
                     "generated {} ({} files, fits device: {})",
-                    self.ctx.project_name,
+                    self.config.project_name,
                     a4.output
                         .lowered
                         .as_ref()
@@ -681,89 +468,9 @@ impl PipelineSession {
     }
 }
 
-/// Builder over [`PipelineSession`] that surfaces the per-stage `validate()`
-/// checks at construction time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineBuilder {
-    config: FrameworkConfig,
-}
-
-impl PipelineBuilder {
-    /// Starts from an existing framework configuration.
-    pub fn from_config(config: FrameworkConfig) -> Self {
-        PipelineBuilder { config }
-    }
-
-    /// Sets the HLS project name.
-    pub fn project_name(mut self, name: impl Into<String>) -> Self {
-        self.config.project_name = name.into();
-        self
-    }
-
-    /// Sets the target device.
-    pub fn device(mut self, device: FpgaDevice) -> Self {
-        self.config.device = device;
-        self
-    }
-
-    /// Sets the accelerator clock frequency.
-    pub fn clock_mhz(mut self, clock_mhz: f64) -> Self {
-        self.config.clock_mhz = clock_mhz;
-        self
-    }
-
-    /// Sets the number of accelerator MC samples.
-    pub fn mc_samples(mut self, mc_samples: usize) -> Self {
-        self.config.mc_samples = mc_samples;
-        self
-    }
-
-    /// Sets the user constraints.
-    pub fn constraints(mut self, constraints: UserConstraints) -> Self {
-        self.config.constraints = constraints;
-        self
-    }
-
-    /// Sets the optimization priority.
-    pub fn priority(mut self, priority: OptPriority) -> Self {
-        self.config.priority = priority;
-        self
-    }
-
-    /// Replaces the Phase 1 configuration.
-    pub fn phase1(mut self, phase1: Phase1Config) -> Self {
-        self.config.phase1 = phase1;
-        self
-    }
-
-    /// Replaces the Phase 3 configuration.
-    pub fn phase3(mut self, phase3: Phase3Config) -> Self {
-        self.config.phase3 = phase3;
-        self
-    }
-
-    /// Pins the parallel phases to a fixed thread count (clamped to at
-    /// least 1), overriding the `BNN_THREADS` / CPU-count default.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = Some(threads);
-        self
-    }
-
-    /// Validates every stage and produces the session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameworkError::InvalidConfig`] describing the first violated
-    /// per-stage check.
-    pub fn build(self) -> Result<PipelineSession, FrameworkError> {
-        PipelineSession::new(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_models::zoo::Architecture;
 
     #[test]
     fn phase_id_order_and_display() {
@@ -773,28 +480,6 @@ mod tests {
         }
         assert_eq!(PhaseId::Phase3.index(), 2);
         assert!(PhaseId::Phase1.to_string().contains("multi-exit"));
-    }
-
-    #[test]
-    fn context_validation() {
-        let ctx = PipelineContext::new(bnn_hw::FpgaDevice::xcku115());
-        assert!(ctx.validate().is_ok());
-        assert!(ctx.clone().with_clock_mhz(0.0).validate().is_err());
-        assert!(ctx.clone().with_mc_samples(0).validate().is_err());
-        assert!(ctx.with_project_name("").validate().is_err());
-    }
-
-    #[test]
-    fn builder_surfaces_stage_validation() {
-        let config = FrameworkConfig::quick_demo(Architecture::LeNet5);
-        assert!(PipelineBuilder::from_config(config.clone()).build().is_ok());
-        assert!(PipelineBuilder::from_config(config.clone())
-            .clock_mhz(-1.0)
-            .build()
-            .is_err());
-        let mut bad = config;
-        bad.phase3.formats.clear();
-        assert!(PipelineBuilder::from_config(bad).build().is_err());
     }
 
     #[test]

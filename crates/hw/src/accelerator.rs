@@ -112,12 +112,12 @@ impl AcceleratorModel {
     ///
     /// # Errors
     ///
-    /// Returns [`HwError::InvalidConfig`] if the clock frequency is not positive
-    /// or the spec fails validation.
+    /// Returns [`HwError::InvalidConfig`] if the clock frequency is not a
+    /// positive finite number or the spec fails validation.
     pub fn new(spec: NetworkSpec, config: AcceleratorConfig) -> Result<Self, HwError> {
-        if config.clock_mhz <= 0.0 {
+        if !(config.clock_mhz.is_finite() && config.clock_mhz > 0.0) {
             return Err(HwError::InvalidConfig(format!(
-                "clock frequency must be positive, got {}",
+                "clock frequency must be positive and finite, got {}",
                 config.clock_mhz
             )));
         }
@@ -314,9 +314,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs() {
-        let spec = lenet_spec(1);
-        let config = base_config().with_clock_mhz(0.0);
-        assert!(AcceleratorModel::new(spec, config).is_err());
+        for clock in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = base_config().with_clock_mhz(clock);
+            assert!(
+                matches!(
+                    AcceleratorModel::new(lenet_spec(1), config),
+                    Err(HwError::InvalidConfig(_))
+                ),
+                "clock {clock}"
+            );
+        }
     }
 
     #[test]

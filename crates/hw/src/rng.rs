@@ -3,9 +3,8 @@
 //! The paper's Algorithm 1 compares a uniform random number against the keep
 //! rate to build the dropout mask, and notes that "a random number generator is
 //! used in our design to generate uniform random". This module provides the
-//! bit-accurate generators such a design would instantiate (a Fibonacci LFSR
-//! and a combined Tausworthe generator) together with their hardware cost,
-//! which feeds the MCD-layer resource model.
+//! bit-accurate generator such a design would instantiate (a Fibonacci LFSR)
+//! together with its hardware cost, which feeds the MCD-layer resource model.
 
 use crate::resource::ResourceUsage;
 
@@ -64,45 +63,6 @@ impl Lfsr32 {
     }
 }
 
-/// A combined Tausworthe ("taus88") generator — higher quality than a single
-/// LFSR at roughly three times the cost; used when the dropout rate needs a
-/// finer resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Taus88 {
-    s1: u32,
-    s2: u32,
-    s3: u32,
-}
-
-impl Taus88 {
-    /// Creates a generator from a seed (internal states forced to valid ranges).
-    pub fn new(seed: u32) -> Self {
-        Taus88 {
-            s1: seed.wrapping_mul(2654435761).max(2),
-            s2: seed.wrapping_add(0x9E3779B9).max(8),
-            s3: seed.rotate_left(13).max(16),
-        }
-    }
-
-    /// Next 32-bit word.
-    pub fn next_u32(&mut self) -> u32 {
-        self.s1 = ((self.s1 & 0xFFFFFFFE) << 12) ^ (((self.s1 << 13) ^ self.s1) >> 19);
-        self.s2 = ((self.s2 & 0xFFFFFFF8) << 4) ^ (((self.s2 << 2) ^ self.s2) >> 25);
-        self.s3 = ((self.s3 & 0xFFFFFFF0) << 17) ^ (((self.s3 << 3) ^ self.s3) >> 11);
-        self.s1 ^ self.s2 ^ self.s3
-    }
-
-    /// A uniform value in `[0, 1)`.
-    pub fn next_uniform(&mut self) -> f64 {
-        (self.next_u32() >> 8) as f64 / (1u64 << 24) as f64
-    }
-
-    /// Hardware cost of one generator instance.
-    pub fn hardware_cost() -> ResourceUsage {
-        ResourceUsage::new(0, 0, 96 * 3, 72 * 3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,25 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn taus88_uniformity_and_determinism() {
-        let mut a = Taus88::new(99);
-        let mut b = Taus88::new(99);
-        assert_eq!(a.next_u32(), b.next_u32());
-        let mut rng = Taus88::new(77);
-        let n = 4000;
-        let mean: f64 = (0..n).map(|_| rng.next_uniform()).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
     fn hardware_costs_use_no_bram_or_dsp() {
         // The paper observes the MCD layer needs no BRAM; the RNG is pure logic.
         let c = Lfsr32::hardware_cost();
         assert_eq!(c.bram_36k, 0);
         assert_eq!(c.dsp, 0);
         assert!(c.lut > 0 && c.ff > 0);
-        let t = Taus88::hardware_cost();
-        assert!(t.lut > c.lut);
     }
 
     #[test]

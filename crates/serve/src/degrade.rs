@@ -78,8 +78,8 @@ impl DegradeConfig {
         self
     }
 
-    /// Validates watermark ordering, streak lengths and every ladder
-    /// policy.
+    /// Validates watermark ordering, streak lengths and every ladder step's
+    /// MC-sample count and policy.
     ///
     /// # Errors
     ///
@@ -101,6 +101,9 @@ impl DegradeConfig {
             return Err("step_down_batches and step_up_batches must be >= 1".into());
         }
         for (i, step) in self.ladder.iter().enumerate() {
+            if step.mc_samples == 0 {
+                return Err(format!("ladder step {}: mc_samples must be >= 1", i + 1));
+            }
             step.policy
                 .validate()
                 .map_err(|e| format!("ladder step {}: {e}", i + 1))?;
@@ -224,6 +227,10 @@ mod tests {
             .with_step(1, ExitPolicy::Confidence { threshold: 2.0 })
             .validate()
             .is_err()); // out-of-range policy
+        assert!(two_step()
+            .with_step(0, ExitPolicy::Never)
+            .validate()
+            .is_err()); // a step without MC samples
         let mut zero_streak = two_step();
         zero_streak.step_down_batches = 0;
         assert!(zero_streak.validate().is_err());

@@ -19,8 +19,9 @@ use bnn_tensor::Tensor;
 
 /// A batch-capable inference engine a serving worker can own.
 ///
-/// Contract: `predict_batch_into` must be **batch-boundary invariant** (each
-/// output row bit-exact with a single-sample call at the same seed). Both
+/// Contract: `predict_adaptive_batch_into` must be **batch-boundary
+/// invariant** (each output row bit-exact with a single-sample call at the
+/// same seed). Both
 /// engines are also **allocation-free in the steady state** after
 /// [`BatchEngine::ensure_batch`] warmed the arena for the largest batch they
 /// will see (output-buffer growth aside), on a plan pinned to a sequential
@@ -37,34 +38,15 @@ pub trait BatchEngine: Send {
     /// at exits `0..num_exits()`).
     fn num_exits(&self) -> usize;
 
-    /// The plan's static integer-op estimate for ONE sample served at fixed
-    /// (full) depth with `n_samples` MC samples — the per-request baseline
-    /// adaptive savings are measured against.
-    fn fixed_unit_ops(&self, n_samples: usize) -> u64;
-
     /// Pre-sizes internal arenas for batches up to `max_batch`.
     fn ensure_batch(&mut self, max_batch: usize);
 
     /// Seeded MC prediction of a `[batch, ..in_dims]` tensor into `out`
-    /// (`[batch, classes]`, resized), batch-boundary invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidRequest`] for malformed inputs or
-    /// [`ServeError::Engine`] on execution failures.
-    fn predict_batch_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        out: &mut Vec<f32>,
-    ) -> Result<(), ServeError>;
-
-    /// Adaptive (early-exit) variant of [`BatchEngine::predict_batch_into`]:
-    /// `policy` retires confident samples after each exit and only the
-    /// compacted stragglers run deeper. Fills `exit_taken[i]` with request
-    /// `i`'s exit and returns the execution accounting; rows stay
-    /// batch-boundary invariant.
+    /// (`[batch, classes]`, resized): `policy` retires confident samples
+    /// after each exit and only the compacted stragglers run deeper
+    /// ([`ExitPolicy::Never`] runs every sample to the last exit). Fills
+    /// `exit_taken[i]` with request `i`'s exit and returns the execution
+    /// accounting; rows stay batch-boundary invariant.
     ///
     /// # Errors
     ///
@@ -87,9 +69,8 @@ pub trait BatchEngine: Send {
 }
 
 /// [`BatchEngine`] over the compiled plan of number format `K`: a
-/// pass-through to [`Plan::predict_probs_batch_into`] and
-/// [`Plan::predict_adaptive_batch_into`], whose per-sample masks make both
-/// batch-boundary invariant.
+/// pass-through to [`Plan::predict_adaptive_batch_into`], whose per-sample
+/// masks make it batch-boundary invariant.
 #[derive(Debug, Clone)]
 pub struct PlanEngine<K: Kernel> {
     plan: Plan<K>,
@@ -132,24 +113,8 @@ where
         self.plan.num_exits()
     }
 
-    fn fixed_unit_ops(&self, n_samples: usize) -> u64 {
-        self.plan.fixed_cost(1, n_samples).1
-    }
-
     fn ensure_batch(&mut self, max_batch: usize) {
         self.plan.ensure_batch(max_batch);
-    }
-
-    fn predict_batch_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        out: &mut Vec<f32>,
-    ) -> Result<(), ServeError> {
-        self.plan
-            .predict_probs_batch_into(inputs, n_samples, seed, out)?;
-        Ok(())
     }
 
     fn predict_adaptive_batch_into(

@@ -217,23 +217,8 @@ impl BatchEngine for FaultyEngine {
         self.inner.num_exits()
     }
 
-    fn fixed_unit_ops(&self, n_samples: usize) -> u64 {
-        self.inner.fixed_unit_ops(n_samples)
-    }
-
     fn ensure_batch(&mut self, max_batch: usize) {
         self.inner.ensure_batch(max_batch);
-    }
-
-    fn predict_batch_into(
-        &mut self,
-        inputs: &Tensor,
-        n_samples: usize,
-        seed: u64,
-        out: &mut Vec<f32>,
-    ) -> Result<(), ServeError> {
-        self.before_batch()?;
-        self.inner.predict_batch_into(inputs, n_samples, seed, out)
     }
 
     fn predict_adaptive_batch_into(

@@ -56,7 +56,7 @@ pub struct ServerConfig {
     /// even if smaller than `max_batch`. `Duration::ZERO` serves whatever is
     /// queued immediately (the latency-biased extreme).
     pub max_delay: Duration,
-    /// Monte-Carlo samples per prediction (see
+    /// Monte-Carlo samples per prediction, at least 1 (see
     /// `QuantPlan::predict_probs_into` for the pass/exit semantics).
     pub mc_samples: usize,
     /// Master seed for the MC mask streams. Together with `mc_samples` this
@@ -64,7 +64,7 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Early-exit policy every request is served under.
     /// [`ExitPolicy::Never`] (the preset default) is the fixed-depth
-    /// server; any other policy engages the engines' adaptive batched path:
+    /// server: every request runs to the last exit. Any other policy lets
     /// confident samples retire at shallow exits and the surviving
     /// stragglers are compacted into a dense smaller batch for the deeper
     /// blocks. Responses stay a pure function of the sample either way —
@@ -429,7 +429,8 @@ impl InferenceServer {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for zero workers, a zero batch
-    /// size, a zero queue limit or an invalid degrade ladder, and
+    /// size, zero MC samples, a zero queue limit or an invalid degrade
+    /// ladder, and
     /// [`ServeError::InvalidRequest`] for an adaptive policy whose
     /// threshold is non-finite or outside `[0, 1]` (rejected up front,
     /// before it can fail every batch).
@@ -439,6 +440,9 @@ impl InferenceServer {
         }
         if config.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be >= 1".into()));
+        }
+        if config.mc_samples == 0 {
+            return Err(ServeError::InvalidConfig("mc_samples must be >= 1".into()));
         }
         if config.queue_limit == Some(0) {
             return Err(ServeError::InvalidConfig(
@@ -927,25 +931,16 @@ fn serve_one_batch(
     debug_assert_eq!(ctx.staging.len(), batch * per_elems);
     let outcome = match Tensor::from_vec(std::mem::take(&mut ctx.staging), &ctx.dims) {
         Ok(tensor) => {
-            // Fixed-depth configs take the plain batched path (no
-            // per-exit bookkeeping to pay for); any real policy runs
-            // the engine's adaptive compacting path.
-            let run = if eff_policy.is_never() {
-                engine
-                    .predict_batch_into(&tensor, eff_mc, config.seed, &mut ctx.probs)
-                    .map(|()| None)
-            } else {
-                engine
-                    .predict_adaptive_batch_into(
-                        &tensor,
-                        eff_mc,
-                        config.seed,
-                        &eff_policy,
-                        &mut ctx.probs,
-                        &mut ctx.exit_taken,
-                    )
-                    .map(Some)
-            };
+            // One engine call for every policy: under `Never` the walker
+            // runs the fixed loop and reports every row at the last exit.
+            let run = engine.predict_adaptive_batch_into(
+                &tensor,
+                eff_mc,
+                config.seed,
+                &eff_policy,
+                &mut ctx.probs,
+                &mut ctx.exit_taken,
+            );
             ctx.staging = tensor.into_vec();
             run
         }
@@ -955,22 +950,13 @@ fn serve_one_batch(
     let mut delivered_ok = 0u64;
     match outcome {
         Ok(adaptive) => {
-            batch_ops = match &adaptive {
-                Some(stats) => (stats.ops_executed, stats.ops_fixed),
-                None => {
-                    let fixed = engine.fixed_unit_ops(eff_mc) * batch as u64;
-                    (fixed, fixed)
-                }
-            };
+            batch_ops = (adaptive.ops_executed, adaptive.ops_fixed);
             let schedule = SampleSchedule::new(eff_mc, n_exits);
             // Indexed delivery (not drain) keeps the job list intact until
             // every reply is out: if delivery panics midway, the crash
             // sweep in `worker_loop` still reaches the undelivered tail.
             for (i, job) in ctx.batch_jobs.iter().enumerate() {
-                let exit = match &adaptive {
-                    Some(_) => ctx.exit_taken[i],
-                    None => n_exits - 1,
-                };
+                let exit = ctx.exit_taken[i];
                 ctx.exit_tally[exit] += 1;
                 delivered_ok += 1;
                 job.reply.deliver(Ok(Reply {

@@ -1,7 +1,7 @@
 //! End-to-end transformation pipeline run: from a non-Bayesian LeNet-5
 //! description to a generated HLS accelerator project on disk.
 //!
-//! This drives all four phases through the staged `PipelineSession` API with
+//! This drives all four phases through a `PipelineSession` with
 //! a `TraceObserver` streaming live per-phase progress (timings and the
 //! selected result of every phase) to stderr, then writes the generated
 //! hls4ml-style project — the calibrated design Phase 3 scored, one
@@ -20,11 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_priority(OptPriority::Energy)
         .with_constraints(UserConstraints::none().with_max_power_w(10.0));
 
-    let mut session = PipelineSession::new(config)?.with_observer(TraceObserver::verbose());
+    let mut session = PipelineSession::new(config)?;
+    session.set_observer(TraceObserver::verbose());
     println!(
         "running the 4-phase transformation pipeline on {} thread(s) \
          (set BNN_THREADS to change; results are identical)...\n",
-        session.context().executor.threads()
+        session.config().executor().threads()
     );
     let outcome = session.run()?;
     println!("{}\n", outcome.summary());

@@ -37,12 +37,12 @@ fn demo_config() -> FrameworkConfig {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Run the expensive algorithmic phases exactly once. Phase 1 trains
-    //    its candidates concurrently on the context executor (BNN_THREADS
+    //    its candidates concurrently on the config's executor (BNN_THREADS
     //    overrides the thread count; the artifacts are identical either way).
     let mut session = PipelineSession::new(demo_config())?;
     println!(
         "phase 1+2 on {} thread(s)...",
-        session.context().executor.threads()
+        session.config().executor().threads()
     );
     session.run_to(PhaseId::Phase2)?;
     let checkpoint = session

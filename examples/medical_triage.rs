@@ -19,10 +19,10 @@
 
 use bayesnn_fpga::bayes::metrics::accuracy;
 use bayesnn_fpga::bayes::sampling::{McSampler, SamplingConfig};
-use bayesnn_fpga::core::phase1::{ModelVariant, Phase1Config, Phase1Stage};
-use bayesnn_fpga::core::pipeline::PipelineContext;
+use bayesnn_fpga::core::framework::FrameworkConfig;
+use bayesnn_fpga::core::phase1::{self, ModelVariant};
+use bayesnn_fpga::core::pipeline::NoopObserver;
 use bayesnn_fpga::data::{DatasetSpec, SyntheticConfig};
-use bayesnn_fpga::hw::FpgaDevice;
 use bayesnn_fpga::models::zoo::Architecture;
 use bayesnn_fpga::models::{ExitPolicy, ModelConfig};
 use bayesnn_fpga::nn::network::Network as _;
@@ -33,22 +33,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 1 configuration: a synthetic "diagnostic imaging" task (4
     // findings, noisy acquisitions) on a reduced ResNet-18 backbone, exploring
     // only the MCD+multi-exit variant the paper proposes.
-    let mut config = Phase1Config::quick(Architecture::ResNet18);
-    config.model = ModelConfig::new(3, 16, 16, 4).with_width_divisor(8);
-    config.dataset = SyntheticConfig::new(DatasetSpec::new("synthetic-histology", 3, 16, 16, 4))
-        .with_samples(480, 240)
-        .with_noise(0.55)
-        .with_label_noise(0.06);
-    config.train.epochs = 8;
-    config.variants = vec![ModelVariant::McdMultiExit];
-    config.seed = 11;
+    let mut config = FrameworkConfig::quick_demo(Architecture::ResNet18);
+    config.phase1.model = ModelConfig::new(3, 16, 16, 4).with_width_divisor(8);
+    config.phase1.dataset =
+        SyntheticConfig::new(DatasetSpec::new("synthetic-histology", 3, 16, 16, 4))
+            .with_samples(480, 240)
+            .with_noise(0.55)
+            .with_label_noise(0.06);
+    config.phase1.train.epochs = 8;
+    config.phase1.variants = vec![ModelVariant::McdMultiExit];
+    config.phase1.seed = 11;
 
-    let ctx = PipelineContext::new(FpgaDevice::xcku115());
     println!(
         "phase 1: training candidates on {} thread(s) (BNN_THREADS overrides)",
-        ctx.executor.threads()
+        config.executor().threads()
     );
-    let artifact = Phase1Stage::new(config).run(&ctx)?;
+    let artifact = phase1::run(&config, &NoopObserver)?;
     println!(
         "phase 1 trained {} candidate(s); best: {} (acc {:.3}, ece {:.3})",
         artifact.result.candidates.len(),

@@ -16,31 +16,30 @@
 use bayesnn_fpga::bayes::metrics::mean_predictive_entropy;
 use bayesnn_fpga::bayes::sampling::{McSampler, SamplingConfig};
 use bayesnn_fpga::bayes::Evaluation;
-use bayesnn_fpga::core::phase1::{ModelVariant, Phase1Config, Phase1Stage};
-use bayesnn_fpga::core::pipeline::PipelineContext;
+use bayesnn_fpga::core::framework::FrameworkConfig;
+use bayesnn_fpga::core::phase1::{self, ModelVariant};
+use bayesnn_fpga::core::pipeline::NoopObserver;
 use bayesnn_fpga::data::{Corruption, DatasetSpec, SyntheticConfig};
-use bayesnn_fpga::hw::FpgaDevice;
 use bayesnn_fpga::models::zoo::Architecture;
 use bayesnn_fpga::models::ModelConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 1 over a synthetic "road scene patch" classification task,
     // exploring the deterministic baseline and the paper's MCD+ME proposal.
-    let mut config = Phase1Config::quick(Architecture::Vgg11);
-    config.model = ModelConfig::new(3, 16, 16, 6).with_width_divisor(8);
-    config.dataset = SyntheticConfig::new(DatasetSpec::new("synthetic-road", 3, 16, 16, 6))
+    let mut config = FrameworkConfig::quick_demo(Architecture::Vgg11);
+    config.phase1.model = ModelConfig::new(3, 16, 16, 6).with_width_divisor(8);
+    config.phase1.dataset = SyntheticConfig::new(DatasetSpec::new("synthetic-road", 3, 16, 16, 6))
         .with_samples(480, 240)
         .with_noise(0.4);
-    config.train.epochs = 8;
-    config.variants = vec![ModelVariant::SingleExit, ModelVariant::McdMultiExit];
-    config.seed = 21;
+    config.phase1.train.epochs = 8;
+    config.phase1.variants = vec![ModelVariant::SingleExit, ModelVariant::McdMultiExit];
+    config.phase1.seed = 21;
 
-    let ctx = PipelineContext::new(FpgaDevice::xcku115());
     println!(
         "phase 1: training candidates on {} thread(s) (BNN_THREADS overrides)",
-        ctx.executor.threads()
+        config.executor().threads()
     );
-    let artifact = Phase1Stage::new(config).run(&ctx)?;
+    let artifact = phase1::run(&config, &NoopObserver)?;
 
     // Instantiate both trained candidates from the artifact.
     let se_index = artifact

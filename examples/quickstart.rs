@@ -2,7 +2,7 @@
 //! MNIST-like task, draw Monte-Carlo samples, and estimate its FPGA
 //! implementation.
 //!
-//! This walks the substrate crates step by step; the staged pipeline in
+//! This walks the substrate crates step by step; the pipeline in
 //! `bnn-core::pipeline` automates the same flow (see the
 //! `accelerator_codegen` and `design_space_exploration` examples).
 //!

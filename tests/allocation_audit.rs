@@ -286,12 +286,18 @@ fn float_engine_is_allocation_free_at_max_batch() {
         let small = Tensor::randn(&dims, &mut rng);
         let (mut out, mut exits) = (Vec::new(), Vec::new());
 
-        // Fixed depth: warm-up, then steady state at max and partial batch.
+        // Fixed depth (`Never`): warm-up, then steady state at max and
+        // partial batch.
+        let never = ExitPolicy::Never;
         for batch in [&inputs, &small] {
-            engine.predict_batch_into(batch, 6, 2023, &mut out).unwrap();
+            engine
+                .predict_adaptive_batch_into(batch, 6, 2023, &never, &mut out, &mut exits)
+                .unwrap();
             let warm = out.clone();
             let before = alloc_counter::allocation_count();
-            engine.predict_batch_into(batch, 6, 2023, &mut out).unwrap();
+            engine
+                .predict_adaptive_batch_into(batch, 6, 2023, &never, &mut out, &mut exits)
+                .unwrap();
             let allocations = alloc_counter::allocation_count() - before;
             assert_eq!(allocations, 0, "{name}: fixed-depth float batch allocated");
             assert_eq!(out, warm, "{name}: fixed-depth result drifted");

@@ -38,9 +38,8 @@ pub fn small_config() -> FrameworkConfig {
 /// observer event log.
 pub fn run_pipeline(config: FrameworkConfig) -> (PipelineArtifacts, RecordingObserver) {
     let recorder = RecordingObserver::new();
-    let mut session = PipelineSession::new(config)
-        .unwrap()
-        .with_observer(recorder.clone());
+    let mut session = PipelineSession::new(config).unwrap();
+    session.set_observer(recorder.clone());
     session.run().unwrap();
     (session.artifacts().clone(), recorder)
 }

@@ -1,15 +1,17 @@
-//! Integration tests of the staged pipeline API: `run_to`/`resume_from`
-//! round-trips, observer event ordering, and per-stage validation parity with
-//! the old monolithic constructor checks.
+//! Integration tests of the pipeline driver: `run_to`/`resume_from`
+//! round-trips, observer event ordering, and the configuration checks
+//! `PipelineSession::new` applies.
 
-use bayesnn_fpga::core::framework::{FrameworkConfig, TransformationFramework};
+use bayesnn_fpga::core::framework::FrameworkConfig;
 use bayesnn_fpga::core::phase1::ModelVariant;
 use bayesnn_fpga::core::pipeline::{
     PhaseId, PipelineEvent, PipelineSession, RecordingObserver, StageArtifact,
 };
+use bayesnn_fpga::core::FrameworkError;
 use bayesnn_fpga::data::{DatasetSpec, SyntheticConfig};
 use bayesnn_fpga::models::zoo::Architecture;
 use bayesnn_fpga::models::ModelConfig;
+use bayesnn_fpga::quant::FixedPointFormat;
 
 fn small_config() -> FrameworkConfig {
     let mut config = FrameworkConfig::quick_demo(Architecture::LeNet5);
@@ -32,12 +34,8 @@ fn small_config() -> FrameworkConfig {
 
 #[test]
 fn run_to_then_resume_equals_full_run() {
-    // Full run through the compatibility wrapper (which itself drives a
-    // session), the reference outcome.
-    let reference = TransformationFramework::new(small_config())
-        .unwrap()
-        .run()
-        .unwrap();
+    // One uninterrupted run is the reference outcome.
+    let reference = PipelineSession::new(small_config()).unwrap().run().unwrap();
 
     // Partial run: stop after Phase 2 and export the artifact.
     let mut first = PipelineSession::new(small_config()).unwrap();
@@ -79,9 +77,8 @@ fn resume_from_discards_later_artifacts() {
 #[test]
 fn observer_events_fire_once_per_phase_in_order() {
     let recorder = RecordingObserver::new();
-    let mut session = PipelineSession::new(small_config())
-        .unwrap()
-        .with_observer(recorder.clone());
+    let mut session = PipelineSession::new(small_config()).unwrap();
+    session.set_observer(recorder.clone());
     session.run().unwrap();
 
     let events = recorder.events();
@@ -138,9 +135,8 @@ fn cached_phases_emit_no_events_after_resume() {
     let checkpoint = first.artifacts().phase2.clone().unwrap();
 
     let recorder = RecordingObserver::new();
-    let mut second = PipelineSession::new(small_config())
-        .unwrap()
-        .with_observer(recorder.clone());
+    let mut second = PipelineSession::new(small_config()).unwrap();
+    second.set_observer(recorder.clone());
     second.resume_from(StageArtifact::Phase2(checkpoint));
     second.run().unwrap();
 
@@ -159,33 +155,60 @@ fn cached_phases_emit_no_events_after_resume() {
 
 #[test]
 fn per_stage_validation_matches_old_constructor_checks() {
-    // The exact configurations the old TransformationFramework::new rejected
-    // must still be rejected — by the wrapper, the session and the builder.
-    let mut config = small_config();
-    config.clock_mhz = 0.0;
-    assert!(TransformationFramework::new(config.clone()).is_err());
-    assert!(PipelineSession::new(config.clone()).is_err());
-    assert!(config.builder().build().is_err());
+    // Every configuration the old per-stage and constructor checks rejected,
+    // plus the non-finite values those checks let through.
+    type Edit = fn(&mut FrameworkConfig);
+    let rejected: [(&str, Edit); 19] = [
+        ("zero clock", |c| c.clock_mhz = 0.0),
+        ("negative clock", |c| c.clock_mhz = -1.0),
+        ("NaN clock", |c| c.clock_mhz = f64::NAN),
+        ("infinite clock", |c| c.clock_mhz = f64::INFINITY),
+        ("zero MC samples", |c| c.mc_samples = 0),
+        ("empty project name", |c| c.project_name.clear()),
+        ("NaN minimum accuracy", |c| {
+            c.constraints.min_accuracy = Some(f64::NAN)
+        }),
+        ("NaN maximum ECE", |c| {
+            c.constraints.max_ece = Some(f64::NAN)
+        }),
+        ("infinite maximum FLOPs ratio", |c| {
+            c.constraints.max_flops_ratio = Some(f64::INFINITY)
+        }),
+        ("NaN maximum latency", |c| {
+            c.constraints.max_latency_ms = Some(f64::NAN)
+        }),
+        ("NaN maximum power", |c| {
+            c.constraints.max_power_w = Some(f64::NAN)
+        }),
+        ("no phase 1 variants", |c| c.phase1.variants.clear()),
+        ("all-MCD variants without dropout rates", |c| {
+            c.phase1.variants = vec![ModelVariant::Mcd, ModelVariant::McdMultiExit];
+            c.phase1.dropout_rates.clear();
+        }),
+        ("no phase 3 formats", |c| c.phase3.formats.clear()),
+        ("no phase 3 reuse factors", |c| {
+            c.phase3.reuse_factors.clear()
+        }),
+        ("a format wider than 16 bits", |c| {
+            c.phase3.formats.push(FixedPointFormat::new(24, 8).unwrap())
+        }),
+        ("negative tolerance", |c| c.phase3.accuracy_tolerance = -0.1),
+        ("NaN tolerance", |c| c.phase3.accuracy_tolerance = f64::NAN),
+        ("zero phase 3 MC samples", |c| c.phase3.mc_samples = 0),
+    ];
+    for (case, edit) in rejected {
+        let mut config = small_config();
+        edit(&mut config);
+        match PipelineSession::new(config) {
+            Err(FrameworkError::InvalidConfig(_)) => {}
+            other => panic!("{case}: expected InvalidConfig, got {other:?}"),
+        }
+    }
 
-    let mut config = small_config();
-    config.phase1.variants.clear();
-    assert!(TransformationFramework::new(config.clone()).is_err());
-    assert!(PipelineSession::new(config.clone()).is_err());
-    assert!(config.builder().build().is_err());
-
-    let mut config = small_config();
-    config.phase3.formats.clear();
-    assert!(TransformationFramework::new(config.clone()).is_err());
-    assert!(PipelineSession::new(config.clone()).is_err());
-    assert!(config.builder().build().is_err());
-
-    let mut config = small_config();
-    config.phase3.reuse_factors.clear();
-    assert!(TransformationFramework::new(config.clone()).is_err());
-    assert!(PipelineSession::new(config).is_err());
-
-    // A valid configuration passes everywhere.
-    assert!(TransformationFramework::new(small_config()).is_ok());
+    // A mixed variant list with no dropout rates stays valid, and so does
+    // the unmodified configuration.
+    let mut mixed = small_config();
+    mixed.phase1.dropout_rates.clear();
+    assert!(PipelineSession::new(mixed).is_ok());
     assert!(PipelineSession::new(small_config()).is_ok());
-    assert!(small_config().builder().build().is_ok());
 }

@@ -8,14 +8,15 @@
 
 use std::time::{Duration, Instant};
 
-use bayesnn_fpga::core::framework::{FrameworkConfig, TransformationFramework};
+use bayesnn_fpga::core::framework::FrameworkConfig;
+use bayesnn_fpga::core::pipeline::PipelineSession;
 use bayesnn_fpga::models::zoo::Architecture;
 
 #[test]
 fn quick_demo_runs_all_four_phases_quickly() {
     let config = FrameworkConfig::quick_demo(Architecture::LeNet5);
     let started = Instant::now();
-    let outcome = TransformationFramework::new(config).unwrap().run().unwrap();
+    let outcome = PipelineSession::new(config).unwrap().run().unwrap();
     let elapsed = started.elapsed();
 
     // Phase 1: algorithmic exploration produced candidates with sane metrics

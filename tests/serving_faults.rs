@@ -110,6 +110,27 @@ fn wait_all(handles: Vec<ResponseHandle>) -> Vec<Result<Reply, ServeError>> {
     handles.into_iter().map(|h| h.wait_timeout(WAIT)).collect()
 }
 
+/// Zero MC samples is the one quality at which the fixed loop and the
+/// adaptive walk would disagree (`n_exits` passes against one Eval consult
+/// per exit), so the server refuses it up front, at tier 0 and on any
+/// degrade-ladder step.
+#[test]
+fn zero_mc_samples_is_an_invalid_config() {
+    let plan = small_plan();
+    let engine = || Box::new(QuantEngine::new(plan.clone()));
+    let zero = ServerConfig::latency_biased(1, 0, MC_SEED);
+    assert!(matches!(
+        InferenceServer::start(engine(), zero),
+        Err(ServeError::InvalidConfig(_))
+    ));
+    let zero_step = ServerConfig::latency_biased(1, MC_SAMPLES, MC_SEED)
+        .with_degrade(DegradeConfig::new(8, 2).with_step(0, ExitPolicy::Never));
+    assert!(matches!(
+        InferenceServer::start(engine(), zero_step),
+        Err(ServeError::InvalidConfig(_))
+    ));
+}
+
 /// A worker panic fails exactly its batch with `WorkerCrashed` (no handle
 /// hangs), the shared mutexes stay usable, the supervisor respawns the
 /// worker from a fresh fork, and the respawn serves subsequent traffic
