@@ -23,10 +23,9 @@
 //! which every zoo architecture (batch normalisation and residual blocks
 //! included) compiles to and which reproduces the layer chain bit for bit.
 //! The pass loop itself is the plan's exit walker ([`bnn_models::walker`]);
-//! this module runs no loop of its own. A network that cannot compile (an
-//! in-graph softmax) is a typed error, not a detour through the layer
-//! chain, and so is MC dropout inside a backbone block, which the walker's
-//! run-the-backbone-once schedule cannot resample.
+//! this module runs no loop of its own. MC dropout inside a backbone block,
+//! which the walker's run-the-backbone-once schedule cannot resample, is a
+//! typed error, not a detour through the layer chain.
 //!
 //! # Determinism
 //!

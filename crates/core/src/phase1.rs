@@ -545,12 +545,15 @@ fn evaluate_network(
 ///
 /// # Errors
 ///
-/// Returns [`FrameworkError::NoFeasibleDesign`] if every candidate
-/// violates the constraints, or propagates training/evaluation errors.
+/// Returns [`FrameworkError::InvalidConfig`] if `framework` fails
+/// [`FrameworkConfig::validate`], [`FrameworkError::NoFeasibleDesign`] if
+/// every candidate violates the constraints, or propagates
+/// training/evaluation errors.
 pub fn run(
     framework: &FrameworkConfig,
     observer: &dyn PipelineObserver,
 ) -> Result<Phase1Artifact, FrameworkError> {
+    framework.validate()?;
     let config = &framework.phase1;
     let data = config.dataset.generate(config.seed)?;
     let base_spec = config.architecture.spec(&config.model);

@@ -65,13 +65,15 @@ impl Phase2Artifact {
 ///
 /// # Errors
 ///
-/// Returns [`FrameworkError::NoFeasibleDesign`] if no mapping fits the
-/// device and constraints, or propagates estimation errors.
+/// Returns [`FrameworkError::InvalidConfig`] if `framework` fails
+/// [`FrameworkConfig::validate`], [`FrameworkError::NoFeasibleDesign`] if no
+/// mapping fits the device and constraints, or propagates estimation errors.
 pub fn run(
     framework: &FrameworkConfig,
     input: &Phase1Artifact,
     observer: &dyn PipelineObserver,
 ) -> Result<Phase2Artifact, FrameworkError> {
+    framework.validate()?;
     let result = explore(
         input.best_spec(),
         &framework.accelerator_baseline(),

@@ -182,13 +182,15 @@ impl Phase3Artifact {
 ///
 /// # Errors
 ///
-/// Returns [`FrameworkError::NoFeasibleDesign`] if no point is feasible,
-/// or propagates evaluation/estimation errors.
+/// Returns [`FrameworkError::InvalidConfig`] if `framework` fails
+/// [`FrameworkConfig::validate`], [`FrameworkError::NoFeasibleDesign`] if no
+/// point is feasible, or propagates evaluation/estimation errors.
 pub fn run(
     framework: &FrameworkConfig,
     input: &Phase2Artifact,
     observer: &dyn PipelineObserver,
 ) -> Result<Phase3Artifact, FrameworkError> {
+    framework.validate()?;
     let mut trained = input.phase1.instantiate_best()?;
     // Integer-path candidates calibrate their activation formats on a
     // representative batch of *training* inputs (never the held-out

@@ -66,15 +66,16 @@ pub struct Phase4Artifact {
 ///
 /// # Errors
 ///
-/// Propagates estimation errors, and surfaces
+/// Returns [`FrameworkError::InvalidConfig`] if `framework` fails
+/// [`FrameworkConfig::validate`], propagates estimation errors, and surfaces
 /// [`bnn_hls::HlsError::Unsupported`] (via [`FrameworkError::Hls`]) when
-/// the selected format has no integer plan or a lowered node has no HLS
-/// emission rule.
+/// the selected format has no integer plan.
 pub fn run(
     framework: &FrameworkConfig,
     input: &Phase3Artifact,
     observer: &dyn PipelineObserver,
 ) -> Result<Phase4Artifact, FrameworkError> {
+    framework.validate()?;
     let accel_config = framework
         .accelerator_baseline()
         .with_mapping(input.mapping())

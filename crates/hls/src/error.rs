@@ -11,8 +11,7 @@ pub enum HlsError {
     Quant(QuantError),
     /// The generator configuration is invalid.
     InvalidConfig(String),
-    /// A lowered node (or the requested format) has no HLS emission rule —
-    /// e.g. a layer without an inference lowering or a format wider than the
+    /// The requested format has no HLS emission rule: it is wider than the
     /// 16-bit integer path. Raised instead of silently falling back to the
     /// global-width emitter.
     Unsupported(String),

@@ -82,8 +82,7 @@ impl LoweredDesign {
     ///
     /// # Errors
     ///
-    /// Returns [`HlsError::Unsupported`] when the network contains a
-    /// lowering node with no emission rule or the format is wider than the
+    /// Returns [`HlsError::Unsupported`] when the format is wider than the
     /// 16-bit integer path; other plan-compilation failures surface as
     /// [`HlsError::Quant`].
     pub fn generate(calibrated: &CalibratedNetwork, config: &HlsConfig) -> Result<Self, HlsError> {
@@ -372,17 +371,15 @@ impl Emitter {
                 let _ = writeln!(cfg, "    static const unsigned n_elems = {n};");
                 format!("    nnet::relu<{src_ty}, config{k}>({}, {name});", src.name)
             }
-            ScheduleOp::MaxPool { kernel, stride } | ScheduleOp::AvgPool { kernel, stride } => {
+            ScheduleOp::MaxPool { kernel, stride } => {
                 let (c, in_h, in_w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
                 let (out_h, out_w) = (step.out_dims[1], step.out_dims[2]);
                 let _ = writeln!(cfg, "    static const unsigned channels = {c};\n    static const unsigned in_h = {in_h};\n    static const unsigned in_w = {in_w};\n    static const unsigned out_h = {out_h};\n    static const unsigned out_w = {out_w};\n    static const unsigned kernel = {kernel};\n    static const unsigned stride = {stride};",
                 );
-                let f = if matches!(step.op, ScheduleOp::MaxPool { .. }) {
-                    "max_pool2d"
-                } else {
-                    "avg_pool2d"
-                };
-                format!("    nnet::{f}<{src_ty}, config{k}>({}, {name});", src.name)
+                format!(
+                    "    nnet::max_pool2d<{src_ty}, config{k}>({}, {name});",
+                    src.name
+                )
             }
             ScheduleOp::GlobalAvgPool => {
                 let (c, in_h, in_w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);

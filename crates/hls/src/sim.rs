@@ -396,8 +396,7 @@ impl HlsSimulator {
                     self.slots[step.dst] = dst;
                 }
             }
-            ScheduleOp::MaxPool { kernel, stride } | ScheduleOp::AvgPool { kernel, stride } => {
-                let is_max = matches!(step.op, ScheduleOp::MaxPool { .. });
+            ScheduleOp::MaxPool { kernel, stride } => {
                 let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
                 let (oh, ow) = (step.out_dims[1], step.out_dims[2]);
                 let mut dst = std::mem::take(&mut self.slots[step.dst]);
@@ -407,7 +406,6 @@ impl HlsSimulator {
                         for y in 0..oh {
                             for x in 0..ow {
                                 let mut best = i64::MIN;
-                                let mut acc = 0i64;
                                 for ky in 0..*kernel {
                                     for kx in 0..*kernel {
                                         let iy = y * stride + ky;
@@ -415,17 +413,10 @@ impl HlsSimulator {
                                         if iy < h && ix < w {
                                             let v = src[((b * c + ch) * h + iy) * w + ix];
                                             best = best.max(v);
-                                            acc += v;
                                         }
                                     }
                                 }
-                                dst[((b * c + ch) * oh + y) * ow + x] = if is_max {
-                                    best
-                                } else {
-                                    // The divisor is always the full window,
-                                    // even where it clips the edge.
-                                    div_round(acc, (kernel * kernel) as i64)
-                                };
+                                dst[((b * c + ch) * oh + y) * ow + x] = best;
                             }
                         }
                     }

@@ -215,14 +215,7 @@ pub fn estimate_layer(
             cycles: elements / 8 + 2,
             is_mc_dropout: false,
         },
-        LayerSpec::Softmax => LayerHardware {
-            kind: "softmax".into(),
-            // exp/inv lookup tables plus normalisation logic (hls4ml keeps these in BRAM).
-            resources: ResourceUsage::new(2, 1, 1_200, 2_400),
-            cycles: elements + PIPELINE_DEPTH,
-            is_mc_dropout: false,
-        },
-        LayerSpec::MaxPool2d { kernel, .. } | LayerSpec::AvgPool2d { kernel, .. } => {
+        LayerSpec::MaxPool2d { kernel, .. } => {
             let window = (kernel * kernel) as u64;
             LayerHardware {
                 kind: "pool2d".into(),
@@ -249,13 +242,6 @@ pub fn estimate_layer(
             kind: "flatten".into(),
             resources: ResourceUsage::new(0, 0, 16, 32),
             cycles: 1,
-            is_mc_dropout: false,
-        },
-        LayerSpec::Dropout { .. } => LayerHardware {
-            // Training-only dropout is a no-op in inference hardware.
-            kind: "dropout".into(),
-            resources: ResourceUsage::new(0, 0, 0, 0),
-            cycles: 0,
             is_mc_dropout: false,
         },
         LayerSpec::McDropout { .. } => {
@@ -429,18 +415,6 @@ mod tests {
         assert!(est.resources.lut > 0 && est.resources.ff > 0);
         // cycles follow the dropout buffer size (Algorithm 1's pipelined loop)
         assert!(est.cycles >= shape.len() as u64);
-    }
-
-    #[test]
-    fn training_only_dropout_is_free_in_hardware() {
-        let cfg = LayerModelConfig::default();
-        let est = estimate_layer(
-            &LayerSpec::Dropout { rate: 0.5 },
-            &Shape::new(vec![1, 64, 8, 8]),
-            &cfg,
-        );
-        assert_eq!(est.resources, ResourceUsage::zero());
-        assert_eq!(est.cycles, 0);
     }
 
     #[test]

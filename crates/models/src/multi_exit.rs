@@ -225,26 +225,16 @@ impl MultiExitNetwork {
 
     /// Lowers every backbone block to its inference-graph description, in
     /// execution order (see [`bnn_nn::LayerLowering`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NnError::UnsupportedLowering`] from layers without an
-    /// inference lowering.
-    pub fn block_lowerings(&self) -> Result<Vec<bnn_nn::LayerLowering>, NnError> {
+    pub fn block_lowerings(&self) -> Vec<bnn_nn::LayerLowering> {
         self.blocks.iter().map(Layer::lowering).collect()
     }
 
     /// Lowers every exit branch to `(after_block, description)` pairs in
     /// attachment order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NnError::UnsupportedLowering`] from layers without an
-    /// inference lowering.
-    pub fn exit_lowerings(&self) -> Result<Vec<(usize, bnn_nn::LayerLowering)>, NnError> {
+    pub fn exit_lowerings(&self) -> Vec<(usize, bnn_nn::LayerLowering)> {
         self.exits
             .iter()
-            .map(|(after, branch)| Ok((*after, Layer::lowering(branch)?)))
+            .map(|(after, branch)| (*after, Layer::lowering(branch)))
             .collect()
     }
 
@@ -460,7 +450,7 @@ mod tests {
             .with_exits_after_every_block()
             .unwrap();
         let (mut full, mut params_only) = (spec.build(4).unwrap(), spec.build(4).unwrap());
-        let stem = Layer::lowering(&full.blocks[0]).unwrap();
+        let stem = Layer::lowering(&full.blocks[0]);
         assert!(matches!(
             &stem,
             bnn_nn::lowering::LayerLowering::Sequence(ops)

@@ -213,10 +213,9 @@ impl MultiExitNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Nn`] when a layer has no inference lowering
-    /// (an in-graph softmax) or `in_dims` does not fit the network.
+    /// Returns [`ModelError::Nn`] when `in_dims` does not fit the network.
     pub fn compile_plan(&self, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
-        MultiExitPlan::compile(self.block_lowerings()?, self.exit_lowerings()?, in_dims)
+        MultiExitPlan::compile(self.block_lowerings(), self.exit_lowerings(), in_dims)
     }
 
     /// The compiled plan for inputs of shape `in_dims`, memoised on the
@@ -252,9 +251,8 @@ impl Plan<FloatKernel> {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Nn`] when a lowering has no plan step (an
-    /// in-graph softmax), on a shape mismatch, for an exit after a missing
-    /// block or for exits whose output widths disagree.
+    /// Returns [`ModelError::Nn`] on a shape mismatch, for an exit after a
+    /// missing block or for exits whose output widths disagree.
     pub fn compile(
         blocks: Vec<LayerLowering>,
         exits: Vec<(usize, LayerLowering)>,
@@ -683,13 +681,13 @@ mod tests {
     use super::*;
     use crate::spec::{LayerSpec, NetworkSpec};
     use crate::{zoo, ModelConfig};
-    use bnn_nn::layers::activation::{Relu, Softmax};
+    use bnn_nn::layers::activation::Relu;
     use bnn_nn::layers::batchnorm::BatchNorm2d;
     use bnn_nn::layers::conv2d::Conv2d;
     use bnn_nn::layers::dense::Dense;
-    use bnn_nn::layers::dropout::{Dropout, McDropout};
+    use bnn_nn::layers::dropout::McDropout;
     use bnn_nn::layers::flatten::Flatten;
-    use bnn_nn::layers::pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+    use bnn_nn::layers::pool::{GlobalAvgPool2d, MaxPool2d};
     use bnn_nn::network::Network;
     use bnn_nn::{Layer, Sequential};
 
@@ -921,7 +919,7 @@ mod tests {
 
     /// The float plan of a plain layer stack: one block, no exits.
     fn stack_plan(layer: &dyn Layer, in_dims: &[usize]) -> Result<MultiExitPlan, ModelError> {
-        MultiExitPlan::compile(vec![layer.lowering()?], vec![], in_dims)
+        MultiExitPlan::compile(vec![layer.lowering()], vec![], in_dims)
     }
 
     /// The stack's output: the plan's one block output.
@@ -935,10 +933,8 @@ mod tests {
         net.push(Relu::new());
         net.push(MaxPool2d::new(2, 2).unwrap());
         net.push(Conv2d::new(4, 4, 3, 1, 1, 2).unwrap());
-        net.push(AvgPool2d::new(2, 2).unwrap());
         net.push(Flatten::new());
-        net.push(Dropout::new(0.5, 3).unwrap());
-        net.push(Dense::new(4 * 2 * 2, 6, 4).unwrap());
+        net.push(Dense::new(4 * 4 * 4, 6, 4).unwrap());
         net.push(McDropout::new(0.25, 5).unwrap());
         net.push(Dense::new(6, 3, 6).unwrap());
         net
@@ -1055,7 +1051,7 @@ mod tests {
     }
 
     fn residual_lowering(main: &Sequential, shortcut: &Sequential) -> LayerLowering {
-        let ops = |seq: &Sequential| match Layer::lowering(seq).unwrap() {
+        let ops = |seq: &Sequential| match Layer::lowering(seq) {
             LayerLowering::Sequence(ops) => ops,
             other => vec![other],
         };
@@ -1138,7 +1134,7 @@ mod tests {
 
     #[test]
     fn exits_of_different_widths_are_a_compile_error() {
-        let dense = |out_f, seed| Dense::new(4, out_f, seed).unwrap().lowering().unwrap();
+        let dense = |out_f, seed| Dense::new(4, out_f, seed).unwrap().lowering();
         let blocks = vec![dense(4, 0)];
         let agree = vec![(0, dense(2, 1)), (0, dense(2, 2))];
         let plan = MultiExitPlan::compile(blocks.clone(), agree, &[4]).unwrap();
@@ -1147,17 +1143,6 @@ mod tests {
         assert!(matches!(
             MultiExitPlan::compile(blocks, disagree, &[4]),
             Err(ModelError::Nn(NnError::InvalidConfig(_)))
-        ));
-    }
-
-    #[test]
-    fn softmax_has_no_plan() {
-        let mut net = Sequential::new("sm");
-        net.push(Dense::new(3, 2, 0).unwrap());
-        net.push(Softmax::new());
-        assert!(matches!(
-            stack_plan(&net, &[3]),
-            Err(ModelError::Nn(NnError::UnsupportedLowering { .. }))
         ));
     }
 

@@ -88,15 +88,15 @@ impl Layer for ResidualBlock {
         Layer::reseed_mc_streams(&mut self.shortcut, streams);
     }
 
-    fn lowering(&self) -> Result<bnn_nn::LayerLowering, NnError> {
+    fn lowering(&self) -> bnn_nn::LayerLowering {
         let unwrap_seq = |lowered| match lowered {
             bnn_nn::LayerLowering::Sequence(ops) => ops,
             other => vec![other],
         };
-        Ok(bnn_nn::LayerLowering::Residual {
-            main: unwrap_seq(Layer::lowering(&self.main)?),
-            shortcut: unwrap_seq(Layer::lowering(&self.shortcut)?),
-        })
+        bnn_nn::LayerLowering::Residual {
+            main: unwrap_seq(Layer::lowering(&self.main)),
+            shortcut: unwrap_seq(Layer::lowering(&self.shortcut)),
+        }
     }
 
     fn state(&self) -> Vec<Vec<f32>> {

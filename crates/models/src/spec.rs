@@ -11,13 +11,13 @@ use crate::error::ModelError;
 use crate::multi_exit::MultiExitNetwork;
 use crate::residual::ResidualBlock;
 use bnn_nn::flops::FlopReport;
-use bnn_nn::layers::activation::{Relu, Softmax};
+use bnn_nn::layers::activation::Relu;
 use bnn_nn::layers::batchnorm::BatchNorm2d;
 use bnn_nn::layers::conv2d::Conv2d;
 use bnn_nn::layers::dense::Dense;
-use bnn_nn::layers::dropout::{Dropout, McDropout};
+use bnn_nn::layers::dropout::McDropout;
 use bnn_nn::layers::flatten::Flatten;
-use bnn_nn::layers::pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+use bnn_nn::layers::pool::{GlobalAvgPool2d, MaxPool2d};
 use bnn_nn::Layer;
 use bnn_nn::Sequential;
 use bnn_tensor::Shape;
@@ -52,17 +52,8 @@ pub enum LayerSpec {
     },
     /// ReLU activation.
     Relu,
-    /// Softmax over classes.
-    Softmax,
     /// Max pooling.
     MaxPool2d {
-        /// Square kernel size.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// Average pooling.
-    AvgPool2d {
         /// Square kernel size.
         kernel: usize,
         /// Stride.
@@ -72,11 +63,6 @@ pub enum LayerSpec {
     GlobalAvgPool2d,
     /// Flatten to `[n, features]`.
     Flatten,
-    /// Standard (training-only) dropout.
-    Dropout {
-        /// Drop probability.
-        rate: f64,
-    },
     /// Monte-Carlo Dropout (stochastic at inference).
     McDropout {
         /// Drop probability.
@@ -173,16 +159,8 @@ impl LayerSpec {
                 }
                 Ok(input.clone())
             }
-            LayerSpec::Relu | LayerSpec::Dropout { .. } | LayerSpec::McDropout { .. } => {
-                Ok(input.clone())
-            }
-            LayerSpec::Softmax => {
-                input
-                    .as_matrix()
-                    .map_err(|_| bad("rank-2 [batch, classes]"))?;
-                Ok(input.clone())
-            }
-            LayerSpec::MaxPool2d { kernel, stride } | LayerSpec::AvgPool2d { kernel, stride } => {
+            LayerSpec::Relu | LayerSpec::McDropout { .. } => Ok(input.clone()),
+            LayerSpec::MaxPool2d { kernel, stride } => {
                 positive_window(kernel, stride)?;
                 let (n, c, h, w) = input.as_nchw().map_err(|_| bad("rank-4 NCHW"))?;
                 if h < kernel || w < kernel {
@@ -239,15 +217,11 @@ impl LayerSpec {
             // Normalise (subtract, multiply) + affine (multiply, add) per element.
             LayerSpec::BatchNorm2d { .. } => 4 * in_len,
             LayerSpec::Relu | LayerSpec::GlobalAvgPool2d => in_len,
-            // exp + add + div per element, plus the row max for stability.
-            LayerSpec::Softmax => 4 * in_len,
-            LayerSpec::MaxPool2d { kernel, .. } | LayerSpec::AvgPool2d { kernel, .. } => {
-                out_len * (kernel * kernel) as u64
-            }
+            LayerSpec::MaxPool2d { kernel, .. } => out_len * (kernel * kernel) as u64,
             LayerSpec::Flatten => 0,
             // The paper's Algorithm 1: one RNG draw, one compare and one
             // multiply per element.
-            LayerSpec::Dropout { .. } | LayerSpec::McDropout { .. } => 3 * in_len,
+            LayerSpec::McDropout { .. } => 3 * in_len,
             LayerSpec::Residual {
                 ref main,
                 ref shortcut,
@@ -347,12 +321,9 @@ impl LayerSpec {
             } => Box::new(Dense::new(in_features, out_features, next_seed(seed))?),
             LayerSpec::BatchNorm2d { channels } => Box::new(BatchNorm2d::new(channels)?),
             LayerSpec::Relu => Box::new(Relu::new()),
-            LayerSpec::Softmax => Box::new(Softmax::new()),
             LayerSpec::MaxPool2d { kernel, stride } => Box::new(MaxPool2d::new(kernel, stride)?),
-            LayerSpec::AvgPool2d { kernel, stride } => Box::new(AvgPool2d::new(kernel, stride)?),
             LayerSpec::GlobalAvgPool2d => Box::new(GlobalAvgPool2d::new()),
             LayerSpec::Flatten => Box::new(Flatten::new()),
-            LayerSpec::Dropout { rate } => Box::new(Dropout::new(rate, next_seed(seed))?),
             LayerSpec::McDropout { rate } => Box::new(McDropout::new(rate, next_seed(seed))?),
             LayerSpec::Residual {
                 ref main,
@@ -981,20 +952,6 @@ mod tests {
                     stride: 2,
                 },
             ),
-            (
-                2,
-                LayerSpec::AvgPool2d {
-                    kernel: 2,
-                    stride: 0,
-                },
-            ),
-            (
-                2,
-                LayerSpec::AvgPool2d {
-                    kernel: 0,
-                    stride: 2,
-                },
-            ),
         ];
         for (index, bad) in cases {
             let mut spec = tiny_spec();
@@ -1168,15 +1125,9 @@ mod tests {
                 kernel: 2,
                 stride: 2,
             },
-            LayerSpec::AvgPool2d {
-                kernel: 2,
-                stride: 2,
-            },
             LayerSpec::GlobalAvgPool2d,
             LayerSpec::Flatten,
-            LayerSpec::Dropout { rate: 0.5 },
             LayerSpec::McDropout { rate: 0.5 },
-            LayerSpec::Softmax,
             LayerSpec::Dense {
                 in_features: 4,
                 out_features: 2,

@@ -27,12 +27,6 @@ pub enum NnError {
     },
     /// Labels and predictions disagree in batch size, or a label is out of range.
     BadLabels(String),
-    /// The layer has no inference-graph lowering (see
-    /// [`crate::lowering::LayerLowering`]).
-    UnsupportedLowering {
-        /// Name of the offending layer.
-        layer: String,
-    },
     /// A network's forward pass returned no exit logits.
     NoExits {
         /// Name of the offending network.
@@ -59,9 +53,6 @@ impl fmt::Display for NnError {
                 )
             }
             NnError::BadLabels(msg) => write!(f, "bad labels: {msg}"),
-            NnError::UnsupportedLowering { layer } => {
-                write!(f, "layer `{layer}` has no inference-graph lowering")
-            }
             NnError::NoExits { network } => {
                 write!(f, "network `{network}` returned no exit logits")
             }

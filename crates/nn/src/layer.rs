@@ -8,10 +8,9 @@ use bnn_tensor::Tensor;
 /// Execution mode of a forward pass.
 ///
 /// The distinction between [`Mode::Eval`] and [`Mode::McSample`] is the core of
-/// Monte-Carlo Dropout: a *standard* dropout layer is only stochastic during
-/// training, whereas an *MC* dropout layer also samples a fresh mask during
-/// `McSample` inference passes, which is how the BayesNN draws Monte-Carlo
-/// samples from the approximate posterior.
+/// Monte-Carlo Dropout: an MC dropout layer samples a fresh mask not only in
+/// training but also during `McSample` inference passes, which is how the
+/// BayesNN draws Monte-Carlo samples from the approximate posterior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Training pass: every stochastic layer samples, batch-norm uses batch statistics.
@@ -102,6 +101,13 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Returns [`NnError::MissingForwardCache`] if called before `forward`.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
 
+    /// Returns this layer's inference-graph lowering: an owned, structural
+    /// description (weights, geometry, folded constants) that inference
+    /// backends — notably the fixed-point integer path in `bnn-quant` —
+    /// consume without touching the training machinery. Containers lower
+    /// recursively.
+    fn lowering(&self) -> crate::lowering::LayerLowering;
+
     /// [`Layer::backward`] for a layer whose input gradient nothing reads
     /// (the first layer of a network): accumulates the same parameter
     /// gradients and returns no input gradient, so a layer may skip the work
@@ -167,20 +173,6 @@ pub trait Layer: std::fmt::Debug + Send {
     /// (or how many threads) executes which pass.
     fn reseed_mc_streams(&mut self, streams: &mut SplitMix64) {
         let _ = streams;
-    }
-
-    /// Returns this layer's inference-graph lowering: an owned, structural
-    /// description (weights, geometry, folded constants) that inference
-    /// backends — notably the fixed-point integer path in `bnn-quant` —
-    /// consume without touching the training machinery. Containers lower
-    /// recursively.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::UnsupportedLowering`] for layers with no
-    /// inference-time semantics (the default implementation).
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Err(crate::lowering::unsupported(self.name()))
     }
 
     /// Restores a snapshot captured by [`Layer::state`].

@@ -225,16 +225,14 @@ impl Layer for BatchNorm2d {
         vec![&self.gamma, &self.beta]
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::Affine(
-            crate::lowering::BatchNormLowering {
-                gamma: self.gamma.value.as_slice().to_vec(),
-                beta: self.beta.value.as_slice().to_vec(),
-                mean: self.running_mean.clone(),
-                var: self.running_var.clone(),
-                eps: self.eps,
-            },
-        ))
+    fn lowering(&self) -> crate::lowering::LayerLowering {
+        crate::lowering::LayerLowering::Affine(crate::lowering::BatchNormLowering {
+            gamma: self.gamma.value.as_slice().to_vec(),
+            beta: self.beta.value.as_slice().to_vec(),
+            mean: self.running_mean.clone(),
+            var: self.running_var.clone(),
+            eps: self.eps,
+        })
     }
 
     fn state(&self) -> Vec<Vec<f32>> {

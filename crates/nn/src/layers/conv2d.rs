@@ -242,13 +242,13 @@ impl Layer for Conv2d {
         vec![&self.weight, &self.bias]
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::Conv2d {
+    fn lowering(&self) -> crate::lowering::LayerLowering {
+        crate::lowering::LayerLowering::Conv2d {
             weight: self.weight.value.clone(),
             bias: self.bias.value.clone(),
             stride: self.stride,
             padding: self.padding,
-        })
+        }
     }
 }
 

@@ -146,11 +146,11 @@ impl Layer for Dense {
         vec![&self.weight, &self.bias]
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::Dense {
+    fn lowering(&self) -> crate::lowering::LayerLowering {
+        crate::lowering::LayerLowering::Dense {
             weight: self.weight.value.clone(),
             bias: self.bias.value.clone(),
-        })
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Standard and Monte-Carlo Dropout layers.
+//! The Monte-Carlo Dropout layer.
 //!
 //! The MC-Dropout layer ([`McDropout`]) is the algorithmic heart of the paper:
 //! it stays stochastic at inference time (in [`Mode::McSample`]) so that
@@ -7,7 +7,7 @@
 //! *filter-wise* for NCHW feature maps — an entire channel is kept or dropped —
 //! and element-wise for flat feature vectors.
 //!
-//! Both layers use inverted dropout scaling (`kept / keep_rate`) so that the
+//! The layer uses inverted dropout scaling (`kept / keep_rate`) so that the
 //! expected activation magnitude is independent of the dropout rate. The HLS
 //! implementation generated by `bnn-hls` reproduces the paper's Algorithm 1,
 //! which scales by `keep_rate` instead; the difference is a static per-layer
@@ -25,78 +25,6 @@ fn validate_rate(rate: f64) -> Result<(), NnError> {
         )));
     }
     Ok(())
-}
-
-/// Standard (training-only) dropout with element-wise masks.
-#[derive(Debug)]
-pub struct Dropout {
-    rate: f64,
-    rng: Xoshiro256StarStar,
-    mask: Option<Vec<f32>>,
-}
-
-impl Dropout {
-    /// Creates a dropout layer with the given drop probability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if `rate` is outside `[0, 1)`.
-    pub fn new(rate: f64, seed: u64) -> Result<Self, NnError> {
-        validate_rate(rate)?;
-        Ok(Dropout {
-            rate,
-            rng: Xoshiro256StarStar::seed_from_u64(seed),
-            mask: None,
-        })
-    }
-
-    /// The configured drop probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-impl Layer for Dropout {
-    fn name(&self) -> &str {
-        "dropout"
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        if !mode.is_train() || self.rate == 0.0 {
-            self.mask = Some(vec![1.0; input.len()]);
-            return Ok(input.clone());
-        }
-        let keep = 1.0 - self.rate;
-        let scale = (1.0 / keep) as f32;
-        let mask: Vec<f32> = (0..input.len())
-            .map(|_| if self.rng.bernoulli(keep) { scale } else { 0.0 })
-            .collect();
-        let mut out = input.clone();
-        for (o, &m) in out.as_mut_slice().iter_mut().zip(&mask) {
-            *o *= m;
-        }
-        self.mask = Some(mask);
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let mask = self
-            .mask
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache {
-                layer: "dropout".into(),
-            })?;
-        let mut grad = grad_output.clone();
-        for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
-            *g *= m;
-        }
-        Ok(grad)
-    }
-
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        // Standard dropout is inactive outside training.
-        Ok(crate::lowering::LayerLowering::Identity)
-    }
 }
 
 /// Monte-Carlo Dropout layer with filter-wise masks.
@@ -229,10 +157,10 @@ impl Layer for McDropout {
         self.reseed(streams.next_u64());
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
+    fn lowering(&self) -> crate::lowering::LayerLowering {
         // MC dropout stays stochastic at inference time; backends reproduce
         // the mask-and-scale datapath from the rate alone.
-        Ok(crate::lowering::LayerLowering::McDropout { rate: self.rate })
+        crate::lowering::LayerLowering::McDropout { rate: self.rate }
     }
 }
 
@@ -242,33 +170,10 @@ mod tests {
 
     #[test]
     fn rejects_invalid_rates() {
-        assert!(Dropout::new(1.0, 0).is_err());
-        assert!(Dropout::new(-0.1, 0).is_err());
+        assert!(McDropout::new(1.0, 0).is_err());
+        assert!(McDropout::new(-0.1, 0).is_err());
         assert!(McDropout::new(1.5, 0).is_err());
         assert!(McDropout::new(0.5, 0).is_ok());
-    }
-
-    #[test]
-    fn standard_dropout_identity_in_eval() {
-        let mut d = Dropout::new(0.5, 1).unwrap();
-        let x = Tensor::ones(&[4, 8]);
-        let y = d.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(y.as_slice(), x.as_slice());
-        // standard dropout is also identity in McSample mode
-        let y = d.forward(&x, Mode::McSample).unwrap();
-        assert_eq!(y.as_slice(), x.as_slice());
-    }
-
-    #[test]
-    fn standard_dropout_active_in_train() {
-        let mut d = Dropout::new(0.5, 2).unwrap();
-        let x = Tensor::ones(&[16, 64]);
-        let y = d.forward(&x, Mode::Train).unwrap();
-        let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
-        let frac = zeros as f64 / y.len() as f64;
-        assert!((frac - 0.5).abs() < 0.1, "dropped fraction {frac}");
-        // kept elements are scaled by 1/keep
-        assert!(y.as_slice().iter().any(|&v| (v - 2.0).abs() < 1e-6));
     }
 
     #[test]
@@ -354,8 +259,7 @@ mod tests {
     fn is_mc_dropout_flag() {
         let d = McDropout::new(0.5, 0).unwrap();
         assert!(d.is_mc_dropout());
-        let d = Dropout::new(0.5, 0).unwrap();
-        assert!(!d.is_mc_dropout());
+        assert!(!crate::layers::activation::Relu::new().is_mc_dropout());
     }
 
     #[test]

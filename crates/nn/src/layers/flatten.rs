@@ -50,8 +50,8 @@ impl Layer for Flatten {
         input.reshape(&[batch, rest]).map_err(NnError::from)
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::Flatten)
+    fn lowering(&self) -> crate::lowering::LayerLowering {
+        crate::lowering::LayerLowering::Flatten
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {

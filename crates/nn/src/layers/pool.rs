@@ -1,4 +1,4 @@
-//! Pooling layers: max pooling, average pooling and global average pooling.
+//! Pooling layers: max pooling and global average pooling.
 
 use crate::layer::{Layer, Mode};
 use crate::NnError;
@@ -15,8 +15,8 @@ fn check_nchw(name: &str, dims: &[usize]) -> Result<(usize, usize, usize, usize)
         })
 }
 
-/// The square pooling windows over an NCHW batch. Their forward loops are
-/// shared by the pooling layers and the compiled float plan.
+/// The square max-pooling windows over an NCHW batch. Their forward loop is
+/// shared by [`MaxPool2d`] and the compiled float plan.
 pub(crate) struct Window {
     dims: [usize; 4],
     kernel: usize,
@@ -35,63 +35,35 @@ impl Window {
         }
     }
 
-    /// Folds the in-bounds taps of every window, in row-major tap order,
-    /// from `init` with `fold(acc, value, input_offset)`, then hands each
-    /// result to `emit(output_index, acc)`.
-    fn fold<A: Copy>(
-        &self,
-        data: &[f32],
-        init: A,
-        fold: impl Fn(A, f32, usize) -> A,
-        mut emit: impl FnMut(usize, A),
-    ) {
+    /// Max pooling over the in-bounds taps of every window, in row-major tap
+    /// order (strict `>` from `-inf`, so the first maximal tap wins),
+    /// optionally recording each winner's input offset.
+    pub(crate) fn max_into(&self, data: &[f32], out: &mut [f32], mut argmax: Option<&mut [usize]>) {
         let [n, c, h, w] = self.dims;
         let (oh, ow) = self.out;
         for plane in 0..n * c {
             for y in 0..oh {
                 for x in 0..ow {
-                    let mut acc = init;
+                    let (mut best, mut best_off) = (f32::NEG_INFINITY, 0usize);
                     for ky in 0..self.kernel {
                         for kx in 0..self.kernel {
                             let (iy, ix) = (y * self.stride + ky, x * self.stride + kx);
                             if iy < h && ix < w {
                                 let off = (plane * h + iy) * w + ix;
-                                acc = fold(acc, data[off], off);
+                                if data[off] > best {
+                                    (best, best_off) = (data[off], off);
+                                }
                             }
                         }
                     }
-                    emit((plane * oh + y) * ow + x, acc);
+                    let o = (plane * oh + y) * ow + x;
+                    out[o] = best;
+                    if let Some(argmax) = argmax.as_deref_mut() {
+                        argmax[o] = best_off;
+                    }
                 }
             }
         }
-    }
-
-    /// Max pooling (strict `>` from `-inf`, so the first maximal tap wins),
-    /// optionally recording each winner's input offset.
-    pub(crate) fn max_into(&self, data: &[f32], out: &mut [f32], mut argmax: Option<&mut [usize]>) {
-        self.fold(
-            data,
-            (f32::NEG_INFINITY, 0usize),
-            |best, v, off| if v > best.0 { (v, off) } else { best },
-            |o, (best, best_off)| {
-                out[o] = best;
-                if let Some(argmax) = argmax.as_deref_mut() {
-                    argmax[o] = best_off;
-                }
-            },
-        );
-    }
-
-    /// Average pooling: the in-bounds taps summed in order, times
-    /// `1 / kernel²`.
-    pub(crate) fn avg_into(&self, data: &[f32], out: &mut [f32]) {
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        self.fold(
-            data,
-            0.0f32,
-            |acc, v, _| acc + v,
-            |o, acc| out[o] = acc * norm,
-        );
     }
 }
 
@@ -186,101 +158,11 @@ impl Layer for MaxPool2d {
         Ok(grad)
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::MaxPool2d {
+    fn lowering(&self) -> crate::lowering::LayerLowering {
+        crate::lowering::LayerLowering::MaxPool2d {
             kernel: self.kernel,
             stride: self.stride,
-        })
-    }
-}
-
-/// 2-D average pooling with a square window.
-#[derive(Debug)]
-pub struct AvgPool2d {
-    kernel: usize,
-    stride: usize,
-    input_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pooling layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if kernel or stride is zero.
-    pub fn new(kernel: usize, stride: usize) -> Result<Self, NnError> {
-        if kernel == 0 || stride == 0 {
-            return Err(NnError::InvalidConfig(
-                "pooling kernel/stride must be positive".into(),
-            ));
         }
-        Ok(AvgPool2d {
-            kernel,
-            stride,
-            input_dims: None,
-        })
-    }
-
-    fn geometry(&self, h: usize, w: usize) -> ConvGeometry {
-        ConvGeometry::square(h, w, self.kernel, self.stride, 0)
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn name(&self) -> &str {
-        "avg_pool2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor, NnError> {
-        let (n, c, h, w) = check_nchw("avg_pool2d", input.dims())?;
-        let window = Window::new([n, c, h, w], self.kernel, self.stride);
-        let (oh, ow) = window.out;
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        window.avg_into(input.as_slice(), &mut out);
-        self.input_dims = Some(input.dims().to_vec());
-        Tensor::from_vec(out, &[n, c, oh, ow]).map_err(NnError::from)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let dims = self
-            .input_dims
-            .clone()
-            .ok_or_else(|| NnError::MissingForwardCache {
-                layer: "avg_pool2d".into(),
-            })?;
-        let (n, c, h, w) = check_nchw("avg_pool2d", &dims)?;
-        let geom = self.geometry(h, w);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let g = grad_output.as_slice();
-        let mut grad = Tensor::zeros(&dims);
-        let gs = grad.as_mut_slice();
-        for b in 0..n {
-            for ch in 0..c {
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let gv = g[((b * c + ch) * oh + y) * ow + x] * norm;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = y * self.stride + ky;
-                                let ix = x * self.stride + kx;
-                                if iy < h && ix < w {
-                                    gs[((b * c + ch) * h + iy) * w + ix] += gv;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(grad)
-    }
-
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::AvgPool2d {
-            kernel: self.kernel,
-            stride: self.stride,
-        })
     }
 }
 
@@ -337,8 +219,8 @@ impl Layer for GlobalAvgPool2d {
         Ok(grad)
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        Ok(crate::lowering::LayerLowering::GlobalAvgPool2d)
+    fn lowering(&self) -> crate::lowering::LayerLowering {
+        crate::lowering::LayerLowering::GlobalAvgPool2d
     }
 }
 
@@ -382,25 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_averages() {
-        let mut pool = AvgPool2d::new(2, 2).unwrap();
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let y = pool.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(y.as_slice(), &[2.5]);
-    }
-
-    #[test]
-    fn avg_pool_backward_spreads_gradient() {
-        let mut pool = AvgPool2d::new(2, 2).unwrap();
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let _ = pool.forward(&x, Mode::Train).unwrap();
-        let gi = pool.backward(&Tensor::ones(&[1, 1, 1, 1])).unwrap();
-        for &v in gi.as_slice() {
-            assert!((v - 0.25).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn global_avg_pool() {
         let mut pool = GlobalAvgPool2d::new();
         let x = Tensor::from_vec((1..=8).map(|v| v as f32).collect(), &[1, 2, 2, 2]).unwrap();
@@ -415,7 +278,7 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(MaxPool2d::new(0, 2).is_err());
-        assert!(AvgPool2d::new(2, 0).is_err());
+        assert!(MaxPool2d::new(2, 0).is_err());
     }
 
     #[test]

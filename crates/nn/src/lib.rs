@@ -2,8 +2,8 @@
 //!
 //! A from-scratch neural-network engine (forward + backward + SGD training)
 //! sufficient to train the CNN backbones used in the paper reproduction:
-//! LeNet-5, VGG-11/19 and ResNet-18 style networks, with standard dropout and
-//! Monte-Carlo Dropout (MCD) layers.
+//! LeNet-5, VGG-11/19 and ResNet-18 style networks, with Monte-Carlo Dropout
+//! (MCD) layers.
 //!
 //! The engine is deliberately CPU-only and dependency-free: its purpose is to
 //! exercise the *algorithmic* behaviour (accuracy, calibration) of
@@ -54,16 +54,16 @@ pub use sequential::Sequential;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::layer::{Layer, Mode, Param};
-    pub use crate::layers::activation::{Relu, Softmax};
+    pub use crate::layers::activation::Relu;
     pub use crate::layers::batchnorm::BatchNorm2d;
     pub use crate::layers::conv2d::Conv2d;
     pub use crate::layers::dense::Dense;
-    pub use crate::layers::dropout::{Dropout, McDropout};
+    pub use crate::layers::dropout::McDropout;
     pub use crate::layers::flatten::Flatten;
-    pub use crate::layers::pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+    pub use crate::layers::pool::{GlobalAvgPool2d, MaxPool2d};
     pub use crate::loss::{cross_entropy, distillation_kl, LossOutput};
     pub use crate::network::Network;
-    pub use crate::optimizer::{LrSchedule, Sgd};
+    pub use crate::optimizer::Sgd;
     pub use crate::sequential::Sequential;
     pub use crate::NnError;
 }

@@ -11,9 +11,7 @@
 //! float plan (`bnn_models::MultiExitPlan`, kernels in [`crate::plan`])
 //! keeps the f32 weights and the unfolded batch norm, and `bnn-quant`'s
 //! `QuantPlan` quantizes each op from its calibration record into the
-//! `PlanSchedule` that `bnn-hls`'s code generator and simulator read. A
-//! lowering with no quantized emission rule is a typed error
-//! (`Unsupported`) on that path, never a silent fallback.
+//! `PlanSchedule` that `bnn-hls`'s code generator and simulator read.
 //!
 //! The enum intentionally describes *inference* semantics only:
 //!
@@ -22,12 +20,10 @@
 //!   float plan reproduces the layer bit for bit.
 //!   [`BatchNormLowering::folded`] gives the per-channel `scale * x + shift`
 //!   the integer backends calibrate.
-//! * Standard dropout lowers to [`LayerLowering::Identity`]: it is inactive
-//!   outside training. Monte-Carlo dropout stays stochastic at inference and
-//!   lowers to [`LayerLowering::McDropout`], preserving its rate so backends
-//!   can reproduce the paper's Algorithm 1 mask-and-scale datapath.
+//! * Monte-Carlo dropout stays stochastic at inference and lowers to
+//!   [`LayerLowering::McDropout`], preserving its rate so backends can
+//!   reproduce the paper's Algorithm 1 mask-and-scale datapath.
 
-use crate::NnError;
 use bnn_tensor::Tensor;
 
 /// A backend-neutral description of one inference-time layer.
@@ -65,13 +61,6 @@ pub enum LayerLowering {
         /// Stride.
         stride: usize,
     },
-    /// Square-window average pooling.
-    AvgPool2d {
-        /// Window size.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
     /// Global average pooling, `[n, c, h, w] -> [n, c]`.
     GlobalAvgPool2d,
     /// Flatten all axes but the batch axis.
@@ -85,9 +74,6 @@ pub enum LayerLowering {
         /// Drop probability.
         rate: f64,
     },
-    /// A layer that is the identity at inference time (e.g. standard
-    /// dropout).
-    Identity,
     /// An ordered stack of lowered layers (a lowered [`crate::Sequential`]).
     Sequence(Vec<LayerLowering>),
     /// A residual basic block: `relu(main(x) + shortcut(x))`. An empty
@@ -109,12 +95,10 @@ impl LayerLowering {
             LayerLowering::Dense { .. } => "dense",
             LayerLowering::Relu => "relu",
             LayerLowering::MaxPool2d { .. } => "max_pool2d",
-            LayerLowering::AvgPool2d { .. } => "avg_pool2d",
             LayerLowering::GlobalAvgPool2d => "global_avg_pool2d",
             LayerLowering::Flatten => "flatten",
             LayerLowering::Affine(_) => "affine",
             LayerLowering::McDropout { .. } => "mc_dropout",
-            LayerLowering::Identity => "identity",
             LayerLowering::Sequence(_) => "sequence",
             LayerLowering::Residual { .. } => "residual_block",
         }
@@ -164,31 +148,23 @@ impl BatchNormLowering {
     }
 }
 
-/// The error a layer without an inference lowering returns from
-/// [`Layer::lowering`](crate::Layer::lowering).
-pub(crate) fn unsupported(layer: &str) -> NnError {
-    NnError::UnsupportedLowering {
-        layer: layer.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layer::Layer;
-    use crate::layers::activation::{Relu, Softmax};
+    use crate::layers::activation::Relu;
     use crate::layers::batchnorm::BatchNorm2d;
     use crate::layers::conv2d::Conv2d;
     use crate::layers::dense::Dense;
-    use crate::layers::dropout::{Dropout, McDropout};
+    use crate::layers::dropout::McDropout;
     use crate::layers::flatten::Flatten;
-    use crate::layers::pool::{AvgPool2d, GlobalAvgPool2d, MaxPool2d};
+    use crate::layers::pool::{GlobalAvgPool2d, MaxPool2d};
     use crate::sequential::Sequential;
 
     #[test]
     fn every_inference_layer_lowers() {
         let conv = Conv2d::new(2, 3, 3, 1, 1, 0).unwrap();
-        match conv.lowering().unwrap() {
+        match conv.lowering() {
             LayerLowering::Conv2d {
                 weight,
                 bias,
@@ -202,39 +178,22 @@ mod tests {
             other => panic!("unexpected lowering {other:?}"),
         }
         let dense = Dense::new(4, 2, 0).unwrap();
+        assert!(matches!(dense.lowering(), LayerLowering::Dense { .. }));
+        assert!(matches!(Relu::new().lowering(), LayerLowering::Relu));
         assert!(matches!(
-            dense.lowering().unwrap(),
-            LayerLowering::Dense { .. }
-        ));
-        assert!(matches!(
-            Relu::new().lowering().unwrap(),
-            LayerLowering::Relu
-        ));
-        assert!(matches!(
-            MaxPool2d::new(2, 2).unwrap().lowering().unwrap(),
+            MaxPool2d::new(2, 2).unwrap().lowering(),
             LayerLowering::MaxPool2d {
                 kernel: 2,
                 stride: 2
             }
         ));
         assert!(matches!(
-            AvgPool2d::new(2, 2).unwrap().lowering().unwrap(),
-            LayerLowering::AvgPool2d { .. }
-        ));
-        assert!(matches!(
-            GlobalAvgPool2d::new().lowering().unwrap(),
+            GlobalAvgPool2d::new().lowering(),
             LayerLowering::GlobalAvgPool2d
         ));
+        assert!(matches!(Flatten::new().lowering(), LayerLowering::Flatten));
         assert!(matches!(
-            Flatten::new().lowering().unwrap(),
-            LayerLowering::Flatten
-        ));
-        assert!(matches!(
-            Dropout::new(0.5, 0).unwrap().lowering().unwrap(),
-            LayerLowering::Identity
-        ));
-        assert!(matches!(
-            McDropout::new(0.25, 0).unwrap().lowering().unwrap(),
+            McDropout::new(0.25, 0).unwrap().lowering(),
             LayerLowering::McDropout { rate } if (rate - 0.25).abs() < 1e-12
         ));
     }
@@ -243,7 +202,7 @@ mod tests {
     fn batchnorm_lowering_folds_running_statistics() {
         let mut bn = BatchNorm2d::new(2).unwrap();
         bn.set_state(&[vec![1.0, -0.5], vec![4.0, 0.25]]).unwrap();
-        match bn.lowering().unwrap() {
+        match bn.lowering() {
             LayerLowering::Affine(bn) => {
                 assert_eq!(bn.mean, vec![1.0, -0.5]);
                 assert_eq!(bn.var, vec![4.0, 0.25]);
@@ -258,11 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn sequential_lowering_recurses_and_softmax_is_unsupported() {
+    fn sequential_lowering_recurses() {
         let mut seq = Sequential::new("s");
         seq.push(Dense::new(2, 2, 0).unwrap());
         seq.push(Relu::new());
-        match Layer::lowering(&seq).unwrap() {
+        match Layer::lowering(&seq) {
             LayerLowering::Sequence(ops) => {
                 assert_eq!(ops.len(), 2);
                 assert!(ops[0].has_weights());
@@ -270,7 +229,5 @@ mod tests {
             }
             other => panic!("unexpected lowering {other:?}"),
         }
-        let err = Softmax::new().lowering().unwrap_err();
-        assert!(err.to_string().contains("softmax"));
     }
 }

@@ -1,54 +1,9 @@
-//! Optimisers and learning-rate schedules.
+//! The SGD optimiser.
 //!
 //! The paper trains its models with SGD (momentum 0.9, weight decay 5e-4,
 //! initial learning rate 0.1); [`Sgd`] reproduces exactly those dynamics.
 
 use crate::layer::Param;
-
-/// Learning-rate schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// Multiply the learning rate by `gamma` every `step_epochs` epochs.
-    StepDecay {
-        /// Number of epochs between decays.
-        step_epochs: usize,
-        /// Multiplicative decay factor.
-        gamma: f32,
-    },
-    /// Cosine annealing from the initial learning rate to `min_lr` over
-    /// `total_epochs` epochs.
-    Cosine {
-        /// Total number of epochs in the schedule.
-        total_epochs: usize,
-        /// Final learning rate.
-        min_lr: f32,
-    },
-}
-
-impl LrSchedule {
-    /// Learning rate at `epoch` given the initial rate `base_lr`.
-    pub fn lr_at(&self, base_lr: f32, epoch: usize) -> f32 {
-        match *self {
-            LrSchedule::Constant => base_lr,
-            LrSchedule::StepDecay { step_epochs, gamma } => {
-                let steps = epoch.checked_div(step_epochs).unwrap_or(0);
-                base_lr * gamma.powi(steps as i32)
-            }
-            LrSchedule::Cosine {
-                total_epochs,
-                min_lr,
-            } => {
-                if total_epochs == 0 {
-                    return base_lr;
-                }
-                let t = (epoch.min(total_epochs)) as f32 / total_epochs as f32;
-                min_lr + 0.5 * (base_lr - min_lr) * (1.0 + (std::f32::consts::PI * t).cos())
-            }
-        }
-    }
-}
 
 /// Stochastic gradient descent with momentum and decoupled weight decay.
 ///
@@ -67,32 +22,23 @@ impl LrSchedule {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
-    base_lr: f32,
     lr: f32,
     momentum: f32,
     weight_decay: f32,
-    schedule: LrSchedule,
     /// One velocity buffer per parameter, keyed by position in the `step` slice.
     velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
-    /// Creates an SGD optimiser with the given learning rate (no momentum,
-    /// no weight decay, constant schedule).
+    /// Creates an SGD optimiser with the given constant learning rate (no
+    /// momentum, no weight decay).
     pub fn new(lr: f32) -> Self {
         Sgd {
-            base_lr: lr,
             lr,
             momentum: 0.0,
             weight_decay: 0.0,
-            schedule: LrSchedule::Constant,
             velocity: Vec::new(),
         }
-    }
-
-    /// The paper's training configuration: lr 0.1, momentum 0.9, weight decay 5e-4.
-    pub fn paper_defaults() -> Self {
-        Sgd::new(0.1).with_momentum(0.9).with_weight_decay(5e-4)
     }
 
     /// Sets the momentum coefficient.
@@ -106,22 +52,6 @@ impl Sgd {
     pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
         self.weight_decay = weight_decay;
         self
-    }
-
-    /// Sets the learning-rate schedule.
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate for the given epoch according to the schedule.
-    pub fn set_epoch(&mut self, epoch: usize) {
-        self.lr = self.schedule.lr_at(self.base_lr, epoch);
     }
 
     /// Applies one SGD update to the given parameters and zeroes their gradients.
@@ -210,49 +140,5 @@ mod tests {
             sgd.step(&mut [&mut p]);
         }
         assert!((p.value.as_slice()[0] - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn step_decay_schedule() {
-        let s = LrSchedule::StepDecay {
-            step_epochs: 10,
-            gamma: 0.1,
-        };
-        assert!((s.lr_at(0.1, 0) - 0.1).abs() < 1e-7);
-        assert!((s.lr_at(0.1, 9) - 0.1).abs() < 1e-7);
-        assert!((s.lr_at(0.1, 10) - 0.01).abs() < 1e-7);
-        assert!((s.lr_at(0.1, 25) - 0.001).abs() < 1e-7);
-    }
-
-    #[test]
-    fn cosine_schedule_endpoints() {
-        let s = LrSchedule::Cosine {
-            total_epochs: 100,
-            min_lr: 0.001,
-        };
-        assert!((s.lr_at(0.1, 0) - 0.1).abs() < 1e-6);
-        assert!((s.lr_at(0.1, 100) - 0.001).abs() < 1e-6);
-        let mid = s.lr_at(0.1, 50);
-        assert!(mid < 0.1 && mid > 0.001);
-    }
-
-    #[test]
-    fn set_epoch_updates_lr() {
-        let mut sgd = Sgd::new(0.1).with_schedule(LrSchedule::StepDecay {
-            step_epochs: 5,
-            gamma: 0.5,
-        });
-        sgd.set_epoch(0);
-        assert!((sgd.lr() - 0.1).abs() < 1e-7);
-        sgd.set_epoch(5);
-        assert!((sgd.lr() - 0.05).abs() < 1e-7);
-    }
-
-    #[test]
-    fn paper_defaults_match_paper() {
-        let sgd = Sgd::paper_defaults();
-        assert!((sgd.lr() - 0.1).abs() < 1e-7);
-        assert!((sgd.momentum - 0.9).abs() < 1e-7);
-        assert!((sgd.weight_decay - 5e-4).abs() < 1e-9);
     }
 }

@@ -101,14 +101,12 @@ pub enum FloatOp {
     },
     /// Elementwise `x > 0.0 ? x : 0.0`.
     Relu,
-    /// Square-window max (`max`) or average pooling.
-    Pool {
+    /// Square-window max pooling.
+    MaxPool {
         /// Window size.
         kernel: usize,
         /// Stride.
         stride: usize,
-        /// Max pooling when set, average pooling otherwise.
-        max: bool,
     },
     /// Whole-plane average per channel.
     GlobalAvgPool,
@@ -174,15 +172,9 @@ impl Attach for FloatAttach {
                 bias: copy(bias.as_slice()),
             },
             LayerLowering::Relu => FloatOp::Relu,
-            LayerLowering::MaxPool2d { kernel, stride } => FloatOp::Pool {
+            LayerLowering::MaxPool2d { kernel, stride } => FloatOp::MaxPool {
                 kernel: *kernel,
                 stride: *stride,
-                max: true,
-            },
-            LayerLowering::AvgPool2d { kernel, stride } => FloatOp::Pool {
-                kernel: *kernel,
-                stride: *stride,
-                max: false,
             },
             LayerLowering::GlobalAvgPool2d => FloatOp::GlobalAvgPool,
             LayerLowering::Affine(bn) => FloatOp::BatchNorm(Box::new([
@@ -256,7 +248,7 @@ fn step_lowerings(lowering: LayerLowering, out: &mut Vec<LayerLowering>) {
         LayerLowering::Sequence(children) => {
             children.into_iter().for_each(|c| step_lowerings(c, out));
         }
-        LayerLowering::Flatten | LayerLowering::Identity => {}
+        LayerLowering::Flatten => {}
         LayerLowering::Residual { main, shortcut } => {
             main.into_iter()
                 .chain(shortcut)
@@ -403,18 +395,9 @@ fn run_into(
                 *d = if v > 0.0 { v } else { 0.0 };
             }
         }
-        FloatOp::Pool {
-            kernel,
-            stride,
-            max,
-        } => {
+        FloatOp::MaxPool { kernel, stride } => {
             let [c, h, w] = [step.in_dims[0], step.in_dims[1], step.in_dims[2]];
-            let window = Window::new([batch, c, h, w], *kernel, *stride);
-            if *max {
-                window.max_into(&src[..in_elems], dst, None);
-            } else {
-                window.avg_into(&src[..in_elems], dst);
-            }
+            Window::new([batch, c, h, w], *kernel, *stride).max_into(&src[..in_elems], dst, None);
         }
         FloatOp::GlobalAvgPool => {
             let (c, plane) = (step.in_dims[0], step.in_dims[1] * step.in_dims[2]);

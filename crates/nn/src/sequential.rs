@@ -174,13 +174,8 @@ impl Layer for Sequential {
         }
     }
 
-    fn lowering(&self) -> Result<crate::lowering::LayerLowering, NnError> {
-        let ops = self
-            .layers
-            .iter()
-            .map(|l| l.lowering())
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(crate::lowering::LayerLowering::Sequence(ops))
+    fn lowering(&self) -> crate::lowering::LayerLowering {
+        crate::lowering::LayerLowering::Sequence(self.layers.iter().map(|l| l.lowering()).collect())
     }
 
     fn state(&self) -> Vec<Vec<f32>> {

@@ -14,7 +14,7 @@
 //!   convolution, accumulator and MC-dropout mask ([`ScratchUnits`]);
 //! * arena slots: liveness over the flat list with free-list reuse. Block
 //!   boundary values are pinned (exit branches and the adaptive walker
-//!   re-read them), `Flatten`/`Identity` alias their input, element-wise
+//!   re-read them), `Flatten` aliases its input, element-wise
 //!   steps (ReLU, batch norm, MC dropout) run in place when their source
 //!   dies there. A residual block flattens to main ‖ shortcut ‖ merge, and
 //!   the merge (`relu(main + shortcut)`) reads both paths.
@@ -83,8 +83,8 @@ pub trait Attach {
     type Error: From<NnError>;
 
     /// The op and output annotation of one step: every lowering except
-    /// `Sequence`, `Flatten` and `Identity` (shape-only ops, whose output
-    /// aliases their input and keeps its annotation), with a `Residual`
+    /// `Sequence` and `Flatten` (shape-only ops, whose output aliases their
+    /// input and keeps its annotation), with a `Residual`
     /// standing for its merge (called after both of its paths).
     ///
     /// # Errors
@@ -218,8 +218,8 @@ impl<Op, N> Skeleton<Op, N> {
     }
 }
 
-/// A value of the walk: every step output is a fresh value, and
-/// `Flatten`/`Identity` alias their input (same storage, new shape).
+/// A value of the walk: every step output is a fresh value, and `Flatten`
+/// aliases its input (same storage, new shape).
 struct Value<N> {
     dims: Vec<usize>,
     alias_of: Option<usize>,
@@ -295,13 +295,9 @@ impl<Op, N: Copy> Walk<Op, N> {
                 }
                 return Ok(());
             }
-            LayerLowering::Flatten | LayerLowering::Identity => {
-                let dims = match lowering {
-                    LayerLowering::Flatten => vec![in_elems],
-                    _ => in_dims,
-                };
+            LayerLowering::Flatten => {
                 let root = self.root(*cur);
-                *cur = self.new_value(dims, Some(root), note);
+                *cur = self.new_value(vec![in_elems], Some(root), note);
                 return Ok(());
             }
             LayerLowering::Residual { main, shortcut } => {
@@ -368,8 +364,7 @@ impl<Op, N: Copy> Walk<Op, N> {
                 self.scratch.acc = self.scratch.acc.max(out_f);
                 (vec![out_f], (in_f * out_f) as u64)
             }
-            LayerLowering::MaxPool2d { kernel, stride }
-            | LayerLowering::AvgPool2d { kernel, stride } => {
+            LayerLowering::MaxPool2d { kernel, stride } => {
                 if in_dims.len() != 3 {
                     return Err(bad("pooling expects per-sample [c, h, w]".into()).into());
                 }

@@ -159,8 +159,7 @@ pub fn train(
     }
     let mut order: Vec<usize> = (0..n).collect();
 
-    for epoch in 0..config.epochs {
-        optimizer.set_epoch(epoch);
+    for _ in 0..config.epochs {
         if config.shuffle {
             rng.shuffle(&mut order);
         }

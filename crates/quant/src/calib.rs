@@ -155,9 +155,8 @@ impl CalibratedNetwork {
     ///
     /// Returns [`QuantError::InvalidInput`] for an empty batch or per-sample
     /// dims other than the network's input shape,
-    /// [`QuantError::Unsupported`] for layers without an inference
-    /// lowering, [`QuantError::NonFinite`] for NaN/infinite weights or
-    /// activations, or propagated shape errors.
+    /// [`QuantError::NonFinite`] for NaN/infinite weights or activations, or
+    /// propagated shape errors.
     pub fn calibrate(network: &MultiExitNetwork, calib: &Tensor) -> Result<Self, QuantError> {
         let expected = network.spec().input_shape(1);
         let dims = calib.dims();
@@ -172,8 +171,8 @@ impl CalibratedNetwork {
         }
         let input = ValueRange::observe(calib.as_slice())?;
         let (batch, in_dims) = (dims[0], dims[1..].to_vec());
-        let blocks = network.block_lowerings()?;
-        let exits = network.exit_lowerings()?;
+        let blocks = network.block_lowerings();
+        let exits = network.exit_lowerings();
         let mut observer = WeightObserver::default();
         let exit_refs = exits.iter().map(|(after, branch)| (*after, branch));
         let steps = skeleton::compile(&blocks, exit_refs, &in_dims, (), &mut observer)?;

@@ -9,8 +9,8 @@ use std::fmt;
 pub enum QuantError {
     /// The fixed-point format is invalid (zero width, integer bits > width, ...).
     InvalidFormat(String),
-    /// The requested lowering is not supported by the integer path (a layer
-    /// without an inference lowering, or a format wider than 16 bits).
+    /// The requested lowering is not supported by the integer path (a
+    /// format wider than 16 bits).
     Unsupported(String),
     /// Calibration or quantization encountered a NaN or infinite value,
     /// which has no fixed-point representation.
@@ -57,12 +57,7 @@ impl From<bnn_tensor::TensorError> for QuantError {
 
 impl From<bnn_nn::NnError> for QuantError {
     fn from(e: bnn_nn::NnError) -> Self {
-        match e {
-            bnn_nn::NnError::UnsupportedLowering { layer } => {
-                QuantError::Unsupported(format!("layer `{layer}` has no inference lowering"))
-            }
-            other => QuantError::Internal(other.to_string()),
-        }
+        QuantError::Internal(e.to_string())
     }
 }
 
@@ -75,9 +70,9 @@ mod tests {
         assert!(QuantError::InvalidFormat("w".into())
             .to_string()
             .contains("w"));
-        assert!(QuantError::Unsupported("softmax".into())
+        assert!(QuantError::Unsupported("32-bit format".into())
             .to_string()
-            .contains("softmax"));
+            .contains("32-bit format"));
         assert!(QuantError::NonFinite("NaN".into())
             .to_string()
             .contains("NaN"));
@@ -87,15 +82,5 @@ mod tests {
         assert!(QuantError::InvalidInput("empty batch".into())
             .to_string()
             .contains("empty batch"));
-    }
-
-    #[test]
-    fn nn_lowering_errors_map_to_unsupported() {
-        let e = QuantError::from(bnn_nn::NnError::UnsupportedLowering {
-            layer: "softmax".into(),
-        });
-        assert!(matches!(e, QuantError::Unsupported(_)));
-        let e = QuantError::from(bnn_nn::NnError::InvalidConfig("x".into()));
-        assert!(matches!(e, QuantError::Internal(_)));
     }
 }

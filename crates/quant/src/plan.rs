@@ -300,8 +300,7 @@ impl Kernel for IntKernel {
                     *v = (*v).max(0);
                 }
             }
-            ScheduleOp::MaxPool { kernel, stride } | ScheduleOp::AvgPool { kernel, stride } => {
-                let is_max = matches!(step.op, ScheduleOp::MaxPool { .. });
+            ScheduleOp::MaxPool { kernel, stride } => {
                 let (kernel, stride) = (*kernel, *stride);
                 let (c, h, w) = (step.in_dims[0], step.in_dims[1], step.in_dims[2]);
                 let geom = ConvGeometry::square(h, w, kernel, stride, 0);
@@ -313,7 +312,6 @@ impl Kernel for IntKernel {
                         for y in 0..oh {
                             for x in 0..ow {
                                 let mut best = i64::MIN;
-                                let mut acc = 0i64;
                                 for ky in 0..kernel {
                                     for kx in 0..kernel {
                                         let iy = y * stride + ky;
@@ -321,15 +319,10 @@ impl Kernel for IntKernel {
                                         if iy < h && ix < w {
                                             let v = src[((b * c + ch) * h + iy) * w + ix] as i64;
                                             best = best.max(v);
-                                            acc += v;
                                         }
                                     }
                                 }
-                                dst[((b * c + ch) * oh + y) * ow + x] = if is_max {
-                                    best as i16
-                                } else {
-                                    div_round(acc, (kernel * kernel) as i64) as i16
-                                };
+                                dst[((b * c + ch) * oh + y) * ow + x] = best as i16;
                             }
                         }
                     }
@@ -539,10 +532,6 @@ impl Attach for QuantAttach<'_> {
                 let (kernel, stride) = (*kernel, *stride);
                 (ScheduleOp::MaxPool { kernel, stride }, params)
             }
-            LayerLowering::AvgPool2d { kernel, stride } => {
-                let (kernel, stride) = (*kernel, *stride);
-                (ScheduleOp::AvgPool { kernel, stride }, params)
-            }
             LayerLowering::GlobalAvgPool2d => (ScheduleOp::GlobalAvgPool, params),
             LayerLowering::Affine(bn) => {
                 let out = out()?;
@@ -573,7 +562,7 @@ impl Attach for QuantAttach<'_> {
                 };
                 (op, out)
             }
-            LayerLowering::Sequence(_) | LayerLowering::Flatten | LayerLowering::Identity => {
+            LayerLowering::Sequence(_) | LayerLowering::Flatten => {
                 let msg = format!("{name} is not a plan step");
                 return Err(QuantError::Internal(msg));
             }
@@ -790,30 +779,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn softmax_layers_have_no_integer_lowering() {
-        let spec = NetworkSpec::single_exit(
-            "soft",
-            1,
-            2,
-            2,
-            2,
-            vec![vec![LayerSpec::Flatten]],
-            vec![
-                LayerSpec::Dense {
-                    in_features: 4,
-                    out_features: 2,
-                },
-                LayerSpec::Softmax,
-            ],
-        );
-        let net = spec.build(0).unwrap();
-        assert!(matches!(
-            CalibratedNetwork::calibrate(&net, &calib_batch(&[2, 1, 2, 2], 15)),
-            Err(QuantError::Unsupported(_))
-        ));
     }
 
     /// A residual block with batch norm (the merge and affine steps) tracks

@@ -115,15 +115,8 @@ pub enum ScheduleOp {
         /// Stride.
         stride: usize,
     },
-    /// Square average pooling: window sum divided by `kernel²` with
+    /// Whole-plane average per channel: plane sum divided by `h * w` with
     /// round-half-away-from-zero; the value keeps its input format.
-    AvgPool {
-        /// Square window size.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-    },
-    /// Whole-plane average per channel (same rounding as [`Self::AvgPool`]).
     GlobalAvgPool,
     /// Folded batch-norm: per-channel `(x*m + b) >> MUL_FRAC`, saturated
     /// into the output format (see [`MUL_FRAC`]).
@@ -167,7 +160,6 @@ impl ScheduleOp {
             ScheduleOp::Dense { .. } => "dense",
             ScheduleOp::Relu => "relu",
             ScheduleOp::MaxPool { .. } => "max_pool2d",
-            ScheduleOp::AvgPool { .. } => "avg_pool2d",
             ScheduleOp::GlobalAvgPool => "global_avg_pool2d",
             ScheduleOp::Affine { .. } => "affine",
             ScheduleOp::McDropout { .. } => "mc_dropout",

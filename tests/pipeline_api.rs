@@ -1,13 +1,14 @@
 //! Integration tests of the pipeline driver: `run_to`/`resume_from`
 //! round-trips, observer event ordering, and the configuration checks
-//! `PipelineSession::new` applies.
+//! `PipelineSession::new` and every phase function apply.
 
 use bayesnn_fpga::core::framework::FrameworkConfig;
 use bayesnn_fpga::core::phase1::ModelVariant;
 use bayesnn_fpga::core::pipeline::{
-    PhaseId, PipelineEvent, PipelineSession, RecordingObserver, StageArtifact,
+    NoopObserver, PhaseId, PipelineEvent, PipelineSession, RecordingObserver, StageArtifact,
 };
 use bayesnn_fpga::core::FrameworkError;
+use bayesnn_fpga::core::{phase1, phase2, phase3, phase4};
 use bayesnn_fpga::data::{DatasetSpec, SyntheticConfig};
 use bayesnn_fpga::models::zoo::Architecture;
 use bayesnn_fpga::models::ModelConfig;
@@ -211,4 +212,34 @@ fn per_stage_validation_matches_old_constructor_checks() {
     mixed.phase1.dropout_rates.clear();
     assert!(PipelineSession::new(mixed).is_ok());
     assert!(PipelineSession::new(small_config()).is_ok());
+}
+
+#[test]
+fn phase_functions_reject_an_invalid_config() {
+    // A direct caller of a phase function gets `InvalidConfig`, not the
+    // misleading `NoFeasibleDesign` a NaN bound produces once it reaches
+    // candidate selection (`ece <= NaN` rejects every candidate).
+    let mut bad = small_config();
+    bad.constraints.max_ece = Some(f64::NAN);
+    assert!(matches!(
+        phase1::run(&bad, &NoopObserver),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
+
+    let good = small_config();
+    let p1 = phase1::run(&good, &NoopObserver).unwrap();
+    let p2 = phase2::run(&good, &p1, &NoopObserver).unwrap();
+    let p3 = phase3::run(&good, &p2, &NoopObserver).unwrap();
+    assert!(matches!(
+        phase2::run(&bad, &p1, &NoopObserver),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
+    assert!(matches!(
+        phase3::run(&bad, &p2, &NoopObserver),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
+    assert!(matches!(
+        phase4::run(&bad, &p3, &NoopObserver),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
 }

@@ -13,9 +13,9 @@ use bayesnn_fpga::bayes::sampling::{McSampler, SamplingConfig};
 use bayesnn_fpga::bayes::BayesError;
 use bayesnn_fpga::models::zoo::Architecture;
 use bayesnn_fpga::models::{
-    ExitPlan, ExitPolicy, LayerSpec, ModelConfig, ModelError, MultiExitNetwork, NetworkSpec,
+    ExitPlan, ExitPolicy, LayerSpec, ModelConfig, MultiExitNetwork, NetworkSpec,
 };
-use bayesnn_fpga::nn::{Mode, Network, NnError};
+use bayesnn_fpga::nn::{Mode, Network};
 use bayesnn_fpga::tensor::exec::Executor;
 use bayesnn_fpga::tensor::ops::softmax;
 use bayesnn_fpga::tensor::rng::{stream_seed, Xoshiro256StarStar};
@@ -294,29 +294,6 @@ fn resnet18_batched_predict_is_concat_of_single_sample_calls() {
             .unwrap();
         assert_eq!(&all[b * classes..(b + 1) * classes], &one[..], "row {b}");
     }
-}
-
-#[test]
-fn a_softmax_spec_is_a_typed_error() {
-    let mut spec = spec(Architecture::LeNet5, false);
-    spec.exits
-        .last_mut()
-        .unwrap()
-        .layers
-        .push(LayerSpec::Softmax);
-    let mut net = spec.build(1).unwrap();
-    let x = Tensor::ones(spec.input_shape(2).dims());
-    assert!(matches!(
-        net.compile_plan(&x.dims()[1..]),
-        Err(ModelError::Nn(NnError::UnsupportedLowering { .. }))
-    ));
-    let sampler = McSampler::new(SamplingConfig::new(4));
-    assert!(matches!(
-        sampler.predict(&mut net, &x),
-        Err(BayesError::Model(ModelError::Nn(
-            NnError::UnsupportedLowering { .. }
-        )))
-    ));
 }
 
 #[test]
